@@ -24,7 +24,7 @@ use rand::SeedableRng;
 /// spin/field working set stays cache-resident on full-chip problems.
 pub const DEFAULT_REPLICA_WIDTH: usize = 8;
 
-/// Dynamics backend choice (DESIGN.md §2.1 and §4 ablations).
+/// Dynamics backend choice (the `ablation_backend` bench compares them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Metropolis simulated annealing along the schedule's temperature
@@ -45,8 +45,7 @@ pub struct AnnealerConfig {
     pub backend: Backend,
     /// Monte-Carlo sweeps simulated per microsecond of schedule time.
     /// This is the calibration constant tying simulated dynamics to the
-    /// paper's µs axes (see crate docs); EXPERIMENTS.md records the
-    /// value used for every figure.
+    /// paper's µs axes (see crate docs).
     pub sweeps_per_us: f64,
     /// Intrinsic control error model (per-anneal coefficient noise).
     pub ice: IceModel,

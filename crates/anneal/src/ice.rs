@@ -39,7 +39,7 @@ impl IceModel {
     /// The workspace's calibrated default: the paper's moments scaled
     /// to 0.2×.
     ///
-    /// Rationale (see DESIGN.md §2.1 and EXPERIMENTS.md): under this
+    /// Rationale: under this
     /// simulator's classical dynamics, the paper's absolute ICE moments
     /// extinguish the ground-state probability for N ≥ 28 problems
     /// entirely — quantum hardware evidently tolerates more control

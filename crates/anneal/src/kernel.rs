@@ -748,13 +748,85 @@ impl ReplicaBatch {
     /// Internal-edge weights come from `chains` (baked at chain-compile
     /// time from the base problem — exactly what the serial kernel
     /// reads, ICE or not); accepted replicas flip member by member in
-    /// member order, preserving serial field-accumulation order.
+    /// member order, preserving serial field-accumulation order. Like
+    /// [`ReplicaBatch::sweep_spins`], the common widths take a
+    /// width-monomorphized path and any other width the dynamic one;
+    /// both compute identical ΔE values in identical order.
     pub fn sweep_chain(
         &mut self,
         problem: &CompiledProblem,
         chains: &CompiledChains,
         c: usize,
         mut accept: impl FnMut(usize, f64) -> bool,
+    ) {
+        match self.width {
+            1 => self.sweep_chain_w::<1>(problem, chains, c, &mut accept),
+            2 => self.sweep_chain_w::<2>(problem, chains, c, &mut accept),
+            4 => self.sweep_chain_w::<4>(problem, chains, c, &mut accept),
+            8 => self.sweep_chain_w::<8>(problem, chains, c, &mut accept),
+            16 => self.sweep_chain_w::<16>(problem, chains, c, &mut accept),
+            _ => self.sweep_chain_dyn(problem, chains, c, &mut accept),
+        }
+    }
+
+    fn sweep_chain_w<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        c: usize,
+        accept: &mut impl FnMut(usize, f64) -> bool,
+    ) {
+        debug_assert_eq!(self.width, W);
+        let mut deltas = [0.0f64; W];
+        for &i in chains.members(c) {
+            let base = i as usize * W;
+            let spins: &[Spin; W] = (&self.spins[base..base + W]).try_into().expect("strip");
+            let fields: &[f64; W] = (&self.fields[base..base + W]).try_into().expect("strip");
+            for r in 0..W {
+                deltas[r] += -2.0 * spins[r] as f64 * fields[r];
+            }
+        }
+        for &(a, b, g) in chains.internal_edges(c) {
+            let (ab, bb) = (a as usize * W, b as usize * W);
+            let sa: &[Spin; W] = (&self.spins[ab..ab + W]).try_into().expect("strip");
+            let sb: &[Spin; W] = (&self.spins[bb..bb + W]).try_into().expect("strip");
+            for r in 0..W {
+                deltas[r] += 4.0 * g * sa[r] as f64 * sb[r] as f64;
+            }
+        }
+        let mut mask = [false; W];
+        let mut any = false;
+        for r in 0..W {
+            mask[r] = accept(r, deltas[r]);
+            any |= mask[r];
+        }
+        if !any {
+            return;
+        }
+        for &i in chains.members(c) {
+            let base = i as usize * W;
+            let mut steps = [0.0f64; W];
+            {
+                let spins: &mut [Spin; W] =
+                    (&mut self.spins[base..base + W]).try_into().expect("strip");
+                for r in 0..W {
+                    if mask[r] {
+                        let s = spins[r];
+                        spins[r] = -s;
+                        steps[r] = -2.0 * s as f64;
+                    }
+                }
+            }
+            self.scatter_w::<W>(problem, i as usize, &steps);
+        }
+    }
+
+    fn sweep_chain_dyn(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        c: usize,
+        accept: &mut impl FnMut(usize, f64) -> bool,
     ) {
         let w = self.width;
         self.deltas[..w].fill(0.0);

@@ -1,7 +1,7 @@
 //! A device-level simulator of the D-Wave 2000Q quantum annealer.
 //!
 //! No quantum hardware is available to this reproduction, so the
-//! annealer itself is a substrate we build (DESIGN.md §2.1). The
+//! annealer itself is a substrate we build. The
 //! simulator preserves every interface and noise process the paper's
 //! evaluation manipulates:
 //!

@@ -5,8 +5,7 @@
 //! the schedule's temperature ladder; each sweep proposes one flip per
 //! spin and accepts with the Metropolis rule `min(1, e^{−β·ΔE})`. The
 //! paper's §2.2 frames SA as the canonical classical reference dynamics
-//! for quantum annealers; per DESIGN.md §2.1 it is this simulator's
-//! default backend.
+//! for quantum annealers, and it is this simulator's default backend.
 
 use crate::kernel::{CompiledChains, ReplicaBatch, SweepState};
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};

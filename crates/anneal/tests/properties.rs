@@ -120,16 +120,17 @@ proptest! {
     /// The batched SA kernel's stream-splitting contract: replica `r`
     /// of a [`ReplicaBatch`] is bit-identical (spins, fields, energy)
     /// to a serial [`SweepState`] anneal driven by the same RNG stream
-    /// — at R = 1 and at R = 4, in shared mode and in per-replica mode
-    /// with every replica bound to differently-perturbed coefficients,
-    /// chains included.
+    /// — at R = 1, 3, 4 and 8 (width 3 takes the dynamic-width path, the
+    /// others the width-monomorphized one), in shared mode and in
+    /// per-replica mode with every replica bound to differently-perturbed
+    /// coefficients, chains included.
     #[test]
     fn sa_replica_batch_matches_serial(p in problem(), seed in 0u64..1000) {
         let compiled = CompiledProblem::new(&p);
         let chain_sets = vec![vec![0usize, 1, 2], vec![4, 5]];
         let cc = CompiledChains::compile(&compiled, &chain_sets);
         let betas: Vec<f64> = (0..10).map(|k| 0.2 * 1.3f64.powi(k)).collect();
-        for width in [1usize, 4] {
+        for width in [1usize, 3, 4, 8] {
             // Per-replica coefficient variants sharing the structure.
             let variants: Vec<CompiledProblem> = (0..width)
                 .map(|r| {

@@ -5,7 +5,7 @@
 //! "inferred from processing time using a single core in BigStation"
 //! and the Sphere Decoder's floor is "a few hundreds of µs" at Fig. 14
 //! sizes (§5.4). We mirror that methodology with two documented cost
-//! models (DESIGN.md §2.3):
+//! models:
 //!
 //! * **ZF** — FLOP count of the channel inversion plus per-vector
 //!   filtering, divided by a BigStation-era sustained single-core rate
@@ -16,7 +16,7 @@
 //!
 //! These constants are *calibration anchors*, not measurements of this
 //! repository's Rust implementations (Criterion benches measure those
-//! separately); EXPERIMENTS.md reports both.
+//! separately).
 
 /// Sustained single-core floating-point rate assumed for the ZF model
 /// (FLOP/s).

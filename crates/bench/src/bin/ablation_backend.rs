@@ -1,4 +1,4 @@
-//! **Ablation: SA vs SQA dynamics** (DESIGN.md §4.1).
+//! **Ablation: SA vs SQA dynamics** (see `quamax_anneal`'s crate docs).
 //!
 //! Do the reproduced effects — pause benefit, J_F response — survive
 //! replacing Metropolis simulated annealing with path-integral

@@ -1,5 +1,5 @@
 //! **Ablation: embedded-physical vs logical-only annealing**
-//! (DESIGN.md §4.2).
+//! (see `quamax_chimera::embedded`).
 //!
 //! Runs the same logical ML problems (a) through the full pipeline —
 //! Chimera embedding, chains, majority-vote unembedding — and (b)

@@ -1,4 +1,4 @@
-//! **Ablation: the Fig. 2 bitwise post-translation** (DESIGN.md §4.6).
+//! **Ablation: the Fig. 2 bitwise post-translation**.
 //!
 //! What happens if a 16-QAM receiver skips the QuAMax→Gray
 //! post-translation and reads the QUBO bits as if they were Gray

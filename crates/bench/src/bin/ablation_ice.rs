@@ -1,4 +1,4 @@
-//! **Ablation: ICE noise floor** (DESIGN.md §4.3).
+//! **Ablation: ICE noise floor** (see `quamax_anneal::IceModel`).
 //!
 //! Sweeps the intrinsic-control-error scale from 0 (ideal device)
 //! through the paper's measured moments (1.0×) and beyond, at two

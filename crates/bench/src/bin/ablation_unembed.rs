@@ -1,5 +1,5 @@
 //! **Ablation: majority-vote vs discard-on-break unembedding**
-//! (DESIGN.md §4.5).
+//! (see `quamax_chimera::unembed`).
 //!
 //! The paper unembeds broken chains by majority vote (ties
 //! randomized). The alternative — discarding any sample with a broken

@@ -69,7 +69,7 @@ fn main() {
         println!("  N={n:>2}: {} copies", parallelization(n));
     }
     println!(
-        "\nNote: the paper's '175×175 QPSK' forecast needs N=350 — beyond P16's\nnative clique bound of {}; see EXPERIMENTS.md.",
+        "\nNote: the paper's '175×175 QPSK' forecast needs N=350 — beyond P16's\nnative clique bound of {}.",
         p16.max_clique()
     );
     let path = report.write().expect("write results");

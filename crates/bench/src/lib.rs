@@ -14,8 +14,9 @@
 //!
 //! Scaled defaults: the paper burned >8×10¹⁰ hardware anneals; these
 //! binaries default to laptop-scale sample counts and accept
-//! `--anneals`, `--instances`, `--seed` to scale up. EXPERIMENTS.md
-//! records the defaults used for the committed results.
+//! `--anneals`, `--instances`, `--seed` to scale up. Each run records
+//! the parameters it used in the `params` field of its
+//! `results/<name>.json`.
 
 pub mod cli;
 pub mod ground;

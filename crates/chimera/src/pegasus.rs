@@ -101,8 +101,8 @@ mod tests {
         assert!(!p.fits(181));
         assert!(!p.fits(0));
         // The paper's §8 "175×175 QPSK" forecast corresponds to N=350
-        // logical variables — beyond P16's native clique; EXPERIMENTS.md
-        // records this as an over-estimate of the announced hardware.
+        // logical variables — beyond P16's native clique, so the
+        // forecast over-estimates the announced hardware.
         assert!(!p.fits(350));
     }
 

@@ -14,6 +14,7 @@
 use crate::embed::CliqueEmbedding;
 use crate::graph::ChimeraGraph;
 use crate::CELL_SIDE;
+use std::sync::OnceLock;
 
 /// Greedily places as many disjoint `n`-variable triangle embeddings as
 /// fit on `graph`, returning them all.
@@ -57,10 +58,35 @@ pub fn tile_embeddings(graph: &ChimeraGraph, n: usize) -> Vec<CliqueEmbedding> {
     out
 }
 
+/// Problem sizes the [`parallelization`] table covers: every `n` whose
+/// triangle fits the DW2Q grid.
+const FACTOR_TABLE_LEN: usize = crate::DW2Q_GRID * CELL_SIDE + 1;
+
+/// One lazily filled slot per problem size `n`, index `n`.
+static FACTORS: [OnceLock<usize>; FACTOR_TABLE_LEN] = [const { OnceLock::new() }; FACTOR_TABLE_LEN];
+
 /// The geometric parallelization factor on an ideal DW2Q chip: how many
 /// disjoint copies of an `n`-variable problem fit.
+///
+/// Cost: the first call for a given `n` builds the ideal chip and tiles
+/// it with [`tile_embeddings`] (tens to hundreds of µs); every later
+/// call for that `n`, from any thread, reads a process-wide table. Sizes
+/// past the table (`n > 64`) are tiled on every call.
+///
+/// # Panics
+/// Panics when `n == 0`, like [`tile_embeddings`].
 pub fn parallelization(n: usize) -> usize {
-    tile_embeddings(&ChimeraGraph::dw2q_ideal(), n).len()
+    memoized(&FACTORS, n)
+}
+
+/// [`parallelization`] over an explicit table, so tests can race on a
+/// fresh one.
+fn memoized(table: &[OnceLock<usize>], n: usize) -> usize {
+    let tile = || tile_embeddings(&ChimeraGraph::dw2q_ideal(), n).len();
+    match table.get(n) {
+        Some(slot) => *slot.get_or_init(tile),
+        None => tile(),
+    }
 }
 
 /// The paper's asymptotic estimate `P_f ≃ N_tot/(N(⌈N/4⌉+1))`
@@ -110,6 +136,51 @@ mod tests {
     #[test]
     fn oversized_problem_fits_zero_times() {
         assert_eq!(parallelization(65), 0);
+    }
+
+    #[test]
+    fn memoized_factor_matches_tiling() {
+        let g = ChimeraGraph::dw2q_ideal();
+        for n in 1..=65 {
+            assert_eq!(parallelization(n), tile_embeddings(&g, n).len(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn racing_first_calls_agree() {
+        let g = ChimeraGraph::dw2q_ideal();
+        let expected: Vec<usize> = (1..=65).map(|n| tile_embeddings(&g, n).len()).collect();
+        let table: [OnceLock<usize>; FACTOR_TABLE_LEN] =
+            [const { OnceLock::new() }; FACTOR_TABLE_LEN];
+        let start = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (table, start) = (&table, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        // Threads walk the sizes from different offsets so
+                        // first calls for one `n` overlap across threads.
+                        let mut got = vec![0; 65];
+                        for k in 0..65 {
+                            let n = 1 + (k + 16 * t) % 65;
+                            got[n - 1] = memoized(table, n);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for got in answers {
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot tile an empty problem")]
+    fn zero_sized_problem_panics() {
+        parallelization(0);
     }
 
     #[test]

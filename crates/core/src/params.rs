@@ -48,7 +48,7 @@ pub fn tp_grid() -> Vec<f64> {
 /// A candidate grid over `{J_F} × {Ta}` without pausing.
 ///
 /// `jf_step` thins the J_F sweep (1 = full paper grid; benches use
-/// coarser steps to fit laptop budgets — recorded in EXPERIMENTS.md).
+/// coarser steps to fit laptop budgets).
 pub fn grid_no_pause(improved_range: bool, jf_step: usize, tas: &[f64]) -> Vec<CandidateParams> {
     let mut out = Vec::new();
     for (i, &jf) in jf_grid().iter().enumerate() {

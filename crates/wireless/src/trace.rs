@@ -5,7 +5,7 @@
 //! the largest spatial-multiplexing MIMO trace publicly available. That
 //! dataset is not redistributable here, so this module synthesizes a
 //! trace with the properties the Fig. 15 experiment actually exercises
-//! (the substitution is documented in DESIGN.md §2.2).
+//! (the model below describes the substitution).
 //!
 //! The model is geometric (finite scattering): each user's channel is a
 //! sum of a few plane-wave paths arriving at a half-wavelength uniform
