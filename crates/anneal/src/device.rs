@@ -415,7 +415,11 @@ impl Annealer {
                 "job problem does not share the batch structure"
             );
             if let Some(init) = job.init {
-                assert_eq!(init.len(), structure.num_spins(), "candidate length mismatch");
+                assert_eq!(
+                    init.len(),
+                    structure.num_spins(),
+                    "candidate length mismatch"
+                );
             }
         }
         let total: usize = jobs.iter().map(|j| j.num_anneals).sum();
@@ -479,9 +483,9 @@ impl Annealer {
                     let fractions = &fractions;
                     let config = &config;
                     scope.spawn(move || {
-                        // Per-thread scratch, allocated once: the ICE
-                        // refreeze coefficient copy, the replica batch
-                        // buffers, and the per-replica RNG streams.
+                        // Per-thread scratch, allocated once: the
+                        // replica batch buffers (ICE deviates included)
+                        // and the per-replica RNG streams.
                         let mut worker = BatchWorker::new();
                         worker.run_range(
                             structure, chains, jobs, slot_chunk, out_chunk, betas, fractions,
@@ -519,13 +523,10 @@ pub struct AnnealJob<'a> {
     pub seed: u64,
 }
 
-/// One worker thread's reusable buffers: scratch coefficients for the
-/// per-anneal ICE refreeze, the SoA replica batches, and the
+/// One worker thread's reusable buffers: the SoA replica batches
+/// (which refreeze ICE straight into their strips) and the
 /// per-replica RNG streams of the current window.
 struct BatchWorker {
-    /// Built lazily on the first refreeze — a zero-ICE run never pays
-    /// for the coefficient copy.
-    scratch: Option<CompiledProblem>,
     sa_batch: ReplicaBatch,
     sqa_batch: SqaReplicaBatch,
     rngs: Vec<StdRng>,
@@ -534,7 +535,6 @@ struct BatchWorker {
 impl BatchWorker {
     fn new() -> Self {
         BatchWorker {
-            scratch: None,
             sa_batch: ReplicaBatch::new(),
             sqa_batch: SqaReplicaBatch::new(),
             rngs: Vec::new(),
@@ -603,7 +603,6 @@ impl BatchWorker {
     ) {
         let w = slots.len();
         let BatchWorker {
-            scratch,
             sa_batch,
             sqa_batch,
             rngs,
@@ -636,14 +635,7 @@ impl BatchWorker {
                     sa_batch.reset_per_replica(structure, w);
                     for (r, &(j, _)) in slots.iter().enumerate() {
                         let job = &jobs[j as usize];
-                        let effective: &CompiledProblem = if config.ice.is_zero() {
-                            job.problem
-                        } else {
-                            let scratch = scratch.get_or_insert_with(|| job.problem.clone());
-                            config.ice.refreeze(job.problem, scratch, &mut rngs[r]);
-                            scratch
-                        };
-                        sa_batch.bind_replica(r, effective);
+                        sa_batch.bind_replica_ice(r, job.problem, &config.ice, &mut rngs[r]);
                         match job.init {
                             Some(s) => sa_batch.init_replica(structure, r, s),
                             None => sa_batch.init_replica_random(structure, r, &mut rngs[r]),
@@ -671,14 +663,7 @@ impl BatchWorker {
                     sqa_batch.reset_per_replica(structure, slices, w);
                     for (r, &(j, _)) in slots.iter().enumerate() {
                         let job = &jobs[j as usize];
-                        let effective: &CompiledProblem = if config.ice.is_zero() {
-                            job.problem
-                        } else {
-                            let scratch = scratch.get_or_insert_with(|| job.problem.clone());
-                            config.ice.refreeze(job.problem, scratch, &mut rngs[r]);
-                            scratch
-                        };
-                        sqa_batch.bind_replica(r, effective);
+                        sqa_batch.bind_replica_ice(r, job.problem, &config.ice, &mut rngs[r]);
                         match job.init {
                             Some(s) => sqa_batch.init_replica(structure, r, |_, i| s[i]),
                             None => sqa_batch.init_replica_random(structure, r, &mut rngs[r]),
@@ -960,7 +945,9 @@ mod tests {
         let p = toy_problem();
         let sched = Schedule::standard(1.0);
         let num_anneals = 13;
-        let sweeps = sched.sweep_fractions(AnnealerConfig::default().sweeps_per_us).len();
+        let sweeps = sched
+            .sweep_fractions(AnnealerConfig::default().sweeps_per_us)
+            .len();
         let mut totals = Vec::new();
         for (threads, width) in [(1, 1), (1, 8), (4, 5), (3, 16)] {
             let telemetry = Telemetry::enabled();

@@ -8,8 +8,9 @@
 //! renormalization squeezes problem coefficients into the noise) and
 //! ties solution quality to the Ising energy gap (Figs. 5 and 12).
 
+use crate::kernel::ReplicaStrips;
 use quamax_ising::{CompiledProblem, IsingProblem};
-use quamax_linalg::rng::normal;
+use quamax_linalg::rng::{fill_standard_normal, normal};
 use rand::Rng;
 
 /// Gaussian perturbation model for programmed coefficients.
@@ -143,6 +144,50 @@ impl IceModel {
         }
         scratch.perturb_linear(|f| f + normal(rng, self.field_mean, self.field_std));
         scratch.perturb_couplings(|g| g + normal(rng, self.coupler_mean, self.coupler_std));
+    }
+
+    /// Refreezes `base` straight into one replica's batch strips
+    /// (both CSR directions of every coupler). Draws the deviates of
+    /// [`IceModel::refreeze`] in its order (fields by spin, then each
+    /// coupler once in CSR `i < j` order) from one bulk
+    /// [`fill_standard_normal`] into `normals`, and applies them with
+    /// its arithmetic, so the strips hold exactly what `refreeze` +
+    /// `bind_replica` would bind and `rng` ends in the same state.
+    pub(crate) fn refreeze_strips<R: Rng + ?Sized>(
+        &self,
+        base: &CompiledProblem,
+        strips: &mut ReplicaStrips,
+        normals: &mut Vec<f64>,
+        rng: &mut R,
+    ) {
+        if self.is_zero() {
+            strips.copy_from(base);
+            return;
+        }
+        let n = base.num_spins();
+        normals.resize(n + base.num_couplings(), 0.0);
+        fill_standard_normal(rng, normals);
+        let (field_z, coupler_z) = normals.split_at(n);
+        for (i, (&f, &z)) in base.linear_terms().iter().zip(field_z).enumerate() {
+            strips.set_linear(i, f + (self.field_mean + self.field_std * z));
+        }
+        let (neighbors, gs, twins) = (
+            base.neighbors_flat(),
+            base.weights_flat(),
+            base.twins_flat(),
+        );
+        let mut coupler_z = coupler_z.iter();
+        for i in 0..n {
+            let (lo, hi) = base.row_bounds(i);
+            // Rows are sorted: the `j > i` half is a suffix.
+            let upper = lo + neighbors[lo..hi].partition_point(|&j| j as usize <= i);
+            for k in upper..hi {
+                let z = coupler_z.next().expect("one deviate per coupler");
+                let g = gs[k] + (self.coupler_mean + self.coupler_std * z);
+                strips.set_weight(k, g);
+                strips.set_weight(twins[k] as usize, g);
+            }
+        }
     }
 }
 

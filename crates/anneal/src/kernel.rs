@@ -22,6 +22,7 @@
 //! be allocated once per worker thread and reset per anneal, so the hot
 //! loop performs no allocation at all.
 
+use crate::ice::IceModel;
 use quamax_ising::{CompiledProblem, Spin};
 use rand::Rng;
 
@@ -406,6 +407,74 @@ impl SqaState {
     }
 }
 
+/// Replica `r`'s view of a per-replica batch's coefficient strips,
+/// `linear[i·width + r]` and `weights[e·width + r]`: the bind target
+/// shared by both batch kinds.
+pub(crate) struct ReplicaStrips<'a> {
+    linear: &'a mut [f64],
+    weights: &'a mut [f64],
+    width: usize,
+    r: usize,
+}
+
+impl<'a> ReplicaStrips<'a> {
+    /// Replica `r`'s strips, after the shape checks of a bind.
+    ///
+    /// # Panics
+    /// Panics in shared mode (no weight strips) or when `problem`'s
+    /// shape disagrees with the batch.
+    fn checked(
+        linear: &'a mut [f64],
+        weights: &'a mut [f64],
+        width: usize,
+        r: usize,
+        problem: &CompiledProblem,
+    ) -> Self {
+        assert!(
+            !weights.is_empty(),
+            "bind_replica needs a per-replica batch (reset_per_replica)"
+        );
+        assert_eq!(
+            problem.num_spins() * width,
+            linear.len(),
+            "structure mismatch"
+        );
+        assert_eq!(
+            problem.num_entries() * width,
+            weights.len(),
+            "structure mismatch"
+        );
+        ReplicaStrips {
+            linear,
+            weights,
+            width,
+            r,
+        }
+    }
+
+    /// Copies `problem`'s coefficients in unchanged.
+    pub(crate) fn copy_from(&mut self, problem: &CompiledProblem) {
+        for (i, &f) in problem.linear_terms().iter().enumerate() {
+            self.set_linear(i, f);
+        }
+        for (e, &g) in problem.weights_flat().iter().enumerate() {
+            self.set_weight(e, g);
+        }
+    }
+
+    /// Writes spin `i`'s linear term.
+    #[inline]
+    pub(crate) fn set_linear(&mut self, i: usize, f: f64) {
+        self.linear[i * self.width + self.r] = f;
+    }
+
+    /// Writes directed CSR entry `e`'s coupling.
+    #[inline]
+    pub(crate) fn set_weight(&mut self, e: usize, g: f64) {
+        self.weights[e * self.width + self.r] = g;
+    }
+}
+
 /// `R` independent SA configurations in structure-of-arrays layout:
 /// `spins[i*R + r]` / `fields[i*R + r]`, so the per-spin loop over
 /// replicas is a contiguous strip and one CSR row walk pays for all
@@ -417,10 +486,12 @@ impl SqaState {
 ///   the exact problem passed to each sweep call (same `y`, zero ICE);
 ///   the scatter broadcasts one `g` per row entry across the strip;
 /// * **per-replica** ([`ReplicaBatch::reset_per_replica`] +
-///   [`ReplicaBatch::bind_replica`]) — each replica carries its own
-///   `linear[i*R + r]` / `weights[e*R + r]` strips (different `y`
-///   vectors, or per-anneal ICE-refrozen coefficients); only the CSR
-///   *structure* of the problem argument is read.
+///   [`ReplicaBatch::bind_replica`], or
+///   [`ReplicaBatch::bind_replica_ice`] to refreeze ICE on the way in)
+///   — each replica carries its own `linear[i*R + r]` /
+///   `weights[e*R + r]` strips (different `y` vectors, or per-anneal
+///   ICE-refrozen coefficients); only the CSR *structure* of the
+///   problem argument is read.
 ///
 /// Each replica is bit-identical to a serial [`SweepState`] driven by
 /// the same RNG stream (the stream-splitting contract in the crate's
@@ -447,6 +518,8 @@ pub struct ReplicaBatch {
     deltas: Vec<f64>,
     /// Scratch: per-replica accept mask (chain moves).
     mask: Vec<bool>,
+    /// Scratch: one replica's ICE deviates (`n` fields + `m` couplers).
+    normals: Vec<f64>,
 }
 
 impl ReplicaBatch {
@@ -521,23 +594,29 @@ impl ReplicaBatch {
     /// # Panics
     /// Panics in shared mode or when shapes disagree.
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        assert!(
-            !self.shared(),
-            "bind_replica needs a per-replica batch (reset_per_replica)"
-        );
-        assert_eq!(problem.num_spins(), self.n, "structure mismatch");
-        assert_eq!(
-            problem.num_entries() * self.width,
-            self.weights.len(),
-            "structure mismatch"
-        );
-        let w = self.width;
-        for (i, &f) in problem.linear_terms().iter().enumerate() {
-            self.linear[i * w + r] = f;
-        }
-        for (e, &g) in problem.weights_flat().iter().enumerate() {
-            self.weights[e * w + r] = g;
-        }
+        ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem)
+            .copy_from(problem);
+    }
+
+    /// Binds replica `r` to one anneal's ICE-refrozen `problem`: the
+    /// strips end up exactly as [`IceModel::refreeze`] followed by
+    /// [`ReplicaBatch::bind_replica`] would leave them, with `rng` in
+    /// the same state, but the perturbed coefficients are written
+    /// straight into the strips. A zero model draws nothing and binds
+    /// `problem` as is.
+    ///
+    /// # Panics
+    /// Panics in shared mode or when shapes disagree.
+    pub fn bind_replica_ice<R: Rng + ?Sized>(
+        &mut self,
+        r: usize,
+        problem: &CompiledProblem,
+        ice: &IceModel,
+        rng: &mut R,
+    ) {
+        let mut strips =
+            ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem);
+        ice.refreeze_strips(problem, &mut strips, &mut self.normals, rng);
     }
 
     /// Initializes replica `r` to `spins` and rebuilds its cached
@@ -603,7 +682,9 @@ impl ReplicaBatch {
 
     /// Replica `r`'s configuration, gathered out of the strided layout.
     pub fn replica_spins(&self, r: usize) -> Vec<Spin> {
-        (0..self.n).map(|i| self.spins[i * self.width + r]).collect()
+        (0..self.n)
+            .map(|i| self.spins[i * self.width + r])
+            .collect()
     }
 
     /// Replica `r`'s energy, in the same accumulation order as
@@ -611,7 +692,10 @@ impl ReplicaBatch {
     pub fn energy(&self, r: usize) -> f64 {
         let w = self.width;
         (0..self.n)
-            .map(|i| self.spins[i * w + r] as f64 * (self.fields[i * w + r] + self.linear[i * w + r]) / 2.0)
+            .map(|i| {
+                self.spins[i * w + r] as f64 * (self.fields[i * w + r] + self.linear[i * w + r])
+                    / 2.0
+            })
             .sum()
     }
 
@@ -691,8 +775,7 @@ impl ReplicaBatch {
             {
                 let spins: &mut [Spin; W] =
                     (&mut self.spins[base..base + W]).try_into().expect("strip");
-                let fields: &[f64; W] =
-                    (&self.fields[base..base + W]).try_into().expect("strip");
+                let fields: &[f64; W] = (&self.fields[base..base + W]).try_into().expect("strip");
                 for r in 0..W {
                     let s = spins[r];
                     let delta = -2.0 * s as f64 * fields[r];
@@ -712,12 +795,7 @@ impl ReplicaBatch {
     /// Width-monomorphized scatter: same row walk as
     /// [`ReplicaBatch::scatter`], but the per-entry strip update is a
     /// fixed-`W` array operation the compiler fully unrolls.
-    fn scatter_w<const W: usize>(
-        &mut self,
-        problem: &CompiledProblem,
-        i: usize,
-        steps: &[f64; W],
-    ) {
+    fn scatter_w<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
         if self.shared() {
@@ -833,16 +911,14 @@ impl ReplicaBatch {
         for &i in chains.members(c) {
             let base = i as usize * w;
             for r in 0..w {
-                self.deltas[r] +=
-                    -2.0 * self.spins[base + r] as f64 * self.fields[base + r];
+                self.deltas[r] += -2.0 * self.spins[base + r] as f64 * self.fields[base + r];
             }
         }
         for &(a, b, g) in chains.internal_edges(c) {
             let ab = a as usize * w;
             let bb = b as usize * w;
             for r in 0..w {
-                self.deltas[r] +=
-                    4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
+                self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
             }
         }
         let mut any = false;
@@ -922,6 +998,7 @@ pub struct SqaReplicaBatch {
     steps: Vec<f64>,
     deltas: Vec<f64>,
     mask: Vec<bool>,
+    normals: Vec<f64>,
 }
 
 impl SqaReplicaBatch {
@@ -989,23 +1066,22 @@ impl SqaReplicaBatch {
     /// Binds replica `r`'s coefficients (see
     /// [`ReplicaBatch::bind_replica`]).
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        assert!(
-            !self.shared(),
-            "bind_replica needs a per-replica batch (reset_per_replica)"
-        );
-        assert_eq!(problem.num_spins(), self.n, "structure mismatch");
-        assert_eq!(
-            problem.num_entries() * self.width,
-            self.weights.len(),
-            "structure mismatch"
-        );
-        let w = self.width;
-        for (i, &f) in problem.linear_terms().iter().enumerate() {
-            self.linear[i * w + r] = f;
-        }
-        for (e, &g) in problem.weights_flat().iter().enumerate() {
-            self.weights[e * w + r] = g;
-        }
+        ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem)
+            .copy_from(problem);
+    }
+
+    /// Binds replica `r` under fresh ICE (see
+    /// [`ReplicaBatch::bind_replica_ice`]).
+    pub fn bind_replica_ice<R: Rng + ?Sized>(
+        &mut self,
+        r: usize,
+        problem: &CompiledProblem,
+        ice: &IceModel,
+        rng: &mut R,
+    ) {
+        let mut strips =
+            ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem);
+        ice.refreeze_strips(problem, &mut strips, &mut self.normals, rng);
     }
 
     /// Initializes replica `r`'s slices from `init(k, i)` and rebuilds
@@ -1068,6 +1144,12 @@ impl SqaReplicaBatch {
     #[inline]
     pub fn spin(&self, k: usize, i: usize, r: usize) -> Spin {
         self.spins[(k * self.n + i) * self.width + r]
+    }
+
+    /// The cached problem-term field at `(slice k, spin i, replica r)`.
+    #[inline]
+    pub fn field(&self, k: usize, i: usize, r: usize) -> f64 {
+        self.fields[(k * self.n + i) * self.width + r]
     }
 
     /// Replica `r`'s slice `k`, gathered out of the strided layout.
@@ -1194,14 +1276,20 @@ impl SqaReplicaBatch {
                 let at = (k * self.n + i as usize) * w;
                 let up_at = (up * self.n + i as usize) * w;
                 let down_at = (down * self.n + i as usize) * w;
-                for r in 0..w {
-                    pairs[r] += self.spins[at + r] as f64
-                        * (self.spins[up_at + r] + self.spins[down_at + r]) as f64;
+                let here = &self.spins[at..at + w];
+                let above = &self.spins[up_at..up_at + w];
+                let below = &self.spins[down_at..down_at + w];
+                for (((pair, &s), &su), &sd) in
+                    pairs[..w].iter_mut().zip(here).zip(above).zip(below)
+                {
+                    *pair += s as f64 * (su + sd) as f64;
                 }
             }
-            for r in 0..w {
-                self.mask[r] = accept(r, self.deltas[r], pairs[r]);
-                any |= self.mask[r];
+            let proposals = self.deltas[..w].iter().zip(&pairs[..w]);
+            for (r, (mask, (&delta, &pair))) in self.mask[..w].iter_mut().zip(proposals).enumerate()
+            {
+                *mask = accept(r, delta, pair);
+                any |= *mask;
             }
             self.steps = pairs;
         }
@@ -1255,8 +1343,7 @@ impl SqaReplicaBatch {
             let ab = (base + a as usize) * w;
             let bb = (base + b as usize) * w;
             for r in 0..w {
-                self.deltas[r] +=
-                    4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
+                self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
             }
         }
     }

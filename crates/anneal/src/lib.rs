@@ -59,10 +59,11 @@
 //!   `n×P` spin buffer with a per-slice local-field cache, giving SQA
 //!   the same O(1)-proposal structure per (spin, slice) and per-slice
 //!   contiguity.
-//! * **Per-thread reuse** — each worker owns one scratch coefficient
-//!   copy (for the per-anneal ICE refreeze, two `memcpy`-like passes
-//!   over `linear`/`weights`; the CSR structure is shared) and one
-//!   sweep state; the anneal hot loop performs no allocation.
+//! * **Per-thread reuse** — each worker owns one replica batch, whose
+//!   per-anneal ICE refreeze writes perturbed coefficients straight
+//!   into the replica's `linear`/`weights` strips from one reused
+//!   buffer of bulk-drawn normal deviates (the CSR structure is
+//!   shared); the anneal hot loop performs no allocation.
 //!
 //! ## Determinism contract
 //!

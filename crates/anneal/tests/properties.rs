@@ -9,7 +9,7 @@ use quamax_anneal::{
 };
 use quamax_ising::{CompiledProblem, IsingProblem};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 const N: usize = 8;
 
@@ -164,8 +164,8 @@ proptest! {
                         batch.bind_replica(r, q);
                     }
                 }
-                for r in 0..width {
-                    batch.init_replica_random(&compiled, r, &mut rngs[r]);
+                for (r, rng) in rngs.iter_mut().enumerate() {
+                    batch.init_replica_random(&compiled, r, rng);
                 }
                 sa::anneal_batch_compiled(&compiled, &cc, &betas, &mut batch, &mut rngs);
                 for (r, st) in serial.iter().enumerate() {
@@ -223,8 +223,8 @@ proptest! {
                         batch.bind_replica(r, q);
                     }
                 }
-                for r in 0..width {
-                    batch.init_replica_random(&compiled, r, &mut rngs[r]);
+                for (r, rng) in rngs.iter_mut().enumerate() {
+                    batch.init_replica_random(&compiled, r, rng);
                 }
                 sqa::anneal_batch_compiled(&compiled, &cc, &fractions, &mut batch, &mut rngs);
                 for (r, st) in serial.iter().enumerate() {
@@ -234,6 +234,80 @@ proptest! {
                         prop_assert_eq!(batch.slice_energy(r, k), st.slice_energy(q, k));
                     }
                     prop_assert_eq!(sqa::best_slice_batch(&batch, r), sqa::best_slice(q, st));
+                }
+            }
+        }
+    }
+
+    /// Binding a replica under ICE (`bind_replica_ice`) is the
+    /// reference `IceModel::refreeze` + `bind_replica`, replica for
+    /// replica: bit-identical fields and energies after a random init,
+    /// and every stream left at the same next draw. SA and SQA batches,
+    /// widths 1, 3 and 8, calibrated and paper ICE moments, on the dense
+    /// problem and on a sparse one (so CSR rows and coupler twins are
+    /// irregular).
+    #[test]
+    fn ice_bind_matches_refreeze_then_bind(p in problem(), seed in 0u64..1000) {
+        let mut sparse = IsingProblem::new(N);
+        for i in 0..N {
+            sparse.set_linear(i, p.linear(i));
+        }
+        for (i, j, g) in p.couplings() {
+            if g > 0.0 {
+                sparse.set_coupling(i, j, g);
+            }
+        }
+        let slices = 3;
+        for q in [&p, &sparse] {
+            let base = CompiledProblem::new(q);
+            let mut scratch = base.clone();
+            for ice in [IceModel::calibrated(), IceModel::dw2q()] {
+                for width in [1usize, 3, 8] {
+                    let stream = |r: usize| StdRng::seed_from_u64(seed ^ ((r as u64) << 32));
+                    let (mut sa_ref, mut sa_fused) = (ReplicaBatch::new(), ReplicaBatch::new());
+                    sa_ref.reset_per_replica(&base, width);
+                    sa_fused.reset_per_replica(&base, width);
+                    let (mut sqa_ref, mut sqa_fused) =
+                        (SqaReplicaBatch::new(), SqaReplicaBatch::new());
+                    sqa_ref.reset_per_replica(&base, slices, width);
+                    sqa_fused.reset_per_replica(&base, slices, width);
+                    for r in 0..width {
+                        let (mut a, mut b) = (stream(r), stream(r));
+                        ice.refreeze(&base, &mut scratch, &mut a);
+                        sa_ref.bind_replica(r, &scratch);
+                        sa_ref.init_replica_random(&base, r, &mut a);
+                        sa_fused.bind_replica_ice(r, &base, &ice, &mut b);
+                        sa_fused.init_replica_random(&base, r, &mut b);
+                        prop_assert_eq!(a.next_u64(), b.next_u64());
+
+                        let (mut a, mut b) = (stream(r), stream(r));
+                        ice.refreeze(&base, &mut scratch, &mut a);
+                        sqa_ref.bind_replica(r, &scratch);
+                        sqa_ref.init_replica_random(&base, r, &mut a);
+                        sqa_fused.bind_replica_ice(r, &base, &ice, &mut b);
+                        sqa_fused.init_replica_random(&base, r, &mut b);
+                        prop_assert_eq!(a.next_u64(), b.next_u64());
+                    }
+                    // Checked after every replica is bound, so a write
+                    // into a neighbouring replica's strip shows too.
+                    for r in 0..width {
+                        for i in 0..N {
+                            prop_assert_eq!(sa_fused.field(i, r).to_bits(), sa_ref.field(i, r).to_bits());
+                        }
+                        prop_assert_eq!(sa_fused.energy(r).to_bits(), sa_ref.energy(r).to_bits());
+                        for k in 0..slices {
+                            for i in 0..N {
+                                prop_assert_eq!(
+                                    sqa_fused.field(k, i, r).to_bits(),
+                                    sqa_ref.field(k, i, r).to_bits()
+                                );
+                            }
+                            prop_assert_eq!(
+                                sqa_fused.slice_energy(r, k).to_bits(),
+                                sqa_ref.slice_energy(r, k).to_bits()
+                            );
+                        }
+                    }
                 }
             }
         }

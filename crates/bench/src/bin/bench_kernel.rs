@@ -21,10 +21,18 @@
 //!   accept-dominated regime where the scalar kernel's win is
 //!   smallest): one CSR row walk amortized over R replicas. The run
 //!   asserts the batched kernel beats the scalar compiled kernel on
-//!   replica throughput at R ≥ 8.
+//!   replica throughput at R ≥ 8;
+//! * `ice_bind_embedded_624q_r8` — one window's per-anneal ICE refreeze
+//!   on the clique-embedded 48-user BPSK problem (624 qubits), eight
+//!   replicas: the reference `IceModel::refreeze` + `bind_replica`
+//!   round trip against `bind_replica_ice`, which draws the same
+//!   deviates through the bulk two-pass sampler and writes them
+//!   straight into the strips. The run asserts both leave identical
+//!   coefficients bound and that the fused bind is ≥ 1.2× faster.
 
 use criterion::{measure_each, Summary};
 use quamax_anneal::kernel::{ReplicaBatch, SqaState, SweepState};
+use quamax_anneal::IceModel;
 use quamax_bench::kernelbench as kb;
 use quamax_ising::CompiledProblem;
 use rand::rngs::StdRng;
@@ -69,6 +77,23 @@ fn interleave(
     (n, c)
 }
 
+/// The ICE-bind row: reference refreeze + bind against the fused bind.
+struct IceBindRow {
+    /// Normal deviates drawn per measured op.
+    normals: usize,
+    reference: Summary,
+    fused: Summary,
+}
+
+impl IceBindRow {
+    const NAME: &'static str = "ice_bind_embedded_624q_r8";
+    const WIDTH: usize = 8;
+
+    fn speedup(&self) -> f64 {
+        self.reference.min_ns / self.fused.min_ns
+    }
+}
+
 impl Comparison {
     /// Speedup from the per-block *minimum* times: on a shared machine
     /// the minimum is the least contaminated by interference, so it is
@@ -98,7 +123,7 @@ fn main() {
     let betas = kb::schedule_betas();
     let mut results = Vec::new();
 
-    let (embedded, _) = kb::embedded_bpsk60(1);
+    let (embedded, _) = kb::embedded_bpsk(60, 1);
     let glass = kb::chimera_glass(2);
     for (name, problem) in [
         ("sa_embedded_960q", &embedded),
@@ -239,6 +264,70 @@ fn main() {
         }
     }
 
+    // ICE bind row: both sides bind the same eight streams' refreezes,
+    // and are called equally often, so they end on the same anneal.
+    let ice_row = {
+        let width = IceBindRow::WIDTH;
+        let (embedded48, _) = kb::embedded_bpsk(48, 1);
+        let compiled = CompiledProblem::new(&embedded48);
+        let ice = IceModel::calibrated();
+        let streams = || -> Vec<StdRng> {
+            (0..width)
+                .map(|r| StdRng::seed_from_u64(70 + r as u64))
+                .collect()
+        };
+        let (mut reference, mut fused) = (ReplicaBatch::new(), ReplicaBatch::new());
+        reference.reset_per_replica(&compiled, width);
+        fused.reset_per_replica(&compiled, width);
+        let mut scratch = compiled.clone();
+        let (mut reference_rngs, mut fused_rngs) = (streams(), streams());
+        let (reference_time, fused_time) = interleave(
+            samples,
+            rounds,
+            |k| {
+                measure_each(k, || {
+                    for (r, rng) in reference_rngs.iter_mut().enumerate() {
+                        ice.refreeze(&compiled, &mut scratch, rng);
+                        reference.bind_replica(r, &scratch);
+                    }
+                    black_box(&reference);
+                })
+            },
+            |k| {
+                measure_each(k, || {
+                    for (r, rng) in fused_rngs.iter_mut().enumerate() {
+                        fused.bind_replica_ice(r, &compiled, &ice, rng);
+                    }
+                    black_box(&fused);
+                })
+            },
+        );
+        // Identical bound coefficients ⇔ identical fields and energies
+        // from one shared state, bit for bit.
+        let state = kb::random_spins(compiled.num_spins(), &mut StdRng::seed_from_u64(71));
+        for r in 0..width {
+            reference.init_replica(&compiled, r, &state);
+            fused.init_replica(&compiled, r, &state);
+            assert_eq!(
+                reference.energy(r).to_bits(),
+                fused.energy(r).to_bits(),
+                "fused ICE bind diverged from refreeze + bind (replica {r})"
+            );
+            for i in 0..compiled.num_spins() {
+                assert_eq!(
+                    reference.field(i, r).to_bits(),
+                    fused.field(i, r).to_bits(),
+                    "fused ICE bind diverged from refreeze + bind (replica {r}, spin {i})"
+                );
+            }
+        }
+        IceBindRow {
+            normals: width * (compiled.num_spins() + compiled.num_couplings()),
+            reference: reference_time,
+            fused: fused_time,
+        }
+    };
+
     for r in &results {
         println!(
             "{:<28} naive {:>12.0} ns   compiled {:>12.0} ns   speedup {:>5.2}x",
@@ -259,6 +348,20 @@ fn main() {
         );
     }
 
+    println!(
+        "{:<28} ref    {:>11.0} ns   fused    {:>12.0} ns   speedup {:>5.2}x   ({:.1} ns/normal fused)",
+        IceBindRow::NAME,
+        ice_row.reference.min_ns,
+        ice_row.fused.min_ns,
+        ice_row.speedup(),
+        ice_row.fused.min_ns / ice_row.normals as f64
+    );
+
+    assert!(
+        ice_row.speedup() >= 1.2,
+        "the fused ICE bind must beat refreeze + bind by ≥ 1.2x: {:.2}x",
+        ice_row.speedup()
+    );
     for r in &batched_rows {
         if r.width >= 8 {
             assert!(
@@ -295,10 +398,20 @@ fn main() {
             "speedup": (r.speedup() * 100.0).round() / 100.0,
         })
     }));
+    rows.push(serde_json::json!({
+        "bench": IceBindRow::NAME,
+        "replicas": IceBindRow::WIDTH,
+        "normals": ice_row.normals,
+        "reference_min_ns": ice_row.reference.min_ns.round(),
+        "reference_median_ns": ice_row.reference.median_ns.round(),
+        "fused_min_ns": ice_row.fused.min_ns.round(),
+        "fused_median_ns": ice_row.fused.median_ns.round(),
+        "speedup": (ice_row.speedup() * 100.0).round() / 100.0,
+    }));
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields; sa_glass_batched_rN = N replicas through the SoA ReplicaBatch kernel (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back scalar compiled ladders — replicas_per_second counts full beta-ladder passes; speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields; sa_glass_batched_rN = N replicas through the SoA ReplicaBatch kernel (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back scalar compiled ladders — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica vs bind_replica_ice (bulk two-pass normals written straight into the strips, asserted bit-identical), normals = deviates drawn per op; speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
         "rows": rows,
     });
     if !quick {

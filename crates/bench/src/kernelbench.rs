@@ -4,9 +4,9 @@
 //!
 //! Two problem regimes bracket the simulator's workload:
 //!
-//! * [`embedded_bpsk60`] — the paper's headline decode: a 60-user BPSK
-//!   ML reduction clique-embedded on the C16 chip (60 chains × 16
-//!   qubits = 960 physical spins, degree ≤ 6);
+//! * [`embedded_bpsk`] — the paper's headline decodes: an `N`-user
+//!   BPSK ML reduction clique-embedded on the C16 chip (60 users: 60
+//!   chains × 16 qubits = 960 physical spins; 48 users: 624);
 //! * [`chimera_glass`] — a full-chip spin glass on the paper's actual
 //!   hardware scale: the 2,048-site Chimera graph with 17 random
 //!   defects (2,031 working qubits, as on "Whistler"), every working
@@ -35,11 +35,11 @@ pub fn schedule_betas() -> Vec<f64> {
         .collect()
 }
 
-/// The clique-embedded 60-user BPSK problem (960 physical qubits) and
-/// its chains.
-pub fn embedded_bpsk60(seed: u64) -> (IsingProblem, Vec<Vec<usize>>) {
+/// A clique-embedded `users`-user BPSK problem (60 users: 960
+/// physical qubits; 48 users: 624) and its chains.
+pub fn embedded_bpsk(users: usize, seed: u64) -> (IsingProblem, Vec<Vec<usize>>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let inst = Scenario::new(60, 60, Modulation::Bpsk).sample(&mut rng);
+    let inst = Scenario::new(users, users, Modulation::Bpsk).sample(&mut rng);
     let (logical, _) = ising_from_ml(inst.h(), inst.y(), Modulation::Bpsk);
     let graph = ChimeraGraph::dw2q_ideal();
     let embedding = CliqueEmbedding::new(&graph, logical.num_spins()).expect("fits C16");
@@ -212,9 +212,12 @@ mod tests {
 
     #[test]
     fn fixtures_have_the_advertised_scale() {
-        let (p, chains) = embedded_bpsk60(1);
+        let (p, chains) = embedded_bpsk(60, 1);
         assert_eq!(p.num_spins(), 960);
         assert_eq!(chains.len(), 60);
+        let (p, chains) = embedded_bpsk(48, 1);
+        assert_eq!(p.num_spins(), 624);
+        assert_eq!(chains.len(), 48);
         let glass = chimera_glass(2);
         assert_eq!(glass.num_spins(), 2048);
         // 2031 working qubits: every coupling touches working sites only.

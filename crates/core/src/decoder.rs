@@ -246,10 +246,7 @@ impl QuamaxDecoder {
         Ok(DecodeSession {
             inner: SessionInner {
                 telemetry: self.telemetry.clone(),
-                annealer: self
-                    .annealer
-                    .clone()
-                    .with_telemetry(self.telemetry.clone()),
+                annealer: self.annealer.clone().with_telemetry(self.telemetry.clone()),
                 config: self.config,
                 modulation: input.modulation,
                 h: input.h.clone(),

@@ -178,6 +178,13 @@ impl CompiledProblem {
         &self.weights
     }
 
+    /// For each directed entry, the flat index of its reverse entry
+    /// (parallel to [`CompiledProblem::neighbors_flat`]).
+    #[inline]
+    pub fn twins_flat(&self) -> &[u32] {
+        &self.twin
+    }
+
     /// The local field `h_i = f_i + Σ_j g_ij·s_j` around spin `i`.
     #[inline]
     pub fn local_field(&self, spins: &[Spin], i: usize) -> f64 {
