@@ -10,19 +10,13 @@
 //! bit-identical regardless of thread count.
 
 use crate::ice::IceModel;
-use crate::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use crate::kernel::{self, CompiledChains, ReplicaBatch, SqaReplicaBatch};
 use crate::schedule::{curves, Schedule};
 use crate::{sa, sqa};
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};
 use quamax_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Default replica-batch width when `AnnealerConfig::replica_width` is
-/// left at 0: wide enough that the shared CSR walk amortizes across a
-/// full vector register of accept strips, narrow enough that a batch's
-/// spin/field working set stays cache-resident on full-chip problems.
-pub const DEFAULT_REPLICA_WIDTH: usize = 8;
 
 /// Dynamics backend choice (the `ablation_backend` bench compares them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,11 +45,6 @@ pub struct AnnealerConfig {
     pub ice: IceModel,
     /// Worker threads for batching (0 = all available cores).
     pub threads: usize,
-    /// Replica-batch width: how many anneals each worker sweeps
-    /// simultaneously through the batched kernel
-    /// (0 = [`DEFAULT_REPLICA_WIDTH`]). Width never changes results —
-    /// every replica follows its own RNG stream — only throughput.
-    pub replica_width: usize,
 }
 
 impl Default for AnnealerConfig {
@@ -65,7 +54,6 @@ impl Default for AnnealerConfig {
             sweeps_per_us: 20.0,
             ice: IceModel::calibrated(),
             threads: 0,
-            replica_width: 0,
         }
     }
 }
@@ -263,7 +251,7 @@ impl Annealer {
 
     /// Like [`Annealer::run`], additionally informing the dynamics of
     /// the embedding's qubit chains so sweeps include chain-collective
-    /// proposals (see `sa::anneal_once_chained` — the classical
+    /// proposals (see `sa::anneal_batch_compiled` — the classical
     /// counterpart of hardware's collective chain dynamics).
     pub fn run_chained(
         &self,
@@ -379,16 +367,17 @@ impl Annealer {
 
     /// Runs a set of independent anneal jobs through the batched
     /// replica kernel, returning one `Vec<Vec<Spin>>` per job (sample
-    /// `k` of job `j` is bit-identical to the corresponding scalar
+    /// `k` of job `j` is bit-identical to the corresponding single-job
     /// `run_*` call — stream `splitmix(jobs[j].seed, k)` — regardless
-    /// of batch width, thread count, or how jobs are packed together).
+    /// of window width, thread count, or how jobs are packed together).
     ///
     /// Every job's problem must share `structure`'s CSR layout (the
     /// decode/precode sessions pass per-item reprogrammed clones of one
     /// compiled base); `chains` likewise compile against that shared
     /// structure. Slots are sharded contiguously across worker threads
-    /// and each worker sweeps greedy windows of up to
-    /// `replica_width` replicas at a time: a window entirely inside one
+    /// and each worker sweeps its shard in the power-of-two replica
+    /// windows of `kernel::windows` (up to eight replicas; a tail of
+    /// five runs as 4 + 1): a window entirely inside one
     /// zero-ICE job shares that job's coefficients, any other window
     /// binds per-replica coefficient strips (per-item `y` vectors,
     /// per-anneal ICE refreezes).
@@ -449,11 +438,6 @@ impl Annealer {
             self.config.threads
         };
         let threads = threads.min(total);
-        let width = if self.config.replica_width == 0 {
-            DEFAULT_REPLICA_WIDTH
-        } else {
-            self.config.replica_width
-        };
 
         let mut samples: Vec<Vec<Spin>> = vec![Vec::new(); total];
         let config = self.config;
@@ -472,7 +456,6 @@ impl Annealer {
                 &betas,
                 &fractions,
                 &config,
-                width,
                 telemetry,
             );
         } else {
@@ -489,7 +472,7 @@ impl Annealer {
                         let mut worker = BatchWorker::new();
                         worker.run_range(
                             structure, chains, jobs, slot_chunk, out_chunk, betas, fractions,
-                            config, width, telemetry,
+                            config, telemetry,
                         );
                     });
                 }
@@ -541,8 +524,8 @@ impl BatchWorker {
         }
     }
 
-    /// Anneals `slots` (one output slot each) in greedy windows of up
-    /// to `width` replicas.
+    /// Anneals `slots` (one output slot each) in the windows of
+    /// [`kernel::windows`].
     #[allow(clippy::too_many_arguments)]
     fn run_range(
         &mut self,
@@ -554,41 +537,38 @@ impl BatchWorker {
         betas: &[f64],
         fractions: &[f64],
         config: &AnnealerConfig,
-        width: usize,
         telemetry: &Telemetry,
     ) {
         debug_assert_eq!(slots.len(), out.len());
-        let mut at = 0;
-        while at < slots.len() {
-            let w = width.min(slots.len() - at);
+        let sweeps = match config.backend {
+            Backend::Sa => betas.len(),
+            Backend::Sqa { .. } => fractions.len(),
+        };
+        for window in kernel::windows(slots.len()) {
+            let w = window.len();
             self.run_window(
                 structure,
                 chains,
                 jobs,
-                &slots[at..at + w],
-                &mut out[at..at + w],
+                &slots[window.clone()],
+                &mut out[window],
                 betas,
                 fractions,
                 config,
             );
             telemetry.observe("quamax_anneal_replica_batch_width", &[], w as f64);
-            let sweeps = match config.backend {
-                Backend::Sa => betas.len(),
-                Backend::Sqa { .. } => fractions.len(),
-            };
             telemetry.counter_add(
                 "quamax_anneal_batched_sweeps_total",
                 &[],
                 (w * sweeps) as u64,
             );
-            at += w;
         }
     }
 
     /// Anneals one replica window. Per replica, the RNG stream's draw
-    /// order is refreeze → init → sweep proposals — identical to the
-    /// scalar path, so every sample is bit-identical to its scalar
-    /// counterpart no matter how slots are windowed.
+    /// order is refreeze → init → sweep proposals, the same at every
+    /// width, so every sample is the same no matter how slots are
+    /// windowed.
     #[allow(clippy::too_many_arguments)]
     fn run_window(
         &mut self,
@@ -924,23 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_width_never_changes_samples() {
-        let p = toy_problem();
-        let sched = Schedule::standard(1.0);
-        let run_with = |width: usize| {
-            Annealer::new(AnnealerConfig {
-                replica_width: width,
-                ..Default::default()
-            })
-            .run_chained(&p, &[vec![0, 1], vec![4, 5, 6]], &sched, 13, 7)
-        };
-        let reference = run_with(1);
-        for width in [2, 3, 8, 16] {
-            assert_eq!(run_with(width), reference, "width {width}");
-        }
-    }
-
-    #[test]
     fn batched_sweep_counter_is_thread_and_width_invariant() {
         let p = toy_problem();
         let sched = Schedule::standard(1.0);
@@ -949,11 +912,10 @@ mod tests {
             .sweep_fractions(AnnealerConfig::default().sweeps_per_us)
             .len();
         let mut totals = Vec::new();
-        for (threads, width) in [(1, 1), (1, 8), (4, 5), (3, 16)] {
+        for threads in [1, 4, 3] {
             let telemetry = Telemetry::enabled();
             Annealer::new(AnnealerConfig {
                 threads,
-                replica_width: width,
                 ..Default::default()
             })
             .with_telemetry(telemetry.clone())

@@ -16,34 +16,19 @@
 //!   [`CompiledChains`] instead of rediscovered by `chain.contains(j)`
 //!   scans on every sweep.
 //!
-//! [`SweepState`] holds one classical configuration and its fields;
-//! [`SqaState`] holds the `n×P` Trotter-replica generalization with one
-//! field cache per slice, in a single flat buffer. Both are designed to
-//! be allocated once per worker thread and reset per anneal, so the hot
-//! loop performs no allocation at all.
+//! [`ReplicaBatch`] holds `W` classical (SA) configurations and their
+//! fields in structure-of-arrays strips; [`SqaReplicaBatch`] holds `W`
+//! flat `n×P` Trotter-replica states with one field cache per slice.
+//! They are the only sweep state — a single anneal is a width-1 batch —
+//! and both are allocated once per worker thread and reset per window,
+//! so the hot loop performs no allocation at all. The SA sweep runs the
+//! widths of [`SA_WIDTHS`], and `windows` plans a run of anneals into
+//! windows of those widths.
 
 use crate::ice::IceModel;
 use quamax_ising::{CompiledProblem, Spin};
 use rand::Rng;
-
-/// Adds `step·g` into `fields[j]` for each `(j, g)` of a CSR row,
-/// walking the fields slice by successive splits instead of indexing
-/// `fields[j as usize]` per entry — row indices are sorted strictly
-/// ascending (a [`CompiledProblem`] invariant), so each split advances
-/// monotonically and the compiler sees no per-element bounds check on
-/// the hot add.
-#[inline]
-fn scatter_row(fields: &mut [f64], idx: &[u32], w: &[f64], step: f64) {
-    let mut rest = fields;
-    let mut base = 0usize;
-    for (&j, &g) in idx.iter().zip(w) {
-        let tail = &mut rest[(j as usize - base)..];
-        let (cell, tail) = tail.split_first_mut().expect("neighbor index in range");
-        *cell += step * g;
-        rest = tail;
-        base = j as usize + 1;
-    }
-}
+use std::ops::Range;
 
 /// Precompiled chain-collective move tables for one problem: member
 /// lists and internal-edge lists in flat CSR-style storage.
@@ -149,264 +134,6 @@ impl CompiledChains {
     }
 }
 
-/// One configuration plus its cached local fields — the persistent
-/// state of a classical (SA) sweep.
-#[derive(Clone, Debug, Default)]
-pub struct SweepState {
-    spins: Vec<Spin>,
-    fields: Vec<f64>,
-}
-
-impl SweepState {
-    /// An empty state; call [`SweepState::reset`] before sweeping.
-    pub fn new() -> Self {
-        SweepState::default()
-    }
-
-    /// (Re)initializes the state to `spins` under `problem`, reusing
-    /// buffers.
-    pub fn reset(&mut self, problem: &CompiledProblem, spins: &[Spin]) {
-        assert_eq!(
-            spins.len(),
-            problem.num_spins(),
-            "configuration length mismatch"
-        );
-        self.spins.clear();
-        self.spins.extend_from_slice(spins);
-        problem.local_fields_into(&self.spins, &mut self.fields);
-    }
-
-    /// (Re)initializes to a uniform-random configuration drawn from
-    /// `rng` (one `random_bool(0.5)` per spin, in index order),
-    /// directly into the reused buffer — the allocation-free form of
-    /// `reset` for batch anneal starts.
-    pub fn reset_random<R: Rng + ?Sized>(&mut self, problem: &CompiledProblem, rng: &mut R) {
-        self.spins.clear();
-        self.spins
-            .extend((0..problem.num_spins()).map(|_| if rng.random_bool(0.5) { 1 } else { -1 }));
-        problem.local_fields_into(&self.spins, &mut self.fields);
-    }
-
-    /// The current configuration.
-    pub fn spins(&self) -> &[Spin] {
-        &self.spins
-    }
-
-    /// The cached local field of spin `i`.
-    #[inline]
-    pub fn field(&self, i: usize) -> f64 {
-        self.fields[i]
-    }
-
-    /// O(1) proposal: the energy change from flipping spin `i`.
-    #[inline]
-    pub fn flip_delta(&self, i: usize) -> f64 {
-        -2.0 * self.spins[i] as f64 * self.fields[i]
-    }
-
-    /// Accepts a flip of spin `i`: O(degree) neighbor-field update.
-    #[inline]
-    pub fn flip(&mut self, problem: &CompiledProblem, i: usize) {
-        let s_new = -self.spins[i];
-        self.spins[i] = s_new;
-        let step = 2.0 * s_new as f64;
-        let (idx, w) = problem.row(i);
-        scatter_row(&mut self.fields, idx, w, step);
-    }
-
-    /// O(chain + internal) proposal: the energy change from flipping
-    /// every member of chain `c` simultaneously. The `+4g·s_a·s_b` term
-    /// restores each internal edge the per-spin deltas double-count
-    /// with the wrong sign (see `sa::chain_flip_delta`).
-    #[inline]
-    pub fn chain_flip_delta(&self, chains: &CompiledChains, c: usize) -> f64 {
-        let mut delta = 0.0;
-        for &i in chains.members(c) {
-            delta += self.flip_delta(i as usize);
-        }
-        for &(a, b, g) in chains.internal_edges(c) {
-            delta += 4.0 * g * self.spins[a as usize] as f64 * self.spins[b as usize] as f64;
-        }
-        delta
-    }
-
-    /// Accepts a chain flip: members flip one by one, each paying its
-    /// O(degree) field update (fields stay exact throughout).
-    pub fn chain_flip(&mut self, problem: &CompiledProblem, chains: &CompiledChains, c: usize) {
-        for &i in chains.members(c) {
-            self.flip(problem, i as usize);
-        }
-    }
-
-    /// The configuration energy, reconstructed in O(n) from the cached
-    /// fields: `E = Σ_i s_i·(h_i + f_i)/2` (each coupling appears in
-    /// two fields, each linear term in one).
-    pub fn energy(&self, problem: &CompiledProblem) -> f64 {
-        self.spins
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| s as f64 * (self.fields[i] + problem.linear(i)) / 2.0)
-            .sum()
-    }
-
-    /// Moves the configuration out, leaving the state reusable.
-    pub fn take_spins(&mut self) -> Vec<Spin> {
-        std::mem::take(&mut self.spins)
-    }
-}
-
-/// The flat `n×P` Trotter-replica state of an SQA sweep: slice-major
-/// spins and per-slice local-field caches in single contiguous buffers.
-#[derive(Clone, Debug, Default)]
-pub struct SqaState {
-    n: usize,
-    slices: usize,
-    /// `spins[k*n + i]` = spin `i` in slice `k`.
-    spins: Vec<Spin>,
-    /// Parallel per-slice local fields of the *problem* term.
-    fields: Vec<f64>,
-}
-
-impl SqaState {
-    /// An empty state; call [`SqaState::reset`] before sweeping.
-    pub fn new() -> Self {
-        SqaState::default()
-    }
-
-    /// (Re)initializes all `slices` replicas, reusing buffers.
-    /// `init(k, i)` provides spin `i` of slice `k`.
-    pub fn reset(
-        &mut self,
-        problem: &CompiledProblem,
-        slices: usize,
-        mut init: impl FnMut(usize, usize) -> Spin,
-    ) {
-        let n = problem.num_spins();
-        self.n = n;
-        self.slices = slices;
-        self.spins.clear();
-        for k in 0..slices {
-            for i in 0..n {
-                self.spins.push(init(k, i));
-            }
-        }
-        self.fields.clear();
-        self.fields.resize(slices * n, 0.0);
-        for k in 0..slices {
-            let slice = &self.spins[k * n..(k + 1) * n];
-            for i in 0..n {
-                self.fields[k * n + i] = problem.local_field(slice, i);
-            }
-        }
-    }
-
-    /// (Re)initializes all `slices` replicas uniformly at random from
-    /// `rng` (slice-major draw order, one `random_bool(0.5)` per
-    /// (slice, spin)), directly into the reused buffer — the
-    /// allocation-free form of `reset` for batch anneal starts.
-    pub fn reset_random<R: Rng + ?Sized>(
-        &mut self,
-        problem: &CompiledProblem,
-        slices: usize,
-        rng: &mut R,
-    ) {
-        let n = problem.num_spins();
-        self.n = n;
-        self.slices = slices;
-        self.spins.clear();
-        self.spins
-            .extend((0..slices * n).map(|_| if rng.random_bool(0.5) { 1 } else { -1 }));
-        self.fields.clear();
-        self.fields.resize(slices * n, 0.0);
-        for k in 0..slices {
-            let slice = &self.spins[k * n..(k + 1) * n];
-            for i in 0..n {
-                self.fields[k * n + i] = problem.local_field(slice, i);
-            }
-        }
-    }
-
-    /// Number of Trotter slices.
-    pub fn num_slices(&self) -> usize {
-        self.slices
-    }
-
-    /// Slice `k` as a spin configuration.
-    #[inline]
-    pub fn slice(&self, k: usize) -> &[Spin] {
-        &self.spins[k * self.n..(k + 1) * self.n]
-    }
-
-    /// The spin at `(slice k, index i)`.
-    #[inline]
-    pub fn spin(&self, k: usize, i: usize) -> Spin {
-        self.spins[k * self.n + i]
-    }
-
-    /// O(1) proposal: the *problem-term* energy change from flipping
-    /// `(k, i)` (the inter-slice term is the caller's, since it depends
-    /// on the schedule-dependent coupling γ).
-    #[inline]
-    pub fn flip_delta(&self, k: usize, i: usize) -> f64 {
-        let at = k * self.n + i;
-        -2.0 * self.spins[at] as f64 * self.fields[at]
-    }
-
-    /// Accepts a flip of `(k, i)`, updating slice `k`'s field cache.
-    /// The slice-`k` field window is split off once per row, so the
-    /// scatter never re-addresses `base + j` against the full buffer.
-    #[inline]
-    pub fn flip(&mut self, problem: &CompiledProblem, k: usize, i: usize) {
-        let base = k * self.n;
-        let s_new = -self.spins[base + i];
-        self.spins[base + i] = s_new;
-        let step = 2.0 * s_new as f64;
-        let (idx, w) = problem.row(i);
-        scatter_row(&mut self.fields[base..base + self.n], idx, w, step);
-    }
-
-    /// Chain-flip proposal within slice `k` (problem term only).
-    #[inline]
-    pub fn chain_flip_delta(&self, chains: &CompiledChains, k: usize, c: usize) -> f64 {
-        let base = k * self.n;
-        let mut delta = 0.0;
-        for &i in chains.members(c) {
-            let at = base + i as usize;
-            delta += -2.0 * self.spins[at] as f64 * self.fields[at];
-        }
-        for &(a, b, g) in chains.internal_edges(c) {
-            delta += 4.0
-                * g
-                * self.spins[base + a as usize] as f64
-                * self.spins[base + b as usize] as f64;
-        }
-        delta
-    }
-
-    /// Accepts a chain flip within slice `k`.
-    pub fn chain_flip(
-        &mut self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        k: usize,
-        c: usize,
-    ) {
-        for &i in chains.members(c) {
-            self.flip(problem, k, i as usize);
-        }
-    }
-
-    /// The programmed energy of slice `k`, in O(n) from cached fields.
-    pub fn slice_energy(&self, problem: &CompiledProblem, k: usize) -> f64 {
-        let base = k * self.n;
-        (0..self.n)
-            .map(|i| {
-                self.spins[base + i] as f64 * (self.fields[base + i] + problem.linear(i)) / 2.0
-            })
-            .sum()
-    }
-}
-
 /// Replica `r`'s view of a per-replica batch's coefficient strips,
 /// `linear[i·width + r]` and `weights[e·width + r]`: the bind target
 /// shared by both batch kinds.
@@ -475,10 +202,35 @@ impl<'a> ReplicaStrips<'a> {
     }
 }
 
-/// `R` independent SA configurations in structure-of-arrays layout:
-/// `spins[i*R + r]` / `fields[i*R + r]`, so the per-spin loop over
+/// The replica widths the SA sweep is compiled for: every strip is a
+/// fixed-size array at one of these widths, so bounds checks vanish and
+/// the strip arithmetic unrolls. `windows` plans batches from this set
+/// alone, and sweeping a [`ReplicaBatch`] of any other width panics.
+pub const SA_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
+/// Cuts `len` consecutive anneal slots into replica windows, in order:
+/// each window is the widest of [`SA_WIDTHS`] that fits the slots left,
+/// so a run is full-width windows followed by a power-of-two tail
+/// (13 slots → 8, 4, 1). Window placement never changes a sample (the
+/// stream-splitting contract), only throughput.
+pub(crate) fn windows(len: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let width = *SA_WIDTHS.iter().rev().find(|&&w| w <= len - at)?;
+        at += width;
+        Some(at - width..at)
+    })
+}
+
+#[cold]
+fn unsupported_width(width: usize) -> ! {
+    panic!("SA replica width {width} is unsupported: the sweep kernel runs widths {SA_WIDTHS:?}")
+}
+
+/// `W` independent SA configurations in structure-of-arrays layout:
+/// `spins[i*W + r]` / `fields[i*W + r]`, so the per-spin loop over
 /// replicas is a contiguous strip and one CSR row walk pays for all
-/// `R` replicas' field updates.
+/// `W` replicas' field updates. A single anneal is a width-1 batch.
 ///
 /// Two coefficient modes:
 ///
@@ -488,16 +240,16 @@ impl<'a> ReplicaStrips<'a> {
 /// * **per-replica** ([`ReplicaBatch::reset_per_replica`] +
 ///   [`ReplicaBatch::bind_replica`], or
 ///   [`ReplicaBatch::bind_replica_ice`] to refreeze ICE on the way in)
-///   — each replica carries its own `linear[i*R + r]` /
-///   `weights[e*R + r]` strips (different `y` vectors, or per-anneal
+///   — each replica carries its own `linear[i*W + r]` /
+///   `weights[e*W + r]` strips (different `y` vectors, or per-anneal
 ///   ICE-refrozen coefficients); only the CSR *structure* of the
 ///   problem argument is read.
 ///
-/// Each replica is bit-identical to a serial [`SweepState`] driven by
-/// the same RNG stream (the stream-splitting contract in the crate's
-/// DESIGN docs), because per-replica draw order and floating-point
-/// accumulation order are preserved exactly; grouping replicas into a
-/// batch is unobservable per stream.
+/// Each replica is bit-identical to the same replica swept alone at
+/// width 1 from the same RNG stream (the stream-splitting contract in
+/// the crate's DESIGN docs), because per-replica draw order and
+/// floating-point accumulation order do not depend on the width;
+/// grouping replicas into a batch is unobservable per stream.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaBatch {
     width: usize,
@@ -512,12 +264,6 @@ pub struct ReplicaBatch {
     /// Per-replica coupling strips `weights[e*width + r]`; empty in
     /// shared mode (weights read from the problem argument instead).
     weights: Vec<f64>,
-    /// Scratch: per-replica field step of the current move (0 = hold).
-    steps: Vec<f64>,
-    /// Scratch: per-replica move deltas (chain proposals).
-    deltas: Vec<f64>,
-    /// Scratch: per-replica accept mask (chain moves).
-    mask: Vec<bool>,
     /// Scratch: one replica's ICE deviates (`n` fields + `m` couplers).
     normals: Vec<f64>,
 }
@@ -545,6 +291,8 @@ impl ReplicaBatch {
         self.weights.is_empty()
     }
 
+    /// Shapes the buffers for `width` replicas. Any width binds and
+    /// initializes; sweeping needs one of [`SA_WIDTHS`].
     fn reset_common(&mut self, problem: &CompiledProblem, width: usize) {
         assert!(width > 0, "batch width must be positive");
         let n = problem.num_spins();
@@ -556,12 +304,6 @@ impl ReplicaBatch {
         self.fields.resize(n * width, 0.0);
         self.linear.clear();
         self.linear.resize(n * width, 0.0);
-        self.steps.clear();
-        self.steps.resize(width, 0.0);
-        self.deltas.clear();
-        self.deltas.resize(width, 0.0);
-        self.mask.clear();
-        self.mask.resize(width, false);
     }
 
     /// (Re)shapes the batch to `width` replicas of `problem` in
@@ -632,8 +374,7 @@ impl ReplicaBatch {
     }
 
     /// Initializes replica `r` uniformly at random (one
-    /// `random_bool(0.5)` per spin, in index order — the same draw
-    /// order as [`SweepState::reset_random`]).
+    /// `random_bool(0.5)` per spin, in index order).
     pub fn init_replica_random<R: Rng + ?Sized>(
         &mut self,
         problem: &CompiledProblem,
@@ -687,8 +428,9 @@ impl ReplicaBatch {
             .collect()
     }
 
-    /// Replica `r`'s energy, in the same accumulation order as
-    /// [`SweepState::energy`] (`Σ_i s_i·(h_i + f_i)/2`, `i` ascending).
+    /// Replica `r`'s energy, reconstructed in O(n) from its cached
+    /// fields: `E = Σ_i s_i·(h_i + f_i)/2`, `i` ascending (each coupling
+    /// appears in two fields, each linear term in one).
     pub fn energy(&self, r: usize) -> f64 {
         let w = self.width;
         (0..self.n)
@@ -699,50 +441,13 @@ impl ReplicaBatch {
             .sum()
     }
 
-    /// Proposes flipping spin `i` in every replica: `accept(r, ΔE_r)`
-    /// decides per replica (computing ΔE from the contiguous strip),
-    /// then one CSR row walk scatters all accepted replicas' field
-    /// updates at once. Per-replica ΔE and draw order match a serial
-    /// [`SweepState`] exactly.
-    #[inline]
-    pub fn sweep_spin(
-        &mut self,
-        problem: &CompiledProblem,
-        i: usize,
-        mut accept: impl FnMut(usize, f64) -> bool,
-    ) {
-        let w = self.width;
-        let base = i * w;
-        let mut any = false;
-        {
-            let spins = &mut self.spins[base..base + w];
-            let fields = &self.fields[base..base + w];
-            let steps = &mut self.steps[..w];
-            for r in 0..w {
-                let s = spins[r];
-                let delta = -2.0 * s as f64 * fields[r];
-                if accept(r, delta) {
-                    spins[r] = -s;
-                    steps[r] = -2.0 * s as f64;
-                    any = true;
-                } else {
-                    steps[r] = 0.0;
-                }
-            }
-        }
-        if any {
-            self.scatter(problem, i);
-        }
-    }
-
     /// One full spin sweep: proposes every spin in index order,
-    /// `accept(i, r, ΔE_ir)` deciding per replica. Dispatches to a
-    /// width-monomorphized hot loop for the common batch widths (strips
-    /// become fixed-size arrays — bounds checks vanish and the strip
-    /// arithmetic unrolls/vectorizes); any other width takes the
-    /// dynamic [`ReplicaBatch::sweep_spin`] path. Both paths evaluate
-    /// identical ΔE values in identical order, so samples never depend
-    /// on which one ran.
+    /// `accept(i, r, ΔE_ir)` deciding per replica from the contiguous
+    /// strip, then one CSR row walk scatters all accepted replicas'
+    /// field updates at once.
+    ///
+    /// # Panics
+    /// Panics unless the width is one of [`SA_WIDTHS`].
     pub fn sweep_spins(
         &mut self,
         problem: &CompiledProblem,
@@ -753,12 +458,7 @@ impl ReplicaBatch {
             2 => self.sweep_spins_w::<2>(problem, &mut accept),
             4 => self.sweep_spins_w::<4>(problem, &mut accept),
             8 => self.sweep_spins_w::<8>(problem, &mut accept),
-            16 => self.sweep_spins_w::<16>(problem, &mut accept),
-            _ => {
-                for i in 0..self.n {
-                    self.sweep_spin(problem, i, |r, delta| accept(i, r, delta));
-                }
-            }
+            w => unsupported_width(w),
         }
     }
 
@@ -787,15 +487,16 @@ impl ReplicaBatch {
                 }
             }
             if any {
-                self.scatter_w::<W>(problem, i, &steps);
+                self.scatter::<W>(problem, i, &steps);
             }
         }
     }
 
-    /// Width-monomorphized scatter: same row walk as
-    /// [`ReplicaBatch::scatter`], but the per-entry strip update is a
-    /// fixed-`W` array operation the compiler fully unrolls.
-    fn scatter_w<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
+    /// One CSR row walk updating all replicas after spin `i` moved: for
+    /// each row entry `(j, g)`, `fields[j*W..][..W] += steps * g` — a
+    /// fixed-size strip the compiler fully unrolls (rejected replicas
+    /// carry step 0, which only ever normalizes a zero's sign).
+    fn scatter<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
         if self.shared() {
@@ -822,14 +523,14 @@ impl ReplicaBatch {
         }
     }
 
-    /// Proposes flipping chain `c` collectively in every replica.
-    /// Internal-edge weights come from `chains` (baked at chain-compile
-    /// time from the base problem — exactly what the serial kernel
-    /// reads, ICE or not); accepted replicas flip member by member in
-    /// member order, preserving serial field-accumulation order. Like
-    /// [`ReplicaBatch::sweep_spins`], the common widths take a
-    /// width-monomorphized path and any other width the dynamic one;
-    /// both compute identical ΔE values in identical order.
+    /// Proposes flipping chain `c` collectively in every replica:
+    /// `accept(r, ΔE_r)` decides per replica. Internal-edge weights come
+    /// from `chains` (baked at chain-compile time from the base problem,
+    /// ICE or not); accepted replicas flip member by member in member
+    /// order, each member paying one shared row walk.
+    ///
+    /// # Panics
+    /// Panics unless the width is one of [`SA_WIDTHS`].
     pub fn sweep_chain(
         &mut self,
         problem: &CompiledProblem,
@@ -842,8 +543,7 @@ impl ReplicaBatch {
             2 => self.sweep_chain_w::<2>(problem, chains, c, &mut accept),
             4 => self.sweep_chain_w::<4>(problem, chains, c, &mut accept),
             8 => self.sweep_chain_w::<8>(problem, chains, c, &mut accept),
-            16 => self.sweep_chain_w::<16>(problem, chains, c, &mut accept),
-            _ => self.sweep_chain_dyn(problem, chains, c, &mut accept),
+            w => unsupported_width(w),
         }
     }
 
@@ -895,83 +595,7 @@ impl ReplicaBatch {
                     }
                 }
             }
-            self.scatter_w::<W>(problem, i as usize, &steps);
-        }
-    }
-
-    fn sweep_chain_dyn(
-        &mut self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        c: usize,
-        accept: &mut impl FnMut(usize, f64) -> bool,
-    ) {
-        let w = self.width;
-        self.deltas[..w].fill(0.0);
-        for &i in chains.members(c) {
-            let base = i as usize * w;
-            for r in 0..w {
-                self.deltas[r] += -2.0 * self.spins[base + r] as f64 * self.fields[base + r];
-            }
-        }
-        for &(a, b, g) in chains.internal_edges(c) {
-            let ab = a as usize * w;
-            let bb = b as usize * w;
-            for r in 0..w {
-                self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
-            }
-        }
-        let mut any = false;
-        for r in 0..w {
-            self.mask[r] = accept(r, self.deltas[r]);
-            any |= self.mask[r];
-        }
-        if !any {
-            return;
-        }
-        for &i in chains.members(c) {
-            let base = i as usize * w;
-            for r in 0..w {
-                if self.mask[r] {
-                    let s = self.spins[base + r];
-                    self.spins[base + r] = -s;
-                    self.steps[r] = -2.0 * s as f64;
-                } else {
-                    self.steps[r] = 0.0;
-                }
-            }
-            self.scatter(problem, i as usize);
-        }
-    }
-
-    /// One CSR row walk updating all replicas: for each row entry
-    /// `(j, g)`, `fields[j*R..][..R] += steps * g` — a contiguous,
-    /// autovectorizable strip (rejected replicas carry step 0, which
-    /// only ever normalizes a zero's sign).
-    fn scatter(&mut self, problem: &CompiledProblem, i: usize) {
-        let w = self.width;
-        let (lo, hi) = problem.row_bounds(i);
-        let idx = &problem.neighbors_flat()[lo..hi];
-        let steps = &self.steps[..w];
-        if self.shared() {
-            let gs = &problem.weights_flat()[lo..hi];
-            for (&j, &g) in idx.iter().zip(gs) {
-                let at = j as usize * w;
-                let strip = &mut self.fields[at..at + w];
-                for (f, &s) in strip.iter_mut().zip(steps) {
-                    *f += s * g;
-                }
-            }
-        } else {
-            for (pos, &j) in idx.iter().enumerate() {
-                let e = (lo + pos) * w;
-                let gs = &self.weights[e..e + w];
-                let at = j as usize * w;
-                let strip = &mut self.fields[at..at + w];
-                for ((f, &s), &g) in strip.iter_mut().zip(steps).zip(gs) {
-                    *f += s * g;
-                }
-            }
+            self.scatter::<W>(problem, i as usize, &steps);
         }
     }
 }
@@ -979,8 +603,8 @@ impl ReplicaBatch {
 /// The SQA analogue of [`ReplicaBatch`]: `R` independent `n×P`
 /// Trotter-replica states in one strided buffer, `spins[(k*n+i)*R + r]`
 /// (slice-major per replica, replica-minor strips), with the same
-/// shared/per-replica coefficient modes and the same bit-identity
-/// contract against a serial [`SqaState`].
+/// shared/per-replica coefficient modes and the same width-invariance
+/// contract. Unlike the SA sweep it runs at any width.
 #[derive(Clone, Debug, Default)]
 pub struct SqaReplicaBatch {
     width: usize,
@@ -1101,8 +725,8 @@ impl SqaReplicaBatch {
         self.rebuild_fields(problem, r);
     }
 
-    /// Initializes replica `r` uniformly at random, drawing slice-major
-    /// like [`SqaState::reset_random`].
+    /// Initializes replica `r` uniformly at random (one
+    /// `random_bool(0.5)` per (slice, spin), slice-major).
     pub fn init_replica_random<R: Rng + ?Sized>(
         &mut self,
         problem: &CompiledProblem,
@@ -1160,8 +784,8 @@ impl SqaReplicaBatch {
             .collect()
     }
 
-    /// Replica `r`'s programmed energy of slice `k` (same accumulation
-    /// order as [`SqaState::slice_energy`]).
+    /// Replica `r`'s programmed energy of slice `k`, in O(n) from its
+    /// cached fields (see [`ReplicaBatch::energy`]).
     pub fn slice_energy(&self, r: usize, k: usize) -> f64 {
         let w = self.width;
         let base = k * self.n;
@@ -1431,24 +1055,38 @@ mod tests {
             .collect()
     }
 
+    /// A width-1 shared batch started at `spins`.
+    fn single(c: &CompiledProblem, spins: &[Spin]) -> ReplicaBatch {
+        let mut batch = ReplicaBatch::new();
+        batch.reset_shared(c, 1);
+        batch.init_replica(c, 0, spins);
+        batch
+    }
+
     #[test]
     fn incremental_fields_track_flips_exactly() {
         let p = random_problem(12, 1);
         let c = CompiledProblem::new(&p);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut state = SweepState::new();
-        state.reset(&c, &random_spins(12, &mut rng));
-        for _ in 0..500 {
-            let i = rng.random_range(0..12);
-            let expect = p.flip_delta(state.spins(), i);
-            assert!((state.flip_delta(i) - expect).abs() < 1e-9);
-            state.flip(&c, i);
+        let mut shadow = random_spins(12, &mut rng);
+        let mut batch = single(&c, &shadow);
+        for _ in 0..42 {
+            batch.sweep_spins(&c, |i, _, delta| {
+                let expect = p.flip_delta(&shadow, i);
+                assert!((delta - expect).abs() < 1e-9);
+                let flip = rng.random_bool(0.5);
+                if flip {
+                    shadow[i] = -shadow[i];
+                }
+                flip
+            });
         }
-        // Fields still exact after 500 updates.
+        // Fields still exact after ~250 accepted flips.
+        assert_eq!(batch.replica_spins(0), shadow);
         for i in 0..12 {
-            assert!((state.field(i) - c.local_field(state.spins(), i)).abs() < 1e-9);
+            assert!((batch.field(i, 0) - c.local_field(&shadow, i)).abs() < 1e-9);
         }
-        assert!((state.energy(&c) - p.energy(state.spins())).abs() < 1e-9);
+        assert!((batch.energy(0) - p.energy(&shadow)).abs() < 1e-9);
     }
 
     #[test]
@@ -1459,37 +1097,74 @@ mod tests {
         let cc = CompiledChains::compile(&c, &chains);
         assert_eq!(cc.len(), 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut state = SweepState::new();
-        state.reset(&c, &random_spins(10, &mut rng));
+        let mut shadow = random_spins(10, &mut rng);
+        let mut batch = single(&c, &shadow);
         for step in 0..200 {
             let ci = step % chains.len();
-            let expect = crate::sa::chain_flip_delta(&p, state.spins(), &chains[ci]);
-            assert!((state.chain_flip_delta(&cc, ci) - expect).abs() < 1e-9);
-            state.chain_flip(&c, &cc, ci);
+            batch.sweep_chain(&c, &cc, ci, |_, delta| {
+                let expect = crate::sa::chain_flip_delta(&p, &shadow, &chains[ci]);
+                assert!((delta - expect).abs() < 1e-9);
+                true
+            });
+            for &i in &chains[ci] {
+                shadow[i] = -shadow[i];
+            }
         }
+        assert_eq!(batch.replica_spins(0), shadow);
     }
 
     #[test]
-    fn sqa_state_mirrors_per_slice_sweep_state() {
+    fn sqa_batch_mirrors_per_slice_fields() {
         let p = random_problem(8, 5);
         let c = CompiledProblem::new(&p);
         let mut rng = StdRng::seed_from_u64(6);
         let starts: Vec<Vec<Spin>> = (0..4).map(|_| random_spins(8, &mut rng)).collect();
-        let mut sqa = SqaState::new();
-        sqa.reset(&c, 4, |k, i| starts[k][i]);
+        let mut sqa = SqaReplicaBatch::new();
+        sqa.reset_shared(&c, 4, 1);
+        sqa.init_replica(&c, 0, |k, i| starts[k][i]);
+        let flip_delta = |sqa: &SqaReplicaBatch, k: usize, i: usize| {
+            -2.0 * sqa.spin(k, i, 0) as f64 * sqa.field(k, i, 0)
+        };
         for (k, start) in starts.iter().enumerate() {
-            assert_eq!(sqa.slice(k), &start[..]);
+            assert_eq!(sqa.replica_slice(0, k), &start[..]);
             for i in 0..8 {
-                assert!((sqa.flip_delta(k, i) - c.flip_delta(start, i)).abs() < 1e-12);
+                assert!((flip_delta(&sqa, k, i) - c.flip_delta(start, i)).abs() < 1e-12);
             }
         }
         // Flips in one slice leave the others' deltas untouched.
-        sqa.flip(&c, 2, 3);
-        assert_eq!(sqa.spin(2, 3), -starts[2][3]);
+        sqa.sweep_spin_slice(&c, 2, 3, 1, 3, |_, _, _| true);
+        assert_eq!(sqa.spin(2, 3, 0), -starts[2][3]);
         for i in 0..8 {
-            assert!((sqa.flip_delta(0, i) - c.flip_delta(&starts[0], i)).abs() < 1e-12);
+            assert!((flip_delta(&sqa, 0, i) - c.flip_delta(&starts[0], i)).abs() < 1e-12);
         }
-        assert!((sqa.slice_energy(&c, 2) - p.energy(sqa.slice(2))).abs() < 1e-9);
+        assert!((sqa.slice_energy(0, 2) - p.energy(&sqa.replica_slice(0, 2))).abs() < 1e-9);
+    }
+
+    #[test]
+    fn windows_cover_slots_once_in_order_at_supported_widths() {
+        for n in 0..=40 {
+            let mut next = 0;
+            for window in windows(n) {
+                assert_eq!(window.start, next, "n = {n}");
+                assert!(SA_WIDTHS.contains(&window.len()), "n = {n}: {window:?}");
+                next = window.end;
+            }
+            assert_eq!(next, n);
+        }
+        let widths: Vec<usize> = windows(13).map(|w| w.len()).collect();
+        assert_eq!(widths, [8, 4, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "[1, 2, 4, 8]")]
+    fn sa_sweep_at_unsupported_width_panics() {
+        let c = CompiledProblem::new(&random_problem(4, 7));
+        let mut batch = ReplicaBatch::new();
+        batch.reset_shared(&c, 3);
+        for r in 0..3 {
+            batch.init_replica(&c, r, &[1, -1, 1, -1]);
+        }
+        batch.sweep_spins(&c, |_, _, _| false);
     }
 
     #[test]

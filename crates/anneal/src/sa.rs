@@ -7,108 +7,29 @@
 //! paper's §2.2 frames SA as the canonical classical reference dynamics
 //! for quantum annealers, and it is this simulator's default backend.
 
-use crate::kernel::{CompiledChains, ReplicaBatch, SweepState};
+use crate::kernel::{CompiledChains, ReplicaBatch};
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};
 use rand::Rng;
 
-/// Runs one simulated-annealing trajectory over `betas` (one sweep per
-/// entry), returning the final configuration.
+/// Runs the sweep plan over every replica of `batch`: per entry of
+/// `betas`, one Metropolis sweep, then one *chain-collective* proposal
+/// per chain. Each replica consumes its own RNG stream (`rngs[r]`), so
+/// replica `r` is bit-identical to the same replica run alone at width
+/// 1 from `rngs[r]`. The caller initializes the batch first — per
+/// stream the draw order is refreeze → init → sweeps.
 ///
-/// # Panics
-/// Panics when `betas` is empty (a schedule always has ≥ 2 sweeps).
-pub fn anneal_once<R: Rng + ?Sized>(
-    problem: &IsingProblem,
-    betas: &[f64],
-    rng: &mut R,
-) -> Vec<Spin> {
-    anneal_once_chained(problem, betas, &[], rng)
-}
-
-/// Like [`anneal_once`], with *chain-collective moves*: each sweep
-/// additionally proposes flipping every given qubit chain as a unit.
-///
-/// On embedded problems, single-spin Metropolis cannot cross the
-/// barrier of a ferromagnetically-locked chain within a realistic
-/// sweep budget — on hardware that transition happens collectively
-/// through quantum dynamics. Cluster proposals over the known chains
-/// are the standard classical counterpart (and remain a valid
-/// Metropolis kernel: the proposal set is fixed and symmetric). Chain
-/// *breaking* still happens through the single-spin pass, so weak
+/// Chain moves exist for embedded problems: single-spin Metropolis
+/// cannot cross the barrier of a ferromagnetically-locked chain within
+/// a realistic sweep budget — on hardware that transition happens
+/// collectively through quantum dynamics. Cluster proposals over the
+/// known chains are the standard classical counterpart (and remain a
+/// valid Metropolis kernel: the proposal set is fixed and symmetric).
+/// Chain *breaking* still happens through the single-spin pass, so weak
 /// `|J_F|` misbehaves exactly as on the device.
-pub fn anneal_once_chained<R: Rng + ?Sized>(
-    problem: &IsingProblem,
-    betas: &[f64],
-    chains: &[Vec<usize>],
-    rng: &mut R,
-) -> Vec<Spin> {
-    anneal_once_from(problem, betas, chains, None, rng)
-}
-
-/// Like [`anneal_once_chained`], optionally starting from a candidate
-/// configuration instead of a uniform-random one — the classical image
-/// of *reverse annealing* (the device ramps back from `s = 1`, so the
-/// trajectory begins at the programmed candidate).
-pub fn anneal_once_from<R: Rng + ?Sized>(
-    problem: &IsingProblem,
-    betas: &[f64],
-    chains: &[Vec<usize>],
-    init: Option<&[Spin]>,
-    rng: &mut R,
-) -> Vec<Spin> {
-    let compiled = CompiledProblem::new(problem);
-    let compiled_chains = CompiledChains::compile(&compiled, chains);
-    let mut state = SweepState::new();
-    anneal_once_compiled(&compiled, &compiled_chains, betas, init, &mut state, rng);
-    state.take_spins()
-}
-
-/// The compiled-kernel trajectory: like [`anneal_once_from`] but over a
-/// prebuilt [`CompiledProblem`]/[`CompiledChains`] pair and a reusable
-/// [`SweepState`], leaving the final configuration in `state`. This is
-/// the batching entry point — the device compiles once per run and each
-/// worker thread reuses one state across its anneals, so the hot loop
-/// never allocates.
 ///
 /// # Panics
-/// Panics when `betas` is empty or an initial state has the wrong
-/// length.
-pub fn anneal_once_compiled<R: Rng + ?Sized>(
-    problem: &CompiledProblem,
-    chains: &CompiledChains,
-    betas: &[f64],
-    init: Option<&[Spin]>,
-    state: &mut SweepState,
-    rng: &mut R,
-) {
-    assert!(!betas.is_empty(), "empty sweep plan");
-    let n = problem.num_spins();
-    match init {
-        Some(s) => {
-            assert_eq!(s.len(), n, "initial state length mismatch");
-            state.reset(problem, s);
-        }
-        None => state.reset_random(problem, rng),
-    }
-    for &beta in betas {
-        sweep_compiled(problem, state, beta, rng);
-        for c in 0..chains.len() {
-            let delta = state.chain_flip_delta(chains, c);
-            if metropolis(beta, delta, rng) {
-                state.chain_flip(problem, chains, c);
-            }
-        }
-    }
-}
-
-/// The batched trajectory: every replica of `batch` runs the same sweep
-/// plan, each consuming its own RNG stream (`rngs[r]`), so replica `r`
-/// is bit-identical to [`anneal_once_compiled`] driven by `rngs[r]`
-/// alone. The caller initializes the batch first — bind/init draw
-/// order per stream is refreeze → init → sweeps, exactly as the serial
-/// device path.
-///
-/// # Panics
-/// Panics when `betas` is empty or `rngs.len() != batch.width()`.
+/// Panics when `betas` is empty, when `rngs.len() != batch.width()`,
+/// or when the width is not one of [`crate::kernel::SA_WIDTHS`].
 pub fn anneal_batch_compiled<R: Rng>(
     problem: &CompiledProblem,
     chains: &CompiledChains,
@@ -128,10 +49,10 @@ pub fn anneal_batch_compiled<R: Rng>(
     }
 }
 
-/// One batched Metropolis sweep: per spin, one strip of per-replica
-/// accept decisions and one shared CSR row walk (see
-/// [`ReplicaBatch::sweep_spin`]). Proposal order matches
-/// [`sweep_compiled`] per replica.
+/// One batched Metropolis sweep at inverse temperature `beta`: per
+/// spin, in index order, one strip of per-replica accept decisions and
+/// one shared CSR row walk (see [`ReplicaBatch::sweep_spins`]). Same
+/// proposal order as the naive [`sweep`].
 pub fn sweep_batch<R: Rng>(
     problem: &CompiledProblem,
     batch: &mut ReplicaBatch,
@@ -142,11 +63,11 @@ pub fn sweep_batch<R: Rng>(
     batch.sweep_spins(problem, |_, r, delta| metropolis(beta, delta, &mut rngs[r]));
 }
 
-/// The Metropolis decision shared by the scalar and batched SA kernels:
-/// downhill moves accept without drawing, deep-cold uphill moves reject
-/// without drawing (see [`CERTAIN_REJECT_EXPONENT`]), everything in
-/// between draws one uniform — so whether a stream advances depends
-/// only on `(beta, delta)`.
+/// The Metropolis decision of the SA sweep: downhill moves accept
+/// without drawing, deep-cold uphill moves reject without drawing (see
+/// [`CERTAIN_REJECT_EXPONENT`]), everything in between draws one
+/// uniform — so whether a stream advances depends only on
+/// `(beta, delta)`.
 #[inline]
 pub(crate) fn metropolis<R: Rng + ?Sized>(beta: f64, delta: f64, rng: &mut R) -> bool {
     if delta <= 0.0 {
@@ -185,7 +106,7 @@ pub fn chain_flip_delta(problem: &IsingProblem, spins: &[Spin], chain: &[usize])
 ///
 /// This is the *naive* reference kernel: each proposal recomputes the
 /// local field from the adjacency list. The batch path uses
-/// [`sweep_compiled`]; the microbenches keep both to measure the gap.
+/// [`sweep_batch`]; the microbenches keep both to measure the gap.
 pub fn sweep<R: Rng + ?Sized>(problem: &IsingProblem, spins: &mut [Spin], beta: f64, rng: &mut R) {
     for i in 0..spins.len() {
         let delta = problem.flip_delta(spins, i);
@@ -204,25 +125,6 @@ pub fn sweep<R: Rng + ?Sized>(problem: &IsingProblem, spins: &mut [Spin], beta: 
 /// unaffected: whether a draw is skipped depends only on ΔE.)
 pub(crate) const CERTAIN_REJECT_EXPONENT: f64 = 40.0;
 
-/// One Metropolis sweep over the compiled kernel: proposals read the
-/// cached local field (O(1)); only accepted flips pay the O(degree)
-/// neighbor update, and deep-cold rejections skip the `exp`/RNG cost
-/// entirely (see [`CERTAIN_REJECT_EXPONENT`]). Same proposal order as
-/// [`sweep`].
-pub fn sweep_compiled<R: Rng + ?Sized>(
-    problem: &CompiledProblem,
-    state: &mut SweepState,
-    beta: f64,
-    rng: &mut R,
-) {
-    for i in 0..problem.num_spins() {
-        let delta = state.flip_delta(i);
-        if metropolis(beta, delta, rng) {
-            state.flip(problem, i);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +140,22 @@ mod tests {
         p
     }
 
+    /// One anneal from a uniform-random start: a width-1 batch.
+    fn anneal(
+        p: &IsingProblem,
+        betas: &[f64],
+        chains: &[Vec<usize>],
+        rng: &mut StdRng,
+    ) -> Vec<Spin> {
+        let c = CompiledProblem::new(p);
+        let mut batch = ReplicaBatch::new();
+        batch.reset_shared(&c, 1);
+        batch.init_replica_random(&c, 0, rng);
+        let cc = CompiledChains::compile(&c, chains);
+        anneal_batch_compiled(&c, &cc, betas, &mut batch, std::slice::from_mut(rng));
+        batch.replica_spins(0)
+    }
+
     #[test]
     fn cold_sweeps_reach_local_minimum() {
         // At β → ∞ Metropolis is greedy descent; a ferromagnetic chain
@@ -245,7 +163,7 @@ mod tests {
         let p = ferro_chain(16);
         let mut rng = StdRng::seed_from_u64(1);
         let betas = vec![1e9; 64];
-        let s = anneal_once(&p, &betas, &mut rng);
+        let s = anneal(&p, &betas, &[], &mut rng);
         // Greedy descent on a chain can leave a domain wall, but the
         // energy must be at most one bond above the ground state.
         let gs = exact_ground_state(&ferro_chain(16));
@@ -261,7 +179,7 @@ mod tests {
         let betas: Vec<f64> = (0..60).map(|k| 0.05 * 1.15f64.powi(k)).collect();
         let mut hits = 0;
         for _ in 0..100 {
-            let s = anneal_once(&p, &betas, &mut rng);
+            let s = anneal(&p, &betas, &[], &mut rng);
             if (p.energy(&s) - gs.energy).abs() < 1e-9 {
                 hits += 1;
             }
@@ -284,7 +202,7 @@ mod tests {
         let betas = vec![1e-6; 3];
         let mut mag = 0i64;
         for _ in 0..2000 {
-            let s = anneal_once(&p, &betas, &mut rng);
+            let s = anneal(&p, &betas, &[], &mut rng);
             mag += s.iter().map(|&x| x as i64).sum::<i64>();
         }
         let avg = mag as f64 / (2000.0 * 10.0);
@@ -294,32 +212,43 @@ mod tests {
     #[test]
     fn sweep_respects_detailed_balance_on_two_spins() {
         // Empirical check: long single-temperature simulation of a
-        // 2-spin ferromagnet samples the Boltzmann distribution.
+        // 2-spin ferromagnet samples the Boltzmann distribution, under
+        // the naive kernel and the batch kernel alike.
         let mut p = IsingProblem::new(2);
         p.set_coupling(0, 1, -1.0);
-        let beta = 0.8;
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut spins = vec![1i8, 1];
-        let mut aligned = 0usize;
-        let iters = 200_000;
-        for _ in 0..iters {
-            sweep(&p, &mut spins, beta, &mut rng);
-            if spins[0] == spins[1] {
-                aligned += 1;
-            }
-        }
+        let c = CompiledProblem::new(&p);
+        let beta: f64 = 0.8;
         // P(aligned) = 2e^{β}/ (2e^{β} + 2e^{−β}) = 1/(1+e^{−2β}).
         let expect = 1.0 / (1.0 + (-2.0 * beta).exp());
-        let got = aligned as f64 / iters as f64;
-        assert!((got - expect).abs() < 0.01, "{got} vs {expect}");
+        let iters = 200_000;
+        for batched in [false, true] {
+            let mut rngs = [StdRng::seed_from_u64(4)];
+            let mut spins = vec![1i8, 1];
+            let mut batch = ReplicaBatch::new();
+            batch.reset_shared(&c, 1);
+            batch.init_replica(&c, 0, &spins);
+            let mut aligned = 0usize;
+            for _ in 0..iters {
+                let same = if batched {
+                    sweep_batch(&c, &mut batch, beta, &mut rngs);
+                    batch.spin(0, 0) == batch.spin(1, 0)
+                } else {
+                    sweep(&p, &mut spins, beta, &mut rngs[0]);
+                    spins[0] == spins[1]
+                };
+                aligned += same as usize;
+            }
+            let got = aligned as f64 / iters as f64;
+            assert!((got - expect).abs() < 0.01, "{batched}: {got} vs {expect}");
+        }
     }
 
     #[test]
     fn deterministic_under_seed() {
         let p = ferro_chain(8);
         let betas: Vec<f64> = (0..20).map(|k| 0.1 * k as f64).collect();
-        let a = anneal_once(&p, &betas, &mut StdRng::seed_from_u64(9));
-        let b = anneal_once(&p, &betas, &mut StdRng::seed_from_u64(9));
+        let a = anneal(&p, &betas, &[], &mut StdRng::seed_from_u64(9));
+        let b = anneal(&p, &betas, &[], &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 
@@ -372,11 +301,11 @@ mod tests {
         // the 75% threshold below sits > 3σ from the chained mean.
         let trials = 150;
         for _ in 0..trials {
-            let a = anneal_once(&p, &betas, &mut rng);
+            let a = anneal(&p, &betas, &[], &mut rng);
             if (p.energy(&a) - gs.energy).abs() < 1e-9 {
                 plain_hits += 1;
             }
-            let b = anneal_once_chained(&p, &betas, &chains, &mut rng);
+            let b = anneal(&p, &betas, &chains, &mut rng);
             if (p.energy(&b) - gs.energy).abs() < 1e-9 {
                 chained_hits += 1;
             }
@@ -396,6 +325,6 @@ mod tests {
     fn empty_plan_panics() {
         let p = ferro_chain(2);
         let mut rng = StdRng::seed_from_u64(5);
-        let _ = anneal_once(&p, &[], &mut rng);
+        let _ = anneal(&p, &[], &[], &mut rng);
     }
 }

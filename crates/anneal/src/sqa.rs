@@ -13,104 +13,17 @@
 //! This is the standard classical emulation of quantum-annealing
 //! dynamics (Martoňák–Santoro–Tosatti); the ablation benches use it to
 //! check which reproduced effects depend on the choice of dynamics.
-//! Each sweep proposes local (spin, slice) flips plus one *global* move
-//! per spin (flipping all its replicas at once), which is essential for
-//! efficient sampling near the end of the schedule.
+//! Each sweep ([`sweep_batch`]) proposes local (spin, slice) flips,
+//! one *global* move per spin (flipping all its slices at once, which
+//! is essential for efficient sampling near the end of the schedule),
+//! then per-slice and global chain-collective moves. Every anneal runs
+//! as one replica of a [`SqaReplicaBatch`] ([`anneal_batch_compiled`]);
+//! [`best_slice_batch`] reads out its answer.
 
-use crate::kernel::{CompiledChains, SqaReplicaBatch, SqaState};
+use crate::kernel::{CompiledChains, SqaReplicaBatch};
 use crate::schedule::curves;
-use quamax_ising::{CompiledProblem, IsingProblem, Spin};
+use quamax_ising::{CompiledProblem, Spin};
 use rand::Rng;
-
-/// Runs one SQA trajectory over the per-sweep annealing fractions,
-/// returning the best slice (lowest programmed energy) at the end.
-///
-/// # Panics
-/// Panics for an empty plan or fewer than 2 slices.
-pub fn anneal_once<R: Rng + ?Sized>(
-    problem: &IsingProblem,
-    fractions: &[f64],
-    slices: usize,
-    rng: &mut R,
-) -> Vec<Spin> {
-    anneal_once_chained(problem, fractions, slices, &[], rng)
-}
-
-/// Like [`anneal_once`], with chain-collective proposals per slice
-/// (the embedded-problem counterpart of `sa::anneal_once_chained`).
-pub fn anneal_once_chained<R: Rng + ?Sized>(
-    problem: &IsingProblem,
-    fractions: &[f64],
-    slices: usize,
-    chains: &[Vec<usize>],
-    rng: &mut R,
-) -> Vec<Spin> {
-    anneal_once_from(problem, fractions, slices, chains, None, rng)
-}
-
-/// Like [`anneal_once_chained`], optionally starting every Trotter
-/// slice from a candidate configuration (reverse annealing: the device
-/// begins fully annealed at the programmed state).
-pub fn anneal_once_from<R: Rng + ?Sized>(
-    problem: &IsingProblem,
-    fractions: &[f64],
-    slices: usize,
-    chains: &[Vec<usize>],
-    init: Option<&[Spin]>,
-    rng: &mut R,
-) -> Vec<Spin> {
-    let compiled = CompiledProblem::new(problem);
-    let compiled_chains = CompiledChains::compile(&compiled, chains);
-    let mut state = SqaState::new();
-    anneal_once_compiled(
-        &compiled,
-        &compiled_chains,
-        fractions,
-        slices,
-        init,
-        &mut state,
-        rng,
-    );
-    best_slice(&compiled, &state)
-}
-
-/// The compiled-kernel SQA trajectory over a prebuilt problem view and
-/// a reusable flat `n×P` replica state (the batching entry point — see
-/// `sa::anneal_once_compiled`). The final replicas are left in `state`;
-/// [`best_slice`] reads out the answer.
-///
-/// # Panics
-/// Panics for an empty plan, fewer than 2 slices, or a wrong-length
-/// initial state.
-#[allow(clippy::too_many_arguments)]
-pub fn anneal_once_compiled<R: Rng + ?Sized>(
-    problem: &CompiledProblem,
-    chains: &CompiledChains,
-    fractions: &[f64],
-    slices: usize,
-    init: Option<&[Spin]>,
-    state: &mut SqaState,
-    rng: &mut R,
-) {
-    assert!(!fractions.is_empty(), "empty sweep plan");
-    assert!(slices >= 2, "need at least 2 Trotter slices");
-    let n = problem.num_spins();
-    let p = slices;
-    match init {
-        Some(s) => {
-            assert_eq!(s.len(), n, "initial state length mismatch");
-            state.reset(problem, p, |_, i| s[i]);
-        }
-        // Random init keeps the historical Vec<Vec<_>> draw order:
-        // slice-major, spin-minor.
-        None => state.reset_random(problem, p, rng),
-    }
-
-    for &s in fractions {
-        let (w_problem, gamma) = couplings_at(s, p);
-        sweep_compiled(problem, chains, state, w_problem, gamma, rng);
-    }
-}
 
 /// The per-slice problem weight and inter-slice binding `(w, γ)` at
 /// schedule fraction `s` with `slices` Trotter slices.
@@ -132,95 +45,12 @@ fn accept<R: Rng + ?Sized>(d_f: f64, rng: &mut R) -> bool {
     d_f >= 0.0 || (d_f > -crate::sa::CERTAIN_REJECT_EXPONENT && rng.random::<f64>() < d_f.exp())
 }
 
-/// One full SQA sweep at fixed couplings `(w_problem, γ)`: local moves
-/// over every (slice, spin), global per-spin moves, then per-slice and
-/// global chain-collective moves. This is the hot loop the
-/// `bench_kernel` harness measures.
-pub fn sweep_compiled<R: Rng + ?Sized>(
-    problem: &CompiledProblem,
-    chains: &CompiledChains,
-    state: &mut SqaState,
-    w_problem: f64,
-    gamma: f64,
-    rng: &mut R,
-) {
-    let p = state.num_slices();
-    let n = problem.num_spins();
-    // Local moves: every (slice, spin).
-    for k in 0..p {
-        let (up, down) = (
-            if k + 1 == p { 0 } else { k + 1 },
-            if k == 0 { p - 1 } else { k - 1 },
-        );
-        for i in 0..n {
-            let d_problem = state.flip_delta(k, i);
-            let si = state.spin(k, i) as f64;
-            let neighbors = (state.spin(up, i) + state.spin(down, i)) as f64;
-            // ΔF = −w·ΔE_problem − 2γ·s_i·(s_up + s_down); accept on
-            // exp(ΔF).
-            let d_f = -w_problem * d_problem - 2.0 * gamma * si * neighbors;
-            if accept(d_f, rng) {
-                state.flip(problem, k, i);
-            }
-        }
-    }
-    // Global moves: flip spin i in all slices (slice couplings
-    // unchanged, so only the problem term matters).
-    for i in 0..n {
-        let mut d_total = 0.0;
-        for k in 0..p {
-            d_total += state.flip_delta(k, i);
-        }
-        if accept(-w_problem * d_total, rng) {
-            for k in 0..p {
-                state.flip(problem, k, i);
-            }
-        }
-    }
-    // Chain-collective moves, per slice: flip a whole embedding
-    // chain within slice k (slice couplings of every member change).
-    for c in 0..chains.len() {
-        for k in 0..p {
-            let (up, down) = (
-                if k + 1 == p { 0 } else { k + 1 },
-                if k == 0 { p - 1 } else { k - 1 },
-            );
-            let d_problem = state.chain_flip_delta(chains, k, c);
-            let mut slice_term = 0.0;
-            for &i in chains.members(c) {
-                slice_term += state.spin(k, i as usize) as f64
-                    * (state.spin(up, i as usize) + state.spin(down, i as usize)) as f64;
-            }
-            let d_f = -w_problem * d_problem - 2.0 * gamma * slice_term;
-            if accept(d_f, rng) {
-                state.chain_flip(problem, chains, k, c);
-            }
-        }
-    }
-    // Global chain moves: flip a chain in *all* slices at once.
-    // Inter-slice couplings cancel, so this stays available even
-    // after γ locks the replicas — it is the collective transition
-    // that orders embedded problems late in the schedule (the SQA
-    // analogue of `sa::anneal_once_chained`'s cluster move).
-    for c in 0..chains.len() {
-        let mut d_total = 0.0;
-        for k in 0..p {
-            d_total += state.chain_flip_delta(chains, k, c);
-        }
-        if accept(-w_problem * d_total, rng) {
-            for k in 0..p {
-                state.chain_flip(problem, chains, k, c);
-            }
-        }
-    }
-}
-
 /// The batched SQA trajectory: every replica of `batch` runs the same
 /// fraction plan, each consuming its own RNG stream, so replica `r` is
-/// bit-identical to [`anneal_once_compiled`] driven by `rngs[r]` alone
-/// (see `sa::anneal_batch_compiled` for the stream-splitting contract).
-/// The caller initializes the batch first; [`best_slice_batch`] reads
-/// out one replica's answer.
+/// bit-identical to the same replica run alone at width 1 from
+/// `rngs[r]` (see `sa::anneal_batch_compiled` for the stream-splitting
+/// contract). The caller initializes the batch first;
+/// [`best_slice_batch`] reads out one replica's answer.
 ///
 /// # Panics
 /// Panics when `fractions` is empty or `rngs.len() != batch.width()`.
@@ -240,10 +70,11 @@ pub fn anneal_batch_compiled<R: Rng>(
     }
 }
 
-/// One batched SQA sweep: the four phases of [`sweep_compiled`] (local,
-/// global per-spin, per-slice chain, global chain), each proposal
-/// deciding all replicas off one contiguous strip and sharing one CSR
-/// row walk per accepted-spin scatter.
+/// One SQA sweep at fixed couplings `(w_problem, γ)` over every replica
+/// of `batch`, in four phases: local moves over every (slice, spin),
+/// global per-spin moves, then per-slice and global chain-collective
+/// moves. Each proposal decides all replicas off one contiguous strip,
+/// and accepted replicas share one CSR row walk per flipped spin.
 pub fn sweep_batch<R: Rng>(
     problem: &CompiledProblem,
     chains: &CompiledChains,
@@ -262,18 +93,22 @@ pub fn sweep_batch<R: Rng>(
         );
         for i in 0..n {
             batch.sweep_spin_slice(problem, k, up, down, i, |r, d_problem, pair| {
+                // ΔF = −w·ΔE_problem − 2γ·s_i·(s_up + s_down); accept on
+                // exp(ΔF).
                 let d_f = -w_problem * d_problem - 2.0 * gamma * pair;
                 accept(d_f, &mut rngs[r])
             });
         }
     }
-    // Global moves: flip spin i in all slices.
+    // Global moves: flip spin i in all slices (slice couplings
+    // unchanged, so only the problem term matters).
     for i in 0..n {
         batch.sweep_spin_global(problem, i, |r, d_total| {
             accept(-w_problem * d_total, &mut rngs[r])
         });
     }
-    // Chain-collective moves, per slice.
+    // Chain-collective moves, per slice: flip a whole embedding chain
+    // within slice k (slice couplings of every member change).
     for c in 0..chains.len() {
         for k in 0..p {
             let (up, down) = (
@@ -286,7 +121,11 @@ pub fn sweep_batch<R: Rng>(
             });
         }
     }
-    // Global chain moves.
+    // Global chain moves: flip a chain in *all* slices at once.
+    // Inter-slice couplings cancel, so this stays available even after
+    // γ locks the replicas — it is the collective transition that
+    // orders embedded problems late in the schedule (the SQA analogue
+    // of the SA chain move in `sa::anneal_batch_compiled`).
     for c in 0..chains.len() {
         batch.sweep_chain_global(problem, chains, c, |r, d_total| {
             accept(-w_problem * d_total, &mut rngs[r])
@@ -294,9 +133,9 @@ pub fn sweep_batch<R: Rng>(
     }
 }
 
-/// Per-replica analogue of [`best_slice`]: reads out replica `r`'s
-/// lowest-programmed-energy Trotter slice. Ties resolve to the first
-/// minimal slice, matching `min_by`'s first-minimum semantics.
+/// Reads out replica `r`'s lowest-programmed-energy Trotter slice (each
+/// slice's energy comes from its cached local fields in O(n)). Ties
+/// resolve to the first minimal slice.
 pub fn best_slice_batch(batch: &SqaReplicaBatch, r: usize) -> Vec<Spin> {
     let mut best = 0usize;
     let mut best_energy = batch.slice_energy(r, 0);
@@ -310,26 +149,23 @@ pub fn best_slice_batch(batch: &SqaReplicaBatch, r: usize) -> Vec<Spin> {
     batch.replica_slice(r, best)
 }
 
-/// Reads out the lowest-programmed-energy Trotter slice (each slice's
-/// energy comes from its cached local fields in O(n)).
-pub fn best_slice(problem: &CompiledProblem, state: &SqaState) -> Vec<Spin> {
-    let best = (0..state.num_slices())
-        .min_by(|&a, &b| {
-            state
-                .slice_energy(problem, a)
-                .partial_cmp(&state.slice_energy(problem, b))
-                .expect("finite energies")
-        })
-        .expect("at least one slice");
-    state.slice(best).to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quamax_ising::exact_ground_state;
+    use quamax_ising::{exact_ground_state, IsingProblem};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One anneal from a uniform-random start: a width-1 batch.
+    fn anneal(p: &IsingProblem, fractions: &[f64], slices: usize, rng: &mut StdRng) -> Vec<Spin> {
+        let c = CompiledProblem::new(p);
+        let mut batch = SqaReplicaBatch::new();
+        batch.reset_shared(&c, slices, 1);
+        batch.init_replica_random(&c, 0, rng);
+        let rngs = std::slice::from_mut(rng);
+        anneal_batch_compiled(&c, &CompiledChains::default(), fractions, &mut batch, rngs);
+        best_slice_batch(&batch, 0)
+    }
 
     fn frustrated_problem() -> IsingProblem {
         // A small frustrated system with a unique ground state.
@@ -359,7 +195,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut hits = 0;
         for _ in 0..50 {
-            let s = anneal_once(&p, &ramp(300), 8, &mut rng);
+            let s = anneal(&p, &ramp(300), 8, &mut rng);
             if (p.energy(&s) - gs.energy).abs() < 1e-9 {
                 hits += 1;
             }
@@ -386,7 +222,7 @@ mod tests {
         let trials = 200;
         for (idx, sweeps) in [3usize, 300].iter().enumerate() {
             for _ in 0..trials {
-                let s = anneal_once(&p, &ramp(*sweeps), 6, &mut rng);
+                let s = anneal(&p, &ramp(*sweeps), 6, &mut rng);
                 mean_energy[idx] += p.energy(&s) / trials as f64;
             }
         }
@@ -399,8 +235,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let p = frustrated_problem();
-        let a = anneal_once(&p, &ramp(30), 4, &mut StdRng::seed_from_u64(3));
-        let b = anneal_once(&p, &ramp(30), 4, &mut StdRng::seed_from_u64(3));
+        let a = anneal(&p, &ramp(30), 4, &mut StdRng::seed_from_u64(3));
+        let b = anneal(&p, &ramp(30), 4, &mut StdRng::seed_from_u64(3));
         assert_eq!(a, b);
     }
 
@@ -408,7 +244,7 @@ mod tests {
     fn output_is_a_valid_configuration() {
         let p = frustrated_problem();
         let mut rng = StdRng::seed_from_u64(4);
-        let s = anneal_once(&p, &ramp(10), 4, &mut rng);
+        let s = anneal(&p, &ramp(10), 4, &mut rng);
         assert_eq!(s.len(), 6);
         assert!(s.iter().all(|&x| x == 1 || x == -1));
     }
@@ -418,6 +254,6 @@ mod tests {
     fn one_slice_panics() {
         let p = frustrated_problem();
         let mut rng = StdRng::seed_from_u64(5);
-        let _ = anneal_once(&p, &ramp(10), 1, &mut rng);
+        let _ = anneal(&p, &ramp(10), 1, &mut rng);
     }
 }

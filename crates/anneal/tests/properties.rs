@@ -5,11 +5,11 @@ use quamax_anneal::sa::{self, chain_flip_delta};
 use quamax_anneal::sqa;
 use quamax_anneal::{
     Annealer, AnnealerConfig, Backend, CompiledChains, IceModel, ReplicaBatch, Schedule,
-    SqaReplicaBatch, SqaState, SweepState,
+    SqaReplicaBatch,
 };
 use quamax_ising::{CompiledProblem, IsingProblem};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const N: usize = 8;
 
@@ -95,42 +95,62 @@ proptest! {
     }
 
     /// The incremental sweep kernel stays exact over a long random
-    /// walk: cached ΔE equals the naive adjacency-list ΔE before every
-    /// accepted flip, including chain-collective flips.
+    /// walk: every ΔE a width-1 batch proposes equals the naive
+    /// adjacency-list ΔE on a shadow copy of its spins, for single
+    /// spins and chain-collective flips, with random accept decisions.
     #[test]
-    fn sweep_state_tracks_naive_deltas(p in problem(), k in 0u32..256, walk in 0usize..64) {
+    fn replica_batch_tracks_naive_deltas(p in problem(), k in 0u32..256, walk in 0usize..8) {
         let compiled = CompiledProblem::new(&p);
         let chains = vec![vec![0usize, 1, 2], vec![4, 5]];
         let cc = CompiledChains::compile(&compiled, &chains);
-        let spins: Vec<i8> = (0..N).map(|i| if (k >> i) & 1 == 1 { 1 } else { -1 }).collect();
-        let mut state = SweepState::new();
-        state.reset(&compiled, &spins);
-        for step in 0..walk {
-            let naive = p.flip_delta(state.spins(), step % N);
-            prop_assert!((state.flip_delta(step % N) - naive).abs() < 1e-9);
-            state.flip(&compiled, step % N);
-            let c = step % chains.len();
-            let naive_chain = chain_flip_delta(&p, state.spins(), &chains[c]);
-            prop_assert!((state.chain_flip_delta(&cc, c) - naive_chain).abs() < 1e-9);
-            state.chain_flip(&compiled, &cc, c);
+        let mut shadow: Vec<i8> = (0..N).map(|i| if (k >> i) & 1 == 1 { 1 } else { -1 }).collect();
+        let mut batch = ReplicaBatch::new();
+        batch.reset_shared(&compiled, 1);
+        batch.init_replica(&compiled, 0, &shadow);
+        let mut coin = StdRng::seed_from_u64(u64::from(k));
+        let mut worst = 0.0f64;
+        for _ in 0..walk {
+            batch.sweep_spins(&compiled, |i, _, delta| {
+                worst = worst.max((delta - p.flip_delta(&shadow, i)).abs());
+                let flip = coin.random_bool(0.5);
+                if flip {
+                    shadow[i] = -shadow[i];
+                }
+                flip
+            });
+            for (c, chain) in chains.iter().enumerate() {
+                let naive = chain_flip_delta(&p, &shadow, chain);
+                let flip = coin.random_bool(0.5);
+                batch.sweep_chain(&compiled, &cc, c, |_, delta| {
+                    worst = worst.max((delta - naive).abs());
+                    flip
+                });
+                if flip {
+                    for &i in chain {
+                        shadow[i] = -shadow[i];
+                    }
+                }
+            }
         }
-        prop_assert!((state.energy(&compiled) - p.energy(state.spins())).abs() < 1e-9);
+        prop_assert!(worst < 1e-9, "worst ΔE error {worst}");
+        prop_assert_eq!(batch.replica_spins(0), shadow.clone());
+        prop_assert!((batch.energy(0) - p.energy(&shadow)).abs() < 1e-9);
     }
 
     /// The batched SA kernel's stream-splitting contract: replica `r`
-    /// of a [`ReplicaBatch`] is bit-identical (spins, fields, energy)
-    /// to a serial [`SweepState`] anneal driven by the same RNG stream
-    /// — at R = 1, 3, 4 and 8 (width 3 takes the dynamic-width path, the
-    /// others the width-monomorphized one), in shared mode and in
-    /// per-replica mode with every replica bound to differently-perturbed
-    /// coefficients, chains included.
+    /// of a [`ReplicaBatch`] at width 2, 4 or 8 is bit-identical
+    /// (spins, fields, energy) to the same stream annealed alone in a
+    /// width-1 batch, in shared mode and in per-replica mode with every
+    /// replica bound to differently-perturbed coefficients, chains
+    /// included.
     #[test]
     fn sa_replica_batch_matches_serial(p in problem(), seed in 0u64..1000) {
         let compiled = CompiledProblem::new(&p);
         let chain_sets = vec![vec![0usize, 1, 2], vec![4, 5]];
         let cc = CompiledChains::compile(&compiled, &chain_sets);
         let betas: Vec<f64> = (0..10).map(|k| 0.2 * 1.3f64.powi(k)).collect();
-        for width in [1usize, 3, 4, 8] {
+        let stream = |r: usize| StdRng::seed_from_u64(seed.wrapping_add(r as u64));
+        for width in [2usize, 4, 8] {
             // Per-replica coefficient variants sharing the structure.
             let variants: Vec<CompiledProblem> = (0..width)
                 .map(|r| {
@@ -141,20 +161,20 @@ proptest! {
                 })
                 .collect();
             for shared in [true, false] {
-                // Serial references, one stream per replica.
-                let serial: Vec<SweepState> = (0..width)
+                // Width-1 references, one stream per replica.
+                let serial: Vec<ReplicaBatch> = (0..width)
                     .map(|r| {
                         let q = if shared { &compiled } else { &variants[r] };
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-                        let mut st = SweepState::new();
-                        sa::anneal_once_compiled(q, &cc, &betas, None, &mut st, &mut rng);
-                        st
+                        let mut rng = [stream(r)];
+                        let mut single = ReplicaBatch::new();
+                        single.reset_shared(q, 1);
+                        single.init_replica_random(q, 0, &mut rng[0]);
+                        sa::anneal_batch_compiled(q, &cc, &betas, &mut single, &mut rng);
+                        single
                     })
                     .collect();
                 // Batched run over the same streams.
-                let mut rngs: Vec<StdRng> = (0..width)
-                    .map(|r| StdRng::seed_from_u64(seed.wrapping_add(r as u64)))
-                    .collect();
+                let mut rngs: Vec<StdRng> = (0..width).map(stream).collect();
                 let mut batch = ReplicaBatch::new();
                 if shared {
                     batch.reset_shared(&compiled, width);
@@ -168,23 +188,22 @@ proptest! {
                     batch.init_replica_random(&compiled, r, rng);
                 }
                 sa::anneal_batch_compiled(&compiled, &cc, &betas, &mut batch, &mut rngs);
-                for (r, st) in serial.iter().enumerate() {
-                    prop_assert_eq!(batch.replica_spins(r), st.spins().to_vec());
+                for (r, single) in serial.iter().enumerate() {
+                    prop_assert_eq!(batch.replica_spins(r), single.replica_spins(0));
                     for i in 0..N {
-                        prop_assert_eq!(batch.field(i, r), st.field(i));
+                        prop_assert_eq!(batch.field(i, r), single.field(i, 0));
                     }
-                    let q = if shared { &compiled } else { &variants[r] };
-                    prop_assert_eq!(batch.energy(r), st.energy(q));
+                    prop_assert_eq!(batch.energy(r), single.energy(0));
                 }
             }
         }
     }
 
     /// The SQA analogue of `sa_replica_batch_matches_serial`: every
-    /// replica of a [`SqaReplicaBatch`] is bit-identical to its serial
-    /// [`SqaState`] counterpart — all Trotter slices, slice energies,
-    /// and the best-slice readout — at R = 1 and R = 4, shared and
-    /// per-replica, chains included.
+    /// replica of a [`SqaReplicaBatch`] at width 2, 3 or 4 is
+    /// bit-identical to the same stream annealed alone at width 1 — all
+    /// Trotter slices, slice energies, and the best-slice readout —
+    /// shared and per-replica, chains included.
     #[test]
     fn sqa_replica_batch_matches_serial(p in problem(), seed in 0u64..1000) {
         let compiled = CompiledProblem::new(&p);
@@ -192,7 +211,8 @@ proptest! {
         let cc = CompiledChains::compile(&compiled, &chain_sets);
         let fractions: Vec<f64> = (0..8).map(|k| (k as f64 + 0.5) / 8.0).collect();
         let slices = 4;
-        for width in [1usize, 4] {
+        let stream = |r: usize| StdRng::seed_from_u64(seed.wrapping_add(r as u64));
+        for width in [2usize, 3, 4] {
             let variants: Vec<CompiledProblem> = (0..width)
                 .map(|r| {
                     let mut q = compiled.clone();
@@ -202,18 +222,18 @@ proptest! {
                 })
                 .collect();
             for shared in [true, false] {
-                let serial: Vec<SqaState> = (0..width)
+                let serial: Vec<SqaReplicaBatch> = (0..width)
                     .map(|r| {
                         let q = if shared { &compiled } else { &variants[r] };
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-                        let mut st = SqaState::new();
-                        sqa::anneal_once_compiled(q, &cc, &fractions, slices, None, &mut st, &mut rng);
-                        st
+                        let mut rng = [stream(r)];
+                        let mut single = SqaReplicaBatch::new();
+                        single.reset_shared(q, slices, 1);
+                        single.init_replica_random(q, 0, &mut rng[0]);
+                        sqa::anneal_batch_compiled(q, &cc, &fractions, &mut single, &mut rng);
+                        single
                     })
                     .collect();
-                let mut rngs: Vec<StdRng> = (0..width)
-                    .map(|r| StdRng::seed_from_u64(seed.wrapping_add(r as u64)))
-                    .collect();
+                let mut rngs: Vec<StdRng> = (0..width).map(stream).collect();
                 let mut batch = SqaReplicaBatch::new();
                 if shared {
                     batch.reset_shared(&compiled, slices, width);
@@ -227,13 +247,15 @@ proptest! {
                     batch.init_replica_random(&compiled, r, rng);
                 }
                 sqa::anneal_batch_compiled(&compiled, &cc, &fractions, &mut batch, &mut rngs);
-                for (r, st) in serial.iter().enumerate() {
-                    let q = if shared { &compiled } else { &variants[r] };
+                for (r, single) in serial.iter().enumerate() {
                     for k in 0..slices {
-                        prop_assert_eq!(batch.replica_slice(r, k), st.slice(k).to_vec());
-                        prop_assert_eq!(batch.slice_energy(r, k), st.slice_energy(q, k));
+                        prop_assert_eq!(batch.replica_slice(r, k), single.replica_slice(0, k));
+                        prop_assert_eq!(batch.slice_energy(r, k), single.slice_energy(0, k));
                     }
-                    prop_assert_eq!(sqa::best_slice_batch(&batch, r), sqa::best_slice(q, st));
+                    prop_assert_eq!(
+                        sqa::best_slice_batch(&batch, r),
+                        sqa::best_slice_batch(single, 0)
+                    );
                 }
             }
         }

@@ -13,11 +13,12 @@
 //!   coupler carrying a random coefficient.
 //!
 //! The "naive" drivers reproduce the pre-kernel hot loop (adjacency-
-//! list `flip_delta` recomputed per proposal); the "compiled" drivers
-//! run the same proposal sequence through the CSR/local-field kernel.
+//! list `flip_delta` recomputed per proposal); the batched drivers run
+//! the same proposal sequence through the CSR/local-field replica
+//! kernel (the "compiled" rows are its width-1 batches).
 
-use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaState, SweepState};
-use quamax_anneal::sa;
+use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use quamax_anneal::{sa, sqa};
 use quamax_chimera::{ChimeraGraph, CliqueEmbedding, EmbedParams, EmbeddedProblem};
 use quamax_core::reduce::ising_from_ml;
 use quamax_core::Scenario;
@@ -87,22 +88,10 @@ pub fn naive_sa_ladder(
     }
 }
 
-/// One pass of the β ladder through the compiled kernel.
-pub fn compiled_sa_ladder(
-    problem: &CompiledProblem,
-    state: &mut SweepState,
-    betas: &[f64],
-    rng: &mut StdRng,
-) {
-    for &beta in betas {
-        sa::sweep_compiled(problem, state, beta, rng);
-    }
-}
-
 /// One pass of the β ladder through the batched replica kernel: all
 /// `batch.width()` replicas advance together, sharing one CSR row walk
-/// per proposed spin (each replica bit-identical to a serial
-/// [`compiled_sa_ladder`] over its own RNG stream).
+/// per proposed spin (each replica bit-identical to a width-1 batch
+/// over its own RNG stream).
 pub fn batched_sa_ladder(
     problem: &CompiledProblem,
     batch: &mut ReplicaBatch,
@@ -155,18 +144,17 @@ pub fn naive_sqa_sweep(
     }
 }
 
-/// One compiled SQA sweep: the production kernel
-/// (`sqa::sweep_compiled`) restricted to the same move set as
-/// [`naive_sqa_sweep`] (no chains).
+/// One compiled SQA sweep: the production kernel (`sqa::sweep_batch`)
+/// restricted to the same move set as [`naive_sqa_sweep`] (no chains).
 pub fn compiled_sqa_sweep(
     problem: &CompiledProblem,
-    state: &mut SqaState,
+    batch: &mut SqaReplicaBatch,
     w_problem: f64,
     gamma: f64,
-    rng: &mut StdRng,
+    rngs: &mut [StdRng],
 ) {
     let no_chains = CompiledChains::default();
-    quamax_anneal::sqa::sweep_compiled(problem, &no_chains, state, w_problem, gamma, rng);
+    sqa::sweep_batch(problem, &no_chains, batch, w_problem, gamma, rngs);
 }
 
 /// The schedule fractions the SQA ladder benches cycle through: the
@@ -187,7 +175,7 @@ pub fn naive_sqa_ladder(
     rng: &mut StdRng,
 ) {
     for &s in &SQA_LADDER_FRACTIONS {
-        let (w_problem, gamma) = quamax_anneal::sqa::couplings_at(s, slices);
+        let (w_problem, gamma) = sqa::couplings_at(s, slices);
         naive_sqa_sweep(problem, replicas, w_problem, gamma, rng);
     }
 }
@@ -196,13 +184,12 @@ pub fn naive_sqa_ladder(
 /// kernel.
 pub fn compiled_sqa_ladder(
     problem: &CompiledProblem,
-    state: &mut SqaState,
-    slices: usize,
-    rng: &mut StdRng,
+    batch: &mut SqaReplicaBatch,
+    rngs: &mut [StdRng],
 ) {
     for &s in &SQA_LADDER_FRACTIONS {
-        let (w_problem, gamma) = quamax_anneal::sqa::couplings_at(s, slices);
-        compiled_sqa_sweep(problem, state, w_problem, gamma, rng);
+        let (w_problem, gamma) = sqa::couplings_at(s, batch.num_slices());
+        compiled_sqa_sweep(problem, batch, w_problem, gamma, rngs);
     }
 }
 
@@ -240,21 +227,22 @@ mod tests {
             (p, ())
         };
         let c = CompiledProblem::new(&p);
-        let (w, gamma) = quamax_anneal::sqa::couplings_at(0.5, 4);
+        let (w, gamma) = sqa::couplings_at(0.5, 4);
         let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
+        let mut rng_b = [StdRng::seed_from_u64(3)];
         let init: Vec<Vec<Spin>> = (0..4)
             .map(|_| random_spins(6, &mut StdRng::seed_from_u64(9)))
             .collect();
         let mut replicas = init.clone();
-        let mut state = SqaState::new();
-        state.reset(&c, 4, |k, i| init[k][i]);
+        let mut batch = SqaReplicaBatch::new();
+        batch.reset_shared(&c, 4, 1);
+        batch.init_replica(&c, 0, |k, i| init[k][i]);
         for _ in 0..20 {
             naive_sqa_sweep(&p, &mut replicas, w, gamma, &mut rng_a);
-            compiled_sqa_sweep(&c, &mut state, w, gamma, &mut rng_b);
+            compiled_sqa_sweep(&c, &mut batch, w, gamma, &mut rng_b);
         }
         for (k, replica) in replicas.iter().enumerate() {
-            assert_eq!(state.slice(k), &replica[..]);
+            assert_eq!(batch.replica_slice(0, k), replica[..]);
         }
     }
 }

@@ -609,10 +609,10 @@ impl DecodeSession {
     /// Decodes a batch of `(y, seed)` pairs — one coherence interval's
     /// worth of subcarrier/symbol problems — through one device-level
     /// [`Annealer::run_jobs`] call: every item's anneals flatten into
-    /// replica batches, so one CSR row walk drives up to
-    /// `replica_width` anneals (often of *different* items — each
-    /// replica carries its own programmed fields over the shared
-    /// session structure) while threads shard the flattened batch.
+    /// replica windows, so one CSR row walk drives up to eight anneals
+    /// (often of *different* items — each replica carries its own
+    /// programmed fields over the shared session structure) while
+    /// threads shard the flattened batch.
     ///
     /// Each item is decoded under its own `StdRng::seed_from_u64(seed)`
     /// stream, so results are bit-identical to calling

@@ -58,7 +58,6 @@ fn annealer_streams_are_stable() {
     let sa_samples = sa.run_chained(&embedded, &chains, &schedule, 20, 5);
     let sqa = Annealer::new(AnnealerConfig {
         backend: Backend::Sqa { slices: 4 },
-        replica_width: 5,
         ..Default::default()
     });
     let sqa_samples = sqa.run_chained(&embedded, &chains, &schedule, 12, 6);
@@ -90,7 +89,6 @@ fn annealer_streams_are_stable() {
         },
     ];
     let mixed = Annealer::new(AnnealerConfig {
-        replica_width: 4,
         ..Default::default()
     });
     let mixed_samples: Vec<Vec<Spin>> = mixed
