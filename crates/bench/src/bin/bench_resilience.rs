@@ -15,14 +15,16 @@
 //! 1. at the stress point (highest fault rate), the guarded
 //!    deadline-rate strictly exceeds the unguarded one — the
 //!    guardrails buy real frames, and
-//! 2. at fault rate zero the guarded path is **bit-identical** to
-//!    today's plain-QPU simulation (`SimReport` equality): resilience
-//!    machinery prices exactly zero in fair weather.
+//! 2. at fault rate zero, one worker under [`Guardrails::on`] is
+//!    **bit-identical** to the plain QPU — the same worker under
+//!    [`Guardrails::off`] (`SimReport` equality): resilience machinery
+//!    prices exactly zero in fair weather.
 
 use quamax_bench::Args;
 use quamax_ran::{
     AccessPoint, CpuPolicy, CpuPool, Deadline, FaultPlan, FaultRates, FronthaulConfig, Guardrails,
-    JobDirection, QpuOverheads, QpuServer, ResilientServer, Server, SimReport, Simulation,
+    JobDirection, Policy, QpuOverheads, QpuServer, ResilientServer, SchedConfig, SimReport,
+    Simulation,
 };
 use quamax_telemetry::Histogram;
 use quamax_wireless::Modulation;
@@ -74,18 +76,23 @@ fn goodput_bits_per_ms(report: &SimReport, horizon_us: f64) -> f64 {
     on_time * bits_per_frame / (horizon_us / 1_000.0)
 }
 
+/// The two LTE APs served frame by frame from `pool`.
+fn sim(pool: ResilientServer) -> Simulation {
+    Simulation::new(
+        vec![ap(0), ap(1)],
+        FronthaulConfig::default(),
+        pool,
+        SchedConfig::new(Policy::Fifo, 1),
+    )
+}
+
 fn resilient_sim(workers: usize, rate: f64, seed: u64, guardrails: Guardrails) -> Simulation {
-    let server = ResilientServer::new(
+    sim(ResilientServer::new(
         (0..workers).map(|_| qpu()).collect(),
         classical(),
         FaultPlan::new(seed, FaultRates::uniform(rate)),
         guardrails,
-    );
-    Simulation::new(
-        vec![ap(0), ap(1)],
-        FronthaulConfig::default(),
-        Server::Resilient(Box::new(server)),
-    )
+    ))
 }
 
 fn main() {
@@ -96,13 +103,8 @@ fn main() {
     let horizon_us = frames as f64 * ap(0).frame_interval_us;
 
     // Claim 2 first: zero faults, one worker, guardrails on — the
-    // report must equal today's plain-QPU dispatch bit for bit.
-    let plain = Simulation::new(
-        vec![ap(0), ap(1)],
-        FronthaulConfig::default(),
-        Server::Qpu(qpu()),
-    )
-    .run(horizon_us);
+    // report must equal the plain QPU's bit for bit.
+    let plain = sim(ResilientServer::plain_qpu(qpu())).run(horizon_us);
     let guarded_quiet = resilient_sim(1, 0.0, seed, Guardrails::on()).run(horizon_us);
     assert_eq!(
         plain, guarded_quiet,
@@ -136,9 +138,7 @@ fn main() {
             };
             let mut sim = resilient_sim(2, rate, seed, guardrails);
             let report = sim.run(horizon_us);
-            let Server::Resilient(srv) = sim.server() else {
-                unreachable!("run() builds a resilient server");
-            };
+            let srv = sim.pool();
             let ledger = srv.ledger();
             assert!(ledger.conserved(), "ledger leaked a job at rate {rate}");
             if guarded {

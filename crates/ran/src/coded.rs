@@ -335,7 +335,8 @@ mod tests {
     use super::*;
     use crate::cpu::{CpuPolicy, CpuPool};
     use crate::qpu::JobDirection;
-    use crate::sim::Server;
+    use crate::sched::{Policy, SchedConfig};
+    use crate::serve::ResilientServer;
     use crate::topology::{AccessPoint, Deadline, FronthaulConfig};
     use quamax_wireless::Modulation;
 
@@ -363,12 +364,13 @@ mod tests {
                 deadline: Deadline::Lte,
             }],
             FronthaulConfig::default(),
-            Server::Cpu(CpuPool::new(
+            ResilientServer::without_qpu(CpuPool::new(
                 8,
                 CpuPolicy::ZeroForcing {
                     vectors_per_channel: 1,
                 },
             )),
+            SchedConfig::new(Policy::Fifo, 1),
         )
     }
 
@@ -455,12 +457,13 @@ mod tests {
                 deadline: Deadline::Lte,
             }],
             FronthaulConfig::default(),
-            Server::Cpu(CpuPool::new(
+            ResilientServer::without_qpu(CpuPool::new(
                 8,
                 CpuPolicy::ZeroForcing {
                     vectors_per_channel: 1,
                 },
             )),
+            SchedConfig::new(Policy::Fifo, 1),
         );
         // 100 µs per extra iteration against a 3 ms HARQ budget: room
         // for the full cap on every frame.

@@ -1,8 +1,15 @@
-//! The hybrid classical-first data-center server.
+//! The hybrid classical-first rung of the serving pool's escalation
+//! ladder.
 //!
 //! Models the routing structure of the HotNets '20 follow-on work (and
 //! `quamax_core::detect::HybridDetector`'s decode-level counterpart)
-//! at the queueing level: every subcarrier problem of a frame is first
+//! at the queueing level — a routing policy over one pool, not a
+//! separate server type: attached with
+//! [`ResilientServer::with_hybrid`](crate::serve::ResilientServer::with_hybrid),
+//! it serves every job that escalates off the QPU workers; on a pool
+//! with no QPU worker
+//! ([`ResilientServer::without_qpu`](crate::serve::ResilientServer::without_qpu))
+//! that is every job. Every subcarrier problem of a frame is first
 //! decoded on the classical CPU pool; the fraction whose linear
 //! residual fails the confidence policy is re-decoded on the QPU. The
 //! QPU therefore sees only the hard tail of the workload — which is
@@ -56,7 +63,7 @@ impl HybridServer {
     /// policy flags any — the quantum pass over the flagged subset,
     /// which can only start once the classical pass has priced every
     /// answer.
-    pub fn enqueue_keyed(
+    pub fn enqueue(
         &mut self,
         now_us: f64,
         key: usize,
@@ -70,7 +77,7 @@ impl HybridServer {
             return classical_done;
         }
         self.qpu
-            .enqueue_keyed(classical_done, key, flagged, logical_vars)
+            .enqueue(classical_done, key, None, flagged, logical_vars)
     }
 
     /// Resets both servers (new simulation).
@@ -103,7 +110,7 @@ mod tests {
             0.0,
         );
         let mut cpu = pool();
-        let t_h = hybrid.enqueue_keyed(0.0, 0, 50, 16, 16);
+        let t_h = hybrid.enqueue(0.0, 0, 50, 16, 16);
         let t_c = cpu.enqueue(0.0, 50, 16);
         assert!((t_h - t_c).abs() < 1e-9);
     }
@@ -115,7 +122,7 @@ mod tests {
         let mut cpu = pool();
         let t_c = cpu.enqueue(0.0, 50, 16);
         let qpu_time = qpu.service_time_us(50, 16);
-        let t_h = hybrid.enqueue_keyed(0.0, 0, 50, 16, 16);
+        let t_h = hybrid.enqueue(0.0, 0, 50, 16, 16);
         assert!((t_h - (t_c + qpu_time)).abs() < 1e-9);
     }
 
@@ -145,11 +152,11 @@ mod tests {
             QpuServer::new(QpuOverheads::integrated(), 2.0, 3),
             0.2,
         );
-        let t1 = hybrid.enqueue_keyed(0.0, 0, 50, 16, 16);
-        let t2 = hybrid.enqueue_keyed(0.0, 0, 50, 16, 16);
+        let t1 = hybrid.enqueue(0.0, 0, 50, 16, 16);
+        let t2 = hybrid.enqueue(0.0, 0, 50, 16, 16);
         assert!(t2 > t1);
         hybrid.reset();
-        let t3 = hybrid.enqueue_keyed(0.0, 0, 50, 16, 16);
+        let t3 = hybrid.enqueue(0.0, 0, 50, 16, 16);
         assert!((t3 - t1).abs() < 1e-9);
     }
 }

@@ -16,12 +16,17 @@
 //!   integrated system;
 //! * [`cpu`] — a multi-core CPU pool running the classical baselines
 //!   (ZF or Sphere-Decoder service times from `baselines::timing`);
-//! * [`hybrid`] — the classical-first server of the HotNets '20
+//! * [`hybrid`] — the classical-first rung of the HotNets '20
 //!   follow-on structure: the CPU pool decodes everything, the QPU
 //!   re-decodes only the residual-flagged fallback fraction per AP;
-//! * [`sim`] — a deterministic discrete-event simulation dispatching
-//!   per-subcarrier decode jobs to any of the servers and scoring
-//!   deadline compliance;
+//! * [`sim`] — a deterministic discrete-event simulation feeding
+//!   periodic AP frames through the broker and batch scheduler onto
+//!   one serving pool ([`ResilientServer`]) and scoring each frame
+//!   against its AP's deadline. A plain QPU
+//!   ([`ResilientServer::plain_qpu`]), a CPU pool and the hybrid
+//!   ([`ResilientServer::without_qpu`], optionally
+//!   [`ResilientServer::with_hybrid`]) are pool configurations, not
+//!   separate server types;
 //! * [`coded`] — the join of the timing world and the BER world:
 //!   every simulated frame is also decoded through the soft-output
 //!   coded pipeline (`quamax_core::coded`), and the report is **coded
@@ -69,12 +74,13 @@
 //!   drop), least-loaded healthy-worker routing, the retry loop, and
 //!   the escalation ladder QPU → hybrid → classical. The [`Ledger`]
 //!   conserves `submitted == completed + shed + failed`, and with a
-//!   quiet plan the guarded path is *bit-identical* to plain
-//!   [`QpuServer`] dispatch — guardrails price zero in fair weather.
+//!   quiet plan one worker under [`Guardrails::on`] is *bit-identical*
+//!   to the plain QPU ([`Guardrails::off`]) — guardrails price zero in
+//!   fair weather.
 //!
-//! [`sim::Server::Resilient`] drives it end to end; frame fates are
-//! recorded per frame as [`sim::FrameOutcome`] and the
-//! `bench_resilience` binary sweeps fault rate × guardrails.
+//! [`Simulation`] drives it end to end; frame fates are recorded per
+//! frame as [`sim::FrameOutcome`] and the `bench_resilience` binary
+//! sweeps fault rate × guardrails.
 //!
 //! # DESIGN §Scheduling
 //!
@@ -114,9 +120,9 @@
 //!   W/decode, and the annealers-per-datacenter sizing rule. The
 //!   parameter table lives in the [`cost`] module docs.
 //!
-//! [`sim::Server::Brokered`] drives the whole stack inside the uplink
-//! simulation; the `bench_serve` binary sweeps offered load × policy
-//! and writes `BENCH_serve.json`.
+//! [`Simulation`] runs every frame through this stack (`Fifo` for the
+//! plain-server configurations); the `bench_serve` binary sweeps
+//! offered load × policy and writes `BENCH_serve.json`.
 //!
 //! # DESIGN §Full duplex
 //!
@@ -233,8 +239,5 @@ pub use sched::{
 pub use serve::{
     Guardrails, Job, Ledger, Priority, ResilientServer, ServeRung, Served, ShedPolicy,
 };
-pub use sim::{
-    synthetic_channel_hash, BrokeredServer, FrameOutcome, FrameRecord, Server, SimReport,
-    Simulation,
-};
+pub use sim::{synthetic_channel_hash, FrameOutcome, FrameRecord, SimReport, Simulation};
 pub use topology::{AccessPoint, Deadline, FronthaulConfig};

@@ -15,7 +15,6 @@
 //! [`QpuOverheads::integrated`] models the engineering-integrated
 //! device the paper envisions.
 
-use crate::fault::ServeError;
 use quamax_chimera::parallelization;
 use quamax_linalg::CMatrix;
 use quamax_telemetry::Telemetry;
@@ -406,8 +405,8 @@ impl QpuServer {
     /// Attaches a per-source session cache keyed by *channel hash* with
     /// eviction after `coherence_us` — the time-based refinement of
     /// [`QpuServer::with_coherence`]: instead of assuming a fixed frame
-    /// count per session, frames name their channel
-    /// ([`QpuServer::enqueue_channel`]) and programming is skipped
+    /// count per session, frames name their channel (the
+    /// `channel_hash` of [`QpuServer::enqueue`]) and programming is skipped
     /// exactly while the hash is cached and fresh.
     ///
     /// # Panics
@@ -516,118 +515,46 @@ impl QpuServer {
         );
     }
 
-    /// Enqueues a frame arriving at `now_us`; returns its completion
-    /// time. FIFO: the job starts when the server frees up.
-    pub fn enqueue(&mut self, now_us: f64, problems: usize, logical_vars: usize) -> f64 {
-        self.enqueue_keyed(now_us, 0, problems, logical_vars)
-    }
-
-    /// Enqueues a frame from source `key` (e.g. an access-point id):
-    /// each source reprograms on its own coherence boundaries, since
-    /// different sources see different channels.
-    pub fn enqueue_keyed(
-        &mut self,
-        now_us: f64,
-        key: usize,
-        problems: usize,
-        logical_vars: usize,
-    ) -> f64 {
-        let served = match self.frames_served.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, n)) => {
-                let s = *n;
-                *n += 1;
-                s
-            }
-            None => {
-                self.frames_served.push((key, 1));
-                0
-            }
-        };
-        let program = served % self.coherence_frames == 0;
-        let start = now_us.max(self.busy_until_us);
-        let done = start + self.amortized_service_time_us(problems, logical_vars, program);
-        self.busy_until_us = done;
-        self.record_enqueue(now_us, start, key, problems, logical_vars, program);
-        done
-    }
-
-    /// Enqueues a frame from source `key` whose channel estimate hashes
-    /// to `channel_hash` (see [`channel_hash`]): programming is paid
-    /// only when the hash misses the session cache — first sight of
-    /// this channel, a channel change, or coherence expiry.
+    /// Enqueues a frame from source `key` (e.g. an access-point id)
+    /// arriving at `now_us`; returns its completion time. FIFO: the job
+    /// starts when the server frees up.
     ///
-    /// Requires [`QpuServer::with_session_cache`]; without a cache this
-    /// degrades to the frame-counted [`QpuServer::enqueue_keyed`].
-    pub fn enqueue_channel(
+    /// Programming is paid per source, since different sources see
+    /// different channels. With a session cache
+    /// ([`QpuServer::with_session_cache`]) and a `channel_hash` (see
+    /// [`channel_hash`]), it is paid only when the hash misses the
+    /// cache — first sight of this channel, a channel change, or
+    /// coherence expiry. Otherwise it is paid on the source's
+    /// frame-counted coherence boundaries ([`QpuServer::with_coherence`]).
+    pub fn enqueue(
         &mut self,
         now_us: f64,
         key: usize,
-        channel_hash: u64,
+        channel_hash: Option<u64>,
         problems: usize,
         logical_vars: usize,
     ) -> f64 {
-        let Some(cache) = self.cache.as_mut() else {
-            return self.enqueue_keyed(now_us, key, problems, logical_vars);
+        let program = match (self.cache.as_mut(), channel_hash) {
+            (Some(cache), Some(hash)) => !cache.lookup(now_us, key, hash),
+            _ => {
+                let served = match self.frames_served.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => {
+                        *n += 1;
+                        *n - 1
+                    }
+                    None => {
+                        self.frames_served.push((key, 1));
+                        0
+                    }
+                };
+                served % self.coherence_frames == 0
+            }
         };
-        let program = !cache.lookup(now_us, key, channel_hash);
         let start = now_us.max(self.busy_until_us);
         let done = start + self.amortized_service_time_us(problems, logical_vars, program);
         self.busy_until_us = done;
         self.record_enqueue(now_us, start, key, problems, logical_vars, program);
         done
-    }
-
-    /// Validates a job's shape for the fallible enqueue family: a
-    /// frame with zero subcarrier problems has nothing to decode, and
-    /// zero logical variables per problem has no chip image — both
-    /// would produce degenerate service times (overhead-only or
-    /// nonsense parallelization), so they are classified errors, not
-    /// silent numbers.
-    fn validate(problems: usize, logical_vars: usize) -> Result<(), ServeError> {
-        if problems == 0 {
-            return Err(ServeError::InvalidJob("zero problems in frame"));
-        }
-        if logical_vars == 0 {
-            return Err(ServeError::InvalidJob("zero logical variables"));
-        }
-        Ok(())
-    }
-
-    /// Fallible [`QpuServer::enqueue`]: classified error on a
-    /// malformed job instead of a degenerate service time.
-    pub fn try_enqueue(
-        &mut self,
-        now_us: f64,
-        problems: usize,
-        logical_vars: usize,
-    ) -> Result<f64, ServeError> {
-        Self::validate(problems, logical_vars)?;
-        Ok(self.enqueue(now_us, problems, logical_vars))
-    }
-
-    /// Fallible [`QpuServer::enqueue_keyed`].
-    pub fn try_enqueue_keyed(
-        &mut self,
-        now_us: f64,
-        key: usize,
-        problems: usize,
-        logical_vars: usize,
-    ) -> Result<f64, ServeError> {
-        Self::validate(problems, logical_vars)?;
-        Ok(self.enqueue_keyed(now_us, key, problems, logical_vars))
-    }
-
-    /// Fallible [`QpuServer::enqueue_channel`].
-    pub fn try_enqueue_channel(
-        &mut self,
-        now_us: f64,
-        key: usize,
-        channel_hash: u64,
-        problems: usize,
-        logical_vars: usize,
-    ) -> Result<f64, ServeError> {
-        Self::validate(problems, logical_vars)?;
-        Ok(self.enqueue_channel(now_us, key, channel_hash, problems, logical_vars))
     }
 
     /// Service time of a *warm retry*: the chip is still programmed
@@ -736,15 +663,15 @@ mod tests {
     #[test]
     fn fifo_queueing() {
         let mut srv = QpuServer::new(QpuOverheads::integrated(), 1.0, 10);
-        let t1 = srv.enqueue(0.0, 1, 16); // 10 µs of anneals
-        let t2 = srv.enqueue(0.0, 1, 16); // queued behind job 1
+        let t1 = srv.enqueue(0.0, 0, None, 1, 16); // 10 µs of anneals
+        let t2 = srv.enqueue(0.0, 0, None, 1, 16); // queued behind job 1
         assert!((t1 - 10.0).abs() < 1e-9);
         assert!((t2 - 20.0).abs() < 1e-9);
         // A job arriving after the queue drains starts immediately.
-        let t3 = srv.enqueue(100.0, 1, 16);
+        let t3 = srv.enqueue(100.0, 0, None, 1, 16);
         assert!((t3 - 110.0).abs() < 1e-9);
         srv.reset();
-        assert!((srv.enqueue(0.0, 1, 16) - 10.0).abs() < 1e-9);
+        assert!((srv.enqueue(0.0, 0, None, 1, 16) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -759,7 +686,7 @@ mod tests {
         let mut last = 0.0;
         let mut costs = Vec::new();
         for _ in 0..5 {
-            let done = srv.enqueue(last, 50, 16);
+            let done = srv.enqueue(last, 0, None, 50, 16);
             costs.push(done - last);
             last = done;
         }
@@ -780,9 +707,9 @@ mod tests {
         let mut srv = QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 10).with_coherence(100);
         let full = srv.amortized_service_time_us(50, 16, true);
         let amortized = srv.amortized_service_time_us(50, 16, false);
-        let t1 = srv.enqueue_keyed(0.0, 7, 50, 16);
-        let t2 = srv.enqueue_keyed(0.0, 8, 50, 16);
-        let t3 = srv.enqueue_keyed(0.0, 7, 50, 16);
+        let t1 = srv.enqueue(0.0, 7, None, 50, 16);
+        let t2 = srv.enqueue(0.0, 8, None, 50, 16);
+        let t3 = srv.enqueue(0.0, 7, None, 50, 16);
         assert!((t1 - full).abs() < 1e-9);
         assert!((t2 - t1 - full).abs() < 1e-9, "AP 8's first frame programs");
         assert!(
@@ -790,7 +717,7 @@ mod tests {
             "AP 7's session continues"
         );
         srv.reset();
-        assert!((srv.enqueue_keyed(0.0, 7, 50, 16) - full).abs() < 1e-9);
+        assert!((srv.enqueue(0.0, 7, None, 50, 16) - full).abs() < 1e-9);
     }
 
     #[test]
@@ -810,7 +737,7 @@ mod tests {
 
         let mut last = 0.0;
         let mut cost = |srv: &mut QpuServer, at: f64, hash: u64| {
-            let done = srv.enqueue_channel(at.max(last), 7, hash, 50, 16);
+            let done = srv.enqueue(at.max(last), 7, Some(hash), 50, 16);
             let c = done - at.max(last);
             last = done;
             c
@@ -881,33 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn try_enqueue_rejects_degenerate_jobs() {
-        let mut srv = QpuServer::new(QpuOverheads::integrated(), 1.0, 10).with_session_cache(1e9);
-        assert_eq!(
-            srv.try_enqueue(0.0, 0, 16),
-            Err(ServeError::InvalidJob("zero problems in frame"))
-        );
-        assert_eq!(
-            srv.try_enqueue(0.0, 50, 0),
-            Err(ServeError::InvalidJob("zero logical variables"))
-        );
-        assert_eq!(
-            srv.try_enqueue_keyed(0.0, 3, 0, 16),
-            Err(ServeError::InvalidJob("zero problems in frame"))
-        );
-        assert_eq!(
-            srv.try_enqueue_channel(0.0, 3, 0xAB, 50, 0),
-            Err(ServeError::InvalidJob("zero logical variables"))
-        );
-        // Rejections leave the server untouched: clock, sessions, cache.
-        assert_eq!(srv.busy_until_us(), 0.0);
-        assert!(srv.session_cache().unwrap().is_empty());
-        // Valid jobs pass through to the infallible paths unchanged.
-        let t = srv.try_enqueue(0.0, 1, 16).unwrap();
-        assert!((t - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn warm_retry_is_cheaper_than_cold() {
         let mut srv = QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 10);
         let cold = srv.service_time_us(50, 16);
@@ -934,7 +834,7 @@ mod tests {
         let t = srv.occupy_us(5.0, 100.0);
         assert!((t - 105.0).abs() < 1e-9);
         // FIFO: the next job starts after the occupancy.
-        let done = srv.enqueue(0.0, 1, 16);
+        let done = srv.enqueue(0.0, 0, None, 1, 16);
         assert!((done - 115.0).abs() < 1e-9);
     }
 
@@ -943,9 +843,9 @@ mod tests {
         let mut srv = QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 10).with_session_cache(1e9);
         let full = srv.amortized_service_time_us(50, 16, true);
         let amortized = srv.amortized_service_time_us(50, 16, false);
-        let t1 = srv.enqueue_channel(0.0, 1, 0xCC, 50, 16);
-        let t2 = srv.enqueue_channel(0.0, 2, 0xCC, 50, 16);
-        let t3 = srv.enqueue_channel(0.0, 1, 0xCC, 50, 16);
+        let t1 = srv.enqueue(0.0, 1, Some(0xCC), 50, 16);
+        let t2 = srv.enqueue(0.0, 2, Some(0xCC), 50, 16);
+        let t3 = srv.enqueue(0.0, 1, Some(0xCC), 50, 16);
         assert!((t1 - full).abs() < 1e-9);
         assert!(
             (t2 - t1 - full).abs() < 1e-9,
@@ -1004,12 +904,14 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_channel_without_cache_degrades_to_keyed() {
-        let mut cached = QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 10).with_coherence(4);
-        let mut plain = cached.clone();
-        let a = cached.enqueue_channel(0.0, 3, 0xDD, 50, 16);
-        let b = plain.enqueue_keyed(0.0, 3, 50, 16);
-        assert!((a - b).abs() < 1e-9);
+    fn channel_hash_without_cache_degrades_to_frame_counting() {
+        let mut hashed = QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 10).with_coherence(4);
+        let mut counted = hashed.clone();
+        for at in [0.0, 10.0, 20.0, 30.0, 40.0] {
+            let a = hashed.enqueue(at, 3, Some(0xDD), 50, 16);
+            let b = counted.enqueue(at, 3, None, 50, 16);
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -1033,8 +935,8 @@ mod tests {
         let mut plain = QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 10).with_coherence(4);
         let mut observed = plain.clone().with_telemetry(t.clone());
         for at in [0.0, 10.0, 20.0] {
-            let a = plain.enqueue_keyed(at, 3, 50, 16);
-            let b = observed.enqueue_keyed(at, 3, 50, 16);
+            let a = plain.enqueue(at, 3, None, 50, 16);
+            let b = observed.enqueue(at, 3, None, 50, 16);
             assert_eq!(a, b, "recording must not perturb completion times");
         }
         let snap = t.snapshot();

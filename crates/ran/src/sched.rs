@@ -28,9 +28,11 @@
 //! reservation and dispatch.
 //!
 //! Three policies share this machinery ([`Policy`]): `Fifo` dispatches
-//! every job as a batch of one at arrival (bit-identical to the
-//! unbatched [`ResilientServer::submit`] path — a tested contract);
-//! `DeadlineBatch` runs the closing rule; `CostAware` additionally
+//! every job as a batch of one at arrival, replaying
+//! [`ResilientServer::submit`] (admit, then dispatch a batch of one)
+//! bit for bit — a tested contract, and how the simulation runs its
+//! plain-server configurations; `DeadlineBatch` runs the closing rule;
+//! `CostAware` additionally
 //! consults the [`CostModel`] at close time and routes a batch to the
 //! classical floor when CPU service is cheaper *and* still meets the
 //! earliest member deadline — spending annealer time only on the
@@ -58,7 +60,8 @@ const EPS: f64 = 1e-9;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// No batching: every job dispatches alone at arrival, in arrival
-    /// order — the baseline, bit-identical to unbrokered submission.
+    /// order — the baseline, bit-identical to
+    /// [`ResilientServer::submit`] per job.
     Fifo,
     /// Deadline-aware batching: coalesce per `(cell, hash)`, dispatch
     /// at full or at the closing rule.
@@ -628,9 +631,9 @@ impl BatchScheduler {
         // deadline.
         //
         // Cache-aware placement is a batching-policy feature: Fifo must
-        // replay `ResilientServer::submit` exactly, and `submit` always
-        // routes least-loaded, so Fifo never steers toward the cache
-        // holder.
+        // replay `ResilientServer::submit` exactly, which dispatches
+        // with no placement hint (least-loaded routing), so Fifo never
+        // steers toward the cache holder.
         let cached = server.cached_worker(now, batch.cell, batch.hash);
         let preferred = match self.config.policy {
             Policy::Fifo => None,
@@ -740,6 +743,7 @@ mod tests {
     use super::*;
     use crate::cpu::{CpuPolicy, CpuPool};
     use crate::fault::FaultPlan;
+    use crate::hybrid::HybridServer;
     use crate::qpu::{QpuOverheads, QpuServer};
     use crate::serve::Guardrails;
 
@@ -893,6 +897,46 @@ mod tests {
             "one uplink batch + one downlink batch, never merged"
         );
         assert!(report.dispatches.iter().all(|d| d.occupancy == 4));
+    }
+
+    #[test]
+    fn pools_without_a_qpu_worker_serve_every_job_down_the_ladder() {
+        let zf = || {
+            CpuPool::new(
+                8,
+                CpuPolicy::ZeroForcing {
+                    vectors_per_channel: 1,
+                },
+            )
+        };
+        let arrivals: Vec<UserJob> = (0..12)
+            .map(|k| user_job(10.0 + 50.0 * (k / 3) as f64, k % 2, 0xC0DE, 3_000.0))
+            .collect();
+        for policy in [Policy::Fifo, Policy::DeadlineBatch, Policy::CostAware] {
+            for hybrid in [false, true] {
+                let mut server = ResilientServer::without_qpu(zf());
+                let mut rung = ServeRung::Classical;
+                if hybrid {
+                    let qpu = QpuServer::new(QpuOverheads::integrated(), 2.0, 5);
+                    server = server.with_hybrid(HybridServer::new(zf(), qpu, 0.1));
+                    rung = ServeRung::Hybrid;
+                }
+                let mut broker = Broker::new();
+                let report = BatchScheduler::new(SchedConfig::new(policy, 24)).run(
+                    &mut server,
+                    &mut broker,
+                    arrivals.clone(),
+                );
+                assert!(broker.drained(), "{policy:?}");
+                assert!(server.ledger().conserved(), "{policy:?}");
+                assert_eq!(server.ledger().in_flight(), 0, "{policy:?}");
+                assert_eq!(report.outcomes.len(), arrivals.len());
+                for o in &report.outcomes {
+                    assert_eq!(o.state, JobState::Completed, "{policy:?}");
+                    assert_eq!((o.rung, o.attempts), (Some(rung), 1), "{policy:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The fault-tolerant serving layer: a pool of QPU workers behind
-//! deadline-aware retry, per-worker circuit breakers, an escalation
-//! ladder, and recorded load shedding.
+//! The serving pool: QPU workers behind deadline-aware retry,
+//! per-worker circuit breakers, an escalation ladder, and recorded load
+//! shedding.
 //!
-//! [`ResilientServer`] is the guarded counterpart of dispatching
-//! frames straight at one [`QpuServer`]: jobs are validated, admission-
+//! [`ResilientServer`] is the one machine every data-center server of
+//! the simulation is a configuration of: jobs are validated, admission-
 //! controlled, routed to the least-loaded healthy worker, and — when a
 //! [`FaultPlan`] injects a device fault — retried under the frame's
 //! remaining deadline slack ([`RetryPolicy::fund_retry`]), escalated
@@ -11,13 +11,17 @@
 //! classified error*. Nothing is silently lost: the [`Ledger`]
 //! conserves `submitted == completed + shed + failed`.
 //!
-//! With a quiet plan, one worker, and [`Guardrails::on`], the guarded
-//! path is bit-identical to the unguarded [`QpuServer`] dispatch — the
-//! resilience machinery prices exactly zero when nothing goes wrong
-//! (tested in `tests/properties.rs`).
+//! The plain servers are pool configurations:
+//! [`ResilientServer::plain_qpu`] is one worker under
+//! [`Guardrails::off`], and [`ResilientServer::without_qpu`] has no
+//! worker, so every job takes the ladder at once — to the classical
+//! floor, or to the hybrid rung when one is attached. With a quiet plan
+//! and one worker, [`Guardrails::on`] is bit-identical to
+//! [`Guardrails::off`]: the resilience machinery prices exactly zero
+//! when nothing goes wrong (tested in `tests/properties.rs`).
 
 use crate::breaker::CircuitBreaker;
-use crate::cpu::CpuPool;
+use crate::cpu::{CpuPolicy, CpuPool};
 use crate::fault::{FaultClass, FaultPlan, ServeError};
 use crate::hybrid::HybridServer;
 use crate::qpu::{JobDirection, QpuServer};
@@ -212,9 +216,9 @@ pub struct Ledger {
     pub failed: u64,
     /// In-flight gauge (not a terminal counter): jobs admitted into
     /// the brokered pipeline — sitting in a per-cell queue or an open
-    /// batch — whose fate is not yet resolved. The direct
-    /// [`ResilientServer::submit`] path resolves within the call, so
-    /// it never moves this gauge.
+    /// batch — whose fate is not yet resolved.
+    /// [`ResilientServer::submit`] resolves its job within the call, so
+    /// it leaves this gauge where it found it.
     pub batched: u64,
 }
 
@@ -271,17 +275,14 @@ pub struct ResilientServer {
 impl ResilientServer {
     /// A server over `workers` identical QPUs with `classical` as the
     /// escalation floor, injecting faults from `plan` under
-    /// `guardrails`.
-    ///
-    /// # Panics
-    /// Panics when `workers` is empty.
+    /// `guardrails`. An empty `workers` list is a QPU-less pool (see
+    /// [`ResilientServer::without_qpu`]).
     pub fn new(
         workers: Vec<QpuServer>,
         classical: CpuPool,
         plan: FaultPlan,
         guardrails: Guardrails,
     ) -> Self {
-        assert!(!workers.is_empty(), "need at least one QPU worker");
         let breaker =
             CircuitBreaker::new(guardrails.breaker_threshold, guardrails.breaker_cooldown_us);
         ResilientServer {
@@ -302,6 +303,32 @@ impl ResilientServer {
             job_seq: 0,
             telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// The plain QPU as a pool: `qpu` as the only worker under a quiet
+    /// plan and [`Guardrails::off`], so every job is one FIFO enqueue
+    /// straight at `qpu`. Nothing escalates, so the classical floor is
+    /// never reached.
+    pub fn plain_qpu(qpu: QpuServer) -> Self {
+        let unused_floor = CpuPool::new(
+            1,
+            CpuPolicy::ZeroForcing {
+                vectors_per_channel: 1,
+            },
+        );
+        Self::new(
+            vec![qpu],
+            unused_floor,
+            FaultPlan::quiet(0),
+            Guardrails::off(),
+        )
+    }
+
+    /// A pool with no QPU worker under [`Guardrails::on`]: every job
+    /// escalates at once, in one attempt, to the hybrid rung when one is
+    /// attached ([`ResilientServer::with_hybrid`]), else to `classical`.
+    pub fn without_qpu(classical: CpuPool) -> Self {
+        Self::new(Vec::new(), classical, FaultPlan::quiet(0), Guardrails::on())
     }
 
     /// Inserts the hybrid middle rung of the escalation ladder.
@@ -390,14 +417,12 @@ impl ResilientServer {
         self.workers.len()
     }
 
-    /// The session-cache coherence time of worker 0, if its QPU has a
-    /// cache attached — the simulation uses it to synthesize channel
-    /// hashes exactly as it does for a plain [`QpuServer`].
+    /// The session-cache coherence time of worker 0, if the pool has a
+    /// worker and its QPU has a cache attached — the simulation uses it
+    /// to synthesize per-interval channel hashes.
     pub fn coherence_us(&self) -> Option<f64> {
-        self.workers[0]
-            .qpu
-            .session_cache()
-            .map(|c| c.coherence_us())
+        let cache = self.workers.first()?.qpu.session_cache()?;
+        Some(cache.coherence_us())
     }
 
     /// Resets every worker, the ladder rungs, the plan counters, and
@@ -422,13 +447,9 @@ impl ResilientServer {
     /// and breaker-permitted), with their projected queue waits —
     /// FIFO backlog *plus* reserved (batched-but-undispatched) work.
     fn eligible(&mut self, now_us: f64) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            if w.crashed_until_us <= now_us && w.breaker.allows(now_us) {
-                out.push((i, (w.qpu.busy_until_us() - now_us).max(0.0) + w.reserved_us));
-            }
-        }
-        out
+        (0..self.workers.len())
+            .filter_map(|i| Some((i, self.queue_depth_us(i, now_us)?)))
+            .collect()
     }
 
     /// Projected wait of one worker at `now_us`: its FIFO backlog plus
@@ -452,20 +473,12 @@ impl ResilientServer {
     /// [`ResilientServer::queue_depth_us`] over eligible workers, or
     /// `None` when no worker can take a job right now.
     pub fn projected_wait_us(&mut self, now_us: f64) -> Option<f64> {
-        let eligible = self.eligible(now_us);
-        if eligible.is_empty() {
-            return None;
-        }
-        Some(
-            eligible
-                .iter()
-                .map(|&(_, w)| w)
-                .fold(f64::INFINITY, f64::min),
-        )
+        let waits = self.eligible(now_us).into_iter().map(|(_, w)| w);
+        waits.reduce(f64::min)
     }
 
-    /// The single shedding estimate shared by direct submission and
-    /// broker admission: `Some(projected wait)` when a job of
+    /// The single shedding estimate admission control reads:
+    /// `Some(projected wait)` when a job of
     /// `priority` must be shed at `now_us` (every healthy worker's
     /// projected wait — batching reservations included — exceeds the
     /// priority's limit), `None` when it may proceed. A pool with no
@@ -508,11 +521,13 @@ impl ResilientServer {
 
     /// Service time of one combined batch on a pool worker (the
     /// workers are identical): `program` charges preprocessing +
-    /// programming (a cache miss on the target).
+    /// programming (a cache miss on the target). Zero for a pool with
+    /// no worker, which never runs a QPU wave.
     pub fn batch_service_us(&self, problems: usize, logical_vars: usize, program: bool) -> f64 {
-        self.workers[0]
-            .qpu
-            .amortized_service_time_us(problems, logical_vars, program)
+        self.workers.first().map_or(0.0, |w| {
+            w.qpu
+                .amortized_service_time_us(problems, logical_vars, program)
+        })
     }
 
     /// Service time of one combined batch on the classical floor.
@@ -547,25 +562,17 @@ impl ResilientServer {
             Some(p) if !warm => eligible.iter().any(|&(i, _)| i != p),
             _ => false,
         };
-        let mut best: Option<(usize, f64)> = None;
-        for &(i, wait) in &eligible {
-            if exclude_prev && Some(i) == prev {
-                continue;
-            }
-            // Strict `<` keeps ties on the lowest index: deterministic.
-            let better = match best {
-                None => true,
-                Some((_, bw)) => wait < bw,
-            };
-            if better {
-                best = Some((i, wait));
-            }
-        }
-        best.map(|(i, _)| i)
+        // `min_by` keeps ties on the lowest index: deterministic.
+        eligible
+            .into_iter()
+            .filter(|&(i, _)| !(exclude_prev && Some(i) == prev))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite waits"))
+            .map(|(i, _)| i)
     }
 
-    /// Shape validation shared by direct submission and broker
-    /// admission.
+    /// Shape validation at admission: a frame with no problems or no
+    /// logical variables is a classified error, not a degenerate
+    /// service time.
     fn validate(job: &Job) -> Result<(), ServeError> {
         if job.problems == 0 {
             return Err(ServeError::InvalidJob("zero problems in frame"));
@@ -578,47 +585,12 @@ impl ResilientServer {
 
     /// Submits one job at `now_us`; returns where and when it was
     /// served, or a classified [`ServeError`]. Updates the ledger
-    /// either way.
+    /// either way. This is [`ResilientServer::admit`] followed by
+    /// dispatching the job as a batch of one — the reference the
+    /// scheduler's `Fifo` policy replays.
     pub fn submit(&mut self, now_us: f64, job: &Job) -> Result<Served, ServeError> {
-        self.ledger.submitted += 1;
-        self.telemetry.counter_inc(
-            "quamax_serve_submitted_total",
-            &[
-                ("direction", job.direction.name()),
-                ("priority", job.priority.name()),
-            ],
-        );
-        if let Err(e) = Self::validate(job) {
-            self.job_seq += 1;
-            self.ledger.failed += 1;
-            return Err(e);
-        }
-
-        // Backpressure: shed when every healthy worker's projected
-        // wait exceeds this priority's limit. Shedding is a final,
-        // recorded admission decision — never a silent drop.
-        if let Some(wait) = self.shed_wait_us(now_us, job.priority) {
-            self.job_seq += 1;
-            self.ledger.shed += 1;
-            self.telemetry.counter_inc(
-                "quamax_serve_shed_total",
-                &[("priority", job.priority.name())],
-            );
-            return Err(ServeError::Shed {
-                projected_wait_us: wait,
-            });
-        }
-
-        match self.serve_attempts(now_us, job, job.problems, None) {
-            Ok(served) => {
-                self.ledger.completed += 1;
-                Ok(served)
-            }
-            Err(e) => {
-                self.ledger.failed += 1;
-                Err(e)
-            }
-        }
+        self.admit(now_us, job)?;
+        self.dispatch_batch(now_us, job, job.problems, 1, None)
     }
 
     /// Admits one job into the brokered pipeline at `now_us` without
@@ -630,11 +602,10 @@ impl ResilientServer {
     /// [`ResilientServer::dispatch_batch_classical`], or
     /// [`ResilientServer::resolve_shed`].
     ///
-    /// Admission and dispatch burn fault-plan job ids exactly like the
-    /// direct path — one id per terminal admission decision, one per
-    /// dispatched batch — so a broker that dispatches every job as a
-    /// batch of one replays [`ResilientServer::submit`]'s fault
-    /// schedule bit for bit.
+    /// Admission and dispatch burn fault-plan job ids — one per terminal
+    /// admission decision, one per dispatched batch — so a broker that
+    /// dispatches every job as a batch of one replays
+    /// [`ResilientServer::submit`]'s fault schedule bit for bit.
     pub fn admit(&mut self, now_us: f64, job: &Job) -> Result<(), ServeError> {
         self.ledger.submitted += 1;
         self.telemetry.counter_inc(
@@ -747,11 +718,10 @@ impl ResilientServer {
         }
     }
 
-    /// The retry/escalation loop shared by [`ResilientServer::submit`]
-    /// (one job, its own problem count) and
-    /// [`ResilientServer::dispatch_batch`] (a coalesced batch serving
-    /// `problems` combined subcarrier problems). Burns one fault-plan
-    /// job id. Ledger accounting is the caller's.
+    /// The retry/escalation loop behind
+    /// [`ResilientServer::dispatch_batch`]: serves `problems` combined
+    /// subcarrier problems of `job`'s shape. Burns one fault-plan job
+    /// id. Ledger accounting is the caller's.
     fn serve_attempts(
         &mut self,
         now_us: f64,
@@ -779,26 +749,21 @@ impl ResilientServer {
             let Some(w) = picked else { break };
             let fault = self.plan.draw(w, job_id, attempt);
             let worker = &mut self.workers[w];
+            let warm_fraction = self.guardrails.retry.warm_fraction;
+            // This attempt's anneals on the worker's FIFO: a warm
+            // reverse-anneal restart, or a cold (possibly cached) decode.
+            let anneal = |qpu: &mut QpuServer| {
+                if warm {
+                    qpu.enqueue_warm_retry(t, problems, job.logical_vars, warm_fraction)
+                } else {
+                    qpu.enqueue(t, job.source, job.channel_hash, problems, job.logical_vars)
+                }
+            };
             match fault {
                 None | Some(FaultClass::WorkerStall) => {
                     // The job runs to completion — a stall just lands
                     // it late (and holds the worker through the stall).
-                    let mut done = if warm {
-                        worker.qpu.enqueue_warm_retry(
-                            t,
-                            problems,
-                            job.logical_vars,
-                            self.guardrails.retry.warm_fraction,
-                        )
-                    } else if let Some(hash) = job.channel_hash {
-                        worker
-                            .qpu
-                            .enqueue_channel(t, job.source, hash, problems, job.logical_vars)
-                    } else {
-                        worker
-                            .qpu
-                            .enqueue_keyed(t, job.source, problems, job.logical_vars)
-                    };
+                    let mut done = anneal(&mut worker.qpu);
                     if fault.is_some() {
                         done = worker.qpu.occupy_us(done, self.plan.stall_us());
                     }
@@ -842,22 +807,7 @@ impl ResilientServer {
                     // garbage. The best candidate survives, so the
                     // retry is a warm reverse-anneal restart.
                     debug_assert!(class.warm_restartable());
-                    let fail_at = if warm {
-                        worker.qpu.enqueue_warm_retry(
-                            t,
-                            problems,
-                            job.logical_vars,
-                            self.guardrails.retry.warm_fraction,
-                        )
-                    } else if let Some(hash) = job.channel_hash {
-                        worker
-                            .qpu
-                            .enqueue_channel(t, job.source, hash, problems, job.logical_vars)
-                    } else {
-                        worker
-                            .qpu
-                            .enqueue_keyed(t, job.source, problems, job.logical_vars)
-                    };
+                    let fail_at = anneal(&mut worker.qpu);
                     note_breaker_failure(&self.telemetry, &mut worker.breaker, fail_at);
                     last_err = ServeError::Fault { class };
                     warm = true;
@@ -907,7 +857,7 @@ impl ResilientServer {
         if self.guardrails.escalate {
             let (done, rung) = match self.hybrid.as_mut() {
                 Some(h) => (
-                    h.enqueue_keyed(t, job.source, problems, job.users, job.logical_vars),
+                    h.enqueue(t, job.source, problems, job.users, job.logical_vars),
                     ServeRung::Hybrid,
                 ),
                 None => (
@@ -946,7 +896,6 @@ fn note_breaker_failure(telemetry: &Telemetry, breaker: &mut CircuitBreaker, at_
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuPolicy;
     use crate::fault::FaultRates;
     use crate::qpu::QpuOverheads;
 
@@ -988,7 +937,7 @@ mod tests {
         for k in 0..20 {
             let at = 100.0 * k as f64;
             let served = srv.submit(at, &job(1e6)).unwrap();
-            let expect = plain.enqueue_keyed(at, 0, 1, 16);
+            let expect = plain.enqueue(at, 0, None, 1, 16);
             assert_eq!(served.done_us.to_bits(), expect.to_bits(), "job {k}");
             assert_eq!(served.attempts, 1);
             assert_eq!(served.rung, ServeRung::Qpu);
@@ -1048,7 +997,7 @@ mod tests {
             Guardrails::off(),
         );
         let served = srv.submit(0.0, &job(1e6)).unwrap();
-        let plain = qpu().enqueue_keyed(0.0, 0, 1, 16);
+        let plain = qpu().enqueue(0.0, 0, None, 1, 16);
         assert!((served.done_us - plain - 500.0).abs() < 1e-9);
         assert!(srv.ledger().conserved());
         assert_eq!(srv.fault_plan().counters().worker_stalls, 1);

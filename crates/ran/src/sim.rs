@@ -2,56 +2,32 @@
 //! — uplink detection and downlink precoding frames over one shared
 //! serving pool.
 //!
-//! Frames arrive periodically at each AP, cross the fronthaul, queue at
-//! the chosen data-center server (QPU or CPU pool), and are scored
-//! against their radio deadline on completion (including the return
-//! fronthaul hop for the ACK/feedback — or, for a downlink stream, the
-//! precoded samples heading back to the radio head). The simulation
-//! answers §7's deployment question: with today's QPU overheads nothing
-//! meets a deadline; with an integrated device, QA decoding fits even
-//! Wi-Fi budgets for problems that parallelize on-chip. A full-duplex
-//! cell is two [`AccessPoint`]s sharing an `id` with opposite
-//! [`JobDirection`](crate::qpu::JobDirection)s; their session keys
-//! never alias because every arm rekeys the synthetic channel hash by
+//! Frames arrive periodically at each AP, cross the fronthaul, and
+//! become [`UserJob`]s that flow through [`Broker`] admission and the
+//! [`BatchScheduler`] onto a [`ResilientServer`] pool. Each frame is
+//! scored against its own AP's radio deadline on completion (including
+//! the return fronthaul hop for the ACK/feedback — or, for a downlink
+//! stream, the precoded samples heading back to the radio head). The
+//! simulation answers §7's deployment question: with today's QPU
+//! overheads nothing meets a deadline; with an integrated device, QA
+//! decoding fits even Wi-Fi budgets for problems that parallelize
+//! on-chip.
+//!
+//! Every data-center server is a pool configuration under
+//! [`Policy::Fifo`](crate::sched::Policy::Fifo) — one job per dispatch,
+//! in arrival order: a plain QPU is [`ResilientServer::plain_qpu`], a
+//! CPU pool is [`ResilientServer::without_qpu`], and the classical-
+//! first hybrid is that pool with [`ResilientServer::with_hybrid`].
+//! A full-duplex cell is two [`AccessPoint`]s sharing an `id` with
+//! opposite [`JobDirection`](crate::qpu::JobDirection)s; their session
+//! keys never alias because the synthetic channel hash is rekeyed by
 //! direction.
 
 use crate::broker::{Broker, JobState, UserJob};
-use crate::cpu::CpuPool;
-use crate::fault::ServeError;
-use crate::hybrid::HybridServer;
-use crate::qpu::QpuServer;
 use crate::sched::{BatchScheduler, SchedConfig};
-use crate::serve::{Job, Priority, ResilientServer, ServeRung};
+use crate::serve::{Priority, ResilientServer, ServeRung};
 use crate::topology::{AccessPoint, FronthaulConfig};
 use quamax_telemetry::Telemetry;
-
-/// The brokered serving stack: a [`ResilientServer`] pool behind the
-/// [`Broker`] + [`BatchScheduler`] scheduling subsystem.
-pub struct BrokeredServer {
-    /// The worker pool.
-    pub server: ResilientServer,
-    /// The scheduling policy and price book.
-    pub config: SchedConfig,
-}
-
-/// Which server a simulation dispatches to.
-pub enum Server {
-    /// The quantum annealer.
-    Qpu(QpuServer),
-    /// The classical pool.
-    Cpu(CpuPool),
-    /// Classical-first with per-AP quantum fallback (the HotNets '20
-    /// routing structure; decode-level counterpart:
-    /// `quamax_core::detect::HybridDetector`).
-    Hybrid(HybridServer),
-    /// The fault-tolerant serving layer: a QPU worker pool behind
-    /// retry/breaker/shedding guardrails with injected faults (boxed:
-    /// the pool + ledger dwarf the other variants).
-    Resilient(Box<ResilientServer>),
-    /// The scheduling subsystem over the resilient pool: broker
-    /// admission, deadline-aware batching, policy routing.
-    Brokered(Box<BrokeredServer>),
-}
 
 /// How a frame's decode ended.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,7 +76,7 @@ pub struct FrameRecord {
 /// tests assert.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
-    /// Per-frame records in completion order.
+    /// Per-frame records in arrival order.
     pub frames: Vec<FrameRecord>,
 }
 
@@ -159,11 +135,10 @@ impl SimReport {
     }
 }
 
-/// The synthetic channel-hash schedule shared by the plain-QPU,
-/// resilient, and brokered arms of [`Simulation::run`] — and by the
-/// [`load`] generator: each cell's channel re-draws once per coherence
-/// interval, so the hash is constant within an interval and changes at
-/// its boundary.
+/// The synthetic channel-hash schedule shared by [`Simulation::run`]
+/// and the [`load`] generator: each cell's channel re-draws once per
+/// coherence interval, so the hash is constant within an interval and
+/// changes at its boundary.
 ///
 /// [`load`]: crate::load
 pub fn synthetic_channel_hash(ap_id: usize, at_dc: f64, coherence_us: f64) -> u64 {
@@ -183,17 +158,12 @@ fn directed_synthetic_hash(ap: &AccessPoint, at_dc: f64, coherence_us: f64) -> u
         .rekey(synthetic_channel_hash(ap.id, at_dc, coherence_us))
 }
 
-/// A single-attempt success on `rung` — what the plain (unguarded)
-/// servers emit for every frame.
-fn served_once(rung: ServeRung) -> FrameOutcome {
-    FrameOutcome::Served { attempts: 1, rung }
-}
-
 /// The uplink simulation.
 pub struct Simulation {
     aps: Vec<AccessPoint>,
     fronthaul: FronthaulConfig,
-    server: Server,
+    pool: ResilientServer,
+    config: SchedConfig,
     /// Frame-level metrics sink, propagated into the serving stack by
     /// [`Simulation::with_telemetry`]. Recording observes the run but
     /// never feeds back into it: a telemetry-enabled run's
@@ -203,29 +173,29 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation over `aps` dispatching every frame to
-    /// `server`.
-    pub fn new(aps: Vec<AccessPoint>, fronthaul: FronthaulConfig, server: Server) -> Self {
+    /// Builds a simulation over `aps` serving every frame from `pool`
+    /// under the scheduling `config`.
+    pub fn new(
+        aps: Vec<AccessPoint>,
+        fronthaul: FronthaulConfig,
+        pool: ResilientServer,
+        config: SchedConfig,
+    ) -> Self {
         assert!(!aps.is_empty(), "need at least one access point");
         Simulation {
             aps,
             fronthaul,
-            server,
+            pool,
+            config,
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Attaches a telemetry handle, propagating it into the serving
-    /// stack (the QPU arm's server directly; the resilient and
-    /// brokered arms fan it out to every pool worker).
+    /// Attaches a telemetry handle, propagating it to the pool and every
+    /// pool worker.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        match &mut self.server {
-            Server::Qpu(q) => q.set_telemetry(telemetry.clone()),
-            Server::Resilient(r) => r.set_telemetry(telemetry.clone()),
-            Server::Brokered(b) => b.server.set_telemetry(telemetry.clone()),
-            Server::Cpu(_) | Server::Hybrid(_) => {}
-        }
+        self.pool.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self
     }
@@ -235,19 +205,17 @@ impl Simulation {
         &self.telemetry
     }
 
-    /// The server being driven (post-run inspection: ledgers, fault
-    /// counters, breaker trips).
-    pub fn server(&self) -> &Server {
-        &self.server
+    /// The serving pool (post-run inspection: ledger, fault counters,
+    /// breaker trips).
+    pub fn pool(&self) -> &ResilientServer {
+        &self.pool
     }
 
-    /// Runs for `horizon_us` of simulated time, generating each AP's
-    /// periodic frames and serving them FIFO in global arrival order.
+    /// Runs for `horizon_us` of simulated time: generates each AP's
+    /// periodic frames, schedules them through the broker onto the
+    /// pool, and returns one record per frame in arrival order.
     pub fn run(&mut self, horizon_us: f64) -> SimReport {
         assert!(horizon_us > 0.0, "empty horizon");
-        // Generate all arrivals up front (periodic, deterministic),
-        // then process in time order — with FIFO servers this is
-        // exactly the event-driven schedule.
         let mut arrivals: Vec<(f64, usize)> = Vec::new();
         for (idx, ap) in self.aps.iter().enumerate() {
             let mut t = ap.frame_interval_us; // first frame after one interval
@@ -257,135 +225,85 @@ impl Simulation {
             }
         }
         arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+        self.pool.reset();
 
-        match &mut self.server {
-            Server::Qpu(q) => q.reset(),
-            Server::Cpu(c) => c.reset(),
-            Server::Hybrid(h) => h.reset(),
-            Server::Resilient(r) => r.reset(),
-            Server::Brokered(b) => b.server.reset(),
-        }
-
-        // The brokered arm is event-driven (batch close times interleave
-        // with arrivals), so it hands the whole arrival schedule to the
-        // scheduler instead of walking it frame by frame.
-        if let Server::Brokered(_) = &self.server {
-            let report = self.run_brokered(&arrivals);
-            self.finish(&report);
-            return report;
-        }
-
-        let mut report = SimReport::default();
         let hop = self.fronthaul.one_way_latency_us;
-        for (arrival, idx) in arrivals {
-            let ap = &self.aps[idx];
-            let at_dc = arrival + hop;
-            let (done_dc, outcome) = match &mut self.server {
-                // Keyed by AP: each AP's channel has its own coherence
-                // intervals, so programming amortization (when the QPU
-                // is configured with `with_coherence`) never crosses
-                // sources.
-                Server::Qpu(q) => {
-                    let done = match q.session_cache().map(|c| c.coherence_us()) {
-                        // With a session cache attached, the sim models
-                        // each AP's channel re-drawing once per
-                        // coherence interval: the synthetic hash is
-                        // constant within an interval and changes at
-                        // its boundary, so the cache reprograms exactly
-                        // when the channel moves.
-                        Some(coherence_us) => {
-                            let hash = directed_synthetic_hash(ap, at_dc, coherence_us);
-                            q.enqueue_channel(
-                                at_dc,
-                                ap.id,
-                                hash,
-                                ap.problems_per_frame(),
-                                ap.logical_vars(),
-                            )
-                        }
-                        None => q.enqueue_keyed(
-                            at_dc,
-                            ap.id,
-                            ap.problems_per_frame(),
-                            ap.logical_vars(),
-                        ),
-                    };
-                    (Some(done), served_once(ServeRung::Qpu))
+        let coherence = self.pool.coherence_us();
+        let jobs: Vec<UserJob> = arrivals
+            .iter()
+            .map(|&(arrival, idx)| {
+                let ap = &self.aps[idx];
+                let at_dc = arrival + hop;
+                let channel_hash = match coherence {
+                    // With a session cache, each AP's channel re-draws
+                    // once per coherence interval, so the cache
+                    // reprograms exactly when the channel moves.
+                    Some(c) => directed_synthetic_hash(ap, at_dc, c),
+                    // Without one, the hash is a per-AP constant and
+                    // programming follows frame-counted coherence.
+                    None => directed_synthetic_hash(ap, 0.0, 1.0),
+                };
+                UserJob {
+                    arrival_us: at_dc,
+                    cell: ap.id,
+                    direction: ap.direction,
+                    channel_hash,
+                    problems: ap.problems_per_frame(),
+                    logical_vars: ap.logical_vars(),
+                    users: ap.users,
+                    // The decode must finish `hop` before the radio
+                    // deadline (the feedback still has to cross the
+                    // fronthaul back), and one hop was already spent
+                    // getting here.
+                    deadline_us: ap.deadline.budget_us() - 2.0 * hop,
+                    priority: Priority::Normal,
                 }
-                Server::Cpu(c) => (
-                    Some(c.enqueue(at_dc, ap.problems_per_frame(), ap.users)),
-                    served_once(ServeRung::Classical),
-                ),
-                Server::Hybrid(h) => (
-                    Some(h.enqueue_keyed(
-                        at_dc,
-                        ap.id,
-                        ap.problems_per_frame(),
-                        ap.users,
-                        ap.logical_vars(),
-                    )),
-                    served_once(ServeRung::Hybrid),
-                ),
-                Server::Resilient(r) => {
-                    // Same synthetic channel-hash scheme as the plain
-                    // QPU arm (part of the zero-fault bit-identity
-                    // contract), same per-AP session keying.
-                    let hash = r
-                        .coherence_us()
-                        .map(|c| directed_synthetic_hash(ap, at_dc, c));
-                    let job = Job {
-                        source: ap.id,
-                        direction: ap.direction,
-                        channel_hash: hash,
-                        problems: ap.problems_per_frame(),
-                        logical_vars: ap.logical_vars(),
-                        users: ap.users,
-                        // The decode must finish `hop` before the
-                        // radio deadline (the feedback still has to
-                        // cross the fronthaul back), and one hop was
-                        // already spent getting here.
-                        deadline_us: ap.deadline.budget_us() - 2.0 * hop,
-                        priority: Priority::Normal,
-                    };
-                    match r.submit(at_dc, &job) {
-                        Ok(s) => (
-                            Some(s.done_us),
-                            FrameOutcome::Served {
-                                attempts: s.attempts,
-                                rung: s.rung,
-                            },
-                        ),
-                        Err(ServeError::Shed { .. }) => (None, FrameOutcome::Shed),
-                        Err(_) => (None, FrameOutcome::Failed),
-                    }
+            })
+            .collect();
+        let mut broker = Broker::new();
+        let mut sched = BatchScheduler::new(self.config).with_telemetry(self.telemetry.clone());
+        let schedule = sched.run(&mut self.pool, &mut broker, jobs);
+        broker.publish_telemetry(&self.telemetry);
+        debug_assert!(broker.drained(), "the scheduler drains every job");
+        debug_assert_eq!(self.pool.ledger().in_flight(), 0);
+
+        // Outcomes come back in submission order, which is `arrivals`'
+        // order: each frame keeps its generated arrival and is scored
+        // against its own AP's budget.
+        let frames = arrivals
+            .iter()
+            .zip(&schedule.outcomes)
+            .map(|(&(arrival, idx), o)| {
+                let ap = &self.aps[idx];
+                let (latency_us, outcome) = match o.state {
+                    JobState::Completed => (
+                        o.done_us + hop - arrival,
+                        FrameOutcome::Served {
+                            attempts: o.attempts,
+                            rung: o.rung.expect("completed jobs have a rung"),
+                        },
+                    ),
+                    JobState::Shed => (f64::INFINITY, FrameOutcome::Shed),
+                    _ => (f64::INFINITY, FrameOutcome::Failed),
+                };
+                FrameRecord {
+                    ap_id: ap.id,
+                    arrival_us: arrival,
+                    latency_us,
+                    met_deadline: latency_us <= ap.deadline.budget_us(),
+                    outcome,
                 }
-                Server::Brokered(_) => {
-                    unreachable!("the brokered arm returned from run_brokered above")
-                }
-            };
-            let (latency, met) = match done_dc {
-                Some(done) => {
-                    let latency = done + hop - arrival;
-                    (latency, latency <= ap.deadline.budget_us())
-                }
-                None => (f64::INFINITY, false),
-            };
-            report.frames.push(FrameRecord {
-                ap_id: ap.id,
-                arrival_us: arrival,
-                latency_us: latency,
-                met_deadline: met,
-                outcome,
-            });
-        }
+            })
+            .collect();
+        let report = SimReport { frames };
         self.finish(&report);
         report
     }
 
     /// End-of-run telemetry: per-frame latency/outcome series plus the
-    /// serving stack's snapshot-time publication. A no-op with a
-    /// disabled handle, and purely observational otherwise — called
-    /// after the report is final, so it cannot perturb it.
+    /// pool's snapshot-time publication. A no-op with a disabled
+    /// handle, and purely observational otherwise — called after the
+    /// report is final, so it cannot perturb it.
     fn finish(&self, report: &SimReport) {
         if !self.telemetry.is_enabled() {
             return;
@@ -409,103 +327,19 @@ impl Simulation {
         }
         self.telemetry
             .gauge_set("quamax_sim_deadline_rate", &[], report.deadline_rate());
-        match &self.server {
-            Server::Resilient(r) => r.publish_telemetry(),
-            Server::Brokered(b) => b.server.publish_telemetry(),
-            Server::Qpu(q) => {
-                if let Some(cache) = q.session_cache() {
-                    cache.publish_telemetry(&self.telemetry, &[]);
-                }
-            }
-            Server::Cpu(_) | Server::Hybrid(_) => {}
-        }
-    }
-
-    /// The brokered arm: frames become per-cell [`UserJob`]s (same
-    /// synthetic channel-hash schedule and deadline accounting as the
-    /// resilient arm — part of the Fifo bit-identity contract), flow
-    /// through broker admission and the batch scheduler, and come back
-    /// as frame records in arrival order.
-    fn run_brokered(&mut self, arrivals: &[(f64, usize)]) -> SimReport {
-        let hop = self.fronthaul.one_way_latency_us;
-        let Server::Brokered(b) = &mut self.server else {
-            unreachable!("caller matched the brokered arm");
-        };
-        let coherence = b.server.coherence_us();
-        let jobs: Vec<UserJob> = arrivals
-            .iter()
-            .map(|&(arrival, idx)| {
-                let ap = &self.aps[idx];
-                let at_dc = arrival + hop;
-                let hash = match coherence {
-                    Some(c) => directed_synthetic_hash(ap, at_dc, c),
-                    // No session cache: the hash degenerates to a
-                    // per-AP constant (enqueue_channel falls back to
-                    // keyed dispatch, and batching still coalesces).
-                    None => directed_synthetic_hash(ap, 0.0, 1.0),
-                };
-                UserJob {
-                    arrival_us: at_dc,
-                    cell: ap.id,
-                    direction: ap.direction,
-                    channel_hash: hash,
-                    problems: ap.problems_per_frame(),
-                    logical_vars: ap.logical_vars(),
-                    users: ap.users,
-                    deadline_us: ap.deadline.budget_us() - 2.0 * hop,
-                    priority: Priority::Normal,
-                }
-            })
-            .collect();
-        let mut broker = Broker::new();
-        let mut sched = BatchScheduler::new(b.config).with_telemetry(self.telemetry.clone());
-        let schedule = sched.run(&mut b.server, &mut broker, jobs);
-        broker.publish_telemetry(&self.telemetry);
-        debug_assert!(broker.drained(), "the scheduler drains every job");
-        debug_assert_eq!(b.server.ledger().in_flight(), 0);
-
-        let mut report = SimReport::default();
-        for o in &schedule.outcomes {
-            let arrival = o.arrival_us - hop;
-            let budget = self
-                .aps
-                .iter()
-                .find(|ap| ap.id == o.cell)
-                .expect("outcome cells come from the AP list")
-                .deadline
-                .budget_us();
-            let (latency, met, outcome) = match o.state {
-                JobState::Completed => {
-                    let latency = o.done_us + hop - arrival;
-                    (
-                        latency,
-                        latency <= budget,
-                        FrameOutcome::Served {
-                            attempts: o.attempts,
-                            rung: o.rung.expect("completed jobs have a rung"),
-                        },
-                    )
-                }
-                JobState::Shed => (f64::INFINITY, false, FrameOutcome::Shed),
-                _ => (f64::INFINITY, false, FrameOutcome::Failed),
-            };
-            report.frames.push(FrameRecord {
-                ap_id: o.cell,
-                arrival_us: arrival,
-                latency_us: latency,
-                met_deadline: met,
-                outcome,
-            });
-        }
-        report
+        self.pool.publish_telemetry();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuPolicy;
-    use crate::qpu::{JobDirection, QpuOverheads};
+    use crate::cpu::{CpuPolicy, CpuPool};
+    use crate::fault::{FaultPlan, FaultRates};
+    use crate::hybrid::HybridServer;
+    use crate::qpu::{JobDirection, QpuOverheads, QpuServer};
+    use crate::sched::Policy;
+    use crate::serve::Guardrails;
     use crate::topology::Deadline;
     use quamax_wireless::Modulation;
 
@@ -521,19 +355,50 @@ mod tests {
         }
     }
 
+    fn zf(cores: usize) -> CpuPool {
+        CpuPool::new(
+            cores,
+            CpuPolicy::ZeroForcing {
+                vectors_per_channel: 1,
+            },
+        )
+    }
+
+    /// A simulation dispatching every frame alone, in arrival order.
+    fn fifo(
+        aps: Vec<AccessPoint>,
+        fronthaul: FronthaulConfig,
+        pool: ResilientServer,
+    ) -> Simulation {
+        Simulation::new(aps, fronthaul, pool, SchedConfig::new(Policy::Fifo, 1))
+    }
+
+    /// Two cache-equipped integrated workers over an 8-core ZF floor,
+    /// guardrails on.
+    fn cached_pool(seed: u64) -> ResilientServer {
+        let qpu =
+            || QpuServer::new(QpuOverheads::integrated(), 2.0, 3).with_session_cache(30_000.0);
+        ResilientServer::new(
+            vec![qpu(), qpu()],
+            zf(8),
+            FaultPlan::quiet(seed),
+            Guardrails::on(),
+        )
+    }
+
     #[test]
     fn integrated_qpu_meets_wifi_deadlines() {
         // 16-var BPSK problems tile ~24×: 50 subcarriers ≈ 3 batches of
         // 5 anneals × 2 µs = 30 µs? With 5 anneals per problem:
         // 3 × 5 × 2 = 30 µs < 30 µs budget − 10 µs fronthaul? Use 4
         // anneals to leave headroom.
-        let server = Server::Qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3));
-        let mut sim = Simulation::new(
+        let pool = ResilientServer::plain_qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3));
+        let mut sim = fifo(
             vec![wifi_ap(0, 1_000.0)],
             FronthaulConfig {
                 one_way_latency_us: 2.0,
             },
-            server,
+            pool,
         );
         let report = sim.run(20_000.0);
         assert_eq!(report.frames.len(), 20);
@@ -548,14 +413,14 @@ mod tests {
     #[test]
     fn current_overheads_miss_every_wireless_deadline() {
         // §7: "QuAMax cannot be deployed today".
-        let server = Server::Qpu(QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3));
-        let mut sim = Simulation::new(
+        let pool = ResilientServer::plain_qpu(QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3));
+        let mut sim = fifo(
             vec![AccessPoint {
                 deadline: Deadline::Wcdma,
                 ..wifi_ap(0, 100_000.0)
             }],
             FronthaulConfig::default(),
-            server,
+            pool,
         );
         let report = sim.run(500_000.0);
         assert!(!report.frames.is_empty());
@@ -578,8 +443,7 @@ mod tests {
             one_way_latency_us: 2.0,
         };
         let run = |server: QpuServer| {
-            let mut sim = Simulation::new(vec![ap()], fronthaul, Server::Qpu(server));
-            sim.run(50_000.0)
+            fifo(vec![ap()], fronthaul, ResilientServer::plain_qpu(server)).run(50_000.0)
         };
         let per_frame = run(QpuServer::new(overheads, 2.0, 3));
         let sessions = run(QpuServer::new(overheads, 2.0, 3).with_coherence(50));
@@ -594,8 +458,8 @@ mod tests {
     #[test]
     fn overloaded_server_builds_backlog() {
         // Frames every 10 µs against ~30 µs service: latency must grow.
-        let server = Server::Qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3));
-        let mut sim = Simulation::new(vec![wifi_ap(0, 10.0)], FronthaulConfig::default(), server);
+        let pool = ResilientServer::plain_qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3));
+        let mut sim = fifo(vec![wifi_ap(0, 10.0)], FronthaulConfig::default(), pool);
         let report = sim.run(2_000.0);
         let first = report.frames.first().unwrap().latency_us;
         let last = report.frames.last().unwrap().latency_us;
@@ -618,27 +482,17 @@ mod tests {
         let mut wifi_variant = ap.clone();
         wifi_variant.deadline = Deadline::WifiAck;
 
-        let mut sim_lte = Simulation::new(
+        let mut sim_lte = fifo(
             vec![ap],
             FronthaulConfig::default(),
-            Server::Cpu(CpuPool::new(
-                8,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            )),
+            ResilientServer::without_qpu(zf(8)),
         );
         assert_eq!(sim_lte.run(20_000.0).deadline_rate(), 1.0);
 
-        let mut sim_wifi = Simulation::new(
+        let mut sim_wifi = fifo(
             vec![wifi_variant],
             FronthaulConfig::default(),
-            Server::Cpu(CpuPool::new(
-                8,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            )),
+            ResilientServer::without_qpu(zf(8)),
         );
         assert_eq!(sim_wifi.run(20_000.0).deadline_rate(), 0.0);
     }
@@ -659,7 +513,12 @@ mod tests {
             one_way_latency_us: 2.0,
         };
         let run = |server: QpuServer| {
-            Simulation::new(vec![wifi_ap(0, 1_000.0)], fronthaul, Server::Qpu(server)).run(60_000.0)
+            fifo(
+                vec![wifi_ap(0, 1_000.0)],
+                fronthaul,
+                ResilientServer::plain_qpu(server),
+            )
+            .run(60_000.0)
         };
         let per_frame = run(QpuServer::new(overheads, 2.0, 3));
         let cached = run(QpuServer::new(overheads, 2.0, 3).with_session_cache(30_000.0));
@@ -702,32 +561,20 @@ mod tests {
             )
             .with_coherence(30)
         };
-        let cpu = || {
-            CpuPool::new(
-                2,
-                CpuPolicy::Sphere {
-                    expected_nodes: 1_900,
-                },
-            )
+        let sphere = CpuPool::new(
+            2,
+            CpuPolicy::Sphere {
+                expected_nodes: 1_900,
+            },
+        );
+        let run = |pool: ResilientServer| {
+            fifo(vec![ap.clone()], FronthaulConfig::default(), pool).run(40_000.0)
         };
-        let zf_pool = || {
-            CpuPool::new(
-                4,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            )
-        };
-        let run = |server: Server| {
-            Simulation::new(vec![ap.clone()], FronthaulConfig::default(), server).run(40_000.0)
-        };
-        let sphere_only = run(Server::Cpu(cpu()));
-        let qpu_only = run(Server::Qpu(qpu()));
-        let hybrid = run(Server::Hybrid(crate::hybrid::HybridServer::new(
-            zf_pool(),
-            qpu(),
-            0.1,
-        )));
+        let sphere_only = run(ResilientServer::without_qpu(sphere));
+        let qpu_only = run(ResilientServer::plain_qpu(qpu()));
+        let hybrid = run(
+            ResilientServer::without_qpu(zf(4)).with_hybrid(HybridServer::new(zf(4), qpu(), 0.1)),
+        );
         assert!(
             sphere_only.deadline_rate() < 0.5,
             "sphere pool should miss: rate {}",
@@ -747,11 +594,11 @@ mod tests {
 
     #[test]
     fn multiple_aps_share_the_server() {
-        let server = Server::Qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3));
-        let mut sim = Simulation::new(
+        let pool = ResilientServer::plain_qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3));
+        let mut sim = fifo(
             vec![wifi_ap(0, 500.0), wifi_ap(1, 700.0)],
             FronthaulConfig::default(),
-            server,
+            pool,
         );
         let report = sim.run(10_000.0);
         let ap0 = report.frames.iter().filter(|f| f.ap_id == 0).count();
@@ -763,52 +610,29 @@ mod tests {
 
     #[test]
     fn resilient_arm_matches_plain_qpu_when_quiet() {
-        use crate::fault::FaultPlan;
-        use crate::serve::{Guardrails, ResilientServer};
         let overheads = QpuOverheads {
             preprocessing_us: 0.0,
             programming_us: 80.0,
             readout_per_anneal_us: 0.0,
         };
-        let qpu = || QpuServer::new(overheads, 2.0, 3).with_session_cache(30_000.0);
-        let classical = CpuPool::new(
-            8,
-            CpuPolicy::ZeroForcing {
-                vectors_per_channel: 1,
-            },
-        );
         let fronthaul = FronthaulConfig {
             one_way_latency_us: 2.0,
         };
-        let plain =
-            Simulation::new(vec![wifi_ap(0, 1_000.0)], fronthaul, Server::Qpu(qpu())).run(60_000.0);
-        let guarded = Simulation::new(
-            vec![wifi_ap(0, 1_000.0)],
-            fronthaul,
-            Server::Resilient(Box::new(ResilientServer::new(
-                vec![qpu()],
-                classical,
-                FaultPlan::quiet(11),
-                Guardrails::on(),
-            ))),
-        )
-        .run(60_000.0);
-        assert_eq!(plain, guarded, "guardrails must price zero in fair weather");
+        let run = |guardrails: Guardrails| {
+            let qpu = QpuServer::new(overheads, 2.0, 3).with_session_cache(30_000.0);
+            let pool = ResilientServer::new(vec![qpu], zf(8), FaultPlan::quiet(11), guardrails);
+            fifo(vec![wifi_ap(0, 1_000.0)], fronthaul, pool).run(60_000.0)
+        };
+        assert_eq!(
+            run(Guardrails::off()),
+            run(Guardrails::on()),
+            "guardrails must price zero in fair weather"
+        );
     }
 
     #[test]
     fn resilient_arm_records_outcomes_and_conserves_frames() {
-        use crate::fault::{FaultPlan, FaultRates};
-        use crate::serve::{Guardrails, ResilientServer};
         let qpu = || QpuServer::new(QpuOverheads::integrated(), 2.0, 3);
-        let classical = || {
-            CpuPool::new(
-                8,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            )
-        };
         // LTE budget (3 ms): a funded retry or an escalated decode
         // still lands in time, so recovery shows up in the deadline
         // rate (a 30 µs Wi-Fi ACK leaves no room to retry at all).
@@ -817,18 +641,18 @@ mod tests {
             ..wifi_ap(0, 1_000.0)
         };
         let run = |guardrails: Guardrails| {
-            let server = ResilientServer::new(
+            let pool = ResilientServer::new(
                 vec![qpu(), qpu()],
-                classical(),
+                zf(8),
                 FaultPlan::new(17, FaultRates::uniform(0.05)),
                 guardrails,
             );
-            Simulation::new(
+            fifo(
                 vec![ap.clone()],
                 FronthaulConfig {
                     one_way_latency_us: 2.0,
                 },
-                Server::Resilient(Box::new(server)),
+                pool,
             )
             .run(100_000.0)
         };
@@ -851,67 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn brokered_fifo_arm_matches_resilient_arm_bit_for_bit() {
-        use crate::fault::FaultPlan;
-        use crate::sched::{Policy, SchedConfig};
-        use crate::serve::{Guardrails, ResilientServer};
-        let qpu =
-            || QpuServer::new(QpuOverheads::integrated(), 2.0, 3).with_session_cache(30_000.0);
-        let classical = || {
-            CpuPool::new(
-                8,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            )
-        };
-        let pool = || {
-            ResilientServer::new(
-                vec![qpu(), qpu()],
-                classical(),
-                FaultPlan::quiet(23),
-                Guardrails::on(),
-            )
-        };
-        let fronthaul = FronthaulConfig {
-            one_way_latency_us: 2.0,
-        };
-        let aps = || vec![wifi_ap(0, 500.0), wifi_ap(1, 700.0)];
-        let resilient =
-            Simulation::new(aps(), fronthaul, Server::Resilient(Box::new(pool()))).run(30_000.0);
-        let brokered = Simulation::new(
-            aps(),
-            fronthaul,
-            Server::Brokered(Box::new(BrokeredServer {
-                server: pool(),
-                config: SchedConfig::new(Policy::Fifo, 24),
-            })),
-        )
-        .run(30_000.0);
-        assert_eq!(
-            resilient, brokered,
-            "Fifo brokering must replay unbrokered submission bit for bit"
-        );
-    }
-
-    #[test]
     fn brokered_batching_serves_multi_cell_load_with_coalescing() {
-        use crate::fault::FaultPlan;
-        use crate::sched::{Policy, SchedConfig};
-        use crate::serve::{Guardrails, ResilientServer};
-        let qpu =
-            || QpuServer::new(QpuOverheads::integrated(), 2.0, 3).with_session_cache(30_000.0);
-        let server = ResilientServer::new(
-            vec![qpu(), qpu()],
-            CpuPool::new(
-                8,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            ),
-            FaultPlan::quiet(31),
-            Guardrails::on(),
-        );
         let aps = vec![
             AccessPoint {
                 deadline: Deadline::Lte,
@@ -927,10 +691,8 @@ mod tests {
             FronthaulConfig {
                 one_way_latency_us: 2.0,
             },
-            Server::Brokered(Box::new(BrokeredServer {
-                server,
-                config: SchedConfig::new(Policy::DeadlineBatch, 8),
-            })),
+            cached_pool(31),
+            SchedConfig::new(Policy::DeadlineBatch, 8),
         );
         let report = sim.run(20_000.0);
         assert_eq!(report.frames.len(), 100);
@@ -944,37 +706,18 @@ mod tests {
             "LTE slack leaves room to batch: rate {}",
             report.deadline_rate()
         );
-        let Server::Brokered(b) = sim.server() else {
-            unreachable!();
-        };
-        assert!(b.server.ledger().conserved());
-        assert_eq!(b.server.ledger().in_flight(), 0);
+        assert!(sim.pool().ledger().conserved());
+        assert_eq!(sim.pool().ledger().in_flight(), 0);
     }
 
     #[test]
     fn full_duplex_cell_serves_both_directions_from_one_pool() {
-        use crate::fault::FaultPlan;
-        use crate::sched::{Policy, SchedConfig};
-        use crate::serve::{Guardrails, ResilientServer};
         // One cell, both directions: an uplink detection stream and a
         // downlink VPP stream share the cell id (and hence the same
         // physical channel schedule) but carry opposite directions, so
         // the scheduler may never coalesce them into one batch and the
         // session cache must hold two distinct compiled sessions per
         // coherence interval.
-        let qpu =
-            || QpuServer::new(QpuOverheads::integrated(), 2.0, 3).with_session_cache(30_000.0);
-        let server = ResilientServer::new(
-            vec![qpu(), qpu()],
-            CpuPool::new(
-                8,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            ),
-            FaultPlan::quiet(41),
-            Guardrails::on(),
-        );
         let uplink = AccessPoint {
             deadline: Deadline::Lte,
             ..wifi_ap(0, 400.0)
@@ -989,10 +732,8 @@ mod tests {
             FronthaulConfig {
                 one_way_latency_us: 2.0,
             },
-            Server::Brokered(Box::new(BrokeredServer {
-                server,
-                config: SchedConfig::new(Policy::DeadlineBatch, 8),
-            })),
+            cached_pool(41),
+            SchedConfig::new(Policy::DeadlineBatch, 8),
         );
         let report = sim.run(20_000.0);
         // Both streams emit 50 frames and every frame has a fate.
@@ -1006,11 +747,54 @@ mod tests {
             "full-duplex LTE load should still fit: rate {}",
             report.deadline_rate()
         );
-        let Server::Brokered(b) = sim.server() else {
-            unreachable!();
+        assert!(sim.pool().ledger().conserved());
+        assert_eq!(sim.pool().ledger().in_flight(), 0);
+    }
+
+    #[test]
+    fn frames_are_scored_against_their_own_ap() {
+        // A full-duplex cell whose two directions carry different
+        // deadlines, over a fractional fronthaul hop: every frame must
+        // keep its generated arrival and be scored against its own
+        // stream's budget, not the first AP sharing its id.
+        let uplink = wifi_ap(0, 400.0);
+        let downlink = AccessPoint {
+            direction: JobDirection::Downlink,
+            deadline: Deadline::Lte,
+            ..wifi_ap(0, 400.0)
         };
-        assert!(b.server.ledger().conserved());
-        assert_eq!(b.server.ledger().in_flight(), 0);
+        let aps = vec![uplink, downlink];
+        let pool = ResilientServer::new(
+            vec![QpuServer::new(QpuOverheads::integrated(), 2.0, 3).with_session_cache(30_000.0)],
+            zf(8),
+            FaultPlan::quiet(3),
+            Guardrails::on(),
+        );
+        let report = Simulation::new(
+            aps.clone(),
+            FronthaulConfig {
+                one_way_latency_us: 2.3,
+            },
+            pool,
+            SchedConfig::new(Policy::DeadlineBatch, 8),
+        )
+        .run(20_000.0);
+        let mut expected: Vec<(f64, usize)> = Vec::new();
+        for (idx, ap) in aps.iter().enumerate() {
+            let mut t = ap.frame_interval_us;
+            while t <= 20_000.0 {
+                expected.push((t, idx));
+                t += ap.frame_interval_us;
+            }
+        }
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0));
+        assert_eq!(report.frames.len(), expected.len());
+        for (f, &(arrival, idx)) in report.frames.iter().zip(&expected) {
+            assert_eq!(f.arrival_us.to_bits(), arrival.to_bits(), "{f:?}");
+            let budget = aps[idx].deadline.budget_us();
+            assert_eq!(f.met_deadline, f.latency_us <= budget, "{f:?}");
+        }
+        assert!(report.frames.iter().any(|f| f.met_deadline));
     }
 
     #[test]

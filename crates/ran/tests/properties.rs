@@ -8,9 +8,10 @@
 //! 2. **Determinism** — a fixed `FaultPlan` seed makes an entire
 //!    degraded simulation reproducible: two runs yield an *identical*
 //!    `SimReport`, frame for frame.
-//! 3. **Zero-fault bit-identity** — with a quiet plan, the guarded
-//!    serving path is bit-identical to today's plain `QpuServer`
-//!    dispatch: the guardrails price exactly zero in fair weather.
+//! 3. **Zero-fault bit-identity** — with a quiet plan, a one-worker
+//!    pool under `Guardrails::on()` is bit-identical to the plain QPU
+//!    (`Guardrails::off()`): the guardrails price exactly zero in fair
+//!    weather.
 //!
 //! Contracts pinned for the scheduling layer (PR 7):
 //! 4. **Batch-deadline safety** — the closing rule fires only once a
@@ -30,16 +31,23 @@
 //! 8. **Telemetry transparency** — a telemetry-enabled simulation is
 //!    bit-identical (`SimReport` equality) to a disabled one at
 //!    matched seeds, across random fault seeds, both job directions,
-//!    and both the resilient and brokered serving arms: recording
+//!    and both the `Fifo` and `DeadlineBatch` policies: recording
 //!    reads no wall clock, draws no randomness, and never feeds back
 //!    into serving.
+//!
+//! Contract pinned for the serving pool:
+//! 9. **Simulation goldens** — FNV-1a digests of `SimReport`s over ten
+//!    serving configurations (plain QPU ×4, CPU ×2, hybrid, resilient
+//!    with faults under guardrails on and off, `DeadlineBatch`) and four
+//!    AP sets. A change to the serving path that moves any frame's
+//!    arrival, latency bits, deadline verdict or outcome fails here.
 
 use proptest::prelude::*;
 use quamax_ran::{
     AccessPoint, BatchScheduler, Broker, CloseTrigger, CpuPolicy, CpuPool, Deadline, FaultPlan,
-    FaultRates, FronthaulConfig, Guardrails, Job, JobDirection, JobState, LoadGen, Policy,
-    Priority, QpuOverheads, QpuServer, ResilientServer, SchedConfig, ServeError, Server,
-    Simulation, UserJob,
+    FaultRates, FrameOutcome, FronthaulConfig, Guardrails, HybridServer, Job, JobDirection,
+    JobState, LoadGen, Policy, Priority, QpuOverheads, QpuServer, ResilientServer, SchedConfig,
+    ServeError, SimReport, Simulation, UserJob,
 };
 use quamax_wireless::Modulation;
 
@@ -147,7 +155,8 @@ fn fixed_seed_fault_injection_is_deterministic() {
         Simulation::new(
             vec![lte_ap(0), lte_ap(1)],
             FronthaulConfig::default(),
-            Server::Resilient(Box::new(server)),
+            server,
+            SchedConfig::new(Policy::Fifo, 1),
         )
         .run(150_000.0)
     };
@@ -166,7 +175,8 @@ fn fixed_seed_fault_injection_is_deterministic() {
         Simulation::new(
             vec![lte_ap(0), lte_ap(1)],
             FronthaulConfig::default(),
-            Server::Resilient(Box::new(server)),
+            server,
+            SchedConfig::new(Policy::Fifo, 1),
         )
         .run(150_000.0)
     };
@@ -192,19 +202,17 @@ fn zero_faults_guarded_is_bit_identical_to_plain_qpu() {
             }
         };
         let aps = || vec![lte_ap(0), lte_ap(1)];
-        let plain = Simulation::new(aps(), FronthaulConfig::default(), Server::Qpu(make_qpu()))
-            .run(80_000.0);
-        let guarded = Simulation::new(
-            aps(),
-            FronthaulConfig::default(),
-            Server::Resilient(Box::new(ResilientServer::new(
-                vec![make_qpu()],
-                classical(),
-                FaultPlan::quiet(9),
-                Guardrails::on(),
-            ))),
-        )
-        .run(80_000.0);
+        let run = |pool: ResilientServer| {
+            let fifo = SchedConfig::new(Policy::Fifo, 1);
+            Simulation::new(aps(), FronthaulConfig::default(), pool, fifo).run(80_000.0)
+        };
+        let plain = run(ResilientServer::plain_qpu(make_qpu()));
+        let guarded = run(ResilientServer::new(
+            vec![make_qpu()],
+            classical(),
+            FaultPlan::quiet(9),
+            Guardrails::on(),
+        ));
         assert_eq!(
             plain, guarded,
             "guarded ≠ plain at zero faults (cached = {cached})"
@@ -493,9 +501,8 @@ proptest! {
         seed in 0u64..1_000,
         rate in 0.0f64..0.1,
         downlink in proptest::bool::ANY,
-        brokered in proptest::bool::ANY,
+        batched in proptest::bool::ANY,
     ) {
-        use quamax_ran::BrokeredServer;
         use quamax_telemetry::Telemetry;
 
         let direction = if downlink {
@@ -516,19 +523,12 @@ proptest! {
             FaultPlan::new(seed, FaultRates::uniform(rate)),
             Guardrails::on(),
         );
-        let server = || if brokered {
-            Server::Brokered(Box::new(BrokeredServer {
-                server: pool(),
-                config: SchedConfig::new(Policy::DeadlineBatch, 8),
-            }))
-        } else {
-            Server::Resilient(Box::new(pool()))
-        };
+        let policy = if batched { Policy::DeadlineBatch } else { Policy::Fifo };
         let fronthaul = FronthaulConfig {
             one_way_latency_us: 2.0,
         };
         let run = |telemetry: Telemetry| {
-            Simulation::new(vec![ap.clone()], fronthaul, server())
+            Simulation::new(vec![ap.clone()], fronthaul, pool(), SchedConfig::new(policy, 8))
                 .with_telemetry(telemetry)
                 .run(40_000.0)
         };
@@ -546,4 +546,217 @@ proptest! {
             observed.frames.len() as u64
         );
     }
+}
+
+/// The serving configurations of the golden `SimReport` matrix.
+const GOLDEN_ARMS: [&str; 10] = [
+    "qpu_integrated",
+    "qpu_coherence",
+    "qpu_cache",
+    "qpu_dw2q",
+    "cpu_zf",
+    "cpu_sphere",
+    "hybrid",
+    "resilient_on",
+    "resilient_off",
+    "brokered",
+];
+
+/// The pool and scheduling policy of one golden-matrix arm over `aps`.
+fn golden_sim(arm: &str, aps: Vec<AccessPoint>, fronthaul: FronthaulConfig) -> Simulation {
+    let partial = QpuOverheads {
+        preprocessing_us: 0.0,
+        programming_us: 80.0,
+        readout_per_anneal_us: 2.0,
+    };
+    let faulty = |guardrails: Guardrails, cached: bool| {
+        let worker = || {
+            let q = QpuServer::new(QpuOverheads::integrated(), 2.0, 5);
+            if cached {
+                q.with_session_cache(30_000.0)
+            } else {
+                q
+            }
+        };
+        ResilientServer::new(
+            vec![worker(), worker()],
+            classical(),
+            FaultPlan::new(77, FaultRates::uniform(0.05)),
+            guardrails,
+        )
+    };
+    let plain = ResilientServer::plain_qpu;
+    let pool = match arm {
+        "qpu_integrated" => plain(QpuServer::new(QpuOverheads::integrated(), 2.0, 3)),
+        "qpu_coherence" => plain(QpuServer::new(partial, 2.0, 3).with_coherence(30)),
+        "qpu_cache" => plain(QpuServer::new(partial, 2.0, 3).with_session_cache(30_000.0)),
+        "qpu_dw2q" => plain(QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3)),
+        "cpu_zf" => ResilientServer::without_qpu(classical()),
+        "cpu_sphere" => ResilientServer::without_qpu(CpuPool::new(
+            16,
+            CpuPolicy::Sphere {
+                expected_nodes: 1_900,
+            },
+        )),
+        "hybrid" => ResilientServer::without_qpu(classical()).with_hybrid(HybridServer::new(
+            classical(),
+            QpuServer::new(partial, 2.0, 3).with_coherence(30),
+            0.125,
+        )),
+        "resilient_on" | "brokered" => faulty(Guardrails::on(), true),
+        "resilient_off" => faulty(Guardrails::off(), false),
+        other => unreachable!("unknown arm {other}"),
+    };
+    let policy = if arm == "brokered" {
+        Policy::DeadlineBatch
+    } else {
+        Policy::Fifo
+    };
+    Simulation::new(aps, fronthaul, pool, SchedConfig::new(policy, 8))
+}
+
+/// The AP sets of the golden matrix, with their fronthaul.
+fn golden_ap_sets() -> Vec<(&'static str, Vec<AccessPoint>, FronthaulConfig)> {
+    let hop = |one_way_latency_us| FronthaulConfig { one_way_latency_us };
+    let ap = |id, users, modulation, direction, interval, deadline| AccessPoint {
+        id,
+        users,
+        modulation,
+        direction,
+        subcarriers: 50,
+        frame_interval_us: interval,
+        deadline,
+    };
+    let up = JobDirection::Uplink;
+    vec![
+        (
+            "wifi",
+            vec![ap(0, 16, Modulation::Bpsk, up, 1_000.0, Deadline::WifiAck)],
+            hop(2.0),
+        ),
+        (
+            "fractional",
+            vec![
+                ap(0, 16, Modulation::Bpsk, up, 333.3, Deadline::Lte),
+                ap(1, 14, Modulation::Qpsk, up, 471.9, Deadline::Lte),
+            ],
+            hop(2.3),
+        ),
+        (
+            "cran",
+            vec![
+                ap(0, 16, Modulation::Bpsk, up, 1_000.0, Deadline::WifiAck),
+                ap(1, 14, Modulation::Qpsk, up, 1_000.0, Deadline::Lte),
+                ap(2, 48, Modulation::Bpsk, up, 2_000.0, Deadline::Wcdma),
+            ],
+            hop(5.0),
+        ),
+        (
+            "full_duplex",
+            vec![
+                ap(0, 16, Modulation::Bpsk, up, 400.0, Deadline::WifiAck),
+                ap(
+                    0,
+                    16,
+                    Modulation::Bpsk,
+                    JobDirection::Downlink,
+                    400.0,
+                    Deadline::Lte,
+                ),
+            ],
+            hop(2.0),
+        ),
+    ]
+}
+
+/// FNV-1a over every frame's AP, arrival and latency bits, deadline
+/// verdict and outcome.
+fn report_digest(report: &SimReport) -> u64 {
+    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            acc ^= u64::from(byte);
+            acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for f in &report.frames {
+        eat(f.ap_id as u64);
+        eat(f.arrival_us.to_bits());
+        eat(f.latency_us.to_bits());
+        eat(u64::from(f.met_deadline));
+        match f.outcome {
+            FrameOutcome::Served { attempts, rung } => {
+                eat(0);
+                eat(u64::from(attempts));
+                eat(rung as u64);
+            }
+            FrameOutcome::Shed => eat(1),
+            FrameOutcome::Failed => eat(2),
+        }
+    }
+    acc
+}
+
+/// Golden digests of the simulation matrix: every serving arm over
+/// every AP set. The full-duplex cell (one id, two directions with
+/// different deadlines) is recorded only from the per-frame arms.
+const GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
+    ("qpu_integrated", "wifi", 0x79333360a63cde01),
+    ("qpu_coherence", "wifi", 0x76b54795df1fd08b),
+    ("qpu_cache", "wifi", 0x76b54795df1fd08b),
+    ("qpu_dw2q", "wifi", 0x79a9cf62a3de7edb),
+    ("cpu_zf", "wifi", 0xde4bc16edc897769),
+    ("cpu_sphere", "wifi", 0x0b6569bfb3e964b1),
+    ("hybrid", "wifi", 0x59ebc6762618b952),
+    ("resilient_on", "wifi", 0x650da130932c0f47),
+    ("resilient_off", "wifi", 0xbf933ac8021d7f9a),
+    ("brokered", "wifi", 0x650da130932c0f47),
+    ("qpu_integrated", "fractional", 0x8b5b750bd3d9421f),
+    ("qpu_coherence", "fractional", 0x6cfea42c0d9f1074),
+    ("qpu_cache", "fractional", 0x1ea09d9df2c8f46b),
+    ("qpu_dw2q", "fractional", 0xca2d072993f7e3b8),
+    ("cpu_zf", "fractional", 0x88d2fdba4fdb29c7),
+    ("cpu_sphere", "fractional", 0x52c82238693a25b5),
+    ("hybrid", "fractional", 0x7f3a740298e99cfc),
+    ("resilient_on", "fractional", 0x3998cb72665754f2),
+    ("resilient_off", "fractional", 0x84665055a814f83e),
+    ("brokered", "fractional", 0xba01ad56f673ae21),
+    ("qpu_integrated", "cran", 0x990539bee460c4d3),
+    ("qpu_coherence", "cran", 0x5a0e72c76a6f389c),
+    ("qpu_cache", "cran", 0x5a0e72c76a6f389c),
+    ("qpu_dw2q", "cran", 0x93f82978a36efe66),
+    ("cpu_zf", "cran", 0x17dfcfd12ebd12da),
+    ("cpu_sphere", "cran", 0xceba223312240cbe),
+    ("hybrid", "cran", 0xd150b9bfdff7a81b),
+    ("resilient_on", "cran", 0x28f94ccf561b41ba),
+    ("resilient_off", "cran", 0xd14bf66a9381f3d1),
+    ("brokered", "cran", 0x4dfd2eeed9ce8e64),
+    ("qpu_integrated", "full_duplex", 0x63e842b189f8862d),
+    ("qpu_coherence", "full_duplex", 0x455865da5cbd0604),
+    ("qpu_cache", "full_duplex", 0xac970b61e9da96ab),
+    ("qpu_dw2q", "full_duplex", 0x1277124145d4c9c6),
+    ("cpu_zf", "full_duplex", 0x6b246a264d9104d5),
+    ("cpu_sphere", "full_duplex", 0xcfa5fc4b1f7df0f9),
+    ("hybrid", "full_duplex", 0x03781a90e49004e9),
+    ("resilient_on", "full_duplex", 0x4f4861c37c31410a),
+    ("resilient_off", "full_duplex", 0xd9869c39a3f22473),
+];
+
+#[test]
+fn simulation_reports_are_stable() {
+    let mut golden = GOLDEN_DIGESTS.iter();
+    for (set, aps, fronthaul) in golden_ap_sets() {
+        for arm in GOLDEN_ARMS {
+            if set == "full_duplex" && arm == "brokered" {
+                continue;
+            }
+            let report = golden_sim(arm, aps.clone(), fronthaul).run(20_000.0);
+            assert!(!report.frames.is_empty());
+            let &(golden_arm, golden_set, expected) = golden.next().expect("one digest per case");
+            assert_eq!((golden_arm, golden_set), (arm, set));
+            let digest = report_digest(&report);
+            assert_eq!(digest, expected, "{arm} on {set} moved: {digest:#018x}");
+        }
+    }
+    assert!(golden.next().is_none(), "every golden digest is checked");
 }

@@ -4,20 +4,29 @@
 //! points forward uplink frames over fronthaul to a data center that
 //! decodes them either on a QPU (with today's overhead stack, or the
 //! integrated future device) or on a classical CPU pool running
-//! zero-forcing.
+//! zero-forcing. Every server is a configuration of one serving pool.
 //!
-//! Run: `cargo run --release --example cran_datacenter`
+//! Run: `cargo run --release --example cran_datacenter [-- --metrics]`
+//! (any other argument prints usage and exits 2).
 
 use quamax::prelude::*;
 use quamax::ran::{
-    AccessPoint, BatchScheduler, Broker, BrokeredServer, CpuPolicy, CpuPool, Deadline, FaultPlan,
-    FronthaulConfig, Guardrails, HybridServer, JobDirection, JobState, LoadGen, Policy,
-    QpuOverheads, QpuServer, ResilientServer, SchedConfig, Server, Simulation,
+    AccessPoint, BatchScheduler, Broker, CpuPolicy, CpuPool, Deadline, FaultPlan, FronthaulConfig,
+    Guardrails, HybridServer, JobDirection, JobState, LoadGen, Policy, QpuOverheads, QpuServer,
+    ResilientServer, SchedConfig, Simulation,
 };
 use quamax::telemetry::{Histogram, Telemetry};
 use quamax::wireless::Modulation;
 
 fn main() {
+    let metrics = match std::env::args().skip(1).collect::<Vec<_>>().as_slice() {
+        [] => false,
+        [flag] if flag == "--metrics" => true,
+        _ => {
+            eprintln!("usage: cran_datacenter [--metrics]");
+            std::process::exit(2);
+        }
+    };
     // Three APs: a Wi-Fi hotspot with 16-user BPSK, an LTE macro cell
     // with 14-user QPSK, and a WCDMA carrier with 48-user BPSK.
     let aps = vec![
@@ -88,14 +97,23 @@ fn main() {
         100.0 * fallback_fraction
     );
 
-    let scenarios: Vec<(&str, Server)> = vec![
+    let zf16 = || {
+        CpuPool::new(
+            16,
+            CpuPolicy::ZeroForcing {
+                vectors_per_channel: 1,
+            },
+        )
+    };
+    let plain = ResilientServer::plain_qpu;
+    let scenarios: Vec<(&str, ResilientServer)> = vec![
         (
             "QPU, today's overheads (§7)",
-            Server::Qpu(QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3)),
+            plain(QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3)),
         ),
         (
             "QPU, today's overheads + sessions",
-            Server::Qpu(
+            plain(
                 QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3)
                     .with_coherence(coherence_frames),
             ),
@@ -105,26 +123,21 @@ fn main() {
         // the per-AP session cache reprograms exactly then.
         (
             "QPU, today's overheads + session cache",
-            Server::Qpu(
+            plain(
                 QpuServer::new(QpuOverheads::current_dw2q(), 2.0, 3).with_session_cache(30_000.0),
             ),
         ),
         (
             "QPU, integrated (paper's vision)",
-            Server::Qpu(QpuServer::new(QpuOverheads::integrated(), 2.0, 3)),
+            plain(QpuServer::new(QpuOverheads::integrated(), 2.0, 3)),
         ),
         (
             "CPU pool, 16 cores, zero-forcing",
-            Server::Cpu(CpuPool::new(
-                16,
-                CpuPolicy::ZeroForcing {
-                    vectors_per_channel: 1,
-                },
-            )),
+            ResilientServer::without_qpu(zf16()),
         ),
         (
             "CPU pool, 16 cores, sphere (1,900 nodes)",
-            Server::Cpu(CpuPool::new(
+            ResilientServer::without_qpu(CpuPool::new(
                 16,
                 CpuPolicy::Sphere {
                     expected_nodes: 1_900,
@@ -138,13 +151,8 @@ fn main() {
         // flagged in the calibration batch above.
         (
             "Hybrid: ZF pool + measured QPU fallback",
-            Server::Hybrid(HybridServer::new(
-                CpuPool::new(
-                    16,
-                    CpuPolicy::ZeroForcing {
-                        vectors_per_channel: 1,
-                    },
-                ),
+            ResilientServer::without_qpu(zf16()).with_hybrid(HybridServer::new(
+                zf16(),
                 QpuServer::new(
                     QpuOverheads {
                         preprocessing_us: 0.0,
@@ -164,8 +172,13 @@ fn main() {
         "{:<42} {:>9} {:>12} {:>12}",
         "data-center server", "deadline%", "mean lat.", "max lat."
     );
-    for (label, server) in scenarios {
-        let mut sim = Simulation::new(aps.clone(), fronthaul, server);
+    for (label, pool) in scenarios {
+        let mut sim = Simulation::new(
+            aps.clone(),
+            fronthaul,
+            pool,
+            SchedConfig::new(Policy::Fifo, 1),
+        );
         let report = sim.run(horizon_us);
         println!(
             "{label:<42} {:>8.1}% {:>10.1}µs {:>10.1}µs",
@@ -304,15 +317,13 @@ fn main() {
     // both exporter formats. The assertions double as the CI smoke
     // check: the JSON round-trips through the parser and the pipeline's
     // key series are present.
-    if std::env::args().any(|a| a == "--metrics") {
+    if metrics {
         let telemetry = Telemetry::enabled();
         let mut sim = Simulation::new(
             aps.clone(),
             fronthaul,
-            Server::Brokered(Box::new(BrokeredServer {
-                server: brokered_pool(),
-                config: SchedConfig::new(Policy::DeadlineBatch, 24),
-            })),
+            brokered_pool(),
+            SchedConfig::new(Policy::DeadlineBatch, 24),
         )
         .with_telemetry(telemetry.clone());
         sim.run(horizon_us);

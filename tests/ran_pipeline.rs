@@ -4,8 +4,8 @@
 
 use quamax::prelude::*;
 use quamax::ran::{
-    AccessPoint, Deadline, FronthaulConfig, JobDirection, QpuOverheads, QpuServer, Server,
-    Simulation,
+    AccessPoint, Deadline, FronthaulConfig, JobDirection, Policy, QpuOverheads, QpuServer,
+    ResilientServer, SchedConfig, Simulation,
 };
 use quamax::wireless::fer_from_ber;
 
@@ -49,7 +49,8 @@ fn measured_anneal_budget_feeds_the_deadline_model() {
         FronthaulConfig {
             one_way_latency_us: 2.0,
         },
-        Server::Qpu(QpuServer::new(QpuOverheads::integrated(), cycle, na)),
+        ResilientServer::plain_qpu(QpuServer::new(QpuOverheads::integrated(), cycle, na)),
+        SchedConfig::new(Policy::Fifo, 1),
     );
     let report = integrated.run(30_000.0);
     assert!(!report.frames.is_empty());
@@ -68,7 +69,8 @@ fn measured_anneal_budget_feeds_the_deadline_model() {
             ..ap
         }],
         FronthaulConfig::default(),
-        Server::Qpu(QpuServer::new(QpuOverheads::current_dw2q(), cycle, na)),
+        ResilientServer::plain_qpu(QpuServer::new(QpuOverheads::current_dw2q(), cycle, na)),
+        SchedConfig::new(Policy::Fifo, 1),
     );
     let report = today.run(200_000.0);
     assert_eq!(report.deadline_rate(), 0.0, "§7: not deployable today");
@@ -79,8 +81,8 @@ fn measured_anneal_budget_feeds_the_deadline_model() {
 #[test]
 fn subcarrier_load_scales_service_time() {
     let mut one = QpuServer::new(QpuOverheads::integrated(), 2.0, 10);
-    let t_small = one.enqueue(0.0, 10, 32);
+    let t_small = one.enqueue(0.0, 0, None, 10, 32);
     one.reset();
-    let t_large = one.enqueue(0.0, 100, 32);
+    let t_large = one.enqueue(0.0, 0, None, 100, 32);
     assert!(t_large > 5.0 * t_small, "{t_small} vs {t_large}");
 }
