@@ -20,23 +20,28 @@
 //! * [`DetectorKind`] — the registry: every backend (and the hybrid
 //!   router) constructible from one enum, so sweeps, sims, and
 //!   examples treat detectors as *values* and iterate over them;
-//! * [`HybridDetector`] — the HotNets routing structure: a cheap
+//! * [`DetectorKind::Hybrid`] — the HotNets routing structure: a cheap
 //!   linear session answers first, and only problems whose residual
-//!   fails a confidence policy are re-decoded by the expensive
-//!   (annealed or sphere) session.
+//!   fails a [`RoutePolicy`] are re-decoded by the expensive (annealed
+//!   or sphere) session.
 //!
-//! Every trait path is **bit-identical** to the backend's direct API
-//! under the same `(H, y, seed)` — the traits add routing and
-//! amortization, never a different algorithm (property-tested per
-//! modulation in `tests/properties.rs`).
+//! Each backend has exactly one session struct, defined in
+//! [`crate::soft`] beside its LLR derivation: it implements both
+//! [`DetectorSession`] and [`SoftDetectorSession`], and one registry
+//! match builds it for [`Detector::compile`] and
+//! [`DetectorKind::compile_soft`] alike. The hard `detect` of every
+//! session is the backend's own hard algorithm — **bit-identical** to
+//! its direct API under the same `(H, y, seed)`; the traits add
+//! routing and amortization, never a different algorithm
+//! (property-tested per modulation in `tests/properties.rs`).
+//!
+//! [`SoftDetectorSession`]: crate::soft::SoftDetectorSession
 
-use crate::decoder::{DecodeError, DecodeRun, DecoderConfig, QuamaxDecoder};
+use crate::decoder::{DecodeError, DecodeRun, DecoderConfig};
 use crate::scenario::DetectionInput;
+use crate::soft::SoftSpec;
 use quamax_anneal::Annealer;
-use quamax_baselines::{
-    exhaustive_ml, CompiledSphere, MmseDetector, MmseFilter, SphereDecoder, SphereError,
-    ZeroForcingDetector, ZfFilter,
-};
+use quamax_baselines::{MmseFilter, SphereError, ZfFilter};
 use quamax_linalg::{CMatrix, CVector, LinalgError};
 use quamax_wireless::{Modulation, Snr};
 
@@ -121,7 +126,7 @@ impl From<SphereError> for DetectError {
     }
 }
 
-/// Which way a [`HybridDetector`] sent a problem.
+/// Which way a [`DetectorKind::Hybrid`] router sent a problem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
     /// The cheap primary session's answer was accepted.
@@ -149,7 +154,7 @@ pub enum BackendStats {
     /// distribution, chain health, parallelization factor) for the
     /// paper's order-statistic metrics.
     Annealed(Box<DecodeRun>),
-    /// Routed by a [`HybridDetector`].
+    /// Routed by a [`DetectorKind::Hybrid`] router.
     Hybrid {
         /// Which session produced the answer.
         route: Route,
@@ -263,10 +268,11 @@ pub(crate) fn ml_objective(h: &CMatrix, y: &CVector, bits: &[u8], m: Modulation)
 
 // --- Linear filters (ZF, MMSE) --------------------------------------
 
-/// What a compiled linear filter must expose to serve as a trait
-/// session — ZF's cached pseudo-inverse and MMSE's cached LU both
-/// qualify; the session logic (decode, price with the ML objective)
-/// is written once over this.
+/// What a compiled linear filter must expose to serve as a
+/// [`LinearSession`](crate::soft::LinearSession) — ZF's cached
+/// pseudo-inverse and MMSE's cached LU both qualify; the session logic
+/// (decode, price with the ML objective, demap) is written once over
+/// this.
 pub trait LinearFilter {
     /// Backend name reported by the session.
     const NAME: &'static str;
@@ -322,234 +328,9 @@ impl LinearFilter for MmseFilter {
     }
 }
 
-/// Session for a linear detector: the compiled filter plus the channel
-/// (to price answers with the ML objective).
-pub struct LinearSession<F: LinearFilter> {
-    filter: F,
-    h: CMatrix,
-}
-
-/// Session for [`ZeroForcingDetector`]: the cached pseudo-inverse.
-pub type ZfSession = LinearSession<ZfFilter>;
-/// Session for [`MmseDetector`]: the matched filter and LU-factored
-/// regularized Gram.
-pub type MmseSession = LinearSession<MmseFilter>;
-
-impl Detector for ZeroForcingDetector {
-    type Session = ZfSession;
-
-    fn compile(&self, input: &DetectionInput) -> Result<ZfSession, DetectError> {
-        Ok(LinearSession {
-            filter: self.compile(&input.h)?,
-            h: input.h.clone(),
-        })
-    }
-}
-
-impl Detector for MmseDetector {
-    type Session = MmseSession;
-
-    fn compile(&self, input: &DetectionInput) -> Result<MmseSession, DetectError> {
-        Ok(LinearSession {
-            filter: self.compile(&input.h)?,
-            h: input.h.clone(),
-        })
-    }
-}
-
-impl<F: LinearFilter> DetectorSession for LinearSession<F> {
-    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
-        let bits = self.filter.decode(y);
-        let metric = ml_objective(&self.h, y, &bits, self.filter.modulation());
-        Ok(Detection {
-            bits,
-            metric: Some(metric),
-            stats: BackendStats::Linear,
-        })
-    }
-    fn modulation(&self) -> Modulation {
-        self.filter.modulation()
-    }
-    fn num_bits(&self) -> usize {
-        self.filter.num_users() * self.filter.modulation().bits_per_symbol()
-    }
-    fn backend_name(&self) -> &'static str {
-        F::NAME
-    }
-}
-
-// --- Sphere ---------------------------------------------------------
-
-/// Session for [`SphereDecoder`]: the cached QR search context.
-pub struct SphereSession {
-    compiled: CompiledSphere,
-}
-
-impl Detector for SphereDecoder {
-    type Session = SphereSession;
-
-    fn compile(&self, input: &DetectionInput) -> Result<SphereSession, DetectError> {
-        // The inherent compile asserts Nr >= Nt; the trait contract is
-        // an Err, not a process abort (an overloaded uplink is a
-        // routable condition, not a bug).
-        if input.h.rows() < input.h.cols() {
-            return Err(DetectError::Linalg(LinalgError::ShapeMismatch));
-        }
-        Ok(SphereSession {
-            compiled: self.compile(&input.h),
-        })
-    }
-}
-
-impl DetectorSession for SphereSession {
-    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
-        let out = self.compiled.decode(y)?;
-        Ok(Detection {
-            bits: out.bits,
-            metric: Some(out.metric),
-            stats: BackendStats::Sphere {
-                visited_nodes: out.visited_nodes,
-            },
-        })
-    }
-    fn modulation(&self) -> Modulation {
-        self.compiled.modulation()
-    }
-    fn num_bits(&self) -> usize {
-        self.compiled.num_users() * self.compiled.modulation().bits_per_symbol()
-    }
-    fn backend_name(&self) -> &'static str {
-        "sphere"
-    }
-}
-
-// --- Exhaustive ML --------------------------------------------------
-
-/// The exhaustive-ML ground truth as a detector (test-suite sizes
-/// only; see [`exhaustive_ml`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExactMlDetector;
-
-/// Session for [`ExactMlDetector`]: exhaustive search has no
-/// `H`-only precomputation worth caching — the session just pins the
-/// channel.
-pub struct ExactMlSession {
-    h: CMatrix,
-    modulation: Modulation,
-}
-
-impl Detector for ExactMlDetector {
-    type Session = ExactMlSession;
-
-    fn compile(&self, input: &DetectionInput) -> Result<ExactMlSession, DetectError> {
-        Ok(ExactMlSession {
-            h: input.h.clone(),
-            modulation: input.modulation,
-        })
-    }
-}
-
-impl DetectorSession for ExactMlSession {
-    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
-        let out = exhaustive_ml(&self.h, y, self.modulation);
-        Ok(Detection {
-            bits: out.bits,
-            metric: Some(out.metric),
-            stats: BackendStats::Exact,
-        })
-    }
-    fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-    fn num_bits(&self) -> usize {
-        self.h.cols() * self.modulation.bits_per_symbol()
-    }
-    fn backend_name(&self) -> &'static str {
-        "exact_ml"
-    }
-}
-
-// --- QuAMax ---------------------------------------------------------
-
-/// The quantum-annealed decoder as a [`Detector`]: wraps
-/// [`QuamaxDecoder`] plus a per-detection anneal budget.
-pub struct QuamaxDetector {
-    decoder: QuamaxDecoder,
-    anneals: usize,
-}
-
-impl QuamaxDetector {
-    /// A detector running `anneals` anneal cycles per detection.
-    ///
-    /// # Panics
-    /// Panics when `anneals` is zero.
-    pub fn new(annealer: Annealer, config: DecoderConfig, anneals: usize) -> Self {
-        QuamaxDetector::from_decoder(QuamaxDecoder::new(annealer, config), anneals)
-    }
-
-    /// Wraps an existing decoder.
-    ///
-    /// # Panics
-    /// Panics when `anneals` is zero.
-    pub fn from_decoder(decoder: QuamaxDecoder, anneals: usize) -> Self {
-        assert!(anneals > 0, "need at least one anneal per detection");
-        QuamaxDetector { decoder, anneals }
-    }
-
-    /// The wrapped decoder.
-    pub fn decoder(&self) -> &QuamaxDecoder {
-        &self.decoder
-    }
-}
-
-/// Session for [`QuamaxDetector`]: the compiled [`DecodeSession`]
-/// (reduction structure, embedding, CSR freeze) behind the trait.
-///
-/// [`DecodeSession`]: crate::decoder::DecodeSession
-pub struct QuamaxSession {
-    pub(crate) session: crate::decoder::DecodeSession,
-    pub(crate) anneals: usize,
-}
-
-impl Detector for QuamaxDetector {
-    type Session = QuamaxSession;
-
-    fn compile(&self, input: &DetectionInput) -> Result<QuamaxSession, DetectError> {
-        Ok(QuamaxSession {
-            session: self.decoder.compile(input)?,
-            anneals: self.anneals,
-        })
-    }
-}
-
-impl DetectorSession for QuamaxSession {
-    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
-        let run = self.session.decode(y, self.anneals, seed);
-        let bits = run.best_bits();
-        let metric = run
-            .distribution()
-            .best_energy()
-            .map(|e| e + run.ml_offset());
-        Ok(Detection {
-            bits,
-            metric,
-            stats: BackendStats::Annealed(Box::new(run)),
-        })
-    }
-    fn modulation(&self) -> Modulation {
-        self.session.modulation()
-    }
-    fn num_bits(&self) -> usize {
-        self.session.num_bits()
-    }
-    fn backend_name(&self) -> &'static str {
-        "quamax"
-    }
-}
-
 // --- Hybrid routing -------------------------------------------------
 
-/// The confidence policy of a [`HybridDetector`]: accept the primary
+/// The confidence policy of a [`DetectorKind::Hybrid`] router: accept the primary
 /// session's answer when its ML residual `‖y − Hv̂‖²`, normalized per
 /// receive antenna, is small enough to be plain channel noise.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -578,149 +359,6 @@ impl RoutePolicy {
     pub fn noise_matched(snr: Snr, modulation: Modulation, margin: f64) -> Self {
         assert!(margin > 0.0, "margin must be positive");
         RoutePolicy::new(margin * snr.noise_variance(modulation))
-    }
-}
-
-/// The hybrid classical–quantum router: a cheap `primary` (typically a
-/// linear filter) answers every problem, and only low-confidence
-/// answers are re-decoded by the expensive `fallback` (typically the
-/// annealed or sphere session).
-///
-/// Routing is *deterministic*: the decision depends only on the
-/// primary's detection (itself deterministic for linear filters), so a
-/// fixed `(H, y, seed)` always routes the same way.
-///
-/// The router is never less available than its parts: when one side
-/// cannot compile at all (a ZF primary on a rank-deficient channel, an
-/// annealed fallback on a problem too large to embed), every problem
-/// routes to the side that could; when the fallback cannot produce an
-/// answer for one vector (e.g. a node-budget-capped sphere search),
-/// the primary's low-confidence answer is returned instead of an
-/// error. Compile fails only when *neither* side can be formed.
-pub struct HybridDetector {
-    primary: DetectorKind,
-    fallback: DetectorKind,
-    policy: RoutePolicy,
-}
-
-impl HybridDetector {
-    /// A router sending low-confidence `primary` answers to
-    /// `fallback`.
-    pub fn new(primary: DetectorKind, fallback: DetectorKind, policy: RoutePolicy) -> Self {
-        HybridDetector {
-            primary,
-            fallback,
-            policy,
-        }
-    }
-}
-
-/// Session for [`HybridDetector`]: both sub-sessions compiled up
-/// front (a C-RAN front-end compiles once per coherence interval and
-/// routes per vector). Either side may be `None` when its backend
-/// could not compile on this channel — the session then routes
-/// everything to the other; compile guarantees at least one side
-/// exists.
-pub struct HybridSession {
-    primary: Option<Box<dyn DetectorSession>>,
-    fallback: Option<Box<dyn DetectorSession>>,
-    policy: RoutePolicy,
-    receive_antennas: usize,
-}
-
-impl Detector for HybridDetector {
-    type Session = HybridSession;
-
-    fn compile(&self, input: &DetectionInput) -> Result<HybridSession, DetectError> {
-        // A side that cannot be formed (rank-deficient channel vs a ZF
-        // pseudo-inverse; an unembeddable problem vs the annealer)
-        // must not take the router down while the other side can serve
-        // the interval. Only a double failure is a compile error.
-        let primary = self.primary.compile(input).ok();
-        let fallback = match self.fallback.compile(input) {
-            Ok(session) => Some(session),
-            Err(e) if primary.is_none() => return Err(e),
-            Err(_) => None,
-        };
-        Ok(HybridSession {
-            primary,
-            fallback,
-            policy: self.policy,
-            receive_antennas: input.nr(),
-        })
-    }
-}
-
-impl HybridSession {
-    fn wrap(detection: Detection, route: Route, primary_metric: f64) -> Detection {
-        Detection {
-            bits: detection.bits,
-            metric: detection.metric,
-            stats: BackendStats::Hybrid {
-                route,
-                primary_metric,
-                inner: Box::new(detection.stats),
-            },
-        }
-    }
-}
-
-impl DetectorSession for HybridSession {
-    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
-        let first = match self.primary.as_mut() {
-            Some(session) => match session.detect(y, seed) {
-                Ok(detection) => Some(detection),
-                // A per-vector primary failure routes onward — unless
-                // there is nothing to route to.
-                Err(e) if self.fallback.is_none() => return Err(e),
-                Err(_) => None,
-            },
-            None => None,
-        };
-        let Some(first) = first else {
-            // No primary answer: the fallback (present by the compile
-            // invariant and the early return above) carries the vector.
-            let session = self
-                .fallback
-                .as_mut()
-                .expect("compile keeps at least one side");
-            let second = session.detect(y, seed)?;
-            return Ok(Self::wrap(second, Route::Fallback, f64::INFINITY));
-        };
-        // A backend that cannot price its answer never passes the
-        // confidence gate.
-        let metric = first.metric.unwrap_or(f64::INFINITY);
-        let per_antenna = metric / self.receive_antennas.max(1) as f64;
-        let Some(fallback) = self.fallback.as_mut() else {
-            // Nothing to fall back to: the primary's answer stands.
-            return Ok(Self::wrap(first, Route::Primary, metric));
-        };
-        if per_antenna <= self.policy.max_residual_per_antenna {
-            return Ok(Self::wrap(first, Route::Primary, metric));
-        }
-        match fallback.detect(y, seed) {
-            Ok(second) => Ok(Self::wrap(second, Route::Fallback, metric)),
-            // The fallback produced nothing (radius/node budget): a
-            // low-confidence primary answer still beats no answer.
-            Err(_) => Ok(Self::wrap(first, Route::Primary, metric)),
-        }
-    }
-    fn modulation(&self) -> Modulation {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .modulation()
-    }
-    fn num_bits(&self) -> usize {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .num_bits()
-    }
-    fn backend_name(&self) -> &'static str {
-        "hybrid"
     }
 }
 
@@ -756,7 +394,23 @@ pub enum DetectorKind {
         /// Anneal cycles per detection.
         anneals: usize,
     },
-    /// The hybrid classical–quantum router.
+    /// The hybrid classical–quantum router: a cheap `primary`
+    /// (typically a linear filter) answers every problem, and only
+    /// low-confidence answers are re-decoded by the expensive
+    /// `fallback` (typically the annealed or sphere session).
+    ///
+    /// Routing is *deterministic*: the decision depends only on the
+    /// primary's detection (itself deterministic for linear filters),
+    /// so a fixed `(H, y, seed)` always routes the same way.
+    ///
+    /// The router is never less available than its parts: when one
+    /// side cannot compile at all (a ZF primary on a rank-deficient
+    /// channel, an annealed fallback on a problem too large to embed),
+    /// every problem routes to the side that could; when the fallback
+    /// cannot produce an answer for one vector (e.g. a
+    /// node-budget-capped sphere search), the primary's low-confidence
+    /// answer is returned instead of an error. Compile fails only when
+    /// *neither* side can be formed.
     Hybrid {
         /// The cheap first-pass detector.
         primary: Box<DetectorKind>,
@@ -825,44 +479,18 @@ impl DetectorKind {
 impl Detector for DetectorKind {
     type Session = Box<dyn DetectorSession>;
 
+    /// The registry's one session, seen through its hard face: the same
+    /// struct [`DetectorKind::compile_soft`] returns, upcast to
+    /// `Box<dyn DetectorSession>`. That type has no soft methods, so
+    /// the spec passed along is never read.
     fn compile(&self, input: &DetectionInput) -> Result<Box<dyn DetectorSession>, DetectError> {
-        Ok(match self {
-            DetectorKind::ZeroForcing => Box::new(Detector::compile(
-                &ZeroForcingDetector::new(input.modulation),
-                input,
-            )?),
-            DetectorKind::Mmse { noise_variance } => Box::new(Detector::compile(
-                &MmseDetector::new(input.modulation, *noise_variance),
-                input,
-            )?),
-            DetectorKind::Sphere { node_budget } => {
-                let mut sphere = SphereDecoder::new(input.modulation);
-                if let Some(budget) = node_budget {
-                    sphere = sphere.with_node_budget(*budget);
-                }
-                Box::new(Detector::compile(&sphere, input)?)
-            }
-            DetectorKind::ExactMl => Box::new(ExactMlDetector.compile(input)?),
-            DetectorKind::Quamax {
-                annealer,
-                config,
-                anneals,
-            } => Box::new(QuamaxDetector::new(annealer.clone(), *config, *anneals).compile(input)?),
-            DetectorKind::Hybrid {
-                primary,
-                fallback,
-                policy,
-            } => Box::new(
-                HybridDetector::new((**primary).clone(), (**fallback).clone(), *policy)
-                    .compile(input)?,
-            ),
-        })
+        Ok(self.compile_soft(input, SoftSpec::new(0.0))?)
     }
 }
 
 /// Measures a detector's *empirical* fallback rate over a calibration
 /// batch of `trials` instances drawn from `scenario` — the loop-closer
-/// between the decode-level [`HybridDetector`] and the queueing-level
+/// between the decode-level [`DetectorKind::Hybrid`] and the queueing-level
 /// `quamax_ran::HybridServer`: the fraction this helper measures under
 /// a routing policy is exactly the `fallback_fraction` the discrete-
 /// event server should be provisioned with (and what `cran_datacenter`
@@ -1059,7 +687,7 @@ mod tests {
         let sc = Scenario::new(4, 4, Modulation::Bpsk);
         let inst = sc.sample(&mut rng);
         let input = inst.detection_input();
-        let detector = QuamaxDetector::new(
+        let kind = DetectorKind::quamax(
             quiet_annealer(),
             DecoderConfig {
                 schedule: Schedule::standard(10.0),
@@ -1067,7 +695,7 @@ mod tests {
             },
             100,
         );
-        let mut session = detector.compile(&input).unwrap();
+        let mut session = kind.compile(&input).unwrap();
         let det = session.detect(&input.y, 11).unwrap();
         let run = det.annealed_run().expect("annealed stats carry the run");
         assert_eq!(run.best_bits(), det.bits);

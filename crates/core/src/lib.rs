@@ -83,20 +83,31 @@
 //! | sphere   | QR of `H`                                  | rotate `ȳ = Q*y` + tree walk |
 //! | exact ML | —                                          | exhaustive scan |
 //!
+//! Each backend has exactly **one session struct**, and one registry
+//! match in [`detect::DetectorKind::compile_soft`] builds it: the hard
+//! [`detect::Detector::compile`] returns that same session upcast to
+//! `Box<dyn DetectorSession>`, so a hard-only caller sees only
+//! `detect`, and the soft methods (and the [`soft::SoftSpec`] they
+//! read) stay out of reach. The sessions' hard `detect` is each
+//! backend's own hard algorithm — the raw-sliced linear filter, the
+//! single-leaf sphere walk, the exhaustive scan, the annealed
+//! [`DecodeRun`] — and none of the soft side's per-interval state is
+//! built until a soft call needs it.
+//!
 //! All sessions return the same [`detect::Detection`] (bits, the ML
 //! objective `‖y − Hv̂‖²`, backend statistics), so sweeps and sims
 //! iterate over backends as values via the [`detect::DetectorKind`]
-//! registry. A [`detect::HybridDetector`] composes two kinds into the
-//! HotNets '20 routing structure: the cheap linear session answers
-//! first and only residual-flagged problems reach the annealed or
-//! sphere session. Every trait path is bit-identical to the backend's
-//! direct API under the same `(H, y, seed)` — property-tested per
-//! modulation, hybrid routing decisions included.
+//! registry. A [`detect::DetectorKind::Hybrid`] router composes two
+//! kinds into the HotNets '20 routing structure: the cheap linear
+//! session answers first and only residual-flagged problems reach the
+//! annealed or sphere session. Every trait path is bit-identical to
+//! the backend's direct API under the same `(H, y, seed)` —
+//! property-tested per modulation, hybrid routing decisions included.
 //!
 //! # DESIGN — soft output: LLR derivation per backend
 //!
-//! Coded uplinks consume *reliabilities*, not bits, so every registry
-//! kind also compiles a soft session
+//! Coded uplinks consume *reliabilities*, not bits, so every
+//! backend's one session is also a soft session
 //! ([`detect::DetectorKind::compile_soft`] →
 //! [`soft::SoftDetectorSession::detect_soft`] →
 //! [`soft::SoftDetection`]). The per-bit LLR convention is uniform —
@@ -106,11 +117,11 @@
 //!
 //! | backend  | LLR derivation |
 //! |----------|----------------|
-//! | QuAMax   | **list max-log over the anneal ensemble**: the ranked [`DecodeRun`](decoder::DecodeRun) solution distribution is already a hypothesis list, and each entry prices exactly (`E_ising + ml_offset = ‖y − Hv‖²`), so the multi-anneal pool doubles as a list demapper at zero extra anneals |
-//! | ZF/MMSE  | **Gaussian approximation from the compiled filter's post-equalization SINR**: bias `μ_u = (WH)_uu`, noise `σ²(WW*)_uu`, residual interference `Es·Σ_{j≠u}‖(WH)_{uj}‖²`, priced once per coherence interval; per received vector the demapper bias-compensates and runs per-dimension max-log over the PAM levels |
+//! | QuAMax   | **list max-log over the anneal ensemble**: the ranked [`DecodeRun`] solution distribution is already a hypothesis list, and each entry prices exactly (`E_ising + ml_offset = ‖y − Hv‖²`), so the multi-anneal pool doubles as a list demapper at zero extra anneals |
+//! | ZF/MMSE  | **Gaussian approximation from the compiled filter's post-equalization SINR**: bias `μ_u = (WH)_uu`, noise `σ²(WW*)_uu`, residual interference `Es·Σ_{j≠u}‖(WH)_{uj}‖²`, priced once per coherence interval by the session's first soft call; per received vector the demapper bias-compensates and runs per-dimension max-log over the PAM levels |
 //! | sphere   | **list sphere decoding** over the compiled QR: the same Schnorr–Euchner walk keeps the `list_size` best leaves (pruning against the worst *kept* leaf), which is exactly the max-log hypothesis pool |
 //! | exact ML | exhaustive max-log over the whole constellation power — the ground truth the list demappers approximate |
-//! | hybrid   | the accepted side's LLRs flow through the same residual-gated route as the hard path |
+//! | hybrid   | the accepted side's LLRs flow through the one residual-gated routing body the hard path also runs |
 //!
 //! **Clamping policy** ([`soft::SoftSpec::max_llr`]): every LLR is
 //! clamped to `±max_llr`. A *list* backend whose pool never observed a
@@ -248,8 +259,7 @@ pub use coded::{CodedFrame, CodedFrameOutcome, IddIteration, IddOutcome, IddSpec
 pub use decoder::{DecodeError, DecodeRun, DecodeSession, DecoderConfig, QuamaxDecoder};
 pub use detect::{
     measured_fallback_fraction, BackendStats, DetectError, Detection, Detector, DetectorKind,
-    DetectorSession, ErrorClass, ExactMlDetector, HybridDetector, QuamaxDetector, Route,
-    RoutePolicy,
+    DetectorSession, ErrorClass, Route, RoutePolicy,
 };
 pub use metrics::{percentile, BitErrorProfile, RunStatistics};
 pub use params::CandidateParams;

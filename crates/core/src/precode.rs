@@ -1123,9 +1123,10 @@ impl PrecodePolicy {
 }
 
 /// The hybrid classical–quantum precoding router, mirroring
-/// `detect::HybridDetector`: a cheap `primary` (typically ZF or THP)
-/// answers every symbol vector, and only high-power answers are
-/// re-precoded by the expensive `fallback` (typically annealed VPP).
+/// [`DetectorKind::Hybrid`](crate::detect::DetectorKind::Hybrid): a
+/// cheap `primary` (typically ZF or THP) answers every symbol vector,
+/// and only high-power answers are re-precoded by the expensive
+/// `fallback` (typically annealed VPP).
 /// Availability degrades exactly like the detection router: a side
 /// that cannot compile routes everything to the other, and a
 /// per-vector fallback failure returns the primary's answer.

@@ -1,6 +1,16 @@
-//! Soft-output detection: per-bit log-likelihood ratios (LLRs) from
-//! every backend of the [`crate::detect`] registry, for the coded
-//! uplink above MIMO detection.
+//! The detector sessions, one per backend, and their soft output:
+//! per-bit log-likelihood ratios (LLRs) from every backend of the
+//! [`crate::detect`] registry, for the coded uplink above MIMO
+//! detection.
+//!
+//! Each backend has one session struct — [`LinearSession`] (ZF and
+//! MMSE), [`SphereSession`], [`ExactMlSession`], [`QuamaxSession`] and
+//! [`HybridSession`] — built by the registry's one match,
+//! [`DetectorKind::compile_soft`]. Each implements both
+//! [`DetectorSession`], whose `detect` is the backend's own hard
+//! algorithm, and [`SoftDetectorSession`]; the hard
+//! [`Detector::compile`](crate::detect::Detector::compile) hands out
+//! the same struct behind `Box<dyn DetectorSession>`.
 //!
 //! The paper evaluates uncoded BER, but a deployable C-RAN uplink is
 //! coded, and what a soft-input channel decoder consumes is not bits —
@@ -53,17 +63,16 @@
 //! [`SoftDetectorSession::detect_soft`] — iteration 1 of an IDD loop
 //! is exactly the existing soft pipeline (property-tested per backend
 //! and modulation).
-//!
-//! [`DecodeRun`]: crate::decoder::DecodeRun
-//! [`DecodeSession::decode_reverse_from`]: crate::decoder::DecodeSession::decode_reverse_from
 
+use crate::decoder::{DecodeRun, DecodeSession, QuamaxDecoder};
 use crate::detect::{
-    ml_objective, BackendStats, DetectError, Detection, Detector, DetectorKind, DetectorSession,
-    LinearFilter, QuamaxDetector, QuamaxSession, Route, RoutePolicy,
+    ml_objective, BackendStats, DetectError, Detection, DetectorKind, DetectorSession,
+    LinearFilter, Route, RoutePolicy,
 };
 use crate::scenario::DetectionInput;
+use quamax_anneal::Schedule;
 use quamax_baselines::{
-    CompiledSphere, MmseDetector, SphereDecoder, ZeroForcingDetector, ZfFilter,
+    exhaustive_ml, CompiledSphere, MmseDetector, SphereDecoder, ZeroForcingDetector,
 };
 use quamax_linalg::{CMatrix, CVector, Complex, LinalgError};
 use quamax_wireless::{Modulation, Snr};
@@ -196,9 +205,10 @@ pub struct SoftDetection {
 
 impl SoftDetection {
     /// This detection as a hard [`Detection`] (drops the LLRs). The
-    /// bits are the *soft* session's decisions — for a biased linear
-    /// filter (MMSE) these can differ from the raw-sliced hard
-    /// session's near decision boundaries; see [`SoftLinearSession`].
+    /// bits are the *soft* path's decisions — for a biased linear
+    /// filter (MMSE) these can differ from the raw-sliced
+    /// [`DetectorSession::detect`] near decision boundaries; see
+    /// [`LinearSession`].
     pub fn into_hard(self) -> Detection {
         Detection {
             bits: self.bits,
@@ -245,20 +255,6 @@ pub trait SoftDetectorSession: DetectorSession {
         priors: &[f64],
         seed: u64,
     ) -> Result<SoftDetection, DetectError>;
-}
-
-impl<S: SoftDetectorSession + ?Sized> SoftDetectorSession for Box<S> {
-    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, DetectError> {
-        (**self).detect_soft(y, seed)
-    }
-    fn detect_soft_with_priors(
-        &mut self,
-        y: &CVector,
-        priors: &[f64],
-        seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
-        (**self).detect_soft_with_priors(y, priors, seed)
-    }
 }
 
 /// `true` when a prior vector carries no information — the case that
@@ -420,8 +416,12 @@ fn list_llrs_raw_with(
 
 // --- Linear filters: Gaussian-approximation LLRs --------------------
 
-/// Soft session for a compiled linear filter: the hard filter plus the
-/// per-stream post-equalization SINR model priced once at compile.
+/// Session for a compiled linear filter (ZF's cached pseudo-inverse,
+/// MMSE's cached LU) plus the channel, which prices every answer with
+/// the ML objective. `detect` slices the raw equalizer output,
+/// bit-identical to the filter's own `decode`; the first soft call
+/// prices the per-stream post-equalization SINR model once, so a
+/// hard-only session never pays for it.
 ///
 /// For equalizer `W` (cached pseudo-inverse or MMSE solve) and
 /// `B = WH`, stream `u` sees `z_u = μ_u v_u + interference + noise`
@@ -439,10 +439,16 @@ fn list_llrs_raw_with(
 /// at low SNR they can differ near 16-QAM level boundaries, where the
 /// biased slicer is the one that's wrong — the soft path's decision
 /// is the unbiased (better) one, not a different algorithm's.
-pub struct SoftLinearSession<F: LinearFilter> {
+pub struct LinearSession<F: LinearFilter> {
     filter: F,
     h: CMatrix,
     spec: SoftSpec,
+    /// The Gaussian SINR model, priced by the first soft call.
+    gaussian: Option<GaussianModel>,
+}
+
+/// The per-stream Gaussian model of a linear filter's output.
+struct GaussianModel {
     /// Per-user complex bias `μ_u = (WH)_uu`.
     bias: Vec<Complex>,
     /// Per-user *total complex* effective noise+interference variance
@@ -454,19 +460,16 @@ pub struct SoftLinearSession<F: LinearFilter> {
     nu: Vec<f64>,
     /// Per-dimension `(gray bits, PAM level)` demap table.
     dim_table: Vec<(Vec<u8>, f64)>,
+    /// The spec's LLR clamp.
+    max_llr: f64,
 }
 
-/// Soft session over the cached ZF pseudo-inverse.
-pub type SoftZfSession = SoftLinearSession<ZfFilter>;
-/// Soft session over the cached MMSE filter.
-pub type SoftMmseSession = SoftLinearSession<quamax_baselines::MmseFilter>;
-
-impl<F: LinearFilter> SoftLinearSession<F> {
-    /// Prices the SINR model of `filter` over `h` once.
-    pub fn compile(filter: F, h: CMatrix, spec: SoftSpec) -> Self {
+impl GaussianModel {
+    /// Prices the SINR model of `filter` over `h`.
+    fn new<F: LinearFilter>(filter: &F, h: &CMatrix, spec: &SoftSpec) -> Self {
         let m = filter.modulation();
         let w = filter.filter_matrix();
-        let b = w.mul_mat(&h);
+        let b = w.mul_mat(h);
         let es = m.mean_symbol_energy();
         let nt = filter.num_users();
         let mut bias = Vec::with_capacity(nt);
@@ -491,13 +494,11 @@ impl<F: LinearFilter> SoftLinearSession<F> {
                 Complex::real(1.0)
             });
         }
-        SoftLinearSession {
-            h,
-            spec,
+        GaussianModel {
             bias,
             nu,
             dim_table: m.dimension_table(),
-            filter,
+            max_llr: spec.max_llr,
         }
     }
 
@@ -516,7 +517,7 @@ impl<F: LinearFilter> SoftLinearSession<F> {
         extrinsic: &mut Vec<f64>,
         bits: &mut Vec<u8>,
     ) {
-        let per_dim = self.filter.modulation().bits_per_dimension();
+        let per_dim = self.dim_table[0].0.len();
         debug_assert!(priors.is_empty() || priors.len() == per_dim);
         let mut best0 = vec![f64::INFINITY; per_dim];
         let mut best1 = vec![f64::INFINITY; per_dim];
@@ -544,14 +545,14 @@ impl<F: LinearFilter> SoftLinearSession<F> {
             // Both hypotheses exist in a full PAM table.
             let raw = best0[j] - best1[j];
             let p = priors.get(j).copied().unwrap_or(0.0);
-            llrs.push(raw.clamp(-self.spec.max_llr, self.spec.max_llr));
-            extrinsic.push((raw - p).clamp(-self.spec.max_llr, self.spec.max_llr));
+            llrs.push(raw.clamp(-self.max_llr, self.max_llr));
+            extrinsic.push((raw - p).clamp(-self.max_llr, self.max_llr));
         }
         bits.extend_from_slice(best_bits);
     }
 }
 
-impl<F: LinearFilter> DetectorSession for SoftLinearSession<F> {
+impl<F: LinearFilter> DetectorSession for LinearSession<F> {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
         let bits = self.filter.decode(y);
         let metric = ml_objective(&self.h, y, &bits, self.filter.modulation());
@@ -572,32 +573,37 @@ impl<F: LinearFilter> DetectorSession for SoftLinearSession<F> {
     }
 }
 
-impl<F: LinearFilter> SoftLinearSession<F> {
+impl<F: LinearFilter> LinearSession<F> {
     /// The shared demap loop: `priors` empty = the ML path, sliced
     /// per-user/per-dimension otherwise.
     fn demap(&mut self, y: &CVector, priors: &[f64]) -> Result<SoftDetection, DetectError> {
         let m = self.filter.modulation();
         let q = m.bits_per_symbol();
         let per_dim = m.bits_per_dimension();
-        let z = self.filter.equalize(y);
-        let mut llrs = Vec::with_capacity(self.num_bits());
-        let mut extrinsic = Vec::with_capacity(self.num_bits());
-        let mut bits = Vec::with_capacity(self.num_bits());
+        let num_bits = self.num_bits();
+        let (filter, h, spec) = (&self.filter, &self.h, &self.spec);
+        let model = self
+            .gaussian
+            .get_or_insert_with(|| GaussianModel::new(filter, h, spec));
+        let z = filter.equalize(y);
+        let mut llrs = Vec::with_capacity(num_bits);
+        let mut extrinsic = Vec::with_capacity(num_bits);
+        let mut bits = Vec::with_capacity(num_bits);
         for u in 0..z.len() {
-            let zt = z[u] / self.bias[u];
-            let nu = self.nu[u];
+            let zt = z[u] / model.bias[u];
+            let nu = model.nu[u];
             let (p_re, p_im): (&[f64], &[f64]) = if priors.is_empty() {
                 (&[], &[])
             } else {
                 let user = &priors[u * q..(u + 1) * q];
                 (&user[..per_dim], &user[per_dim..])
             };
-            self.demap_dimension(zt.re, nu, p_re, &mut llrs, &mut extrinsic, &mut bits);
+            model.demap_dimension(zt.re, nu, p_re, &mut llrs, &mut extrinsic, &mut bits);
             if m.dimensions() == 2 {
-                self.demap_dimension(zt.im, nu, p_im, &mut llrs, &mut extrinsic, &mut bits);
+                model.demap_dimension(zt.im, nu, p_im, &mut llrs, &mut extrinsic, &mut bits);
             }
         }
-        let objective = ml_objective(&self.h, y, &bits, m);
+        let objective = ml_objective(h, y, &bits, m);
         Ok(SoftDetection {
             llrs,
             extrinsic,
@@ -608,7 +614,7 @@ impl<F: LinearFilter> SoftLinearSession<F> {
     }
 }
 
-impl<F: LinearFilter> SoftDetectorSession for SoftLinearSession<F> {
+impl<F: LinearFilter> SoftDetectorSession for LinearSession<F> {
     fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
         self.demap(y, &[])
     }
@@ -629,14 +635,16 @@ impl<F: LinearFilter> SoftDetectorSession for SoftLinearSession<F> {
 
 // --- Sphere: list sphere decoding -----------------------------------
 
-/// Soft session for the sphere backend: the compiled QR drives a list
-/// sphere decode, and the leaf list is the max-log hypothesis pool.
-pub struct SoftSphereSession {
+/// Session for the sphere backend: the cached QR search context.
+/// `detect` walks the tree to the single best leaf; the soft side runs
+/// a list sphere decode over the same QR, and the leaf list is the
+/// max-log hypothesis pool.
+pub struct SphereSession {
     compiled: CompiledSphere,
     spec: SoftSpec,
 }
 
-impl DetectorSession for SoftSphereSession {
+impl DetectorSession for SphereSession {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
         let out = self.compiled.decode(y)?;
         Ok(Detection {
@@ -658,7 +666,7 @@ impl DetectorSession for SoftSphereSession {
     }
 }
 
-impl SoftDetectorSession for SoftSphereSession {
+impl SoftDetectorSession for SphereSession {
     fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
         let list = self.compiled.decode_list(y, self.spec.list_size)?;
         let pool: Vec<(Vec<u8>, f64)> = list
@@ -715,46 +723,57 @@ impl SoftDetectorSession for SoftSphereSession {
 
 // --- QuAMax: the anneal ensemble as a list demapper -----------------
 
-/// Soft session for the annealed backend: one decode produces the
-/// ranked [`DecodeRun`] solution distribution, and that ensemble *is*
-/// the hypothesis list — each distinct logical solution prices to
-/// `E_ising + ml_offset = ‖y − Hv‖²` exactly, so the run doubles as a
-/// max-log list demapper at zero extra anneals. The candidate pool is
-/// deduplicated by bit pattern (best metric wins) before demapping.
+/// Session for the annealed backend: the compiled [`DecodeSession`]
+/// (reduction structure, embedding, CSR freeze) plus a per-detection
+/// anneal budget. `detect` runs one annealed [`DecodeRun`] and keeps
+/// its best solution.
+///
+/// The soft side reads that same run as a list demapper: the ranked
+/// solution distribution *is* the hypothesis list — each distinct
+/// logical solution prices to `E_ising + ml_offset = ‖y − Hv‖²`
+/// exactly, so the run doubles as a max-log list demapper at zero
+/// extra anneals. The candidate pool is deduplicated by bit pattern
+/// (best metric wins) before demapping.
 ///
 /// With priors ([`SoftDetectorSession::detect_soft_with_priors`]) the
 /// session switches to its *reverse-anneal* refinement mode: the
 /// priors' hard decision becomes the warm-start state of a
-/// [`DecodeSession::decode_reverse_from`] run under the `reverse`
-/// schedule derived at compile time
-/// ([`Schedule::reverse_matched`] of the forward operating point at
-/// [`SoftSpec::reverse_s_target`]), the warm-start candidate itself
-/// joins the hypothesis pool (priced exactly through the logical
-/// problem), and every entry's metric is augmented with the σ²-scaled
-/// prior mismatch cost before demapping.
-///
-/// [`DecodeRun`]: crate::decoder::DecodeRun
-/// [`DecodeSession::decode_reverse_from`]: crate::decoder::DecodeSession::decode_reverse_from
-/// [`Schedule::reverse_matched`]: quamax_anneal::Schedule::reverse_matched
-pub struct SoftQuamaxSession {
-    inner: QuamaxSession,
+/// [`DecodeSession::decode_reverse_from`] run under the reverse
+/// schedule derived from the forward operating point
+/// ([`Schedule::reverse_matched`] at [`SoftSpec::reverse_s_target`]),
+/// the warm-start candidate itself joins the hypothesis pool (priced
+/// exactly through the logical problem), and every entry's metric is
+/// augmented with the σ²-scaled prior mismatch cost before demapping.
+pub struct QuamaxSession {
+    session: DecodeSession,
+    anneals: usize,
     spec: SoftSpec,
-    /// The warm-start refinement schedule (derived once at compile).
-    reverse: quamax_anneal::Schedule,
+    /// The forward schedule the warm-start refinement reverses.
+    forward: Schedule,
 }
 
-impl DetectorSession for SoftQuamaxSession {
+impl DetectorSession for QuamaxSession {
     fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
-        self.inner.detect(y, seed)
+        let run = self.session.decode(y, self.anneals, seed);
+        let bits = run.best_bits();
+        let metric = run
+            .distribution()
+            .best_energy()
+            .map(|e| e + run.ml_offset());
+        Ok(Detection {
+            bits,
+            metric,
+            stats: BackendStats::Annealed(Box::new(run)),
+        })
     }
     fn modulation(&self) -> Modulation {
-        self.inner.modulation()
+        self.session.modulation()
     }
     fn num_bits(&self) -> usize {
-        self.inner.num_bits()
+        self.session.num_bits()
     }
     fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
+        "quamax"
     }
 }
 
@@ -763,7 +782,7 @@ impl DetectorSession for SoftQuamaxSession {
 /// distinct Gray bits, but a merged pool — e.g. ensemble + warm-start
 /// candidate — can repeat, and repeats would skew the pool-worst
 /// missing-hypothesis pricing).
-fn quamax_pool(run: &crate::decoder::DecodeRun) -> Vec<(Vec<u8>, f64)> {
+fn quamax_pool(run: &DecodeRun) -> Vec<(Vec<u8>, f64)> {
     let mut pool: Vec<(Vec<u8>, f64)> = (0..run.distribution().num_distinct())
         .map(|rank| {
             let bits = run
@@ -777,9 +796,9 @@ fn quamax_pool(run: &crate::decoder::DecodeRun) -> Vec<(Vec<u8>, f64)> {
     pool
 }
 
-impl SoftDetectorSession for SoftQuamaxSession {
+impl SoftDetectorSession for QuamaxSession {
     fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, DetectError> {
-        let det = self.inner.detect(y, seed)?;
+        let det = self.detect(y, seed)?;
         let run = det
             .annealed_run()
             .expect("the annealed session always attaches its run");
@@ -807,11 +826,10 @@ impl SoftDetectorSession for SoftQuamaxSession {
         // The decoder's current decision (the priors' hard decision)
         // becomes the reverse-anneal warm start.
         let candidate: Vec<u8> = priors.iter().map(|&l| u8::from(l > 0.0)).collect();
-        let anneals = self.inner.anneals;
-        let run =
-            self.inner
-                .session
-                .decode_reverse_from(y, anneals, &candidate, &self.reverse, seed);
+        let reverse = self.forward.reverse_matched(self.spec.reverse_s_target);
+        let run = self
+            .session
+            .decode_reverse_from(y, self.anneals, &candidate, &reverse, seed);
         let mut pool = quamax_pool(&run);
         // The warm-start candidate is itself a priced hypothesis: the
         // refinement ensemble explores *around* it and may never
@@ -843,18 +861,20 @@ impl SoftDetectorSession for SoftQuamaxSession {
 
 // --- Exhaustive ML: exact max-log reference -------------------------
 
-/// Soft session for the exhaustive backend: enumerates the *entire*
-/// constellation power and computes exact max-log LLRs — the ground
-/// truth the list demappers approximate (test-suite sizes only).
-pub struct SoftExactMlSession {
+/// Session for the exhaustive backend (test-suite sizes only): no
+/// `H`-only precomputation worth caching, so the session just pins the
+/// channel. `detect` is [`exhaustive_ml`]; the soft side enumerates the
+/// *entire* constellation power and computes exact max-log LLRs — the
+/// ground truth the list demappers approximate.
+pub struct ExactMlSession {
     h: CMatrix,
     modulation: Modulation,
     spec: SoftSpec,
 }
 
-impl DetectorSession for SoftExactMlSession {
+impl DetectorSession for ExactMlSession {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
-        let out = quamax_baselines::exhaustive_ml(&self.h, y, self.modulation);
+        let out = exhaustive_ml(&self.h, y, self.modulation);
         Ok(Detection {
             bits: out.bits,
             metric: Some(out.metric),
@@ -872,7 +892,7 @@ impl DetectorSession for SoftExactMlSession {
     }
 }
 
-impl SoftExactMlSession {
+impl ExactMlSession {
     /// The full constellation power as a `(bits, ML metric)` pool.
     fn full_pool(&self, y: &CVector) -> Vec<(Vec<u8>, f64)> {
         let m = self.modulation;
@@ -898,7 +918,7 @@ impl SoftExactMlSession {
     }
 }
 
-impl SoftDetectorSession for SoftExactMlSession {
+impl SoftDetectorSession for ExactMlSession {
     fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
         let pool = self.full_pool(y);
         let llrs = list_llrs(&pool, self.num_bits(), &self.spec);
@@ -940,34 +960,106 @@ impl SoftDetectorSession for SoftExactMlSession {
     }
 }
 
-// --- Hybrid routing, soft ------------------------------------------
+// --- Hybrid routing -------------------------------------------------
 
-/// Soft session for the hybrid router: the same residual-gated routing
-/// as the hard [`HybridSession`], carried out over soft sub-sessions so
-/// the accepted side's LLRs flow through. Availability degrades the
-/// same way: a side that cannot compile (or answer) routes to the
-/// other.
+/// Session for a [`DetectorKind::Hybrid`] router: both sub-sessions
+/// compiled up front (a C-RAN front-end compiles once per coherence
+/// interval and routes per vector). Either side may be `None` when its
+/// backend could not compile on this channel — the session then routes
+/// everything to the other; compile guarantees at least one side
+/// exists.
 ///
-/// [`HybridSession`]: crate::detect::HybridSession
-pub struct SoftHybridSession {
+/// One routing body serves `detect`, `detect_soft` and
+/// `detect_soft_with_priors`: each asks the sub-sessions for the same
+/// kind of answer, so the accepted side's bits (and LLRs) flow through.
+pub struct HybridSession {
     primary: Option<Box<dyn SoftDetectorSession>>,
     fallback: Option<Box<dyn SoftDetectorSession>>,
     policy: RoutePolicy,
     receive_antennas: usize,
 }
 
-impl SoftHybridSession {
-    fn wrap(detection: SoftDetection, route: Route, primary_metric: f64) -> SoftDetection {
-        SoftDetection {
-            llrs: detection.llrs,
-            extrinsic: detection.extrinsic,
-            bits: detection.bits,
-            objective: detection.objective,
+/// A detection the hybrid router can gate and tag: hard or soft.
+trait Routed {
+    /// The ML objective the confidence gate reads.
+    fn objective(&self) -> Option<f64>;
+    /// This detection with its statistics wrapped in the route taken.
+    fn routed(self, route: Route, primary_metric: f64) -> Self;
+}
+
+impl Routed for Detection {
+    fn objective(&self) -> Option<f64> {
+        self.metric
+    }
+    fn routed(self, route: Route, primary_metric: f64) -> Self {
+        Detection {
             stats: BackendStats::Hybrid {
                 route,
                 primary_metric,
-                inner: Box::new(detection.stats),
+                inner: Box::new(self.stats),
             },
+            ..self
+        }
+    }
+}
+
+impl Routed for SoftDetection {
+    fn objective(&self) -> Option<f64> {
+        self.objective
+    }
+    fn routed(self, route: Route, primary_metric: f64) -> Self {
+        SoftDetection {
+            stats: BackendStats::Hybrid {
+                route,
+                primary_metric,
+                inner: Box::new(self.stats),
+            },
+            ..self
+        }
+    }
+}
+
+impl HybridSession {
+    /// The routing body: `ask` runs one sub-session on the vector.
+    fn route<T: Routed>(
+        &mut self,
+        ask: impl Fn(&mut dyn SoftDetectorSession) -> Result<T, DetectError>,
+    ) -> Result<T, DetectError> {
+        let first = match self.primary.as_deref_mut() {
+            Some(session) => match ask(session) {
+                Ok(detection) => Some(detection),
+                // A per-vector primary failure routes onward — unless
+                // there is nothing to route to.
+                Err(e) if self.fallback.is_none() => return Err(e),
+                Err(_) => None,
+            },
+            None => None,
+        };
+        let Some(first) = first else {
+            // No primary answer: the fallback (present by the compile
+            // invariant and the early return above) carries the vector.
+            let session = self
+                .fallback
+                .as_deref_mut()
+                .expect("compile keeps at least one side");
+            return Ok(ask(session)?.routed(Route::Fallback, f64::INFINITY));
+        };
+        // A backend that cannot price its answer never passes the
+        // confidence gate.
+        let metric = first.objective().unwrap_or(f64::INFINITY);
+        let per_antenna = metric / self.receive_antennas.max(1) as f64;
+        let Some(fallback) = self.fallback.as_deref_mut() else {
+            // Nothing to fall back to: the primary's answer stands.
+            return Ok(first.routed(Route::Primary, metric));
+        };
+        if per_antenna <= self.policy.max_residual_per_antenna {
+            return Ok(first.routed(Route::Primary, metric));
+        }
+        match ask(fallback) {
+            Ok(second) => Ok(second.routed(Route::Fallback, metric)),
+            // The fallback produced nothing (radius/node budget): a
+            // low-confidence primary answer still beats no answer.
+            Err(_) => Ok(first.routed(Route::Primary, metric)),
         }
     }
 
@@ -979,9 +1071,9 @@ impl SoftHybridSession {
     }
 }
 
-impl DetectorSession for SoftHybridSession {
+impl DetectorSession for HybridSession {
     fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
-        self.detect_soft(y, seed).map(SoftDetection::into_hard)
+        self.route(|session| session.detect(y, seed))
     }
     fn modulation(&self) -> Modulation {
         self.a_side().modulation()
@@ -994,57 +1086,9 @@ impl DetectorSession for SoftHybridSession {
     }
 }
 
-impl SoftHybridSession {
-    /// The shared routing pass: `priors` empty = the plain soft path;
-    /// otherwise both sub-sessions run prior-aware and the accepted
-    /// side's posterior LLRs flow through.
-    fn route_soft(
-        &mut self,
-        y: &CVector,
-        priors: &[f64],
-        seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
-        let ask = |session: &mut Box<dyn SoftDetectorSession>, y: &CVector, seed: u64| {
-            if priors.is_empty() {
-                session.detect_soft(y, seed)
-            } else {
-                session.detect_soft_with_priors(y, priors, seed)
-            }
-        };
-        let first = match self.primary.as_mut() {
-            Some(session) => match ask(session, y, seed) {
-                Ok(det) => Some(det),
-                Err(e) if self.fallback.is_none() => return Err(e),
-                Err(_) => None,
-            },
-            None => None,
-        };
-        let Some(first) = first else {
-            let session = self
-                .fallback
-                .as_mut()
-                .expect("compile keeps at least one side");
-            let second = ask(session, y, seed)?;
-            return Ok(Self::wrap(second, Route::Fallback, f64::INFINITY));
-        };
-        let metric = first.objective.unwrap_or(f64::INFINITY);
-        let per_antenna = metric / self.receive_antennas.max(1) as f64;
-        let Some(fallback) = self.fallback.as_mut() else {
-            return Ok(Self::wrap(first, Route::Primary, metric));
-        };
-        if per_antenna <= self.policy.max_residual_per_antenna {
-            return Ok(Self::wrap(first, Route::Primary, metric));
-        }
-        match ask(fallback, y, seed) {
-            Ok(second) => Ok(Self::wrap(second, Route::Fallback, metric)),
-            Err(_) => Ok(Self::wrap(first, Route::Primary, metric)),
-        }
-    }
-}
-
-impl SoftDetectorSession for SoftHybridSession {
+impl SoftDetectorSession for HybridSession {
     fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, DetectError> {
-        self.route_soft(y, &[], seed)
+        self.route(|session| session.detect_soft(y, seed))
     }
 
     fn detect_soft_with_priors(
@@ -1057,35 +1101,44 @@ impl SoftDetectorSession for SoftHybridSession {
         if uninformative(priors) {
             return self.detect_soft(y, seed);
         }
-        self.route_soft(y, priors, seed)
+        self.route(|session| session.detect_soft_with_priors(y, priors, seed))
     }
 }
 
-// --- Registry entry point -------------------------------------------
+// --- The registry ---------------------------------------------------
 
 impl DetectorKind {
-    /// Compiles a *soft-output* session for this kind — the LLR
-    /// counterpart of [`Detector::compile`], supported by every
-    /// registry backend (the annealed list demapper, the Gaussian
-    /// linear demappers, list sphere decoding, exact max-log for
-    /// `ExactMl`, and residual-gated routing over soft sub-sessions
-    /// for `Hybrid`).
+    /// Compiles this kind's session — the registry's one match. Every
+    /// backend's session carries both faces: the hard
+    /// [`DetectorSession::detect`] (all that [`Detector::compile`]
+    /// exposes) and the LLR side — the annealed list demapper, the
+    /// Gaussian linear demappers, list sphere decoding, exact max-log
+    /// for `ExactMl`, and residual-gated routing over sub-sessions for
+    /// `Hybrid`. `spec` is read only by the soft methods.
+    ///
+    /// [`Detector::compile`]: crate::detect::Detector::compile
     pub fn compile_soft(
         &self,
         input: &DetectionInput,
         spec: SoftSpec,
     ) -> Result<Box<dyn SoftDetectorSession>, DetectError> {
         Ok(match self {
-            DetectorKind::ZeroForcing => {
-                let filter = ZeroForcingDetector::new(input.modulation).compile(&input.h)?;
-                Box::new(SoftLinearSession::compile(filter, input.h.clone(), spec))
-            }
-            DetectorKind::Mmse { noise_variance } => {
-                let filter =
-                    MmseDetector::new(input.modulation, *noise_variance).compile(&input.h)?;
-                Box::new(SoftLinearSession::compile(filter, input.h.clone(), spec))
-            }
+            DetectorKind::ZeroForcing => Box::new(LinearSession {
+                filter: ZeroForcingDetector::new(input.modulation).compile(&input.h)?,
+                h: input.h.clone(),
+                spec,
+                gaussian: None,
+            }),
+            DetectorKind::Mmse { noise_variance } => Box::new(LinearSession {
+                filter: MmseDetector::new(input.modulation, *noise_variance).compile(&input.h)?,
+                h: input.h.clone(),
+                spec,
+                gaussian: None,
+            }),
             DetectorKind::Sphere { node_budget } => {
+                // The inherent compile asserts Nr >= Nt; the trait
+                // contract is an Err, not a process abort (an
+                // overloaded uplink is a routable condition, not a bug).
                 if input.h.rows() < input.h.cols() {
                     return Err(DetectError::Linalg(LinalgError::ShapeMismatch));
                 }
@@ -1093,12 +1146,12 @@ impl DetectorKind {
                 if let Some(budget) = node_budget {
                     sphere = sphere.with_node_budget(*budget);
                 }
-                Box::new(SoftSphereSession {
+                Box::new(SphereSession {
                     compiled: sphere.compile(&input.h),
                     spec,
                 })
             }
-            DetectorKind::ExactMl => Box::new(SoftExactMlSession {
+            DetectorKind::ExactMl => Box::new(ExactMlSession {
                 h: input.h.clone(),
                 modulation: input.modulation,
                 spec,
@@ -1107,23 +1160,32 @@ impl DetectorKind {
                 annealer,
                 config,
                 anneals,
-            } => Box::new(SoftQuamaxSession {
-                inner: QuamaxDetector::new(annealer.clone(), *config, *anneals).compile(input)?,
-                spec,
-                reverse: config.schedule.reverse_matched(spec.reverse_s_target),
-            }),
+            } => {
+                assert!(*anneals > 0, "need at least one anneal per detection");
+                Box::new(QuamaxSession {
+                    session: QuamaxDecoder::new(annealer.clone(), *config).compile(input)?,
+                    anneals: *anneals,
+                    spec,
+                    forward: config.schedule,
+                })
+            }
             DetectorKind::Hybrid {
                 primary,
                 fallback,
                 policy,
             } => {
+                // A side that cannot be formed (rank-deficient channel
+                // vs a ZF pseudo-inverse; an unembeddable problem vs
+                // the annealer) must not take the router down while the
+                // other side can serve the interval. Only a double
+                // failure is a compile error.
                 let first = primary.compile_soft(input, spec).ok();
                 let second = match fallback.compile_soft(input, spec) {
                     Ok(session) => Some(session),
                     Err(e) if first.is_none() => return Err(e),
                     Err(_) => None,
                 };
-                Box::new(SoftHybridSession {
+                Box::new(HybridSession {
                     primary: first,
                     fallback: second,
                     policy: *policy,
@@ -1138,6 +1200,7 @@ impl DetectorKind {
 mod tests {
     use super::*;
     use crate::decoder::DecoderConfig;
+    use crate::detect::Detector;
     use crate::scenario::Scenario;
     use quamax_anneal::{Annealer, AnnealerConfig, IceModel, Schedule};
     use rand::rngs::StdRng;
@@ -1316,6 +1379,38 @@ mod tests {
             assert_eq!(h.route(), s.route());
             assert_eq!(h.bits, s.bits);
         }
+    }
+
+    #[test]
+    fn mmse_detect_slices_raw_while_detect_soft_slices_bias_compensated() {
+        // The one documented hard/soft divergence: MMSE `detect` slices
+        // the biased equalizer output `z` (bit-identical to the
+        // filter's own decode), `detect_soft` slices `z/μ`. At low SNR
+        // on 16-QAM the two disagree near level boundaries.
+        let mut rng = StdRng::seed_from_u64(41);
+        let m = Modulation::Qam16;
+        let snr = Snr::from_db(4.0);
+        let sigma2 = snr.noise_variance(m);
+        let spec = SoftSpec::noise_matched(snr, m);
+        let sc = Scenario::new(4, 4, m).with_rayleigh().with_snr(snr);
+        let mut differing = 0usize;
+        for _ in 0..20 {
+            let inst = sc.sample(&mut rng);
+            let input = inst.detection_input();
+            let filter = MmseDetector::new(m, sigma2).compile(&input.h).unwrap();
+            let mut session = DetectorKind::mmse(sigma2)
+                .compile_soft(&input, spec)
+                .unwrap();
+            let hard = session.detect(&input.y, 0).unwrap();
+            let soft = session.detect_soft(&input.y, 0).unwrap();
+            assert_eq!(hard.bits, filter.decode(&input.y));
+            let z = filter.equalize(&input.y);
+            let b = filter.filter_matrix().mul_mat(&input.h);
+            let compensated = CVector::from_fn(z.len(), |u| z[u] / b[(u, u)]);
+            assert_eq!(soft.bits, m.demap_gray_vector(&compensated));
+            differing += usize::from(hard.bits != soft.bits);
+        }
+        assert!(differing > 0, "no vector separates the two slicers");
     }
 
     #[test]

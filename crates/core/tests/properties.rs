@@ -361,14 +361,16 @@ proptest! {
     /// The soft-output contract, every backend × modulation: one LLR
     /// per payload bit, magnitudes within the clamp, and every LLR's
     /// *sign* agreeing with the backend's own hard decision (positive
-    /// ⇒ bit 1, negative ⇒ bit 0, zero unconstrained).
+    /// ⇒ bit 1, negative ⇒ bit 0, zero unconstrained). The soft
+    /// session's `detect` also equals the hard compile's `detect` in
+    /// bits, metric and route.
     #[test]
     fn llr_signs_match_hard_bits_for_every_backend(
         m in modulation(),
         channel_seed in 0u64..10_000,
         snr_db in 4.0f64..18.0,
     ) {
-        use quamax_core::{DetectorKind, RoutePolicy, SoftSpec};
+        use quamax_core::{Detector, DetectorKind, DetectorSession, RoutePolicy, SoftSpec};
 
         let mut rng = StdRng::seed_from_u64(channel_seed);
         let snr = Snr::from_db(snr_db);
@@ -412,6 +414,14 @@ proptest! {
                     prop_assert_eq!(bit, 0, "{} bit {}: llr {}", name, k, llr);
                 }
             }
+            // One session per backend: the soft session's hard face is
+            // the hard compile's session, bit for bit.
+            let via_soft = session.detect(&input.y, channel_seed).unwrap();
+            let mut hard = kind.compile(&input).unwrap();
+            let via_hard = hard.detect(&input.y, channel_seed).unwrap();
+            prop_assert_eq!(&via_soft.bits, &via_hard.bits, "{}", name);
+            prop_assert_eq!(via_soft.metric, via_hard.metric, "{}", name);
+            prop_assert_eq!(via_soft.route(), via_hard.route(), "{}", name);
         }
     }
 

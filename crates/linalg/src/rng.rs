@@ -42,7 +42,7 @@ const FILL_CHUNK: usize = 64;
 /// [`standard_normal`] calls would return, leaving `rng` in the same
 /// state.
 ///
-/// Two passes per chunk of [`FILL_CHUNK`] outputs. The first draws
+/// Two passes per chunk of `FILL_CHUNK` (64) outputs. The first draws
 /// candidate pairs and stores every `(u, s)` at the write index, which
 /// advances by `(0 < s < 1) as usize`: a rejected candidate is simply
 /// overwritten by the next one, so the ~21.5% rejection is data flow,

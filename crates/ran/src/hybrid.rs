@@ -2,7 +2,7 @@
 //! ladder.
 //!
 //! Models the routing structure of the HotNets '20 follow-on work (and
-//! `quamax_core::detect::HybridDetector`'s decode-level counterpart)
+//! `quamax_core::DetectorKind::Hybrid`'s decode-level counterpart)
 //! at the queueing level — a routing policy over one pool, not a
 //! separate server type: attached with
 //! [`ResilientServer::with_hybrid`](crate::serve::ResilientServer::with_hybrid),

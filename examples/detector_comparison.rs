@@ -14,6 +14,8 @@
 //!
 //! Run: `cargo run --release --example detector_comparison --
 //!       [--trials N] [--anneals N]`
+//! (an unknown flag or a value that is not a whole number prints usage
+//! and exits 2).
 
 use quamax::prelude::*;
 use quamax_baselines::timing::{sphere_time_us, zf_time_us};
@@ -21,18 +23,22 @@ use quamax_core::BackendStats;
 use quamax_wireless::count_bit_errors;
 
 fn main() {
-    // Tiny --key value parser (the bench crate's Args is not a
+    // Tiny strict --key value parser (the bench crate's Args is not a
     // dependency of the facade examples).
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |key: &str, default: usize| -> usize {
-        argv.iter()
-            .position(|a| a == &format!("--{key}"))
-            .and_then(|i| argv.get(i + 1))
+    let mut trials = 40usize;
+    let mut anneals = 150usize;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    for pair in argv.chunks(2) {
+        let slot = match pair[0].as_str() {
+            "--trials" => &mut trials,
+            "--anneals" => &mut anneals,
+            _ => usage(),
+        };
+        *slot = pair
+            .get(1)
             .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let trials = get("trials", 40);
-    let anneals = get("anneals", 150);
+            .unwrap_or_else(|| usage());
+    }
 
     let mut rng = Rng::seed_from_u64(14);
     let users = 12usize;
@@ -127,4 +133,9 @@ fn main() {
         "\nML-class detectors hold their BER as conditioning worsens; linear filters pay.\n\
          The hybrid router matches ML-class BER while annealing only its fallback%."
     );
+}
+
+fn usage() -> ! {
+    eprintln!("usage: detector_comparison [--trials N] [--anneals N]");
+    std::process::exit(2);
 }
