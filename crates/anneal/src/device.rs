@@ -565,10 +565,11 @@ impl BatchWorker {
         }
     }
 
-    /// Anneals one replica window. Per replica, the RNG stream's draw
-    /// order is refreeze → init → sweep proposals, the same at every
-    /// width, so every sample is the same no matter how slots are
-    /// windowed.
+    /// Anneals one replica window: binds the whole window (ICE refrozen
+    /// from each replica's own stream), then initializes each replica.
+    /// Per replica, the RNG stream's draw order is refreeze → init →
+    /// sweep proposals, the same at every width, so every sample is the
+    /// same no matter how slots are windowed.
     #[allow(clippy::too_many_arguments)]
     fn run_window(
         &mut self,
@@ -599,6 +600,12 @@ impl BatchWorker {
         // packing several jobs) binds per-replica coefficient strips.
         let single_job = slots.iter().all(|&(j, _)| j == slots[0].0);
         let shared = single_job && config.ice.is_zero();
+        let problems = || -> Vec<&CompiledProblem> {
+            slots
+                .iter()
+                .map(|&(j, _)| jobs[j as usize].problem)
+                .collect()
+        };
         match config.backend {
             Backend::Sa => {
                 let problem = if shared {
@@ -613,10 +620,9 @@ impl BatchWorker {
                     problem
                 } else {
                     sa_batch.reset_per_replica(structure, w);
+                    sa_batch.bind_window_ice(&problems(), &config.ice, rngs);
                     for (r, &(j, _)) in slots.iter().enumerate() {
-                        let job = &jobs[j as usize];
-                        sa_batch.bind_replica_ice(r, job.problem, &config.ice, &mut rngs[r]);
-                        match job.init {
+                        match jobs[j as usize].init {
                             Some(s) => sa_batch.init_replica(structure, r, s),
                             None => sa_batch.init_replica_random(structure, r, &mut rngs[r]),
                         }
@@ -641,10 +647,9 @@ impl BatchWorker {
                     problem
                 } else {
                     sqa_batch.reset_per_replica(structure, slices, w);
+                    sqa_batch.bind_window_ice(&problems(), &config.ice, rngs);
                     for (r, &(j, _)) in slots.iter().enumerate() {
-                        let job = &jobs[j as usize];
-                        sqa_batch.bind_replica_ice(r, job.problem, &config.ice, &mut rngs[r]);
-                        match job.init {
+                        match jobs[j as usize].init {
                             Some(s) => sqa_batch.init_replica(structure, r, |_, i| s[i]),
                             None => sqa_batch.init_replica_random(structure, r, &mut rngs[r]),
                         }

@@ -8,9 +8,9 @@
 //! renormalization squeezes problem coefficients into the noise) and
 //! ties solution quality to the Ising energy gap (Figs. 5 and 12).
 
-use crate::kernel::ReplicaStrips;
+use crate::kernel::WindowStrips;
 use quamax_ising::{CompiledProblem, IsingProblem};
-use quamax_linalg::rng::{fill_standard_normal, normal};
+use quamax_linalg::rng::NormalZiggurat;
 use rand::Rng;
 
 /// Gaussian perturbation model for programmed coefficients.
@@ -103,35 +103,52 @@ impl IceModel {
     }
 
     /// Returns a copy of `problem` with fresh ICE applied to every
-    /// coefficient — one anneal's effective Hamiltonian.
+    /// coefficient — one anneal's effective Hamiltonian. Deviates come
+    /// from the ziggurat normal, fields by spin, then couplings in
+    /// [`IsingProblem::couplings`] order.
     pub fn perturb<R: Rng + ?Sized>(&self, problem: &IsingProblem, rng: &mut R) -> IsingProblem {
         if self.is_zero() {
             return problem.clone();
         }
+        let zig = NormalZiggurat::get();
         let n = problem.num_spins();
         let mut out = IsingProblem::new(n);
         for i in 0..n {
             let f = problem.linear(i);
             // Unused (zero-field) spins still sit on real hardware
             // qubits: they receive noise too.
-            out.set_linear(i, f + normal(rng, self.field_mean, self.field_std));
+            out.set_linear(i, f + self.field_noise(zig.sample(rng)));
         }
         for (i, j, g) in problem.couplings() {
-            out.set_coupling(i, j, g + normal(rng, self.coupler_mean, self.coupler_std));
+            out.set_coupling(i, j, g + self.coupler_noise(zig.sample(rng)));
         }
         out
     }
 
+    /// The field perturbation `μ_f + σ_f·z` for a standard deviate `z`.
+    #[inline]
+    fn field_noise(&self, z: f64) -> f64 {
+        self.field_mean + self.field_std * z
+    }
+
+    /// The coupler perturbation `μ_g + σ_g·z` for a standard deviate `z`.
+    #[inline]
+    fn coupler_noise(&self, z: f64) -> f64 {
+        self.coupler_mean + self.coupler_std * z
+    }
+
     /// Refreezes one anneal's effective Hamiltonian into `scratch`:
-    /// copies `base`'s coefficients (reusing the scratch allocation —
-    /// the batching hot path's no-allocation contract) and applies
-    /// fresh ICE to every field and coupling.
+    /// copies `base`'s coefficients (reusing the scratch allocation)
+    /// and applies fresh ICE to every field and coupling.
     ///
     /// Noise draw order is fixed by the compiled layout — fields in
-    /// spin order, then couplings in CSR `(i, j)` order — so a given
-    /// per-anneal RNG stream always produces the same effective
-    /// Hamiltonian regardless of how the problem was built or which
-    /// thread runs the anneal.
+    /// spin order, then couplings in CSR `(i, j)` order, one ziggurat
+    /// deviate each — so a given per-anneal RNG stream always produces
+    /// the same effective Hamiltonian regardless of how the problem was
+    /// built or which thread runs the anneal. This is the reference the
+    /// annealer's window bind
+    /// ([`ReplicaBatch::bind_window_ice`](crate::ReplicaBatch::bind_window_ice))
+    /// matches.
     pub fn refreeze<R: Rng + ?Sized>(
         &self,
         base: &CompiledProblem,
@@ -142,50 +159,70 @@ impl IceModel {
         if self.is_zero() {
             return;
         }
-        scratch.perturb_linear(|f| f + normal(rng, self.field_mean, self.field_std));
-        scratch.perturb_couplings(|g| g + normal(rng, self.coupler_mean, self.coupler_std));
+        let zig = NormalZiggurat::get();
+        scratch.perturb_linear(|f| f + self.field_noise(zig.sample(rng)));
+        scratch.perturb_couplings(|g| g + self.coupler_noise(zig.sample(rng)));
     }
 
-    /// Refreezes `base` straight into one replica's batch strips
-    /// (both CSR directions of every coupler). Draws the deviates of
-    /// [`IceModel::refreeze`] in its order (fields by spin, then each
-    /// coupler once in CSR `i < j` order) from one bulk
-    /// [`fill_standard_normal`] into `normals`, and applies them with
-    /// its arithmetic, so the strips hold exactly what `refreeze` +
-    /// `bind_replica` would bind and `rng` ends in the same state.
-    pub(crate) fn refreeze_strips<R: Rng + ?Sized>(
+    /// Refreezes a whole replica window straight into its coefficient
+    /// strips: replica `r` gets `problems[r]` (all sharing the strips'
+    /// CSR structure) under deviates drawn from `rngs[r]` alone, in
+    /// [`IceModel::refreeze`]'s order and with its arithmetic, so every
+    /// replica's strips hold exactly what `refreeze` + `bind_replica`
+    /// would bind and every stream ends in the same state.
+    ///
+    /// Two passes. The first draws each replica's `n + m` deviates into
+    /// `normals`, entry-major (`normals[e·W + r]`). The second walks
+    /// the entries once — fields, then each coupler in CSR `i < j`
+    /// order — writing each entry's `W`-wide strip (and the coupler
+    /// twin's) in one contiguous store. A zero model draws nothing and
+    /// binds the problems as they are.
+    pub(crate) fn refreeze_window<R: Rng>(
         &self,
-        base: &CompiledProblem,
-        strips: &mut ReplicaStrips,
+        problems: &[&CompiledProblem],
+        strips: &mut WindowStrips,
         normals: &mut Vec<f64>,
-        rng: &mut R,
+        rngs: &mut [R],
     ) {
+        let w = strips.width();
+        assert_eq!(problems.len(), w, "one problem per replica");
+        assert_eq!(rngs.len(), w, "one RNG stream per replica");
         if self.is_zero() {
-            strips.copy_from(base);
+            for (r, problem) in problems.iter().enumerate() {
+                strips.copy_from(r, problem);
+            }
             return;
         }
-        let n = base.num_spins();
-        normals.resize(n + base.num_couplings(), 0.0);
-        fill_standard_normal(rng, normals);
-        let (field_z, coupler_z) = normals.split_at(n);
-        for (i, (&f, &z)) in base.linear_terms().iter().zip(field_z).enumerate() {
-            strips.set_linear(i, f + (self.field_mean + self.field_std * z));
+        let structure = problems[0];
+        let n = structure.num_spins();
+        let entries = n + structure.num_couplings();
+        normals.resize(entries * w, 0.0);
+        let zig = NormalZiggurat::get();
+        for (r, rng) in rngs.iter_mut().enumerate() {
+            for z in normals[r..].iter_mut().step_by(w) {
+                *z = zig.sample(rng);
+            }
         }
-        let (neighbors, gs, twins) = (
-            base.neighbors_flat(),
-            base.weights_flat(),
-            base.twins_flat(),
-        );
-        let mut coupler_z = coupler_z.iter();
+        let (field_z, coupler_z) = normals.split_at(n * w);
+        for (i, z) in field_z.chunks_exact(w).enumerate() {
+            for ((out, problem), &z) in strips.linear_strip(i).iter_mut().zip(problems).zip(z) {
+                *out = problem.linear_terms()[i] + self.field_noise(z);
+            }
+        }
+        let (neighbors, twins) = (structure.neighbors_flat(), structure.twins_flat());
+        let mut coupler_z = coupler_z.chunks_exact(w);
         for i in 0..n {
-            let (lo, hi) = base.row_bounds(i);
+            let (lo, hi) = structure.row_bounds(i);
             // Rows are sorted: the `j > i` half is a suffix.
             let upper = lo + neighbors[lo..hi].partition_point(|&j| j as usize <= i);
-            for k in upper..hi {
+            for (k, &twin) in (upper..hi).zip(&twins[upper..hi]) {
                 let z = coupler_z.next().expect("one deviate per coupler");
-                let g = gs[k] + (self.coupler_mean + self.coupler_std * z);
-                strips.set_weight(k, g);
-                strips.set_weight(twins[k] as usize, g);
+                let twin = twin as usize;
+                let strip = strips.weight_strip(k);
+                for ((out, problem), &z) in strip.iter_mut().zip(problems).zip(z) {
+                    *out = problem.weights_flat()[k] + self.coupler_noise(z);
+                }
+                strips.copy_weight_strip(k, twin);
             }
         }
     }

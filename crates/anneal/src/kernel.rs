@@ -134,18 +134,16 @@ impl CompiledChains {
     }
 }
 
-/// Replica `r`'s view of a per-replica batch's coefficient strips,
-/// `linear[i·width + r]` and `weights[e·width + r]`: the bind target
-/// shared by both batch kinds.
-pub(crate) struct ReplicaStrips<'a> {
+/// A per-replica batch's coefficient strips, `linear[i·width + r]` and
+/// `weights[e·width + r]`: the bind target shared by both batch kinds.
+pub(crate) struct WindowStrips<'a> {
     linear: &'a mut [f64],
     weights: &'a mut [f64],
     width: usize,
-    r: usize,
 }
 
-impl<'a> ReplicaStrips<'a> {
-    /// Replica `r`'s strips, after the shape checks of a bind.
+impl<'a> WindowStrips<'a> {
+    /// The strips, after the shape checks of a bind against `problem`.
     ///
     /// # Panics
     /// Panics in shared mode (no weight strips) or when `problem`'s
@@ -154,12 +152,11 @@ impl<'a> ReplicaStrips<'a> {
         linear: &'a mut [f64],
         weights: &'a mut [f64],
         width: usize,
-        r: usize,
         problem: &CompiledProblem,
     ) -> Self {
         assert!(
             !weights.is_empty(),
-            "bind_replica needs a per-replica batch (reset_per_replica)"
+            "binding needs a per-replica batch (reset_per_replica)"
         );
         assert_eq!(
             problem.num_spins() * width,
@@ -171,34 +168,84 @@ impl<'a> ReplicaStrips<'a> {
             weights.len(),
             "structure mismatch"
         );
-        ReplicaStrips {
+        WindowStrips {
             linear,
             weights,
             width,
-            r,
         }
     }
 
-    /// Copies `problem`'s coefficients in unchanged.
-    pub(crate) fn copy_from(&mut self, problem: &CompiledProblem) {
+    /// Replicas per strip.
+    #[inline]
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Copies `problem`'s coefficients unchanged into replica `r`.
+    pub(crate) fn copy_from(&mut self, r: usize, problem: &CompiledProblem) {
+        let w = self.width;
         for (i, &f) in problem.linear_terms().iter().enumerate() {
-            self.set_linear(i, f);
+            self.linear[i * w + r] = f;
         }
         for (e, &g) in problem.weights_flat().iter().enumerate() {
-            self.set_weight(e, g);
+            self.weights[e * w + r] = g;
         }
     }
 
-    /// Writes spin `i`'s linear term.
+    /// Spin `i`'s linear terms, one per replica.
     #[inline]
-    pub(crate) fn set_linear(&mut self, i: usize, f: f64) {
-        self.linear[i * self.width + self.r] = f;
+    pub(crate) fn linear_strip(&mut self, i: usize) -> &mut [f64] {
+        &mut self.linear[i * self.width..(i + 1) * self.width]
     }
 
-    /// Writes directed CSR entry `e`'s coupling.
+    /// Directed CSR entry `e`'s couplings, one per replica.
     #[inline]
-    pub(crate) fn set_weight(&mut self, e: usize, g: f64) {
-        self.weights[e * self.width + self.r] = g;
+    pub(crate) fn weight_strip(&mut self, e: usize) -> &mut [f64] {
+        &mut self.weights[e * self.width..(e + 1) * self.width]
+    }
+
+    /// Copies entry `from`'s strip onto entry `to` (a coupler's twin).
+    #[inline]
+    pub(crate) fn copy_weight_strip(&mut self, from: usize, to: usize) {
+        let w = self.width;
+        self.weights.copy_within(from * w..(from + 1) * w, to * w);
+    }
+}
+
+/// Binds a window of `problems` under ICE drawn from `rngs` into one
+/// batch's strips (see [`IceModel::refreeze_window`]).
+fn bind_window_ice<R: Rng>(
+    linear: &mut [f64],
+    weights: &mut [f64],
+    width: usize,
+    normals: &mut Vec<f64>,
+    problems: &[&CompiledProblem],
+    ice: &IceModel,
+    rngs: &mut [R],
+) {
+    assert!(!problems.is_empty(), "one problem per replica");
+    let mut strips = WindowStrips::checked(linear, weights, width, problems[0]);
+    let (n, entries) = (problems[0].num_spins(), problems[0].num_entries());
+    assert!(
+        problems
+            .iter()
+            .all(|p| p.num_spins() == n && p.num_entries() == entries),
+        "structure mismatch"
+    );
+    ice.refreeze_window(problems, &mut strips, normals, rngs);
+}
+
+/// Uniform `±1` spins from one `next_u64` per 64 spins: spin `k` is
+/// `+1` iff bit `k % 64` of draw `k / 64` is set. `put(k, s)` stores
+/// spin `k`.
+#[inline]
+fn random_spins<R: Rng + ?Sized>(count: usize, rng: &mut R, mut put: impl FnMut(usize, Spin)) {
+    let mut bits = 0u64;
+    for k in 0..count {
+        if k % 64 == 0 {
+            bits = rng.next_u64();
+        }
+        put(k, if (bits >> (k % 64)) & 1 == 1 { 1 } else { -1 });
     }
 }
 
@@ -239,7 +286,7 @@ fn unsupported_width(width: usize) -> ! {
 ///   the scatter broadcasts one `g` per row entry across the strip;
 /// * **per-replica** ([`ReplicaBatch::reset_per_replica`] +
 ///   [`ReplicaBatch::bind_replica`], or
-///   [`ReplicaBatch::bind_replica_ice`] to refreeze ICE on the way in)
+///   [`ReplicaBatch::bind_window_ice`] to refreeze ICE on the way in)
 ///   — each replica carries its own `linear[i*W + r]` /
 ///   `weights[e*W + r]` strips (different `y` vectors, or per-anneal
 ///   ICE-refrozen coefficients); only the CSR *structure* of the
@@ -264,7 +311,7 @@ pub struct ReplicaBatch {
     /// Per-replica coupling strips `weights[e*width + r]`; empty in
     /// shared mode (weights read from the problem argument instead).
     weights: Vec<f64>,
-    /// Scratch: one replica's ICE deviates (`n` fields + `m` couplers).
+    /// Scratch: the window's ICE deviates, `W × (n + m)`, entry-major.
     normals: Vec<f64>,
 }
 
@@ -336,29 +383,37 @@ impl ReplicaBatch {
     /// # Panics
     /// Panics in shared mode or when shapes disagree.
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem)
-            .copy_from(problem);
+        WindowStrips::checked(&mut self.linear, &mut self.weights, self.width, problem)
+            .copy_from(r, problem);
     }
 
-    /// Binds replica `r` to one anneal's ICE-refrozen `problem`: the
-    /// strips end up exactly as [`IceModel::refreeze`] followed by
-    /// [`ReplicaBatch::bind_replica`] would leave them, with `rng` in
-    /// the same state, but the perturbed coefficients are written
-    /// straight into the strips. A zero model draws nothing and binds
-    /// `problem` as is.
+    /// Binds every replica to one anneal's ICE-refrozen coefficients:
+    /// replica `r` gets `problems[r]` (sharing the batch's CSR layout)
+    /// under deviates drawn from `rngs[r]`, exactly as
+    /// [`IceModel::refreeze`] from `rngs[r]` followed by
+    /// [`ReplicaBatch::bind_replica`] would leave it, with every stream
+    /// in the same state; the perturbed coefficients are written
+    /// straight into the strips, one contiguous strip per entry. A zero
+    /// model draws nothing and binds the problems as they are.
     ///
     /// # Panics
-    /// Panics in shared mode or when shapes disagree.
-    pub fn bind_replica_ice<R: Rng + ?Sized>(
+    /// Panics in shared mode, when shapes disagree, or unless
+    /// `problems` and `rngs` both hold one entry per replica.
+    pub fn bind_window_ice<R: Rng>(
         &mut self,
-        r: usize,
-        problem: &CompiledProblem,
+        problems: &[&CompiledProblem],
         ice: &IceModel,
-        rng: &mut R,
+        rngs: &mut [R],
     ) {
-        let mut strips =
-            ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem);
-        ice.refreeze_strips(problem, &mut strips, &mut self.normals, rng);
+        bind_window_ice(
+            &mut self.linear,
+            &mut self.weights,
+            self.width,
+            &mut self.normals,
+            problems,
+            ice,
+            rngs,
+        );
     }
 
     /// Initializes replica `r` to `spins` and rebuilds its cached
@@ -373,8 +428,8 @@ impl ReplicaBatch {
         self.rebuild_fields(problem, r);
     }
 
-    /// Initializes replica `r` uniformly at random (one
-    /// `random_bool(0.5)` per spin, in index order).
+    /// Initializes replica `r` uniformly at random: one `next_u64` per
+    /// 64 spins, spin `i` up iff bit `i % 64` of draw `i / 64` is set.
     pub fn init_replica_random<R: Rng + ?Sized>(
         &mut self,
         problem: &CompiledProblem,
@@ -382,9 +437,8 @@ impl ReplicaBatch {
         rng: &mut R,
     ) {
         let w = self.width;
-        for i in 0..self.n {
-            self.spins[i * w + r] = if rng.random_bool(0.5) { 1 } else { -1 };
-        }
+        let spins = &mut self.spins;
+        random_spins(self.n, rng, |i, s| spins[i * w + r] = s);
         self.rebuild_fields(problem, r);
     }
 
@@ -690,22 +744,27 @@ impl SqaReplicaBatch {
     /// Binds replica `r`'s coefficients (see
     /// [`ReplicaBatch::bind_replica`]).
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem)
-            .copy_from(problem);
+        WindowStrips::checked(&mut self.linear, &mut self.weights, self.width, problem)
+            .copy_from(r, problem);
     }
 
-    /// Binds replica `r` under fresh ICE (see
-    /// [`ReplicaBatch::bind_replica_ice`]).
-    pub fn bind_replica_ice<R: Rng + ?Sized>(
+    /// Binds every replica under fresh ICE (see
+    /// [`ReplicaBatch::bind_window_ice`]).
+    pub fn bind_window_ice<R: Rng>(
         &mut self,
-        r: usize,
-        problem: &CompiledProblem,
+        problems: &[&CompiledProblem],
         ice: &IceModel,
-        rng: &mut R,
+        rngs: &mut [R],
     ) {
-        let mut strips =
-            ReplicaStrips::checked(&mut self.linear, &mut self.weights, self.width, r, problem);
-        ice.refreeze_strips(problem, &mut strips, &mut self.normals, rng);
+        bind_window_ice(
+            &mut self.linear,
+            &mut self.weights,
+            self.width,
+            &mut self.normals,
+            problems,
+            ice,
+            rngs,
+        );
     }
 
     /// Initializes replica `r`'s slices from `init(k, i)` and rebuilds
@@ -725,8 +784,9 @@ impl SqaReplicaBatch {
         self.rebuild_fields(problem, r);
     }
 
-    /// Initializes replica `r` uniformly at random (one
-    /// `random_bool(0.5)` per (slice, spin), slice-major).
+    /// Initializes replica `r` uniformly at random: one `next_u64` per
+    /// 64 (slice, spin) sites, slice-major, site `k·n + i` up iff its
+    /// bit (see [`ReplicaBatch::init_replica_random`]) is set.
     pub fn init_replica_random<R: Rng + ?Sized>(
         &mut self,
         problem: &CompiledProblem,
@@ -734,9 +794,8 @@ impl SqaReplicaBatch {
         rng: &mut R,
     ) {
         let w = self.width;
-        for at in 0..self.slices * self.n {
-            self.spins[at * w + r] = if rng.random_bool(0.5) { 1 } else { -1 };
-        }
+        let spins = &mut self.spins;
+        random_spins(self.slices * self.n, rng, |at, s| spins[at * w + r] = s);
         self.rebuild_fields(problem, r);
     }
 

@@ -63,11 +63,12 @@
 //! * **One sweep per backend** — the two batches are the only sweep
 //!   state: a single anneal is a width-1 batch, and every device entry
 //!   point runs through [`Annealer::run_jobs`].
-//! * **Per-thread reuse** — each worker owns one replica batch, whose
-//!   per-anneal ICE refreeze writes perturbed coefficients straight
-//!   into the replica's `linear`/`weights` strips from one reused
-//!   buffer of bulk-drawn normal deviates (the CSR structure is
-//!   shared); the anneal hot loop performs no allocation.
+//! * **Per-thread reuse** — each worker owns one replica batch. A
+//!   window's ICE refreeze draws every replica's deviates into one
+//!   reused `W × (n + m)` buffer and writes the perturbed coefficients
+//!   straight into the `linear`/`weights` strips, one contiguous strip
+//!   per coefficient (the CSR structure is shared); the anneal hot
+//!   loop performs no allocation.
 //!
 //! ## Determinism contract
 //!
@@ -79,11 +80,22 @@
 //!    own `StdRng` with `splitmix(seed, k)`; which thread runs `k` is
 //!    irrelevant.
 //! 2. **Draw-order stability** — within an anneal, every random draw
-//!    happens in a layout-determined order: ICE fields in spin order
-//!    then couplings in CSR `(i, j)` order; sweep proposals in spin
-//!    (and slice) index order; chain proposals in chain index order.
-//!    Acceptance tests short-circuit (`delta <= 0` skips the uniform
-//!    draw), which is deterministic because ΔE itself is.
+//!    happens in a layout-determined order, and each phase draws from
+//!    a fixed sampler (`quamax_linalg::rng`):
+//!    * **refreeze** (ICE on): one ziggurat normal deviate
+//!      (`NormalZiggurat`, one `next_u64` on its fast path) per
+//!      coefficient — fields in spin order, then couplings in CSR
+//!      `(i, j)`, `i < j` order; a zero ICE model draws nothing;
+//!    * **init** (random starts only): one `next_u64` per 64 spins,
+//!      spin `i` up iff bit `i % 64` is set — SQA packs its (slice,
+//!      spin) sites slice-major the same way; a reverse-anneal start
+//!      draws nothing;
+//!    * **proposals**: spins (and slices) in index order, chains in
+//!      chain index order; each accept is [`sa::metropolis`]: a
+//!      downhill move or `β·ΔE ≥ 40` decides without drawing, anything
+//!      else draws one `E ~ Exp(1)` (`ExpZiggurat`) and accepts iff
+//!      `β·ΔE < E`. Whether a proposal draws depends only on ΔE, which
+//!      is deterministic.
 //! 3. **No cross-anneal state** — scratch buffers are reset per anneal
 //!    (fields recomputed from the refrozen coefficients), so reuse
 //!    never leaks one anneal's state into the next.

@@ -21,8 +21,10 @@
 //! [`best_slice_batch`] reads out its answer.
 
 use crate::kernel::{CompiledChains, SqaReplicaBatch};
+use crate::sa::metropolis;
 use crate::schedule::curves;
 use quamax_ising::{CompiledProblem, Spin};
+use quamax_linalg::rng::ExpZiggurat;
 use rand::Rng;
 
 /// The per-slice problem weight and inter-slice binding `(w, γ)` at
@@ -38,11 +40,11 @@ pub fn couplings_at(s: f64, slices: usize) -> (f64, f64) {
     (w_problem, gamma)
 }
 
-/// Metropolis acceptance on `exp(ΔF)`, skipping the `exp`/RNG cost for
-/// certainly-rejected moves (see `sa::CERTAIN_REJECT_EXPONENT`).
+/// Metropolis acceptance with probability `min(1, e^{ΔF})`: the SA
+/// rule (`sa::metropolis`) at `β = 1` on the move's `−ΔF`.
 #[inline]
-fn accept<R: Rng + ?Sized>(d_f: f64, rng: &mut R) -> bool {
-    d_f >= 0.0 || (d_f > -crate::sa::CERTAIN_REJECT_EXPONENT && rng.random::<f64>() < d_f.exp())
+fn accept<R: Rng + ?Sized>(d_f: f64, rng: &mut R, zig: &ExpZiggurat) -> bool {
+    metropolis(1.0, -d_f, rng, zig)
 }
 
 /// The batched SQA trajectory: every replica of `batch` runs the same
@@ -64,9 +66,10 @@ pub fn anneal_batch_compiled<R: Rng>(
     assert!(!fractions.is_empty(), "empty sweep plan");
     assert_eq!(rngs.len(), batch.width(), "one RNG stream per replica");
     let p = batch.num_slices();
+    let zig = ExpZiggurat::get();
     for &s in fractions {
         let (w_problem, gamma) = couplings_at(s, p);
-        sweep_batch(problem, chains, batch, w_problem, gamma, rngs);
+        sweep(problem, chains, batch, (w_problem, gamma), rngs, zig);
     }
 }
 
@@ -83,6 +86,18 @@ pub fn sweep_batch<R: Rng>(
     gamma: f64,
     rngs: &mut [R],
 ) {
+    let zig = ExpZiggurat::get();
+    sweep(problem, chains, batch, (w_problem, gamma), rngs, zig);
+}
+
+fn sweep<R: Rng>(
+    problem: &CompiledProblem,
+    chains: &CompiledChains,
+    batch: &mut SqaReplicaBatch,
+    (w_problem, gamma): (f64, f64),
+    rngs: &mut [R],
+    zig: &ExpZiggurat,
+) {
     let p = batch.num_slices();
     let n = problem.num_spins();
     // Local moves: every (slice, spin).
@@ -96,7 +111,7 @@ pub fn sweep_batch<R: Rng>(
                 // ΔF = −w·ΔE_problem − 2γ·s_i·(s_up + s_down); accept on
                 // exp(ΔF).
                 let d_f = -w_problem * d_problem - 2.0 * gamma * pair;
-                accept(d_f, &mut rngs[r])
+                accept(d_f, &mut rngs[r], zig)
             });
         }
     }
@@ -104,7 +119,7 @@ pub fn sweep_batch<R: Rng>(
     // unchanged, so only the problem term matters).
     for i in 0..n {
         batch.sweep_spin_global(problem, i, |r, d_total| {
-            accept(-w_problem * d_total, &mut rngs[r])
+            accept(-w_problem * d_total, &mut rngs[r], zig)
         });
     }
     // Chain-collective moves, per slice: flip a whole embedding chain
@@ -117,7 +132,7 @@ pub fn sweep_batch<R: Rng>(
             );
             batch.sweep_chain_slice(problem, chains, k, up, down, c, |r, d_problem, pair| {
                 let d_f = -w_problem * d_problem - 2.0 * gamma * pair;
-                accept(d_f, &mut rngs[r])
+                accept(d_f, &mut rngs[r], zig)
             });
         }
     }
@@ -128,7 +143,7 @@ pub fn sweep_batch<R: Rng>(
     // of the SA chain move in `sa::anneal_batch_compiled`).
     for c in 0..chains.len() {
         batch.sweep_chain_global(problem, chains, c, |r, d_total| {
-            accept(-w_problem * d_total, &mut rngs[r])
+            accept(-w_problem * d_total, &mut rngs[r], zig)
         });
     }
 }

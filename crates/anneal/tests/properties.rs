@@ -261,13 +261,14 @@ proptest! {
         }
     }
 
-    /// Binding a replica under ICE (`bind_replica_ice`) is the
-    /// reference `IceModel::refreeze` + `bind_replica`, replica for
-    /// replica: bit-identical fields and energies after a random init,
-    /// and every stream left at the same next draw. SA and SQA batches,
-    /// widths 1, 3 and 8, calibrated and paper ICE moments, on the dense
-    /// problem and on a sparse one (so CSR rows and coupler twins are
-    /// irregular).
+    /// Binding a window under ICE (`bind_window_ice`) is the reference
+    /// `IceModel::refreeze` + `bind_replica`, replica for replica:
+    /// bit-identical fields and energies after a random init, and every
+    /// stream left at the same next draw. SA and SQA batches, widths 1,
+    /// 3 and 8, calibrated and paper ICE moments, on the dense problem
+    /// and on a sparse one (so CSR rows and coupler twins are
+    /// irregular), with odd replicas bound to a second problem of the
+    /// same structure (a window packing two jobs).
     #[test]
     fn ice_bind_matches_refreeze_then_bind(p in problem(), seed in 0u64..1000) {
         let mut sparse = IsingProblem::new(N);
@@ -282,6 +283,9 @@ proptest! {
         let slices = 3;
         for q in [&p, &sparse] {
             let base = CompiledProblem::new(q);
+            let mut shifted = base.clone();
+            shifted.perturb_linear(|f| f - 0.25);
+            shifted.perturb_couplings(|g| 0.5 * g);
             let mut scratch = base.clone();
             for ice in [IceModel::calibrated(), IceModel::dw2q()] {
                 for width in [1usize, 3, 8] {
@@ -293,21 +297,26 @@ proptest! {
                         (SqaReplicaBatch::new(), SqaReplicaBatch::new());
                     sqa_ref.reset_per_replica(&base, slices, width);
                     sqa_fused.reset_per_replica(&base, slices, width);
+                    let problems: Vec<&CompiledProblem> = (0..width)
+                        .map(|r| if r % 2 == 1 { &shifted } else { &base })
+                        .collect();
+                    let mut sa_streams: Vec<StdRng> = (0..width).map(stream).collect();
+                    let mut sqa_streams = sa_streams.clone();
+                    sa_fused.bind_window_ice(&problems, &ice, &mut sa_streams);
+                    sqa_fused.bind_window_ice(&problems, &ice, &mut sqa_streams);
                     for r in 0..width {
-                        let (mut a, mut b) = (stream(r), stream(r));
-                        ice.refreeze(&base, &mut scratch, &mut a);
+                        let (mut a, b) = (stream(r), &mut sa_streams[r]);
+                        ice.refreeze(problems[r], &mut scratch, &mut a);
                         sa_ref.bind_replica(r, &scratch);
                         sa_ref.init_replica_random(&base, r, &mut a);
-                        sa_fused.bind_replica_ice(r, &base, &ice, &mut b);
-                        sa_fused.init_replica_random(&base, r, &mut b);
+                        sa_fused.init_replica_random(&base, r, b);
                         prop_assert_eq!(a.next_u64(), b.next_u64());
 
-                        let (mut a, mut b) = (stream(r), stream(r));
-                        ice.refreeze(&base, &mut scratch, &mut a);
+                        let (mut a, b) = (stream(r), &mut sqa_streams[r]);
+                        ice.refreeze(problems[r], &mut scratch, &mut a);
                         sqa_ref.bind_replica(r, &scratch);
                         sqa_ref.init_replica_random(&base, r, &mut a);
-                        sqa_fused.bind_replica_ice(r, &base, &ice, &mut b);
-                        sqa_fused.init_replica_random(&base, r, &mut b);
+                        sqa_fused.init_replica_random(&base, r, b);
                         prop_assert_eq!(a.next_u64(), b.next_u64());
                     }
                     // Checked after every replica is bound, so a write

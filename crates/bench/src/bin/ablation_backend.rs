@@ -18,7 +18,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        &["anneals", "instances", "slices", "seed", "sweeps-per-us"],
+        &[],
+    );
     let anneals = args.get_usize("anneals", 300);
     let instances = args.get_usize("instances", 4);
     let slices = args.get_usize("slices", 8);

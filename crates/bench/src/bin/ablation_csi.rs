@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "seed", "snr", "pilot-snr"], &[]);
     let anneals = args.get_usize("anneals", 300);
     let instances = args.get_usize("instances", 20);
     let seed = args.get_u64("seed", 1);

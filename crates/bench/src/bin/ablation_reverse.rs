@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "seed", "snr"], &[]);
     let anneals = args.get_usize("anneals", 500);
     let instances = args.get_usize("instances", 6);
     let seed = args.get_u64("seed", 1);

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "seed"], &[]);
     let anneals = args.get_usize("anneals", 1_000);
     let seed = args.get_u64("seed", 1);
 

@@ -29,7 +29,7 @@ const MODULATION: Modulation = Modulation::Qpsk;
 const PAYLOAD: usize = 114; // 240 coded bits = exactly 15 uses of 16
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "anneals", "seed"], &[]);
     let frames = args.get_usize("frames", 40);
     let anneals = args.get_usize("anneals", 12);
     let seed = args.get_u64("seed", 2021); // arXiv:2109.01465

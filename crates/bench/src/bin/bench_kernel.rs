@@ -26,16 +26,22 @@
 //! * `ice_bind_embedded_624q_r8` — one window's per-anneal ICE refreeze
 //!   on the clique-embedded 48-user BPSK problem (624 qubits), eight
 //!   replicas: the reference `IceModel::refreeze` + `bind_replica`
-//!   round trip against `bind_replica_ice`, which draws the same
-//!   deviates through the bulk two-pass sampler and writes them
-//!   straight into the strips. The run asserts both leave identical
-//!   coefficients bound and that the fused bind is ≥ 1.2× faster.
+//!   round trip per replica against one `bind_window_ice`, which draws
+//!   the same ziggurat deviates from each replica's stream and writes
+//!   the window entry-major, one contiguous strip per coefficient. The
+//!   run asserts both leave identical coefficients bound and that the
+//!   window bind is ≥ 1.2× faster;
+//! * `ice_normals` — ns per standard-normal deviate, the ICE sampler
+//!   (256-layer ziggurat) against the polar method that channels and
+//!   noise draw from, over one replica's `n + m` deviates of that
+//!   problem.
 
 use criterion::{measure_each, Summary};
 use quamax_anneal::kernel::{ReplicaBatch, SqaReplicaBatch};
 use quamax_anneal::IceModel;
 use quamax_bench::kernelbench as kb;
 use quamax_ising::CompiledProblem;
+use quamax_linalg::rng::{standard_normal, NormalZiggurat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -72,12 +78,12 @@ fn interleave(
     (n, c)
 }
 
-/// The ICE-bind row: reference refreeze + bind against the fused bind.
+/// The ICE-bind row: reference refreeze + bind against the window bind.
 struct IceBindRow {
     /// Normal deviates drawn per measured op.
     normals: usize,
     reference: Summary,
-    fused: Summary,
+    window: Summary,
 }
 
 impl IceBindRow {
@@ -85,7 +91,7 @@ impl IceBindRow {
     const WIDTH: usize = 8;
 
     fn speedup(&self) -> f64 {
-        self.reference.min_ns / self.fused.min_ns
+        self.reference.min_ns / self.window.min_ns
     }
 }
 
@@ -270,12 +276,13 @@ fn main() {
                 .map(|r| StdRng::seed_from_u64(70 + r as u64))
                 .collect()
         };
-        let (mut reference, mut fused) = (ReplicaBatch::new(), ReplicaBatch::new());
+        let (mut reference, mut window) = (ReplicaBatch::new(), ReplicaBatch::new());
         reference.reset_per_replica(&compiled, width);
-        fused.reset_per_replica(&compiled, width);
+        window.reset_per_replica(&compiled, width);
         let mut scratch = compiled.clone();
-        let (mut reference_rngs, mut fused_rngs) = (streams(), streams());
-        let (reference_time, fused_time) = interleave(
+        let (mut reference_rngs, mut window_rngs) = (streams(), streams());
+        let problems = vec![&compiled; width];
+        let (reference_time, window_time) = interleave(
             samples,
             rounds,
             |k| {
@@ -289,10 +296,8 @@ fn main() {
             },
             |k| {
                 measure_each(k, || {
-                    for (r, rng) in fused_rngs.iter_mut().enumerate() {
-                        fused.bind_replica_ice(r, &compiled, &ice, rng);
-                    }
-                    black_box(&fused);
+                    window.bind_window_ice(&problems, &ice, &mut window_rngs);
+                    black_box(&window);
                 })
             },
         );
@@ -301,26 +306,53 @@ fn main() {
         let state = kb::random_spins(compiled.num_spins(), &mut StdRng::seed_from_u64(71));
         for r in 0..width {
             reference.init_replica(&compiled, r, &state);
-            fused.init_replica(&compiled, r, &state);
+            window.init_replica(&compiled, r, &state);
             assert_eq!(
                 reference.energy(r).to_bits(),
-                fused.energy(r).to_bits(),
-                "fused ICE bind diverged from refreeze + bind (replica {r})"
+                window.energy(r).to_bits(),
+                "window ICE bind diverged from refreeze + bind (replica {r})"
             );
             for i in 0..compiled.num_spins() {
                 assert_eq!(
                     reference.field(i, r).to_bits(),
-                    fused.field(i, r).to_bits(),
-                    "fused ICE bind diverged from refreeze + bind (replica {r}, spin {i})"
+                    window.field(i, r).to_bits(),
+                    "window ICE bind diverged from refreeze + bind (replica {r}, spin {i})"
                 );
             }
         }
         IceBindRow {
             normals: width * (compiled.num_spins() + compiled.num_couplings()),
             reference: reference_time,
-            fused: fused_time,
+            window: window_time,
         }
     };
+
+    // ICE deviates: one replica's n + m draws per op, polar against
+    // ziggurat.
+    let (polar, ziggurat) = {
+        let deviates = ice_row.normals / IceBindRow::WIDTH;
+        let (mut polar_out, mut zig_out) = (vec![0.0; deviates], vec![0.0; deviates]);
+        let (mut polar_rng, mut zig_rng) = (StdRng::seed_from_u64(80), StdRng::seed_from_u64(81));
+        let zig = NormalZiggurat::get();
+        interleave(
+            samples,
+            rounds,
+            |k| {
+                measure_each(k, || {
+                    polar_out.fill_with(|| standard_normal(&mut polar_rng));
+                    black_box(polar_out[0])
+                })
+            },
+            |k| {
+                measure_each(k, || {
+                    zig_out.fill_with(|| zig.sample(&mut zig_rng));
+                    black_box(zig_out[0])
+                })
+            },
+        )
+    };
+    let per_deviate = IceBindRow::WIDTH as f64 / ice_row.normals as f64;
+    let (polar_ns, ziggurat_ns) = (polar.min_ns * per_deviate, ziggurat.min_ns * per_deviate);
 
     for r in &results {
         let rate = r
@@ -336,17 +368,24 @@ fn main() {
         );
     }
     println!(
-        "{:<28} ref   {:>12.0} ns   fused    {:>12.0} ns   speedup {:>5.2}x   ({:.1} ns/normal fused)",
+        "{:<28} ref   {:>12.0} ns   window   {:>12.0} ns   speedup {:>5.2}x   ({:.1} ns/normal window)",
         IceBindRow::NAME,
         ice_row.reference.min_ns,
-        ice_row.fused.min_ns,
+        ice_row.window.min_ns,
         ice_row.speedup(),
-        ice_row.fused.min_ns / ice_row.normals as f64
+        ice_row.window.min_ns / ice_row.normals as f64
+    );
+    println!(
+        "{:<28} polar {:>12.2} ns   ziggurat {:>12.2} ns   speedup {:>5.2}x   (per deviate)",
+        "ice_normals",
+        polar_ns,
+        ziggurat_ns,
+        polar_ns / ziggurat_ns
     );
 
     assert!(
         ice_row.speedup() >= 1.2,
-        "the fused ICE bind must beat refreeze + bind by ≥ 1.2x: {:.2}x",
+        "the window ICE bind must beat refreeze + bind by ≥ 1.2x: {:.2}x",
         ice_row.speedup()
     );
     let row = |name: &str| results.iter().find(|r| r.name == name).expect("measured");
@@ -378,14 +417,21 @@ fn main() {
         "normals": ice_row.normals,
         "reference_min_ns": ice_row.reference.min_ns.round(),
         "reference_median_ns": ice_row.reference.median_ns.round(),
-        "fused_min_ns": ice_row.fused.min_ns.round(),
-        "fused_median_ns": ice_row.fused.median_ns.round(),
+        "window_min_ns": ice_row.window.min_ns.round(),
+        "window_median_ns": ice_row.window.median_ns.round(),
         "speedup": (ice_row.speedup() * 100.0).round() / 100.0,
+    }));
+    rows.push(serde_json::json!({
+        "bench": "ice_normals",
+        "deviates": ice_row.normals / IceBindRow::WIDTH,
+        "polar_ns_per_deviate": (polar_ns * 100.0).round() / 100.0,
+        "ziggurat_ns_per_deviate": (ziggurat_ns * 100.0).round() / 100.0,
+        "speedup": (polar_ns / ziggurat_ns * 100.0).round() / 100.0,
     }));
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica vs bind_replica_ice (bulk two-pass normals written straight into the strips, asserted bit-identical), normals = deviates drawn per op; speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
         "rows": rows,
     });
     if !quick {

@@ -94,7 +94,7 @@ fn min_wall_seconds(seed: u64, horizon_us: f64, enabled: bool) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 100); // horizon in ms
     let seed = args.get_u64("seed", 2019); // SIGCOMM '19
     assert!(frames > 0, "need a positive horizon");

@@ -96,7 +96,7 @@ fn resilient_sim(workers: usize, rate: f64, seed: u64, guardrails: Guardrails) -
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 100); // per AP
     let seed = args.get_u64("seed", 2019); // SIGCOMM '19
     assert!(frames > 0, "need at least one frame");

@@ -119,7 +119,7 @@ fn run_one(seed: u64, rate_total: f64, horizon_us: f64, policy: Policy) -> Sched
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 100); // horizon in ms
     let seed = args.get_u64("seed", 2019); // SIGCOMM '19
     assert!(frames > 0, "need a positive horizon");

@@ -141,7 +141,7 @@ fn ber_sweep(seed: u64, frames: usize, snr: Snr) -> Vec<BerPoint> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 60);
     let seed = args.get_u64("seed", 2019);
     assert!(frames > 0, "need at least one frame");

@@ -15,7 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        &["anneals", "instances", "sweeps-per-us", "seed", "ice-scale"],
+        &["no-ice"],
+    );
     let anneals = args.get_usize("anneals", 400);
     let instances = args.get_usize("instances", 3);
     let sweeps = args.get_f64("sweeps-per-us", 20.0);

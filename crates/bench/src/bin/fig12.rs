@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "noise-draws", "seed"], &[]);
     let anneals = args.get_usize("anneals", 3_000);
     let noise_draws = args.get_usize("noise-draws", 10); // paper: 10
     let seed = args.get_u64("seed", 1);

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "zf-trials", "seed", "snr"], &[]);
     let anneals = args.get_usize("anneals", 1_000);
     let instances = args.get_usize("instances", 8);
     let zf_trials = args.get_usize("zf-trials", 400);

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "uses", "seed"], &[]);
     let anneals = args.get_usize("anneals", 1_500);
     let uses = args.get_usize("uses", 25);
     let seed = args.get_u64("seed", 1);

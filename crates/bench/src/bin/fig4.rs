@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "seed", "ranks"], &[]);
     let anneals = args.get_usize("anneals", 5_000); // paper: 50,000
     let seed = args.get_u64("seed", 1);
     let show = args.get_usize("ranks", 8);

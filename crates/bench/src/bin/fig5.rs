@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "jf-step", "seed"], &[]);
     let anneals = args.get_usize("anneals", 800);
     let instances = args.get_usize("instances", 6); // paper: 10
     let jf_step = args.get_usize("jf-step", 2); // paper grid: step 1 (0.5 increments)

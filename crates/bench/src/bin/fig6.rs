@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "seed"], &[]);
     let anneals = args.get_usize("anneals", 500);
     let instances = args.get_usize("instances", 5); // paper: 10
     let seed = args.get_u64("seed", 1);

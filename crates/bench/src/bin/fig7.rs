@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "sp-step", "seed", "jf"], &[]);
     let anneals = args.get_usize("anneals", 400); // paper: 10,000
     let instances = args.get_usize("instances", 5); // paper: 10
     let sp_step = args.get_usize("sp-step", 2); // paper grid: step 1 (0.02)

@@ -28,7 +28,7 @@ fn na_grid() -> Vec<usize> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "seed"], &[]);
     let anneals = args.get_usize("anneals", 800);
     let instances = args.get_usize("instances", 10); // paper: 20
     let seed = args.get_u64("seed", 1);

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["anneals", "instances", "seed"], &["no-opt"]);
     let anneals = args.get_usize("anneals", 1_000);
     let instances = args.get_usize("instances", 10); // paper: 20
     let seed = args.get_u64("seed", 1);

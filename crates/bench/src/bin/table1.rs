@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["instances", "seed", "snr"], &[]);
     let instances = args.get_usize("instances", 2_000); // paper: 10,000
     let seed = args.get_u64("seed", 1);
     let snr = Snr::from_db(args.get_f64("snr", 13.0));

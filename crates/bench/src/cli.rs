@@ -1,4 +1,10 @@
-//! Minimal `--key value` command-line parsing.
+//! Strict `--key value` command-line parsing.
+//!
+//! Each binary declares the keys (`--key value`) and bare flags
+//! (`--flag`) it accepts. Anything else — an unknown or misspelt
+//! option, a key without its value, a flag given one, a positional
+//! argument — is an error, so a rerun with a typo never silently runs
+//! the defaults.
 
 use std::collections::BTreeMap;
 
@@ -11,29 +17,58 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+    /// Parses the process arguments against the `keys` and bare
+    /// `flags` this binary accepts. On anything else it prints the
+    /// error and a usage line to stderr and exits with status 2.
+    pub fn parse(keys: &[&str], flags: &[&str]) -> Self {
+        let mut argv = std::env::args();
+        let bin = argv
+            .next()
+            .map(|path| {
+                std::path::Path::new(&path)
+                    .file_name()
+                    .map_or(path.clone(), |name| name.to_string_lossy().into_owned())
+            })
+            .unwrap_or_default();
+        Self::from_iter(argv, keys, flags).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            eprintln!("{}", usage(&bin, keys, flags));
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit argument list (tests).
+    /// Parses an explicit argument list against the accepted `keys`
+    /// and `flags`.
+    ///
+    /// # Errors
+    /// Names the first argument that is positional, undeclared, a key
+    /// missing its value, or a flag given one.
     #[allow(clippy::should_implement_trait)] // not a collection conversion
-    pub fn from_iter<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    pub fn from_iter<I: IntoIterator<Item = String>>(
+        iter: I,
+        keys: &[&str],
+        flags: &[&str],
+    ) -> Result<Self, String> {
         let mut args = Args::default();
         let mut it = iter.into_iter().peekable();
         while let Some(tok) = it.next() {
             let Some(key) = tok.strip_prefix("--") else {
-                panic!("unexpected positional argument: {tok} (flags are --key value)");
+                return Err(format!(
+                    "unexpected positional argument: {tok} (flags are --key value)"
+                ));
             };
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let v = it.next().expect("peeked");
+            let value = it.next_if(|next| !next.starts_with("--"));
+            match (keys.contains(&key), flags.contains(&key), value) {
+                (true, _, Some(v)) => {
                     args.values.insert(key.to_string(), v);
                 }
-                _ => args.flags.push(key.to_string()),
+                (true, _, None) => return Err(format!("--{key} expects a value")),
+                (false, true, None) => args.flags.push(key.to_string()),
+                (false, true, Some(v)) => return Err(format!("--{key} takes no value, got {v}")),
+                (false, false, _) => return Err(format!("unknown option --{key}")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// A string value.
@@ -71,12 +106,31 @@ impl Args {
     }
 }
 
+/// `usage: bin [--key V]… [--flag]…`.
+fn usage(bin: &str, keys: &[&str], flags: &[&str]) -> String {
+    let mut line = format!("usage: {bin}");
+    for key in keys {
+        line.push_str(&format!(" [--{key} V]"));
+    }
+    for flag in flags {
+        line.push_str(&format!(" [--{flag}]"));
+    }
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KEYS: &[&str] = &["anneals", "seed", "snr", "name"];
+    const FLAGS: &[&str] = &["full"];
+
+    fn try_args(s: &[&str]) -> Result<Args, String> {
+        Args::from_iter(s.iter().map(|x| x.to_string()), KEYS, FLAGS)
+    }
+
     fn args(s: &[&str]) -> Args {
-        Args::from_iter(s.iter().map(|x| x.to_string()))
+        try_args(s).expect("valid arguments")
     }
 
     #[test]
@@ -86,6 +140,7 @@ mod tests {
         assert_eq!(a.get_u64("seed", 0), 7);
         assert!(a.has_flag("full"));
         assert!(!a.has_flag("anneals"));
+        assert_eq!(args(&["--snr", "-5"]).get_f64("snr", 0.0), -5.0);
     }
 
     #[test]
@@ -104,8 +159,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positional")]
     fn positional_rejected() {
-        let _ = args(&["fig5"]);
+        let err = try_args(&["fig5"]).unwrap_err();
+        assert!(err.contains("positional"), "{err}");
+    }
+
+    #[test]
+    fn undeclared_and_misused_options_are_rejected() {
+        for (argv, expect) in [
+            (&["--frame", "12"][..], "unknown option --frame"),
+            (&["--seed", "1", "--bogus"], "unknown option --bogus"),
+            (&["--anneals"], "--anneals expects a value"),
+            (&["--anneals", "--seed", "3"], "--anneals expects a value"),
+            (&["--full", "yes"], "--full takes no value"),
+        ] {
+            let err = try_args(argv).unwrap_err();
+            assert!(err.contains(expect), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_option() {
+        assert_eq!(
+            usage("fig5", &["anneals", "seed"], &["full"]),
+            "usage: fig5 [--anneals V] [--seed V] [--full]"
+        );
     }
 }

@@ -23,6 +23,7 @@ use quamax_chimera::{ChimeraGraph, CliqueEmbedding, EmbedParams, EmbeddedProblem
 use quamax_core::reduce::ising_from_ml;
 use quamax_core::Scenario;
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};
+use quamax_linalg::rng::ExpZiggurat;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,7 +106,8 @@ pub fn batched_sa_ladder(
 
 /// One naive SQA sweep (local + global moves) — a faithful replica of
 /// the pre-kernel hot loop over `Vec<Vec<Spin>>` replicas with
-/// per-proposal adjacency-list `flip_delta`.
+/// per-proposal adjacency-list `flip_delta`, accepting by the kernel's
+/// own rule ([`sa::metropolis`] at `β = 1` on `−ΔF`).
 pub fn naive_sqa_sweep(
     problem: &IsingProblem,
     replicas: &mut [Vec<Spin>],
@@ -115,6 +117,8 @@ pub fn naive_sqa_sweep(
 ) {
     let p = replicas.len();
     let n = problem.num_spins();
+    let zig = ExpZiggurat::get();
+    let mut accept = |d_f: f64| sa::metropolis(1.0, -d_f, rng, zig);
     for k in 0..p {
         let (up, down) = (
             if k + 1 == p { 0 } else { k + 1 },
@@ -125,7 +129,7 @@ pub fn naive_sqa_sweep(
             let si = replicas[k][i] as f64;
             let neighbors = (replicas[up][i] + replicas[down][i]) as f64;
             let d_f = -w_problem * d_problem - 2.0 * gamma * si * neighbors;
-            if d_f >= 0.0 || rng.random::<f64>() < d_f.exp() {
+            if accept(d_f) {
                 replicas[k][i] = -replicas[k][i];
             }
         }
@@ -135,8 +139,7 @@ pub fn naive_sqa_sweep(
         for replica in replicas.iter() {
             d_total += problem.flip_delta(replica, i);
         }
-        let d_f = -w_problem * d_total;
-        if d_f >= 0.0 || rng.random::<f64>() < d_f.exp() {
+        if accept(-w_problem * d_total) {
             for replica in replicas.iter_mut() {
                 replica[i] = -replica[i];
             }

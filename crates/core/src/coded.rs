@@ -619,7 +619,9 @@ mod tests {
         // annealed detector leaves payload errors after one pass;
         // feeding the decoder's extrinsic back as reverse-anneal
         // warm-started priors strictly reduces them (the bench asserts
-        // the same at full scale).
+        // the same at full scale). About a third of first passes fail
+        // at this operating point, so 24 frames leave payload errors
+        // with probability > 99.9% under any sampler stream.
         use quamax_anneal::{Annealer, AnnealerConfig, Schedule};
         let f = CodedFrame::new(8, Modulation::Qpsk, 114);
         let snr = Snr::from_db(5.0);
@@ -638,7 +640,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(42);
         let (mut first, mut second) = (0usize, 0usize);
-        for k in 0..8u64 {
+        for k in 0..24u64 {
             let payload = f.random_payload(&mut rng);
             let out = f
                 .run_idd(&kind, spec, IddSpec::new(2), snr, &payload, 600 + k)

@@ -103,9 +103,9 @@ fn annealer_streams_are_stable() {
     assert_eq!(
         digests,
         [
-            0xe608_4b86_4550_6487,
+            0x2c4d_9cf2_4d74_90ef,
             0xa7cb_fb74_297f_0525,
-            0x843e_e644_ca0f_e597
+            0x1cb7_c5e3_2135_df4d
         ],
         "{digests:#x?}"
     );
