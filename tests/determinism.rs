@@ -4,7 +4,9 @@
 use quamax::ising::{CompiledProblem, Spin};
 use quamax::prelude::*;
 use quamax_anneal::{AnnealJob, Backend, CompiledChains, Schedule};
-use quamax_wireless::{TraceConfig, TraceGenerator};
+use quamax_chimera::EmbedParams;
+use quamax_core::{DecodeRun, PrecodeStats, ThpPrecoder, VppPrecoder};
+use quamax_wireless::{rayleigh_channel, TraceConfig, TraceGenerator};
 
 #[test]
 fn scenario_sampling_is_deterministic() {
@@ -51,7 +53,7 @@ fn annealer_streams_are_stable() {
     // Golden digests of the sampled values themselves, so a change to
     // any stream (ICE deviates, init draws, sweep proposals) fails here
     // even when every pair of paths compared elsewhere moves together.
-    // All three run under calibrated ICE with chain moves.
+    // All four run under calibrated ICE with chain moves.
     let (embedded, chains) = chained_problem();
     let schedule = Schedule::standard(1.0);
     let sa = Annealer::new(AnnealerConfig::default());
@@ -61,6 +63,23 @@ fn annealer_streams_are_stable() {
         ..Default::default()
     });
     let sqa_samples = sqa.run_chained(&embedded, &chains, &schedule, 12, 6);
+    // The case above reads the ground state on every sample; a sparse
+    // sweep density keeps this one spread over many configurations, so
+    // the SQA digest cannot go weak unnoticed.
+    let sparse_sqa = Annealer::new(AnnealerConfig {
+        backend: Backend::Sqa { slices: 4 },
+        sweeps_per_us: 2.0,
+        ..Default::default()
+    });
+    let sparse_sqa_samples = sparse_sqa.run_chained(&embedded, &chains, &schedule, 32, 6);
+    let mut distinct = sparse_sqa_samples.clone();
+    distinct.sort();
+    distinct.dedup();
+    assert!(
+        distinct.len() >= 4,
+        "sparse SQA samples collapsed to {} configurations",
+        distinct.len()
+    );
 
     // A mixed-job window: two programmed problems sharing one structure,
     // one of them reverse-started from a candidate, packed so that
@@ -99,13 +118,15 @@ fn annealer_streams_are_stable() {
         digest(&sa_samples),
         digest(&sqa_samples),
         digest(&mixed_samples),
+        digest(&sparse_sqa_samples),
     ];
     assert_eq!(
         digests,
         [
             0x2c4d_9cf2_4d74_90ef,
             0xa7cb_fb74_297f_0525,
-            0x1cb7_c5e3_2135_df4d
+            0x1cb7_c5e3_2135_df4d,
+            0x4bb6_4516_6fff_ff95
         ],
         "{digests:#x?}"
     );
@@ -140,6 +161,132 @@ fn digest(samples: &[Vec<Spin>]) -> u64 {
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
+}
+
+#[test]
+fn annealed_sessions_are_stable() {
+    // Golden digests of everything the uplink and downlink annealed
+    // sessions report, batched and reverse-started: a refactor of the
+    // shared compile → bind → anneal → unembed path must leave every
+    // sample, energy, chain-break count and floor decision in place.
+    let mut rng = Rng::seed_from_u64(31);
+    let base = Scenario::new(8, 8, Modulation::Qpsk)
+        .with_snr(Snr::from_db(2.0))
+        .sample(&mut rng);
+    // Low SNR spreads each run over several distinct solutions.
+    let decoder = QuamaxDecoder::new(
+        Annealer::new(AnnealerConfig::default()),
+        DecoderConfig::default(),
+    );
+    let mut session = decoder.compile(&base.detection_input()).unwrap();
+    let items: Vec<(CVector, u64)> = (0..6u64)
+        .map(|k| {
+            (
+                base.renoise(Snr::from_db(2.0), &mut rng).y().clone(),
+                40 + k,
+            )
+        })
+        .collect();
+    let mut uplink = Fnv::new();
+    for run in session.decode_batch(&items, 24) {
+        uplink.decode_run(&run);
+    }
+    let reverse = Schedule::reverse(1.0, 0.55, 1.0);
+    for (k, (y, seed)) in items.iter().enumerate() {
+        let mut candidate = base.tx_bits().to_vec();
+        candidate[k] ^= 1;
+        uplink.decode_run(&session.decode_reverse_from(y, 24, &candidate, &reverse, *seed));
+    }
+
+    let input = PrecodeInput {
+        h: rayleigh_channel(4, 4, &mut rng),
+        modulation: Modulation::Qpsk,
+    };
+    // A weak chain strength breaks chains, so the unembedding
+    // tie-break draws are part of what the digest pins.
+    let config = DecoderConfig {
+        embed: EmbedParams {
+            j_ferro: 1.0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut vpp = VppPrecoder::new(Annealer::new(AnnealerConfig::default()), config, 24, 1)
+        .compile(&input)
+        .unwrap();
+    let thp = ThpPrecoder.compile(&input).unwrap();
+    let symbols: Vec<(CVector, u64)> = (0..6u64)
+        .map(|k| {
+            let bits: Vec<u8> = (0..input.num_bits())
+                .map(|_| rand::Rng::random_range(&mut rng, 0..2u8))
+                .collect();
+            (Modulation::Qpsk.map_gray_vector(&bits), 70 + k)
+        })
+        .collect();
+    let mut downlink = Fnv::new();
+    for p in vpp.precode_batch(&symbols) {
+        downlink.precoding(&p);
+    }
+    for (u, seed) in &symbols {
+        let candidate = thp.perturbation(u);
+        downlink.precoding(&vpp.precode_reverse_from(u, &candidate, &reverse, *seed));
+    }
+
+    let digests = [uplink.0, downlink.0];
+    assert_eq!(
+        digests,
+        [0xf723_a7ee_14ce_9c77, 0xd7ee_e208_e23c_654e],
+        "{digests:#x?}"
+    );
+}
+
+/// FNV-1a over the observables of annealed session outputs.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn decode_run(&mut self, run: &DecodeRun) {
+        for b in run.best_bits() {
+            self.word(b as u64);
+        }
+        for e in run.distribution().entries() {
+            for &s in &e.spins {
+                self.word(s as u8 as u64);
+            }
+            self.word(e.energy.to_bits());
+            self.word(e.count as u64);
+        }
+        self.word(run.chain_break_fraction().to_bits());
+    }
+
+    fn precoding(&mut self, p: &Precoding) {
+        for i in 0..p.perturbation.len() {
+            self.word(p.perturbation[i].re.to_bits());
+            self.word(p.perturbation[i].im.to_bits());
+        }
+        self.word(p.power.to_bits());
+        let PrecodeStats::Annealed {
+            chain_break_fraction,
+            num_distinct,
+            zero_floor,
+        } = p.stats
+        else {
+            panic!("VPP reports annealed stats");
+        };
+        self.word(chain_break_fraction.to_bits());
+        self.word(num_distinct as u64);
+        self.word(zero_floor as u64);
+    }
 }
 
 #[test]
