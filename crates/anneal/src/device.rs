@@ -58,64 +58,6 @@ impl Default for AnnealerConfig {
     }
 }
 
-/// A transient device-health degradation applied to one batch of
-/// anneals — the device-layer realization of the fault classes the
-/// C-RAN serving layer injects (`quamax_ran::fault`).
-///
-/// Two physical mechanisms are modeled:
-///
-/// * **ICE drift excursion** — the analog control has wandered off its
-///   calibration point, so every anneal in the batch sees the noise
-///   floor inflated by `ice_scale` (applied via
-///   [`IceModel::excursion`], riding `IceModel::scaled`);
-/// * **chain-break storm** — embedding chains decohere en masse: after
-///   readout, each chain-member qubit's spin is independently flipped
-///   with probability `chain_flip_probability`, producing the broken-
-///   chain readouts that majority-vote unembedding then has to repair.
-///
-/// Flips are drawn from a dedicated SplitMix stream keyed by
-/// `(seed, anneal index, qubit)`, so a degraded run is bit-identical
-/// across thread counts, like every other device path.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AnnealDegradation {
-    /// ICE moment inflation factor (≥ 1; 1 = nominal floor).
-    pub ice_scale: f64,
-    /// Per-qubit post-readout flip probability on chain members
-    /// (in `[0, 1]`; 0 = no storm).
-    pub chain_flip_probability: f64,
-}
-
-impl AnnealDegradation {
-    /// A healthy device: nominal ICE, no storm.
-    pub fn none() -> Self {
-        AnnealDegradation {
-            ice_scale: 1.0,
-            chain_flip_probability: 0.0,
-        }
-    }
-
-    /// An ICE drift excursion inflating the noise floor by `factor`.
-    pub fn ice_excursion(factor: f64) -> Self {
-        AnnealDegradation {
-            ice_scale: factor,
-            ..AnnealDegradation::none()
-        }
-    }
-
-    /// A chain-break storm flipping chain qubits with probability `p`.
-    pub fn chain_break_storm(p: f64) -> Self {
-        AnnealDegradation {
-            chain_flip_probability: p,
-            ..AnnealDegradation::none()
-        }
-    }
-
-    /// `true` when this degradation changes nothing.
-    pub fn is_none(&self) -> bool {
-        self.ice_scale == 1.0 && self.chain_flip_probability == 0.0
-    }
-}
-
 /// A simulated quantum annealer.
 ///
 /// ```
@@ -173,66 +115,6 @@ impl Annealer {
         &self.config
     }
 
-    /// The same device with its ICE model replaced — the hook a fault
-    /// injector uses to run one job under a drift excursion
-    /// ([`IceModel::excursion`]) without touching the shared device.
-    pub fn with_ice(&self, ice: IceModel) -> Annealer {
-        Annealer::new(AnnealerConfig { ice, ..self.config }).with_telemetry(self.telemetry.clone())
-    }
-
-    /// Like [`Annealer::run_chained`], under a transient
-    /// [`AnnealDegradation`]: the batch anneals with the ICE floor
-    /// inflated by `degradation.ice_scale`, and afterwards each
-    /// chain-member qubit is flipped with
-    /// `degradation.chain_flip_probability` (a chain-break storm).
-    /// With `AnnealDegradation::none()` this is bit-identical to
-    /// [`Annealer::run_chained`]. Deterministic in
-    /// `(problem, chains, schedule, num_anneals, seed, degradation)`.
-    pub fn run_chained_degraded(
-        &self,
-        problem: &IsingProblem,
-        chains: &[Vec<usize>],
-        schedule: &Schedule,
-        num_anneals: usize,
-        seed: u64,
-        degradation: &AnnealDegradation,
-    ) -> Vec<Vec<Spin>> {
-        assert!(
-            degradation.ice_scale >= 1.0,
-            "ice_scale < 1 is not a degradation"
-        );
-        assert!(
-            (0.0..=1.0).contains(&degradation.chain_flip_probability),
-            "flip probability must be in [0, 1]"
-        );
-        let device = if degradation.ice_scale > 1.0 {
-            self.with_ice(self.config.ice.excursion(degradation.ice_scale))
-        } else {
-            self.clone()
-        };
-        let mut samples = device.run_chained(problem, chains, schedule, num_anneals, seed);
-        let p = degradation.chain_flip_probability;
-        if p > 0.0 {
-            // Post-readout storm: a dedicated stream per (anneal, qubit)
-            // — independent of the anneal dynamics' own streams, so the
-            // storm neither perturbs nor is perturbed by them.
-            const STORM_SALT: u64 = 0x0570_712C_4A15;
-            for (k, sample) in samples.iter_mut().enumerate() {
-                for chain in chains {
-                    for &qubit in chain {
-                        let draw = splitmix(seed ^ STORM_SALT, (k as u64) << 32 | qubit as u64);
-                        // Top 53 bits → uniform in [0, 1).
-                        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-                        if unit < p {
-                            sample[qubit] = -sample[qubit];
-                        }
-                    }
-                }
-            }
-        }
-        samples
-    }
-
     /// Runs `num_anneals` anneal cycles of `problem` under `schedule`,
     /// returning one spin configuration per anneal.
     ///
@@ -268,8 +150,10 @@ impl Annealer {
 
     /// Like [`Annealer::run_chained`], over a problem view the caller
     /// has already compiled — the zero-recompile path for callers that
-    /// program one embedded problem and run it many times (the decoder,
-    /// parameter searches, the bench harness).
+    /// program one embedded problem and run it many times (parameter
+    /// searches, the bench harness). Reverse anneals start from a
+    /// candidate state, so they go through [`Annealer::run_jobs`] with
+    /// an [`AnnealJob::init`].
     pub fn run_compiled(
         &self,
         problem: &CompiledProblem,
@@ -278,85 +162,9 @@ impl Annealer {
         num_anneals: usize,
         seed: u64,
     ) -> Vec<Vec<Spin>> {
-        assert!(
-            !schedule.is_reverse(),
-            "reverse schedules need a candidate state: use run_reverse"
-        );
-        self.run_inner(problem, chains, None, schedule, num_anneals, seed)
-    }
-
-    /// Reverse annealing (§8): every anneal starts from `candidate`
-    /// (a physical configuration, e.g. a classically-decoded solution
-    /// expanded onto the chains), ramps back to the schedule's reversal
-    /// point, and re-anneals — a local quantum refinement.
-    ///
-    /// # Panics
-    /// Panics unless `schedule.is_reverse()` and the candidate length
-    /// matches the problem.
-    pub fn run_reverse(
-        &self,
-        problem: &IsingProblem,
-        chains: &[Vec<usize>],
-        candidate: &[Spin],
-        schedule: &Schedule,
-        num_anneals: usize,
-        seed: u64,
-    ) -> Vec<Vec<Spin>> {
-        let compiled = CompiledProblem::new(problem);
-        let compiled_chains = CompiledChains::compile(&compiled, chains);
-        self.run_reverse_compiled(
-            &compiled,
-            &compiled_chains,
-            candidate,
-            schedule,
-            num_anneals,
-            seed,
-        )
-    }
-
-    /// Reverse annealing over a caller-compiled problem view (see
-    /// [`Annealer::run_compiled`]).
-    ///
-    /// # Panics
-    /// Panics unless `schedule.is_reverse()` and the candidate length
-    /// matches the problem.
-    pub fn run_reverse_compiled(
-        &self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        candidate: &[Spin],
-        schedule: &Schedule,
-        num_anneals: usize,
-        seed: u64,
-    ) -> Vec<Vec<Spin>> {
-        assert!(schedule.is_reverse(), "run_reverse needs Schedule::reverse");
-        assert_eq!(
-            candidate.len(),
-            problem.num_spins(),
-            "candidate length mismatch"
-        );
-        self.run_inner(
-            problem,
-            chains,
-            Some(candidate),
-            schedule,
-            num_anneals,
-            seed,
-        )
-    }
-
-    fn run_inner(
-        &self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        init: Option<&[Spin]>,
-        schedule: &Schedule,
-        num_anneals: usize,
-        seed: u64,
-    ) -> Vec<Vec<Spin>> {
         let job = AnnealJob {
             problem,
-            init,
+            init: None,
             num_anneals,
             seed,
         };
@@ -384,7 +192,8 @@ impl Annealer {
     ///
     /// # Panics
     /// Panics when a job's problem or candidate shape disagrees with
-    /// `structure`.
+    /// `structure`, or when `schedule` is reverse and a job has no
+    /// candidate.
     pub fn run_jobs(
         &self,
         structure: &CompiledProblem,
@@ -403,12 +212,16 @@ impl Annealer {
                 structure.num_entries(),
                 "job problem does not share the batch structure"
             );
-            if let Some(init) = job.init {
-                assert_eq!(
+            match job.init {
+                Some(init) => assert_eq!(
                     init.len(),
                     structure.num_spins(),
                     "candidate length mismatch"
-                );
+                ),
+                None => assert!(
+                    !schedule.is_reverse(),
+                    "reverse schedules need a candidate state (AnnealJob::init)"
+                ),
             }
         }
         let total: usize = jobs.iter().map(|j| j.num_anneals).sum();
@@ -785,89 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn no_degradation_is_bit_identical_to_run_chained() {
-        let p = toy_problem();
-        let chains: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]];
-        let sched = Schedule::standard(1.0);
-        let annealer = Annealer::dw2q(AnnealerConfig::default());
-        let plain = annealer.run_chained(&p, &chains, &sched, 12, 9);
-        let degraded =
-            annealer.run_chained_degraded(&p, &chains, &sched, 12, 9, &AnnealDegradation::none());
-        assert_eq!(plain, degraded);
-    }
-
-    #[test]
-    fn chain_break_storm_breaks_chains() {
-        // A strongly ferromagnetic 2-qubit-chain problem: without a
-        // storm every chain reads out intact; with one, flips land on
-        // chain members and chains disagree.
-        let mut p = IsingProblem::new(8);
-        for c in 0..4 {
-            p.set_coupling(2 * c, 2 * c + 1, -4.0);
-        }
-        let chains: Vec<Vec<usize>> = (0..4).map(|c| vec![2 * c, 2 * c + 1]).collect();
-        let sched = Schedule::standard(2.0);
-        let annealer = Annealer::new(AnnealerConfig {
-            ice: IceModel::none(),
-            ..Default::default()
-        });
-        let broken = |samples: &[Vec<Spin>]| {
-            samples
-                .iter()
-                .flat_map(|s| chains.iter().map(move |ch| s[ch[0]] != s[ch[1]]))
-                .filter(|&b| b)
-                .count()
-        };
-        let calm = annealer.run_chained(&p, &chains, &sched, 50, 21);
-        assert_eq!(broken(&calm), 0, "J=-4 chains must hold without a storm");
-        let storm = annealer.run_chained_degraded(
-            &p,
-            &chains,
-            &sched,
-            50,
-            21,
-            &AnnealDegradation::chain_break_storm(0.3),
-        );
-        assert!(broken(&storm) > 10, "storm broke {} chains", broken(&storm));
-        // Deterministic: the same seed reproduces the same storm.
-        let again = annealer.run_chained_degraded(
-            &p,
-            &chains,
-            &sched,
-            50,
-            21,
-            &AnnealDegradation::chain_break_storm(0.3),
-        );
-        assert_eq!(storm, again);
-    }
-
-    #[test]
-    fn ice_excursion_degrades_solution_quality() {
-        let p = toy_problem();
-        let gs = exact_ground_state(&p);
-        let annealer = Annealer::new(AnnealerConfig {
-            ice: IceModel::dw2q().scaled(0.2),
-            sweeps_per_us: 50.0,
-            ..Default::default()
-        });
-        let hit_rate = |deg: &AnnealDegradation| {
-            let samples =
-                annealer.run_chained_degraded(&p, &[], &Schedule::standard(10.0), 300, 3, deg);
-            samples
-                .iter()
-                .filter(|s| (p.energy(s) - gs.energy).abs() < 1e-9)
-                .count() as f64
-                / 300.0
-        };
-        let nominal = hit_rate(&AnnealDegradation::none());
-        let excursion = hit_rate(&AnnealDegradation::ice_excursion(25.0));
-        assert!(
-            excursion < nominal - 0.1,
-            "a 25× drift excursion should hurt: {nominal} → {excursion}"
-        );
-    }
-
-    #[test]
     fn run_jobs_matches_per_job_runs() {
         // Packing heterogeneous jobs into one batched call must be
         // unobservable: every sample equals its standalone run_compiled
@@ -936,6 +666,25 @@ mod tests {
         }
         // Σ width·sweeps = total replica sweeps, however sharded.
         assert!(totals.iter().all(|&t| t == (num_anneals * sweeps) as u64));
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate state")]
+    fn reverse_schedule_without_a_candidate_panics() {
+        let problem = CompiledProblem::new(&toy_problem());
+        let chains = CompiledChains::compile(&problem, &[]);
+        let job = AnnealJob {
+            problem: &problem,
+            init: None,
+            num_anneals: 4,
+            seed: 1,
+        };
+        let _ = Annealer::dw2q(AnnealerConfig::default()).run_jobs(
+            &problem,
+            &chains,
+            &Schedule::reverse(1.0, 0.5, 1.0),
+            &[job],
+        );
     }
 
     #[test]

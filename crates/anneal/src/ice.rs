@@ -54,25 +54,6 @@ impl IceModel {
         IceModel::dw2q().scaled(0.2)
     }
 
-    /// A *drift excursion*: the same model with every moment inflated
-    /// by `factor` — the transient regime where the chip's analog
-    /// control has wandered off its calibration point (flux drift,
-    /// temperature steps) and every programmed coefficient lands worse
-    /// than the steady-state floor. Rides [`IceModel::scaled`]; the
-    /// fault-injection layer (`quamax_ran::fault`) uses this as the
-    /// device-level realization of an ICE-drift fault.
-    ///
-    /// # Panics
-    /// Panics unless `factor ≥ 1` — an excursion never *improves* the
-    /// noise floor (use [`IceModel::scaled`] directly to sweep below).
-    pub fn excursion(&self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "a drift excursion inflates the noise floor (factor ≥ 1)"
-        );
-        self.scaled(factor)
-    }
-
     /// A model with every moment scaled by `k` (used by the ICE
     /// ablation to sweep the noise floor).
     pub fn scaled(&self, k: f64) -> Self {
@@ -366,22 +347,5 @@ mod tests {
         assert_eq!(m.coupler_std, 0.05);
         let z = IceModel::dw2q().scaled(0.0);
         assert!(z.is_zero());
-    }
-
-    #[test]
-    fn excursion_inflates_every_moment() {
-        let base = IceModel::calibrated();
-        let bad = base.excursion(5.0);
-        assert_eq!(bad, base.scaled(5.0));
-        assert!(bad.field_std > base.field_std);
-        assert!(bad.coupler_std > base.coupler_std);
-        // factor 1 is the identity: no excursion.
-        assert_eq!(base.excursion(1.0), base);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor ≥ 1")]
-    fn excursion_below_one_panics() {
-        let _ = IceModel::calibrated().excursion(0.5);
     }
 }

@@ -187,7 +187,7 @@ pub mod schedule;
 pub mod sqa;
 pub mod stats;
 
-pub use device::{AnnealDegradation, AnnealJob, Annealer, AnnealerConfig, Backend};
+pub use device::{AnnealJob, Annealer, AnnealerConfig, Backend};
 pub use ice::IceModel;
 pub use kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
 pub use schedule::Schedule;

@@ -100,8 +100,11 @@ impl Schedule {
 
     /// A reverse anneal: down-ramp from `s = 1` to `s_target` over
     /// `ta_us/2`, hold for `hold_us`, up-ramp back to 1. Requires a
-    /// candidate initial state at run time (the device API's
-    /// `run_reverse`).
+    /// candidate initial state at run time: the session reverse entries
+    /// (`quamax_core`'s `DecodeSession::decode_reverse_from` and
+    /// `VppSession::precode_reverse_from`) expand one onto the chains
+    /// and pass it as the [`AnnealJob::init`](crate::AnnealJob::init)
+    /// of an [`Annealer::run_jobs`](crate::Annealer::run_jobs) call.
     ///
     /// # Panics
     /// Panics for `s_target` outside `(0, 1)` or non-positive `hold_us`.

@@ -23,7 +23,7 @@ use quamax_chimera::{
     parallelization, unembed_majority_vote, ChimeraGraph, CliqueEmbedding, EmbedParams,
     EmbeddedProblem, EmbeddingError,
 };
-use quamax_ising::{spins_to_bits, CompiledProblem, IsingProblem};
+use quamax_ising::{spins_to_bits, CompiledProblem, IsingProblem, Spin};
 use quamax_linalg::{CMatrix, CVector};
 use quamax_telemetry::Telemetry;
 use quamax_wireless::gray::quamax_bits_to_gray;
@@ -140,7 +140,10 @@ impl QuamaxDecoder {
         num_anneals: usize,
         rng: &mut R,
     ) -> Result<DecodeRun, DecodeError> {
-        self.decode_inner(input, num_anneals, None, rng)
+        // One-shot decode = a single-use session.
+        Ok(self
+            .compile(input)?
+            .decode_with_rng(&input.y, num_anneals, rng))
     }
 
     /// Reverse-anneal decode (§8 future work): refine a classical
@@ -167,24 +170,9 @@ impl QuamaxDecoder {
             input.num_bits(),
             "candidate bit count mismatch"
         );
-        self.decode_inner(input, num_anneals, Some(candidate_gray_bits), rng)
-    }
-
-    fn decode_inner<R: Rng + ?Sized>(
-        &self,
-        input: &DetectionInput,
-        num_anneals: usize,
-        candidate_gray_bits: Option<&[u8]>,
-        rng: &mut R,
-    ) -> Result<DecodeRun, DecodeError> {
-        // One-shot decode = a single-use session. The session produces
-        // bit-identical results to the historical inline path (same
-        // reductions, same programmed coefficients, same RNG draws).
-        let mut session = self.compile(input)?;
-        Ok(match candidate_gray_bits {
-            None => session.decode_with_rng(&input.y, num_anneals, rng),
-            Some(gray) => session.decode_reverse(&input.y, num_anneals, gray, rng),
-        })
+        Ok(self
+            .compile(input)?
+            .decode_reverse(&input.y, num_anneals, candidate_gray_bits, rng))
     }
 
     /// Compiles the channel-dependent (per-coherence-interval) part of
@@ -203,27 +191,110 @@ impl QuamaxDecoder {
     pub fn compile(&self, input: &DetectionInput) -> Result<DecodeSession, DecodeError> {
         let gram = input.h.gram();
         let h_herm = input.h.hermitian();
-        let (logical, _) = if input.modulation == Modulation::Qam64 {
-            ising_from_ml(&input.h, &input.y, input.modulation)
-        } else {
-            let h_y = h_herm.mul_vec(&input.y);
-            ising_from_ml_amortized(&input.h, &gram, &h_y, &input.y, input.modulation)
-        };
+        let (logical, _) = ml_reduce(&input.h, &gram, &h_herm, &input.y, input.modulation);
         self.telemetry.counter_inc(
             "quamax_core_reduce_total",
             &[("modulation", input.modulation.name())],
         );
-        let embedding = CliqueEmbedding::new(&self.graph, logical.num_spins())?;
-        self.telemetry.counter_inc("quamax_core_embed_total", &[]);
-        let embedded =
-            EmbeddedProblem::compile(&self.graph, &embedding, &logical, self.config.embed);
-        // Freeze the programmed problem into the annealer's CSR kernel
-        // view once per session; decodes refresh coefficients in place.
+        let core = AnnealCore::compile(
+            self.annealer.clone().with_telemetry(self.telemetry.clone()),
+            self.telemetry.clone(),
+            &self.graph,
+            &logical,
+            self.config.embed,
+        )?;
+        Ok(DecodeSession {
+            scratch: core.scratch(),
+            core,
+            schedule: self.config.schedule,
+            modulation: input.modulation,
+            h: input.h.clone(),
+            gram,
+            h_herm,
+        })
+    }
+}
+
+/// The ML reduction of `(H, y)`: the closed forms read the interval's
+/// Gram `H*H` and `H*`; 64-QAM has none and recomputes the generic
+/// norm expansion.
+fn ml_reduce(
+    h: &CMatrix,
+    gram: &CMatrix,
+    h_herm: &CMatrix,
+    y: &CVector,
+    modulation: Modulation,
+) -> (IsingProblem, f64) {
+    if modulation == Modulation::Qam64 {
+        ising_from_ml(h, y, modulation)
+    } else {
+        ising_from_ml_amortized(h, gram, &h_herm.mul_vec(y), y, modulation)
+    }
+}
+
+/// The annealed device pipeline every compiled session shares — the
+/// uplink [`DecodeSession`] and the downlink
+/// [`VppSession`](crate::precode::VppSession) differ only in how they
+/// reduce an input to a logical Ising problem and read the ranked
+/// solutions back.
+///
+/// [`AnnealCore::compile`] embeds a representative logical problem
+/// once and freezes the programmed problem into the annealer's CSR
+/// view; everything it keeps depends on the logical coupling pattern
+/// alone. Per input, [`AnnealCore::bind`] writes that input's
+/// coefficients into a scratch copy of the frozen structure,
+/// [`AnnealCore::anneal`] runs the anneal batch (from random states, or
+/// from a logical start expanded onto the chains), and
+/// [`AnnealCore::unembed`] majority-votes every sample back and ranks
+/// the distinct solutions. [`AnnealCore::run_batch`] drives many inputs
+/// through one [`Annealer::run_jobs`] call, bit-identical to
+/// [`AnnealCore::run`] input by input.
+pub(crate) struct AnnealCore {
+    /// Counts pipeline stages (a disabled handle records nothing).
+    telemetry: Telemetry,
+    annealer: Annealer,
+    parallel_factor: usize,
+    /// Chain layout + programming map (coefficients inside are stale
+    /// after compile; only structure is read).
+    embedded: EmbeddedProblem,
+    /// The frozen CSR template: chain couplers valid for the whole
+    /// session, fields/problem couplers rebound per input.
+    base: CompiledProblem,
+    chains: CompiledChains,
+    /// `(CSR entry, logical i, logical j)` per programmed coupler.
+    slots: Vec<(u32, u32, u32)>,
+    /// Dense physical qubit → owning logical chain.
+    chain_of: Vec<u32>,
+    chain_len: f64,
+}
+
+/// One input's annealed result: the logical problem its session
+/// reduced it to, that reduction's energy offset, and the ranked
+/// unembedded samples.
+pub(crate) struct Annealed {
+    pub(crate) logical: IsingProblem,
+    pub(crate) offset: f64,
+    pub(crate) distribution: SolutionDistribution,
+    pub(crate) chain_break_fraction: f64,
+}
+
+impl AnnealCore {
+    /// Embeds `logical` on `graph`, freezes the programmed problem,
+    /// and resolves each programmed coupler's CSR entry once so binds
+    /// write straight into the frozen layout.
+    pub(crate) fn compile(
+        annealer: Annealer,
+        telemetry: Telemetry,
+        graph: &ChimeraGraph,
+        logical: &IsingProblem,
+        embed: EmbedParams,
+    ) -> Result<Self, EmbeddingError> {
+        let embedding = CliqueEmbedding::new(graph, logical.num_spins())?;
+        telemetry.counter_inc("quamax_core_embed_total", &[]);
+        let embedded = EmbeddedProblem::compile(graph, &embedding, logical, embed);
         let base = CompiledProblem::new(embedded.problem());
         let chains = CompiledChains::compile(&base, embedded.chains());
-        // Resolve each programmed coupler's CSR entry once; per decode
-        // the new value is written straight into the frozen layout.
-        let slots: Vec<(u32, u32, u32)> = embedded
+        let slots = embedded
             .programmed_couplers()
             .iter()
             .map(|&(i, j, da, db)| {
@@ -240,28 +311,183 @@ impl QuamaxDecoder {
             }
         }
         let chain_len = embedded.chains().first().map_or(1, Vec::len) as f64;
-        let scratch = base.clone();
-        self.telemetry
-            .counter_inc("quamax_core_csr_freeze_total", &[]);
-        Ok(DecodeSession {
-            inner: SessionInner {
-                telemetry: self.telemetry.clone(),
-                annealer: self.annealer.clone().with_telemetry(self.telemetry.clone()),
-                config: self.config,
-                modulation: input.modulation,
-                h: input.h.clone(),
-                gram,
-                h_herm,
-                parallel_factor: parallelization(embedding.num_logical()).max(1),
-                embedded,
-                base,
-                chains,
-                slots,
-                chain_of,
-                chain_len,
-            },
-            scratch,
+        telemetry.counter_inc("quamax_core_csr_freeze_total", &[]);
+        Ok(AnnealCore {
+            telemetry,
+            annealer,
+            parallel_factor: parallelization(embedding.num_logical()).max(1),
+            embedded,
+            base,
+            chains,
+            slots,
+            chain_of,
+            chain_len,
         })
+    }
+
+    /// Logical Ising variables.
+    pub(crate) fn num_logical(&self) -> usize {
+        self.embedded.chains().len()
+    }
+
+    /// Physical qubits occupied by the embedding.
+    pub(crate) fn num_physical(&self) -> usize {
+        self.embedded.num_physical()
+    }
+
+    /// Geometric chip parallelization factor of this problem size.
+    pub(crate) fn parallel_factor(&self) -> usize {
+        self.parallel_factor
+    }
+
+    /// A copy of the frozen structure for [`AnnealCore::bind`] to
+    /// write into.
+    pub(crate) fn scratch(&self) -> CompiledProblem {
+        self.base.clone()
+    }
+
+    /// Writes `logical`'s programmed coefficients into `scratch`,
+    /// reproducing exactly what a fresh embed→freeze of `logical`
+    /// would put there.
+    pub(crate) fn bind(&self, logical: &IsingProblem, scratch: &mut CompiledProblem) {
+        let scale = self.embedded.scale_for(logical);
+        for (d, &c) in self.chain_of.iter().enumerate() {
+            scratch.set_linear_term(d, logical.linear(c as usize) * scale / self.chain_len);
+        }
+        for &(k, i, j) in &self.slots {
+            scratch.set_entry_weight(k as usize, logical.coupling(i as usize, j as usize) * scale);
+        }
+        self.telemetry
+            .counter_inc("quamax_core_field_refresh_total", &[]);
+    }
+
+    /// Runs `anneals` cycles of the bound `scratch` under `schedule`:
+    /// from random states, or — for a reverse schedule — from the
+    /// logical `start` spins expanded onto every qubit of their chains
+    /// (the device panics on a reverse schedule without one).
+    pub(crate) fn anneal(
+        &self,
+        scratch: &CompiledProblem,
+        start: Option<&[Spin]>,
+        schedule: &Schedule,
+        anneals: usize,
+        seed: u64,
+    ) -> Vec<Vec<Spin>> {
+        let physical: Option<Vec<Spin>> =
+            start.map(|spins| self.chain_of.iter().map(|&c| spins[c as usize]).collect());
+        let job = AnnealJob {
+            problem: scratch,
+            init: physical.as_deref(),
+            num_anneals: anneals,
+            seed,
+        };
+        self.annealer
+            .run_jobs(scratch, &self.chains, schedule, &[job])
+            .pop()
+            .expect("one job in, one sample batch out")
+    }
+
+    /// Accounts one anneal batch, majority-vote unembeds every sample
+    /// (tie-breaks drawn from `rng`, which must be positioned right
+    /// after the anneal-seed draw) and ranks the distinct logical
+    /// solutions by the energy of the reduced `logical` problem.
+    pub(crate) fn unembed<R: Rng + ?Sized>(
+        &self,
+        (logical, offset): (IsingProblem, f64),
+        samples: &[Vec<Spin>],
+        schedule: &Schedule,
+        rng: &mut R,
+    ) -> Annealed {
+        self.telemetry
+            .counter_add("quamax_core_anneals_total", &[], samples.len() as u64);
+        self.telemetry.observe(
+            "quamax_core_anneal_modeled_us",
+            &[],
+            samples.len() as f64 * schedule.total_time_us(),
+        );
+        let mut logical_samples = Vec::with_capacity(samples.len());
+        let mut broken = 0usize;
+        for s in samples {
+            let out = unembed_majority_vote(&self.embedded, s, rng);
+            broken += out.broken_chains;
+            logical_samples.push(out.logical);
+        }
+        self.telemetry
+            .counter_add("quamax_core_unembed_total", &[], samples.len() as u64);
+        let distribution = SolutionDistribution::from_samples(&logical, &logical_samples);
+        let total_chains = logical.num_spins().max(1) * samples.len().max(1);
+        Annealed {
+            logical,
+            offset,
+            distribution,
+            chain_break_fraction: broken as f64 / total_chains as f64,
+        }
+    }
+
+    /// One input end to end: bind the session's reduction
+    /// `(logical, offset)` into `scratch`, draw the anneal seed from
+    /// `rng`, anneal, and unembed with the rest of `rng`'s stream.
+    pub(crate) fn run<R: Rng + ?Sized>(
+        &self,
+        scratch: &mut CompiledProblem,
+        reduced: (IsingProblem, f64),
+        start: Option<&[Spin]>,
+        schedule: &Schedule,
+        anneals: usize,
+        rng: &mut R,
+    ) -> Annealed {
+        self.bind(&reduced.0, scratch);
+        let seed: u64 = rng.random();
+        let samples = self.anneal(scratch, start, schedule, anneals, seed);
+        self.unembed(reduced, &samples, schedule, rng)
+    }
+
+    /// A batch of `(input, seed)` pairs through one
+    /// [`Annealer::run_jobs`] call: every input's anneals flatten into
+    /// replica windows, so one CSR row walk drives up to eight anneals
+    /// (often of *different* inputs — each replica carries its own
+    /// bound coefficients over the shared structure) while threads
+    /// shard the flattened batch. Each input runs under its own
+    /// `StdRng::seed_from_u64(seed)` stream split exactly like
+    /// [`AnnealCore::run`] — anneal seed first, tie-breaks after — so
+    /// results are bit-identical to running the inputs one by one,
+    /// regardless of batch width or worker count.
+    pub(crate) fn run_batch<I>(
+        &self,
+        items: &[(I, u64)],
+        schedule: &Schedule,
+        anneals: usize,
+        reduce: impl Fn(&I) -> (IsingProblem, f64),
+    ) -> Vec<Annealed> {
+        let mut bound = Vec::with_capacity(items.len());
+        for (item, seed) in items {
+            let reduced = reduce(item);
+            let mut scratch = self.scratch();
+            self.bind(&reduced.0, &mut scratch);
+            let mut rng = StdRng::seed_from_u64(*seed);
+            let anneal_seed: u64 = rng.random();
+            bound.push((scratch, reduced, anneal_seed, rng));
+        }
+        let jobs: Vec<AnnealJob> = bound
+            .iter()
+            .map(|(scratch, _, anneal_seed, _)| AnnealJob {
+                problem: scratch,
+                init: None,
+                num_anneals: anneals,
+                seed: *anneal_seed,
+            })
+            .collect();
+        let sample_sets = self
+            .annealer
+            .run_jobs(&self.base, &self.chains, schedule, &jobs);
+        drop(jobs);
+        bound
+            .into_iter()
+            .zip(sample_sets)
+            .map(|((_, reduced, _, mut rng), samples)| {
+                self.unembed(reduced, &samples, schedule, &mut rng)
+            })
+            .collect()
     }
 }
 
@@ -275,19 +501,11 @@ impl QuamaxDecoder {
 /// `(H, y, seed)` — the session is an amortization, not a different
 /// algorithm.
 pub struct DecodeSession {
-    inner: SessionInner,
-    /// The programmed-problem view refreshed per decode (`&mut self`
-    /// decode path); batch workers clone their own from `inner.base`.
+    core: AnnealCore,
+    /// The programmed-problem view rebound per decode (`&mut self`
+    /// decode path); batch items bind their own copies.
     scratch: CompiledProblem,
-}
-
-/// The shared, read-only part of a session (what batch workers borrow).
-struct SessionInner {
-    /// Inherited from the compiling decoder ([`Telemetry`] is a cheap
-    /// shared handle, safe to record through from batch workers).
-    telemetry: Telemetry,
-    annealer: Annealer,
-    config: DecoderConfig,
+    schedule: Schedule,
     modulation: Modulation,
     h: CMatrix,
     /// `H*H` — the channel Gram matrix every closed-form coupling and
@@ -295,171 +513,17 @@ struct SessionInner {
     gram: CMatrix,
     /// `H*` — applied per decode for the matched filter `H*y`.
     h_herm: CMatrix,
-    parallel_factor: usize,
-    /// Chain layout + programming map (coefficients inside are stale
-    /// after compile; only structure is read).
-    embedded: EmbeddedProblem,
-    /// The frozen CSR template: chain couplers valid for the whole
-    /// session, fields/problem couplers refreshed per decode.
-    base: CompiledProblem,
-    chains: CompiledChains,
-    /// `(CSR entry, logical i, logical j)` per programmed coupler.
-    slots: Vec<(u32, u32, u32)>,
-    /// Dense physical qubit → owning logical chain.
-    chain_of: Vec<u32>,
-    chain_len: f64,
-}
-
-/// How one decode run anneals: from scratch, or backwards from a
-/// candidate state (optionally under a schedule other than the
-/// session's compiled one — the IDD warm-start entry).
-#[derive(Clone, Copy)]
-enum RunMode<'a> {
-    Forward,
-    Reverse {
-        candidate_gray_bits: &'a [u8],
-        schedule: Option<&'a Schedule>,
-    },
-}
-
-impl SessionInner {
-    /// Rebuilds the (small) logical problem for `y` and writes the
-    /// programmed coefficients into `scratch`, reproducing exactly what
-    /// a fresh reduce→embed→freeze would put there.
-    fn program(&self, y: &CVector, scratch: &mut CompiledProblem) -> (IsingProblem, f64) {
-        assert_eq!(
-            y.len(),
-            self.h.rows(),
-            "received vector length differs from receive antennas"
-        );
-        let (logical, offset) = if self.modulation == Modulation::Qam64 {
-            // No closed form: the generic reduction recomputes the
-            // QUBO; still amortizes embedding + freeze.
-            ising_from_ml(&self.h, y, self.modulation)
-        } else {
-            let h_y = self.h_herm.mul_vec(y);
-            ising_from_ml_amortized(&self.h, &self.gram, &h_y, y, self.modulation)
-        };
-        let scale = self.embedded.scale_for(&logical);
-        for (d, &c) in self.chain_of.iter().enumerate() {
-            scratch.set_linear_term(d, logical.linear(c as usize) * scale / self.chain_len);
-        }
-        for &(k, i, j) in &self.slots {
-            scratch.set_entry_weight(k as usize, logical.coupling(i as usize, j as usize) * scale);
-        }
-        self.telemetry
-            .counter_inc("quamax_core_field_refresh_total", &[]);
-        (logical, offset)
-    }
-
-    fn run_with<R: Rng + ?Sized>(
-        &self,
-        scratch: &mut CompiledProblem,
-        annealer: &Annealer,
-        y: &CVector,
-        num_anneals: usize,
-        mode: RunMode<'_>,
-        rng: &mut R,
-    ) -> DecodeRun {
-        let schedule = match mode {
-            RunMode::Reverse {
-                schedule: Some(s), ..
-            } => *s,
-            _ => self.config.schedule,
-        };
-        let (logical, offset) = self.program(y, scratch);
-        let seed: u64 = rng.random();
-        let samples = match mode {
-            RunMode::Forward => {
-                annealer.run_compiled(scratch, &self.chains, &schedule, num_anneals, seed)
-            }
-            RunMode::Reverse {
-                candidate_gray_bits: gray,
-                ..
-            } => {
-                // Gray bits → QuAMax-transform bits → logical spins →
-                // expansion onto the physical chains.
-                let q = self.modulation.bits_per_symbol();
-                let logical_spins = quamax_ising::bits_to_spins(
-                    &gray
-                        .chunks(q)
-                        .flat_map(quamax_wireless::gray::gray_bits_to_quamax)
-                        .collect::<Vec<u8>>(),
-                );
-                let mut physical = vec![0i8; self.embedded.num_physical()];
-                for (i, chain) in self.embedded.chains().iter().enumerate() {
-                    for &d in chain {
-                        physical[d] = logical_spins[i];
-                    }
-                }
-                annealer.run_reverse_compiled(
-                    scratch,
-                    &self.chains,
-                    &physical,
-                    &schedule,
-                    num_anneals,
-                    seed,
-                )
-            }
-        };
-
-        self.finish(logical, offset, schedule, &samples, rng)
-    }
-
-    /// The post-anneal half of a decode: accounting, per-sample
-    /// majority-vote unembedding (tie-breaks drawn from `rng`, which
-    /// must be positioned right after the anneal-seed draw), and the
-    /// ranked solution distribution.
-    fn finish<R: Rng + ?Sized>(
-        &self,
-        logical: IsingProblem,
-        ml_offset: f64,
-        schedule: Schedule,
-        samples: &[Vec<quamax_ising::Spin>],
-        rng: &mut R,
-    ) -> DecodeRun {
-        self.telemetry
-            .counter_add("quamax_core_anneals_total", &[], samples.len() as u64);
-        self.telemetry.observe(
-            "quamax_core_anneal_modeled_us",
-            &[],
-            samples.len() as f64 * schedule.total_time_us(),
-        );
-
-        // Unembed each physical sample; track chain-break statistics.
-        let mut logical_samples = Vec::with_capacity(samples.len());
-        let mut broken = 0usize;
-        for s in samples {
-            let out = unembed_majority_vote(&self.embedded, s, rng);
-            broken += out.broken_chains;
-            logical_samples.push(out.logical);
-        }
-        self.telemetry
-            .counter_add("quamax_core_unembed_total", &[], samples.len() as u64);
-        let distribution = SolutionDistribution::from_samples(&logical, &logical_samples);
-        let total_chains = logical.num_spins().max(1) * samples.len().max(1);
-
-        DecodeRun {
-            distribution,
-            logical,
-            ml_offset,
-            modulation: self.modulation,
-            schedule,
-            parallel_factor: self.parallel_factor,
-            chain_break_fraction: broken as f64 / total_chains as f64,
-        }
-    }
 }
 
 impl DecodeSession {
     /// Modulation the session was compiled for.
     pub fn modulation(&self) -> Modulation {
-        self.inner.modulation
+        self.modulation
     }
 
     /// Logical Ising variables (= payload bits per channel use).
     pub fn num_logical(&self) -> usize {
-        self.inner.embedded.chains().len()
+        self.core.num_logical()
     }
 
     /// Payload bits per decode.
@@ -469,35 +533,17 @@ impl DecodeSession {
 
     /// Physical qubits occupied by the compiled embedding.
     pub fn num_physical(&self) -> usize {
-        self.inner.embedded.num_physical()
+        self.core.num_physical()
     }
 
-    /// Geometric chip parallelization factor of this problem size.
+    /// Geometric chip parallelization factor of this problem size:
+    /// problems one anneal wave decodes side by side. The couplings of
+    /// every tile are identical (same `H`); only the per-tile linear
+    /// fields differ (each tile's `y`), which is why a batch scheduler
+    /// coalesces *same-channel* jobs — they share this session and tile
+    /// without reprogramming.
     pub fn parallel_factor(&self) -> usize {
-        self.inner.parallel_factor
-    }
-
-    /// Problems one anneal wave decodes side by side: the batch size at
-    /// which [`DecodeSession::decode_batch`] fills the chip exactly
-    /// once. The couplings of every tile are identical (same `H`);
-    /// only the per-tile linear fields differ (each tile's `y`), which
-    /// is why a batch scheduler coalesces *same-channel* jobs — they
-    /// share this session and tile without reprogramming.
-    pub fn batch_capacity(&self) -> usize {
-        self.inner.parallel_factor
-    }
-
-    /// Projected on-chip anneal time, µs, of decoding `batch`
-    /// same-channel problems through this session:
-    /// `⌈batch / capacity⌉` waves of `num_anneals` cycles at the
-    /// compiled schedule's cycle time. This is the service-time model a
-    /// deadline-aware batch scheduler subtracts from the earliest
-    /// member's slack to decide when a filling batch must close
-    /// (`quamax_ran::sched`); host preprocessing, programming, and
-    /// readout ride on top (`quamax_ran::QpuServer`'s overhead stack).
-    pub fn projected_batch_us(&self, batch: usize, num_anneals: usize) -> f64 {
-        let waves = batch.div_ceil(self.batch_capacity()) as f64;
-        waves * num_anneals as f64 * self.inner.config.schedule.total_time_us()
+        self.core.parallel_factor()
     }
 
     /// Decodes one received vector with a fixed seed — the streaming
@@ -519,14 +565,7 @@ impl DecodeSession {
         num_anneals: usize,
         rng: &mut R,
     ) -> DecodeRun {
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            y,
-            num_anneals,
-            RunMode::Forward,
-            rng,
-        )
+        self.run(y, num_anneals, None, rng)
     }
 
     /// Reverse-anneal decode through the session (see
@@ -543,25 +582,11 @@ impl DecodeSession {
         rng: &mut R,
     ) -> DecodeRun {
         assert!(
-            self.inner.config.schedule.is_reverse(),
+            self.schedule.is_reverse(),
             "decode_reverse needs a Schedule::reverse configuration"
         );
-        assert_eq!(
-            candidate_gray_bits.len(),
-            self.num_bits(),
-            "candidate bit count mismatch"
-        );
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            y,
-            num_anneals,
-            RunMode::Reverse {
-                candidate_gray_bits,
-                schedule: None,
-            },
-            rng,
-        )
+        let schedule = self.schedule;
+        self.run(y, num_anneals, Some((candidate_gray_bits, &schedule)), rng)
     }
 
     /// Reverse-anneal decode from a *supplied* candidate state under a
@@ -587,32 +612,19 @@ impl DecodeSession {
             schedule.is_reverse(),
             "decode_reverse_from needs a Schedule::reverse schedule"
         );
-        assert_eq!(
-            candidate_gray_bits.len(),
-            self.num_bits(),
-            "candidate bit count mismatch"
-        );
         let mut rng = StdRng::seed_from_u64(seed);
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
+        self.run(
             y,
             num_anneals,
-            RunMode::Reverse {
-                candidate_gray_bits,
-                schedule: Some(schedule),
-            },
+            Some((candidate_gray_bits, schedule)),
             &mut rng,
         )
     }
 
     /// Decodes a batch of `(y, seed)` pairs — one coherence interval's
     /// worth of subcarrier/symbol problems — through one device-level
-    /// [`Annealer::run_jobs`] call: every item's anneals flatten into
-    /// replica windows, so one CSR row walk drives up to eight anneals
-    /// (often of *different* items — each replica carries its own
-    /// programmed fields over the shared session structure) while
-    /// threads shard the flattened batch.
+    /// [`Annealer::run_jobs`] call (threads shard the flattened
+    /// anneals; replica windows may mix items).
     ///
     /// Each item is decoded under its own `StdRng::seed_from_u64(seed)`
     /// stream, so results are bit-identical to calling
@@ -620,43 +632,66 @@ impl DecodeSession {
     /// [`QuamaxDecoder::decode`] under the same seeds), regardless of
     /// batch width or worker count.
     pub fn decode_batch(&self, items: &[(CVector, u64)], num_anneals: usize) -> Vec<DecodeRun> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let inner = &self.inner;
-        // Program every item's coefficients into its own view of the
-        // session's frozen structure, splitting each item's RNG stream
-        // exactly like the serial path: anneal seed first, unembedding
-        // tie-breaks after.
-        let mut programmed = Vec::with_capacity(items.len());
-        for (y, seed) in items {
-            let mut scratch = inner.base.clone();
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let (logical, offset) = inner.program(y, &mut scratch);
-            let anneal_seed: u64 = rng.random();
-            programmed.push((scratch, logical, offset, anneal_seed, rng));
-        }
-        let schedule = inner.config.schedule;
-        let jobs: Vec<AnnealJob> = programmed
-            .iter()
-            .map(|(scratch, _, _, anneal_seed, _)| AnnealJob {
-                problem: scratch,
-                init: None,
-                num_anneals,
-                seed: *anneal_seed,
-            })
-            .collect();
-        let sample_sets = inner
-            .annealer
-            .run_jobs(&inner.base, &inner.chains, &schedule, &jobs);
-        drop(jobs);
-        programmed
+        self.core
+            .run_batch(items, &self.schedule, num_anneals, |y| self.reduce(y))
             .into_iter()
-            .zip(sample_sets)
-            .map(|((_, logical, offset, _, mut rng), samples)| {
-                inner.finish(logical, offset, schedule, &samples, &mut rng)
-            })
+            .map(|annealed| self.finish(annealed, self.schedule))
             .collect()
+    }
+
+    /// The ML reduction of `y` against the session's channel.
+    fn reduce(&self, y: &CVector) -> (IsingProblem, f64) {
+        assert_eq!(
+            y.len(),
+            self.h.rows(),
+            "received vector length differs from receive antennas"
+        );
+        ml_reduce(&self.h, &self.gram, &self.h_herm, y, self.modulation)
+    }
+
+    /// One decode: forward under the session's schedule, or backwards
+    /// from a Gray-bit candidate under the given reverse schedule.
+    fn run<R: Rng + ?Sized>(
+        &mut self,
+        y: &CVector,
+        num_anneals: usize,
+        reverse: Option<(&[u8], &Schedule)>,
+        rng: &mut R,
+    ) -> DecodeRun {
+        let schedule = reverse.map_or(self.schedule, |(_, s)| *s);
+        // Gray bits → QuAMax-transform bits → logical spins.
+        let q = self.modulation.bits_per_symbol();
+        let start = reverse.map(|(gray, _)| {
+            assert_eq!(gray.len(), self.num_bits(), "candidate bit count mismatch");
+            quamax_ising::bits_to_spins(
+                &gray
+                    .chunks(q)
+                    .flat_map(quamax_wireless::gray::gray_bits_to_quamax)
+                    .collect::<Vec<u8>>(),
+            )
+        });
+        let reduced = self.reduce(y);
+        let annealed = self.core.run(
+            &mut self.scratch,
+            reduced,
+            start.as_deref(),
+            &schedule,
+            num_anneals,
+            rng,
+        );
+        self.finish(annealed, schedule)
+    }
+
+    fn finish(&self, annealed: Annealed, schedule: Schedule) -> DecodeRun {
+        DecodeRun {
+            distribution: annealed.distribution,
+            logical: annealed.logical,
+            ml_offset: annealed.offset,
+            modulation: self.modulation,
+            schedule,
+            parallel_factor: self.core.parallel_factor(),
+            chain_break_fraction: annealed.chain_break_fraction,
+        }
     }
 }
 
@@ -997,36 +1032,6 @@ mod tests {
             assert_eq!(run.best_bits(), single.best_bits());
             assert_eq!(run.distribution(), single.distribution());
         }
-    }
-
-    #[test]
-    fn projected_batch_time_counts_chip_waves() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let sc = Scenario::new(4, 4, Modulation::Bpsk);
-        let inst = sc.sample(&mut rng);
-        let decoder = QuamaxDecoder::new(
-            quiet_annealer(),
-            DecoderConfig {
-                schedule: Schedule::standard(10.0),
-                ..Default::default()
-            },
-        );
-        let session = decoder.compile(&inst.detection_input()).unwrap();
-        let cap = session.batch_capacity();
-        assert_eq!(cap, session.parallel_factor());
-        assert!(cap >= 1);
-        let cycle = 10.0;
-        // One wave up to capacity, two waves at capacity + 1; an empty
-        // batch costs nothing.
-        assert_eq!(session.projected_batch_us(0, 30), 0.0);
-        let one = session.projected_batch_us(1, 30);
-        assert!((one - 30.0 * cycle).abs() < 1e-9, "one wave: {one}");
-        assert_eq!(
-            session.projected_batch_us(cap, 30).to_bits(),
-            one.to_bits(),
-            "a full wave costs the same as one problem"
-        );
-        assert!((session.projected_batch_us(cap + 1, 30) - 2.0 * one).abs() < 1e-9);
     }
 
     #[test]

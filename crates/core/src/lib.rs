@@ -61,6 +61,22 @@
 //! modulation, including reverse annealing), and the one-shot API is
 //! itself a thin wrapper over a single-use session.
 //!
+//! **One annealed core.** The device half of a session is shared by
+//! the uplink [`DecodeSession`] and the downlink
+//! [`precode::VppSession`]: a crate-private `AnnealCore` (in
+//! [`decoder`]) owns the annealer, the embedding, the frozen CSR base,
+//! the chain tables and the coupler slot map, and runs every step
+//! after the reduction — `compile` (embed + freeze + slot map), `bind`
+//! (write one logical problem's coefficients into a scratch copy),
+//! `anneal` (random starts, or a logical start expanded onto the
+//! chains for reverse schedules), `unembed` (majority vote + ranking)
+//! and the one batch path behind `decode_batch` and `precode_batch`
+//! (bind every item, one `Annealer::run_jobs` call, per-item RNG
+//! streams split anneal seed first, tie-breaks after). A session adds
+//! only its own half: the ML reduction, Gray bits and [`DecodeRun`]
+//! for the uplink; `qubo_for`, the perturbation encoding and the
+//! `v = 0` power floor for VPP.
+//!
 //! # DESIGN — the unified detector traits
 //!
 //! The H/y split above is not QuAMax-specific: *every* detector the

@@ -25,7 +25,9 @@
 //! ever formed. The quadratic part `τ²CᵀGC` depends only on `(H, τ)`,
 //! so one embedding + CSR freeze serves a whole coherence interval and
 //! each user-symbol vector `u` refreshes only the linear fields —
-//! structurally identical to the uplink `DecodeSession` contract.
+//! the uplink `DecodeSession` contract, run by the same annealed core
+//! (`decoder::AnnealCore`): this module supplies only the reduction
+//! (`qubo_for`), the perturbation encoding and the `v = 0` floor.
 //!
 //! [`PrecoderKind`] is the registry mirror of `detect::DetectorKind`:
 //! classical ZF (`τ→∞`, zero perturbation) and Tomlinson–Harashima
@@ -33,20 +35,18 @@
 //! [`Precoder`]/[`PrecoderSession`] traits, and [`HybridPrecoder`]
 //! routes by the primary's realized transmit power per antenna.
 
-use crate::decoder::{DecodeError, DecoderConfig};
+use crate::decoder::{AnnealCore, Annealed, DecodeError, DecoderConfig};
 use crate::detect::{ErrorClass, Route};
-use quamax_anneal::{AnnealJob, Annealer, CompiledChains, Schedule, SolutionDistribution};
-use quamax_chimera::{
-    parallelization, unembed_majority_vote, ChimeraGraph, CliqueEmbedding, EmbeddedProblem,
-    EmbeddingError,
-};
+use quamax_anneal::{Annealer, Schedule};
+use quamax_chimera::{ChimeraGraph, EmbeddingError};
 use quamax_ising::{
     bits_to_spins, qubo_to_ising, spins_to_bits, CompiledProblem, IsingProblem, QuboProblem,
 };
 use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex, LinalgError};
+use quamax_telemetry::Telemetry;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// What a precoder compiles against: the downlink channel estimate and
 /// the constellation the users decode.
@@ -598,44 +598,19 @@ impl Precoder for VppPrecoder {
     fn compile(&self, input: &PrecodeInput) -> Result<VppSession, PrecodeError> {
         let model = VppModel::new(&input.h, input.modulation, self.magnitude_bits)?;
         let (logical, _) = qubo_to_ising(&model.quad);
-        let embedding = CliqueEmbedding::new(&self.graph, logical.num_spins())?;
-        let embedded =
-            EmbeddedProblem::compile(&self.graph, &embedding, &logical, self.config.embed);
-        let base = CompiledProblem::new(embedded.problem());
-        let chains = CompiledChains::compile(&base, embedded.chains());
-        let slots: Vec<(u32, u32, u32)> = embedded
-            .programmed_couplers()
-            .iter()
-            .map(|&(i, j, da, db)| {
-                let k = base
-                    .coupler_entry(da as usize, db as usize)
-                    .expect("programmed coupler exists in CSR");
-                (k as u32, i, j)
-            })
-            .collect();
-        let mut chain_of = vec![0u32; embedded.num_physical()];
-        for (i, chain) in embedded.chains().iter().enumerate() {
-            for &d in chain {
-                chain_of[d] = i as u32;
-            }
-        }
-        let chain_len = embedded.chains().first().map_or(1, Vec::len) as f64;
-        let scratch = base.clone();
+        let core = AnnealCore::compile(
+            self.annealer.clone(),
+            Telemetry::disabled(),
+            &self.graph,
+            &logical,
+            self.config.embed,
+        )?;
         Ok(VppSession {
-            inner: VppInner {
-                annealer: self.annealer.clone(),
-                config: self.config,
-                anneals: self.anneals,
-                model,
-                parallel_factor: parallelization(embedding.num_logical()).max(1),
-                embedded,
-                base,
-                chains,
-                slots,
-                chain_of,
-                chain_len,
-            },
-            scratch,
+            scratch: core.scratch(),
+            core,
+            schedule: self.config.schedule,
+            anneals: self.anneals,
+            model,
         })
     }
 }
@@ -644,227 +619,61 @@ impl Precoder for VppPrecoder {
 /// structure, Chimera embedding, CSR freeze, chain tables) done once,
 /// with per-`u` precodes reduced to an in-place linear-field/scale
 /// refresh plus the anneal batch itself — the downlink twin of
-/// `DecodeSession`, including the `v = 0` floor: the session never
-/// returns a perturbation that costs more transmit power than plain
-/// ZF on the same symbols.
+/// `DecodeSession`, sharing its annealed core, plus the `v = 0` floor:
+/// the session never returns a perturbation that costs more transmit
+/// power than plain ZF on the same symbols.
 pub struct VppSession {
-    inner: VppInner,
+    core: AnnealCore,
     scratch: CompiledProblem,
-}
-
-struct VppInner {
-    annealer: Annealer,
-    config: DecoderConfig,
+    schedule: Schedule,
     anneals: usize,
     model: VppModel,
-    parallel_factor: usize,
-    /// Chain layout + programming map (coefficients inside are stale
-    /// after compile; only structure is read).
-    embedded: EmbeddedProblem,
-    /// The frozen CSR template: chain couplers valid for the whole
-    /// session, fields/problem couplers refreshed per precode.
-    base: CompiledProblem,
-    chains: CompiledChains,
-    /// `(CSR entry, logical i, logical j)` per programmed coupler.
-    slots: Vec<(u32, u32, u32)>,
-    /// Dense physical qubit → owning logical chain.
-    chain_of: Vec<u32>,
-    chain_len: f64,
-}
-
-/// How one precode run anneals: from scratch, or backwards from a
-/// classical candidate perturbation (e.g. THP's greedy `v`).
-#[derive(Clone, Copy)]
-enum PrecodeMode<'a> {
-    Forward,
-    Reverse {
-        candidate: &'a CVector,
-        schedule: &'a Schedule,
-    },
-}
-
-impl VppInner {
-    /// Rebuilds the (small) logical problem for `u` and writes the
-    /// programmed coefficients into `scratch`; returns the logical
-    /// problem and the total additive offset linking logical Ising
-    /// energies to transmit power:
-    /// `E_ising + offset = ‖P(u + τv)‖²`.
-    fn program(&self, u: &CVector, scratch: &mut CompiledProblem) -> (IsingProblem, f64) {
-        let (qubo, power_offset) = self.model.qubo_for(u);
-        let (logical, conversion_offset) = qubo_to_ising(&qubo);
-        let scale = self.embedded.scale_for(&logical);
-        for (d, &c) in self.chain_of.iter().enumerate() {
-            scratch.set_linear_term(d, logical.linear(c as usize) * scale / self.chain_len);
-        }
-        for &(k, i, j) in &self.slots {
-            scratch.set_entry_weight(k as usize, logical.coupling(i as usize, j as usize) * scale);
-        }
-        (logical, conversion_offset + power_offset)
-    }
-
-    fn run_with<R: Rng + ?Sized>(
-        &self,
-        scratch: &mut CompiledProblem,
-        annealer: &Annealer,
-        u: &CVector,
-        mode: PrecodeMode<'_>,
-        rng: &mut R,
-    ) -> Precoding {
-        let schedule = match mode {
-            PrecodeMode::Reverse { schedule, .. } => *schedule,
-            PrecodeMode::Forward => self.config.schedule,
-        };
-        let (logical, offset) = self.program(u, scratch);
-        let seed: u64 = rng.random();
-        let samples = match mode {
-            PrecodeMode::Forward => {
-                annealer.run_compiled(scratch, &self.chains, &schedule, self.anneals, seed)
-            }
-            PrecodeMode::Reverse { candidate, .. } => {
-                let logical_spins = bits_to_spins(&self.model.encode_perturbation(candidate));
-                let mut physical = vec![0i8; self.embedded.num_physical()];
-                for (i, chain) in self.embedded.chains().iter().enumerate() {
-                    for &d in chain {
-                        physical[d] = logical_spins[i];
-                    }
-                }
-                annealer.run_reverse_compiled(
-                    scratch,
-                    &self.chains,
-                    &physical,
-                    &schedule,
-                    self.anneals,
-                    seed,
-                )
-            }
-        };
-
-        self.finish(u, logical, offset, &samples, rng)
-    }
-
-    /// The post-anneal half of a precode: per-sample majority-vote
-    /// unembedding (tie-breaks drawn from `rng`, positioned right after
-    /// the anneal-seed draw), distribution ranking, and the `v = 0`
-    /// power floor.
-    fn finish<R: Rng + ?Sized>(
-        &self,
-        u: &CVector,
-        logical: IsingProblem,
-        offset: f64,
-        samples: &[Vec<quamax_ising::Spin>],
-        rng: &mut R,
-    ) -> Precoding {
-        let mut logical_samples = Vec::with_capacity(samples.len());
-        let mut broken = 0usize;
-        for s in samples {
-            let out = unembed_majority_vote(&self.embedded, s, rng);
-            broken += out.broken_chains;
-            logical_samples.push(out.logical);
-        }
-        let distribution = SolutionDistribution::from_samples(&logical, &logical_samples);
-        let total_chains = logical.num_spins().max(1) * samples.len().max(1);
-        let chain_break_fraction = broken as f64 / total_chains as f64;
-
-        // Best annealed perturbation (logical energy and transmit
-        // power rank identically — they differ by the constant
-        // `offset`), guarded by the v = 0 floor.
-        let annealed = distribution.best_solution().map(|entry| {
-            let v = self.model.decode_perturbation(&spins_to_bits(&entry.spins));
-            let power = self.model.direct_energy(u, &v);
-            debug_assert!(
-                (entry.energy + offset - power).abs() <= 1e-6 * power.abs().max(1.0),
-                "Ising energy + offset must equal transmit power"
-            );
-            (v, power)
-        });
-        let zero = CVector::zeros(self.model.num_users());
-        let zero_power = self.model.direct_energy(u, &zero);
-        let (v, power, zero_floor) = match annealed {
-            Some((v, power)) if power < zero_power => (v, power, false),
-            _ => (zero, zero_power, true),
-        };
-        let x = self.model.transmit(u, &v);
-        Precoding {
-            x,
-            perturbation: v,
-            power,
-            stats: PrecodeStats::Annealed {
-                chain_break_fraction,
-                num_distinct: distribution.num_distinct(),
-                zero_floor,
-            },
-        }
-    }
 }
 
 impl VppSession {
     /// Modulation the session was compiled for.
     pub fn modulation(&self) -> Modulation {
-        self.inner.model.modulation()
+        self.model.modulation()
     }
 
     /// User streams per precode.
     pub fn num_users(&self) -> usize {
-        self.inner.model.num_users()
+        self.model.num_users()
     }
 
     /// The modulo base receivers fold with.
     pub fn tau(&self) -> f64 {
-        self.inner.model.tau()
+        self.model.tau()
     }
 
     /// Logical Ising variables per precode (`2·Nu·(t+1)`).
     pub fn num_logical(&self) -> usize {
-        self.inner.embedded.chains().len()
+        self.core.num_logical()
     }
 
     /// Physical qubits occupied by the compiled embedding.
     pub fn num_physical(&self) -> usize {
-        self.inner.embedded.num_physical()
+        self.core.num_physical()
     }
 
-    /// Geometric chip parallelization factor of this problem size.
+    /// Geometric chip parallelization factor of this problem size:
+    /// symbol vectors one anneal wave precodes side by side (same `H`,
+    /// per-tile fields).
     pub fn parallel_factor(&self) -> usize {
-        self.inner.parallel_factor
-    }
-
-    /// Problems one anneal wave precodes side by side (same contract
-    /// as `DecodeSession::batch_capacity`: same `H`, per-tile fields).
-    pub fn batch_capacity(&self) -> usize {
-        self.inner.parallel_factor
-    }
-
-    /// Projected on-chip anneal time, µs, of precoding `batch`
-    /// same-channel symbol vectors through this session.
-    pub fn projected_batch_us(&self, batch: usize) -> f64 {
-        let waves = batch.div_ceil(self.batch_capacity()) as f64;
-        waves * self.inner.anneals as f64 * self.inner.config.schedule.total_time_us()
+        self.core.parallel_factor()
     }
 
     /// The underlying channel model (QUBO construction, direct
     /// energies, encode/decode helpers).
     pub fn model(&self) -> &VppModel {
-        &self.inner.model
+        &self.model
     }
 
     /// Precodes one symbol vector with a fixed seed — the streaming
     /// entry point (`seed` covers both the anneal batch and the
     /// unembedding tie-breaks).
     pub fn precode(&mut self, u: &CVector, seed: u64) -> Precoding {
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.precode_with_rng(u, &mut rng)
-    }
-
-    /// Precodes one symbol vector drawing the anneal seed and the
-    /// unembedding tie-breaks from `rng`.
-    pub fn precode_with_rng<R: Rng + ?Sized>(&mut self, u: &CVector, rng: &mut R) -> Precoding {
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            u,
-            PrecodeMode::Forward,
-            rng,
-        )
+        self.run(u, None, seed)
     }
 
     /// Reverse-anneal precode from a classical candidate perturbation
@@ -894,62 +703,82 @@ impl VppSession {
             self.num_users(),
             "candidate perturbation length mismatch"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            u,
-            PrecodeMode::Reverse {
-                candidate,
-                schedule,
-            },
-            &mut rng,
-        )
+        self.run(u, Some((candidate, schedule)), seed)
     }
 
     /// Precodes a batch of `(u, seed)` pairs — one coherence
-    /// interval's worth of downlink symbol vectors — through one
-    /// device-level [`Annealer::run_jobs`] call: all items' anneals
-    /// flatten into replica batches (each replica binding its item's
-    /// programmed fields over the shared session structure) while
-    /// threads shard the flattened batch. Results are bit-identical to
-    /// calling [`VppSession::precode`] item by item, regardless of
-    /// batch width or worker count (same per-item seeded RNG streams).
+    /// interval's worth of downlink symbol vectors — through the same
+    /// single batched device call as `DecodeSession::decode_batch`
+    /// (threads shard the flattened anneals). Results are
+    /// bit-identical to calling [`VppSession::precode`] item by item,
+    /// regardless of batch width or worker count (same per-item seeded
+    /// RNG streams).
     pub fn precode_batch(&self, items: &[(CVector, u64)]) -> Vec<Precoding> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let inner = &self.inner;
-        let mut programmed = Vec::with_capacity(items.len());
-        for (u, seed) in items {
-            let mut scratch = inner.base.clone();
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let (logical, offset) = inner.program(u, &mut scratch);
-            let anneal_seed: u64 = rng.random();
-            programmed.push((scratch, logical, offset, anneal_seed, rng));
-        }
-        let schedule = inner.config.schedule;
-        let jobs: Vec<AnnealJob> = programmed
-            .iter()
-            .map(|(scratch, _, _, anneal_seed, _)| AnnealJob {
-                problem: scratch,
-                init: None,
-                num_anneals: inner.anneals,
-                seed: *anneal_seed,
-            })
-            .collect();
-        let sample_sets = inner
-            .annealer
-            .run_jobs(&inner.base, &inner.chains, &schedule, &jobs);
-        drop(jobs);
-        items
-            .iter()
-            .zip(programmed)
-            .zip(sample_sets)
-            .map(|(((u, _), (_, logical, offset, _, mut rng)), samples)| {
-                inner.finish(u, logical, offset, &samples, &mut rng)
-            })
+        self.core
+            .run_batch(items, &self.schedule, self.anneals, |u| self.reduce(u))
+            .into_iter()
+            .zip(items)
+            .map(|(annealed, (u, _))| self.finish(u, annealed))
             .collect()
+    }
+
+    /// The logical problem for `u` and the total additive offset
+    /// linking its Ising energies to transmit power:
+    /// `E_ising + offset = ‖P(u + τv)‖²`.
+    fn reduce(&self, u: &CVector) -> (IsingProblem, f64) {
+        let (qubo, power_offset) = self.model.qubo_for(u);
+        let (logical, conversion_offset) = qubo_to_ising(&qubo);
+        (logical, conversion_offset + power_offset)
+    }
+
+    /// One precode: forward under the session's schedule, or backwards
+    /// from a candidate perturbation under the given reverse schedule.
+    fn run(&mut self, u: &CVector, reverse: Option<(&CVector, &Schedule)>, seed: u64) -> Precoding {
+        let schedule = reverse.map_or(self.schedule, |(_, s)| *s);
+        let reduced = self.reduce(u);
+        let start =
+            reverse.map(|(candidate, _)| bits_to_spins(&self.model.encode_perturbation(candidate)));
+        let annealed = self.core.run(
+            &mut self.scratch,
+            reduced,
+            start.as_deref(),
+            &schedule,
+            self.anneals,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        self.finish(u, annealed)
+    }
+
+    /// The best annealed perturbation (logical energy and transmit
+    /// power rank identically — they differ by the constant offset),
+    /// guarded by the `v = 0` power floor.
+    fn finish(&self, u: &CVector, annealed: Annealed) -> Precoding {
+        let offset = annealed.offset;
+        let best = annealed.distribution.best_solution().map(|entry| {
+            let v = self.model.decode_perturbation(&spins_to_bits(&entry.spins));
+            let power = self.model.direct_energy(u, &v);
+            debug_assert!(
+                (entry.energy + offset - power).abs() <= 1e-6 * power.abs().max(1.0),
+                "Ising energy + offset must equal transmit power"
+            );
+            (v, power)
+        });
+        let zero = CVector::zeros(self.model.num_users());
+        let zero_power = self.model.direct_energy(u, &zero);
+        let (v, power, zero_floor) = match best {
+            Some((v, power)) if power < zero_power => (v, power, false),
+            _ => (zero, zero_power, true),
+        };
+        Precoding {
+            x: self.model.transmit(u, &v),
+            perturbation: v,
+            power,
+            stats: PrecodeStats::Annealed {
+                chain_break_fraction: annealed.chain_break_fraction,
+                num_distinct: annealed.distribution.num_distinct(),
+                zero_floor,
+            },
+        }
     }
 }
 
@@ -1362,6 +1191,7 @@ mod tests {
     use super::*;
     use quamax_anneal::{AnnealerConfig, IceModel};
     use quamax_wireless::rayleigh_channel;
+    use rand::Rng;
 
     fn quiet_annealer() -> Annealer {
         Annealer::new(AnnealerConfig {
@@ -1735,8 +1565,6 @@ mod tests {
         assert_eq!(session.num_logical(), 16);
         assert_eq!(session.tau(), 4.0);
         assert!(session.parallel_factor() >= 1);
-        assert!(session.projected_batch_us(1) > 0.0);
-        assert_eq!(session.projected_batch_us(0), 0.0);
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! simulation — each with an independent rate, each counted — from a
 //! single seed, so any degraded run is reproducible bit for bit.
 //!
-//! Fault classes map onto real device-layer hooks: a
-//! [`FaultClass::ChainBreakStorm`] is what
-//! `quamax_anneal::AnnealDegradation::chain_break_storm` does to an
-//! actual anneal batch, and a [`FaultClass::IceDrift`] is
-//! `IceModel::excursion` (riding `IceModel::scaled`); the
-//! [`FaultPlan::degradation`] mapping makes the correspondence
-//! executable for callers that run real decodes under injected faults.
+//! Serving prices every fault in time only: a fired class costs device
+//! time — a lost programming cycle, a full but useless anneal bill, a
+//! stall, or a repair interval — and decides whether the retry is warm
+//! or cold, but no fault alters an anneal's samples. The sample-level
+//! effect of a noisier analog control is studied on the annealer
+//! itself (`IceModel::scaled`, the `ablation_ice` bench).
 
-use quamax_anneal::AnnealDegradation;
 use quamax_core::DetectError;
 
 /// The classes of degradation an annealer-backed serving pool sees.
@@ -335,19 +333,6 @@ impl FaultPlan {
         }
         None
     }
-
-    /// The device-layer degradation realizing `class` on an actual
-    /// anneal batch, at this plan's calibrated severities: storms flip
-    /// a quarter of chain qubits, drift excursions inflate the ICE
-    /// floor 10×. Classes without an anneal-level mechanism (they act
-    /// on the queue, not the samples) map to no degradation.
-    pub fn degradation(class: FaultClass) -> AnnealDegradation {
-        match class {
-            FaultClass::ChainBreakStorm => AnnealDegradation::chain_break_storm(0.25),
-            FaultClass::IceDrift => AnnealDegradation::ice_excursion(10.0),
-            _ => AnnealDegradation::none(),
-        }
-    }
 }
 
 /// Why the serving layer could not (or chose not to) serve a job —
@@ -514,15 +499,6 @@ mod tests {
         for class in FaultClass::ALL {
             assert!(class.is_transient());
         }
-    }
-
-    #[test]
-    fn degradation_mapping_reaches_the_device_layer() {
-        let storm = FaultPlan::degradation(FaultClass::ChainBreakStorm);
-        assert!(storm.chain_flip_probability > 0.0);
-        let drift = FaultPlan::degradation(FaultClass::IceDrift);
-        assert!(drift.ice_scale > 1.0);
-        assert!(FaultPlan::degradation(FaultClass::WorkerStall).is_none());
     }
 
     #[test]

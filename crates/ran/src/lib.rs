@@ -44,8 +44,8 @@
 //!
 //! A deployed annealer-backed BBU pool degrades in ways the fair-
 //! weather pipeline above never sees: chains decohere in storms, the
-//! analog control drifts off calibration (`IceModel::excursion`),
-//! programming cycles fail, hosts stall, workers crash.
+//! analog control drifts off calibration, programming cycles fail,
+//! hosts stall, workers crash.
 //! The resilience subsystem spans four modules, device layer to
 //! serving layer:
 //!
@@ -53,11 +53,10 @@
 //!   draw per `(worker, job, attempt)` triple classified against per-
 //!   class rates, so degraded runs are bit-reproducible and the
 //!   guarded-vs-unguarded comparison is fair (first attempts see the
-//!   same faults either way). Each [`FaultClass`] maps onto a real
-//!   device hook via [`FaultPlan::degradation`] →
-//!   `quamax_anneal::AnnealDegradation` (chain-break storms flip chain
-//!   qubits post-readout; drift rides `IceModel::scaled`). The
-//!   [`ServeError`] taxonomy classifies every failure as transient or
+//!   same faults either way). Faults are priced in time only: a fired
+//!   [`FaultClass`] costs the attempt's device time or a stall and
+//!   decides whether the retry is warm, but never alters an anneal's
+//!   samples. The [`ServeError`] taxonomy classifies every failure as transient or
 //!   permanent so callers decide instead of panicking.
 //! * [`retry`] — deadline-aware [`RetryPolicy`]: exponential backoff
 //!   with deterministic seeded jitter, *funded by deadline slack* (the

@@ -801,6 +801,64 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_traffic_fails_at_admission() {
+        // Jobs with a non-finite arrival or deadline are rejected as
+        // invalid; a negative finite deadline (transport hops past the
+        // budget) stays admissible. The finite jobs must be served
+        // exactly as if the invalid ones had never arrived.
+        let finite: Vec<UserJob> = (0..6)
+            .map(|k| user_job(20.0 + k as f64, k % 2, 0xC0DE + (k % 2) as u64, 4_000.0))
+            .chain([user_job(30.0, 0, 0xC0DE, -50.0)])
+            .collect();
+        let invalid = [
+            user_job(f64::INFINITY, 0, 0xC0DE, 4_000.0),
+            user_job(f64::NAN, 1, 0xC0DF, 4_000.0),
+            user_job(25.5, 0, 0xC0DE, f64::NAN),
+            user_job(26.5, 1, 0xC0DF, f64::INFINITY),
+        ];
+        for policy in [Policy::Fifo, Policy::DeadlineBatch] {
+            let run = |arrivals: Vec<UserJob>| {
+                let mut server = pool(2);
+                let mut broker = Broker::new();
+                let mut sched = BatchScheduler::new(SchedConfig::new(policy, 8));
+                let report = sched.run(&mut server, &mut broker, arrivals);
+                assert!(broker.drained(), "{policy:?}");
+                assert!(broker.census().conserved(), "{policy:?}");
+                assert_eq!(server.ledger().in_flight(), 0, "{policy:?}");
+                assert!(server.ledger().conserved(), "{policy:?}");
+                (report, server.ledger().failed)
+            };
+            let (clean, clean_failed) = run(finite.clone());
+            let mut mixed_arrivals = finite.clone();
+            mixed_arrivals.extend(invalid);
+            let (mixed, mixed_failed) = run(mixed_arrivals);
+
+            assert_eq!(mixed.failed(), clean.failed() + invalid.len(), "{policy:?}");
+            assert_eq!(mixed_failed, clean_failed + invalid.len() as u64);
+            let is_invalid = |o: &JobOutcome| {
+                !o.arrival_us.is_finite() || invalid.iter().any(|j| j.arrival_us == o.arrival_us)
+            };
+            for o in mixed.outcomes.iter().filter(|o| is_invalid(o)) {
+                assert_eq!(o.state, JobState::Failed, "{policy:?}");
+                assert!(!o.met_deadline, "{policy:?}");
+                assert_eq!(o.rung, None, "{policy:?}");
+            }
+            // Ids differ (the invalid jobs took some); everything else
+            // about each finite job's outcome is unchanged.
+            let strip = |o: &JobOutcome| (o.arrival_us, o.done_us, o.met_deadline, o.state, o.rung);
+            let kept: Vec<_> = mixed
+                .outcomes
+                .iter()
+                .filter(|o| !is_invalid(o))
+                .map(strip)
+                .collect();
+            let want: Vec<_> = clean.outcomes.iter().map(strip).collect();
+            assert_eq!(kept, want, "{policy:?}");
+            assert_eq!(mixed.dispatches, clean.dispatches, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn full_batches_dispatch_immediately() {
         let mut server = pool(1);
         let mut broker = Broker::new();

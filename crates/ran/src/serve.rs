@@ -573,12 +573,20 @@ impl ResilientServer {
     /// Shape validation at admission: a frame with no problems or no
     /// logical variables is a classified error, not a degenerate
     /// service time.
-    fn validate(job: &Job) -> Result<(), ServeError> {
+    fn validate(now_us: f64, job: &Job) -> Result<(), ServeError> {
         if job.problems == 0 {
             return Err(ServeError::InvalidJob("zero problems in frame"));
         }
         if job.logical_vars == 0 {
             return Err(ServeError::InvalidJob("zero logical variables"));
+        }
+        // Negative finite deadlines stay legal: a job whose transport
+        // hops outlast its budget is served late and scored a miss.
+        if !now_us.is_finite() {
+            return Err(ServeError::InvalidJob("non-finite submission time"));
+        }
+        if !job.deadline_us.is_finite() {
+            return Err(ServeError::InvalidJob("non-finite deadline"));
         }
         Ok(())
     }
@@ -594,8 +602,9 @@ impl ResilientServer {
     }
 
     /// Admits one job into the brokered pipeline at `now_us` without
-    /// serving it: validation and the shared shedding estimate run
-    /// now (an invalid or shed job is a terminal, ledgered decision),
+    /// serving it: validation (nonzero shape, finite `now_us` and
+    /// `deadline_us`) and the shared shedding estimate run now (an
+    /// invalid or shed job is a terminal, ledgered decision),
     /// an admitted job moves the ledger's `batched` in-flight gauge
     /// and *must* later be resolved by exactly one of
     /// [`ResilientServer::dispatch_batch`],
@@ -615,7 +624,7 @@ impl ResilientServer {
                 ("priority", job.priority.name()),
             ],
         );
-        if let Err(e) = Self::validate(job) {
+        if let Err(e) = Self::validate(now_us, job) {
             self.job_seq += 1;
             self.ledger.failed += 1;
             return Err(e);

@@ -170,74 +170,107 @@ fn annealed_sessions_are_stable() {
     // shared compile → bind → anneal → unembed path must leave every
     // sample, energy, chain-break count and floor decision in place.
     let mut rng = Rng::seed_from_u64(31);
-    let base = Scenario::new(8, 8, Modulation::Qpsk)
-        .with_snr(Snr::from_db(2.0))
-        .sample(&mut rng);
-    // Low SNR spreads each run over several distinct solutions.
-    let decoder = QuamaxDecoder::new(
-        Annealer::new(AnnealerConfig::default()),
-        DecoderConfig::default(),
-    );
-    let mut session = decoder.compile(&base.detection_input()).unwrap();
-    let items: Vec<(CVector, u64)> = (0..6u64)
-        .map(|k| {
-            (
-                base.renoise(Snr::from_db(2.0), &mut rng).y().clone(),
-                40 + k,
-            )
-        })
-        .collect();
-    let mut uplink = Fnv::new();
-    for run in session.decode_batch(&items, 24) {
-        uplink.decode_run(&run);
-    }
     let reverse = Schedule::reverse(1.0, 0.55, 1.0);
-    for (k, (y, seed)) in items.iter().enumerate() {
-        let mut candidate = base.tx_bits().to_vec();
-        candidate[k] ^= 1;
-        uplink.decode_run(&session.decode_reverse_from(y, 24, &candidate, &reverse, *seed));
-    }
-
-    let input = PrecodeInput {
-        h: rayleigh_channel(4, 4, &mut rng),
-        modulation: Modulation::Qpsk,
-    };
-    // A weak chain strength breaks chains, so the unembedding
-    // tie-break draws are part of what the digest pins.
-    let config = DecoderConfig {
+    // A weak chain strength breaks chains, so the unembedding votes
+    // are part of what the digests pin.
+    let weak_chains = DecoderConfig {
         embed: EmbedParams {
             j_ferro: 1.0,
             ..Default::default()
         },
         ..Default::default()
     };
-    let mut vpp = VppPrecoder::new(Annealer::new(AnnealerConfig::default()), config, 24, 1)
+    let calibrated = Annealer::new(AnnealerConfig::default());
+    // 10 and 12 logical spins embed as 4-qubit chains, whose votes can
+    // tie; a sparse sweep density breaks many of them, so the last two
+    // digests pin the unembedding tie-break draws.
+    let sparse = Annealer::new(AnnealerConfig {
+        sweeps_per_us: 2.0,
+        ..Default::default()
+    });
+    let digests = [
+        uplink_digest(&mut rng, 8, &calibrated, DecoderConfig::default(), &reverse),
+        downlink_digest(&mut rng, 4, &calibrated, weak_chains, &reverse),
+        uplink_digest(&mut rng, 5, &sparse, weak_chains, &reverse),
+        downlink_digest(&mut rng, 3, &sparse, weak_chains, &reverse),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0xf723_a7ee_14ce_9c77,
+            0xd7ee_e208_e23c_654e,
+            0x7336_384c_1059_420c,
+            0x97fd_2c9d_ab78_e1e5
+        ],
+        "{digests:#x?}"
+    );
+}
+
+/// `users`×`users` QPSK uplink at 2 dB (low SNR spreads each run over
+/// several distinct solutions): six items through `decode_batch`, then
+/// each through `decode_reverse_from` a one-bit-wrong candidate.
+fn uplink_digest(
+    rng: &mut Rng,
+    users: usize,
+    annealer: &Annealer,
+    config: DecoderConfig,
+    reverse: &Schedule,
+) -> u64 {
+    let base = Scenario::new(users, users, Modulation::Qpsk)
+        .with_snr(Snr::from_db(2.0))
+        .sample(rng);
+    let decoder = QuamaxDecoder::new(annealer.clone(), config);
+    let mut session = decoder.compile(&base.detection_input()).unwrap();
+    let items: Vec<(CVector, u64)> = (0..6u64)
+        .map(|k| (base.renoise(Snr::from_db(2.0), rng).y().clone(), 40 + k))
+        .collect();
+    let mut fnv = Fnv::new();
+    for run in session.decode_batch(&items, 24) {
+        fnv.decode_run(&run);
+    }
+    for (k, (y, seed)) in items.iter().enumerate() {
+        let mut candidate = base.tx_bits().to_vec();
+        candidate[k] ^= 1;
+        fnv.decode_run(&session.decode_reverse_from(y, 24, &candidate, reverse, *seed));
+    }
+    fnv.0
+}
+
+/// `users`-user QPSK VPP (one magnitude bit) on a square Rayleigh
+/// channel: six symbol vectors through `precode_batch`, then each
+/// through `precode_reverse_from` THP's perturbation.
+fn downlink_digest(
+    rng: &mut Rng,
+    users: usize,
+    annealer: &Annealer,
+    config: DecoderConfig,
+    reverse: &Schedule,
+) -> u64 {
+    let input = PrecodeInput {
+        h: rayleigh_channel(users, users, rng),
+        modulation: Modulation::Qpsk,
+    };
+    let mut vpp = VppPrecoder::new(annealer.clone(), config, 24, 1)
         .compile(&input)
         .unwrap();
     let thp = ThpPrecoder.compile(&input).unwrap();
     let symbols: Vec<(CVector, u64)> = (0..6u64)
         .map(|k| {
             let bits: Vec<u8> = (0..input.num_bits())
-                .map(|_| rand::Rng::random_range(&mut rng, 0..2u8))
+                .map(|_| rand::Rng::random_range(rng, 0..2u8))
                 .collect();
             (Modulation::Qpsk.map_gray_vector(&bits), 70 + k)
         })
         .collect();
-    let mut downlink = Fnv::new();
+    let mut fnv = Fnv::new();
     for p in vpp.precode_batch(&symbols) {
-        downlink.precoding(&p);
+        fnv.precoding(&p);
     }
     for (u, seed) in &symbols {
         let candidate = thp.perturbation(u);
-        downlink.precoding(&vpp.precode_reverse_from(u, &candidate, &reverse, *seed));
+        fnv.precoding(&vpp.precode_reverse_from(u, &candidate, reverse, *seed));
     }
-
-    let digests = [uplink.0, downlink.0];
-    assert_eq!(
-        digests,
-        [0xf723_a7ee_14ce_9c77, 0xd7ee_e208_e23c_654e],
-        "{digests:#x?}"
-    );
+    fnv.0
 }
 
 /// FNV-1a over the observables of annealed session outputs.
