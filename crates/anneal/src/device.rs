@@ -17,6 +17,7 @@ use quamax_ising::{CompiledProblem, IsingProblem, Spin};
 use quamax_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 /// Dynamics backend choice (the `ablation_backend` bench compares them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,20 +258,22 @@ impl Annealer {
         let telemetry = &self.telemetry;
         if threads == 1 {
             // Batch front-ends running many single-threaded device
-            // calls concurrently skip the scoped spawn entirely.
-            // Identical output by the determinism contract.
-            let mut worker = BatchWorker::new();
-            worker.run_range(
-                structure,
-                chains,
-                jobs,
-                &slots,
-                &mut samples,
-                &betas,
-                &fractions,
-                &config,
-                telemetry,
-            );
+            // calls concurrently skip the scoped spawn entirely, and
+            // reuse the calling thread's window buffers from call to
+            // call. Identical output by the determinism contract.
+            INLINE_WORKER.with_borrow_mut(|worker| {
+                worker.run_range(
+                    structure,
+                    chains,
+                    jobs,
+                    &slots,
+                    &mut samples,
+                    &betas,
+                    &fractions,
+                    &config,
+                    telemetry,
+                )
+            });
         } else {
             let chunk = total.div_ceil(threads);
             std::thread::scope(|scope| {
@@ -317,6 +320,13 @@ pub struct AnnealJob<'a> {
     pub num_anneals: usize,
     /// The job's RNG seed.
     pub seed: u64,
+}
+
+thread_local! {
+    /// The window buffers of one-thread runs on this thread, kept
+    /// across [`Annealer::run_jobs`] calls so a warm call allocates no
+    /// strip, RNG vector or ICE deviate buffer.
+    static INLINE_WORKER: RefCell<BatchWorker> = RefCell::new(BatchWorker::new());
 }
 
 /// One worker thread's reusable buffers: the SoA replica batches
@@ -379,10 +389,11 @@ impl BatchWorker {
     }
 
     /// Anneals one replica window: binds the whole window (ICE refrozen
-    /// from each replica's own stream), then initializes each replica.
-    /// Per replica, the RNG stream's draw order is refreeze → init →
-    /// sweep proposals, the same at every width, so every sample is the
-    /// same no matter how slots are windowed.
+    /// from each replica's own stream), sets or draws each replica's
+    /// initial spins, then rebuilds every replica's fields in one
+    /// strip-wise CSR pass. Per replica, the RNG stream's draw order is
+    /// refreeze → init → sweep proposals, the same at every width, so
+    /// every sample is the same no matter how slots are windowed.
     #[allow(clippy::too_many_arguments)]
     fn run_window(
         &mut self,
@@ -424,24 +435,19 @@ impl BatchWorker {
                 let problem = if shared {
                     let problem = jobs[slots[0].0 as usize].problem;
                     sa_batch.reset_shared(problem, w);
-                    for (r, &(j, _)) in slots.iter().enumerate() {
-                        match jobs[j as usize].init {
-                            Some(s) => sa_batch.init_replica(problem, r, s),
-                            None => sa_batch.init_replica_random(problem, r, &mut rngs[r]),
-                        }
-                    }
                     problem
                 } else {
                     sa_batch.reset_per_replica(structure, w);
                     sa_batch.bind_window_ice(&problems(), &config.ice, rngs);
-                    for (r, &(j, _)) in slots.iter().enumerate() {
-                        match jobs[j as usize].init {
-                            Some(s) => sa_batch.init_replica(structure, r, s),
-                            None => sa_batch.init_replica_random(structure, r, &mut rngs[r]),
-                        }
-                    }
                     structure
                 };
+                for (r, &(j, _)) in slots.iter().enumerate() {
+                    match jobs[j as usize].init {
+                        Some(s) => sa_batch.set_replica(r, s),
+                        None => sa_batch.draw_replica(r, &mut rngs[r]),
+                    }
+                }
+                sa_batch.rebuild_fields(problem);
                 sa::anneal_batch_compiled(problem, chains, betas, sa_batch, rngs);
                 for (r, slot) in out.iter_mut().enumerate() {
                     *slot = sa_batch.replica_spins(r);
@@ -451,24 +457,19 @@ impl BatchWorker {
                 let problem = if shared {
                     let problem = jobs[slots[0].0 as usize].problem;
                     sqa_batch.reset_shared(problem, slices, w);
-                    for (r, &(j, _)) in slots.iter().enumerate() {
-                        match jobs[j as usize].init {
-                            Some(s) => sqa_batch.init_replica(problem, r, |_, i| s[i]),
-                            None => sqa_batch.init_replica_random(problem, r, &mut rngs[r]),
-                        }
-                    }
                     problem
                 } else {
                     sqa_batch.reset_per_replica(structure, slices, w);
                     sqa_batch.bind_window_ice(&problems(), &config.ice, rngs);
-                    for (r, &(j, _)) in slots.iter().enumerate() {
-                        match jobs[j as usize].init {
-                            Some(s) => sqa_batch.init_replica(structure, r, |_, i| s[i]),
-                            None => sqa_batch.init_replica_random(structure, r, &mut rngs[r]),
-                        }
-                    }
                     structure
                 };
+                for (r, &(j, _)) in slots.iter().enumerate() {
+                    match jobs[j as usize].init {
+                        Some(s) => sqa_batch.set_replica(r, |_, i| s[i]),
+                        None => sqa_batch.draw_replica(r, &mut rngs[r]),
+                    }
+                }
+                sqa_batch.rebuild_fields(problem);
                 sqa::anneal_batch_compiled(problem, chains, fractions, sqa_batch, rngs);
                 for (r, slot) in out.iter_mut().enumerate() {
                     *slot = sqa::best_slice_batch(sqa_batch, r);

@@ -152,10 +152,11 @@ impl<'a> WindowStrips<'a> {
         linear: &'a mut [f64],
         weights: &'a mut [f64],
         width: usize,
+        shared: bool,
         problem: &CompiledProblem,
     ) -> Self {
         assert!(
-            !weights.is_empty(),
+            !shared,
             "binding needs a per-replica batch (reset_per_replica)"
         );
         assert_eq!(
@@ -214,17 +215,19 @@ impl<'a> WindowStrips<'a> {
 
 /// Binds a window of `problems` under ICE drawn from `rngs` into one
 /// batch's strips (see [`IceModel::refreeze_window`]).
+#[allow(clippy::too_many_arguments)]
 fn bind_window_ice<R: Rng>(
     linear: &mut [f64],
     weights: &mut [f64],
     width: usize,
+    shared: bool,
     normals: &mut Vec<f64>,
     problems: &[&CompiledProblem],
     ice: &IceModel,
     rngs: &mut [R],
 ) {
     assert!(!problems.is_empty(), "one problem per replica");
-    let mut strips = WindowStrips::checked(linear, weights, width, problems[0]);
+    let mut strips = WindowStrips::checked(linear, weights, width, shared, problems[0]);
     let (n, entries) = (problems[0].num_spins(), problems[0].num_entries());
     assert!(
         problems
@@ -301,6 +304,9 @@ fn unsupported_width(width: usize) -> ! {
 pub struct ReplicaBatch {
     width: usize,
     n: usize,
+    /// Shared coefficient mode: couplings come from the problem
+    /// argument and `weights` is not read.
+    shared: bool,
     /// `spins[i*width + r]` = spin `i` of replica `r`.
     spins: Vec<Spin>,
     /// Cached local fields, parallel to `spins`.
@@ -308,8 +314,8 @@ pub struct ReplicaBatch {
     /// Per-replica linear terms `linear[i*width + r]` (broadcast from
     /// the shared problem in shared mode).
     linear: Vec<f64>,
-    /// Per-replica coupling strips `weights[e*width + r]`; empty in
-    /// shared mode (weights read from the problem argument instead).
+    /// Per-replica coupling strips `weights[e*width + r]` (per-replica
+    /// mode; the allocation outlives shared windows).
     weights: Vec<f64>,
     /// Scratch: the window's ICE deviates, `W × (n + m)`, entry-major.
     normals: Vec<f64>,
@@ -333,23 +339,18 @@ impl ReplicaBatch {
         self.n
     }
 
-    #[inline]
-    fn shared(&self) -> bool {
-        self.weights.is_empty()
-    }
-
     /// Shapes the buffers for `width` replicas. Any width binds and
-    /// initializes; sweeping needs one of [`SA_WIDTHS`].
-    fn reset_common(&mut self, problem: &CompiledProblem, width: usize) {
+    /// initializes; sweeping needs one of [`SA_WIDTHS`]. Buffers keep
+    /// their allocations and stale contents: binding and initializing
+    /// every replica overwrite all of them.
+    fn reset_common(&mut self, problem: &CompiledProblem, width: usize, shared: bool) {
         assert!(width > 0, "batch width must be positive");
         let n = problem.num_spins();
         self.width = width;
         self.n = n;
-        self.spins.clear();
+        self.shared = shared;
         self.spins.resize(n * width, 1);
-        self.fields.clear();
         self.fields.resize(n * width, 0.0);
-        self.linear.clear();
         self.linear.resize(n * width, 0.0);
     }
 
@@ -358,8 +359,7 @@ impl ReplicaBatch {
     /// coefficients. Replicas still need [`ReplicaBatch::init_replica`]
     /// (or the random variant) before sweeping.
     pub fn reset_shared(&mut self, problem: &CompiledProblem, width: usize) {
-        self.reset_common(problem, width);
-        self.weights.clear();
+        self.reset_common(problem, width, true);
         for i in 0..self.n {
             let f = problem.linear(i);
             self.linear[i * width..(i + 1) * width].fill(f);
@@ -371,8 +371,7 @@ impl ReplicaBatch {
     /// be given its coefficients via [`ReplicaBatch::bind_replica`]
     /// before it is initialized.
     pub fn reset_per_replica(&mut self, structure: &CompiledProblem, width: usize) {
-        self.reset_common(structure, width);
-        self.weights.clear();
+        self.reset_common(structure, width, false);
         self.weights.resize(structure.num_entries() * width, 0.0);
     }
 
@@ -383,8 +382,14 @@ impl ReplicaBatch {
     /// # Panics
     /// Panics in shared mode or when shapes disagree.
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        WindowStrips::checked(&mut self.linear, &mut self.weights, self.width, problem)
-            .copy_from(r, problem);
+        WindowStrips::checked(
+            &mut self.linear,
+            &mut self.weights,
+            self.width,
+            self.shared,
+            problem,
+        )
+        .copy_from(r, problem);
     }
 
     /// Binds every replica to one anneal's ICE-refrozen coefficients:
@@ -409,6 +414,7 @@ impl ReplicaBatch {
             &mut self.linear,
             &mut self.weights,
             self.width,
+            self.shared,
             &mut self.normals,
             problems,
             ice,
@@ -420,12 +426,8 @@ impl ReplicaBatch {
     /// fields from its bound coefficients. `problem` supplies the CSR
     /// structure (and, in shared mode, the coefficients).
     pub fn init_replica(&mut self, problem: &CompiledProblem, r: usize, spins: &[Spin]) {
-        assert_eq!(spins.len(), self.n, "initial state length mismatch");
-        let w = self.width;
-        for (i, &s) in spins.iter().enumerate() {
-            self.spins[i * w + r] = s;
-        }
-        self.rebuild_fields(problem, r);
+        self.set_replica(r, spins);
+        self.rebuild_replica_fields(problem, r);
     }
 
     /// Initializes replica `r` uniformly at random: one `next_u64` per
@@ -436,19 +438,75 @@ impl ReplicaBatch {
         r: usize,
         rng: &mut R,
     ) {
+        self.draw_replica(r, rng);
+        self.rebuild_replica_fields(problem, r);
+    }
+
+    /// Sets replica `r`'s spins; its cached fields stay stale until
+    /// [`ReplicaBatch::rebuild_fields`].
+    pub fn set_replica(&mut self, r: usize, spins: &[Spin]) {
+        assert_eq!(spins.len(), self.n, "initial state length mismatch");
+        let w = self.width;
+        for (i, &s) in spins.iter().enumerate() {
+            self.spins[i * w + r] = s;
+        }
+    }
+
+    /// Draws replica `r`'s spins as
+    /// [`ReplicaBatch::init_replica_random`] does; its cached fields
+    /// stay stale until [`ReplicaBatch::rebuild_fields`].
+    pub fn draw_replica<R: Rng + ?Sized>(&mut self, r: usize, rng: &mut R) {
         let w = self.width;
         let spins = &mut self.spins;
         random_spins(self.n, rng, |i, s| spins[i * w + r] = s);
-        self.rebuild_fields(problem, r);
     }
 
-    fn rebuild_fields(&mut self, problem: &CompiledProblem, r: usize) {
+    /// Rebuilds every replica's cached fields from its spins and bound
+    /// coefficients in one CSR pass, strip by strip: each row entry is
+    /// read once for all replicas. Per replica the sum runs in
+    /// [`ReplicaBatch::init_replica`]'s order, so the fields are the
+    /// same bits.
+    pub fn rebuild_fields(&mut self, problem: &CompiledProblem) {
+        match self.width {
+            1 => self.rebuild_fields_w::<1>(problem),
+            2 => self.rebuild_fields_w::<2>(problem),
+            4 => self.rebuild_fields_w::<4>(problem),
+            8 => self.rebuild_fields_w::<8>(problem),
+            w => (0..w).for_each(|r| self.rebuild_replica_fields(problem, r)),
+        }
+    }
+
+    fn rebuild_fields_w<const W: usize>(&mut self, problem: &CompiledProblem) {
+        let neighbors = problem.neighbors_flat();
+        for i in 0..self.n {
+            let (lo, hi) = problem.row_bounds(i);
+            let mut h: [f64; W] = self.linear[i * W..(i + 1) * W].try_into().expect("strip");
+            for (e, &j) in (lo..hi).zip(&neighbors[lo..hi]) {
+                let at = j as usize * W;
+                let s: &[Spin; W] = self.spins[at..at + W].try_into().expect("strip");
+                if self.shared {
+                    let g = problem.weights_flat()[e];
+                    for r in 0..W {
+                        h[r] += g * s[r] as f64;
+                    }
+                } else {
+                    let gs: &[f64; W] = self.weights[e * W..(e + 1) * W].try_into().expect("strip");
+                    for r in 0..W {
+                        h[r] += gs[r] * s[r] as f64;
+                    }
+                }
+            }
+            self.fields[i * W..(i + 1) * W].copy_from_slice(&h);
+        }
+    }
+
+    fn rebuild_replica_fields(&mut self, problem: &CompiledProblem, r: usize) {
         let w = self.width;
         for i in 0..self.n {
             let (lo, hi) = problem.row_bounds(i);
             let idx = &problem.neighbors_flat()[lo..hi];
             let mut h = self.linear[i * w + r];
-            if self.shared() {
+            if self.shared {
                 let gs = &problem.weights_flat()[lo..hi];
                 for (&j, &g) in idx.iter().zip(gs) {
                     h += g * self.spins[j as usize * w + r] as f64;
@@ -553,7 +611,7 @@ impl ReplicaBatch {
     fn scatter<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
-        if self.shared() {
+        if self.shared {
             let gs = &problem.weights_flat()[lo..hi];
             for (&j, &g) in idx.iter().zip(gs) {
                 let at = j as usize * W;
@@ -664,14 +722,16 @@ pub struct SqaReplicaBatch {
     width: usize,
     n: usize,
     slices: usize,
+    /// Shared coefficient mode (see [`ReplicaBatch`]).
+    shared: bool,
     /// `spins[(k*n + i)*width + r]`.
     spins: Vec<Spin>,
     /// Cached per-slice problem-term fields, parallel to `spins`.
     fields: Vec<f64>,
     /// Per-replica linear terms `linear[i*width + r]` (slices share).
     linear: Vec<f64>,
-    /// Per-replica coupling strips `weights[e*width + r]`; empty in
-    /// shared mode.
+    /// Per-replica coupling strips `weights[e*width + r]`
+    /// (per-replica mode).
     weights: Vec<f64>,
     steps: Vec<f64>,
     deltas: Vec<f64>,
@@ -697,36 +757,33 @@ impl SqaReplicaBatch {
         self.slices
     }
 
-    #[inline]
-    fn shared(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    fn reset_common(&mut self, problem: &CompiledProblem, slices: usize, width: usize) {
+    /// Shapes the buffers (see [`ReplicaBatch`]'s `reset_common`: no
+    /// fills of what binding and initializing overwrite).
+    fn reset_common(
+        &mut self,
+        problem: &CompiledProblem,
+        slices: usize,
+        width: usize,
+        shared: bool,
+    ) {
         assert!(width > 0, "batch width must be positive");
         assert!(slices >= 2, "need at least 2 Trotter slices");
         let n = problem.num_spins();
         self.width = width;
         self.n = n;
         self.slices = slices;
-        self.spins.clear();
+        self.shared = shared;
         self.spins.resize(slices * n * width, 1);
-        self.fields.clear();
         self.fields.resize(slices * n * width, 0.0);
-        self.linear.clear();
         self.linear.resize(n * width, 0.0);
-        self.steps.clear();
         self.steps.resize(width, 0.0);
-        self.deltas.clear();
         self.deltas.resize(width, 0.0);
-        self.mask.clear();
         self.mask.resize(width, false);
     }
 
     /// Shared-coefficient reset (see [`ReplicaBatch::reset_shared`]).
     pub fn reset_shared(&mut self, problem: &CompiledProblem, slices: usize, width: usize) {
-        self.reset_common(problem, slices, width);
-        self.weights.clear();
+        self.reset_common(problem, slices, width, true);
         for i in 0..self.n {
             let f = problem.linear(i);
             self.linear[i * width..(i + 1) * width].fill(f);
@@ -736,16 +793,21 @@ impl SqaReplicaBatch {
     /// Per-replica-coefficient reset (see
     /// [`ReplicaBatch::reset_per_replica`]).
     pub fn reset_per_replica(&mut self, structure: &CompiledProblem, slices: usize, width: usize) {
-        self.reset_common(structure, slices, width);
-        self.weights.clear();
+        self.reset_common(structure, slices, width, false);
         self.weights.resize(structure.num_entries() * width, 0.0);
     }
 
     /// Binds replica `r`'s coefficients (see
     /// [`ReplicaBatch::bind_replica`]).
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        WindowStrips::checked(&mut self.linear, &mut self.weights, self.width, problem)
-            .copy_from(r, problem);
+        WindowStrips::checked(
+            &mut self.linear,
+            &mut self.weights,
+            self.width,
+            self.shared,
+            problem,
+        )
+        .copy_from(r, problem);
     }
 
     /// Binds every replica under fresh ICE (see
@@ -760,6 +822,7 @@ impl SqaReplicaBatch {
             &mut self.linear,
             &mut self.weights,
             self.width,
+            self.shared,
             &mut self.normals,
             problems,
             ice,
@@ -773,15 +836,10 @@ impl SqaReplicaBatch {
         &mut self,
         problem: &CompiledProblem,
         r: usize,
-        mut init: impl FnMut(usize, usize) -> Spin,
+        init: impl FnMut(usize, usize) -> Spin,
     ) {
-        let w = self.width;
-        for k in 0..self.slices {
-            for i in 0..self.n {
-                self.spins[(k * self.n + i) * w + r] = init(k, i);
-            }
-        }
-        self.rebuild_fields(problem, r);
+        self.set_replica(r, init);
+        self.rebuild_replica_fields(problem, r);
     }
 
     /// Initializes replica `r` uniformly at random: one `next_u64` per
@@ -793,13 +851,63 @@ impl SqaReplicaBatch {
         r: usize,
         rng: &mut R,
     ) {
+        self.draw_replica(r, rng);
+        self.rebuild_replica_fields(problem, r);
+    }
+
+    /// Sets replica `r`'s slices from `init(k, i)`; its field cache
+    /// stays stale until [`SqaReplicaBatch::rebuild_fields`].
+    pub fn set_replica(&mut self, r: usize, mut init: impl FnMut(usize, usize) -> Spin) {
+        let w = self.width;
+        for k in 0..self.slices {
+            for i in 0..self.n {
+                self.spins[(k * self.n + i) * w + r] = init(k, i);
+            }
+        }
+    }
+
+    /// Draws replica `r`'s slices as
+    /// [`SqaReplicaBatch::init_replica_random`] does; its field cache
+    /// stays stale until [`SqaReplicaBatch::rebuild_fields`].
+    pub fn draw_replica<R: Rng + ?Sized>(&mut self, r: usize, rng: &mut R) {
         let w = self.width;
         let spins = &mut self.spins;
         random_spins(self.slices * self.n, rng, |at, s| spins[at * w + r] = s);
-        self.rebuild_fields(problem, r);
     }
 
-    fn rebuild_fields(&mut self, problem: &CompiledProblem, r: usize) {
+    /// Rebuilds every replica's field cache in one CSR pass per slice,
+    /// strip by strip (see [`ReplicaBatch::rebuild_fields`]): the same
+    /// bits as [`SqaReplicaBatch::init_replica`] per replica.
+    pub fn rebuild_fields(&mut self, problem: &CompiledProblem) {
+        let w = self.width;
+        let neighbors = problem.neighbors_flat();
+        for k in 0..self.slices {
+            let base = k * self.n;
+            for i in 0..self.n {
+                let (lo, hi) = problem.row_bounds(i);
+                let at = (base + i) * w;
+                let h = &mut self.fields[at..at + w];
+                h.copy_from_slice(&self.linear[i * w..(i + 1) * w]);
+                for (e, &j) in (lo..hi).zip(&neighbors[lo..hi]) {
+                    let from = (base + j as usize) * w;
+                    let s = &self.spins[from..from + w];
+                    if self.shared {
+                        let g = problem.weights_flat()[e];
+                        for (h, &s) in h.iter_mut().zip(s) {
+                            *h += g * s as f64;
+                        }
+                    } else {
+                        let gs = &self.weights[e * w..(e + 1) * w];
+                        for ((h, &g), &s) in h.iter_mut().zip(gs).zip(s) {
+                            *h += g * s as f64;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn rebuild_replica_fields(&mut self, problem: &CompiledProblem, r: usize) {
         let w = self.width;
         for k in 0..self.slices {
             let base = k * self.n;
@@ -807,7 +915,7 @@ impl SqaReplicaBatch {
                 let (lo, hi) = problem.row_bounds(i);
                 let idx = &problem.neighbors_flat()[lo..hi];
                 let mut h = self.linear[i * w + r];
-                if self.shared() {
+                if self.shared {
                     let gs = &problem.weights_flat()[lo..hi];
                     for (&j, &g) in idx.iter().zip(gs) {
                         h += g * self.spins[(base + j as usize) * w + r] as f64;
@@ -1064,7 +1172,7 @@ impl SqaReplicaBatch {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
         let steps = &self.steps[..w];
-        if self.shared() {
+        if self.shared {
             let gs = &problem.weights_flat()[lo..hi];
             for (&j, &g) in idx.iter().zip(gs) {
                 let at = (base + j as usize) * w;

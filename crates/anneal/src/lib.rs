@@ -63,11 +63,19 @@
 //! * **One sweep per backend** — the two batches are the only sweep
 //!   state: a single anneal is a width-1 batch, and every device entry
 //!   point runs through [`Annealer::run_jobs`].
-//! * **Per-thread reuse** — each worker owns one replica batch. A
-//!   window's ICE refreeze draws every replica's deviates into one
-//!   reused `W × (n + m)` buffer and writes the perturbed coefficients
-//!   straight into the `linear`/`weights` strips, one contiguous strip
-//!   per coefficient (the CSR structure is shared); the anneal hot
+//! * **Per-thread reuse** — each worker owns one replica batch, and a
+//!   one-thread run's worker is the calling thread's, kept across
+//!   [`Annealer::run_jobs`] calls (strips, RNG vector and deviate
+//!   buffer included), so a warm call allocates no window buffer.
+//!   Resets reshape without refilling: the bind and the init overwrite
+//!   every coefficient, spin and field. A window is set up in three
+//!   strip-wise passes: the ICE refreeze draws every replica's
+//!   deviates into one reused `W × (n + m)` buffer and writes the
+//!   perturbed coefficients straight into the `linear`/`weights`
+//!   strips, one contiguous strip per coefficient (the CSR structure
+//!   is shared); then each replica's initial spins are set or drawn
+//!   from its stream; then one CSR pass rebuilds all `W` replicas'
+//!   fields, each row entry read once for the window. The anneal hot
 //!   loop performs no allocation.
 //!
 //! ## Determinism contract
@@ -96,9 +104,13 @@
 //!      else draws one `E ~ Exp(1)` (`ExpZiggurat`) and accepts iff
 //!      `β·ΔE < E`. Whether a proposal draws depends only on ΔE, which
 //!      is deterministic.
-//! 3. **No cross-anneal state** — scratch buffers are reset per anneal
-//!    (fields recomputed from the refrozen coefficients), so reuse
-//!    never leaks one anneal's state into the next.
+//! 3. **No cross-anneal state** — every window overwrites its whole
+//!    state (coefficients bound, spins set or drawn, fields recomputed
+//!    from both), so reuse never leaks one anneal's state into the
+//!    next. Each replica's stream still draws refreeze → init →
+//!    proposals: the window draws all replicas' deviates, then all
+//!    initial spins, before any field is rebuilt, and field rebuilds
+//!    draw nothing.
 //!
 //! * **Compile-once batch entry** — [`Annealer::run_compiled`] accepts
 //!   a caller-held `CompiledProblem`/`CompiledChains` pair, and the

@@ -45,20 +45,11 @@ fn bench_reduction(c: &mut Criterion) {
         group.bench_function(format!("{}x{} {}", nt, nt, m.name()), |b| {
             b.iter(|| black_box(ising_from_ml(inst.h(), inst.y(), m)))
         });
-        // The per-channel-use cost once the Gram matrix is amortized
+        // The per-channel-use cost once the couplings are amortized
         // over the coherence interval (the §3.2.2 deployment shape).
-        let gram = inst.h().gram();
+        let reduction = quamax_core::MlReduction::new(inst.h(), m);
         group.bench_function(format!("{}x{} {} amortized", nt, nt, m.name()), |b| {
-            b.iter(|| {
-                let h_y = inst.h().hermitian().mul_vec(inst.y());
-                black_box(quamax_core::reduce::ising_from_ml_amortized(
-                    inst.h(),
-                    &gram,
-                    &h_y,
-                    inst.y(),
-                    m,
-                ))
-            })
+            b.iter(|| black_box(reduction.reduce(inst.y())))
         });
     }
     group.finish();

@@ -7,7 +7,10 @@
 //! seeds. Three ways through the same decodes:
 //!
 //! * `one_shot` — the historical API: `QuamaxDecoder::decode` per
-//!   `(H, y)`, re-reducing/re-embedding/re-freezing every call;
+//!   `(H, y)`, compiling every call. A compile is the Gram, the
+//!   couplings and a lookup of the chip structure the process built on
+//!   its first compile of this shape, so this costs about what
+//!   `session_serial` does;
 //! * `session_serial` — `QuamaxDecoder::compile` once, then
 //!   `DecodeSession::decode` per `y` (isolates the compile
 //!   amortization from parallelism);

@@ -34,7 +34,16 @@
 //! * `ice_normals` — ns per standard-normal deviate, the ICE sampler
 //!   (256-layer ziggurat) against the polar method that channels and
 //!   noise draw from, over one replica's `n + m` deviates of that
-//!   problem.
+//!   problem;
+//! * `window_setup_embedded_624q_r8` — µs per setup of one 8-wide
+//!   window of that problem (reset, ICE bind, random initial spins and
+//!   their fields): the reference `init_replica_random` per replica,
+//!   which walks the CSR rows once per replica with strided access,
+//!   against drawing every replica's spins and then rebuilding all
+//!   eight replicas' fields in one strip-wise pass. The run asserts
+//!   equal spins, equal field bits and an equal next draw per stream;
+//!   the speedup is reported, not asserted (it swings too widely on a
+//!   shared machine for a gate).
 
 use criterion::{measure_each, Summary};
 use quamax_anneal::kernel::{ReplicaBatch, SqaReplicaBatch};
@@ -92,6 +101,22 @@ impl IceBindRow {
 
     fn speedup(&self) -> f64 {
         self.reference.min_ns / self.window.min_ns
+    }
+}
+
+/// The window-setup row: per-replica field rebuilds against one
+/// strip-wise pass.
+struct WindowSetupRow {
+    reference: Summary,
+    strips: Summary,
+}
+
+impl WindowSetupRow {
+    const NAME: &'static str = "window_setup_embedded_624q_r8";
+    const WIDTH: usize = 8;
+
+    fn speedup(&self) -> f64 {
+        self.reference.min_ns / self.strips.min_ns
     }
 }
 
@@ -351,6 +376,71 @@ fn main() {
             },
         )
     };
+    // Window setup: both sides set up windows from the same eight
+    // streams, equally often, so they end on the same window.
+    let setup_row = {
+        let width = WindowSetupRow::WIDTH;
+        let (embedded48, _) = kb::embedded_bpsk(48, 1);
+        let compiled = CompiledProblem::new(&embedded48);
+        let ice = IceModel::calibrated();
+        let problems = vec![&compiled; width];
+        let streams = || -> Vec<StdRng> {
+            (0..width)
+                .map(|r| StdRng::seed_from_u64(90 + r as u64))
+                .collect()
+        };
+        let (mut reference, mut strips) = (ReplicaBatch::new(), ReplicaBatch::new());
+        let (mut reference_rngs, mut strip_rngs) = (streams(), streams());
+        let (reference_time, strips_time) = interleave(
+            samples,
+            rounds,
+            |k| {
+                measure_each(k, || {
+                    reference.reset_per_replica(&compiled, width);
+                    reference.bind_window_ice(&problems, &ice, &mut reference_rngs);
+                    for (r, rng) in reference_rngs.iter_mut().enumerate() {
+                        reference.init_replica_random(&compiled, r, rng);
+                    }
+                    black_box(&reference);
+                })
+            },
+            |k| {
+                measure_each(k, || {
+                    strips.reset_per_replica(&compiled, width);
+                    strips.bind_window_ice(&problems, &ice, &mut strip_rngs);
+                    for (r, rng) in strip_rngs.iter_mut().enumerate() {
+                        strips.draw_replica(r, rng);
+                    }
+                    strips.rebuild_fields(&compiled);
+                    black_box(&strips);
+                })
+            },
+        );
+        for r in 0..width {
+            for i in 0..compiled.num_spins() {
+                assert_eq!(
+                    reference.spin(i, r),
+                    strips.spin(i, r),
+                    "strip-wise window setup drew other spins (replica {r}, spin {i})"
+                );
+                assert_eq!(
+                    reference.field(i, r).to_bits(),
+                    strips.field(i, r).to_bits(),
+                    "strip-wise window setup diverged (replica {r}, spin {i})"
+                );
+            }
+            assert_eq!(
+                rand::RngCore::next_u64(&mut reference_rngs[r]),
+                rand::RngCore::next_u64(&mut strip_rngs[r]),
+                "strip-wise window setup left stream {r} elsewhere"
+            );
+        }
+        WindowSetupRow {
+            reference: reference_time,
+            strips: strips_time,
+        }
+    };
+
     let per_deviate = IceBindRow::WIDTH as f64 / ice_row.normals as f64;
     let (polar_ns, ziggurat_ns) = (polar.min_ns * per_deviate, ziggurat.min_ns * per_deviate);
 
@@ -360,7 +450,7 @@ fn main() {
             .map(|w| format!("   ({:.0} replicas/s)", r.replicas_per_second(w)))
             .unwrap_or_default();
         println!(
-            "{:<28} naive {:>12.0} ns   compiled {:>12.0} ns   speedup {:>5.2}x{rate}",
+            "{:<30} naive {:>12.0} ns   compiled {:>12.0} ns   speedup {:>5.2}x{rate}",
             r.name,
             r.naive.min_ns,
             r.compiled.min_ns,
@@ -368,7 +458,7 @@ fn main() {
         );
     }
     println!(
-        "{:<28} ref   {:>12.0} ns   window   {:>12.0} ns   speedup {:>5.2}x   ({:.1} ns/normal window)",
+        "{:<30} ref   {:>12.0} ns   window   {:>12.0} ns   speedup {:>5.2}x   ({:.1} ns/normal window)",
         IceBindRow::NAME,
         ice_row.reference.min_ns,
         ice_row.window.min_ns,
@@ -376,11 +466,19 @@ fn main() {
         ice_row.window.min_ns / ice_row.normals as f64
     );
     println!(
-        "{:<28} polar {:>12.2} ns   ziggurat {:>12.2} ns   speedup {:>5.2}x   (per deviate)",
+        "{:<30} polar {:>12.2} ns   ziggurat {:>12.2} ns   speedup {:>5.2}x   (per deviate)",
         "ice_normals",
         polar_ns,
         ziggurat_ns,
         polar_ns / ziggurat_ns
+    );
+
+    println!(
+        "{:<30} ref   {:>12.1} us   strips   {:>12.1} us   speedup {:>5.2}x   (per window)",
+        WindowSetupRow::NAME,
+        setup_row.reference.min_ns / 1e3,
+        setup_row.strips.min_ns / 1e3,
+        setup_row.speedup()
     );
 
     assert!(
@@ -421,6 +519,16 @@ fn main() {
         "window_median_ns": ice_row.window.median_ns.round(),
         "speedup": (ice_row.speedup() * 100.0).round() / 100.0,
     }));
+    let us = |ns: f64| (ns / 10.0).round() / 100.0;
+    rows.push(serde_json::json!({
+        "bench": WindowSetupRow::NAME,
+        "replicas": WindowSetupRow::WIDTH,
+        "reference_min_us": us(setup_row.reference.min_ns),
+        "reference_median_us": us(setup_row.reference.median_ns),
+        "strips_min_us": us(setup_row.strips.min_ns),
+        "strips_median_us": us(setup_row.strips.median_ns),
+        "speedup": (setup_row.speedup() * 100.0).round() / 100.0,
+    }));
     rows.push(serde_json::json!({
         "bench": "ice_normals",
         "deviates": ice_row.normals / IceBindRow::WIDTH,
@@ -431,7 +539,7 @@ fn main() {
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
         "rows": rows,
     });
     if !quick {

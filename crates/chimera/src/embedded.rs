@@ -177,7 +177,13 @@ impl EmbeddedProblem {
     /// 10–12 compile for callers reusing the embedding across a
     /// coherence interval.
     pub fn scale_for(&self, logical: &IsingProblem) -> f64 {
-        let max_abs = logical.max_abs_coefficient();
+        self.scale_for_max_abs(logical.max_abs_coefficient())
+    }
+
+    /// [`EmbeddedProblem::scale_for`] a logical problem whose
+    /// [`IsingProblem::max_abs_coefficient`] is `max_abs` — for callers
+    /// that track the fields' and couplings' magnitudes apart.
+    pub fn scale_for_max_abs(&self, max_abs: f64) -> f64 {
         let pre = if max_abs > 0.0 { 1.0 / max_abs } else { 1.0 };
         pre * self.kappa
     }

@@ -90,6 +90,13 @@ impl ChimeraGraph {
         self.num_sites() - self.defects.len()
     }
 
+    /// The dead qubit sites, ascending.
+    pub fn defects(&self) -> Vec<QubitId> {
+        let mut dead: Vec<QubitId> = self.defects.iter().copied().collect();
+        dead.sort_unstable();
+        dead
+    }
+
     /// `true` when the qubit site is alive.
     pub fn is_working(&self, q: QubitId) -> bool {
         q < self.num_sites() && !self.defects.contains(&q)

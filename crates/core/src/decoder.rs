@@ -16,7 +16,7 @@
 //! the paper's per-instance metrics (Eq. 9, TTB) are order statistics
 //! over it, not just the best answer.
 
-use crate::reduce::{ising_from_ml, ising_from_ml_amortized};
+use crate::reduce::MlReduction;
 use crate::scenario::DetectionInput;
 use quamax_anneal::{AnnealJob, Annealer, CompiledChains, Schedule, SolutionDistribution};
 use quamax_chimera::{
@@ -24,12 +24,14 @@ use quamax_chimera::{
     EmbeddedProblem, EmbeddingError,
 };
 use quamax_ising::{spins_to_bits, CompiledProblem, IsingProblem, Spin};
-use quamax_linalg::{CMatrix, CVector};
+use quamax_linalg::CVector;
 use quamax_telemetry::Telemetry;
 use quamax_wireless::gray::quamax_bits_to_gray;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Decoder-level configuration: embedding parameters and schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -179,19 +181,18 @@ impl QuamaxDecoder {
     /// the decode once, returning a [`DecodeSession`] that streams
     /// per-received-vector decodes through the frozen problem.
     ///
-    /// In the ML reduction the couplings `g_ij` (and hence the
-    /// embedding, the chain layout, and the annealer's CSR view of the
-    /// problem) depend only on `H` and the modulation; only the linear
-    /// fields `h_i` and the global renormalization scale depend on `y`.
-    /// A C-RAN front-end therefore compiles one session per coherence
-    /// interval and decodes every subcarrier / OFDM symbol of the
-    /// interval against it, paying the reduce→embed→freeze cost once
-    /// (`input.y` is used only to shape the compile; any `y` of the
-    /// interval works).
+    /// In the ML reduction the couplings `g_ij` depend only on `H` and
+    /// the modulation; only the linear fields `h_i` and the global
+    /// renormalization scale depend on `y`. A C-RAN front-end therefore
+    /// compiles one session per coherence interval and decodes every
+    /// subcarrier / OFDM symbol of the interval against it. A compile
+    /// is the Gram matrix, the couplings ([`MlReduction::new`]) and a
+    /// lookup of the chip structure — embedding, CSR freeze, chain
+    /// tables and coupler slots — which depends only on the chip, the
+    /// problem size, the coupling pattern and the embedding parameters,
+    /// and is built once per process for each.
     pub fn compile(&self, input: &DetectionInput) -> Result<DecodeSession, DecodeError> {
-        let gram = input.h.gram();
-        let h_herm = input.h.hermitian();
-        let (logical, _) = ml_reduce(&input.h, &gram, &h_herm, &input.y, input.modulation);
+        let reduction = MlReduction::new(&input.h, input.modulation);
         self.telemetry.counter_inc(
             "quamax_core_reduce_total",
             &[("modulation", input.modulation.name())],
@@ -200,35 +201,15 @@ impl QuamaxDecoder {
             self.annealer.clone().with_telemetry(self.telemetry.clone()),
             self.telemetry.clone(),
             &self.graph,
-            &logical,
+            reduction.couplings(),
             self.config.embed,
         )?;
         Ok(DecodeSession {
             scratch: core.scratch(),
             core,
             schedule: self.config.schedule,
-            modulation: input.modulation,
-            h: input.h.clone(),
-            gram,
-            h_herm,
+            reduction,
         })
-    }
-}
-
-/// The ML reduction of `(H, y)`: the closed forms read the interval's
-/// Gram `H*H` and `H*`; 64-QAM has none and recomputes the generic
-/// norm expansion.
-fn ml_reduce(
-    h: &CMatrix,
-    gram: &CMatrix,
-    h_herm: &CMatrix,
-    y: &CVector,
-    modulation: Modulation,
-) -> (IsingProblem, f64) {
-    if modulation == Modulation::Qam64 {
-        ising_from_ml(h, y, modulation)
-    } else {
-        ising_from_ml_amortized(h, gram, &h_herm.mul_vec(y), y, modulation)
     }
 }
 
@@ -238,11 +219,11 @@ fn ml_reduce(
 /// reduce an input to a logical Ising problem and read the ranked
 /// solutions back.
 ///
-/// [`AnnealCore::compile`] embeds a representative logical problem
-/// once and freezes the programmed problem into the annealer's CSR
-/// view; everything it keeps depends on the logical coupling pattern
-/// alone. Per input, [`AnnealCore::bind`] writes that input's
-/// coefficients into a scratch copy of the frozen structure,
+/// [`AnnealCore::compile`] looks up the session's [`ChipStructure`]
+/// (built on the first compile of its shape) and keeps the interval's
+/// logical couplings in the structure's slot order. Per input,
+/// [`AnnealCore::bind`] writes that input's fields, and the couplings
+/// rescaled with them, into a scratch copy of the frozen structure;
 /// [`AnnealCore::anneal`] runs the anneal batch (from random states, or
 /// from a logical start expanded onto the chains), and
 /// [`AnnealCore::unembed`] majority-votes every sample back and ranks
@@ -253,12 +234,29 @@ pub(crate) struct AnnealCore {
     /// Counts pipeline stages (a disabled handle records nothing).
     telemetry: Telemetry,
     annealer: Annealer,
+    chip: Arc<ChipStructure>,
+    /// The interval's logical couplings, parallel to `chip.slots`.
+    couplings: Vec<f64>,
+    /// `max |g|` over `couplings`: their share of the renormalization
+    /// scale, which the fields complete per input.
+    coupling_max_abs: f64,
+}
+
+/// Everything a compile derives from the chip rather than the channel:
+/// the clique embedding, the frozen CSR base, the chain tables and the
+/// coupler slot map. It is a function of the chip graph, the logical
+/// size, the *nonzero* logical coupling pattern and the embedding
+/// parameters ([`StructureKey`]), so [`ChipStructure::lookup`] builds it
+/// once per process for each and sessions share it. The coefficients
+/// inside are those of the problem that first built it: only the
+/// structure and the chain couplers (which depend on the embedding
+/// parameters alone) are read, and every bind rewrites the rest.
+struct ChipStructure {
     parallel_factor: usize,
-    /// Chain layout + programming map (coefficients inside are stale
-    /// after compile; only structure is read).
+    /// Chain layout (read by unembedding).
     embedded: EmbeddedProblem,
-    /// The frozen CSR template: chain couplers valid for the whole
-    /// session, fields/problem couplers rebound per input.
+    /// The frozen CSR template: chain couplers valid for every session,
+    /// fields and problem couplers rebound per input.
     base: CompiledProblem,
     chains: CompiledChains,
     /// `(CSR entry, logical i, logical j)` per programmed coupler.
@@ -268,29 +266,88 @@ pub(crate) struct AnnealCore {
     chain_len: f64,
 }
 
-/// One input's annealed result: the logical problem its session
-/// reduced it to, that reduction's energy offset, and the ranked
-/// unembedded samples.
-pub(crate) struct Annealed {
-    pub(crate) logical: IsingProblem,
-    pub(crate) offset: f64,
-    pub(crate) distribution: SolutionDistribution,
-    pub(crate) chain_break_fraction: f64,
+/// What a [`ChipStructure`] reads: the chip (grid and dead qubits), the
+/// logical size, which logical couplings are nonzero, and the
+/// embedding parameters' bits. Metro's 16-user BPSK and 8-user QPSK
+/// are both 16 spins, with different patterns; an orthogonal `H`
+/// programs no problem coupler at all.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct StructureKey {
+    grid: usize,
+    defects: Vec<usize>,
+    num_logical: usize,
+    /// One bit per pair `i < j`, row-major over the upper triangle.
+    pattern: Vec<u64>,
+    j_ferro: u64,
+    improved_range: bool,
 }
 
-impl AnnealCore {
+impl StructureKey {
+    fn new(graph: &ChimeraGraph, logical: &IsingProblem, embed: EmbedParams) -> Self {
+        let n = logical.num_spins();
+        let mut pattern = vec![0u64; (n * n.saturating_sub(1) / 2).div_ceil(64)];
+        for (i, j, g) in logical.couplings() {
+            if g != 0.0 {
+                // Pairs before row i, then j's place in row i.
+                let bit = i * n - i * (i + 1) / 2 + (j - i - 1);
+                pattern[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        StructureKey {
+            grid: graph.grid(),
+            defects: graph.defects(),
+            num_logical: n,
+            pattern,
+            j_ferro: embed.j_ferro.to_bits(),
+            improved_range: embed.improved_range,
+        }
+    }
+}
+
+/// Structures kept at most; a miss past this many starts the cache
+/// afresh, bounding its memory however many shapes a process meets.
+const STRUCTURE_CACHE_CAP: usize = 64;
+
+impl ChipStructure {
+    /// The structure of `logical`'s shape on `graph`, built on the
+    /// first lookup of its [`StructureKey`] and shared after. Threads
+    /// that miss the same key at once each build it and all keep the
+    /// first one stored; builds are deterministic, so which wins is
+    /// unobservable. Failed embeddings are not kept.
+    fn lookup(
+        graph: &ChimeraGraph,
+        logical: &IsingProblem,
+        embed: EmbedParams,
+    ) -> Result<Arc<Self>, EmbeddingError> {
+        static CACHE: OnceLock<Mutex<HashMap<StructureKey, Arc<ChipStructure>>>> = OnceLock::new();
+        let cache = CACHE.get_or_init(Default::default);
+        let key = StructureKey::new(graph, logical, embed);
+        // A poisoned lock still guards a valid map: every update under
+        // it is one whole `clear` or insert of a finished structure.
+        if let Some(hit) = cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return Ok(Arc::clone(hit));
+        }
+        let built = Arc::new(ChipStructure::build(graph, logical, embed)?);
+        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if cache.len() >= STRUCTURE_CACHE_CAP {
+            cache.clear();
+        }
+        Ok(Arc::clone(cache.entry(key).or_insert(built)))
+    }
+
     /// Embeds `logical` on `graph`, freezes the programmed problem,
     /// and resolves each programmed coupler's CSR entry once so binds
     /// write straight into the frozen layout.
-    pub(crate) fn compile(
-        annealer: Annealer,
-        telemetry: Telemetry,
+    fn build(
         graph: &ChimeraGraph,
         logical: &IsingProblem,
         embed: EmbedParams,
     ) -> Result<Self, EmbeddingError> {
         let embedding = CliqueEmbedding::new(graph, logical.num_spins())?;
-        telemetry.counter_inc("quamax_core_embed_total", &[]);
         let embedded = EmbeddedProblem::compile(graph, &embedding, logical, embed);
         let base = CompiledProblem::new(embedded.problem());
         let chains = CompiledChains::compile(&base, embedded.chains());
@@ -311,10 +368,7 @@ impl AnnealCore {
             }
         }
         let chain_len = embedded.chains().first().map_or(1, Vec::len) as f64;
-        telemetry.counter_inc("quamax_core_csr_freeze_total", &[]);
-        Ok(AnnealCore {
-            telemetry,
-            annealer,
+        Ok(ChipStructure {
             parallel_factor: parallelization(embedding.num_logical()).max(1),
             embedded,
             base,
@@ -324,38 +378,90 @@ impl AnnealCore {
             chain_len,
         })
     }
+}
+
+/// One input's annealed result: the logical problem its session
+/// reduced it to, that reduction's energy offset, and the ranked
+/// unembedded samples.
+pub(crate) struct Annealed {
+    pub(crate) logical: IsingProblem,
+    pub(crate) offset: f64,
+    pub(crate) distribution: SolutionDistribution,
+    pub(crate) chain_break_fraction: f64,
+}
+
+impl AnnealCore {
+    /// Looks up the chip structure of `couplings`' shape and keeps its
+    /// coupling values, in slot order, for every bind of the session.
+    /// Only `couplings`' couplings are read (its fields are ignored).
+    /// `quamax_core_embed_total` and `quamax_core_csr_freeze_total`
+    /// count one structure bound per compile, built or found.
+    pub(crate) fn compile(
+        annealer: Annealer,
+        telemetry: Telemetry,
+        graph: &ChimeraGraph,
+        couplings: &IsingProblem,
+        embed: EmbedParams,
+    ) -> Result<Self, EmbeddingError> {
+        let chip = ChipStructure::lookup(graph, couplings, embed)?;
+        telemetry.counter_inc("quamax_core_embed_total", &[]);
+        telemetry.counter_inc("quamax_core_csr_freeze_total", &[]);
+        let n = couplings.num_spins();
+        let mut dense = vec![0.0; n * n];
+        for (i, j, g) in couplings.couplings() {
+            dense[i * n + j] = g;
+        }
+        let couplings: Vec<f64> = chip
+            .slots
+            .iter()
+            .map(|&(_, i, j)| dense[i as usize * n + j as usize])
+            .collect();
+        let coupling_max_abs = couplings.iter().map(|g| g.abs()).fold(0.0f64, f64::max);
+        Ok(AnnealCore {
+            telemetry,
+            annealer,
+            chip,
+            couplings,
+            coupling_max_abs,
+        })
+    }
 
     /// Logical Ising variables.
     pub(crate) fn num_logical(&self) -> usize {
-        self.embedded.chains().len()
+        self.chip.embedded.chains().len()
     }
 
     /// Physical qubits occupied by the embedding.
     pub(crate) fn num_physical(&self) -> usize {
-        self.embedded.num_physical()
+        self.chip.embedded.num_physical()
     }
 
     /// Geometric chip parallelization factor of this problem size.
     pub(crate) fn parallel_factor(&self) -> usize {
-        self.parallel_factor
+        self.chip.parallel_factor
     }
 
     /// A copy of the frozen structure for [`AnnealCore::bind`] to
     /// write into.
     pub(crate) fn scratch(&self) -> CompiledProblem {
-        self.base.clone()
+        self.chip.base.clone()
     }
 
-    /// Writes `logical`'s programmed coefficients into `scratch`,
-    /// reproducing exactly what a fresh embed→freeze of `logical`
-    /// would put there.
-    pub(crate) fn bind(&self, logical: &IsingProblem, scratch: &mut CompiledProblem) {
-        let scale = self.embedded.scale_for(logical);
-        for (d, &c) in self.chain_of.iter().enumerate() {
-            scratch.set_linear_term(d, logical.linear(c as usize) * scale / self.chain_len);
+    /// Writes one input's logical `fields`, and the session's couplings,
+    /// into `scratch` at the renormalization scale they set together —
+    /// exactly what a fresh embed→freeze of the logical problem would
+    /// put there.
+    pub(crate) fn bind(&self, fields: &[f64], scratch: &mut CompiledProblem) {
+        let chip = &*self.chip;
+        let field_max_abs = fields.iter().map(|f| f.abs()).fold(0.0f64, f64::max);
+        let scale = chip
+            .embedded
+            .scale_for_max_abs(field_max_abs.max(self.coupling_max_abs));
+        for (d, &c) in chip.chain_of.iter().enumerate() {
+            scratch.set_linear_term(d, fields[c as usize] * scale / chip.chain_len);
         }
-        for &(k, i, j) in &self.slots {
-            scratch.set_entry_weight(k as usize, logical.coupling(i as usize, j as usize) * scale);
+        for (&(k, _, _), &g) in chip.slots.iter().zip(&self.couplings) {
+            scratch.set_entry_weight(k as usize, g * scale);
         }
         self.telemetry
             .counter_inc("quamax_core_field_refresh_total", &[]);
@@ -373,8 +479,13 @@ impl AnnealCore {
         anneals: usize,
         seed: u64,
     ) -> Vec<Vec<Spin>> {
-        let physical: Option<Vec<Spin>> =
-            start.map(|spins| self.chain_of.iter().map(|&c| spins[c as usize]).collect());
+        let physical: Option<Vec<Spin>> = start.map(|spins| {
+            self.chip
+                .chain_of
+                .iter()
+                .map(|&c| spins[c as usize])
+                .collect()
+        });
         let job = AnnealJob {
             problem: scratch,
             init: physical.as_deref(),
@@ -382,7 +493,7 @@ impl AnnealCore {
             seed,
         };
         self.annealer
-            .run_jobs(scratch, &self.chains, schedule, &[job])
+            .run_jobs(scratch, &self.chip.chains, schedule, &[job])
             .pop()
             .expect("one job in, one sample batch out")
     }
@@ -408,7 +519,7 @@ impl AnnealCore {
         let mut logical_samples = Vec::with_capacity(samples.len());
         let mut broken = 0usize;
         for s in samples {
-            let out = unembed_majority_vote(&self.embedded, s, rng);
+            let out = unembed_majority_vote(&self.chip.embedded, s, rng);
             broken += out.broken_chains;
             logical_samples.push(out.logical);
         }
@@ -436,7 +547,7 @@ impl AnnealCore {
         anneals: usize,
         rng: &mut R,
     ) -> Annealed {
-        self.bind(&reduced.0, scratch);
+        self.bind(reduced.0.linear_terms(), scratch);
         let seed: u64 = rng.random();
         let samples = self.anneal(scratch, start, schedule, anneals, seed);
         self.unembed(reduced, &samples, schedule, rng)
@@ -463,7 +574,7 @@ impl AnnealCore {
         for (item, seed) in items {
             let reduced = reduce(item);
             let mut scratch = self.scratch();
-            self.bind(&reduced.0, &mut scratch);
+            self.bind(reduced.0.linear_terms(), &mut scratch);
             let mut rng = StdRng::seed_from_u64(*seed);
             let anneal_seed: u64 = rng.random();
             bound.push((scratch, reduced, anneal_seed, rng));
@@ -477,9 +588,9 @@ impl AnnealCore {
                 seed: *anneal_seed,
             })
             .collect();
-        let sample_sets = self
-            .annealer
-            .run_jobs(&self.base, &self.chains, schedule, &jobs);
+        let sample_sets =
+            self.annealer
+                .run_jobs(&self.chip.base, &self.chip.chains, schedule, &jobs);
         drop(jobs);
         bound
             .into_iter()
@@ -491,10 +602,10 @@ impl AnnealCore {
     }
 }
 
-/// A compiled decode session: the `H`-dependent work (ML reduction
-/// structure, Chimera embedding, CSR freeze, chain tables) done once,
-/// with per-`y` decodes reduced to an in-place linear-field/scale
-/// refresh plus the anneal batch itself.
+/// A compiled decode session: the `H`-dependent work (the couplings,
+/// and the chip structure they select) done once, with per-`y` decodes
+/// reduced to the matched filter, the fields and the scale written into
+/// the frozen problem, plus the anneal batch itself.
 ///
 /// Produced by [`QuamaxDecoder::compile`]. Decodes through a session
 /// are bit-identical to [`QuamaxDecoder::decode`] on the same
@@ -506,19 +617,14 @@ pub struct DecodeSession {
     /// decode path); batch items bind their own copies.
     scratch: CompiledProblem,
     schedule: Schedule,
-    modulation: Modulation,
-    h: CMatrix,
-    /// `H*H` — the channel Gram matrix every closed-form coupling and
-    /// field reads (computed once per coherence interval).
-    gram: CMatrix,
-    /// `H*` — applied per decode for the matched filter `H*y`.
-    h_herm: CMatrix,
+    /// The interval's couplings; per `y` it adds only the fields.
+    reduction: MlReduction,
 }
 
 impl DecodeSession {
     /// Modulation the session was compiled for.
     pub fn modulation(&self) -> Modulation {
-        self.modulation
+        self.reduction.modulation()
     }
 
     /// Logical Ising variables (= payload bits per channel use).
@@ -641,12 +747,7 @@ impl DecodeSession {
 
     /// The ML reduction of `y` against the session's channel.
     fn reduce(&self, y: &CVector) -> (IsingProblem, f64) {
-        assert_eq!(
-            y.len(),
-            self.h.rows(),
-            "received vector length differs from receive antennas"
-        );
-        ml_reduce(&self.h, &self.gram, &self.h_herm, y, self.modulation)
+        self.reduction.reduce(y)
     }
 
     /// One decode: forward under the session's schedule, or backwards
@@ -660,7 +761,7 @@ impl DecodeSession {
     ) -> DecodeRun {
         let schedule = reverse.map_or(self.schedule, |(_, s)| *s);
         // Gray bits → QuAMax-transform bits → logical spins.
-        let q = self.modulation.bits_per_symbol();
+        let q = self.modulation().bits_per_symbol();
         let start = reverse.map(|(gray, _)| {
             assert_eq!(gray.len(), self.num_bits(), "candidate bit count mismatch");
             quamax_ising::bits_to_spins(
@@ -687,7 +788,7 @@ impl DecodeSession {
             distribution: annealed.distribution,
             logical: annealed.logical,
             ml_offset: annealed.offset,
-            modulation: self.modulation,
+            modulation: self.modulation(),
             schedule,
             parallel_factor: self.core.parallel_factor(),
             chain_break_fraction: annealed.chain_break_fraction,

@@ -10,7 +10,7 @@
 //!
 //! * [`Detector`] — the per-coherence-interval side: `compile(&input)`
 //!   does all the work that depends only on the channel `H` (ML→Ising
-//!   reduction structure + embedding + CSR freeze for QuAMax;
+//!   couplings + a lookup of the embedded, frozen chip structure for QuAMax;
 //!   pseudo-inverse for ZF; LU of the regularized Gram for MMSE; QR
 //!   for the sphere search) and returns a session;
 //! * [`DetectorSession`] — the per-received-vector side:

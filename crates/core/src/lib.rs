@@ -31,51 +31,64 @@
 //!
 //! * **`H`-only (per coherence interval)** — the couplings `g_ij` of
 //!   every closed-form reduction are functions of the Gram matrix
-//!   `H*H` alone (Eqs. 6–8, 13–14), so the coupling *sparsity pattern*,
-//!   the clique embedding, the chain layout, the annealer's CSR freeze
-//!   (`CompiledProblem`), and the chain move tables (`CompiledChains`)
-//!   are all fixed for the interval. So are the chain couplers
-//!   (`−J_F·κ` depends only on the embedding parameters).
+//!   `H*H` alone (Eqs. 6–8, 13–14). [`reduce::MlReduction::new`] forms
+//!   the Gram once, as its upper triangle (BPSK reads only its real
+//!   part), and builds the couplings once. The coupling *sparsity
+//!   pattern* selects the chip structure: the clique embedding, the
+//!   chain layout, the annealer's CSR freeze (`CompiledProblem`), the
+//!   chain move tables (`CompiledChains`) and the coupler slot map.
+//!   That structure depends on nothing else of the channel — only on
+//!   the chip, the logical size, which couplings are nonzero and the
+//!   embedding parameters (the chain couplers `−J_F·κ` included) — so
+//!   it is built once per process for each such key and shared, behind
+//!   an `Arc`, by every session that needs it.
 //! * **`y`-dependent (per decode)** — the linear fields `f_i` read the
 //!   matched-filter output `H*y`, and the hardware pre-normalization
-//!   scale `1/max|coefficient|` moves with them. Both are refreshed
-//!   *in place* on the frozen CSR view (`set_linear_term` /
-//!   `set_entry_weight`), never re-sorted or reallocated.
+//!   scale `1/max|coefficient|` moves with them. Per vector the session
+//!   computes only `H*y`, the fields, the offset and the scale; the
+//!   logical problem is the interval's couplings with those fields, and
+//!   both are written *in place* into the frozen CSR view
+//!   (`set_linear_term` / `set_entry_weight`) with the couplings kept in
+//!   slot order, never re-sorted, looked up or reallocated.
 //!
 //! The session lifecycle:
 //!
 //! ```text
 //! QuamaxDecoder::compile(&input)      // once per coherence interval:
-//!   -> DecodeSession                  //   reduce structure, embed,
-//!                                     //   freeze CSR, map couplers
-//! session.decode(&y, na, seed)        // per received vector: refresh
-//!                                     //   fields + scale, anneal
+//!   -> DecodeSession                  //   Gram + couplings + chip
+//!                                     //   structure lookup
+//! session.decode(&y, na, seed)        // per received vector: fields
+//!                                     //   + scale, anneal
 //! session.decode_batch(&[(y, seed)])  // an interval's worth, sharded
-//!                                     //   across cores (per-worker
+//!                                     //   across cores (per-item
 //!                                     //   scratch, per-item RNG)
 //! ```
 //!
 //! Sessions are an amortization, not a different algorithm: decoding
 //! `(H, y)` through a session is bit-identical to one-shot
 //! [`QuamaxDecoder::decode`] under the same seed (property-tested per
-//! modulation, including reverse annealing), and the one-shot API is
-//! itself a thin wrapper over a single-use session.
+//! modulation, including reverse annealing), and to the uncached
+//! composition of the public layers (`ising_from_ml` → embed → freeze →
+//! anneal → unembed → rank, `tests/structure_cache.rs`) whichever
+//! shapes were compiled before; the one-shot API is itself a thin
+//! wrapper over a single-use session.
 //!
 //! **One annealed core.** The device half of a session is shared by
 //! the uplink [`DecodeSession`] and the downlink
 //! [`precode::VppSession`]: a crate-private `AnnealCore` (in
-//! [`decoder`]) owns the annealer, the embedding, the frozen CSR base,
-//! the chain tables and the coupler slot map, and runs every step
-//! after the reduction — `compile` (embed + freeze + slot map), `bind`
-//! (write one logical problem's coefficients into a scratch copy),
+//! [`decoder`]) holds the annealer, the shared chip structure and the
+//! interval's couplings in slot order, and runs every step after the
+//! reduction — `compile` (structure lookup + couplings), `bind` (write
+//! one input's fields and the rescaled couplings into a scratch copy),
 //! `anneal` (random starts, or a logical start expanded onto the
 //! chains for reverse schedules), `unembed` (majority vote + ranking)
 //! and the one batch path behind `decode_batch` and `precode_batch`
 //! (bind every item, one `Annealer::run_jobs` call, per-item RNG
 //! streams split anneal seed first, tie-breaks after). A session adds
-//! only its own half: the ML reduction, Gray bits and [`DecodeRun`]
-//! for the uplink; `qubo_for`, the perturbation encoding and the
-//! `v = 0` power floor for VPP.
+//! only its own half: the fields-only ML reduction, Gray bits and
+//! [`DecodeRun`] for the uplink; the `W·u` fields over the quadratic
+//! block's couplings, the perturbation encoding and the `v = 0` power
+//! floor for VPP.
 //!
 //! # DESIGN — the unified detector traits
 //!
@@ -93,7 +106,7 @@
 //!
 //! | backend  | `H`-only (compiled once)                   | per-`y` |
 //! |----------|--------------------------------------------|---------|
-//! | QuAMax   | reduction structure, embedding, CSR freeze | field refresh + anneal batch |
+//! | QuAMax   | Gram + couplings, chip structure lookup    | fields + scale + anneal batch |
 //! | ZF       | pseudo-inverse `H⁺` (one LU of `H*H`)      | `H⁺y` + slice |
 //! | MMSE     | LU of `H*H + (σ²/Es)·I`, matched filter    | `H*y` + triangular solves + slice |
 //! | sphere   | QR of `H`                                  | rotate `ȳ = Q*y` + tree walk |
@@ -284,6 +297,6 @@ pub use precode::{
     PrecodePolicy, PrecodeStats, Precoder, PrecoderKind, PrecoderSession, Precoding, ThpPrecoder,
     VppModel, VppPrecoder, VppSession, ZfPrecoder,
 };
-pub use reduce::{ising_from_ml, qubo_from_ml};
+pub use reduce::{ising_from_ml, qubo_from_ml, MlReduction};
 pub use scenario::{DetectionInput, Instance, Scenario};
 pub use soft::{SoftDetection, SoftDetectorSession, SoftSpec};

@@ -27,7 +27,8 @@
 //! each user-symbol vector `u` refreshes only the linear fields —
 //! the uplink `DecodeSession` contract, run by the same annealed core
 //! (`decoder::AnnealCore`): this module supplies only the reduction
-//! (`qubo_for`), the perturbation encoding and the `v = 0` floor.
+//! (the `W·u` fields over the interval's couplings), the perturbation
+//! encoding and the `v = 0` floor.
 //!
 //! [`PrecoderKind`] is the registry mirror of `detect::DetectorKind`:
 //! classical ZF (`τ→∞`, zero perturbation) and Tomlinson–Harashima
@@ -501,16 +502,22 @@ impl VppModel {
     pub fn qubo_for(&self, u: &CVector) -> (QuboProblem, f64) {
         assert_eq!(u.len(), self.num_users(), "symbol vector length mismatch");
         let mut qubo = self.quad.clone();
-        // 2τ·CᵀGφ(u): G·φ(u) = φ(Wu) by the realification identities.
         let wu = self.w.mul_vec(u);
-        let nu = self.num_users();
-        let group = self.encoding.bits_per_dimension();
         for i in 0..self.num_vars() {
-            let (r, k) = (i / group, i % group);
-            let g = if r < nu { wu[r].re } else { wu[r - nu].im };
-            qubo.add_diagonal(i, 2.0 * self.tau * self.encoding.weight(k) * g);
+            qubo.add_diagonal(i, self.linear_term(&wu, i));
         }
         (qubo, self.p.mul_vec(u).norm_sqr())
+    }
+
+    /// Variable `i`'s `u`-dependent diagonal term, entry `i` of
+    /// `2τ·CᵀGφ(u)`, from `wu = W·u` (`G·φ(u) = φ(Wu)` by the
+    /// realification identities).
+    fn linear_term(&self, wu: &CVector, i: usize) -> f64 {
+        let nu = self.num_users();
+        let group = self.encoding.bits_per_dimension();
+        let (r, k) = (i / group, i % group);
+        let g = if r < nu { wu[r].re } else { wu[r - nu].im };
+        2.0 * self.tau * self.encoding.weight(k) * g
     }
 
     /// The transmit signal `x = P(u + τv)`.
@@ -590,44 +597,60 @@ impl Precoder for VppPrecoder {
     type Session = VppSession;
 
     /// Compiles the channel-dependent (per-coherence-interval) part of
-    /// the precode once. The representative logical problem is the
-    /// `u = 0` program; its coupling sparsity is `u`-independent (the
-    /// quadratic QUBO block never changes), so the embedding, the
-    /// chain layout, and the CSR coupler slots serve every symbol
-    /// vector of the interval.
+    /// the precode once: the realified model, the Ising couplings of its
+    /// quadratic block, and a lookup of the chip structure they select.
+    /// The coupling sparsity is `u`-independent (the quadratic QUBO
+    /// block never changes), so the embedding, the chain layout, and
+    /// the CSR coupler slots serve every symbol vector of the interval.
     fn compile(&self, input: &PrecodeInput) -> Result<VppSession, PrecodeError> {
         let model = VppModel::new(&input.h, input.modulation, self.magnitude_bits)?;
-        let (logical, _) = qubo_to_ising(&model.quad);
+        let (mut couplings, _) = qubo_to_ising(&model.quad);
+        for i in 0..couplings.num_spins() {
+            couplings.set_linear(i, 0.0);
+        }
         let core = AnnealCore::compile(
             self.annealer.clone(),
             Telemetry::disabled(),
             &self.graph,
-            &logical,
+            &couplings,
             self.config.embed,
         )?;
+        let quarters = model
+            .quad
+            .off_diagonals()
+            .map(|(i, j, v)| (i as u32, j as u32, v / 4.0))
+            .collect();
         Ok(VppSession {
             scratch: core.scratch(),
             core,
             schedule: self.config.schedule,
             anneals: self.anneals,
             model,
+            couplings,
+            quarters,
         })
     }
 }
 
 /// A compiled VPP session: the `H`-dependent work (realified QUBO
-/// structure, Chimera embedding, CSR freeze, chain tables) done once,
-/// with per-`u` precodes reduced to an in-place linear-field/scale
-/// refresh plus the anneal batch itself — the downlink twin of
-/// `DecodeSession`, sharing its annealed core, plus the `v = 0` floor:
-/// the session never returns a perturbation that costs more transmit
-/// power than plain ZF on the same symbols.
+/// structure, its Ising couplings, the chip structure they select) done
+/// once, with per-`u` precodes reduced to the `W·u` fields and the scale
+/// written into the frozen problem plus the anneal batch itself — the
+/// downlink twin of `DecodeSession`, sharing its annealed core, plus
+/// the `v = 0` floor: the session never returns a perturbation that
+/// costs more transmit power than plain ZF on the same symbols.
 pub struct VppSession {
     core: AnnealCore,
     scratch: CompiledProblem,
     schedule: Schedule,
     anneals: usize,
     model: VppModel,
+    /// `qubo_to_ising` of the quadratic block `τ²CᵀGC`, every field zero.
+    couplings: IsingProblem,
+    /// `(i, j, Q_ij/4)` per off-diagonal of the quadratic block, in
+    /// `off_diagonals()` order: each one's share of two fields and of
+    /// the offset under the Eq. 4 conversion.
+    quarters: Vec<(u32, u32, f64)>,
 }
 
 impl VppSession {
@@ -724,11 +747,28 @@ impl VppSession {
 
     /// The logical problem for `u` and the total additive offset
     /// linking its Ising energies to transmit power:
-    /// `E_ising + offset = ‖P(u + τv)‖²`.
+    /// `E_ising + offset = ‖P(u + τv)‖²`. Bit for bit
+    /// `qubo_to_ising(&model.qubo_for(u))` with the power offset added:
+    /// only the diagonal `Q_ii + 2τ·CᵀGφ(u)` moves with `u`, and the
+    /// quadratic block's quarters are replayed onto the fields and the
+    /// offset in the conversion's own order.
     fn reduce(&self, u: &CVector) -> (IsingProblem, f64) {
-        let (qubo, power_offset) = self.model.qubo_for(u);
-        let (logical, conversion_offset) = qubo_to_ising(&qubo);
-        (logical, conversion_offset + power_offset)
+        let model = &self.model;
+        assert_eq!(u.len(), model.num_users(), "symbol vector length mismatch");
+        let wu = model.w.mul_vec(u);
+        let mut logical = self.couplings.clone();
+        let mut offset = 0.0;
+        for i in 0..model.num_vars() {
+            let d = model.quad.diagonal(i) + model.linear_term(&wu, i);
+            logical.add_linear(i, d / 2.0);
+            offset += d / 2.0;
+        }
+        for &(i, j, quarter) in &self.quarters {
+            logical.add_linear(i as usize, quarter);
+            logical.add_linear(j as usize, quarter);
+            offset += quarter;
+        }
+        (logical, offset + model.p.mul_vec(u).norm_sqr())
     }
 
     /// One precode: forward under the session's schedule, or backwards

@@ -113,163 +113,228 @@ pub fn qubo_from_ml(h: &CMatrix, y: &CVector, modulation: Modulation) -> (QuboPr
 /// `ising.energy(s) + offset = ‖y − He‖²` (s = 2q − 1).
 pub fn ising_from_ml(h: &CMatrix, y: &CVector, modulation: Modulation) -> (IsingProblem, f64) {
     if modulation == Modulation::Qam64 {
-        let (qubo, off_q) = qubo_from_ml(h, y, modulation);
-        let (ising, off_i) = qubo_to_ising(&qubo);
-        return (ising, off_q + off_i);
+        return generic_ising(h, y, modulation);
     }
-    // All closed forms are functions of the Gram matrix H*H and the
-    // matched-filter output H*y — computed once here; receivers that
-    // hold H fixed across a coherence interval should use
-    // `ising_from_ml_amortized` and pay only the O(Nr·Nt) matched
-    // filter per channel use.
-    let gram = h.gram();
-    let h_y = h.hermitian().mul_vec(y);
-    ising_from_ml_amortized(h, &gram, &h_y, y, modulation)
+    MlReduction::new(h, modulation).reduce(y)
 }
 
-/// The closed-form reduction with the channel-dependent factors
-/// precomputed: `gram = H*H` and `h_y = H*y`.
+/// The generic route: [`qubo_from_ml`] plus the Eq. 4 conversion.
+fn generic_ising(h: &CMatrix, y: &CVector, modulation: Modulation) -> (IsingProblem, f64) {
+    let (qubo, off_q) = qubo_from_ml(h, y, modulation);
+    let (ising, off_i) = qubo_to_ising(&qubo);
+    (ising, off_q + off_i)
+}
+
+/// The ML reduction split at the coherence interval.
 ///
-/// The Gram matrix depends only on `H`, which is constant for a
-/// channel coherence interval (~30 ms at walking speed, §2.1 footnote
-/// 2), while `h_y` changes per received vector — so a production
-/// front-end computes `gram` once per interval and only the `O(Nr·Nt)`
-/// matched filter per use. This is the form behind §3.2.2's
-/// "computational time and resources required for ML-to-QA problem
-/// conversion are insignificant".
+/// Every closed-form coupling `g_ij` is a function of the Gram matrix
+/// `H*H` alone, and `H` is constant for a channel coherence interval
+/// (~30 ms at walking speed, §2.1 footnote 2), while the fields `f_i`
+/// read the matched filter `H*y` of each received vector. So a
+/// front-end builds the couplings once per interval with
+/// [`MlReduction::new`] and pays only the `O(Nr·Nt)` matched filter, the
+/// fields and the offset per vector in [`MlReduction::reduce`] — the
+/// form behind §3.2.2's "computational time and resources required for
+/// ML-to-QA problem conversion are insignificant". The Gram is formed
+/// once, as its upper triangle; BPSK reads only its real part.
 ///
-/// # Panics
-/// Panics for 64-QAM (no closed form in the paper; use
-/// [`ising_from_ml`], which routes it through the generic reduction)
-/// or on dimension mismatches.
-pub fn ising_from_ml_amortized(
-    h: &CMatrix,
-    gram: &CMatrix,
-    h_y: &CVector,
-    y: &CVector,
+/// `reduce(y)` equals [`ising_from_ml`]`(h, y, modulation)` exactly:
+/// the same problem (couplings in the same adjacency order) and the
+/// same offset bits. 64-QAM has no closed form; its couplings are
+/// still `y`-independent, but each vector goes through the generic
+/// reduction whole.
+#[derive(Clone, Debug)]
+pub struct MlReduction {
+    h: CMatrix,
     modulation: Modulation,
-) -> (IsingProblem, f64) {
-    assert_eq!(gram.rows(), h.cols(), "gram must be H*H");
-    assert_eq!(h_y.len(), h.cols(), "h_y must be H*y");
-    match modulation {
-        Modulation::Bpsk => ising_bpsk(gram, h_y, y),
-        Modulation::Qpsk => ising_qpsk(gram, h_y, y),
-        Modulation::Qam16 => ising_qam16(h, gram, h_y, y),
-        Modulation::Qam64 => panic!("64-QAM has no closed form; use ising_from_ml"),
-    }
+    /// The couplings, with every field zero.
+    couplings: IsingProblem,
+    /// The offset's `y`-independent term: `Σ‖H_i‖²` for BPSK,
+    /// `2·Σ‖H_i‖²` for QPSK (unused otherwise).
+    norm_offset: f64,
+    /// 16-QAM's offset probe `H·v` at every symbol `T(0) = −3−3j`
+    /// (empty otherwise).
+    probe: CVector,
 }
 
-/// Eq. 6 (BPSK): `f_i = −2·Re⟨H_i, y⟩`, `g_ij = 2·Re⟨H_i, H_j⟩`,
-/// offset such that energies match the ML norm.
-fn ising_bpsk(gram: &CMatrix, h_y: &CVector, y: &CVector) -> (IsingProblem, f64) {
-    let nt = gram.cols();
-    let mut p = IsingProblem::new(nt);
-    for i in 0..nt {
-        p.set_linear(i, -2.0 * h_y[i].re);
-        for j in (i + 1)..nt {
-            p.set_coupling(i, j, 2.0 * gram[(i, j)].re);
-        }
-    }
-    // ‖y − Hv‖² = ‖y‖² − 2Re⟨y,Hv⟩ + ‖Hv‖²; with v = s the Ising part
-    // covers the cross terms; the constant is ‖y‖² + Σ_i ‖H_i‖².
-    let offset = y.norm_sqr() + (0..nt).map(|i| gram[(i, i)].re).sum::<f64>();
-    (p, offset)
-}
-
-/// Eqs. 7–8 (QPSK). Spin order: `s_{2n}` is user `n`'s I bit and
-/// `s_{2n+1}` its Q bit (the paper's 1-based odd/even split).
-fn ising_qpsk(gram: &CMatrix, h_y: &CVector, y: &CVector) -> (IsingProblem, f64) {
-    let nt = gram.cols();
-    let n = 2 * nt;
-    let mut p = IsingProblem::new(n);
-    for i in 0..n {
-        let user = i / 2;
-        // Eq. 7: odd (I) spins couple to Re⟨H,y⟩, even (Q) to Im.
-        p.set_linear(
-            i,
-            if i % 2 == 0 {
-                -2.0 * h_y[user].re
-            } else {
-                -2.0 * h_y[user].im
-            },
-        );
-        for j in (i + 1)..n {
-            let user_j = j / 2;
-            if user_j == user {
-                continue; // Eq. 8: same-symbol I/Q couplers vanish
+impl MlReduction {
+    /// The couplings and offset constants of `(H, modulation)`.
+    pub fn new(h: &CMatrix, modulation: Modulation) -> Self {
+        let nt = h.cols();
+        let (couplings, norm_offset, probe) = match modulation {
+            // Eq. 6: g_ij = 2·Re⟨H_i, H_j⟩.
+            Modulation::Bpsk => {
+                let gram = h.gram_real();
+                let couplings =
+                    IsingProblem::from_upper_couplings(nt, |i, j| Some(2.0 * gram[i * nt + j]));
+                // ‖y − Hv‖² = ‖y‖² − 2Re⟨y,Hv⟩ + ‖Hv‖²; with v = s the
+                // Ising part covers the cross terms; the constant is
+                // ‖y‖² + Σ_i ‖H_i‖².
+                let norms = (0..nt).map(|i| gram[i * nt + i]).sum::<f64>();
+                (couplings, norms, CVector::zeros(0))
             }
-            let hh = gram[(user, user_j)];
-            let g = match (i % 2, j % 2) {
-                // Same parity (both I or both Q): 2·Re⟨H_i, H_j⟩.
-                (0, 0) | (1, 1) => 2.0 * hh.re,
-                // I then Q: −2·Im⟨H_i, H_j⟩; Q then I: +2·Im⟨H_i, H_j⟩.
-                (0, 1) => -2.0 * hh.im,
-                _ => 2.0 * hh.im,
-            };
-            p.set_coupling(i, j, g);
-        }
-    }
-    // Constant: ‖y‖² + E‖Hv‖² over the ±1±j lattice = ‖y‖² + 2Σ‖H_i‖².
-    let offset = y.norm_sqr() + 2.0 * (0..nt).map(|i| gram[(i, i)].re).sum::<f64>();
-    (p, offset)
-}
-
-/// Eqs. 13–14 (16-QAM). Spin order per user `n` (paper's 1-based
-/// 4n−3 … 4n): I-MSB, I-LSB, Q-MSB, Q-LSB, with transform weights
-/// 4, 2, 4j, 2j.
-fn ising_qam16(h: &CMatrix, gram: &CMatrix, h_y: &CVector, y: &CVector) -> (IsingProblem, f64) {
-    let nt = gram.cols();
-    let n = 4 * nt;
-    let mut p = IsingProblem::new(n);
-    // Per-position real weight (4, 2, 4, 2) and I/Q flag.
-    let weight = |pos: usize| -> f64 {
-        if pos.is_multiple_of(2) {
-            4.0
-        } else {
-            2.0
-        }
-    };
-    let is_q = |pos: usize| pos >= 2;
-
-    for i in 0..n {
-        let (user, pos) = (i / 4, i % 4);
-        // Eq. 13: I spins → weight·Re⟨H,y⟩; Q spins → weight·Im⟨H,y⟩.
-        let f = if is_q(pos) {
-            -weight(pos) * h_y[user].im
-        } else {
-            -weight(pos) * h_y[user].re
+            // Eq. 8. Spin order: `s_{2n}` is user `n`'s I bit and
+            // `s_{2n+1}` its Q bit (the paper's 1-based odd/even split).
+            Modulation::Qpsk => {
+                let gram = h.gram();
+                let couplings = IsingProblem::from_upper_couplings(2 * nt, |i, j| {
+                    let (user, user_j) = (i / 2, j / 2);
+                    if user_j == user {
+                        return None; // same-symbol I/Q couplers vanish
+                    }
+                    let hh = gram[(user, user_j)];
+                    Some(match (i % 2, j % 2) {
+                        // Same parity (both I or both Q): 2·Re⟨H_i, H_j⟩.
+                        (0, 0) | (1, 1) => 2.0 * hh.re,
+                        // I then Q: −2·Im⟨H_i, H_j⟩; Q then I: +2·Im⟨H_i, H_j⟩.
+                        (0, 1) => -2.0 * hh.im,
+                        _ => 2.0 * hh.im,
+                    })
+                });
+                // Constant: ‖y‖² + E‖Hv‖² over the ±1±j lattice
+                // = ‖y‖² + 2Σ‖H_i‖².
+                let norms = 2.0 * (0..nt).map(|i| gram[(i, i)].re).sum::<f64>();
+                (couplings, norms, CVector::zeros(0))
+            }
+            // Eq. 14. Spin order per user `n` (paper's 1-based 4n−3 …
+            // 4n): I-MSB, I-LSB, Q-MSB, Q-LSB, with transform weights
+            // 4, 2, 4j, 2j.
+            Modulation::Qam16 => {
+                let gram = h.gram();
+                let couplings = IsingProblem::from_upper_couplings(4 * nt, |i, j| {
+                    let (user, pos, user_j, pos_j) = (i / 4, i % 4, j / 4, j % 4);
+                    let w = qam16_weight(pos) * qam16_weight(pos_j) / 2.0;
+                    let hh = gram[(user, user_j)];
+                    let g = match (pos >= 2, pos_j >= 2) {
+                        // Same dimension: w·Re⟨H_i, H_j⟩ — including the
+                        // same-user I-MSB/I-LSB pair (Eq. 14's 4‖H‖² case).
+                        (false, false) | (true, true) => w * hh.re,
+                        // I then Q: −w·Im⟨H_i,H_j⟩ (zero for the same user,
+                        // matching the paper's "coupler strength … is 0").
+                        (false, true) => -w * hh.im,
+                        (true, false) => w * hh.im,
+                    };
+                    (g != 0.0).then_some(g)
+                });
+                let probe = h.mul_vec(&CVector::from_fn(nt, |_| Complex::new(-3.0, -3.0)));
+                (couplings, 0.0, probe)
+            }
+            Modulation::Qam64 => {
+                let (mut couplings, _) = generic_ising(h, &CVector::zeros(h.rows()), modulation);
+                for i in 0..couplings.num_spins() {
+                    couplings.set_linear(i, 0.0);
+                }
+                (couplings, 0.0, CVector::zeros(0))
+            }
         };
-        p.set_linear(i, f);
-        for j in (i + 1)..n {
-            let (user_j, pos_j) = (j / 4, j % 4);
-            let w = weight(pos) * weight(pos_j) / 2.0;
-            let hh = gram[(user, user_j)];
-            let g = match (is_q(pos), is_q(pos_j)) {
-                // Same dimension: w·Re⟨H_i, H_j⟩ — including the
-                // same-user I-MSB/I-LSB pair (Eq. 14's 4‖H‖² case).
-                (false, false) | (true, true) => w * hh.re,
-                // I then Q: −w·Im⟨H_i,H_j⟩ (zero for the same user,
-                // matching the paper's "coupler strength … is 0").
-                (false, true) => -w * hh.im,
-                (true, false) => w * hh.im,
-            };
-            if g != 0.0 {
-                p.set_coupling(i, j, g);
+        MlReduction {
+            h: h.clone(),
+            modulation,
+            couplings,
+            norm_offset,
+            probe,
+        }
+    }
+
+    /// The modulation the couplings were built for.
+    pub fn modulation(&self) -> Modulation {
+        self.modulation
+    }
+
+    /// The interval's couplings (every field zero): the coupling half of
+    /// every [`MlReduction::reduce`] output.
+    pub fn couplings(&self) -> &IsingProblem {
+        &self.couplings
+    }
+
+    /// The Ising problem of one received vector and its offset,
+    /// `ising.energy(s) + offset = ‖y − He‖²`: the interval's couplings
+    /// plus `y`'s fields (Eqs. 6, 7, 13).
+    ///
+    /// # Panics
+    /// Panics when `y`'s length differs from the receive antennas.
+    pub fn reduce(&self, y: &CVector) -> (IsingProblem, f64) {
+        assert_eq!(
+            y.len(),
+            self.h.rows(),
+            "received vector length differs from receive antennas"
+        );
+        if self.modulation == Modulation::Qam64 {
+            return generic_ising(&self.h, y, self.modulation);
+        }
+        let mut p = self.couplings.clone();
+        match self.modulation {
+            // Eq. 6: f_i = −2·Re⟨H_i, y⟩.
+            Modulation::Bpsk => {
+                for i in 0..self.h.cols() {
+                    p.set_linear(i, -2.0 * self.matched_filter_re(y, i));
+                }
+                (p, y.norm_sqr() + self.norm_offset)
+            }
+            // Eq. 7: odd (I) spins couple to Re⟨H,y⟩, even (Q) to Im.
+            Modulation::Qpsk => {
+                for user in 0..self.h.cols() {
+                    let hy = self.matched_filter(y, user);
+                    p.set_linear(2 * user, -2.0 * hy.re);
+                    p.set_linear(2 * user + 1, -2.0 * hy.im);
+                }
+                (p, y.norm_sqr() + self.norm_offset)
+            }
+            // Eq. 13: I spins → weight·Re⟨H,y⟩; Q spins → weight·Im⟨H,y⟩.
+            _ => {
+                for user in 0..self.h.cols() {
+                    let hy = self.matched_filter(y, user);
+                    for pos in 0..4 {
+                        let f = if pos >= 2 {
+                            -qam16_weight(pos) * hy.im
+                        } else {
+                            -qam16_weight(pos) * hy.re
+                        };
+                        p.set_linear(4 * user + pos, f);
+                    }
+                }
+                // The energy offset (the spin-independent part of the
+                // expanded norm). Unlike BPSK/QPSK, 16-QAM's |v|² is
+                // spin-dependent — its spin-dependent part lives in the
+                // amplitude-pair couplers — so rather than carry a
+                // separate closed form for the remaining constant, pin
+                // it by evaluating both sides at one configuration
+                // (all-(−1) spins ⇔ every symbol at T(0) = −3−3j).
+                let e_ising = p.energy(&vec![-1; p.num_spins()]);
+                let ml = (y - &self.probe).norm_sqr();
+                (p, ml - e_ising)
             }
         }
     }
-    // The energy offset (the spin-independent part of the expanded
-    // norm). Unlike BPSK/QPSK, 16-QAM's |v|² is spin-dependent — its
-    // spin-dependent part lives in the amplitude-pair couplers above —
-    // so rather than carry a separate closed form for the remaining
-    // constant, pin it by evaluating both sides at one configuration
-    // (all-(−1) spins ⇔ every symbol at T(0) = −3−3j).
-    let probe: Vec<i8> = vec![-1; n];
-    let e_ising = p.energy(&probe);
-    let sym = Complex::new(-3.0, -3.0);
-    let v = CVector::from_fn(nt, |_| sym);
-    let ml = (y - &h.mul_vec(&v)).norm_sqr();
-    (p, ml - e_ising)
+
+    /// `(H*y)_user`, summed as `H.hermitian().mul_vec(y)` sums it.
+    fn matched_filter(&self, y: &CVector, user: usize) -> Complex {
+        let mut acc = Complex::ZERO;
+        for (c, &yc) in y.as_slice().iter().enumerate() {
+            acc += self.h[(c, user)].conj() * yc;
+        }
+        acc
+    }
+
+    /// `Re (H*y)_user` alone, with [`MlReduction::matched_filter`]'s
+    /// arithmetic.
+    fn matched_filter_re(&self, y: &CVector, user: usize) -> f64 {
+        let mut acc = 0.0;
+        for (c, &yc) in y.as_slice().iter().enumerate() {
+            let a = self.h[(c, user)].conj();
+            acc += a.re * yc.re - a.im * yc.im;
+        }
+        acc
+    }
+}
+
+/// 16-QAM's per-position real transform weight (4, 2, 4, 2).
+fn qam16_weight(pos: usize) -> f64 {
+    if pos.is_multiple_of(2) {
+        4.0
+    } else {
+        2.0
+    }
 }
 
 #[cfg(test)]

@@ -724,7 +724,7 @@ impl SoftDetectorSession for SphereSession {
 // --- QuAMax: the anneal ensemble as a list demapper -----------------
 
 /// Session for the annealed backend: the compiled [`DecodeSession`]
-/// (reduction structure, embedding, CSR freeze) plus a per-detection
+/// (couplings and the embedded, frozen chip structure) plus a per-detection
 /// anneal budget. `detect` runs one annealed [`DecodeRun`] and keeps
 /// its best solution.
 ///

@@ -42,6 +42,35 @@ impl IsingProblem {
         }
     }
 
+    /// A problem over `n` spins with zero fields and the coupling
+    /// `coupling(i, j)` returns for each pair `i < j`, asked in `(i, j)`
+    /// order (`None` leaves the pair uncoupled): the problem that
+    /// [`IsingProblem::set_coupling`] calls in that order build, without
+    /// their upsert scans.
+    pub fn from_upper_couplings(
+        n: usize,
+        mut coupling: impl FnMut(usize, usize) -> Option<f64>,
+    ) -> Self {
+        let mut adjacency: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|_| Vec::with_capacity(n.saturating_sub(1)))
+            .collect();
+        let mut coupling_count = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if let Some(g) = coupling(i, j) {
+                    adjacency[i].push((j, g));
+                    adjacency[j].push((i, g));
+                    coupling_count += 1;
+                }
+            }
+        }
+        IsingProblem {
+            linear: vec![0.0; n],
+            adjacency,
+            coupling_count,
+        }
+    }
+
     /// Number of spins.
     pub fn num_spins(&self) -> usize {
         self.linear.len()
@@ -270,6 +299,22 @@ mod tests {
         p.set_coupling(0, 2, -1.5);
         assert_eq!(p.coupling(2, 0), -1.5);
         assert_eq!(p.num_couplings(), 1);
+    }
+
+    #[test]
+    fn upper_couplings_build_what_set_coupling_builds() {
+        let g = |i: usize, j: usize| {
+            (!(i * 7 + j).is_multiple_of(3)).then_some(i as f64 - 0.5 * j as f64)
+        };
+        let mut expect = IsingProblem::new(6);
+        for i in 0..6 {
+            for j in (i + 1)..6 {
+                if let Some(v) = g(i, j) {
+                    expect.set_coupling(i, j, v);
+                }
+            }
+        }
+        assert_eq!(IsingProblem::from_upper_couplings(6, g), expect);
     }
 
     #[test]

@@ -146,8 +146,86 @@ impl CMatrix {
     }
 
     /// Gram matrix `A*·A` (Hermitian, positive semi-definite).
+    ///
+    /// Bit for bit `self.hermitian().mul_mat(self)` at about half its
+    /// multiplies: the upper triangle accumulates exactly as that
+    /// product does, and each lower entry is its mirror's conjugate.
+    /// The mirror is exact wherever its parts are nonzero (both sums
+    /// run over the same terms up to sign); a zero part's sign depends
+    /// on which terms the product skips, so those entries are summed
+    /// directly.
     pub fn gram(&self) -> CMatrix {
-        self.hermitian().mul_mat(self)
+        let n = self.cols;
+        let mut out = CMatrix::zeros(n, n);
+        for r in 0..n {
+            for k in 0..self.rows {
+                let a = self[(k, r)].conj();
+                if a == Complex::ZERO {
+                    continue;
+                }
+                let row = &self.data[k * n + r..(k + 1) * n];
+                for (o, &b) in out.data[r * n + r..(r + 1) * n].iter_mut().zip(row) {
+                    *o += a * b;
+                }
+            }
+        }
+        for r in 1..n {
+            for c in 0..r {
+                let upper = out[(c, r)];
+                out[(r, c)] = if mirrors_exactly(upper.re) && mirrors_exactly(upper.im) {
+                    upper.conj()
+                } else {
+                    self.gram_entry(r, c)
+                };
+            }
+        }
+        out
+    }
+
+    /// `Re(A*·A)` as a row-major `cols × cols` buffer: bit for bit the
+    /// real part of [`CMatrix::gram`], without the imaginary half of
+    /// its multiplies (real-symmetric consumers such as the BPSK
+    /// reduction read nothing else).
+    pub fn gram_real(&self) -> Vec<f64> {
+        let n = self.cols;
+        let mut out = vec![0.0; n * n];
+        for r in 0..n {
+            for k in 0..self.rows {
+                let a = self[(k, r)].conj();
+                if a == Complex::ZERO {
+                    continue;
+                }
+                let row = &self.data[k * n + r..(k + 1) * n];
+                for (o, &b) in out[r * n + r..(r + 1) * n].iter_mut().zip(row) {
+                    // `(a * b).re`, with the product's own arithmetic.
+                    *o += a.re * b.re - a.im * b.im;
+                }
+            }
+        }
+        for r in 1..n {
+            for c in 0..r {
+                let upper = out[c * n + r];
+                out[r * n + c] = if mirrors_exactly(upper) {
+                    upper
+                } else {
+                    self.gram_entry(r, c).re
+                };
+            }
+        }
+        out
+    }
+
+    /// Entry `(r, c)` of `A*·A`, summed term by term as
+    /// `hermitian().mul_mat` sums it.
+    fn gram_entry(&self, r: usize, c: usize) -> Complex {
+        let mut acc = Complex::ZERO;
+        for k in 0..self.rows {
+            let a = self[(k, r)].conj();
+            if a != Complex::ZERO {
+                acc += a * self[(k, c)];
+            }
+        }
+        acc
     }
 
     /// Frobenius norm squared `Σ |aᵢⱼ|²`.
@@ -175,6 +253,12 @@ impl CMatrix {
             .map(|c| (0..self.rows).map(|r| self[(r, c)].abs()).sum::<f64>())
             .fold(0.0, f64::max)
     }
+}
+
+/// `true` when a Gram entry's part is reproduced exactly by mirroring
+/// it across the diagonal (see [`CMatrix::gram`]).
+fn mirrors_exactly(part: f64) -> bool {
+    part != 0.0 && part.is_finite()
 }
 
 impl Index<(usize, usize)> for CMatrix {

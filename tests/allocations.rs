@@ -1,0 +1,195 @@
+//! Allocation oracle for the warm decode and precode paths: once a
+//! shape is compiled and the annealer thread has run a window of it, a
+//! compile is a structure lookup plus per-interval coefficients, and a
+//! batch allocates nothing sized by the structure's replica windows.
+//!
+//! This binary counts every allocation of the measuring thread through
+//! its own `#[global_allocator]`, and runs the annealer on that thread
+//! (one annealer thread), so the counts cover the whole call.
+//! `cargo test --release --test allocations -- --nocapture` prints them.
+
+use quamax::prelude::*;
+use quamax_core::{Instance, VppPrecoder};
+use quamax_wireless::rayleigh_channel;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record(size: usize) {
+    let _ = TRACKING.try_with(|tracking| {
+        if tracking.get() {
+            COUNT.with(|c| c.set(c.get() + 1));
+            BYTES.with(|b| b.set(b.get() + size as u64));
+            LARGEST.with(|l| l.set(l.get().max(size as u64)));
+        }
+    });
+}
+
+// SAFETY: every call forwards to `System` unchanged; `record` touches
+// only const-initialized thread-locals, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations made by one call on this thread.
+struct Allocations {
+    count: u64,
+    bytes: u64,
+    largest: u64,
+}
+
+impl std::fmt::Display for Allocations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} allocations, {} KiB, largest {} B",
+            self.count,
+            self.bytes / 1024,
+            self.largest
+        )
+    }
+}
+
+fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
+    COUNT.with(|c| c.set(0));
+    BYTES.with(|b| b.set(0));
+    LARGEST.with(|l| l.set(0));
+    TRACKING.with(|t| t.set(true));
+    let out = f();
+    TRACKING.with(|t| t.set(false));
+    let counted = Allocations {
+        count: COUNT.with(Cell::get),
+        bytes: BYTES.with(Cell::get),
+        largest: LARGEST.with(Cell::get),
+    };
+    (out, counted)
+}
+
+fn one_thread_annealer() -> Annealer {
+    Annealer::new(AnnealerConfig {
+        sweeps_per_us: 4.0,
+        threads: 1,
+        ..Default::default()
+    })
+}
+
+/// One coherence interval of the 48-user BPSK headline shape: the
+/// channel and four `(y, seed)` items.
+fn interval(rng: &mut Rng) -> (DetectionInput, Vec<(CVector, u64)>) {
+    let h = rayleigh_channel(48, 48, rng);
+    let items: Vec<(CVector, u64)> = (0..4u64)
+        .map(|k| {
+            let bits: Vec<u8> = (0..48)
+                .map(|_| rand::Rng::random_range(rng, 0..2u8))
+                .collect();
+            let inst = Instance::transmit(
+                h.clone(),
+                bits,
+                Modulation::Bpsk,
+                Some(Snr::from_db(20.0)),
+                rng,
+            );
+            (inst.y().clone(), 40 + k)
+        })
+        .collect();
+    let input = DetectionInput {
+        h,
+        y: items[0].0.clone(),
+        modulation: Modulation::Bpsk,
+    };
+    (input, items)
+}
+
+/// Allocations a warm compile of a cached shape may make: a fifth of
+/// the 1 571 that every compile of this shape made while each one
+/// re-embedded and re-froze the chip structure.
+const WARM_COMPILE_BUDGET: u64 = 1571 / 5;
+
+#[test]
+fn warm_decode_allocates_no_window_buffer() {
+    let mut rng = Rng::seed_from_u64(0xA110C);
+    let decoder = QuamaxDecoder::new(one_thread_annealer(), DecoderConfig::default());
+    let (input, items) = interval(&mut rng);
+    decoder.compile(&input).unwrap().decode_batch(&items, 10);
+
+    let (input, items) = interval(&mut rng);
+    let (session, compile) = measure(|| decoder.compile(&input).unwrap());
+    let (runs, batch) = measure(|| session.decode_batch(&items, 10));
+    assert_eq!(runs.len(), items.len());
+    // The smallest buffer of an 8-wide replica window: one f64 per
+    // replica per physical qubit (the fields or linear strips).
+    let window_buffer = (8 * session.num_physical() * 8) as u64;
+    eprintln!("48u BPSK warm compile: {compile}");
+    eprintln!("48u BPSK warm decode_batch (4 x 10): {batch}; window buffer {window_buffer} B");
+    assert!(
+        compile.count <= WARM_COMPILE_BUDGET,
+        "a warm compile made {} allocations (budget {WARM_COMPILE_BUDGET})",
+        compile.count
+    );
+    assert!(
+        batch.largest < window_buffer,
+        "a warm decode_batch allocated {} B at once, a replica window's worth ({window_buffer} B)",
+        batch.largest
+    );
+}
+
+#[test]
+fn warm_precode_allocates_no_window_buffer() {
+    let mut rng = Rng::seed_from_u64(0xA110D);
+    let precoder = VppPrecoder::new(one_thread_annealer(), DecoderConfig::default(), 10, 1);
+    let input = PrecodeInput {
+        h: rayleigh_channel(8, 8, &mut rng),
+        modulation: Modulation::Qpsk,
+    };
+    let items = |rng: &mut Rng| -> Vec<(CVector, u64)> {
+        (0..4u64)
+            .map(|k| {
+                let bits: Vec<u8> = (0..input.num_bits())
+                    .map(|_| rand::Rng::random_range(rng, 0..2u8))
+                    .collect();
+                (Modulation::Qpsk.map_gray_vector(&bits), 60 + k)
+            })
+            .collect()
+    };
+    let session = precoder.compile(&input).unwrap();
+    session.precode_batch(&items(&mut rng));
+
+    let warm = items(&mut rng);
+    let (precodings, batch) = measure(|| session.precode_batch(&warm));
+    assert_eq!(precodings.len(), warm.len());
+    let window_buffer = (8 * session.num_physical() * 8) as u64;
+    eprintln!("8u QPSK VPP warm precode_batch (4 items): {batch}; window buffer {window_buffer} B");
+    assert!(
+        batch.largest < window_buffer,
+        "a warm precode_batch allocated {} B at once, a replica window's worth ({window_buffer} B)",
+        batch.largest
+    );
+}
