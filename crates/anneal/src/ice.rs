@@ -47,8 +47,10 @@ impl IceModel {
     /// noise than schedule-matched Metropolis dynamics do. Scaling the
     /// noise floor to 0.2× lands the headline operating points on the
     /// paper's numbers (48×48 BPSK reaches BER 1e-6 in ~15 µs vs the
-    /// paper's 10–20 µs) while keeping every ICE-driven mechanism
-    /// (J_F squeeze, gap sensitivity) active. The `ablation_ice` bench
+    /// paper's 10–20 µs, measured when SA swept spins in index order and
+    /// not re-measured under the color-class order) while keeping every
+    /// ICE-driven mechanism (J_F squeeze, gap sensitivity) active. The
+    /// `ablation_ice` bench
     /// sweeps this scale.
     pub fn calibrated() -> Self {
         IceModel::dw2q().scaled(0.2)

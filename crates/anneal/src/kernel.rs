@@ -14,7 +14,18 @@
 //!   cached fields plus a `+4·g_ab·s_a·s_b` correction per *internal*
 //!   edge, with the internal edge list precompiled per chain by
 //!   [`CompiledChains`] instead of rediscovered by `chain.contains(j)`
-//!   scans on every sweep.
+//!   scans on every sweep; `g_ab` is read from the replica's own
+//!   coefficients, so ICE-perturbed replicas stay exact.
+//!
+//! The SA spin pass proposes spins class by class
+//! ([`CompiledProblem::sweep_order`]): a greedy coloring of the CSR
+//! graph, computed once when the problem is frozen. No two spins of a
+//! class are coupled, so the pass is exact Metropolis in any order
+//! inside a class. Every Chimera embedding is bipartite and gets two
+//! classes; a fully coupled logical problem gets one class per spin,
+//! which is index order. Chain moves run in chain index order and the
+//! SQA kernel in index order. Window placement still never changes a
+//! sample: every width walks the same order.
 //!
 //! [`ReplicaBatch`] holds `W` classical (SA) configurations and their
 //! fields in structure-of-arrays strips; [`SqaReplicaBatch`] holds `W`
@@ -38,9 +49,9 @@ pub struct CompiledChains {
     members: Vec<u32>,
     /// `member_offsets[c]..member_offsets[c+1]` delimits chain `c`.
     member_offsets: Vec<u32>,
-    /// Flat internal edges `(a, b, g_ab)` with both endpoints in the
-    /// owning chain.
-    internal: Vec<(u32, u32, f64)>,
+    /// Flat internal edges `(a, b, e)` with both endpoints in the
+    /// owning chain, `e` the CSR entry of `a → b`.
+    internal: Vec<(u32, u32, u32)>,
     /// `internal_offsets[c]..internal_offsets[c+1]` delimits chain `c`.
     internal_offsets: Vec<u32>,
 }
@@ -91,11 +102,11 @@ impl CompiledChains {
         for (c, chain) in chains.iter().enumerate() {
             for &i in chain {
                 compiled.members.push(i as u32);
-                let (idx, w) = problem.row(i);
-                for (&j, &g) in idx.iter().zip(w) {
+                let (lo, hi) = problem.row_bounds(i);
+                for (e, &j) in (lo..hi).zip(&problem.neighbors_flat()[lo..hi]) {
                     // Each internal edge recorded once (a < b).
                     if (j as usize) > i && owner[j as usize] == c as u32 + 1 {
-                        compiled.internal.push((i as u32, j, g));
+                        compiled.internal.push((i as u32, j, e as u32));
                     }
                 }
             }
@@ -125,9 +136,11 @@ impl CompiledChains {
         &self.members[lo..hi]
     }
 
-    /// Chain `c`'s internal edges as `(a, b, g_ab)`.
+    /// Chain `c`'s internal edges as `(a, b, e)`, where `e` is the CSR
+    /// entry of `a → b`: a sweep reads `g_ab` there, from the replica's
+    /// own (possibly ICE-perturbed) coefficients.
     #[inline]
-    pub fn internal_edges(&self, c: usize) -> &[(u32, u32, f64)] {
+    pub fn internal_edges(&self, c: usize) -> &[(u32, u32, u32)] {
         let lo = self.internal_offsets[c] as usize;
         let hi = self.internal_offsets[c + 1] as usize;
         &self.internal[lo..hi]
@@ -553,7 +566,8 @@ impl ReplicaBatch {
             .sum()
     }
 
-    /// One full spin sweep: proposes every spin in index order,
+    /// One full spin sweep: proposes every spin in `problem`'s
+    /// color-class order ([`CompiledProblem::sweep_order`]),
     /// `accept(i, r, ΔE_ir)` deciding per replica from the contiguous
     /// strip, then one CSR row walk scatters all accepted replicas'
     /// field updates at once.
@@ -580,7 +594,9 @@ impl ReplicaBatch {
         accept: &mut impl FnMut(usize, usize, f64) -> bool,
     ) {
         debug_assert_eq!(self.width, W);
-        for i in 0..self.n {
+        debug_assert_eq!(problem.num_spins(), self.n);
+        for &i in problem.sweep_order() {
+            let i = i as usize;
             let base = i * W;
             let mut steps = [0.0f64; W];
             let mut any = false;
@@ -636,10 +652,11 @@ impl ReplicaBatch {
     }
 
     /// Proposes flipping chain `c` collectively in every replica:
-    /// `accept(r, ΔE_r)` decides per replica. Internal-edge weights come
-    /// from `chains` (baked at chain-compile time from the base problem,
-    /// ICE or not); accepted replicas flip member by member in member
-    /// order, each member paying one shared row walk.
+    /// `accept(r, ΔE_r)` decides per replica. Internal-edge weights are
+    /// each replica's own — its weight strip, or `problem`'s weights in
+    /// shared mode — so the move is exact for the replica's
+    /// ICE-perturbed Hamiltonian; accepted replicas flip member by
+    /// member in member order, each member paying one shared row walk.
     ///
     /// # Panics
     /// Panics unless the width is one of [`SA_WIDTHS`].
@@ -676,12 +693,17 @@ impl ReplicaBatch {
                 deltas[r] += -2.0 * spins[r] as f64 * fields[r];
             }
         }
-        for &(a, b, g) in chains.internal_edges(c) {
-            let (ab, bb) = (a as usize * W, b as usize * W);
+        for &(a, b, e) in chains.internal_edges(c) {
+            let (ab, bb, e) = (a as usize * W, b as usize * W, e as usize);
             let sa: &[Spin; W] = (&self.spins[ab..ab + W]).try_into().expect("strip");
             let sb: &[Spin; W] = (&self.spins[bb..bb + W]).try_into().expect("strip");
+            let gs: [f64; W] = if self.shared {
+                [problem.weights_flat()[e]; W]
+            } else {
+                self.weights[e * W..(e + 1) * W].try_into().expect("strip")
+            };
             for r in 0..W {
-                deltas[r] += 4.0 * g * sa[r] as f64 * sb[r] as f64;
+                deltas[r] += 4.0 * gs[r] * sa[r] as f64 * sb[r] as f64;
             }
         }
         let mut mask = [false; W];
@@ -1056,7 +1078,7 @@ impl SqaReplicaBatch {
     ) {
         let w = self.width;
         self.deltas[..w].fill(0.0);
-        self.chain_delta_into(chains, k, c);
+        self.chain_delta_into(problem, chains, k, c);
         // Slice-coupling pair terms, accumulated per replica in member
         // order (exact small-integer sums, so grouping is exact).
         let mut any = false;
@@ -1103,7 +1125,7 @@ impl SqaReplicaBatch {
         let w = self.width;
         self.deltas[..w].fill(0.0);
         for k in 0..self.slices {
-            self.chain_delta_into(chains, k, c);
+            self.chain_delta_into(problem, chains, k, c);
         }
         let mut any = false;
         for r in 0..w {
@@ -1120,8 +1142,15 @@ impl SqaReplicaBatch {
 
     /// Accumulates slice `k`'s chain-`c` problem-term delta into
     /// `deltas`, in the serial order: member flip-deltas, then internal
-    /// edges (weights baked into `chains`, shared by all replicas).
-    fn chain_delta_into(&mut self, chains: &CompiledChains, k: usize, c: usize) {
+    /// edges (each replica's own weights, as in
+    /// [`ReplicaBatch::sweep_chain`]).
+    fn chain_delta_into(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        k: usize,
+        c: usize,
+    ) {
         let w = self.width;
         let base = k * self.n;
         for &i in chains.members(c) {
@@ -1130,10 +1159,16 @@ impl SqaReplicaBatch {
                 self.deltas[r] += -2.0 * self.spins[at + r] as f64 * self.fields[at + r];
             }
         }
-        for &(a, b, g) in chains.internal_edges(c) {
+        for &(a, b, e) in chains.internal_edges(c) {
             let ab = (base + a as usize) * w;
             let bb = (base + b as usize) * w;
+            let e = e as usize;
             for r in 0..w {
+                let g = if self.shared {
+                    problem.weights_flat()[e]
+                } else {
+                    self.weights[e * w + r]
+                };
                 self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
             }
         }

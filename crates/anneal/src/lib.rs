@@ -42,7 +42,13 @@
 //!   snapshot of the programmed problem, built once per
 //!   [`Annealer::run_compiled`] batch and shared read-only across
 //!   worker threads. Rows are sorted, so the layout is a pure function
-//!   of the problem, not of construction order.
+//!   of the problem, not of construction order. Freezing also colors
+//!   the graph greedily in index order and keeps the classes as one
+//!   class-major spin order (shared by every clone), the order the SA
+//!   spin pass proposes in. No two spins of a class interact, so each
+//!   class could be proposed as one vector; on an embedded problem the
+//!   class order also leaves about a third of index order's broken
+//!   chains at the uplink operating point.
 //! * **[`kernel::ReplicaBatch`]** — `W` configurations plus their
 //!   cached local fields `h_i = f_i + Σ_j g_ij·s_j`. A Metropolis
 //!   proposal is O(1) (`ΔE = −2·s_i·h_i`); only an *accepted* flip
@@ -98,8 +104,12 @@
 //!      spin `i` up iff bit `i % 64` is set — SQA packs its (slice,
 //!      spin) sites slice-major the same way; a reverse-anneal start
 //!      draws nothing;
-//!    * **proposals**: spins (and slices) in index order, chains in
-//!      chain index order; each accept is [`sa::metropolis`]: a
+//!    * **proposals**: SA spins in the problem's color-class order
+//!      ([`quamax_ising::CompiledProblem::sweep_order`]: a greedy
+//!      coloring frozen with the CSR, two classes on any Chimera
+//!      embedding, index order on a fully coupled problem), SQA spins
+//!      and slices in index order, chains in chain index order; each
+//!      accept is [`sa::metropolis`]: a
 //!      downhill move or `β·ΔE ≥ 40` decides without drawing, anything
 //!      else draws one `E ~ Exp(1)` (`ExpZiggurat`) and accepts iff
 //!      `β·ΔE < E`. Whether a proposal draws depends only on ΔE, which

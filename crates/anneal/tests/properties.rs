@@ -135,6 +135,62 @@ proptest! {
         prop_assert!(worst < 1e-9, "worst ΔE error {worst}");
         prop_assert_eq!(batch.replica_spins(0), shadow.clone());
         prop_assert!((batch.energy(0) - p.energy(&shadow)).abs() < 1e-9);
+
+        // Per-replica arm: four replicas bound to differently perturbed
+        // variants (chain-internal couplers included, as under ICE),
+        // each checked against its own variant's naive deltas.
+        let variants: Vec<IsingProblem> = (0..4)
+            .map(|r| {
+                let mut q = p.clone();
+                for i in 0..N {
+                    q.set_linear(i, p.linear(i) + 0.03 * (r as f64) - 0.01 * (i as f64));
+                }
+                for (i, j, g) in p.couplings() {
+                    q.set_coupling(i, j, g * (1.0 - 0.04 * r as f64) + 0.01 * ((i + j + r) % 3) as f64);
+                }
+                q
+            })
+            .collect();
+        let mut shadows: Vec<Vec<i8>> = (0..4)
+            .map(|r| (0..N).map(|i| if (k >> ((i + r) % N)) & 1 == 1 { 1 } else { -1 }).collect())
+            .collect();
+        let mut batch = ReplicaBatch::new();
+        batch.reset_per_replica(&compiled, 4);
+        for (r, q) in variants.iter().enumerate() {
+            batch.bind_replica(r, &CompiledProblem::new(q));
+            batch.init_replica(&compiled, r, &shadows[r]);
+        }
+        let mut worst = 0.0f64;
+        for _ in 0..walk {
+            batch.sweep_spins(&compiled, |i, r, delta| {
+                worst = worst.max((delta - variants[r].flip_delta(&shadows[r], i)).abs());
+                let flip = coin.random_bool(0.5);
+                if flip {
+                    shadows[r][i] = -shadows[r][i];
+                }
+                flip
+            });
+            for (c, chain) in chains.iter().enumerate() {
+                let naive: Vec<f64> = (0..4)
+                    .map(|r| chain_flip_delta(&variants[r], &shadows[r], chain))
+                    .collect();
+                let flips: Vec<bool> = (0..4).map(|_| coin.random_bool(0.5)).collect();
+                batch.sweep_chain(&compiled, &cc, c, |r, delta| {
+                    worst = worst.max((delta - naive[r]).abs());
+                    flips[r]
+                });
+                for (shadow, _) in shadows.iter_mut().zip(&flips).filter(|(_, &f)| f) {
+                    for &i in chain {
+                        shadow[i] = -shadow[i];
+                    }
+                }
+            }
+        }
+        prop_assert!(worst < 1e-9, "worst per-replica ΔE error {worst}");
+        for (r, (q, shadow)) in variants.iter().zip(&shadows).enumerate() {
+            prop_assert_eq!(batch.replica_spins(r), shadow.clone());
+            prop_assert!((batch.energy(r) - q.energy(shadow)).abs() < 1e-9);
+        }
     }
 
     /// The batched SA kernel's stream-splitting contract: replica `r`

@@ -81,6 +81,9 @@ fn bench_sa_sweep(c: &mut Criterion) {
     let e = CliqueEmbedding::new(&graph, 36).unwrap();
     let embedded = EmbeddedProblem::compile(&graph, &e, &logical, EmbedParams::default());
     let n = embedded.num_physical();
+    let order = CompiledProblem::new(embedded.problem())
+        .sweep_order()
+        .to_vec();
     c.bench_function("sa sweep 360 phys spins", |b| {
         b.iter_batched(
             || {
@@ -97,7 +100,7 @@ fn bench_sa_sweep(c: &mut Criterion) {
             },
             |mut spins| {
                 let mut srng = StdRng::seed_from_u64(5);
-                sa::sweep(embedded.problem(), &mut spins, 5.0, &mut srng);
+                sa::sweep(embedded.problem(), &order, &mut spins, 5.0, &mut srng);
                 black_box(spins)
             },
             BatchSize::SmallInput,
@@ -117,7 +120,13 @@ fn bench_kernel_sa(c: &mut Criterion) {
             let mut spins = kernelbench::random_spins(n, &mut StdRng::seed_from_u64(3));
             let mut rng = StdRng::seed_from_u64(4);
             b.iter(|| {
-                kernelbench::naive_sa_ladder(problem, &mut spins, &betas, &mut rng);
+                kernelbench::naive_sa_ladder(
+                    problem,
+                    compiled.sweep_order(),
+                    &mut spins,
+                    &betas,
+                    &mut rng,
+                );
                 black_box(spins[0])
             })
         });

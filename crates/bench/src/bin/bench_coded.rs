@@ -44,7 +44,7 @@ fn main() {
         DetectorKind::quamax(
             Annealer::new(AnnealerConfig {
                 threads: inner_threads_for(frames),
-                sweeps_per_us: 3.0,
+                sweeps_per_us: 2.0,
                 ..Default::default()
             }),
             DecoderConfig {
@@ -59,7 +59,7 @@ fn main() {
     // shows the gap closing as the channel cleans up.
     let sigma2 = |snr_db: f64| Snr::from_db(snr_db).noise_variance(MODULATION);
     let backends: Vec<(&str, DetectorKind, [f64; 2])> = vec![
-        ("quamax", quamax(), [8.0, 14.0]),
+        ("quamax", quamax(), [5.0, 14.0]),
         ("mmse", DetectorKind::mmse(sigma2(-1.0)), [-1.0, 3.0]),
         ("sphere", DetectorKind::sphere(), [-5.0, 1.0]),
     ];

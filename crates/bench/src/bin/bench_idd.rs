@@ -45,7 +45,7 @@ fn main() {
         DetectorKind::quamax(
             Annealer::new(AnnealerConfig {
                 threads: inner_threads_for(frames),
-                sweeps_per_us: 3.0,
+                sweeps_per_us: 2.0,
                 ..Default::default()
             }),
             DecoderConfig {

@@ -43,14 +43,23 @@
 //!   eight replicas' fields in one strip-wise pass. The run asserts
 //!   equal spins, equal field bits and an equal next draw per stream;
 //!   the speedup is reported, not asserted (it swings too widely on a
-//!   shared machine for a gate).
+//!   shared machine for a gate);
+//! * `window_embedded_624q_r8` — µs per full 8-wide window of that
+//!   problem at the uplink operating point (calibrated ICE bind, random
+//!   initial spins and fields, then the 8 sweeps of a 1 µs anneal with a
+//!   1 µs pause at 4 sweeps/µs, each followed by one move per chain),
+//!   with the spin pass's and the chain moves' lane acceptance and the
+//!   window's chain-break fraction from an untimed pass over the same
+//!   streams. Reported, not asserted.
 
 use criterion::{measure_each, Summary};
-use quamax_anneal::kernel::{ReplicaBatch, SqaReplicaBatch};
-use quamax_anneal::IceModel;
+use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use quamax_anneal::schedule::curves;
+use quamax_anneal::{sa, IceModel};
 use quamax_bench::kernelbench as kb;
+use quamax_core::DecoderConfig;
 use quamax_ising::CompiledProblem;
-use quamax_linalg::rng::{standard_normal, NormalZiggurat};
+use quamax_linalg::rng::{standard_normal, ExpZiggurat, NormalZiggurat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -120,6 +129,134 @@ impl WindowSetupRow {
     }
 }
 
+/// The full-window row: setup plus every sweep and chain move of one
+/// anneal window.
+struct WindowRow {
+    time: Summary,
+    /// Sweeps per window.
+    sweeps: usize,
+    /// Accepted share of the spin pass's (spin, replica) proposals.
+    acceptance: f64,
+    /// Accepted share of the chain moves' (chain, replica) proposals.
+    chain_acceptance: f64,
+    /// Broken share of the (chain, replica) pairs the windows end with.
+    chain_break_fraction: f64,
+}
+
+impl WindowRow {
+    const NAME: &'static str = "window_embedded_624q_r8";
+    const WIDTH: usize = 8;
+    /// The uplink operating point's sweep density.
+    const SWEEPS_PER_US: f64 = 4.0;
+    /// Windows in the untimed statistics pass.
+    const STAT_WINDOWS: usize = 32;
+
+    fn measure(samples: usize, rounds: usize) -> Self {
+        let width = Self::WIDTH;
+        let (embedded48, chain_sets) = kb::embedded_bpsk(48, 1);
+        let compiled = CompiledProblem::new(&embedded48);
+        let chains = CompiledChains::compile(&compiled, &chain_sets);
+        let ice = IceModel::calibrated();
+        let problems = vec![&compiled; width];
+        let betas: Vec<f64> = DecoderConfig::default()
+            .schedule
+            .sweep_fractions(Self::SWEEPS_PER_US)
+            .iter()
+            .map(|&s| curves::beta(s).max(1e-3))
+            .collect();
+        let setup = |batch: &mut ReplicaBatch, rngs: &mut [StdRng]| {
+            batch.reset_per_replica(&compiled, width);
+            batch.bind_window_ice(&problems, &ice, rngs);
+            for (r, rng) in rngs.iter_mut().enumerate() {
+                batch.draw_replica(r, rng);
+            }
+            batch.rebuild_fields(&compiled);
+        };
+        let streams = |base: u64| -> Vec<StdRng> {
+            (0..width)
+                .map(|r| StdRng::seed_from_u64(base + r as u64))
+                .collect()
+        };
+
+        let mut batch = ReplicaBatch::new();
+        let mut rngs = streams(110);
+        let mut time: Option<Summary> = None;
+        for _ in 0..rounds {
+            let round = measure_each(samples, || {
+                setup(&mut batch, &mut rngs);
+                sa::anneal_batch_compiled(&compiled, &chains, &betas, &mut batch, &mut rngs);
+                black_box(batch.spin(0, 0))
+            });
+            time = Some(match time {
+                None => round,
+                Some(best) => Summary {
+                    median_ns: best.median_ns.min(round.median_ns),
+                    min_ns: best.min_ns.min(round.min_ns),
+                    max_ns: best.max_ns.min(round.max_ns),
+                },
+            });
+        }
+
+        // Statistics: the same windows with the accept decisions
+        // counted, checked against the production loop on a twin batch.
+        let (mut reference, mut reference_rngs) = (ReplicaBatch::new(), streams(120));
+        let mut rngs = streams(120);
+        let zig = ExpZiggurat::get();
+        let (mut proposed, mut accepted, mut broken) = (0u64, 0u64, 0usize);
+        let (mut chain_proposed, mut chain_accepted) = (0u64, 0u64);
+        for _ in 0..Self::STAT_WINDOWS {
+            setup(&mut batch, &mut rngs);
+            for &beta in &betas {
+                batch.sweep_spins(&compiled, |_, r, delta| {
+                    let accept = sa::metropolis(beta, delta, &mut rngs[r], zig);
+                    proposed += 1;
+                    accepted += accept as u64;
+                    accept
+                });
+                for c in 0..chains.len() {
+                    batch.sweep_chain(&compiled, &chains, c, |r, delta| {
+                        let accept = sa::metropolis(beta, delta, &mut rngs[r], zig);
+                        chain_proposed += 1;
+                        chain_accepted += accept as u64;
+                        accept
+                    });
+                }
+            }
+            setup(&mut reference, &mut reference_rngs);
+            sa::anneal_batch_compiled(
+                &compiled,
+                &chains,
+                &betas,
+                &mut reference,
+                &mut reference_rngs,
+            );
+            for r in 0..width {
+                assert_eq!(
+                    batch.replica_spins(r),
+                    reference.replica_spins(r),
+                    "the counted window diverged from anneal_batch_compiled (replica {r})"
+                );
+                broken += chain_sets
+                    .iter()
+                    .filter(|chain| {
+                        chain
+                            .iter()
+                            .any(|&i| batch.spin(i, r) != batch.spin(chain[0], r))
+                    })
+                    .count();
+            }
+        }
+        WindowRow {
+            time: time.expect("at least one round"),
+            sweeps: betas.len(),
+            acceptance: accepted as f64 / proposed as f64,
+            chain_acceptance: chain_accepted as f64 / chain_proposed as f64,
+            chain_break_fraction: broken as f64
+                / (Self::STAT_WINDOWS * width * chain_sets.len()) as f64,
+        }
+    }
+}
+
 impl Comparison {
     /// Speedup from the per-block *minimum* times: on a shared machine
     /// the minimum is the least contaminated by interference, so it is
@@ -179,7 +316,13 @@ fn main() {
             rounds,
             |k| {
                 measure_each(k, || {
-                    kb::naive_sa_ladder(problem, &mut spins, &betas, &mut rng_n);
+                    kb::naive_sa_ladder(
+                        problem,
+                        compiled.sweep_order(),
+                        &mut spins,
+                        &betas,
+                        &mut rng_n,
+                    );
                     black_box(spins[0])
                 })
             },
@@ -268,7 +411,7 @@ fn main() {
                 |k| {
                     measure_each(k, || {
                         for (spins, rng) in naive_spins.iter_mut().zip(naive_rngs.iter_mut()) {
-                            kb::naive_sa_ladder(&glass, spins, &betas, rng);
+                            kb::naive_sa_ladder(&glass, compiled.sweep_order(), spins, &betas, rng);
                         }
                         black_box(naive_spins[0][0])
                     })
@@ -441,6 +584,8 @@ fn main() {
         }
     };
 
+    let window_row = WindowRow::measure(samples, rounds);
+
     let per_deviate = IceBindRow::WIDTH as f64 / ice_row.normals as f64;
     let (polar_ns, ziggurat_ns) = (polar.min_ns * per_deviate, ziggurat.min_ns * per_deviate);
 
@@ -479,6 +624,15 @@ fn main() {
         setup_row.reference.min_ns / 1e3,
         setup_row.strips.min_ns / 1e3,
         setup_row.speedup()
+    );
+
+    println!(
+        "{:<30} {:>12.1} us per window   lane acceptance {:.3} (chains {:.3})   chain breaks {:.3}",
+        WindowRow::NAME,
+        window_row.time.min_ns / 1e3,
+        window_row.acceptance,
+        window_row.chain_acceptance,
+        window_row.chain_break_fraction
     );
 
     assert!(
@@ -530,6 +684,16 @@ fn main() {
         "speedup": (setup_row.speedup() * 100.0).round() / 100.0,
     }));
     rows.push(serde_json::json!({
+        "bench": WindowRow::NAME,
+        "replicas": WindowRow::WIDTH,
+        "sweeps": window_row.sweeps,
+        "window_min_us": us(window_row.time.min_ns),
+        "window_median_us": us(window_row.time.median_ns),
+        "lane_acceptance": (window_row.acceptance * 1e4).round() / 1e4,
+        "chain_lane_acceptance": (window_row.chain_acceptance * 1e4).round() / 1e4,
+        "chain_break_fraction": (window_row.chain_break_fraction * 1e4).round() / 1e4,
+    }));
+    rows.push(serde_json::json!({
         "bench": "ice_normals",
         "deviates": ice_row.normals / IceBindRow::WIDTH,
         "polar_ns_per_deviate": (polar_ns * 100.0).round() / 100.0,
@@ -539,7 +703,7 @@ fn main() {
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
         "rows": rows,
     });
     if !quick {

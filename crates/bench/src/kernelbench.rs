@@ -77,15 +77,17 @@ pub fn random_spins(n: usize, rng: &mut StdRng) -> Vec<Spin> {
         .collect()
 }
 
-/// One pass of the β ladder through the naive kernel.
+/// One pass of the β ladder through the naive kernel, proposing spins
+/// in `order` (the compiled problem's color-class order).
 pub fn naive_sa_ladder(
     problem: &IsingProblem,
+    order: &[u32],
     spins: &mut [Spin],
     betas: &[f64],
     rng: &mut StdRng,
 ) {
     for &beta in betas {
-        sa::sweep(problem, spins, beta, rng);
+        sa::sweep(problem, order, spins, beta, rng);
     }
 }
 

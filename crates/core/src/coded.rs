@@ -624,11 +624,11 @@ mod tests {
         // with probability > 99.9% under any sampler stream.
         use quamax_anneal::{Annealer, AnnealerConfig, Schedule};
         let f = CodedFrame::new(8, Modulation::Qpsk, 114);
-        let snr = Snr::from_db(5.0);
+        let snr = Snr::from_db(2.0);
         let spec = SoftSpec::noise_matched(snr, Modulation::Qpsk);
         let kind = DetectorKind::quamax(
             Annealer::new(AnnealerConfig {
-                sweeps_per_us: 3.0,
+                sweeps_per_us: 2.0,
                 threads: 1,
                 ..Default::default()
             }),

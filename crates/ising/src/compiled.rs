@@ -25,6 +25,7 @@
 
 use crate::ising::IsingProblem;
 use crate::Spin;
+use std::sync::Arc;
 
 /// A CSR-layout snapshot of an Ising problem.
 ///
@@ -52,6 +53,12 @@ pub struct CompiledProblem {
     /// For each directed entry, the index of its reverse entry — lets a
     /// symmetric perturbation touch both directions in one pass.
     twin: Vec<u32>,
+    /// Every spin once, grouped by color class (see
+    /// [`CompiledProblem::sweep_order`]); shared by clones.
+    sweep_order: Arc<[u32]>,
+    /// `class_offsets[c]..class_offsets[c+1]` delimits class `c` inside
+    /// `sweep_order`.
+    class_offsets: Arc<[u32]>,
 }
 
 impl CompiledProblem {
@@ -102,12 +109,15 @@ impl CompiledProblem {
             }
         }
 
+        let (sweep_order, class_offsets) = color_classes(&offsets, &neighbors);
         CompiledProblem {
             linear: problem.linear_terms().to_vec(),
             offsets,
             neighbors,
             weights,
             twin,
+            sweep_order,
+            class_offsets,
         }
     }
 
@@ -185,6 +195,27 @@ impl CompiledProblem {
         &self.twin
     }
 
+    /// Every spin once, class by class: the order a Metropolis sweep
+    /// proposes spins in. The classes come from a greedy coloring in
+    /// index order (each spin takes the smallest class none of its
+    /// lower-indexed neighbors holds), and each class lists its spins
+    /// ascending. No two spins of a class are coupled, so any order
+    /// inside a class proposes the same moves with the same deltas. A
+    /// bipartite problem (every Chimera embedding: defects only remove
+    /// edges) gets two classes; a fully coupled one gets `n` singleton
+    /// classes, which is index order.
+    #[inline]
+    pub fn sweep_order(&self) -> &[u32] {
+        &self.sweep_order
+    }
+
+    /// The color classes of [`CompiledProblem::sweep_order`], in order.
+    pub fn color_classes(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.class_offsets
+            .windows(2)
+            .map(|c| &self.sweep_order[c[0] as usize..c[1] as usize])
+    }
+
     /// The local field `h_i = f_i + Σ_j g_ij·s_j` around spin `i`.
     #[inline]
     pub fn local_field(&self, spins: &[Spin], i: usize) -> f64 {
@@ -258,6 +289,8 @@ impl CompiledProblem {
             self.offsets.clone_from(&base.offsets);
             self.neighbors.clone_from(&base.neighbors);
             self.twin.clone_from(&base.twin);
+            self.sweep_order = Arc::clone(&base.sweep_order);
+            self.class_offsets = Arc::clone(&base.class_offsets);
         }
         debug_assert_eq!(
             self.offsets, base.offsets,
@@ -337,6 +370,45 @@ impl CompiledProblem {
             }
         }
     }
+}
+
+/// Greedy coloring of the CSR graph in index order, returned class-major
+/// as `(order, class offsets)`.
+fn color_classes(offsets: &[u32], neighbors: &[u32]) -> (Arc<[u32]>, Arc<[u32]>) {
+    let n = offsets.len() - 1;
+    let mut color = vec![0u32; n];
+    // `taken[c] == i + 1` marks class `c` as held by a neighbor of `i`.
+    let mut taken: Vec<usize> = Vec::new();
+    let mut sizes: Vec<u32> = Vec::new();
+    for i in 0..n {
+        for &j in &neighbors[offsets[i] as usize..offsets[i + 1] as usize] {
+            if (j as usize) < i {
+                taken[color[j as usize] as usize] = i + 1;
+            }
+        }
+        let c = taken
+            .iter()
+            .position(|&t| t != i + 1)
+            .unwrap_or(taken.len());
+        if c == taken.len() {
+            taken.push(0);
+            sizes.push(0);
+        }
+        color[i] = c as u32;
+        sizes[c] += 1;
+    }
+    let mut class_offsets = Vec::with_capacity(sizes.len() + 1);
+    class_offsets.push(0u32);
+    for &size in &sizes {
+        class_offsets.push(class_offsets.last().expect("seeded") + size);
+    }
+    let mut next = class_offsets.clone();
+    let mut order = vec![0u32; n];
+    for (i, &c) in color.iter().enumerate() {
+        order[next[c as usize] as usize] = i as u32;
+        next[c as usize] += 1;
+    }
+    (order.into(), class_offsets.into())
 }
 
 impl From<&IsingProblem> for CompiledProblem {

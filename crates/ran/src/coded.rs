@@ -432,7 +432,7 @@ mod tests {
             frame: CodedFrame::new(8, Modulation::Qpsk, 114),
             kind: DetectorKind::quamax(
                 Annealer::new(AnnealerConfig {
-                    sweeps_per_us: 3.0,
+                    sweeps_per_us: 2.0,
                     threads: 1,
                     ..Default::default()
                 }),

@@ -123,10 +123,10 @@ fn annealer_streams_are_stable() {
     assert_eq!(
         digests,
         [
-            0x2c4d_9cf2_4d74_90ef,
+            0xf762_8f11_ea2d_8b67,
             0xa7cb_fb74_297f_0525,
-            0x1cb7_c5e3_2135_df4d,
-            0x4bb6_4516_6fff_ff95
+            0xfe99_5d0d_dd17_324f,
+            0x7b94_7ca7_b417_674d
         ],
         "{digests:#x?}"
     );
@@ -197,10 +197,10 @@ fn annealed_sessions_are_stable() {
     assert_eq!(
         digests,
         [
-            0xf723_a7ee_14ce_9c77,
-            0xd7ee_e208_e23c_654e,
-            0x7336_384c_1059_420c,
-            0x97fd_2c9d_ab78_e1e5
+            0x362a_fbed_c5f9_be69,
+            0x9a26_2d81_f72f_a0d1,
+            0x41ee_67d5_f1bd_c2e8,
+            0xc99f_17d8_76fa_05d9
         ],
         "{digests:#x?}"
     );
