@@ -10,9 +10,9 @@
 //! bit-identical regardless of thread count.
 
 use crate::ice::IceModel;
-use crate::kernel::{self, CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use crate::kernel::{self, CompiledChains, ReplicaBatch, SqaReplicaBatch, WindowCoefficients};
 use crate::schedule::{curves, Schedule};
-use crate::{sa, sqa};
+use crate::sqa;
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};
 use quamax_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -392,8 +392,11 @@ impl BatchWorker {
     /// from each replica's own stream), sets or draws each replica's
     /// initial spins, then rebuilds every replica's fields in one
     /// strip-wise CSR pass. Per replica, the RNG stream's draw order is
-    /// refreeze → init → sweep proposals, the same at every width, so
-    /// every sample is the same no matter how slots are windowed.
+    /// refreeze → init → proposals (SA: one key for counter-based
+    /// draws; SQA: sequential draws), the same at every width, so every
+    /// sample is the same no matter how slots are windowed. An SA window
+    /// runs whole inside [`ReplicaBatch::anneal_window`], on the host's
+    /// widest instruction set.
     #[allow(clippy::too_many_arguments)]
     fn run_window(
         &mut self,
@@ -432,23 +435,18 @@ impl BatchWorker {
         };
         match config.backend {
             Backend::Sa => {
-                let problem = if shared {
-                    let problem = jobs[slots[0].0 as usize].problem;
-                    sa_batch.reset_shared(problem, w);
-                    problem
+                let problems = if shared { Vec::new() } else { problems() };
+                let coefficients = if shared {
+                    WindowCoefficients::Shared(jobs[slots[0].0 as usize].problem)
                 } else {
-                    sa_batch.reset_per_replica(structure, w);
-                    sa_batch.bind_window_ice(&problems(), &config.ice, rngs);
-                    structure
-                };
-                for (r, &(j, _)) in slots.iter().enumerate() {
-                    match jobs[j as usize].init {
-                        Some(s) => sa_batch.set_replica(r, s),
-                        None => sa_batch.draw_replica(r, &mut rngs[r]),
+                    WindowCoefficients::PerReplica {
+                        structure,
+                        problems: &problems,
+                        ice: &config.ice,
                     }
-                }
-                sa_batch.rebuild_fields(problem);
-                sa::anneal_batch_compiled(problem, chains, betas, sa_batch, rngs);
+                };
+                let inits = |r: usize| jobs[slots[r].0 as usize].init;
+                sa_batch.anneal_window(coefficients, inits, chains, betas, rngs);
                 for (r, slot) in out.iter_mut().enumerate() {
                     *slot = sa_batch.replica_spins(r);
                 }

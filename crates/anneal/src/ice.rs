@@ -160,6 +160,7 @@ impl IceModel {
     /// order — writing each entry's `W`-wide strip (and the coupler
     /// twin's) in one contiguous store. A zero model draws nothing and
     /// binds the problems as they are.
+    #[inline]
     pub(crate) fn refreeze_window<R: Rng>(
         &self,
         problems: &[&CompiledProblem],

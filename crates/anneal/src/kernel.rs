@@ -27,6 +27,17 @@
 //! SQA kernel in index order. Window placement still never changes a
 //! sample: every width walks the same order.
 //!
+//! SA decisions are counter-based ([`crate::draws`]): a proposal's
+//! uniform is a hash of the replica's key, the sweep and the site, so
+//! [`ReplicaBatch::anneal`] decides a color class eight proposals at a
+//! time — one 8-wide strip, or the next `8 / W` spins of the class at
+//! width `W` — each block in one branch-free pass, and only then flips
+//! and scatters the accepted spins in class order. The whole SA window
+//! (bind, init, spin pass, chain pass, scatter) runs in one function
+//! compiled for the host's widest [`Isa`]; every set yields the bits of
+//! deciding one proposal at a time through the closure seams
+//! [`ReplicaBatch::sweep_spins`] and [`ReplicaBatch::sweep_chain`].
+//!
 //! [`ReplicaBatch`] holds `W` classical (SA) configurations and their
 //! fields in structure-of-arrays strips; [`SqaReplicaBatch`] holds `W`
 //! flat `n×P` Trotter-replica states with one field cache per slice.
@@ -36,6 +47,7 @@
 //! widths of [`SA_WIDTHS`], and `windows` plans a run of anneals into
 //! windows of those widths.
 
+use crate::draws::{self, decide, LANES};
 use crate::ice::IceModel;
 use quamax_ising::{CompiledProblem, Spin};
 use rand::Rng;
@@ -229,6 +241,7 @@ impl<'a> WindowStrips<'a> {
 /// Binds a window of `problems` under ICE drawn from `rngs` into one
 /// batch's strips (see [`IceModel::refreeze_window`]).
 #[allow(clippy::too_many_arguments)]
+#[inline]
 fn bind_window_ice<R: Rng>(
     linear: &mut [f64],
     weights: &mut [f64],
@@ -332,6 +345,10 @@ pub struct ReplicaBatch {
     weights: Vec<f64>,
     /// Scratch: the window's ICE deviates, `W × (n + m)`, entry-major.
     normals: Vec<f64>,
+    /// Scratch: one color class's decisions, one byte mask per block.
+    masks: Vec<u64>,
+    /// Scratch: one sweep's chain-move uniforms, `uniforms[c·W + r]`.
+    uniforms: Vec<f64>,
 }
 
 impl ReplicaBatch {
@@ -417,6 +434,7 @@ impl ReplicaBatch {
     /// # Panics
     /// Panics in shared mode, when shapes disagree, or unless
     /// `problems` and `rngs` both hold one entry per replica.
+    #[inline]
     pub fn bind_window_ice<R: Rng>(
         &mut self,
         problems: &[&CompiledProblem],
@@ -479,6 +497,7 @@ impl ReplicaBatch {
     /// read once for all replicas. Per replica the sum runs in
     /// [`ReplicaBatch::init_replica`]'s order, so the fields are the
     /// same bits.
+    #[inline(always)]
     pub fn rebuild_fields(&mut self, problem: &CompiledProblem) {
         match self.width {
             1 => self.rebuild_fields_w::<1>(problem),
@@ -489,6 +508,7 @@ impl ReplicaBatch {
         }
     }
 
+    #[inline(always)]
     fn rebuild_fields_w<const W: usize>(&mut self, problem: &CompiledProblem) {
         let neighbors = problem.neighbors_flat();
         for i in 0..self.n {
@@ -566,11 +586,13 @@ impl ReplicaBatch {
             .sum()
     }
 
-    /// One full spin sweep: proposes every spin in `problem`'s
-    /// color-class order ([`CompiledProblem::sweep_order`]),
-    /// `accept(i, r, ΔE_ir)` deciding per replica from the contiguous
-    /// strip, then one CSR row walk scatters all accepted replicas'
-    /// field updates at once.
+    /// One full spin sweep under a caller's decision rule: proposes
+    /// every spin in `problem`'s color-class order
+    /// ([`CompiledProblem::sweep_order`]), `accept(i, r, ΔE_ir)` deciding
+    /// one proposal at a time from the contiguous strip, then one CSR
+    /// row walk scatters all accepted replicas' field updates at once.
+    /// With [`crate::draws::accept`] as the rule this is the scalar reference
+    /// of the spin pass of [`ReplicaBatch::anneal`].
     ///
     /// # Panics
     /// Panics unless the width is one of [`SA_WIDTHS`].
@@ -597,33 +619,49 @@ impl ReplicaBatch {
         debug_assert_eq!(problem.num_spins(), self.n);
         for &i in problem.sweep_order() {
             let i = i as usize;
-            let base = i * W;
-            let mut steps = [0.0f64; W];
-            let mut any = false;
-            {
-                let spins: &mut [Spin; W] =
-                    (&mut self.spins[base..base + W]).try_into().expect("strip");
-                let fields: &[f64; W] = (&self.fields[base..base + W]).try_into().expect("strip");
-                for r in 0..W {
-                    let s = spins[r];
-                    let delta = -2.0 * s as f64 * fields[r];
-                    if accept(i, r, delta) {
-                        spins[r] = -s;
-                        steps[r] = -2.0 * s as f64;
-                        any = true;
-                    }
-                }
+            let deltas = self.spin_deltas::<W>(i);
+            let mut mask = 0u64;
+            for (r, &delta) in deltas.iter().enumerate() {
+                mask |= (accept(i, r, delta) as u64) << (8 * r);
             }
-            if any {
-                self.scatter::<W>(problem, i, &steps);
+            if mask != 0 {
+                self.flip_spin::<W>(problem, i, mask);
             }
         }
+    }
+
+    /// Spin `i`'s flip energy `ΔE = −2·s·h` in every replica.
+    #[inline(always)]
+    fn spin_deltas<const W: usize>(&self, i: usize) -> [f64; W] {
+        let base = i * W;
+        let spins: &[Spin; W] = self.spins[base..base + W].try_into().expect("strip");
+        let fields: &[f64; W] = self.fields[base..base + W].try_into().expect("strip");
+        std::array::from_fn(|r| -2.0 * spins[r] as f64 * fields[r])
+    }
+
+    /// Flips spin `i` in the replicas of `mask` (byte `r`, 0 or 1, for
+    /// replica `r`; not all zero) and scatters their field updates in
+    /// one row walk.
+    #[inline(always)]
+    fn flip_spin<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, mask: u64) {
+        let base = i * W;
+        let mut steps = [0.0f64; W];
+        let spins: &mut [Spin; W] = (&mut self.spins[base..base + W]).try_into().expect("strip");
+        for r in 0..W {
+            if mask >> (8 * r) & 1 == 1 {
+                let s = spins[r];
+                spins[r] = -s;
+                steps[r] = -2.0 * s as f64;
+            }
+        }
+        self.scatter::<W>(problem, i, &steps);
     }
 
     /// One CSR row walk updating all replicas after spin `i` moved: for
     /// each row entry `(j, g)`, `fields[j*W..][..W] += steps * g` — a
     /// fixed-size strip the compiler fully unrolls (rejected replicas
     /// carry step 0, which only ever normalizes a zero's sign).
+    #[inline(always)]
     fn scatter<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
@@ -651,12 +689,14 @@ impl ReplicaBatch {
         }
     }
 
-    /// Proposes flipping chain `c` collectively in every replica:
-    /// `accept(r, ΔE_r)` decides per replica. Internal-edge weights are
-    /// each replica's own — its weight strip, or `problem`'s weights in
-    /// shared mode — so the move is exact for the replica's
-    /// ICE-perturbed Hamiltonian; accepted replicas flip member by
-    /// member in member order, each member paying one shared row walk.
+    /// Proposes flipping chain `c` collectively in every replica under
+    /// a caller's decision rule: `accept(r, ΔE_r)` decides per replica.
+    /// Internal-edge weights are each replica's own — its weight strip,
+    /// or `problem`'s weights in shared mode — so the move is exact for
+    /// the replica's ICE-perturbed Hamiltonian; accepted replicas flip
+    /// member by member in member order, each member paying one shared
+    /// row walk. With [`crate::draws::accept`] at site `n + c` this is the
+    /// scalar reference of the chain moves of [`ReplicaBatch::anneal`].
     ///
     /// # Panics
     /// Panics unless the width is one of [`SA_WIDTHS`].
@@ -684,16 +724,37 @@ impl ReplicaBatch {
         accept: &mut impl FnMut(usize, f64) -> bool,
     ) {
         debug_assert_eq!(self.width, W);
-        let mut deltas = [0.0f64; W];
-        for &i in chains.members(c) {
-            let base = i as usize * W;
-            let spins: &[Spin; W] = (&self.spins[base..base + W]).try_into().expect("strip");
-            let fields: &[f64; W] = (&self.fields[base..base + W]).try_into().expect("strip");
+        let deltas = self.chain_deltas::<W>(problem, chains, c);
+        let mut mask = 0u64;
+        for (r, &delta) in deltas.iter().enumerate() {
+            mask |= (accept(r, delta) as u64) << (8 * r);
+        }
+        if mask != 0 {
+            self.flip_chain::<W>(problem, chains, c, mask);
+        }
+    }
+
+    /// Chain `c`'s collective flip energy in every replica: the member
+    /// flip-deltas plus `+4·g_ab·s_a·s_b` per internal edge. The next
+    /// chain's move waits on this sum, so it runs as four independent
+    /// partial sums — even and odd members, even and odd edges — added
+    /// at the end, not as one serial chain of additions.
+    #[inline(always)]
+    fn chain_deltas<const W: usize>(
+        &self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        c: usize,
+    ) -> [f64; W] {
+        let mut members = [[0.0f64; W]; 2];
+        for (k, &i) in chains.members(c).iter().enumerate() {
+            let d = self.spin_deltas::<W>(i as usize);
             for r in 0..W {
-                deltas[r] += -2.0 * spins[r] as f64 * fields[r];
+                members[k % 2][r] += d[r];
             }
         }
-        for &(a, b, e) in chains.internal_edges(c) {
+        let mut edges = [[0.0f64; W]; 2];
+        for (k, &(a, b, e)) in chains.internal_edges(c).iter().enumerate() {
             let (ab, bb, e) = (a as usize * W, b as usize * W, e as usize);
             let sa: &[Spin; W] = (&self.spins[ab..ab + W]).try_into().expect("strip");
             let sb: &[Spin; W] = (&self.spins[bb..bb + W]).try_into().expect("strip");
@@ -703,34 +764,428 @@ impl ReplicaBatch {
                 self.weights[e * W..(e + 1) * W].try_into().expect("strip")
             };
             for r in 0..W {
-                deltas[r] += 4.0 * gs[r] * sa[r] as f64 * sb[r] as f64;
+                edges[k % 2][r] += 4.0 * gs[r] * sa[r] as f64 * sb[r] as f64;
             }
         }
-        let mut mask = [false; W];
-        let mut any = false;
-        for r in 0..W {
-            mask[r] = accept(r, deltas[r]);
-            any |= mask[r];
-        }
-        if !any {
-            return;
-        }
+        std::array::from_fn(|r| (members[0][r] + members[1][r]) + (edges[0][r] + edges[1][r]))
+    }
+
+    /// Flips chain `c` in the replicas of `mask`, member by member.
+    #[inline(always)]
+    fn flip_chain<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        c: usize,
+        mask: u64,
+    ) {
         for &i in chains.members(c) {
-            let base = i as usize * W;
-            let mut steps = [0.0f64; W];
-            {
-                let spins: &mut [Spin; W] =
-                    (&mut self.spins[base..base + W]).try_into().expect("strip");
-                for r in 0..W {
-                    if mask[r] {
-                        let s = spins[r];
-                        spins[r] = -s;
-                        steps[r] = -2.0 * s as f64;
+            self.flip_spin::<W>(problem, i as usize, mask);
+        }
+    }
+
+    /// Runs the SA sweep plan on every replica, compiled for `isa`: per
+    /// entry `t` of `betas`, one spin pass in color-class order, then one
+    /// move per chain, every proposal decided by the counter-based rule
+    /// of [`crate::draws`] under replica `r`'s `keys[r]` (spin `i` at site `i`,
+    /// chain `c` at site `n + c`).
+    ///
+    /// The spin pass decides a whole color class before it flips any of
+    /// it, in blocks of [`crate::draws::LANES`] proposals: at width 8 one
+    /// spin's strip, at width `W < 8` the next `8 / W` spins of the
+    /// class. A class is an independent set, so no flip changes another
+    /// member's ΔE; the accepted spins then flip and scatter in class
+    /// order. Chain moves stay sequential, with their uniforms drawn
+    /// ahead. The result is the spins and field bits of deciding one
+    /// proposal at a time with [`crate::draws::accept`] through
+    /// [`ReplicaBatch::sweep_spins`] and [`ReplicaBatch::sweep_chain`],
+    /// at every width and on every `isa`.
+    ///
+    /// # Panics
+    /// Panics unless the width is one of [`SA_WIDTHS`] with one key per
+    /// replica, or when the host lacks `isa`.
+    pub fn anneal(
+        &mut self,
+        isa: Isa,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        betas: &[f64],
+        keys: &[u64],
+    ) {
+        assert_eq!(keys.len(), self.width, "one key per replica");
+        isa.run(AnnealBody {
+            batch: self,
+            problem,
+            chains,
+            betas,
+            keys,
+        });
+    }
+
+    /// Anneals one window start to finish on the host's widest [`Isa`]:
+    /// reshapes the batch to `rngs.len()` replicas and binds
+    /// `coefficients` (refreezing ICE from each replica's stream), sets
+    /// replica `r` to `inits(r)` or draws its spins from `rngs[r]`,
+    /// draws one key per replica, rebuilds every field in one strip-wise
+    /// pass and runs [`ReplicaBatch::anneal`]. Per stream the draws are
+    /// refreeze → init → key, so a sample does not depend on the window
+    /// it runs in.
+    ///
+    /// # Panics
+    /// Panics unless `rngs.len()` is one of [`SA_WIDTHS`] (and, per
+    /// replica, `problems` holds one problem per stream).
+    pub fn anneal_window<'s, R: Rng>(
+        &mut self,
+        coefficients: WindowCoefficients<'_>,
+        inits: impl Fn(usize) -> Option<&'s [Spin]>,
+        chains: &CompiledChains,
+        betas: &[f64],
+        rngs: &mut [R],
+    ) {
+        Isa::detect().run(WindowBody {
+            batch: self,
+            coefficients,
+            inits,
+            chains,
+            betas,
+            rngs,
+        });
+    }
+
+    #[inline(always)]
+    fn anneal_any_width(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        betas: &[f64],
+        keys: &[u64],
+    ) {
+        match self.width {
+            1 => self.anneal_w::<1>(problem, chains, betas, keys),
+            2 => self.anneal_w::<2>(problem, chains, betas, keys),
+            4 => self.anneal_w::<4>(problem, chains, betas, keys),
+            8 => self.anneal_w::<8>(problem, chains, betas, keys),
+            w => unsupported_width(w),
+        }
+    }
+
+    #[inline(always)]
+    fn anneal_w<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        betas: &[f64],
+        keys: &[u64],
+    ) {
+        debug_assert_eq!(self.width, W);
+        debug_assert_eq!(problem.num_spins(), self.n);
+        let keys: &[u64; W] = keys.try_into().expect("one key per replica");
+        for (t, &beta) in betas.iter().enumerate() {
+            let t = t as u32;
+            self.spin_pass::<W>(problem, beta, t, keys);
+            self.chain_pass::<W>(problem, chains, beta, t, keys);
+        }
+    }
+
+    /// One move per chain, in chain order. Each decision feeds the next
+    /// chain's ΔE, so the pass first draws every chain's uniforms for
+    /// sweep `t` (no draw depends on the state), leaving only the
+    /// exponential between one chain's ΔE and its flips.
+    #[inline(always)]
+    fn chain_pass<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        beta: f64,
+        t: u32,
+        keys: &[u64; W],
+    ) {
+        let n = self.n;
+        let mut uniforms = std::mem::take(&mut self.uniforms);
+        uniforms.resize(chains.len() * W, 0.0);
+        for (c, strip) in uniforms.chunks_exact_mut(W).enumerate() {
+            let weyl = draws::weyl(t, (n + c) as u32);
+            for r in 0..W {
+                strip[r] = draws::uniform_at(keys[r], weyl);
+            }
+        }
+        for (c, u) in uniforms.chunks_exact(W).enumerate() {
+            let deltas = self.chain_deltas::<W>(problem, chains, c);
+            let mask = draws::decide_drawn::<W>(beta, &deltas, u.try_into().expect("strip"));
+            if mask != 0 {
+                self.flip_chain::<W>(problem, chains, c, mask);
+            }
+        }
+        self.uniforms = uniforms;
+    }
+
+    /// One spin pass of [`ReplicaBatch::anneal`]: the color classes in
+    /// order, each in blocks of `LANES / W` spins decided together.
+    #[inline(always)]
+    fn spin_pass<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        beta: f64,
+        t: u32,
+        keys: &[u64; W],
+    ) {
+        let per_block = LANES / W;
+        let mut lane_keys = [0u64; LANES];
+        for block in lane_keys.chunks_exact_mut(W) {
+            block.copy_from_slice(keys);
+        }
+        // Each class is decided whole, then flipped: no flip inside a
+        // class changes another member's ΔE, and with no branch on a
+        // decision between blocks their exponentials overlap.
+        let mut masks = std::mem::take(&mut self.masks);
+        for class in problem.color_classes() {
+            masks.resize(masks.len().max(class.len().div_ceil(per_block)), 0);
+            let (full, tail) = class.split_at(class.len() - class.len() % per_block);
+            for (block, mask) in full.chunks_exact(per_block).zip(masks.iter_mut()) {
+                *mask = self.decide_block::<W>(block, beta, t, &lane_keys);
+            }
+            if !tail.is_empty() {
+                // A short last block, padded with a repeat of its first
+                // spin whose lanes propose nothing.
+                let mut padded = [tail[0]; LANES];
+                padded[..tail.len()].copy_from_slice(tail);
+                let live = u64::MAX >> (64 - 8 * tail.len() * W);
+                masks[full.len() / per_block] =
+                    self.decide_block::<W>(&padded[..per_block], beta, t, &lane_keys) & live;
+            }
+            for (block, &accepted) in class.chunks(per_block).zip(masks.iter()) {
+                if accepted == 0 {
+                    continue;
+                }
+                for (b, &i) in block.iter().enumerate() {
+                    let mask = (accepted >> (8 * b * W)) & lanes::<W>();
+                    if mask != 0 {
+                        self.flip_spin::<W>(problem, i as usize, mask);
                     }
                 }
             }
-            self.scatter::<W>(problem, i as usize, &steps);
         }
+        self.masks = masks;
+    }
+
+    /// Decides the `LANES / W` spins of `block` in every replica at
+    /// once: byte `b·W + r` of the result is spin `block[b]` in
+    /// replica `r`.
+    #[inline(always)]
+    fn decide_block<const W: usize>(
+        &self,
+        block: &[u32],
+        beta: f64,
+        t: u32,
+        lane_keys: &[u64; LANES],
+    ) -> u64 {
+        let mut delta = [0.0f64; LANES];
+        let mut weyls = [0u64; LANES];
+        for b in 0..LANES / W {
+            let i = block[b];
+            let deltas = self.spin_deltas::<W>(i as usize);
+            let weyl = draws::weyl(t, i);
+            for r in 0..W {
+                delta[b * W + r] = deltas[r];
+                weyls[b * W + r] = weyl;
+            }
+        }
+        decide(beta, &delta, lane_keys, &weyls)
+    }
+}
+
+/// The byte mask of a width-`W` strip's lanes.
+#[inline(always)]
+const fn lanes<const W: usize>() -> u64 {
+    u64::MAX >> (64 - 8 * W)
+}
+
+/// One key per stream, drawn in replica order.
+///
+/// # Panics
+/// Panics for more streams than [`crate::draws::LANES`].
+pub(crate) fn draw_keys<R: Rng>(rngs: &mut [R]) -> [u64; LANES] {
+    if rngs.len() > LANES {
+        unsupported_width(rngs.len());
+    }
+    let mut keys = [0u64; LANES];
+    for (key, rng) in keys.iter_mut().zip(rngs) {
+        *key = rng.next_u64();
+    }
+    keys
+}
+
+/// The coefficients an SA window anneals under.
+#[derive(Clone, Copy, Debug)]
+pub enum WindowCoefficients<'a> {
+    /// Every replica runs this zero-ICE problem's own coefficients.
+    Shared(&'a CompiledProblem),
+    /// Replica `r` runs `problems[r]`, which shares `structure`'s CSR
+    /// layout, under ICE refrozen from its own stream.
+    PerReplica {
+        /// The window's CSR layout.
+        structure: &'a CompiledProblem,
+        /// One programmed problem per replica.
+        problems: &'a [&'a CompiledProblem],
+        /// The per-anneal coefficient noise.
+        ice: &'a IceModel,
+    },
+}
+
+/// The instruction sets the SA window kernel is compiled for. One
+/// source serves all three: [`ReplicaBatch::anneal`] and
+/// [`ReplicaBatch::anneal_window`] run their whole body inside a
+/// function compiled with the set's target features, so the 8-lane
+/// decide and the replica strips vectorize as wide as the host allows.
+/// The kernel only ever adds, multiplies and moves bits (no FMA), so
+/// every set produces the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Isa {
+    /// The target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// AVX2.
+    Avx2,
+    /// AVX-512F with AVX-512DQ (64-bit lane multiplies and
+    /// conversions).
+    Avx512,
+}
+
+impl Isa {
+    /// Every set, narrowest first.
+    pub const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512];
+
+    /// The widest set this host supports.
+    pub fn detect() -> Isa {
+        *Isa::ALL
+            .iter()
+            .rev()
+            .find(|isa| isa.is_supported())
+            .expect("the baseline is always supported")
+    }
+
+    /// Whether this host can run the set.
+    pub fn is_supported(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Runs `body` compiled for this set: `body.run` and everything it
+    /// calls with `#[inline(always)]` are inlined into the set's
+    /// wrapper.
+    ///
+    /// # Panics
+    /// Panics when the host lacks the set.
+    #[inline(always)]
+    fn run(self, body: impl Body) {
+        assert!(self.is_supported(), "this host cannot run {self:?}");
+        match self {
+            // SAFETY: the host supports the set's features (checked
+            // above), which is all these wrappers require.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { with_avx512(body) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { with_avx2(body) },
+            _ => body.run(),
+        }
+    }
+}
+
+/// A kernel body [`Isa::run`] compiles once per instruction set.
+trait Body {
+    fn run(self);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn with_avx512(body: impl Body) {
+    body.run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn with_avx2(body: impl Body) {
+    body.run()
+}
+
+/// [`ReplicaBatch::anneal`]'s body.
+struct AnnealBody<'a> {
+    batch: &'a mut ReplicaBatch,
+    problem: &'a CompiledProblem,
+    chains: &'a CompiledChains,
+    betas: &'a [f64],
+    keys: &'a [u64],
+}
+
+impl Body for AnnealBody<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let AnnealBody {
+            batch,
+            problem,
+            chains,
+            betas,
+            keys,
+        } = self;
+        batch.anneal_any_width(problem, chains, betas, keys);
+    }
+}
+
+/// [`ReplicaBatch::anneal_window`]'s body.
+struct WindowBody<'a, R, F> {
+    batch: &'a mut ReplicaBatch,
+    coefficients: WindowCoefficients<'a>,
+    inits: F,
+    chains: &'a CompiledChains,
+    betas: &'a [f64],
+    rngs: &'a mut [R],
+}
+
+impl<'s, R: Rng, F: Fn(usize) -> Option<&'s [Spin]>> Body for WindowBody<'_, R, F> {
+    #[inline(always)]
+    fn run(self) {
+        let WindowBody {
+            batch,
+            coefficients,
+            inits,
+            chains,
+            betas,
+            rngs,
+        } = self;
+        let width = rngs.len();
+        let problem = match coefficients {
+            WindowCoefficients::Shared(problem) => {
+                batch.reset_shared(problem, width);
+                problem
+            }
+            WindowCoefficients::PerReplica {
+                structure,
+                problems,
+                ice,
+            } => {
+                batch.reset_per_replica(structure, width);
+                batch.bind_window_ice(problems, ice, rngs);
+                structure
+            }
+        };
+        for (r, rng) in rngs.iter_mut().enumerate() {
+            match inits(r) {
+                Some(spins) => batch.set_replica(r, spins),
+                None => batch.draw_replica(r, rng),
+            }
+        }
+        let keys = draw_keys(rngs);
+        batch.rebuild_fields(problem);
+        batch.anneal_any_width(problem, chains, betas, &keys[..width]);
     }
 }
 

@@ -44,11 +44,12 @@
 //!   worker threads. Rows are sorted, so the layout is a pure function
 //!   of the problem, not of construction order. Freezing also colors
 //!   the graph greedily in index order and keeps the classes as one
-//!   class-major spin order (shared by every clone), the order the SA
-//!   spin pass proposes in. No two spins of a class interact, so each
-//!   class could be proposed as one vector; on an embedded problem the
-//!   class order also leaves about a third of index order's broken
-//!   chains at the uplink operating point.
+//!   class-major spin order, the order the SA spin pass proposes in.
+//!   The structure arrays and the classes sit behind `Arc`s, so a clone
+//!   copies only the coefficients. No two spins of a class interact, so
+//!   the kernel decides a class's proposals eight at a time; on an
+//!   embedded problem the class order also leaves about a third of
+//!   index order's broken chains at the uplink operating point.
 //! * **[`kernel::ReplicaBatch`]** — `W` configurations plus their
 //!   cached local fields `h_i = f_i + Σ_j g_ij·s_j`. A Metropolis
 //!   proposal is O(1) (`ΔE = −2·s_i·h_i`); only an *accepted* flip
@@ -66,6 +67,17 @@
 //!   internal-edge lists, precompiled once via a membership mask, so
 //!   chain-collective proposals stop re-scanning `chain.contains(j)`
 //!   inside the sweep loop.
+//! * **Counter-based SA decisions ([`draws`])** — an SA anneal's
+//!   uniforms are a keyed hash of `(key, sweep, site)`, so the kernel
+//!   gathers eight (spin, replica) proposals — one 8-wide strip, or
+//!   `8 / W` spins of one color class at width `W` — computes their
+//!   ΔE, and decides all eight in one branch-free pass (hash,
+//!   `e^{−β·ΔE}` as an Estrin polynomial, compare); then the accepted
+//!   spins flip and scatter in class order. A whole SA window runs in
+//!   one function compiled for AVX-512F/DQ, AVX2 or the baseline
+//!   ([`kernel::Isa`]), picked per window by runtime detection; every
+//!   set yields the bits of the one-at-a-time scalar reference
+//!   ([`sa::anneal_batch_reference`]).
 //! * **One sweep per backend** — the two batches are the only sweep
 //!   state: a single anneal is a width-1 batch, and every device entry
 //!   point runs through [`Annealer::run_jobs`].
@@ -104,23 +116,31 @@
 //!      spin `i` up iff bit `i % 64` is set — SQA packs its (slice,
 //!      spin) sites slice-major the same way; a reverse-anneal start
 //!      draws nothing;
-//!    * **proposals**: SA spins in the problem's color-class order
-//!      ([`quamax_ising::CompiledProblem::sweep_order`]: a greedy
-//!      coloring frozen with the CSR, two classes on any Chimera
-//!      embedding, index order on a fully coupled problem), SQA spins
-//!      and slices in index order, chains in chain index order; each
-//!      accept is [`sa::metropolis`]: a
-//!      downhill move or `β·ΔE ≥ 40` decides without drawing, anything
-//!      else draws one `E ~ Exp(1)` (`ExpZiggurat`) and accepts iff
+//!    * **SA key**: one `next_u64`, the anneal's key. The stream draws
+//!      nothing after it. Sweep `t`'s uniform at site `s` is
+//!      [`draws::uniform`]`(key, t, s)` — spin `i` at site `i`, chain
+//!      `c` at site `n + c` — a pure function, so no draw depends on
+//!      the order of the others or on whether they were used. Each
+//!      accept is [`draws::accept`]: `ΔE ≤ 0` accepts, `β·ΔE ≥ 40`
+//!      rejects, anything else accepts iff `u < e^{−β·ΔE}`
+//!      ([`draws::exp_neg`]). SA spins are proposed in the problem's
+//!      color-class order ([`quamax_ising::CompiledProblem::sweep_order`]:
+//!      a greedy coloring frozen with the CSR, two classes on any
+//!      Chimera embedding, index order on a fully coupled problem),
+//!      then chains in chain index order;
+//!    * **SQA proposals**: spins and slices in index order, chains in
+//!      chain index order, each accept [`sa::metropolis`]: a downhill
+//!      move or `β·ΔE ≥ 40` decides without drawing, anything else
+//!      draws one `E ~ Exp(1)` (`ExpZiggurat`) and accepts iff
 //!      `β·ΔE < E`. Whether a proposal draws depends only on ΔE, which
 //!      is deterministic.
 //! 3. **No cross-anneal state** — every window overwrites its whole
 //!    state (coefficients bound, spins set or drawn, fields recomputed
 //!    from both), so reuse never leaks one anneal's state into the
-//!    next. Each replica's stream still draws refreeze → init →
-//!    proposals: the window draws all replicas' deviates, then all
-//!    initial spins, before any field is rebuilt, and field rebuilds
-//!    draw nothing.
+//!    next. Each replica's stream still draws refreeze → init → key
+//!    (SA) or proposals (SQA): the window draws all replicas' deviates,
+//!    then all initial spins, then all keys, and field rebuilds draw
+//!    nothing.
 //!
 //! * **Compile-once batch entry** — [`Annealer::run_compiled`] accepts
 //!   a caller-held `CompiledProblem`/`CompiledChains` pair, and the
@@ -175,10 +195,12 @@
 //! Batching is *unobservable* in the outputs. Replica `r` of a batch
 //! consumes its own `StdRng` stream — the `splitmix(seed, k)` stream of
 //! its anneal — and only through the per-stream draw order of the
-//! determinism contract above (refreeze → init → proposals in sweep
-//! order). The kernel evaluates the same ΔE values in the same float
-//! accumulation order at every width (chain flips go member-by-member;
-//! SQA global moves slice-by-slice), so every replica is
+//! determinism contract above (refreeze → init → key for SA, → SQA
+//! proposals in sweep order). The kernel evaluates the same ΔE values
+//! in the same float accumulation order at every width and on every
+//! instruction set (chain flips go member-by-member; SQA global moves
+//! slice-by-slice; the SA decide block never reorders a scatter), so
+//! every replica is
 //! **bit-identical** to the same anneal run alone in a width-1 batch —
 //! property-tested in `tests/properties.rs` against width 1, which in
 //! turn is checked against the naive kernels, and relied on by
@@ -202,6 +224,7 @@
 //! width do the intra-core work.
 
 pub mod device;
+pub mod draws;
 pub mod ice;
 pub mod kernel;
 pub mod sa;
@@ -211,6 +234,6 @@ pub mod stats;
 
 pub use device::{AnnealJob, Annealer, AnnealerConfig, Backend};
 pub use ice::IceModel;
-pub use kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+pub use kernel::{CompiledChains, Isa, ReplicaBatch, SqaReplicaBatch, WindowCoefficients};
 pub use schedule::Schedule;
 pub use stats::{SolutionDistribution, SolutionEntry};

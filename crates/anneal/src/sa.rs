@@ -3,22 +3,34 @@
 //! One anneal = one trajectory: spins start uniformly random (the
 //! classical image of the initial superposition), then sweep through
 //! the schedule's temperature ladder; each sweep proposes one flip per
-//! spin and accepts with the Metropolis rule `min(1, e^{−β·ΔE})`, drawn
-//! as "accept iff `β·ΔE < E`" with `E ~ Exp(1)` ([`metropolis`]). The
+//! spin and accepts with the Metropolis rule `min(1, e^{−β·ΔE})`. The
 //! paper's §2.2 frames SA as the canonical classical reference dynamics
 //! for quantum annealers, and it is this simulator's default backend.
+//!
+//! SA draws are counter-based ([`crate::draws`]): after its ICE
+//! refreeze and initial spins, an anneal draws one key from its stream,
+//! and the uniform of sweep `t` at site `i` is a pure hash of
+//! `(key, t, i)`. A move is accepted iff `ΔE ≤ 0` or `u < e^{−β·ΔE}`.
+//! Since no draw depends on the order of the others, the kernel decides
+//! eight proposals of a color class at once, on the widest instruction
+//! set the host has ([`crate::kernel::Isa`]), with the same result as
+//! the one-at-a-time reference [`anneal_batch_reference`]. SQA keeps
+//! the sequential [`metropolis`] draws.
 
-use crate::kernel::{CompiledChains, ReplicaBatch};
+use crate::draws;
+use crate::kernel::{self, CompiledChains, Isa, ReplicaBatch};
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};
 use quamax_linalg::rng::ExpZiggurat;
 use rand::Rng;
 
-/// Runs the sweep plan over every replica of `batch`: per entry of
+/// Runs the sweep plan over every replica of `batch`: per entry `t` of
 /// `betas`, one Metropolis sweep, then one *chain-collective* proposal
-/// per chain. Each replica consumes its own RNG stream (`rngs[r]`), so
-/// replica `r` is bit-identical to the same replica run alone at width
-/// 1 from `rngs[r]`. The caller initializes the batch first — per
-/// stream the draw order is refreeze → init → sweeps.
+/// per chain. Replica `r` first draws its key from `rngs[r]` — the
+/// caller has already bound and initialized the batch, so per stream
+/// the draws are refreeze → init → key — and every decision after that
+/// is counter-based, so replica `r` is bit-identical to the same
+/// replica run alone at width 1 from `rngs[r]`. Runs on the host's
+/// widest [`Isa`]; see [`ReplicaBatch::anneal`].
 ///
 /// Chain moves exist for embedded problems: single-spin Metropolis
 /// cannot cross the barrier of a ferromagnetically-locked chain within
@@ -41,47 +53,44 @@ pub fn anneal_batch_compiled<R: Rng>(
 ) {
     assert!(!betas.is_empty(), "empty sweep plan");
     assert_eq!(rngs.len(), batch.width(), "one RNG stream per replica");
-    let zig = ExpZiggurat::get();
-    for &beta in betas {
-        sweep_spins(problem, batch, beta, rngs, zig);
+    let keys = kernel::draw_keys(rngs);
+    batch.anneal(Isa::detect(), problem, chains, betas, &keys[..rngs.len()]);
+}
+
+/// The scalar reference of [`ReplicaBatch::anneal`]: the same sweep
+/// plan under the same keys, deciding one proposal at a time with
+/// [`draws::accept`] through [`ReplicaBatch::sweep_spins`] and
+/// [`ReplicaBatch::sweep_chain`] (spin `i` at site `i`, chain `c` at
+/// site `n + c`). Every instruction set of the vector kernel must
+/// leave the same spins and field bits.
+///
+/// # Panics
+/// Panics when `keys.len() != batch.width()` or the width is not one
+/// of [`crate::kernel::SA_WIDTHS`].
+pub fn anneal_batch_reference(
+    problem: &CompiledProblem,
+    chains: &CompiledChains,
+    betas: &[f64],
+    batch: &mut ReplicaBatch,
+    keys: &[u64],
+) {
+    assert_eq!(keys.len(), batch.width(), "one key per replica");
+    let n = problem.num_spins();
+    for (t, &beta) in betas.iter().enumerate() {
+        let t = t as u32;
+        batch.sweep_spins(problem, |i, r, delta| {
+            draws::accept(beta, delta, keys[r], t, i as u32)
+        });
         for c in 0..chains.len() {
             batch.sweep_chain(problem, chains, c, |r, delta| {
-                metropolis(beta, delta, &mut rngs[r], zig)
+                draws::accept(beta, delta, keys[r], t, (n + c) as u32)
             });
         }
     }
 }
 
-/// One batched Metropolis sweep at inverse temperature `beta`: per
-/// spin, in color-class order, one strip of per-replica accept
-/// decisions and one shared CSR row walk (see
-/// [`ReplicaBatch::sweep_spins`]). Same proposal order as the naive
-/// [`sweep`].
-pub fn sweep_batch<R: Rng>(
-    problem: &CompiledProblem,
-    batch: &mut ReplicaBatch,
-    beta: f64,
-    rngs: &mut [R],
-) {
-    sweep_spins(problem, batch, beta, rngs, ExpZiggurat::get());
-}
-
-fn sweep_spins<R: Rng>(
-    problem: &CompiledProblem,
-    batch: &mut ReplicaBatch,
-    beta: f64,
-    rngs: &mut [R],
-    zig: &ExpZiggurat,
-) {
-    let rngs = &mut rngs[..batch.width()];
-    batch.sweep_spins(problem, |_, r, delta| {
-        metropolis(beta, delta, &mut rngs[r], zig)
-    });
-}
-
-/// The Metropolis decision, the one accept rule of every move in this
-/// crate (SA spin and chain moves, the naive [`sweep`], SQA's moves
-/// with `beta = 1` on `−ΔF`): accept a move of energy change `delta`
+/// The sequential Metropolis decision of the SQA kernel (SQA's moves
+/// use `beta = 1` on `−ΔF`): accept a move of energy change `delta`
 /// with probability `min(1, e^{−β·Δ})`. Callers fetch `zig` once
 /// ([`ExpZiggurat::get`]) and pass it to every decision.
 ///
@@ -90,7 +99,8 @@ fn sweep_spins<R: Rng>(
 /// in between draws one `E ~ Exp(1)` from the ziggurat `zig` and
 /// accepts iff `β·Δ < E`. Since `P(E > x) = e^{−x}` this is exactly the
 /// Metropolis kernel, with no `exp` on the path. Whether a stream
-/// advances depends only on `(beta, delta)`.
+/// advances depends only on `(beta, delta)`. SA decides by the
+/// counter-based [`draws::accept`] instead.
 #[inline]
 pub fn metropolis<R: Rng + ?Sized>(beta: f64, delta: f64, rng: &mut R, zig: &ExpZiggurat) -> bool {
     if delta <= 0.0 {
@@ -122,44 +132,44 @@ pub fn chain_flip_delta(problem: &IsingProblem, spins: &[Spin], chain: &[usize])
 
 /// One Metropolis sweep at inverse temperature `beta`: proposes a flip
 /// of every spin once, in `order` — the problem's color-class order
-/// ([`CompiledProblem::sweep_order`]), the order the batch kernel walks.
+/// ([`CompiledProblem::sweep_order`]), the order the batch kernel walks
+/// — deciding each by [`draws::accept`] as sweep `t` of the anneal
+/// keyed `key`.
 ///
 /// The order is not a free choice on embedded problems: at the uplink
 /// operating point (48-user BPSK, 4 sweeps/µs) class order leaves about
 /// a third of the broken chains that index order did. Inside a class no
-/// two spins are coupled, so the order within it changes nothing.
+/// two spins are coupled and each spin's draw is its own, so the order
+/// within a class changes nothing, not even which uniforms are used.
 ///
 /// This is the *naive* reference kernel: each proposal recomputes the
-/// local field from the adjacency list, and accepts by the same
-/// [`metropolis`] rule as the batch path ([`sweep_batch`]); the
-/// microbenches keep both to measure the gap.
+/// local field from the adjacency list; the microbenches keep it to
+/// measure the gap to [`anneal_batch_compiled`].
 ///
 /// # Panics
 /// Panics when `order` names a spin out of range.
-pub fn sweep<R: Rng + ?Sized>(
+pub fn sweep(
     problem: &IsingProblem,
     order: &[u32],
     spins: &mut [Spin],
     beta: f64,
-    rng: &mut R,
+    key: u64,
+    t: u32,
 ) {
-    let zig = ExpZiggurat::get();
     for &i in order {
-        let i = i as usize;
-        let delta = problem.flip_delta(spins, i);
-        if metropolis(beta, delta, rng, zig) {
-            spins[i] = -spins[i];
+        let delta = problem.flip_delta(spins, i as usize);
+        if draws::accept(beta, delta, key, t, i) {
+            spins[i as usize] = -spins[i as usize];
         }
     }
 }
 
 /// Exponent beyond which a Metropolis acceptance is *certainly*
-/// rejected: the move would need `E > 40`, and `P(E > 40) = e^{−40}
-/// ≈ 4·10⁻¹⁸`, so skipping the draw changes each such proposal's
-/// acceptance probability by less than that while sparing the hot
-/// loop an RNG advance — a large share of cold-sweep proposals take
-/// this path. (Determinism is unaffected: whether a draw is skipped
-/// depends only on `β·ΔE`.)
+/// rejected: `e^{−40} ≈ 4·10⁻¹⁸`. [`metropolis`] skips its draw there
+/// (the move would need `E > 40`), which changes each such proposal's
+/// acceptance probability by less than that while sparing the hot loop
+/// an RNG advance; for [`draws::accept`] it is exact, since `e^{−40}`
+/// is below the smallest counter-based uniform, `2⁻⁵³`.
 pub const CERTAIN_REJECT_EXPONENT: f64 = 40.0;
 
 #[cfg(test)]
@@ -167,7 +177,7 @@ mod tests {
     use super::*;
     use quamax_ising::exact_ground_state;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn ferro_chain(n: usize) -> IsingProblem {
         let mut p = IsingProblem::new(n);
@@ -267,10 +277,12 @@ mod tests {
             let mut aligned = 0usize;
             for _ in 0..iters {
                 let same = if batched {
-                    sweep_batch(&c, &mut batch, beta, &mut rngs);
+                    let no_chains = CompiledChains::default();
+                    anneal_batch_compiled(&c, &no_chains, &[beta], &mut batch, &mut rngs);
                     batch.spin(0, 0) == batch.spin(1, 0)
                 } else {
-                    sweep(&p, c.sweep_order(), &mut spins, beta, &mut rngs[0]);
+                    let key = rngs[0].next_u64();
+                    sweep(&p, c.sweep_order(), &mut spins, beta, key, 0);
                     spins[0] == spins[1]
                 };
                 aligned += same as usize;
@@ -325,7 +337,7 @@ mod tests {
             for step in 0..burn_in + thin * records {
                 if kernel == "naive" {
                     for (spins, rng) in naive.iter_mut().zip(rngs.iter_mut()) {
-                        sweep(p, c.sweep_order(), spins, beta, rng);
+                        sweep(p, c.sweep_order(), spins, beta, rng.next_u64(), 0);
                     }
                 } else {
                     anneal_batch_compiled(&c, &cc, &[beta], &mut batch, &mut rngs);

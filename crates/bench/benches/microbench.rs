@@ -99,8 +99,7 @@ fn bench_sa_sweep(c: &mut Criterion) {
                     .collect::<Vec<i8>>()
             },
             |mut spins| {
-                let mut srng = StdRng::seed_from_u64(5);
-                sa::sweep(embedded.problem(), &order, &mut spins, 5.0, &mut srng);
+                sa::sweep(embedded.problem(), &order, &mut spins, 5.0, 5, 0);
                 black_box(spins)
             },
             BatchSize::SmallInput,

@@ -54,9 +54,13 @@ fn main() {
             anneals,
         )
     };
-    // Per backend: (name, kind, [stress SNR, comfortable SNR]). The
-    // stress point is where the assertion bites; the second point
-    // shows the gap closing as the channel cleans up.
+    // Per backend: (name, kind, [stress SNR, cleaner SNR]). The stress
+    // point is where the assertion bites; the second point is recorded,
+    // not asserted. MMSE and sphere decoding leave no coded errors
+    // there. The starved annealer does not clean up with the channel:
+    // at 2 sweeps/µs its raw BER at 14 dB stays near its 5 dB level,
+    // and so do its coded BERs — the anneal budget, not the noise, sets
+    // its error floor.
     let sigma2 = |snr_db: f64| Snr::from_db(snr_db).noise_variance(MODULATION);
     let backends: Vec<(&str, DetectorKind, [f64; 2])> = vec![
         ("quamax", quamax(), [5.0, 14.0]),

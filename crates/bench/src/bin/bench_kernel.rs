@@ -46,22 +46,30 @@
 //!   shared machine for a gate);
 //! * `window_embedded_624q_r8` — µs per full 8-wide window of that
 //!   problem at the uplink operating point (calibrated ICE bind, random
-//!   initial spins and fields, then the 8 sweeps of a 1 µs anneal with a
-//!   1 µs pause at 4 sweeps/µs, each followed by one move per chain),
-//!   with the spin pass's and the chain moves' lane acceptance and the
-//!   window's chain-break fraction from an untimed pass over the same
-//!   streams. Reported, not asserted.
+//!   initial spins, one key per replica and fields, then the 8 sweeps of
+//!   a 1 µs anneal with a 1 µs pause at 4 sweeps/µs, each followed by
+//!   one move per chain): the scalar reference, which decides one
+//!   counter-based proposal at a time, against the kernel dispatched to
+//!   the host's widest instruction set, which decides eight at a time.
+//!   The run asserts both leave the same spins, field bits and next
+//!   draws; the speedup is reported, not asserted. The row also reports
+//!   the spin pass's and the chain moves' lane acceptance and the
+//!   window's chain-break fraction from an untimed pass;
+//! * `vpp_clique_1088q_r{1,4}` — the same comparison at the shape of a
+//!   metro VPP precode (the 64-variable clique embedding, 1 088 qubits,
+//!   the default 40 sweeps) at the small widths 1 and 4 that its 4 + 1
+//!   windows run at, in ns per spin proposal; asserted bit-identical.
 
 use criterion::{measure_each, Summary};
 use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
 use quamax_anneal::schedule::curves;
-use quamax_anneal::{sa, IceModel};
+use quamax_anneal::{draws, sa, AnnealerConfig, IceModel, Isa, WindowCoefficients};
 use quamax_bench::kernelbench as kb;
 use quamax_core::DecoderConfig;
 use quamax_ising::CompiledProblem;
-use quamax_linalg::rng::{standard_normal, ExpZiggurat, NormalZiggurat};
+use quamax_linalg::rng::{standard_normal, NormalZiggurat};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::hint::black_box;
 
 /// One naive-vs-compiled row; `replicas` is set on the batched rows,
@@ -129,9 +137,127 @@ impl WindowSetupRow {
     }
 }
 
+/// One SA window of a problem under calibrated ICE: bind, random
+/// initial spins, one key per replica, fields, then every sweep and
+/// chain move — through the scalar reference (one proposal at a time)
+/// or the dispatched kernel ([`ReplicaBatch::anneal_window`]).
+struct WindowBench {
+    compiled: CompiledProblem,
+    chains: CompiledChains,
+    betas: Vec<f64>,
+    ice: IceModel,
+    width: usize,
+}
+
+impl WindowBench {
+    fn new(users: usize, sweeps_per_us: f64, width: usize) -> Self {
+        let (embedded, chain_sets) = kb::embedded_bpsk(users, 1);
+        let compiled = CompiledProblem::new(&embedded);
+        let chains = CompiledChains::compile(&compiled, &chain_sets);
+        let betas = DecoderConfig::default()
+            .schedule
+            .sweep_fractions(sweeps_per_us)
+            .iter()
+            .map(|&s| curves::beta(s).max(1e-3))
+            .collect();
+        WindowBench {
+            compiled,
+            chains,
+            betas,
+            ice: IceModel::calibrated(),
+            width,
+        }
+    }
+
+    fn streams(&self, base: u64) -> Vec<StdRng> {
+        (0..self.width)
+            .map(|r| StdRng::seed_from_u64(base + r as u64))
+            .collect()
+    }
+
+    /// The window's setup; returns the keys.
+    fn set_up(&self, batch: &mut ReplicaBatch, rngs: &mut [StdRng]) -> Vec<u64> {
+        let problems = vec![&self.compiled; self.width];
+        batch.reset_per_replica(&self.compiled, self.width);
+        batch.bind_window_ice(&problems, &self.ice, rngs);
+        for (r, rng) in rngs.iter_mut().enumerate() {
+            batch.draw_replica(r, rng);
+        }
+        let keys = rngs.iter_mut().map(|rng| rng.next_u64()).collect();
+        batch.rebuild_fields(&self.compiled);
+        keys
+    }
+
+    fn scalar(&self, batch: &mut ReplicaBatch, rngs: &mut [StdRng]) {
+        let keys = self.set_up(batch, rngs);
+        sa::anneal_batch_reference(&self.compiled, &self.chains, &self.betas, batch, &keys);
+    }
+
+    fn dispatched(&self, batch: &mut ReplicaBatch, rngs: &mut [StdRng]) {
+        let problems = vec![&self.compiled; self.width];
+        let coefficients = WindowCoefficients::PerReplica {
+            structure: &self.compiled,
+            problems: &problems,
+            ice: &self.ice,
+        };
+        batch.anneal_window(coefficients, |_| None, &self.chains, &self.betas, rngs);
+    }
+
+    /// Times both paths interleaved over the same streams, equally
+    /// often, then asserts they ended on the same spins, field bits and
+    /// next draws: `(scalar, dispatched)`.
+    fn time(&self, samples: usize, rounds: usize, seed: u64, name: &str) -> (Summary, Summary) {
+        let (mut scalar, mut dispatched) = (ReplicaBatch::new(), ReplicaBatch::new());
+        let (mut scalar_rngs, mut dispatched_rngs) = (self.streams(seed), self.streams(seed));
+        let times = interleave(
+            samples,
+            rounds,
+            |k| {
+                measure_each(k, || {
+                    self.scalar(&mut scalar, &mut scalar_rngs);
+                    black_box(scalar.spin(0, 0))
+                })
+            },
+            |k| {
+                measure_each(k, || {
+                    self.dispatched(&mut dispatched, &mut dispatched_rngs);
+                    black_box(dispatched.spin(0, 0))
+                })
+            },
+        );
+        for r in 0..self.width {
+            assert_eq!(
+                scalar.replica_spins(r),
+                dispatched.replica_spins(r),
+                "{name}: the dispatched kernel ({:?}) left other spins than the scalar reference (replica {r})",
+                Isa::detect()
+            );
+            for i in 0..self.compiled.num_spins() {
+                assert_eq!(
+                    scalar.field(i, r).to_bits(),
+                    dispatched.field(i, r).to_bits(),
+                    "{name}: the dispatched kernel left other fields (replica {r}, spin {i})"
+                );
+            }
+            assert_eq!(
+                scalar_rngs[r].next_u64(),
+                dispatched_rngs[r].next_u64(),
+                "{name}: the dispatched kernel left stream {r} elsewhere"
+            );
+        }
+        times
+    }
+
+    /// Spin-pass proposals per window.
+    fn proposals(&self) -> f64 {
+        (self.width * self.compiled.num_spins() * self.betas.len()) as f64
+    }
+}
+
 /// The full-window row: setup plus every sweep and chain move of one
-/// anneal window.
+/// anneal window, scalar reference against the dispatched kernel.
 struct WindowRow {
+    scalar: Summary,
     time: Summary,
     /// Sweeps per window.
     sweeps: usize,
@@ -151,108 +277,92 @@ impl WindowRow {
     /// Windows in the untimed statistics pass.
     const STAT_WINDOWS: usize = 32;
 
+    fn speedup(&self) -> f64 {
+        self.scalar.min_ns / self.time.min_ns
+    }
+
     fn measure(samples: usize, rounds: usize) -> Self {
         let width = Self::WIDTH;
-        let (embedded48, chain_sets) = kb::embedded_bpsk(48, 1);
-        let compiled = CompiledProblem::new(&embedded48);
-        let chains = CompiledChains::compile(&compiled, &chain_sets);
-        let ice = IceModel::calibrated();
-        let problems = vec![&compiled; width];
-        let betas: Vec<f64> = DecoderConfig::default()
-            .schedule
-            .sweep_fractions(Self::SWEEPS_PER_US)
-            .iter()
-            .map(|&s| curves::beta(s).max(1e-3))
-            .collect();
-        let setup = |batch: &mut ReplicaBatch, rngs: &mut [StdRng]| {
-            batch.reset_per_replica(&compiled, width);
-            batch.bind_window_ice(&problems, &ice, rngs);
-            for (r, rng) in rngs.iter_mut().enumerate() {
-                batch.draw_replica(r, rng);
-            }
-            batch.rebuild_fields(&compiled);
-        };
-        let streams = |base: u64| -> Vec<StdRng> {
-            (0..width)
-                .map(|r| StdRng::seed_from_u64(base + r as u64))
-                .collect()
-        };
+        let bench = WindowBench::new(48, Self::SWEEPS_PER_US, width);
+        let (scalar, time) = bench.time(samples, rounds, 110, Self::NAME);
 
+        // Statistics: the scalar reference's decisions counted.
+        let (compiled, chains) = (&bench.compiled, &bench.chains);
+        let n = compiled.num_spins();
         let mut batch = ReplicaBatch::new();
-        let mut rngs = streams(110);
-        let mut time: Option<Summary> = None;
-        for _ in 0..rounds {
-            let round = measure_each(samples, || {
-                setup(&mut batch, &mut rngs);
-                sa::anneal_batch_compiled(&compiled, &chains, &betas, &mut batch, &mut rngs);
-                black_box(batch.spin(0, 0))
-            });
-            time = Some(match time {
-                None => round,
-                Some(best) => Summary {
-                    median_ns: best.median_ns.min(round.median_ns),
-                    min_ns: best.min_ns.min(round.min_ns),
-                    max_ns: best.max_ns.min(round.max_ns),
-                },
-            });
-        }
-
-        // Statistics: the same windows with the accept decisions
-        // counted, checked against the production loop on a twin batch.
-        let (mut reference, mut reference_rngs) = (ReplicaBatch::new(), streams(120));
-        let mut rngs = streams(120);
-        let zig = ExpZiggurat::get();
+        let mut rngs = bench.streams(120);
         let (mut proposed, mut accepted, mut broken) = (0u64, 0u64, 0usize);
         let (mut chain_proposed, mut chain_accepted) = (0u64, 0u64);
         for _ in 0..Self::STAT_WINDOWS {
-            setup(&mut batch, &mut rngs);
-            for &beta in &betas {
-                batch.sweep_spins(&compiled, |_, r, delta| {
-                    let accept = sa::metropolis(beta, delta, &mut rngs[r], zig);
+            let keys = bench.set_up(&mut batch, &mut rngs);
+            for (t, &beta) in bench.betas.iter().enumerate() {
+                let t = t as u32;
+                batch.sweep_spins(compiled, |i, r, delta| {
+                    let accept = draws::accept(beta, delta, keys[r], t, i as u32);
                     proposed += 1;
                     accepted += accept as u64;
                     accept
                 });
                 for c in 0..chains.len() {
-                    batch.sweep_chain(&compiled, &chains, c, |r, delta| {
-                        let accept = sa::metropolis(beta, delta, &mut rngs[r], zig);
+                    batch.sweep_chain(compiled, chains, c, |r, delta| {
+                        let accept = draws::accept(beta, delta, keys[r], t, (n + c) as u32);
                         chain_proposed += 1;
                         chain_accepted += accept as u64;
                         accept
                     });
                 }
             }
-            setup(&mut reference, &mut reference_rngs);
-            sa::anneal_batch_compiled(
-                &compiled,
-                &chains,
-                &betas,
-                &mut reference,
-                &mut reference_rngs,
-            );
             for r in 0..width {
-                assert_eq!(
-                    batch.replica_spins(r),
-                    reference.replica_spins(r),
-                    "the counted window diverged from anneal_batch_compiled (replica {r})"
-                );
-                broken += chain_sets
-                    .iter()
-                    .filter(|chain| {
-                        chain
-                            .iter()
-                            .any(|&i| batch.spin(i, r) != batch.spin(chain[0], r))
+                broken += (0..chains.len())
+                    .filter(|&c| {
+                        let members = chains.members(c);
+                        members.iter().any(|&i| {
+                            batch.spin(i as usize, r) != batch.spin(members[0] as usize, r)
+                        })
                     })
                     .count();
             }
         }
         WindowRow {
-            time: time.expect("at least one round"),
-            sweeps: betas.len(),
+            scalar,
+            time,
+            sweeps: bench.betas.len(),
             acceptance: accepted as f64 / proposed as f64,
             chain_acceptance: chain_accepted as f64 / chain_proposed as f64,
             chain_break_fraction: broken as f64
-                / (Self::STAT_WINDOWS * width * chain_sets.len()) as f64,
+                / (Self::STAT_WINDOWS * width * chains.len()) as f64,
+        }
+    }
+}
+
+/// The small-width rows: windows of the 64-variable clique embedding
+/// (1 088 qubits), the shape of a metro VPP precode, at the default
+/// 40 sweeps, per spin proposal.
+struct SmallWidthRow {
+    width: usize,
+    qubits: usize,
+    sweeps: usize,
+    scalar_ns: f64,
+    dispatched_ns: f64,
+}
+
+impl SmallWidthRow {
+    const WIDTHS: [usize; 2] = [1, 4];
+
+    fn name(&self) -> String {
+        format!("vpp_clique_{}q_r{}", self.qubits, self.width)
+    }
+
+    fn measure(samples: usize, rounds: usize, width: usize) -> Self {
+        let bench = WindowBench::new(64, AnnealerConfig::default().sweeps_per_us, width);
+        let name = format!("vpp_clique_r{width}");
+        let (scalar, dispatched) = bench.time(samples, rounds, 130 + width as u64, &name);
+        SmallWidthRow {
+            width,
+            qubits: bench.compiled.num_spins(),
+            sweeps: bench.betas.len(),
+            scalar_ns: scalar.min_ns / bench.proposals(),
+            dispatched_ns: dispatched.min_ns / bench.proposals(),
         }
     }
 }
@@ -585,6 +695,10 @@ fn main() {
     };
 
     let window_row = WindowRow::measure(samples, rounds);
+    let small_rows: Vec<SmallWidthRow> = SmallWidthRow::WIDTHS
+        .iter()
+        .map(|&w| SmallWidthRow::measure(samples, rounds, w))
+        .collect();
 
     let per_deviate = IceBindRow::WIDTH as f64 / ice_row.normals as f64;
     let (polar_ns, ziggurat_ns) = (polar.min_ns * per_deviate, ziggurat.min_ns * per_deviate);
@@ -627,13 +741,27 @@ fn main() {
     );
 
     println!(
-        "{:<30} {:>12.1} us per window   lane acceptance {:.3} (chains {:.3})   chain breaks {:.3}",
+        "{:<30} scalar {:>11.1} us   {:<8} {:>10.1} us   speedup {:>5.2}x   (per window; lane acceptance {:.3}, chains {:.3}, chain breaks {:.3})",
         WindowRow::NAME,
+        window_row.scalar.min_ns / 1e3,
+        format!("{:?}", Isa::detect()),
         window_row.time.min_ns / 1e3,
+        window_row.speedup(),
         window_row.acceptance,
         window_row.chain_acceptance,
         window_row.chain_break_fraction
     );
+    for row in &small_rows {
+        println!(
+            "{:<30} scalar {:>11.2} ns   {:<8} {:>10.2} ns   speedup {:>5.2}x   (per spin proposal, {} sweeps)",
+            row.name(),
+            row.scalar_ns,
+            format!("{:?}", Isa::detect()),
+            row.dispatched_ns,
+            row.scalar_ns / row.dispatched_ns,
+            row.sweeps
+        );
+    }
 
     assert!(
         ice_row.speedup() >= 1.2,
@@ -687,12 +815,28 @@ fn main() {
         "bench": WindowRow::NAME,
         "replicas": WindowRow::WIDTH,
         "sweeps": window_row.sweeps,
+        "isa": format!("{:?}", Isa::detect()),
+        "scalar_min_us": us(window_row.scalar.min_ns),
+        "scalar_median_us": us(window_row.scalar.median_ns),
         "window_min_us": us(window_row.time.min_ns),
         "window_median_us": us(window_row.time.median_ns),
+        "speedup": (window_row.speedup() * 100.0).round() / 100.0,
         "lane_acceptance": (window_row.acceptance * 1e4).round() / 1e4,
         "chain_lane_acceptance": (window_row.chain_acceptance * 1e4).round() / 1e4,
         "chain_break_fraction": (window_row.chain_break_fraction * 1e4).round() / 1e4,
     }));
+    for row in &small_rows {
+        rows.push(serde_json::json!({
+            "bench": row.name(),
+            "replicas": row.width,
+            "qubits": row.qubits,
+            "sweeps": row.sweeps,
+            "isa": format!("{:?}", Isa::detect()),
+            "scalar_ns_per_proposal": (row.scalar_ns * 100.0).round() / 100.0,
+            "dispatched_ns_per_proposal": (row.dispatched_ns * 100.0).round() / 100.0,
+            "speedup": (row.scalar_ns / row.dispatched_ns * 100.0).round() / 100.0,
+        }));
+    }
     rows.push(serde_json::json!({
         "bench": "ice_normals",
         "deviates": ice_row.normals / IceBindRow::WIDTH,
@@ -703,7 +847,7 @@ fn main() {
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins, one key per replica and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), scalar = the one-proposal-at-a-time counter-based reference, window = the kernel dispatched to the host's widest instruction set (isa), asserted bit-identical (spins, field bits, next draws), speedup reported; lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); vpp_clique_1088q_rN = the same scalar-vs-dispatched windows at a metro VPP precode's shape (64-variable clique embedding, 1088 qubits, 40 sweeps) at width N, in ns per spin proposal (asserted bit-identical); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
         "rows": rows,
     });
     if !quick {

@@ -26,7 +26,7 @@ use quamax_ising::{CompiledProblem, IsingProblem, Spin};
 use quamax_linalg::rng::ExpZiggurat;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// A β ladder spanning the schedule (hot → cold), so per-sweep numbers
 /// average over the whole acceptance regime like a real anneal does.
@@ -78,7 +78,8 @@ pub fn random_spins(n: usize, rng: &mut StdRng) -> Vec<Spin> {
 }
 
 /// One pass of the β ladder through the naive kernel, proposing spins
-/// in `order` (the compiled problem's color-class order).
+/// in `order` (the compiled problem's color-class order) under a fresh
+/// key from `rng`, as an anneal does.
 pub fn naive_sa_ladder(
     problem: &IsingProblem,
     order: &[u32],
@@ -86,24 +87,23 @@ pub fn naive_sa_ladder(
     betas: &[f64],
     rng: &mut StdRng,
 ) {
-    for &beta in betas {
-        sa::sweep(problem, order, spins, beta, rng);
+    let key = rng.next_u64();
+    for (t, &beta) in betas.iter().enumerate() {
+        sa::sweep(problem, order, spins, beta, key, t as u32);
     }
 }
 
 /// One pass of the β ladder through the batched replica kernel: all
 /// `batch.width()` replicas advance together, sharing one CSR row walk
-/// per proposed spin (each replica bit-identical to a width-1 batch
-/// over its own RNG stream).
+/// per proposed spin, each under a fresh key from its own stream (each
+/// replica bit-identical to a width-1 batch over that stream).
 pub fn batched_sa_ladder(
     problem: &CompiledProblem,
     batch: &mut ReplicaBatch,
     betas: &[f64],
     rngs: &mut [StdRng],
 ) {
-    for &beta in betas {
-        sa::sweep_batch(problem, batch, beta, rngs);
-    }
+    sa::anneal_batch_compiled(problem, &CompiledChains::default(), betas, batch, rngs);
 }
 
 /// One naive SQA sweep (local + global moves) — a faithful replica of

@@ -18,10 +18,12 @@
 //!
 //! The annealer's sweep engine (`quamax_anneal::kernel`) builds one
 //! `CompiledProblem` per programmed problem and shares it read-only
-//! across worker threads; per-anneal ICE noise *refreezes* coefficients
-//! into a per-thread scratch copy via [`CompiledProblem::refreeze_from`]
-//! plus the `perturb_*` visitors, which touch only the two flat
-//! coefficient arrays (no re-sorting, no reallocation).
+//! across worker threads. The structure (`offsets`, `neighbors`, the
+//! twin table and the color classes) sits behind `Arc`s, so a clone —
+//! a decode's per-item scratch, or a per-anneal ICE refreeze via
+//! [`CompiledProblem::refreeze_from`] plus the `perturb_*` visitors —
+//! copies only the two flat coefficient arrays (no re-sorting, no
+//! structure copy).
 
 use crate::ising::IsingProblem;
 use crate::Spin;
@@ -43,16 +45,18 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledProblem {
     linear: Vec<f64>,
-    /// `offsets[i]..offsets[i+1]` delimits spin `i`'s row.
-    offsets: Vec<u32>,
+    /// `offsets[i]..offsets[i+1]` delimits spin `i`'s row. The three
+    /// structure arrays never change after the freeze, so clones share
+    /// them; a clone copies only the coefficients.
+    offsets: Arc<[u32]>,
     /// Flat neighbor indices, row-sorted ascending.
-    neighbors: Vec<u32>,
+    neighbors: Arc<[u32]>,
     /// Coefficients parallel to `neighbors` (each undirected coupling
     /// appears in both endpoint rows).
     weights: Vec<f64>,
     /// For each directed entry, the index of its reverse entry — lets a
     /// symmetric perturbation touch both directions in one pass.
-    twin: Vec<u32>,
+    twin: Arc<[u32]>,
     /// Every spin once, grouped by color class (see
     /// [`CompiledProblem::sweep_order`]); shared by clones.
     sweep_order: Arc<[u32]>,
@@ -112,10 +116,10 @@ impl CompiledProblem {
         let (sweep_order, class_offsets) = color_classes(&offsets, &neighbors);
         CompiledProblem {
             linear: problem.linear_terms().to_vec(),
-            offsets,
-            neighbors,
+            offsets: offsets.into(),
+            neighbors: neighbors.into(),
             weights,
-            twin,
+            twin: twin.into(),
             sweep_order,
             class_offsets,
         }
@@ -273,33 +277,19 @@ impl CompiledProblem {
     }
 
     /// Copies `base`'s coefficients into `self`, reusing allocations —
-    /// two `memcpy`-like passes over `linear`/`weights`. The intended
-    /// use is a per-thread scratch refreezing the *same* problem once
-    /// per anneal, so the CSR structure is only (re)copied when its
-    /// shape differs (fresh or repurposed scratch); same-shape callers
-    /// skip straight past it, with full structural equality checked in
-    /// debug builds only.
+    /// two `memcpy`-like passes over `linear`/`weights` — and shares
+    /// its structure (`Arc` clones, no copy). The intended use is a
+    /// per-thread scratch refreezing the *same* problem once per anneal.
     pub fn refreeze_from(&mut self, base: &CompiledProblem) {
         self.linear.clear();
         self.linear.extend_from_slice(&base.linear);
         self.weights.clear();
         self.weights.extend_from_slice(&base.weights);
-        if self.offsets.len() != base.offsets.len() || self.neighbors.len() != base.neighbors.len()
-        {
-            self.offsets.clone_from(&base.offsets);
-            self.neighbors.clone_from(&base.neighbors);
-            self.twin.clone_from(&base.twin);
-            self.sweep_order = Arc::clone(&base.sweep_order);
-            self.class_offsets = Arc::clone(&base.class_offsets);
-        }
-        debug_assert_eq!(
-            self.offsets, base.offsets,
-            "scratch compiled from a different problem"
-        );
-        debug_assert_eq!(
-            self.neighbors, base.neighbors,
-            "scratch compiled from a different problem"
-        );
+        self.offsets = Arc::clone(&base.offsets);
+        self.neighbors = Arc::clone(&base.neighbors);
+        self.twin = Arc::clone(&base.twin);
+        self.sweep_order = Arc::clone(&base.sweep_order);
+        self.class_offsets = Arc::clone(&base.class_offsets);
     }
 
     /// Overwrites the linear coefficient `f_i` in place.

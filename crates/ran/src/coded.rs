@@ -426,7 +426,7 @@ mod tests {
         // the slack grants refinement rounds, the reverse-anneal warm
         // starts fix payload bits, and goodput beats the single pass.
         use quamax_anneal::{Annealer, AnnealerConfig, Schedule};
-        let snr = Snr::from_db(5.0);
+        let snr = Snr::from_db(2.0);
         let spec = SoftSpec::noise_matched(snr, Modulation::Qpsk);
         let uplink = CodedUplink {
             frame: CodedFrame::new(8, Modulation::Qpsk, 114),

@@ -5,11 +5,15 @@
 //!
 //! This binary counts every allocation of the measuring thread through
 //! its own `#[global_allocator]`, and runs the annealer on that thread
-//! (one annealer thread), so the counts cover the whole call.
+//! (one annealer thread), so the counts cover the whole call. It also
+//! counts allocations the size of the frozen CSR structure's arrays: a
+//! warm batch shares the structure and copies only coefficients.
 //! `cargo test --release --test allocations -- --nocapture` prints them.
 
 use quamax::prelude::*;
+use quamax_chimera::{ChimeraGraph, CliqueEmbedding, EmbedParams, EmbeddedProblem};
 use quamax_core::{Instance, VppPrecoder};
+use quamax_ising::{CompiledProblem, IsingProblem};
 use quamax_wireless::rayleigh_channel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +25,9 @@ thread_local! {
     static COUNT: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<u64> = const { Cell::new(0) };
+    /// Byte sizes counted into `WATCHED` (0 = none).
+    static WATCH: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    static WATCHED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn record(size: usize) {
@@ -29,6 +36,9 @@ fn record(size: usize) {
             COUNT.with(|c| c.set(c.get() + 1));
             BYTES.with(|b| b.set(b.get() + size as u64));
             LARGEST.with(|l| l.set(l.get().max(size as u64)));
+            if WATCH.with(Cell::get).contains(&(size as u64)) {
+                WATCHED.with(|w| w.set(w.get() + 1));
+            }
         }
     });
 }
@@ -64,6 +74,8 @@ struct Allocations {
     count: u64,
     bytes: u64,
     largest: u64,
+    /// Allocations of a watched size.
+    watched: u64,
 }
 
 impl std::fmt::Display for Allocations {
@@ -82,6 +94,7 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
     COUNT.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
     LARGEST.with(|l| l.set(0));
+    WATCHED.with(|w| w.set(0));
     TRACKING.with(|t| t.set(true));
     let out = f();
     TRACKING.with(|t| t.set(false));
@@ -89,8 +102,30 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
         count: COUNT.with(Cell::get),
         bytes: BYTES.with(Cell::get),
         largest: LARGEST.with(Cell::get),
+        watched: WATCHED.with(Cell::get),
     };
     (out, counted)
+}
+
+/// Byte sizes of the frozen CSR structure of the 48-user BPSK clique
+/// embedding on the ideal chip: `offsets`, and `neighbors` (the twin
+/// table is as long). Copying the structure allocates both.
+fn structure_sizes_48u(num_physical: usize) -> [u64; 2] {
+    let graph = ChimeraGraph::dw2q_ideal();
+    let mut logical = IsingProblem::new(48);
+    for i in 0..48 {
+        for j in i + 1..48 {
+            logical.set_coupling(i, j, 0.5);
+        }
+    }
+    let embedding = CliqueEmbedding::new(&graph, 48).expect("fits the chip");
+    let embedded = EmbeddedProblem::compile(&graph, &embedding, &logical, EmbedParams::default());
+    let compiled = CompiledProblem::new(embedded.problem());
+    assert_eq!(compiled.num_spins(), num_physical, "another embedding");
+    [
+        ((num_physical + 1) * 4) as u64,
+        (compiled.num_entries() * 4) as u64,
+    ]
 }
 
 fn one_thread_annealer() -> Annealer {
@@ -142,13 +177,18 @@ fn warm_decode_allocates_no_window_buffer() {
 
     let (input, items) = interval(&mut rng);
     let (session, compile) = measure(|| decoder.compile(&input).unwrap());
+    WATCH.with(|w| w.set(structure_sizes_48u(session.num_physical())));
     let (runs, batch) = measure(|| session.decode_batch(&items, 10));
+    WATCH.with(|w| w.set([0; 2]));
     assert_eq!(runs.len(), items.len());
     // The smallest buffer of an 8-wide replica window: one f64 per
     // replica per physical qubit (the fields or linear strips).
     let window_buffer = (8 * session.num_physical() * 8) as u64;
     eprintln!("48u BPSK warm compile: {compile}");
-    eprintln!("48u BPSK warm decode_batch (4 x 10): {batch}; window buffer {window_buffer} B");
+    eprintln!(
+        "48u BPSK warm decode_batch (4 x 10): {batch}, {} of a CSR structure array's size; window buffer {window_buffer} B",
+        batch.watched
+    );
     assert!(
         compile.count <= WARM_COMPILE_BUDGET,
         "a warm compile made {} allocations (budget {WARM_COMPILE_BUDGET})",
@@ -158,6 +198,11 @@ fn warm_decode_allocates_no_window_buffer() {
         batch.largest < window_buffer,
         "a warm decode_batch allocated {} B at once, a replica window's worth ({window_buffer} B)",
         batch.largest
+    );
+    assert_eq!(
+        batch.watched, 0,
+        "a warm decode_batch made {} allocations the size of a CSR structure array",
+        batch.watched
     );
 }
 

@@ -25,7 +25,7 @@ fn starved_quamax(anneals: usize) -> DetectorKind {
 #[test]
 fn annealed_soft_decoding_beats_hard_decoding() {
     let frame = CodedFrame::new(8, Modulation::Qpsk, 114);
-    let snr = Snr::from_db(5.0);
+    let snr = Snr::from_db(3.0);
     let spec = SoftSpec::noise_matched(snr, Modulation::Qpsk);
     let kind = starved_quamax(12);
     let mut rng = Rng::seed_from_u64(33);

@@ -123,9 +123,9 @@ fn annealer_streams_are_stable() {
     assert_eq!(
         digests,
         [
-            0xf762_8f11_ea2d_8b67,
+            0x7864_f3fe_dba7_7125,
             0xa7cb_fb74_297f_0525,
-            0xfe99_5d0d_dd17_324f,
+            0x34c1_848c_e29e_c215,
             0x7b94_7ca7_b417_674d
         ],
         "{digests:#x?}"
@@ -197,10 +197,10 @@ fn annealed_sessions_are_stable() {
     assert_eq!(
         digests,
         [
-            0x362a_fbed_c5f9_be69,
-            0x9a26_2d81_f72f_a0d1,
-            0x41ee_67d5_f1bd_c2e8,
-            0xc99f_17d8_76fa_05d9
+            0xb5e1_41d9_059c_6a19,
+            0x1ba9_4f14_c59d_50d1,
+            0xb974_aa2d_1a95_7a00,
+            0x23c1_cfb9_3ac5_7b05
         ],
         "{digests:#x?}"
     );
