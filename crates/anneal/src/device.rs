@@ -10,7 +10,7 @@
 //! bit-identical regardless of thread count.
 
 use crate::ice::IceModel;
-use crate::kernel::{self, CompiledChains, ReplicaBatch, SqaReplicaBatch, WindowCoefficients};
+use crate::kernel::{self, CompiledChains, ReplicaBatch, WindowCoefficients};
 use crate::schedule::{curves, Schedule};
 use crate::sqa;
 use quamax_ising::{CompiledProblem, IsingProblem, Spin};
@@ -329,20 +329,19 @@ thread_local! {
     static INLINE_WORKER: RefCell<BatchWorker> = RefCell::new(BatchWorker::new());
 }
 
-/// One worker thread's reusable buffers: the SoA replica batches
-/// (which refreeze ICE straight into their strips) and the
-/// per-replica RNG streams of the current window.
+/// One worker thread's reusable buffers: the SoA replica batch
+/// (which refreezes ICE straight into its strips, and serves SA and
+/// SQA windows alike) and the per-replica RNG streams of the current
+/// window.
 struct BatchWorker {
-    sa_batch: ReplicaBatch,
-    sqa_batch: SqaReplicaBatch,
+    batch: ReplicaBatch,
     rngs: Vec<StdRng>,
 }
 
 impl BatchWorker {
     fn new() -> Self {
         BatchWorker {
-            sa_batch: ReplicaBatch::new(),
-            sqa_batch: SqaReplicaBatch::new(),
+            batch: ReplicaBatch::new(),
             rngs: Vec::new(),
         }
     }
@@ -390,13 +389,15 @@ impl BatchWorker {
 
     /// Anneals one replica window: binds the whole window (ICE refrozen
     /// from each replica's own stream), sets or draws each replica's
-    /// initial spins, then rebuilds every replica's fields in one
-    /// strip-wise CSR pass. Per replica, the RNG stream's draw order is
-    /// refreeze → init → proposals (SA: one key for counter-based
-    /// draws; SQA: sequential draws), the same at every width, so every
-    /// sample is the same no matter how slots are windowed. An SA window
-    /// runs whole inside [`ReplicaBatch::anneal_window`], on the host's
-    /// widest instruction set.
+    /// initial spins (every slice of an SQA replica), then rebuilds
+    /// every replica's fields in one strip-wise CSR pass. Per replica,
+    /// the RNG stream's draw order is refreeze → init → proposals (SA:
+    /// one key for counter-based draws; SQA: sequential draws), the same
+    /// at every width, so every sample is the same no matter how slots
+    /// are windowed. An SA window runs whole inside
+    /// [`ReplicaBatch::anneal_window`], on the host's widest instruction
+    /// set; an SQA window shares its setup and then runs
+    /// [`sqa::anneal_batch_compiled`].
     #[allow(clippy::too_many_arguments)]
     fn run_window(
         &mut self,
@@ -409,12 +410,7 @@ impl BatchWorker {
         fractions: &[f64],
         config: &AnnealerConfig,
     ) {
-        let w = slots.len();
-        let BatchWorker {
-            sa_batch,
-            sqa_batch,
-            rngs,
-        } = self;
+        let BatchWorker { batch, rngs } = self;
         rngs.clear();
         for &(j, k) in slots {
             rngs.push(StdRng::seed_from_u64(splitmix(
@@ -427,50 +423,36 @@ impl BatchWorker {
         // packing several jobs) binds per-replica coefficient strips.
         let single_job = slots.iter().all(|&(j, _)| j == slots[0].0);
         let shared = single_job && config.ice.is_zero();
-        let problems = || -> Vec<&CompiledProblem> {
+        let problems: Vec<&CompiledProblem> = if shared {
+            Vec::new()
+        } else {
             slots
                 .iter()
                 .map(|&(j, _)| jobs[j as usize].problem)
                 .collect()
         };
+        let coefficients = if shared {
+            WindowCoefficients::Shared(jobs[slots[0].0 as usize].problem)
+        } else {
+            WindowCoefficients::PerReplica {
+                structure,
+                problems: &problems,
+                ice: &config.ice,
+            }
+        };
+        let inits = |r: usize| jobs[slots[r].0 as usize].init;
         match config.backend {
             Backend::Sa => {
-                let problems = if shared { Vec::new() } else { problems() };
-                let coefficients = if shared {
-                    WindowCoefficients::Shared(jobs[slots[0].0 as usize].problem)
-                } else {
-                    WindowCoefficients::PerReplica {
-                        structure,
-                        problems: &problems,
-                        ice: &config.ice,
-                    }
-                };
-                let inits = |r: usize| jobs[slots[r].0 as usize].init;
-                sa_batch.anneal_window(coefficients, inits, chains, betas, rngs);
+                batch.anneal_window(coefficients, inits, chains, betas, rngs);
                 for (r, slot) in out.iter_mut().enumerate() {
-                    *slot = sa_batch.replica_spins(r);
+                    *slot = batch.replica_spins(r, 0);
                 }
             }
             Backend::Sqa { slices } => {
-                let problem = if shared {
-                    let problem = jobs[slots[0].0 as usize].problem;
-                    sqa_batch.reset_shared(problem, slices, w);
-                    problem
-                } else {
-                    sqa_batch.reset_per_replica(structure, slices, w);
-                    sqa_batch.bind_window_ice(&problems(), &config.ice, rngs);
-                    structure
-                };
-                for (r, &(j, _)) in slots.iter().enumerate() {
-                    match jobs[j as usize].init {
-                        Some(s) => sqa_batch.set_replica(r, |_, i| s[i]),
-                        None => sqa_batch.draw_replica(r, &mut rngs[r]),
-                    }
-                }
-                sqa_batch.rebuild_fields(problem);
-                sqa::anneal_batch_compiled(problem, chains, fractions, sqa_batch, rngs);
+                let problem = batch.set_up_window(slices, coefficients, inits, rngs);
+                sqa::anneal_batch_compiled(problem, chains, fractions, batch, rngs);
                 for (r, slot) in out.iter_mut().enumerate() {
-                    *slot = sqa::best_slice_batch(sqa_batch, r);
+                    *slot = sqa::best_slice_batch(batch, r);
                 }
             }
         }

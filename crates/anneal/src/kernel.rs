@@ -24,7 +24,7 @@
 //! inside a class. Every Chimera embedding is bipartite and gets two
 //! classes; a fully coupled logical problem gets one class per spin,
 //! which is index order. Chain moves run in chain index order and the
-//! SQA kernel in index order. Window placement still never changes a
+//! SQA moves in index order. Window placement still never changes a
 //! sample: every width walks the same order.
 //!
 //! SA decisions are counter-based ([`crate::draws`]): a proposal's
@@ -38,14 +38,15 @@
 //! deciding one proposal at a time through the closure seams
 //! [`ReplicaBatch::sweep_spins`] and [`ReplicaBatch::sweep_chain`].
 //!
-//! [`ReplicaBatch`] holds `W` classical (SA) configurations and their
-//! fields in structure-of-arrays strips; [`SqaReplicaBatch`] holds `W`
-//! flat `n×P` Trotter-replica states with one field cache per slice.
-//! They are the only sweep state — a single anneal is a width-1 batch —
-//! and both are allocated once per worker thread and reset per window,
-//! so the hot loop performs no allocation at all. The SA sweep runs the
-//! widths of [`SA_WIDTHS`], and `windows` plans a run of anneals into
-//! windows of those widths.
+//! [`ReplicaBatch`] holds `W` replicas of `P` Trotter slices each, spins
+//! and fields in structure-of-arrays strips indexed `(k·n + i)·W + r`:
+//! an SA configuration is one slice (`P = 1`), an SQA path-integral
+//! state `P ≥ 2` slices with one field cache per slice. It is the only
+//! sweep state — a single anneal is a width-1 batch — allocated once
+//! per worker thread and reset per window, so the hot loop performs no
+//! allocation at all. The SA sweep and the SQA moves (driven from
+//! [`crate::sqa`]) run the widths of [`SA_WIDTHS`], and `windows` plans
+//! a run of anneals into windows of those widths.
 
 use crate::draws::{self, decide, LANES};
 use crate::ice::IceModel;
@@ -160,47 +161,14 @@ impl CompiledChains {
 }
 
 /// A per-replica batch's coefficient strips, `linear[i·width + r]` and
-/// `weights[e·width + r]`: the bind target shared by both batch kinds.
+/// `weights[e·width + r]`: the target an ICE refreeze binds into.
 pub(crate) struct WindowStrips<'a> {
     linear: &'a mut [f64],
     weights: &'a mut [f64],
     width: usize,
 }
 
-impl<'a> WindowStrips<'a> {
-    /// The strips, after the shape checks of a bind against `problem`.
-    ///
-    /// # Panics
-    /// Panics in shared mode (no weight strips) or when `problem`'s
-    /// shape disagrees with the batch.
-    fn checked(
-        linear: &'a mut [f64],
-        weights: &'a mut [f64],
-        width: usize,
-        shared: bool,
-        problem: &CompiledProblem,
-    ) -> Self {
-        assert!(
-            !shared,
-            "binding needs a per-replica batch (reset_per_replica)"
-        );
-        assert_eq!(
-            problem.num_spins() * width,
-            linear.len(),
-            "structure mismatch"
-        );
-        assert_eq!(
-            problem.num_entries() * width,
-            weights.len(),
-            "structure mismatch"
-        );
-        WindowStrips {
-            linear,
-            weights,
-            width,
-        }
-    }
-
+impl WindowStrips<'_> {
     /// Replicas per strip.
     #[inline]
     pub(crate) fn width(&self) -> usize {
@@ -238,32 +206,6 @@ impl<'a> WindowStrips<'a> {
     }
 }
 
-/// Binds a window of `problems` under ICE drawn from `rngs` into one
-/// batch's strips (see [`IceModel::refreeze_window`]).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn bind_window_ice<R: Rng>(
-    linear: &mut [f64],
-    weights: &mut [f64],
-    width: usize,
-    shared: bool,
-    normals: &mut Vec<f64>,
-    problems: &[&CompiledProblem],
-    ice: &IceModel,
-    rngs: &mut [R],
-) {
-    assert!(!problems.is_empty(), "one problem per replica");
-    let mut strips = WindowStrips::checked(linear, weights, width, shared, problems[0]);
-    let (n, entries) = (problems[0].num_spins(), problems[0].num_entries());
-    assert!(
-        problems
-            .iter()
-            .all(|p| p.num_spins() == n && p.num_entries() == entries),
-        "structure mismatch"
-    );
-    ice.refreeze_window(problems, &mut strips, normals, rngs);
-}
-
 /// Uniform `±1` spins from one `next_u64` per 64 spins: spin `k` is
 /// `+1` iff bit `k % 64` of draw `k / 64` is set. `put(k, s)` stores
 /// spin `k`.
@@ -278,10 +220,11 @@ fn random_spins<R: Rng + ?Sized>(count: usize, rng: &mut R, mut put: impl FnMut(
     }
 }
 
-/// The replica widths the SA sweep is compiled for: every strip is a
-/// fixed-size array at one of these widths, so bounds checks vanish and
-/// the strip arithmetic unrolls. `windows` plans batches from this set
-/// alone, and sweeping a [`ReplicaBatch`] of any other width panics.
+/// The replica widths the SA sweep and the SQA moves are compiled for:
+/// every strip is a fixed-size array at one of these widths, so bounds
+/// checks vanish and the strip arithmetic unrolls. `windows` plans
+/// batches from this set alone, and sweeping a [`ReplicaBatch`] of any
+/// other width panics.
 pub const SA_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Cuts `len` consecutive anneal slots into replica windows, in order:
@@ -299,16 +242,22 @@ pub(crate) fn windows(len: usize) -> impl Iterator<Item = Range<usize>> {
 }
 
 #[cold]
-fn unsupported_width(width: usize) -> ! {
-    panic!("SA replica width {width} is unsupported: the sweep kernel runs widths {SA_WIDTHS:?}")
+pub(crate) fn unsupported_width(width: usize) -> ! {
+    panic!("replica width {width} is unsupported: the sweeps run widths {SA_WIDTHS:?}")
 }
 
-/// `W` independent SA configurations in structure-of-arrays layout:
-/// `spins[i*W + r]` / `fields[i*W + r]`, so the per-spin loop over
-/// replicas is a contiguous strip and one CSR row walk pays for all
-/// `W` replicas' field updates. A single anneal is a width-1 batch.
+/// `W` independent replicas of `P` Trotter slices each, in
+/// structure-of-arrays layout: `spins[(k·n + i)·W + r]` /
+/// `fields[(k·n + i)·W + r]` is spin `i` of slice `k` of replica `r`, so
+/// the per-spin loop over replicas is a contiguous strip and one CSR row
+/// walk pays for all `W` replicas' field updates. SA runs one slice
+/// (`P = 1`, the index `i·W + r`); SQA runs `P ≥ 2` slices, each with
+/// its own cache of problem-term fields, under the moves
+/// [`crate::sqa`] drives. A single anneal is a width-1 batch. Sites
+/// `k·n + i` name a (slice, spin) pair in [`ReplicaBatch::spin`] and
+/// [`ReplicaBatch::field`].
 ///
-/// Two coefficient modes:
+/// Two coefficient modes, both shared by every slice:
 ///
 /// * **shared** ([`ReplicaBatch::reset_shared`]) — every replica runs
 ///   the exact problem passed to each sweep call (same `y`, zero ICE);
@@ -330,15 +279,17 @@ fn unsupported_width(width: usize) -> ! {
 pub struct ReplicaBatch {
     width: usize,
     n: usize,
+    /// Trotter slices per replica (1 for SA).
+    slices: usize,
     /// Shared coefficient mode: couplings come from the problem
     /// argument and `weights` is not read.
     shared: bool,
-    /// `spins[i*width + r]` = spin `i` of replica `r`.
+    /// `spins[(k*n + i)*width + r]` = spin `i` of slice `k`, replica `r`.
     spins: Vec<Spin>,
-    /// Cached local fields, parallel to `spins`.
+    /// Cached per-slice problem-term local fields, parallel to `spins`.
     fields: Vec<f64>,
-    /// Per-replica linear terms `linear[i*width + r]` (broadcast from
-    /// the shared problem in shared mode).
+    /// Per-replica linear terms `linear[i*width + r]`, shared by every
+    /// slice (broadcast from the shared problem in shared mode).
     linear: Vec<f64>,
     /// Per-replica coupling strips `weights[e*width + r]` (per-replica
     /// mode; the allocation outlives shared windows).
@@ -363,45 +314,60 @@ impl ReplicaBatch {
         self.width
     }
 
-    /// Spins per replica.
+    /// Spins per slice.
     #[inline]
     pub fn num_spins(&self) -> usize {
         self.n
     }
 
-    /// Shapes the buffers for `width` replicas. Any width binds and
-    /// initializes; sweeping needs one of [`SA_WIDTHS`]. Buffers keep
-    /// their allocations and stale contents: binding and initializing
-    /// every replica overwrite all of them.
-    fn reset_common(&mut self, problem: &CompiledProblem, width: usize, shared: bool) {
+    /// Trotter slices per replica (1 for SA).
+    #[inline]
+    pub fn num_slices(&self) -> usize {
+        self.slices
+    }
+
+    /// Shapes the buffers for `width` replicas of `slices` slices. Any
+    /// width binds and initializes; sweeping needs one of
+    /// [`SA_WIDTHS`]. Buffers keep their allocations and stale contents:
+    /// binding and initializing every replica overwrite all of them.
+    fn reset_common(
+        &mut self,
+        problem: &CompiledProblem,
+        slices: usize,
+        width: usize,
+        shared: bool,
+    ) {
         assert!(width > 0, "batch width must be positive");
+        assert!(slices > 0, "a replica needs at least one slice");
         let n = problem.num_spins();
         self.width = width;
         self.n = n;
+        self.slices = slices;
         self.shared = shared;
-        self.spins.resize(n * width, 1);
-        self.fields.resize(n * width, 0.0);
+        self.spins.resize(slices * n * width, 1);
+        self.fields.resize(slices * n * width, 0.0);
         self.linear.resize(n * width, 0.0);
     }
 
-    /// (Re)shapes the batch to `width` replicas of `problem` in
-    /// *shared* coefficient mode: every replica reads the problem's own
-    /// coefficients. Replicas still need [`ReplicaBatch::init_replica`]
-    /// (or the random variant) before sweeping.
-    pub fn reset_shared(&mut self, problem: &CompiledProblem, width: usize) {
-        self.reset_common(problem, width, true);
+    /// (Re)shapes the batch to `width` replicas of `slices` slices of
+    /// `problem` in *shared* coefficient mode: every replica reads the
+    /// problem's own coefficients. Replicas still need
+    /// [`ReplicaBatch::init_replica`] (or the random variant) before
+    /// sweeping.
+    pub fn reset_shared(&mut self, problem: &CompiledProblem, slices: usize, width: usize) {
+        self.reset_common(problem, slices, width, true);
         for i in 0..self.n {
             let f = problem.linear(i);
             self.linear[i * width..(i + 1) * width].fill(f);
         }
     }
 
-    /// (Re)shapes the batch to `width` replicas sharing `structure`'s
-    /// CSR layout in *per-replica* coefficient mode; every replica must
-    /// be given its coefficients via [`ReplicaBatch::bind_replica`]
-    /// before it is initialized.
-    pub fn reset_per_replica(&mut self, structure: &CompiledProblem, width: usize) {
-        self.reset_common(structure, width, false);
+    /// (Re)shapes the batch to `width` replicas of `slices` slices
+    /// sharing `structure`'s CSR layout in *per-replica* coefficient
+    /// mode; every replica must be given its coefficients via
+    /// [`ReplicaBatch::bind_replica`] before it is initialized.
+    pub fn reset_per_replica(&mut self, structure: &CompiledProblem, slices: usize, width: usize) {
+        self.reset_common(structure, slices, width, false);
         self.weights.resize(structure.num_entries() * width, 0.0);
     }
 
@@ -412,14 +378,31 @@ impl ReplicaBatch {
     /// # Panics
     /// Panics in shared mode or when shapes disagree.
     pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        WindowStrips::checked(
-            &mut self.linear,
-            &mut self.weights,
-            self.width,
-            self.shared,
-            problem,
-        )
-        .copy_from(r, problem);
+        self.strips(problem).0.copy_from(r, problem);
+    }
+
+    /// The coefficient strips (and the deviate scratch), after the
+    /// shape checks of a bind against `problem`.
+    ///
+    /// # Panics
+    /// Panics in shared mode (no weight strips) or when `problem`'s
+    /// shape disagrees with the batch.
+    fn strips(&mut self, problem: &CompiledProblem) -> (WindowStrips<'_>, &mut Vec<f64>) {
+        assert!(
+            !self.shared,
+            "binding needs a per-replica batch (reset_per_replica)"
+        );
+        let (w, n, m) = (self.width, problem.num_spins(), problem.num_entries());
+        assert!(
+            self.linear.len() == n * w && self.weights.len() == m * w,
+            "structure mismatch"
+        );
+        let strips = WindowStrips {
+            linear: &mut self.linear,
+            weights: &mut self.weights,
+            width: w,
+        };
+        (strips, &mut self.normals)
     }
 
     /// Binds every replica to one anneal's ICE-refrozen coefficients:
@@ -441,28 +424,30 @@ impl ReplicaBatch {
         ice: &IceModel,
         rngs: &mut [R],
     ) {
-        bind_window_ice(
-            &mut self.linear,
-            &mut self.weights,
-            self.width,
-            self.shared,
-            &mut self.normals,
-            problems,
-            ice,
-            rngs,
+        assert!(!problems.is_empty(), "one problem per replica");
+        let (n, entries) = (problems[0].num_spins(), problems[0].num_entries());
+        assert!(
+            problems
+                .iter()
+                .all(|p| p.num_spins() == n && p.num_entries() == entries),
+            "structure mismatch"
         );
+        let (mut strips, normals) = self.strips(problems[0]);
+        ice.refreeze_window(problems, &mut strips, normals, rngs);
     }
 
-    /// Initializes replica `r` to `spins` and rebuilds its cached
-    /// fields from its bound coefficients. `problem` supplies the CSR
-    /// structure (and, in shared mode, the coefficients).
-    pub fn init_replica(&mut self, problem: &CompiledProblem, r: usize, spins: &[Spin]) {
-        self.set_replica(r, spins);
-        self.rebuild_replica_fields(problem, r);
+    /// Sets slice `k` of replica `r` to `spins` and rebuilds that
+    /// slice's cached fields from the replica's bound coefficients.
+    /// `problem` supplies the CSR structure (and, in shared mode, the
+    /// coefficients).
+    pub fn init_replica(&mut self, problem: &CompiledProblem, r: usize, k: usize, spins: &[Spin]) {
+        self.set_replica(r, k, spins);
+        self.rebuild_replica_fields(problem, r, k);
     }
 
     /// Initializes replica `r` uniformly at random: one `next_u64` per
-    /// 64 spins, spin `i` up iff bit `i % 64` of draw `i / 64` is set.
+    /// 64 sites, slice-major, site `k·n + i` up iff bit `(k·n + i) % 64`
+    /// of draw `(k·n + i) / 64` is set.
     pub fn init_replica_random<R: Rng + ?Sized>(
         &mut self,
         problem: &CompiledProblem,
@@ -470,31 +455,34 @@ impl ReplicaBatch {
         rng: &mut R,
     ) {
         self.draw_replica(r, rng);
-        self.rebuild_replica_fields(problem, r);
-    }
-
-    /// Sets replica `r`'s spins; its cached fields stay stale until
-    /// [`ReplicaBatch::rebuild_fields`].
-    pub fn set_replica(&mut self, r: usize, spins: &[Spin]) {
-        assert_eq!(spins.len(), self.n, "initial state length mismatch");
-        let w = self.width;
-        for (i, &s) in spins.iter().enumerate() {
-            self.spins[i * w + r] = s;
+        for k in 0..self.slices {
+            self.rebuild_replica_fields(problem, r, k);
         }
     }
 
-    /// Draws replica `r`'s spins as
+    /// Sets slice `k` of replica `r`; its cached fields stay stale until
+    /// [`ReplicaBatch::rebuild_fields`].
+    pub fn set_replica(&mut self, r: usize, k: usize, spins: &[Spin]) {
+        assert_eq!(spins.len(), self.n, "initial state length mismatch");
+        assert!(k < self.slices, "slice {k} out of range");
+        let (w, base) = (self.width, k * self.n);
+        for (i, &s) in spins.iter().enumerate() {
+            self.spins[(base + i) * w + r] = s;
+        }
+    }
+
+    /// Draws every slice of replica `r` as
     /// [`ReplicaBatch::init_replica_random`] does; its cached fields
     /// stay stale until [`ReplicaBatch::rebuild_fields`].
     pub fn draw_replica<R: Rng + ?Sized>(&mut self, r: usize, rng: &mut R) {
         let w = self.width;
         let spins = &mut self.spins;
-        random_spins(self.n, rng, |i, s| spins[i * w + r] = s);
+        random_spins(self.slices * self.n, rng, |at, s| spins[at * w + r] = s);
     }
 
     /// Rebuilds every replica's cached fields from its spins and bound
-    /// coefficients in one CSR pass, strip by strip: each row entry is
-    /// read once for all replicas. Per replica the sum runs in
+    /// coefficients in one CSR pass per slice, strip by strip: each row
+    /// entry is read once for all replicas. Per replica the sum runs in
     /// [`ReplicaBatch::init_replica`]'s order, so the fields are the
     /// same bits.
     #[inline(always)]
@@ -504,37 +492,46 @@ impl ReplicaBatch {
             2 => self.rebuild_fields_w::<2>(problem),
             4 => self.rebuild_fields_w::<4>(problem),
             8 => self.rebuild_fields_w::<8>(problem),
-            w => (0..w).for_each(|r| self.rebuild_replica_fields(problem, r)),
+            w => {
+                for r in 0..w {
+                    for k in 0..self.slices {
+                        self.rebuild_replica_fields(problem, r, k);
+                    }
+                }
+            }
         }
     }
 
     #[inline(always)]
     fn rebuild_fields_w<const W: usize>(&mut self, problem: &CompiledProblem) {
         let neighbors = problem.neighbors_flat();
-        for i in 0..self.n {
-            let (lo, hi) = problem.row_bounds(i);
-            let mut h: [f64; W] = self.linear[i * W..(i + 1) * W].try_into().expect("strip");
-            for (e, &j) in (lo..hi).zip(&neighbors[lo..hi]) {
-                let at = j as usize * W;
-                let s: &[Spin; W] = self.spins[at..at + W].try_into().expect("strip");
-                if self.shared {
-                    let g = problem.weights_flat()[e];
-                    for r in 0..W {
-                        h[r] += g * s[r] as f64;
-                    }
-                } else {
-                    let gs: &[f64; W] = self.weights[e * W..(e + 1) * W].try_into().expect("strip");
-                    for r in 0..W {
-                        h[r] += gs[r] * s[r] as f64;
+        for base in (0..self.slices).map(|k| k * self.n) {
+            for i in 0..self.n {
+                let (lo, hi) = problem.row_bounds(i);
+                let mut h: [f64; W] = self.linear[i * W..(i + 1) * W].try_into().expect("strip");
+                for (e, &j) in (lo..hi).zip(&neighbors[lo..hi]) {
+                    let at = (base + j as usize) * W;
+                    let s: &[Spin; W] = self.spins[at..at + W].try_into().expect("strip");
+                    if self.shared {
+                        let g = problem.weights_flat()[e];
+                        for r in 0..W {
+                            h[r] += g * s[r] as f64;
+                        }
+                    } else {
+                        let gs: &[f64; W] =
+                            self.weights[e * W..(e + 1) * W].try_into().expect("strip");
+                        for r in 0..W {
+                            h[r] += gs[r] * s[r] as f64;
+                        }
                     }
                 }
+                self.fields[(base + i) * W..(base + i + 1) * W].copy_from_slice(&h);
             }
-            self.fields[i * W..(i + 1) * W].copy_from_slice(&h);
         }
     }
 
-    fn rebuild_replica_fields(&mut self, problem: &CompiledProblem, r: usize) {
-        let w = self.width;
+    fn rebuild_replica_fields(&mut self, problem: &CompiledProblem, r: usize, k: usize) {
+        let (w, base) = (self.width, k * self.n);
         for i in 0..self.n {
             let (lo, hi) = problem.row_bounds(i);
             let idx = &problem.neighbors_flat()[lo..hi];
@@ -542,46 +539,50 @@ impl ReplicaBatch {
             if self.shared {
                 let gs = &problem.weights_flat()[lo..hi];
                 for (&j, &g) in idx.iter().zip(gs) {
-                    h += g * self.spins[j as usize * w + r] as f64;
+                    h += g * self.spins[(base + j as usize) * w + r] as f64;
                 }
             } else {
                 for (pos, &j) in idx.iter().enumerate() {
                     let g = self.weights[(lo + pos) * w + r];
-                    h += g * self.spins[j as usize * w + r] as f64;
+                    h += g * self.spins[(base + j as usize) * w + r] as f64;
                 }
             }
-            self.fields[i * w + r] = h;
+            self.fields[(base + i) * w + r] = h;
         }
     }
 
-    /// The spin at `(i, replica r)`.
+    /// The spin at (site `k·n + i`, replica `r`); for SA the site is
+    /// the spin index.
     #[inline]
-    pub fn spin(&self, i: usize, r: usize) -> Spin {
-        self.spins[i * self.width + r]
+    pub fn spin(&self, site: usize, r: usize) -> Spin {
+        self.spins[site * self.width + r]
     }
 
-    /// The cached local field at `(i, replica r)`.
+    /// The cached problem-term local field at (site `k·n + i`, replica
+    /// `r`).
     #[inline]
-    pub fn field(&self, i: usize, r: usize) -> f64 {
-        self.fields[i * self.width + r]
+    pub fn field(&self, site: usize, r: usize) -> f64 {
+        self.fields[site * self.width + r]
     }
 
-    /// Replica `r`'s configuration, gathered out of the strided layout.
-    pub fn replica_spins(&self, r: usize) -> Vec<Spin> {
+    /// Slice `k` of replica `r`, gathered out of the strided layout.
+    pub fn replica_spins(&self, r: usize, k: usize) -> Vec<Spin> {
+        let base = k * self.n;
         (0..self.n)
-            .map(|i| self.spins[i * self.width + r])
+            .map(|i| self.spins[(base + i) * self.width + r])
             .collect()
     }
 
-    /// Replica `r`'s energy, reconstructed in O(n) from its cached
-    /// fields: `E = Σ_i s_i·(h_i + f_i)/2`, `i` ascending (each coupling
-    /// appears in two fields, each linear term in one).
-    pub fn energy(&self, r: usize) -> f64 {
-        let w = self.width;
+    /// The programmed energy of slice `k` of replica `r`, reconstructed
+    /// in O(n) from its cached fields: `E = Σ_i s_i·(h_i + f_i)/2`, `i`
+    /// ascending (each coupling appears in two fields, each linear term
+    /// in one).
+    pub fn energy(&self, r: usize, k: usize) -> f64 {
+        let (w, base) = (self.width, k * self.n);
         (0..self.n)
             .map(|i| {
-                self.spins[i * w + r] as f64 * (self.fields[i * w + r] + self.linear[i * w + r])
-                    / 2.0
+                let at = (base + i) * w + r;
+                self.spins[at] as f64 * (self.fields[at] + self.linear[i * w + r]) / 2.0
             })
             .sum()
     }
@@ -620,33 +621,37 @@ impl ReplicaBatch {
         for &i in problem.sweep_order() {
             let i = i as usize;
             let deltas = self.spin_deltas::<W>(i);
-            let mut mask = 0u64;
-            for (r, &delta) in deltas.iter().enumerate() {
-                mask |= (accept(i, r, delta) as u64) << (8 * r);
-            }
+            let mask = decided::<W>(|r| accept(i, r, deltas[r]));
             if mask != 0 {
-                self.flip_spin::<W>(problem, i, mask);
+                self.flip_spin::<W>(problem, 0, i, mask);
             }
         }
     }
 
-    /// Spin `i`'s flip energy `ΔE = −2·s·h` in every replica.
+    /// The flip energy `ΔE = −2·s·h` of site `at` (`k·n + i`) in every
+    /// replica: the problem term only.
     #[inline(always)]
-    fn spin_deltas<const W: usize>(&self, i: usize) -> [f64; W] {
-        let base = i * W;
-        let spins: &[Spin; W] = self.spins[base..base + W].try_into().expect("strip");
-        let fields: &[f64; W] = self.fields[base..base + W].try_into().expect("strip");
+    fn spin_deltas<const W: usize>(&self, at: usize) -> [f64; W] {
+        let at = at * W;
+        let spins: &[Spin; W] = self.spins[at..at + W].try_into().expect("strip");
+        let fields: &[f64; W] = self.fields[at..at + W].try_into().expect("strip");
         std::array::from_fn(|r| -2.0 * spins[r] as f64 * fields[r])
     }
 
-    /// Flips spin `i` in the replicas of `mask` (byte `r`, 0 or 1, for
-    /// replica `r`; not all zero) and scatters their field updates in
-    /// one row walk.
+    /// Flips spin `i` of the slice at site offset `base` (`k·n`) in the
+    /// replicas of `mask` (byte `r`, 0 or 1, for replica `r`; not all
+    /// zero) and scatters their field updates in one row walk.
     #[inline(always)]
-    fn flip_spin<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, mask: u64) {
-        let base = i * W;
+    fn flip_spin<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        base: usize,
+        i: usize,
+        mask: u64,
+    ) {
+        let at = (base + i) * W;
         let mut steps = [0.0f64; W];
-        let spins: &mut [Spin; W] = (&mut self.spins[base..base + W]).try_into().expect("strip");
+        let spins: &mut [Spin; W] = (&mut self.spins[at..at + W]).try_into().expect("strip");
         for r in 0..W {
             if mask >> (8 * r) & 1 == 1 {
                 let s = spins[r];
@@ -654,21 +659,28 @@ impl ReplicaBatch {
                 steps[r] = -2.0 * s as f64;
             }
         }
-        self.scatter::<W>(problem, i, &steps);
+        self.scatter::<W>(problem, base, i, &steps);
     }
 
-    /// One CSR row walk updating all replicas after spin `i` moved: for
-    /// each row entry `(j, g)`, `fields[j*W..][..W] += steps * g` — a
-    /// fixed-size strip the compiler fully unrolls (rejected replicas
-    /// carry step 0, which only ever normalizes a zero's sign).
+    /// One CSR row walk updating all replicas' slice at site offset
+    /// `base` after its spin `i` moved: for each row entry `(j, g)`,
+    /// `fields[(base+j)*W..][..W] += steps * g` — a fixed-size strip the
+    /// compiler fully unrolls (rejected replicas carry step 0, which
+    /// only ever normalizes a zero's sign).
     #[inline(always)]
-    fn scatter<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
+    fn scatter<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        base: usize,
+        i: usize,
+        steps: &[f64; W],
+    ) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
         if self.shared {
             let gs = &problem.weights_flat()[lo..hi];
             for (&j, &g) in idx.iter().zip(gs) {
-                let at = j as usize * W;
+                let at = (base + j as usize) * W;
                 let strip: &mut [f64; W] =
                     (&mut self.fields[at..at + W]).try_into().expect("strip");
                 for r in 0..W {
@@ -679,7 +691,7 @@ impl ReplicaBatch {
             for (pos, &j) in idx.iter().enumerate() {
                 let e = (lo + pos) * W;
                 let gs: &[f64; W] = (&self.weights[e..e + W]).try_into().expect("strip");
-                let at = j as usize * W;
+                let at = (base + j as usize) * W;
                 let strip: &mut [f64; W] =
                     (&mut self.fields[at..at + W]).try_into().expect("strip");
                 for r in 0..W {
@@ -725,12 +737,9 @@ impl ReplicaBatch {
     ) {
         debug_assert_eq!(self.width, W);
         let deltas = self.chain_deltas::<W>(problem, chains, c);
-        let mut mask = 0u64;
-        for (r, &delta) in deltas.iter().enumerate() {
-            mask |= (accept(r, delta) as u64) << (8 * r);
-        }
+        let mask = decided::<W>(|r| accept(r, deltas[r]));
         if mask != 0 {
-            self.flip_chain::<W>(problem, chains, c, mask);
+            self.flip_chain::<W>(problem, chains, 0, c, mask);
         }
     }
 
@@ -754,33 +763,51 @@ impl ReplicaBatch {
             }
         }
         let mut edges = [[0.0f64; W]; 2];
-        for (k, &(a, b, e)) in chains.internal_edges(c).iter().enumerate() {
-            let (ab, bb, e) = (a as usize * W, b as usize * W, e as usize);
-            let sa: &[Spin; W] = (&self.spins[ab..ab + W]).try_into().expect("strip");
-            let sb: &[Spin; W] = (&self.spins[bb..bb + W]).try_into().expect("strip");
-            let gs: [f64; W] = if self.shared {
-                [problem.weights_flat()[e]; W]
-            } else {
-                self.weights[e * W..(e + 1) * W].try_into().expect("strip")
-            };
+        for (k, &edge) in chains.internal_edges(c).iter().enumerate() {
+            let term = self.edge_term::<W>(problem, 0, edge);
             for r in 0..W {
-                edges[k % 2][r] += 4.0 * gs[r] * sa[r] as f64 * sb[r] as f64;
+                edges[k % 2][r] += term[r];
             }
         }
         std::array::from_fn(|r| (members[0][r] + members[1][r]) + (edges[0][r] + edges[1][r]))
     }
 
-    /// Flips chain `c` in the replicas of `mask`, member by member.
+    /// An internal edge `(a, b, e)`'s share `4·g_ab·s_a·s_b` of a chain
+    /// flip's ΔE in the slice at site offset `base`, in every replica:
+    /// `g_ab` from the replica's own weight strip, or `problem`'s
+    /// weights in shared mode, so the move is exact for the replica's
+    /// ICE-perturbed Hamiltonian.
+    #[inline(always)]
+    fn edge_term<const W: usize>(
+        &self,
+        problem: &CompiledProblem,
+        base: usize,
+        (a, b, e): (u32, u32, u32),
+    ) -> [f64; W] {
+        let (ab, bb, e) = ((base + a as usize) * W, (base + b as usize) * W, e as usize);
+        let sa: &[Spin; W] = (&self.spins[ab..ab + W]).try_into().expect("strip");
+        let sb: &[Spin; W] = (&self.spins[bb..bb + W]).try_into().expect("strip");
+        let gs: [f64; W] = if self.shared {
+            [problem.weights_flat()[e]; W]
+        } else {
+            self.weights[e * W..(e + 1) * W].try_into().expect("strip")
+        };
+        std::array::from_fn(|r| 4.0 * gs[r] * sa[r] as f64 * sb[r] as f64)
+    }
+
+    /// Flips chain `c` of the slice at site offset `base` in the
+    /// replicas of `mask`, member by member.
     #[inline(always)]
     fn flip_chain<const W: usize>(
         &mut self,
         problem: &CompiledProblem,
         chains: &CompiledChains,
+        base: usize,
         c: usize,
         mask: u64,
     ) {
         for &i in chains.members(c) {
-            self.flip_spin::<W>(problem, i as usize, mask);
+            self.flip_spin::<W>(problem, base, i as usize, mask);
         }
     }
 
@@ -852,6 +879,46 @@ impl ReplicaBatch {
         });
     }
 
+    /// Sets up one window of `rngs.len()` replicas of `slices` slices:
+    /// reshapes the batch and binds `coefficients` (refreezing ICE from
+    /// each replica's stream), sets every slice of replica `r` to
+    /// `inits(r)` or draws its spins from `rngs[r]`, and rebuilds every
+    /// field in one strip-wise pass. Returns the problem whose CSR
+    /// structure (and, when shared, coefficients) the window sweeps.
+    #[inline(always)]
+    pub(crate) fn set_up_window<'a, 's, R: Rng>(
+        &mut self,
+        slices: usize,
+        coefficients: WindowCoefficients<'a>,
+        inits: impl Fn(usize) -> Option<&'s [Spin]>,
+        rngs: &mut [R],
+    ) -> &'a CompiledProblem {
+        let width = rngs.len();
+        let problem = match coefficients {
+            WindowCoefficients::Shared(problem) => {
+                self.reset_shared(problem, slices, width);
+                problem
+            }
+            WindowCoefficients::PerReplica {
+                structure,
+                problems,
+                ice,
+            } => {
+                self.reset_per_replica(structure, slices, width);
+                self.bind_window_ice(problems, ice, rngs);
+                structure
+            }
+        };
+        for (r, rng) in rngs.iter_mut().enumerate() {
+            match inits(r) {
+                Some(spins) => (0..slices).for_each(|k| self.set_replica(r, k, spins)),
+                None => self.draw_replica(r, rng),
+            }
+        }
+        self.rebuild_fields(problem);
+        problem
+    }
+
     #[inline(always)]
     fn anneal_any_width(
         &mut self,
@@ -879,6 +946,7 @@ impl ReplicaBatch {
     ) {
         debug_assert_eq!(self.width, W);
         debug_assert_eq!(problem.num_spins(), self.n);
+        debug_assert_eq!(self.slices, 1, "SA sweeps one slice");
         let keys: &[u64; W] = keys.try_into().expect("one key per replica");
         for (t, &beta) in betas.iter().enumerate() {
             let t = t as u32;
@@ -913,7 +981,7 @@ impl ReplicaBatch {
             let deltas = self.chain_deltas::<W>(problem, chains, c);
             let mask = draws::decide_drawn::<W>(beta, &deltas, u.try_into().expect("strip"));
             if mask != 0 {
-                self.flip_chain::<W>(problem, chains, c, mask);
+                self.flip_chain::<W>(problem, chains, 0, c, mask);
             }
         }
         self.uniforms = uniforms;
@@ -960,7 +1028,7 @@ impl ReplicaBatch {
                 for (b, &i) in block.iter().enumerate() {
                     let mask = (accepted >> (8 * b * W)) & lanes::<W>();
                     if mask != 0 {
-                        self.flip_spin::<W>(problem, i as usize, mask);
+                        self.flip_spin::<W>(problem, 0, i as usize, mask);
                     }
                 }
             }
@@ -992,6 +1060,158 @@ impl ReplicaBatch {
         }
         decide(beta, &delta, lane_keys, &weyls)
     }
+
+    /// SQA's local move at (slice `k`, spin `i`) in every replica:
+    /// `accept(r, ΔE_problem, s·(s_up + s_down))` decides per replica,
+    /// `s_up`/`s_down` the spin's images in the neighbouring slices of
+    /// the periodic Trotter ring (the caller weighs the problem term and
+    /// the ring coupling); accepted replicas flip and share one row
+    /// walk.
+    #[inline(always)]
+    pub(crate) fn slice_spin_move<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        k: usize,
+        i: usize,
+        mut accept: impl FnMut(usize, f64, f64) -> bool,
+    ) {
+        let base = k * self.n;
+        let deltas = self.spin_deltas::<W>(base + i);
+        let pairs = self.ring_term::<W>(k, i);
+        let mask = decided::<W>(|r| accept(r, deltas[r], pairs[r]));
+        if mask != 0 {
+            self.flip_spin::<W>(problem, base, i, mask);
+        }
+    }
+
+    /// SQA's global move of spin `i` (in every slice at once):
+    /// `accept(r, Σ_k ΔE_problem)` decides per replica, the sum in `k`
+    /// order; accepted replicas flip slice by slice in `k` order, each
+    /// slice sharing one row walk.
+    #[inline(always)]
+    pub(crate) fn global_spin_move<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        i: usize,
+        mut accept: impl FnMut(usize, f64) -> bool,
+    ) {
+        let mut total = [0.0f64; W];
+        for k in 0..self.slices {
+            let d = self.spin_deltas::<W>(k * self.n + i);
+            for r in 0..W {
+                total[r] += d[r];
+            }
+        }
+        let mask = decided::<W>(|r| accept(r, total[r]));
+        if mask != 0 {
+            for k in 0..self.slices {
+                self.flip_spin::<W>(problem, k * self.n, i, mask);
+            }
+        }
+    }
+
+    /// SQA's move of chain `c` within slice `k`: `accept(r,
+    /// ΔE_problem, Σ_members s·(s_up + s_down))` decides per replica;
+    /// accepted replicas flip member by member in member order.
+    #[inline(always)]
+    pub(crate) fn slice_chain_move<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        k: usize,
+        c: usize,
+        mut accept: impl FnMut(usize, f64, f64) -> bool,
+    ) {
+        let base = k * self.n;
+        let mut delta = [0.0f64; W];
+        self.add_chain_delta::<W>(problem, chains, base, c, &mut delta);
+        // Small-integer sums, so their grouping is exact.
+        let mut pairs = [0.0f64; W];
+        for &i in chains.members(c) {
+            let term = self.ring_term::<W>(k, i as usize);
+            for r in 0..W {
+                pairs[r] += term[r];
+            }
+        }
+        let mask = decided::<W>(|r| accept(r, delta[r], pairs[r]));
+        if mask != 0 {
+            self.flip_chain::<W>(problem, chains, base, c, mask);
+        }
+    }
+
+    /// SQA's global move of chain `c` (in every slice at once):
+    /// `accept(r, Σ_k ΔE_problem)` decides per replica; accepted
+    /// replicas flip slice by slice in `k` order, members in member
+    /// order.
+    #[inline(always)]
+    pub(crate) fn global_chain_move<const W: usize>(
+        &mut self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        c: usize,
+        mut accept: impl FnMut(usize, f64) -> bool,
+    ) {
+        let mut total = [0.0f64; W];
+        for k in 0..self.slices {
+            self.add_chain_delta::<W>(problem, chains, k * self.n, c, &mut total);
+        }
+        let mask = decided::<W>(|r| accept(r, total[r]));
+        if mask != 0 {
+            for k in 0..self.slices {
+                self.flip_chain::<W>(problem, chains, k * self.n, c, mask);
+            }
+        }
+    }
+
+    /// Adds chain `c`'s problem-term ΔE in the slice at site offset
+    /// `base` to `acc` in SQA's serial order: the member flip-deltas,
+    /// then the internal edges.
+    #[inline(always)]
+    fn add_chain_delta<const W: usize>(
+        &self,
+        problem: &CompiledProblem,
+        chains: &CompiledChains,
+        base: usize,
+        c: usize,
+        acc: &mut [f64; W],
+    ) {
+        for &i in chains.members(c) {
+            let d = self.spin_deltas::<W>(base + i as usize);
+            for r in 0..W {
+                acc[r] += d[r];
+            }
+        }
+        for &edge in chains.internal_edges(c) {
+            let term = self.edge_term::<W>(problem, base, edge);
+            for r in 0..W {
+                acc[r] += term[r];
+            }
+        }
+    }
+
+    /// `s·(s_up + s_down)` for spin `i` of slice `k` in every replica:
+    /// its alignment with its images in slices `k ± 1` (mod `P`).
+    #[inline(always)]
+    fn ring_term<const W: usize>(&self, k: usize, i: usize) -> [f64; W] {
+        let p = self.slices;
+        let strip = |k: usize| -> &[Spin; W] {
+            let at = (k * self.n + i) * W;
+            self.spins[at..at + W].try_into().expect("strip")
+        };
+        let (s, up, down) = (
+            strip(k),
+            strip(if k + 1 == p { 0 } else { k + 1 }),
+            strip(if k == 0 { p - 1 } else { k - 1 }),
+        );
+        std::array::from_fn(|r| s[r] as f64 * (up[r] + down[r]) as f64)
+    }
+}
+
+/// The byte mask of `accept(r)` over a width-`W` strip's replicas:
+/// byte `r` is 1 iff replica `r` accepts, decided in replica order.
+#[inline(always)]
+fn decided<const W: usize>(mut accept: impl FnMut(usize) -> bool) -> u64 {
+    (0..W).fold(0, |mask, r| mask | (accept(r) as u64) << (8 * r))
 }
 
 /// The byte mask of a width-`W` strip's lanes.
@@ -1015,7 +1235,7 @@ pub(crate) fn draw_keys<R: Rng>(rngs: &mut [R]) -> [u64; LANES] {
     keys
 }
 
-/// The coefficients an SA window anneals under.
+/// The coefficients a window anneals under.
 #[derive(Clone, Copy, Debug)]
 pub enum WindowCoefficients<'a> {
     /// Every replica runs this zero-ICE problem's own coefficients.
@@ -1129,14 +1349,8 @@ struct AnnealBody<'a> {
 impl Body for AnnealBody<'_> {
     #[inline(always)]
     fn run(self) {
-        let AnnealBody {
-            batch,
-            problem,
-            chains,
-            betas,
-            keys,
-        } = self;
-        batch.anneal_any_width(problem, chains, betas, keys);
+        self.batch
+            .anneal_any_width(self.problem, self.chains, self.betas, self.keys);
     }
 }
 
@@ -1153,535 +1367,10 @@ struct WindowBody<'a, R, F> {
 impl<'s, R: Rng, F: Fn(usize) -> Option<&'s [Spin]>> Body for WindowBody<'_, R, F> {
     #[inline(always)]
     fn run(self) {
-        let WindowBody {
-            batch,
-            coefficients,
-            inits,
-            chains,
-            betas,
-            rngs,
-        } = self;
-        let width = rngs.len();
-        let problem = match coefficients {
-            WindowCoefficients::Shared(problem) => {
-                batch.reset_shared(problem, width);
-                problem
-            }
-            WindowCoefficients::PerReplica {
-                structure,
-                problems,
-                ice,
-            } => {
-                batch.reset_per_replica(structure, width);
-                batch.bind_window_ice(problems, ice, rngs);
-                structure
-            }
-        };
-        for (r, rng) in rngs.iter_mut().enumerate() {
-            match inits(r) {
-                Some(spins) => batch.set_replica(r, spins),
-                None => batch.draw_replica(r, rng),
-            }
-        }
+        let (batch, rngs) = (self.batch, self.rngs);
+        let problem = batch.set_up_window(1, self.coefficients, self.inits, rngs);
         let keys = draw_keys(rngs);
-        batch.rebuild_fields(problem);
-        batch.anneal_any_width(problem, chains, betas, &keys[..width]);
-    }
-}
-
-/// The SQA analogue of [`ReplicaBatch`]: `R` independent `n×P`
-/// Trotter-replica states in one strided buffer, `spins[(k*n+i)*R + r]`
-/// (slice-major per replica, replica-minor strips), with the same
-/// shared/per-replica coefficient modes and the same width-invariance
-/// contract. Unlike the SA sweep it runs at any width.
-#[derive(Clone, Debug, Default)]
-pub struct SqaReplicaBatch {
-    width: usize,
-    n: usize,
-    slices: usize,
-    /// Shared coefficient mode (see [`ReplicaBatch`]).
-    shared: bool,
-    /// `spins[(k*n + i)*width + r]`.
-    spins: Vec<Spin>,
-    /// Cached per-slice problem-term fields, parallel to `spins`.
-    fields: Vec<f64>,
-    /// Per-replica linear terms `linear[i*width + r]` (slices share).
-    linear: Vec<f64>,
-    /// Per-replica coupling strips `weights[e*width + r]`
-    /// (per-replica mode).
-    weights: Vec<f64>,
-    steps: Vec<f64>,
-    deltas: Vec<f64>,
-    mask: Vec<bool>,
-    normals: Vec<f64>,
-}
-
-impl SqaReplicaBatch {
-    /// An empty batch; call a `reset_*` method before sweeping.
-    pub fn new() -> Self {
-        SqaReplicaBatch::default()
-    }
-
-    /// Replicas per batch.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Trotter slices per replica.
-    #[inline]
-    pub fn num_slices(&self) -> usize {
-        self.slices
-    }
-
-    /// Shapes the buffers (see [`ReplicaBatch`]'s `reset_common`: no
-    /// fills of what binding and initializing overwrite).
-    fn reset_common(
-        &mut self,
-        problem: &CompiledProblem,
-        slices: usize,
-        width: usize,
-        shared: bool,
-    ) {
-        assert!(width > 0, "batch width must be positive");
-        assert!(slices >= 2, "need at least 2 Trotter slices");
-        let n = problem.num_spins();
-        self.width = width;
-        self.n = n;
-        self.slices = slices;
-        self.shared = shared;
-        self.spins.resize(slices * n * width, 1);
-        self.fields.resize(slices * n * width, 0.0);
-        self.linear.resize(n * width, 0.0);
-        self.steps.resize(width, 0.0);
-        self.deltas.resize(width, 0.0);
-        self.mask.resize(width, false);
-    }
-
-    /// Shared-coefficient reset (see [`ReplicaBatch::reset_shared`]).
-    pub fn reset_shared(&mut self, problem: &CompiledProblem, slices: usize, width: usize) {
-        self.reset_common(problem, slices, width, true);
-        for i in 0..self.n {
-            let f = problem.linear(i);
-            self.linear[i * width..(i + 1) * width].fill(f);
-        }
-    }
-
-    /// Per-replica-coefficient reset (see
-    /// [`ReplicaBatch::reset_per_replica`]).
-    pub fn reset_per_replica(&mut self, structure: &CompiledProblem, slices: usize, width: usize) {
-        self.reset_common(structure, slices, width, false);
-        self.weights.resize(structure.num_entries() * width, 0.0);
-    }
-
-    /// Binds replica `r`'s coefficients (see
-    /// [`ReplicaBatch::bind_replica`]).
-    pub fn bind_replica(&mut self, r: usize, problem: &CompiledProblem) {
-        WindowStrips::checked(
-            &mut self.linear,
-            &mut self.weights,
-            self.width,
-            self.shared,
-            problem,
-        )
-        .copy_from(r, problem);
-    }
-
-    /// Binds every replica under fresh ICE (see
-    /// [`ReplicaBatch::bind_window_ice`]).
-    pub fn bind_window_ice<R: Rng>(
-        &mut self,
-        problems: &[&CompiledProblem],
-        ice: &IceModel,
-        rngs: &mut [R],
-    ) {
-        bind_window_ice(
-            &mut self.linear,
-            &mut self.weights,
-            self.width,
-            self.shared,
-            &mut self.normals,
-            problems,
-            ice,
-            rngs,
-        );
-    }
-
-    /// Initializes replica `r`'s slices from `init(k, i)` and rebuilds
-    /// its field cache.
-    pub fn init_replica(
-        &mut self,
-        problem: &CompiledProblem,
-        r: usize,
-        init: impl FnMut(usize, usize) -> Spin,
-    ) {
-        self.set_replica(r, init);
-        self.rebuild_replica_fields(problem, r);
-    }
-
-    /// Initializes replica `r` uniformly at random: one `next_u64` per
-    /// 64 (slice, spin) sites, slice-major, site `k·n + i` up iff its
-    /// bit (see [`ReplicaBatch::init_replica_random`]) is set.
-    pub fn init_replica_random<R: Rng + ?Sized>(
-        &mut self,
-        problem: &CompiledProblem,
-        r: usize,
-        rng: &mut R,
-    ) {
-        self.draw_replica(r, rng);
-        self.rebuild_replica_fields(problem, r);
-    }
-
-    /// Sets replica `r`'s slices from `init(k, i)`; its field cache
-    /// stays stale until [`SqaReplicaBatch::rebuild_fields`].
-    pub fn set_replica(&mut self, r: usize, mut init: impl FnMut(usize, usize) -> Spin) {
-        let w = self.width;
-        for k in 0..self.slices {
-            for i in 0..self.n {
-                self.spins[(k * self.n + i) * w + r] = init(k, i);
-            }
-        }
-    }
-
-    /// Draws replica `r`'s slices as
-    /// [`SqaReplicaBatch::init_replica_random`] does; its field cache
-    /// stays stale until [`SqaReplicaBatch::rebuild_fields`].
-    pub fn draw_replica<R: Rng + ?Sized>(&mut self, r: usize, rng: &mut R) {
-        let w = self.width;
-        let spins = &mut self.spins;
-        random_spins(self.slices * self.n, rng, |at, s| spins[at * w + r] = s);
-    }
-
-    /// Rebuilds every replica's field cache in one CSR pass per slice,
-    /// strip by strip (see [`ReplicaBatch::rebuild_fields`]): the same
-    /// bits as [`SqaReplicaBatch::init_replica`] per replica.
-    pub fn rebuild_fields(&mut self, problem: &CompiledProblem) {
-        let w = self.width;
-        let neighbors = problem.neighbors_flat();
-        for k in 0..self.slices {
-            let base = k * self.n;
-            for i in 0..self.n {
-                let (lo, hi) = problem.row_bounds(i);
-                let at = (base + i) * w;
-                let h = &mut self.fields[at..at + w];
-                h.copy_from_slice(&self.linear[i * w..(i + 1) * w]);
-                for (e, &j) in (lo..hi).zip(&neighbors[lo..hi]) {
-                    let from = (base + j as usize) * w;
-                    let s = &self.spins[from..from + w];
-                    if self.shared {
-                        let g = problem.weights_flat()[e];
-                        for (h, &s) in h.iter_mut().zip(s) {
-                            *h += g * s as f64;
-                        }
-                    } else {
-                        let gs = &self.weights[e * w..(e + 1) * w];
-                        for ((h, &g), &s) in h.iter_mut().zip(gs).zip(s) {
-                            *h += g * s as f64;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn rebuild_replica_fields(&mut self, problem: &CompiledProblem, r: usize) {
-        let w = self.width;
-        for k in 0..self.slices {
-            let base = k * self.n;
-            for i in 0..self.n {
-                let (lo, hi) = problem.row_bounds(i);
-                let idx = &problem.neighbors_flat()[lo..hi];
-                let mut h = self.linear[i * w + r];
-                if self.shared {
-                    let gs = &problem.weights_flat()[lo..hi];
-                    for (&j, &g) in idx.iter().zip(gs) {
-                        h += g * self.spins[(base + j as usize) * w + r] as f64;
-                    }
-                } else {
-                    for (pos, &j) in idx.iter().enumerate() {
-                        let g = self.weights[(lo + pos) * w + r];
-                        h += g * self.spins[(base + j as usize) * w + r] as f64;
-                    }
-                }
-                self.fields[(base + i) * w + r] = h;
-            }
-        }
-    }
-
-    /// The spin at `(slice k, spin i, replica r)`.
-    #[inline]
-    pub fn spin(&self, k: usize, i: usize, r: usize) -> Spin {
-        self.spins[(k * self.n + i) * self.width + r]
-    }
-
-    /// The cached problem-term field at `(slice k, spin i, replica r)`.
-    #[inline]
-    pub fn field(&self, k: usize, i: usize, r: usize) -> f64 {
-        self.fields[(k * self.n + i) * self.width + r]
-    }
-
-    /// Replica `r`'s slice `k`, gathered out of the strided layout.
-    pub fn replica_slice(&self, r: usize, k: usize) -> Vec<Spin> {
-        let base = k * self.n;
-        (0..self.n)
-            .map(|i| self.spins[(base + i) * self.width + r])
-            .collect()
-    }
-
-    /// Replica `r`'s programmed energy of slice `k`, in O(n) from its
-    /// cached fields (see [`ReplicaBatch::energy`]).
-    pub fn slice_energy(&self, r: usize, k: usize) -> f64 {
-        let w = self.width;
-        let base = k * self.n;
-        (0..self.n)
-            .map(|i| {
-                let at = (base + i) * w + r;
-                self.spins[at] as f64 * (self.fields[at] + self.linear[i * w + r]) / 2.0
-            })
-            .sum()
-    }
-
-    /// A local `(slice k, spin i)` proposal over all replicas:
-    /// `accept(r, ΔE_problem, s_i·(s_up + s_down))` decides per replica
-    /// (the caller folds in `w_problem`/γ), accepted replicas flip and
-    /// share one CSR row walk.
-    #[inline]
-    pub fn sweep_spin_slice(
-        &mut self,
-        problem: &CompiledProblem,
-        k: usize,
-        up: usize,
-        down: usize,
-        i: usize,
-        mut accept: impl FnMut(usize, f64, f64) -> bool,
-    ) {
-        let w = self.width;
-        let at = (k * self.n + i) * w;
-        let up_at = (up * self.n + i) * w;
-        let down_at = (down * self.n + i) * w;
-        let mut any = false;
-        for r in 0..w {
-            let s = self.spins[at + r];
-            let d_problem = -2.0 * s as f64 * self.fields[at + r];
-            let pair = s as f64 * (self.spins[up_at + r] + self.spins[down_at + r]) as f64;
-            if accept(r, d_problem, pair) {
-                self.spins[at + r] = -s;
-                self.steps[r] = -2.0 * s as f64;
-                any = true;
-            } else {
-                self.steps[r] = 0.0;
-            }
-        }
-        if any {
-            self.scatter(problem, k, i);
-        }
-    }
-
-    /// A global per-spin proposal (flip `i` in all slices): `accept(r,
-    /// ΣΔE_problem)` decides per replica; accepted replicas flip slice
-    /// by slice in `k` order, each slice sharing one row walk.
-    pub fn sweep_spin_global(
-        &mut self,
-        problem: &CompiledProblem,
-        i: usize,
-        mut accept: impl FnMut(usize, f64) -> bool,
-    ) {
-        let w = self.width;
-        self.deltas[..w].fill(0.0);
-        for k in 0..self.slices {
-            let at = (k * self.n + i) * w;
-            for r in 0..w {
-                self.deltas[r] += -2.0 * self.spins[at + r] as f64 * self.fields[at + r];
-            }
-        }
-        let mut any = false;
-        for r in 0..w {
-            self.mask[r] = accept(r, self.deltas[r]);
-            any |= self.mask[r];
-        }
-        if !any {
-            return;
-        }
-        for k in 0..self.slices {
-            let at = (k * self.n + i) * w;
-            for r in 0..w {
-                if self.mask[r] {
-                    let s = self.spins[at + r];
-                    self.spins[at + r] = -s;
-                    self.steps[r] = -2.0 * s as f64;
-                } else {
-                    self.steps[r] = 0.0;
-                }
-            }
-            self.scatter(problem, k, i);
-        }
-    }
-
-    /// A per-slice chain proposal: `accept(r, ΔE_problem, Σ_members
-    /// s·(s_up + s_down))` decides per replica; accepted replicas flip
-    /// member by member in member order within slice `k`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_chain_slice(
-        &mut self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        k: usize,
-        up: usize,
-        down: usize,
-        c: usize,
-        mut accept: impl FnMut(usize, f64, f64) -> bool,
-    ) {
-        let w = self.width;
-        self.deltas[..w].fill(0.0);
-        self.chain_delta_into(problem, chains, k, c);
-        // Slice-coupling pair terms, accumulated per replica in member
-        // order (exact small-integer sums, so grouping is exact).
-        let mut any = false;
-        {
-            let mut pairs = std::mem::take(&mut self.steps);
-            pairs[..w].fill(0.0);
-            for &i in chains.members(c) {
-                let at = (k * self.n + i as usize) * w;
-                let up_at = (up * self.n + i as usize) * w;
-                let down_at = (down * self.n + i as usize) * w;
-                let here = &self.spins[at..at + w];
-                let above = &self.spins[up_at..up_at + w];
-                let below = &self.spins[down_at..down_at + w];
-                for (((pair, &s), &su), &sd) in
-                    pairs[..w].iter_mut().zip(here).zip(above).zip(below)
-                {
-                    *pair += s as f64 * (su + sd) as f64;
-                }
-            }
-            let proposals = self.deltas[..w].iter().zip(&pairs[..w]);
-            for (r, (mask, (&delta, &pair))) in self.mask[..w].iter_mut().zip(proposals).enumerate()
-            {
-                *mask = accept(r, delta, pair);
-                any |= *mask;
-            }
-            self.steps = pairs;
-        }
-        if !any {
-            return;
-        }
-        self.flip_chain_masked(problem, chains, k, c);
-    }
-
-    /// A global chain proposal (flip chain `c` in all slices):
-    /// `accept(r, ΣΔE_problem)`; accepted replicas flip slice by slice
-    /// in `k` order, members in member order.
-    pub fn sweep_chain_global(
-        &mut self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        c: usize,
-        mut accept: impl FnMut(usize, f64) -> bool,
-    ) {
-        let w = self.width;
-        self.deltas[..w].fill(0.0);
-        for k in 0..self.slices {
-            self.chain_delta_into(problem, chains, k, c);
-        }
-        let mut any = false;
-        for r in 0..w {
-            self.mask[r] = accept(r, self.deltas[r]);
-            any |= self.mask[r];
-        }
-        if !any {
-            return;
-        }
-        for k in 0..self.slices {
-            self.flip_chain_masked(problem, chains, k, c);
-        }
-    }
-
-    /// Accumulates slice `k`'s chain-`c` problem-term delta into
-    /// `deltas`, in the serial order: member flip-deltas, then internal
-    /// edges (each replica's own weights, as in
-    /// [`ReplicaBatch::sweep_chain`]).
-    fn chain_delta_into(
-        &mut self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        k: usize,
-        c: usize,
-    ) {
-        let w = self.width;
-        let base = k * self.n;
-        for &i in chains.members(c) {
-            let at = (base + i as usize) * w;
-            for r in 0..w {
-                self.deltas[r] += -2.0 * self.spins[at + r] as f64 * self.fields[at + r];
-            }
-        }
-        for &(a, b, e) in chains.internal_edges(c) {
-            let ab = (base + a as usize) * w;
-            let bb = (base + b as usize) * w;
-            let e = e as usize;
-            for r in 0..w {
-                let g = if self.shared {
-                    problem.weights_flat()[e]
-                } else {
-                    self.weights[e * w + r]
-                };
-                self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
-            }
-        }
-    }
-
-    /// Flips chain `c` in slice `k` for every masked replica, member by
-    /// member (serial accumulation order).
-    fn flip_chain_masked(
-        &mut self,
-        problem: &CompiledProblem,
-        chains: &CompiledChains,
-        k: usize,
-        c: usize,
-    ) {
-        let w = self.width;
-        for &i in chains.members(c) {
-            let at = (k * self.n + i as usize) * w;
-            for r in 0..w {
-                if self.mask[r] {
-                    let s = self.spins[at + r];
-                    self.spins[at + r] = -s;
-                    self.steps[r] = -2.0 * s as f64;
-                } else {
-                    self.steps[r] = 0.0;
-                }
-            }
-            self.scatter(problem, k, i as usize);
-        }
-    }
-
-    /// One CSR row walk scattering all replicas' slice-`k` field
-    /// updates for a flip of spin `i`.
-    fn scatter(&mut self, problem: &CompiledProblem, k: usize, i: usize) {
-        let w = self.width;
-        let base = k * self.n;
-        let (lo, hi) = problem.row_bounds(i);
-        let idx = &problem.neighbors_flat()[lo..hi];
-        let steps = &self.steps[..w];
-        if self.shared {
-            let gs = &problem.weights_flat()[lo..hi];
-            for (&j, &g) in idx.iter().zip(gs) {
-                let at = (base + j as usize) * w;
-                let strip = &mut self.fields[at..at + w];
-                for (f, &s) in strip.iter_mut().zip(steps) {
-                    *f += s * g;
-                }
-            }
-        } else {
-            for (pos, &j) in idx.iter().enumerate() {
-                let e = (lo + pos) * w;
-                let gs = &self.weights[e..e + w];
-                let at = (base + j as usize) * w;
-                let strip = &mut self.fields[at..at + w];
-                for ((f, &s), &g) in strip.iter_mut().zip(steps).zip(gs) {
-                    *f += s * g;
-                }
-            }
-        }
+        batch.anneal_any_width(problem, self.chains, self.betas, &keys[..rngs.len()]);
     }
 }
 
@@ -1715,8 +1404,8 @@ mod tests {
     /// A width-1 shared batch started at `spins`.
     fn single(c: &CompiledProblem, spins: &[Spin]) -> ReplicaBatch {
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(c, 1);
-        batch.init_replica(c, 0, spins);
+        batch.reset_shared(c, 1, 1);
+        batch.init_replica(c, 0, 0, spins);
         batch
     }
 
@@ -1739,11 +1428,11 @@ mod tests {
             });
         }
         // Fields still exact after ~250 accepted flips.
-        assert_eq!(batch.replica_spins(0), shadow);
+        assert_eq!(batch.replica_spins(0, 0), shadow);
         for i in 0..12 {
             assert!((batch.field(i, 0) - c.local_field(&shadow, i)).abs() < 1e-9);
         }
-        assert!((batch.energy(0) - p.energy(&shadow)).abs() < 1e-9);
+        assert!((batch.energy(0, 0) - p.energy(&shadow)).abs() < 1e-9);
     }
 
     #[test]
@@ -1767,7 +1456,7 @@ mod tests {
                 shadow[i] = -shadow[i];
             }
         }
-        assert_eq!(batch.replica_spins(0), shadow);
+        assert_eq!(batch.replica_spins(0, 0), shadow);
     }
 
     #[test]
@@ -1776,25 +1465,32 @@ mod tests {
         let c = CompiledProblem::new(&p);
         let mut rng = StdRng::seed_from_u64(6);
         let starts: Vec<Vec<Spin>> = (0..4).map(|_| random_spins(8, &mut rng)).collect();
-        let mut sqa = SqaReplicaBatch::new();
+        let mut sqa = ReplicaBatch::new();
         sqa.reset_shared(&c, 4, 1);
-        sqa.init_replica(&c, 0, |k, i| starts[k][i]);
-        let flip_delta = |sqa: &SqaReplicaBatch, k: usize, i: usize| {
-            -2.0 * sqa.spin(k, i, 0) as f64 * sqa.field(k, i, 0)
+        for (k, start) in starts.iter().enumerate() {
+            sqa.init_replica(&c, 0, k, start);
+        }
+        let flip_delta = |sqa: &ReplicaBatch, k: usize, i: usize| {
+            -2.0 * sqa.spin(k * 8 + i, 0) as f64 * sqa.field(k * 8 + i, 0)
         };
         for (k, start) in starts.iter().enumerate() {
-            assert_eq!(sqa.replica_slice(0, k), &start[..]);
+            assert_eq!(sqa.replica_spins(0, k), &start[..]);
             for i in 0..8 {
                 assert!((flip_delta(&sqa, k, i) - c.flip_delta(start, i)).abs() < 1e-12);
             }
         }
-        // Flips in one slice leave the others' deltas untouched.
-        sqa.sweep_spin_slice(&c, 2, 3, 1, 3, |_, _, _| true);
-        assert_eq!(sqa.spin(2, 3, 0), -starts[2][3]);
+        // Flips in one slice leave the others' deltas untouched, and
+        // the ring term reads the slices on either side.
+        let ring = (starts[2][3] * (starts[3][3] + starts[1][3])) as f64;
+        sqa.slice_spin_move::<1>(&c, 2, 3, |_, _, pair| {
+            assert_eq!(pair, ring);
+            true
+        });
+        assert_eq!(sqa.spin(2 * 8 + 3, 0), -starts[2][3]);
         for i in 0..8 {
             assert!((flip_delta(&sqa, 0, i) - c.flip_delta(&starts[0], i)).abs() < 1e-12);
         }
-        assert!((sqa.slice_energy(0, 2) - p.energy(&sqa.replica_slice(0, 2))).abs() < 1e-9);
+        assert!((sqa.energy(0, 2) - p.energy(&sqa.replica_spins(0, 2))).abs() < 1e-9);
     }
 
     #[test]
@@ -1817,9 +1513,9 @@ mod tests {
     fn sa_sweep_at_unsupported_width_panics() {
         let c = CompiledProblem::new(&random_problem(4, 7));
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(&c, 3);
+        batch.reset_shared(&c, 1, 3);
         for r in 0..3 {
-            batch.init_replica(&c, r, &[1, -1, 1, -1]);
+            batch.init_replica(&c, r, 0, &[1, -1, 1, -1]);
         }
         batch.sweep_spins(&c, |_, _, _| false);
     }

@@ -50,19 +50,19 @@
 //!   the kernel decides a class's proposals eight at a time; on an
 //!   embedded problem the class order also leaves about a third of
 //!   index order's broken chains at the uplink operating point.
-//! * **[`kernel::ReplicaBatch`]** — `W` configurations plus their
-//!   cached local fields `h_i = f_i + Σ_j g_ij·s_j`. A Metropolis
-//!   proposal is O(1) (`ΔE = −2·s_i·h_i`); only an *accepted* flip
-//!   pays the O(degree) neighbor-field update. Late in the schedule,
+//! * **[`kernel::ReplicaBatch`]** — `W` replicas of `P` Trotter slices
+//!   plus their cached local fields `h_i = f_i + Σ_j g_ij·s_j`, one
+//!   field cache per slice, laid out `(k·n + i)·W + r`. SA runs one
+//!   slice (`P = 1`); SQA flattens each replica's `P` slices into the
+//!   same strips, with the coefficients shared by every slice. A
+//!   Metropolis proposal is O(1) (`ΔE = −2·s_i·h_i`, per spin or per
+//!   (spin, slice)); only an *accepted* flip pays the O(degree)
+//!   neighbor-field update. Late in the schedule,
 //!   where acceptance collapses, a sweep costs ~one multiply per spin
 //!   instead of one adjacency-list walk per spin. The running energy
 //!   is recoverable from the fields in O(n)
 //!   (`E = Σ_i s_i·(h_i + f_i)/2`), so nothing recomputes couplings at
 //!   readout either.
-//! * **[`kernel::SqaReplicaBatch`]** — the same for SQA: each
-//!   replica's Trotter slices flattened into one `n×P` spin buffer
-//!   with a per-slice local-field cache, giving the same O(1) proposal
-//!   per (spin, slice).
 //! * **[`kernel::CompiledChains`]** — per-chain member lists and
 //!   internal-edge lists, precompiled once via a membership mask, so
 //!   chain-collective proposals stop re-scanning `chain.contains(j)`
@@ -78,8 +78,9 @@
 //!   ([`kernel::Isa`]), picked per window by runtime detection; every
 //!   set yields the bits of the one-at-a-time scalar reference
 //!   ([`sa::anneal_batch_reference`]).
-//! * **One sweep per backend** — the two batches are the only sweep
-//!   state: a single anneal is a width-1 batch, and every device entry
+//! * **One sweep per backend** — the one batch is the only sweep
+//!   state: a single anneal is a width-1 batch, SA and SQA share its
+//!   strips, resets, binds, init and scatter, and every device entry
 //!   point runs through [`Annealer::run_jobs`].
 //! * **Per-thread reuse** — each worker owns one replica batch, and a
 //!   one-thread run's worker is the calling thread's, kept across
@@ -234,6 +235,6 @@ pub mod stats;
 
 pub use device::{AnnealJob, Annealer, AnnealerConfig, Backend};
 pub use ice::IceModel;
-pub use kernel::{CompiledChains, Isa, ReplicaBatch, SqaReplicaBatch, WindowCoefficients};
+pub use kernel::{CompiledChains, Isa, ReplicaBatch, WindowCoefficients};
 pub use schedule::Schedule;
 pub use stats::{SolutionDistribution, SolutionEntry};

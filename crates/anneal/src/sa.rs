@@ -196,11 +196,11 @@ mod tests {
     ) -> Vec<Spin> {
         let c = CompiledProblem::new(p);
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(&c, 1);
+        batch.reset_shared(&c, 1, 1);
         batch.init_replica_random(&c, 0, rng);
         let cc = CompiledChains::compile(&c, chains);
         anneal_batch_compiled(&c, &cc, betas, &mut batch, std::slice::from_mut(rng));
-        batch.replica_spins(0)
+        batch.replica_spins(0, 0)
     }
 
     #[test]
@@ -272,8 +272,8 @@ mod tests {
             let mut rngs = [StdRng::seed_from_u64(4)];
             let mut spins = vec![1i8, 1];
             let mut batch = ReplicaBatch::new();
-            batch.reset_shared(&c, 1);
-            batch.init_replica(&c, 0, &spins);
+            batch.reset_shared(&c, 1, 1);
+            batch.init_replica(&c, 0, 0, &spins);
             let mut aligned = 0usize;
             for _ in 0..iters {
                 let same = if batched {
@@ -328,7 +328,7 @@ mod tests {
                 .map(|r| StdRng::seed_from_u64(500 + r as u64))
                 .collect();
             let mut batch = ReplicaBatch::new();
-            batch.reset_shared(&c, width);
+            batch.reset_shared(&c, 1, width);
             let mut naive: Vec<Vec<Spin>> = vec![vec![1; n]; width];
             for (r, rng) in rngs.iter_mut().enumerate() {
                 batch.init_replica_random(&c, r, rng);
@@ -347,7 +347,7 @@ mod tests {
                         let s = if kernel == "naive" {
                             spins.clone()
                         } else {
-                            batch.replica_spins(r)
+                            batch.replica_spins(r, 0)
                         };
                         counts[state(&s)] += 1;
                     }

@@ -17,10 +17,12 @@
 //! one *global* move per spin (flipping all its slices at once, which
 //! is essential for efficient sampling near the end of the schedule),
 //! then per-slice and global chain-collective moves. Every anneal runs
-//! as one replica of a [`SqaReplicaBatch`] ([`anneal_batch_compiled`]);
-//! [`best_slice_batch`] reads out its answer.
+//! as one replica of a [`ReplicaBatch`] of `P` slices
+//! ([`anneal_batch_compiled`]), the batch the SA sweep runs at one
+//! slice: this module only orders its four SQA moves and weighs their
+//! proposals; [`best_slice_batch`] reads out the answer.
 
-use crate::kernel::{CompiledChains, SqaReplicaBatch};
+use crate::kernel::{self, CompiledChains, ReplicaBatch};
 use crate::sa::metropolis;
 use crate::schedule::curves;
 use quamax_ising::{CompiledProblem, Spin};
@@ -55,22 +57,20 @@ fn accept<R: Rng + ?Sized>(d_f: f64, rng: &mut R, zig: &ExpZiggurat) -> bool {
 /// [`best_slice_batch`] reads out one replica's answer.
 ///
 /// # Panics
-/// Panics when `fractions` is empty or `rngs.len() != batch.width()`.
+/// Panics when `fractions` is empty, when the batch has fewer than 2
+/// slices, or unless `rngs.len() == batch.width()` is one of
+/// [`kernel::SA_WIDTHS`].
 pub fn anneal_batch_compiled<R: Rng>(
     problem: &CompiledProblem,
     chains: &CompiledChains,
     fractions: &[f64],
-    batch: &mut SqaReplicaBatch,
+    batch: &mut ReplicaBatch,
     rngs: &mut [R],
 ) {
     assert!(!fractions.is_empty(), "empty sweep plan");
-    assert_eq!(rngs.len(), batch.width(), "one RNG stream per replica");
     let p = batch.num_slices();
-    let zig = ExpZiggurat::get();
-    for &s in fractions {
-        let (w_problem, gamma) = couplings_at(s, p);
-        sweep(problem, chains, batch, (w_problem, gamma), rngs, zig);
-    }
+    let plan = fractions.iter().map(|&s| couplings_at(s, p));
+    sweeps(problem, chains, batch, plan, rngs);
 }
 
 /// One SQA sweep at fixed couplings `(w_problem, γ)` over every replica
@@ -78,47 +78,69 @@ pub fn anneal_batch_compiled<R: Rng>(
 /// global per-spin moves, then per-slice and global chain-collective
 /// moves. Each proposal decides all replicas off one contiguous strip,
 /// and accepted replicas share one CSR row walk per flipped spin.
+///
+/// # Panics
+/// As [`anneal_batch_compiled`].
 pub fn sweep_batch<R: Rng>(
     problem: &CompiledProblem,
     chains: &CompiledChains,
-    batch: &mut SqaReplicaBatch,
+    batch: &mut ReplicaBatch,
     w_problem: f64,
     gamma: f64,
     rngs: &mut [R],
 ) {
-    let zig = ExpZiggurat::get();
-    sweep(problem, chains, batch, (w_problem, gamma), rngs, zig);
+    sweeps(problem, chains, batch, [(w_problem, gamma)], rngs);
 }
 
-fn sweep<R: Rng>(
+/// One sweep per `(w_problem, γ)` of `plan`, at the batch's width.
+fn sweeps<R: Rng>(
     problem: &CompiledProblem,
     chains: &CompiledChains,
-    batch: &mut SqaReplicaBatch,
+    batch: &mut ReplicaBatch,
+    plan: impl IntoIterator<Item = (f64, f64)>,
+    rngs: &mut [R],
+) {
+    assert!(
+        batch.num_slices() >= 2,
+        "SQA needs at least 2 Trotter slices"
+    );
+    assert_eq!(rngs.len(), batch.width(), "one RNG stream per replica");
+    let zig = ExpZiggurat::get();
+    for couplings in plan {
+        match batch.width() {
+            1 => sweep::<1, R>(problem, chains, batch, couplings, rngs, zig),
+            2 => sweep::<2, R>(problem, chains, batch, couplings, rngs, zig),
+            4 => sweep::<4, R>(problem, chains, batch, couplings, rngs, zig),
+            8 => sweep::<8, R>(problem, chains, batch, couplings, rngs, zig),
+            w => kernel::unsupported_width(w),
+        }
+    }
+}
+
+fn sweep<const W: usize, R: Rng>(
+    problem: &CompiledProblem,
+    chains: &CompiledChains,
+    batch: &mut ReplicaBatch,
     (w_problem, gamma): (f64, f64),
     rngs: &mut [R],
     zig: &ExpZiggurat,
 ) {
     let p = batch.num_slices();
     let n = problem.num_spins();
+    // ΔF = −w·ΔE_problem − 2γ·s·(s_up + s_down); accept on exp(ΔF).
+    let d_f = |d_problem: f64, pair: f64| -w_problem * d_problem - 2.0 * gamma * pair;
     // Local moves: every (slice, spin).
     for k in 0..p {
-        let (up, down) = (
-            if k + 1 == p { 0 } else { k + 1 },
-            if k == 0 { p - 1 } else { k - 1 },
-        );
         for i in 0..n {
-            batch.sweep_spin_slice(problem, k, up, down, i, |r, d_problem, pair| {
-                // ΔF = −w·ΔE_problem − 2γ·s_i·(s_up + s_down); accept on
-                // exp(ΔF).
-                let d_f = -w_problem * d_problem - 2.0 * gamma * pair;
-                accept(d_f, &mut rngs[r], zig)
+            batch.slice_spin_move::<W>(problem, k, i, |r, d, pair| {
+                accept(d_f(d, pair), &mut rngs[r], zig)
             });
         }
     }
     // Global moves: flip spin i in all slices (slice couplings
     // unchanged, so only the problem term matters).
     for i in 0..n {
-        batch.sweep_spin_global(problem, i, |r, d_total| {
+        batch.global_spin_move::<W>(problem, i, |r, d_total| {
             accept(-w_problem * d_total, &mut rngs[r], zig)
         });
     }
@@ -126,13 +148,8 @@ fn sweep<R: Rng>(
     // within slice k (slice couplings of every member change).
     for c in 0..chains.len() {
         for k in 0..p {
-            let (up, down) = (
-                if k + 1 == p { 0 } else { k + 1 },
-                if k == 0 { p - 1 } else { k - 1 },
-            );
-            batch.sweep_chain_slice(problem, chains, k, up, down, c, |r, d_problem, pair| {
-                let d_f = -w_problem * d_problem - 2.0 * gamma * pair;
-                accept(d_f, &mut rngs[r], zig)
+            batch.slice_chain_move::<W>(problem, chains, k, c, |r, d, pair| {
+                accept(d_f(d, pair), &mut rngs[r], zig)
             });
         }
     }
@@ -142,7 +159,7 @@ fn sweep<R: Rng>(
     // orders embedded problems late in the schedule (the SQA analogue
     // of the SA chain move in `sa::anneal_batch_compiled`).
     for c in 0..chains.len() {
-        batch.sweep_chain_global(problem, chains, c, |r, d_total| {
+        batch.global_chain_move::<W>(problem, chains, c, |r, d_total| {
             accept(-w_problem * d_total, &mut rngs[r], zig)
         });
     }
@@ -151,17 +168,17 @@ fn sweep<R: Rng>(
 /// Reads out replica `r`'s lowest-programmed-energy Trotter slice (each
 /// slice's energy comes from its cached local fields in O(n)). Ties
 /// resolve to the first minimal slice.
-pub fn best_slice_batch(batch: &SqaReplicaBatch, r: usize) -> Vec<Spin> {
+pub fn best_slice_batch(batch: &ReplicaBatch, r: usize) -> Vec<Spin> {
     let mut best = 0usize;
-    let mut best_energy = batch.slice_energy(r, 0);
+    let mut best_energy = batch.energy(r, 0);
     for k in 1..batch.num_slices() {
-        let e = batch.slice_energy(r, k);
+        let e = batch.energy(r, k);
         if e < best_energy {
             best = k;
             best_energy = e;
         }
     }
-    batch.replica_slice(r, best)
+    batch.replica_spins(r, best)
 }
 
 #[cfg(test)]
@@ -174,7 +191,7 @@ mod tests {
     /// One anneal from a uniform-random start: a width-1 batch.
     fn anneal(p: &IsingProblem, fractions: &[f64], slices: usize, rng: &mut StdRng) -> Vec<Spin> {
         let c = CompiledProblem::new(p);
-        let mut batch = SqaReplicaBatch::new();
+        let mut batch = ReplicaBatch::new();
         batch.reset_shared(&c, slices, 1);
         batch.init_replica_random(&c, 0, rng);
         let rngs = std::slice::from_mut(rng);

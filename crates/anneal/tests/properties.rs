@@ -5,7 +5,6 @@ use quamax_anneal::sa::{self, chain_flip_delta};
 use quamax_anneal::sqa;
 use quamax_anneal::{
     Annealer, AnnealerConfig, Backend, CompiledChains, IceModel, ReplicaBatch, Schedule,
-    SqaReplicaBatch,
 };
 use quamax_ising::{CompiledProblem, IsingProblem};
 use rand::rngs::StdRng;
@@ -105,8 +104,8 @@ proptest! {
         let cc = CompiledChains::compile(&compiled, &chains);
         let mut shadow: Vec<i8> = (0..N).map(|i| if (k >> i) & 1 == 1 { 1 } else { -1 }).collect();
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(&compiled, 1);
-        batch.init_replica(&compiled, 0, &shadow);
+        batch.reset_shared(&compiled, 1, 1);
+        batch.init_replica(&compiled, 0, 0, &shadow);
         let mut coin = StdRng::seed_from_u64(u64::from(k));
         let mut worst = 0.0f64;
         for _ in 0..walk {
@@ -133,8 +132,8 @@ proptest! {
             }
         }
         prop_assert!(worst < 1e-9, "worst ΔE error {worst}");
-        prop_assert_eq!(batch.replica_spins(0), shadow.clone());
-        prop_assert!((batch.energy(0) - p.energy(&shadow)).abs() < 1e-9);
+        prop_assert_eq!(batch.replica_spins(0, 0), shadow.clone());
+        prop_assert!((batch.energy(0, 0) - p.energy(&shadow)).abs() < 1e-9);
 
         // Per-replica arm: four replicas bound to differently perturbed
         // variants (chain-internal couplers included, as under ICE),
@@ -155,10 +154,10 @@ proptest! {
             .map(|r| (0..N).map(|i| if (k >> ((i + r) % N)) & 1 == 1 { 1 } else { -1 }).collect())
             .collect();
         let mut batch = ReplicaBatch::new();
-        batch.reset_per_replica(&compiled, 4);
+        batch.reset_per_replica(&compiled, 1, 4);
         for (r, q) in variants.iter().enumerate() {
             batch.bind_replica(r, &CompiledProblem::new(q));
-            batch.init_replica(&compiled, r, &shadows[r]);
+            batch.init_replica(&compiled, r, 0, &shadows[r]);
         }
         let mut worst = 0.0f64;
         for _ in 0..walk {
@@ -188,8 +187,8 @@ proptest! {
         }
         prop_assert!(worst < 1e-9, "worst per-replica ΔE error {worst}");
         for (r, (q, shadow)) in variants.iter().zip(&shadows).enumerate() {
-            prop_assert_eq!(batch.replica_spins(r), shadow.clone());
-            prop_assert!((batch.energy(r) - q.energy(shadow)).abs() < 1e-9);
+            prop_assert_eq!(batch.replica_spins(r, 0), shadow.clone());
+            prop_assert!((batch.energy(r, 0) - q.energy(shadow)).abs() < 1e-9);
         }
     }
 
@@ -223,7 +222,7 @@ proptest! {
                         let q = if shared { &compiled } else { &variants[r] };
                         let mut rng = [stream(r)];
                         let mut single = ReplicaBatch::new();
-                        single.reset_shared(q, 1);
+                        single.reset_shared(q, 1, 1);
                         single.init_replica_random(q, 0, &mut rng[0]);
                         sa::anneal_batch_compiled(q, &cc, &betas, &mut single, &mut rng);
                         single
@@ -233,9 +232,9 @@ proptest! {
                 let mut rngs: Vec<StdRng> = (0..width).map(stream).collect();
                 let mut batch = ReplicaBatch::new();
                 if shared {
-                    batch.reset_shared(&compiled, width);
+                    batch.reset_shared(&compiled, 1, width);
                 } else {
-                    batch.reset_per_replica(&compiled, width);
+                    batch.reset_per_replica(&compiled, 1, width);
                     for (r, q) in variants.iter().enumerate() {
                         batch.bind_replica(r, q);
                     }
@@ -245,18 +244,18 @@ proptest! {
                 }
                 sa::anneal_batch_compiled(&compiled, &cc, &betas, &mut batch, &mut rngs);
                 for (r, single) in serial.iter().enumerate() {
-                    prop_assert_eq!(batch.replica_spins(r), single.replica_spins(0));
+                    prop_assert_eq!(batch.replica_spins(r, 0), single.replica_spins(0, 0));
                     for i in 0..N {
                         prop_assert_eq!(batch.field(i, r), single.field(i, 0));
                     }
-                    prop_assert_eq!(batch.energy(r), single.energy(0));
+                    prop_assert_eq!(batch.energy(r, 0), single.energy(0, 0));
                 }
             }
         }
     }
 
     /// The SQA analogue of `sa_replica_batch_matches_serial`: every
-    /// replica of a [`SqaReplicaBatch`] at width 2, 3 or 4 is
+    /// replica of a `P`-slice [`ReplicaBatch`] at width 2, 4 or 8 is
     /// bit-identical to the same stream annealed alone at width 1 — all
     /// Trotter slices, slice energies, and the best-slice readout —
     /// shared and per-replica, chains included.
@@ -268,7 +267,7 @@ proptest! {
         let fractions: Vec<f64> = (0..8).map(|k| (k as f64 + 0.5) / 8.0).collect();
         let slices = 4;
         let stream = |r: usize| StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-        for width in [2usize, 3, 4] {
+        for width in [2usize, 4, 8] {
             let variants: Vec<CompiledProblem> = (0..width)
                 .map(|r| {
                     let mut q = compiled.clone();
@@ -278,11 +277,11 @@ proptest! {
                 })
                 .collect();
             for shared in [true, false] {
-                let serial: Vec<SqaReplicaBatch> = (0..width)
+                let serial: Vec<ReplicaBatch> = (0..width)
                     .map(|r| {
                         let q = if shared { &compiled } else { &variants[r] };
                         let mut rng = [stream(r)];
-                        let mut single = SqaReplicaBatch::new();
+                        let mut single = ReplicaBatch::new();
                         single.reset_shared(q, slices, 1);
                         single.init_replica_random(q, 0, &mut rng[0]);
                         sqa::anneal_batch_compiled(q, &cc, &fractions, &mut single, &mut rng);
@@ -290,7 +289,7 @@ proptest! {
                     })
                     .collect();
                 let mut rngs: Vec<StdRng> = (0..width).map(stream).collect();
-                let mut batch = SqaReplicaBatch::new();
+                let mut batch = ReplicaBatch::new();
                 if shared {
                     batch.reset_shared(&compiled, slices, width);
                 } else {
@@ -305,8 +304,8 @@ proptest! {
                 sqa::anneal_batch_compiled(&compiled, &cc, &fractions, &mut batch, &mut rngs);
                 for (r, single) in serial.iter().enumerate() {
                     for k in 0..slices {
-                        prop_assert_eq!(batch.replica_slice(r, k), single.replica_slice(0, k));
-                        prop_assert_eq!(batch.slice_energy(r, k), single.slice_energy(0, k));
+                        prop_assert_eq!(batch.replica_spins(r, k), single.replica_spins(0, k));
+                        prop_assert_eq!(batch.energy(r, k), single.energy(0, k));
                     }
                     prop_assert_eq!(
                         sqa::best_slice_batch(&batch, r),
@@ -320,11 +319,12 @@ proptest! {
     /// Binding a window under ICE (`bind_window_ice`) is the reference
     /// `IceModel::refreeze` + `bind_replica`, replica for replica:
     /// bit-identical fields and energies after a random init, and every
-    /// stream left at the same next draw. SA and SQA batches, widths 1,
-    /// 3 and 8, calibrated and paper ICE moments, on the dense problem
-    /// and on a sparse one (so CSR rows and coupler twins are
-    /// irregular), with odd replicas bound to a second problem of the
-    /// same structure (a window packing two jobs).
+    /// stream left at the same next draw. One-slice (SA) and
+    /// three-slice (SQA) batches, widths 1, 3 and 8, calibrated and
+    /// paper ICE moments, on the dense problem and on a sparse one (so
+    /// CSR rows and coupler twins are irregular), with odd replicas
+    /// bound to a second problem of the same structure (a window
+    /// packing two jobs).
     #[test]
     fn ice_bind_matches_refreeze_then_bind(p in problem(), seed in 0u64..1000) {
         let mut sparse = IsingProblem::new(N);
@@ -347,10 +347,10 @@ proptest! {
                 for width in [1usize, 3, 8] {
                     let stream = |r: usize| StdRng::seed_from_u64(seed ^ ((r as u64) << 32));
                     let (mut sa_ref, mut sa_fused) = (ReplicaBatch::new(), ReplicaBatch::new());
-                    sa_ref.reset_per_replica(&base, width);
-                    sa_fused.reset_per_replica(&base, width);
+                    sa_ref.reset_per_replica(&base, 1, width);
+                    sa_fused.reset_per_replica(&base, 1, width);
                     let (mut sqa_ref, mut sqa_fused) =
-                        (SqaReplicaBatch::new(), SqaReplicaBatch::new());
+                        (ReplicaBatch::new(), ReplicaBatch::new());
                     sqa_ref.reset_per_replica(&base, slices, width);
                     sqa_fused.reset_per_replica(&base, slices, width);
                     let problems: Vec<&CompiledProblem> = (0..width)
@@ -381,17 +381,17 @@ proptest! {
                         for i in 0..N {
                             prop_assert_eq!(sa_fused.field(i, r).to_bits(), sa_ref.field(i, r).to_bits());
                         }
-                        prop_assert_eq!(sa_fused.energy(r).to_bits(), sa_ref.energy(r).to_bits());
+                        prop_assert_eq!(sa_fused.energy(r, 0).to_bits(), sa_ref.energy(r, 0).to_bits());
                         for k in 0..slices {
                             for i in 0..N {
                                 prop_assert_eq!(
-                                    sqa_fused.field(k, i, r).to_bits(),
-                                    sqa_ref.field(k, i, r).to_bits()
+                                    sqa_fused.field(k * N + i, r).to_bits(),
+                                    sqa_ref.field(k * N + i, r).to_bits()
                                 );
                             }
                             prop_assert_eq!(
-                                sqa_fused.slice_energy(r, k).to_bits(),
-                                sqa_ref.slice_energy(r, k).to_bits()
+                                sqa_fused.energy(r, k).to_bits(),
+                                sqa_ref.energy(r, k).to_bits()
                             );
                         }
                     }

@@ -20,7 +20,7 @@
 //! * ZF detection (the linear baseline).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use quamax_anneal::kernel::{CompiledChains, ReplicaBatch};
 use quamax_anneal::sa;
 use quamax_baselines::{SphereDecoder, ZeroForcingDetector};
 use quamax_bench::kernelbench;
@@ -132,8 +132,8 @@ fn bench_kernel_sa(c: &mut Criterion) {
         group.bench_function(format!("{label} compiled"), |b| {
             let spins = kernelbench::random_spins(n, &mut StdRng::seed_from_u64(3));
             let mut batch = ReplicaBatch::new();
-            batch.reset_shared(&compiled, 1);
-            batch.init_replica(&compiled, 0, &spins);
+            batch.reset_shared(&compiled, 1, 1);
+            batch.init_replica(&compiled, 0, 0, &spins);
             let mut rngs = [StdRng::seed_from_u64(4)];
             b.iter(|| {
                 kernelbench::batched_sa_ladder(&compiled, &mut batch, &betas, &mut rngs);
@@ -164,13 +164,15 @@ fn bench_kernel_sqa(c: &mut Criterion) {
         let starts: Vec<Vec<i8>> = (0..slices)
             .map(|k| kernelbench::random_spins(n, &mut StdRng::seed_from_u64(5 + k as u64)))
             .collect();
-        let mut batch = SqaReplicaBatch::new();
+        let mut batch = ReplicaBatch::new();
         batch.reset_shared(&compiled, slices, 1);
-        batch.init_replica(&compiled, 0, |k, i| starts[k][i]);
+        for (k, start) in starts.iter().enumerate() {
+            batch.init_replica(&compiled, 0, k, start);
+        }
         let mut rngs = [StdRng::seed_from_u64(6)];
         b.iter(|| {
             kernelbench::compiled_sqa_ladder(&compiled, &mut batch, &mut rngs);
-            black_box(batch.spin(0, 0, 0))
+            black_box(batch.spin(0, 0))
         })
     });
     group.finish();
@@ -193,8 +195,8 @@ fn bench_chain_moves(c: &mut Criterion) {
     });
     group.bench_function("precompiled internal edges", |b| {
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(&compiled, 1);
-        batch.init_replica(&compiled, 0, &spins);
+        batch.reset_shared(&compiled, 1, 1);
+        batch.init_replica(&compiled, 0, 0, &spins);
         b.iter(|| {
             let mut acc = 0.0;
             for ci in 0..cc.len() {

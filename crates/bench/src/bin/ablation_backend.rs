@@ -24,7 +24,7 @@ fn main() {
     );
     let anneals = args.get_usize("anneals", 300);
     let instances = args.get_usize("instances", 4);
-    let slices = args.get_usize("slices", 8);
+    let slices = args.get_usize_at_least("slices", 8, 2);
     let seed = args.get_u64("seed", 1);
     let sweeps = args.get_f64("sweeps-per-us", 20.0);
 

@@ -8,7 +8,9 @@
 //! in the reproduction — under the naive adjacency-list kernel the
 //! repository started with and the CSR/local-field replica kernel that
 //! replaced it, at the paper's two workload scales. The "compiled" side
-//! of the first three rows is a width-1 replica batch:
+//! of the first three rows is a width-1 `ReplicaBatch`, the one sweep
+//! state of both samplers (one slice for SA, `P` Trotter slices for
+//! SQA):
 //!
 //! * `sa_embedded_960q` — β-ladder SA sweeps over the clique-embedded
 //!   60-user BPSK problem (960 physical qubits), the headline decode.
@@ -17,7 +19,7 @@
 //!   the paper's 2,031 working qubits;
 //! * `sqa_embedded_960q_8slice` — 8-slice SQA sweeps (local + global
 //!   moves) over the embedded problem, laddered across the schedule
-//!   like a real anneal;
+//!   like a real anneal, through an 8-slice width-1 batch;
 //! * `sa_glass_batched_r{1,4,8}` — R replicas through one replica batch
 //!   against R back-to-back naive ladders on the glass (the
 //!   accept-dominated regime where the compiled kernel's win is
@@ -61,7 +63,7 @@
 //!   windows run at, in ns per spin proposal; asserted bit-identical.
 
 use criterion::{measure_each, Summary};
-use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use quamax_anneal::kernel::{CompiledChains, ReplicaBatch};
 use quamax_anneal::schedule::curves;
 use quamax_anneal::{draws, sa, AnnealerConfig, IceModel, Isa, WindowCoefficients};
 use quamax_bench::kernelbench as kb;
@@ -178,7 +180,7 @@ impl WindowBench {
     /// The window's setup; returns the keys.
     fn set_up(&self, batch: &mut ReplicaBatch, rngs: &mut [StdRng]) -> Vec<u64> {
         let problems = vec![&self.compiled; self.width];
-        batch.reset_per_replica(&self.compiled, self.width);
+        batch.reset_per_replica(&self.compiled, 1, self.width);
         batch.bind_window_ice(&problems, &self.ice, rngs);
         for (r, rng) in rngs.iter_mut().enumerate() {
             batch.draw_replica(r, rng);
@@ -227,8 +229,8 @@ impl WindowBench {
         );
         for r in 0..self.width {
             assert_eq!(
-                scalar.replica_spins(r),
-                dispatched.replica_spins(r),
+                scalar.replica_spins(r, 0),
+                dispatched.replica_spins(r, 0),
                 "{name}: the dispatched kernel ({:?}) left other spins than the scalar reference (replica {r})",
                 Isa::detect()
             );
@@ -418,8 +420,8 @@ fn main() {
         let mut spins = kb::random_spins(n, &mut StdRng::seed_from_u64(3));
         let mut rng_n = StdRng::seed_from_u64(4);
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(&compiled, 1);
-        batch.init_replica(&compiled, 0, &spins);
+        batch.reset_shared(&compiled, 1, 1);
+        batch.init_replica(&compiled, 0, 0, &spins);
         let mut rng_c = [StdRng::seed_from_u64(4)];
         let (naive, fast) = interleave(
             samples,
@@ -462,9 +464,11 @@ fn main() {
             .collect();
         let mut replicas = starts.clone();
         let mut rng_n = StdRng::seed_from_u64(6);
-        let mut batch = SqaReplicaBatch::new();
+        let mut batch = ReplicaBatch::new();
         batch.reset_shared(&compiled, slices, 1);
-        batch.init_replica(&compiled, 0, |k, i| starts[k][i]);
+        for (k, start) in starts.iter().enumerate() {
+            batch.init_replica(&compiled, 0, k, start);
+        }
         let mut rng_c = [StdRng::seed_from_u64(6)];
         let (naive, fast) = interleave(
             samples,
@@ -478,7 +482,7 @@ fn main() {
             |k| {
                 measure_each(k, || {
                     kb::compiled_sqa_ladder(&compiled, &mut batch, &mut rng_c);
-                    black_box(batch.spin(0, 0, 0))
+                    black_box(batch.spin(0, 0))
                 })
             },
         );
@@ -509,9 +513,9 @@ fn main() {
             let mut naive_rngs = streams();
 
             let mut batch = ReplicaBatch::new();
-            batch.reset_shared(&compiled, width);
+            batch.reset_shared(&compiled, 1, width);
             for r in 0..width {
-                batch.init_replica(&compiled, r, &start(r));
+                batch.init_replica(&compiled, r, 0, &start(r));
             }
             let mut batch_rngs = streams();
 
@@ -555,8 +559,8 @@ fn main() {
                 .collect()
         };
         let (mut reference, mut window) = (ReplicaBatch::new(), ReplicaBatch::new());
-        reference.reset_per_replica(&compiled, width);
-        window.reset_per_replica(&compiled, width);
+        reference.reset_per_replica(&compiled, 1, width);
+        window.reset_per_replica(&compiled, 1, width);
         let mut scratch = compiled.clone();
         let (mut reference_rngs, mut window_rngs) = (streams(), streams());
         let problems = vec![&compiled; width];
@@ -583,11 +587,11 @@ fn main() {
         // from one shared state, bit for bit.
         let state = kb::random_spins(compiled.num_spins(), &mut StdRng::seed_from_u64(71));
         for r in 0..width {
-            reference.init_replica(&compiled, r, &state);
-            window.init_replica(&compiled, r, &state);
+            reference.init_replica(&compiled, r, 0, &state);
+            window.init_replica(&compiled, r, 0, &state);
             assert_eq!(
-                reference.energy(r).to_bits(),
-                window.energy(r).to_bits(),
+                reference.energy(r, 0).to_bits(),
+                window.energy(r, 0).to_bits(),
                 "window ICE bind diverged from refreeze + bind (replica {r})"
             );
             for i in 0..compiled.num_spins() {
@@ -649,7 +653,7 @@ fn main() {
             rounds,
             |k| {
                 measure_each(k, || {
-                    reference.reset_per_replica(&compiled, width);
+                    reference.reset_per_replica(&compiled, 1, width);
                     reference.bind_window_ice(&problems, &ice, &mut reference_rngs);
                     for (r, rng) in reference_rngs.iter_mut().enumerate() {
                         reference.init_replica_random(&compiled, r, rng);
@@ -659,7 +663,7 @@ fn main() {
             },
             |k| {
                 measure_each(k, || {
-                    strips.reset_per_replica(&compiled, width);
+                    strips.reset_per_replica(&compiled, 1, width);
                     strips.bind_window_ice(&problems, &ice, &mut strip_rngs);
                     for (r, rng) in strip_rngs.iter_mut().enumerate() {
                         strips.draw_replica(r, rng);
@@ -847,7 +851,7 @@ fn main() {
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch/SqaReplicaBatch (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins, one key per replica and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), scalar = the one-proposal-at-a-time counter-based reference, window = the kernel dispatched to the host's widest instruction set (isa), asserted bit-identical (spins, field bits, next draws), speedup reported; lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); vpp_clique_1088q_rN = the same scalar-vs-dispatched windows at a metro VPP precode's shape (64-variable clique embedding, 1088 qubits, 40 sweeps) at width N, in ns per spin proposal (asserted bit-identical); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch, one slice for SA and 8 Trotter slices for sqa_embedded_960q_8slice (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins, one key per replica and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), scalar = the one-proposal-at-a-time counter-based reference, window = the kernel dispatched to the host's widest instruction set (isa), asserted bit-identical (spins, field bits, next draws), speedup reported; lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); vpp_clique_1088q_rN = the same scalar-vs-dispatched windows at a metro VPP precode's shape (64-variable clique embedding, 1088 qubits, 40 sweeps) at width N, in ns per spin proposal (asserted bit-identical); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
         "rows": rows,
     });
     if !quick {

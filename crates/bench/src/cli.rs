@@ -3,10 +3,11 @@
 //! Each binary declares the keys (`--key value`) and bare flags
 //! (`--flag`) it accepts. Anything else — an unknown or misspelt
 //! option, a key without its value, a flag given one, a positional
-//! argument — is an error, so a rerun with a typo never silently runs
-//! the defaults.
+//! argument, a value of the wrong type or out of range — is an error,
+//! so a rerun with a typo never silently runs the defaults.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command-line arguments: `--key value` pairs and bare
 /// `--flag`s (a key followed by another `--key` or end of input).
@@ -14,6 +15,8 @@ use std::collections::BTreeMap;
 pub struct Args {
     values: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// The usage line printed with a rejected value.
+    usage: String,
 }
 
 impl Args {
@@ -30,11 +33,10 @@ impl Args {
                     .map_or(path.clone(), |name| name.to_string_lossy().into_owned())
             })
             .unwrap_or_default();
-        Self::from_iter(argv, keys, flags).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            eprintln!("{}", usage(&bin, keys, flags));
-            std::process::exit(2);
-        })
+        let usage = usage(&bin, keys, flags);
+        let args =
+            Self::from_iter(argv, keys, flags).unwrap_or_else(|err| exit_usage(&err, &usage));
+        Args { usage, ..args }
     }
 
     /// Parses an explicit argument list against the accepted `keys`
@@ -76,34 +78,63 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
-    /// A `usize` value with default.
+    /// A `usize` value with default. A value that is not a whole
+    /// number prints the error and the usage line and exits with
+    /// status 2, as [`Args::parse`] does.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v}"))
-        })
+        self.or_exit(self.parsed(key, default, "an integer"))
     }
 
-    /// An `f64` value with default.
+    /// A `usize` value of at least `min`, with default; anything else
+    /// exits 2 as [`Args::get_usize`] does.
+    pub fn get_usize_at_least(&self, key: &str, default: usize, min: usize) -> usize {
+        self.or_exit(self.at_least(key, default, min))
+    }
+
+    /// An `f64` value with default; a value that is not a number exits
+    /// 2 as [`Args::get_usize`] does.
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key).map_or(default, |v| {
+        self.or_exit(self.parsed(key, default, "a number"))
+    }
+
+    /// A `u64` value with default; a value that is not a whole number
+    /// exits 2 as [`Args::get_usize`] does.
+    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
+        self.or_exit(self.parsed(key, default, "an integer"))
+    }
+
+    /// `key`'s value parsed as `what`, or `default` when absent.
+    fn parsed<T: FromStr>(&self, key: &str, default: T, what: &str) -> Result<T, String> {
+        self.get(key).map_or(Ok(default), |v| {
             v.parse()
-                .unwrap_or_else(|_| panic!("--{key} expects a number, got {v}"))
+                .map_err(|_| format!("--{key} expects {what}, got {v}"))
         })
     }
 
-    /// A `u64` value with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v}"))
-        })
+    /// `key`'s `usize` value, rejected below `min`.
+    fn at_least(&self, key: &str, default: usize, min: usize) -> Result<usize, String> {
+        let value = self.parsed(key, default, "an integer")?;
+        if value < min {
+            return Err(format!("--{key} must be at least {min}, got {value}"));
+        }
+        Ok(value)
+    }
+
+    fn or_exit<T>(&self, value: Result<T, String>) -> T {
+        value.unwrap_or_else(|err| exit_usage(&err, &self.usage))
     }
 
     /// Whether a bare flag was passed.
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+}
+
+/// Prints `err` and the usage line to stderr and exits with status 2.
+fn exit_usage(err: &str, usage: &str) -> ! {
+    eprintln!("error: {err}");
+    eprintln!("{usage}");
+    std::process::exit(2);
 }
 
 /// `usage: bin [--key V]… [--flag]…`.
@@ -152,10 +183,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expects an integer")]
-    fn bad_integer_panics() {
-        let a = args(&["--anneals", "many"]);
-        let _ = a.get_usize("anneals", 0);
+    fn bad_values_are_rejected() {
+        let a = args(&["--anneals", "many", "--seed", "3.0", "--snr", "loud"]);
+        let err = a.parsed::<usize>("anneals", 0, "an integer").unwrap_err();
+        assert_eq!(err, "--anneals expects an integer, got many");
+        let err = a.parsed::<u64>("seed", 0, "an integer").unwrap_err();
+        assert_eq!(err, "--seed expects an integer, got 3.0");
+        let err = a.parsed::<f64>("snr", 0.0, "a number").unwrap_err();
+        assert_eq!(err, "--snr expects a number, got loud");
+        // `--slices` below the bound (SQA needs two Trotter slices).
+        let a = Args::from_iter(["--slices", "1"].map(String::from), &["slices"], &[]).unwrap();
+        let err = a.at_least("slices", 8, 2).unwrap_err();
+        assert_eq!(err, "--slices must be at least 2, got 1");
+        assert_eq!(a.at_least("slices", 8, 1), Ok(1));
+        assert_eq!(args(&[]).at_least("anneals", 8, 2), Ok(8));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! the same proposal sequence through the CSR/local-field replica
 //! kernel (the "compiled" rows are its width-1 batches).
 
-use quamax_anneal::kernel::{CompiledChains, ReplicaBatch, SqaReplicaBatch};
+use quamax_anneal::kernel::{CompiledChains, ReplicaBatch};
 use quamax_anneal::{sa, sqa};
 use quamax_chimera::{ChimeraGraph, CliqueEmbedding, EmbedParams, EmbeddedProblem};
 use quamax_core::reduce::ising_from_ml;
@@ -153,7 +153,7 @@ pub fn naive_sqa_sweep(
 /// restricted to the same move set as [`naive_sqa_sweep`] (no chains).
 pub fn compiled_sqa_sweep(
     problem: &CompiledProblem,
-    batch: &mut SqaReplicaBatch,
+    batch: &mut ReplicaBatch,
     w_problem: f64,
     gamma: f64,
     rngs: &mut [StdRng],
@@ -189,7 +189,7 @@ pub fn naive_sqa_ladder(
 /// kernel.
 pub fn compiled_sqa_ladder(
     problem: &CompiledProblem,
-    batch: &mut SqaReplicaBatch,
+    batch: &mut ReplicaBatch,
     rngs: &mut [StdRng],
 ) {
     for &s in &SQA_LADDER_FRACTIONS {
@@ -239,15 +239,17 @@ mod tests {
             .map(|_| random_spins(6, &mut StdRng::seed_from_u64(9)))
             .collect();
         let mut replicas = init.clone();
-        let mut batch = SqaReplicaBatch::new();
+        let mut batch = ReplicaBatch::new();
         batch.reset_shared(&c, 4, 1);
-        batch.init_replica(&c, 0, |k, i| init[k][i]);
+        for (k, start) in init.iter().enumerate() {
+            batch.init_replica(&c, 0, k, start);
+        }
         for _ in 0..20 {
             naive_sqa_sweep(&p, &mut replicas, w, gamma, &mut rng_a);
             compiled_sqa_sweep(&c, &mut batch, w, gamma, &mut rng_b);
         }
         for (k, replica) in replicas.iter().enumerate() {
-            assert_eq!(batch.replica_slice(0, k), replica[..]);
+            assert_eq!(batch.replica_spins(0, k), replica[..]);
         }
     }
 }

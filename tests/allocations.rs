@@ -2,6 +2,8 @@
 //! shape is compiled and the annealer thread has run a window of it, a
 //! compile is a structure lookup plus per-interval coefficients, and a
 //! batch allocates nothing sized by the structure's replica windows.
+//! The same holds for a warm SQA run, whose windows reuse the one
+//! replica batch the thread's SA windows run in.
 //!
 //! This binary counts every allocation of the measuring thread through
 //! its own `#[global_allocator]`, and runs the annealer on that thread
@@ -10,6 +12,7 @@
 //! warm batch shares the structure and copies only coefficients.
 //! `cargo test --release --test allocations -- --nocapture` prints them.
 
+use quamax::anneal::{AnnealJob, CompiledChains};
 use quamax::prelude::*;
 use quamax_chimera::{ChimeraGraph, CliqueEmbedding, EmbedParams, EmbeddedProblem};
 use quamax_core::{Instance, VppPrecoder};
@@ -26,7 +29,7 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<u64> = const { Cell::new(0) };
     /// Byte sizes counted into `WATCHED` (0 = none).
-    static WATCH: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    static WATCH: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
     static WATCHED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -107,10 +110,9 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
     (out, counted)
 }
 
-/// Byte sizes of the frozen CSR structure of the 48-user BPSK clique
-/// embedding on the ideal chip: `offsets`, and `neighbors` (the twin
-/// table is as long). Copying the structure allocates both.
-fn structure_sizes_48u(num_physical: usize) -> [u64; 2] {
+/// A 48-user clique problem embedded on the ideal chip, the shape of
+/// the 48-user BPSK headline decode.
+fn embedded_48u() -> EmbeddedProblem {
     let graph = ChimeraGraph::dw2q_ideal();
     let mut logical = IsingProblem::new(48);
     for i in 0..48 {
@@ -119,12 +121,20 @@ fn structure_sizes_48u(num_physical: usize) -> [u64; 2] {
         }
     }
     let embedding = CliqueEmbedding::new(&graph, 48).expect("fits the chip");
-    let embedded = EmbeddedProblem::compile(&graph, &embedding, &logical, EmbedParams::default());
-    let compiled = CompiledProblem::new(embedded.problem());
+    EmbeddedProblem::compile(&graph, &embedding, &logical, EmbedParams::default())
+}
+
+/// Byte sizes of the frozen CSR structure of the 48-user BPSK clique
+/// embedding on the ideal chip: `offsets`, and `neighbors` (the twin
+/// table is as long). Copying the structure allocates both.
+fn structure_sizes_48u(num_physical: usize) -> [u64; 4] {
+    let compiled = CompiledProblem::new(embedded_48u().problem());
     assert_eq!(compiled.num_spins(), num_physical, "another embedding");
     [
         ((num_physical + 1) * 4) as u64,
         (compiled.num_entries() * 4) as u64,
+        0,
+        0,
     ]
 }
 
@@ -179,7 +189,7 @@ fn warm_decode_allocates_no_window_buffer() {
     let (session, compile) = measure(|| decoder.compile(&input).unwrap());
     WATCH.with(|w| w.set(structure_sizes_48u(session.num_physical())));
     let (runs, batch) = measure(|| session.decode_batch(&items, 10));
-    WATCH.with(|w| w.set([0; 2]));
+    WATCH.with(|w| w.set([0; 4]));
     assert_eq!(runs.len(), items.len());
     // The smallest buffer of an 8-wide replica window: one f64 per
     // replica per physical qubit (the fields or linear strips).
@@ -236,5 +246,54 @@ fn warm_precode_allocates_no_window_buffer() {
         batch.largest < window_buffer,
         "a warm precode_batch allocated {} B at once, a replica window's worth ({window_buffer} B)",
         batch.largest
+    );
+}
+
+#[test]
+fn warm_sqa_run_allocates_no_slice_strip() {
+    let embedded = embedded_48u();
+    let structure = CompiledProblem::new(embedded.problem());
+    let chains = CompiledChains::compile(&structure, embedded.chains());
+    let slices = 4;
+    let annealer = Annealer::new(AnnealerConfig {
+        backend: Backend::Sqa { slices },
+        sweeps_per_us: 4.0,
+        threads: 1,
+        ..Default::default()
+    });
+    let schedule = Schedule::standard(1.0);
+    // Twelve anneals run as an 8-wide and a 4-wide window.
+    let run = |seed: u64| {
+        let job = AnnealJob {
+            problem: &structure,
+            init: None,
+            num_anneals: 12,
+            seed,
+        };
+        annealer.run_jobs(&structure, &chains, &schedule, &[job])
+    };
+    run(1);
+
+    // A slice strip of either window: P·n·W spins (1 B) or fields (8 B).
+    let n = structure.num_spins();
+    let strips = [8, 4].map(|width| (slices * n * width) as u64);
+    WATCH.with(|w| w.set([strips[0], 8 * strips[0], strips[1], 8 * strips[1]]));
+    let (samples, warm) = measure(|| run(2));
+    WATCH.with(|w| w.set([0; 4]));
+    assert_eq!(samples[0].len(), 12);
+    eprintln!(
+        "48u embedded SQA warm run_jobs (P = {slices}, 12 anneals): {warm}; smallest slice strip {} B",
+        strips[1]
+    );
+    assert_eq!(
+        warm.watched, 0,
+        "a warm SQA run made {} allocations the size of a slice strip",
+        warm.watched
+    );
+    assert!(
+        warm.largest < strips[1],
+        "a warm SQA run allocated {} B at once, a slice strip's worth ({} B)",
+        warm.largest,
+        strips[1]
     );
 }

@@ -83,9 +83,9 @@ fn set_up(
 ) -> Vec<u64> {
     let width = rngs.len();
     match problems {
-        None => batch.reset_shared(structure, width),
+        None => batch.reset_shared(structure, 1, width),
         Some((problems, ice)) => {
-            batch.reset_per_replica(structure, width);
+            batch.reset_per_replica(structure, 1, width);
             batch.bind_window_ice(problems, ice, rngs);
         }
     }
@@ -102,8 +102,8 @@ fn assert_same(a: &ReplicaBatch, b: &ReplicaBatch, what: &str) {
     assert_eq!(a.width(), b.width());
     for r in 0..a.width() {
         assert_eq!(
-            a.replica_spins(r),
-            b.replica_spins(r),
+            a.replica_spins(r, 0),
+            b.replica_spins(r, 0),
             "{what}: replica {r}"
         );
         for i in 0..a.num_spins() {
@@ -305,10 +305,10 @@ fn samples_do_not_depend_on_the_order_inside_a_class() {
         // The dispatched kernel samples the same: every sum is exact,
         // so incremental fields equal recomputed ones.
         let mut batch = ReplicaBatch::new();
-        batch.reset_shared(&compiled, 1);
-        batch.init_replica(&compiled, 0, &start);
+        batch.reset_shared(&compiled, 1, 1);
+        batch.init_replica(&compiled, 0, 0, &start);
         let no_chains = CompiledChains::default();
         batch.anneal(Isa::detect(), &compiled, &no_chains, &betas, &[key]);
-        assert_eq!(batch.replica_spins(0), class_order);
+        assert_eq!(batch.replica_spins(0, 0), class_order);
     }
 }
