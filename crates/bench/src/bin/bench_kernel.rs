@@ -32,7 +32,8 @@
 //!   the same ziggurat deviates from each replica's stream and writes
 //!   the window entry-major, one contiguous strip per coefficient. The
 //!   run asserts both leave identical coefficients bound and that the
-//!   window bind is ≥ 1.2× faster;
+//!   window bind is ≥ 1.2× faster, over 48 interleaved rounds where the
+//!   other rows take 6;
 //! * `ice_normals` — ns per standard-normal deviate, the ICE sampler
 //!   (256-layer ziggurat) against the polar method that channels and
 //!   noise draw from, over one replica's `n + m` deviates of that
@@ -61,6 +62,11 @@
 //!   metro VPP precode (the 64-variable clique embedding, 1 088 qubits,
 //!   the default 40 sweeps) at the small widths 1 and 4 that its 4 + 1
 //!   windows run at, in ns per spin proposal; asserted bit-identical.
+//!
+//! A speedup compares two kernels only within one interleaved run:
+//! between full runs on a shared host the same binary's speedups swing
+//! by about ±0.4×, so two `BENCH_kernel.json` files cannot rank kernels
+//! closer than that.
 
 use criterion::{measure_each, Summary};
 use quamax_anneal::kernel::{CompiledChains, ReplicaBatch};
@@ -117,6 +123,13 @@ struct IceBindRow {
 impl IceBindRow {
     const NAME: &'static str = "ice_bind_embedded_624q_r8";
     const WIDTH: usize = 8;
+    /// Interleaved rounds in both modes. A round of this cheap row
+    /// lasts milliseconds, so a few rounds fit inside one burst of a
+    /// neighbor's load, and a burst that spares only the first
+    /// reference block read as a failed gate (about one full run in
+    /// ten at six rounds). Spreading the row over many short rounds
+    /// gives each side quiet blocks to take its minimum from.
+    const ROUNDS: usize = 48;
 
     fn speedup(&self) -> f64 {
         self.reference.min_ns / self.window.min_ns
@@ -566,7 +579,7 @@ fn main() {
         let problems = vec![&compiled; width];
         let (reference_time, window_time) = interleave(
             samples,
-            rounds,
+            IceBindRow::ROUNDS,
             |k| {
                 measure_each(k, || {
                     for (r, rng) in reference_rngs.iter_mut().enumerate() {
@@ -851,7 +864,7 @@ fn main() {
     let doc = serde_json::json!({
         "name": "BENCH_kernel",
         "unit": "ns per sweep pass",
-        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch, one slice for SA and 8 Trotter slices for sqa_embedded_960q_8slice (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins, one key per replica and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), scalar = the one-proposal-at-a-time counter-based reference, window = the kernel dispatched to the host's widest instruction set (isa), asserted bit-identical (spins, field bits, next draws), speedup reported; lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); vpp_clique_1088q_rN = the same scalar-vs-dispatched windows at a metro VPP precode's shape (64-variable clique embedding, 1088 qubits, 40 sweeps) at width N, in ns per spin proposal (asserted bit-identical); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine",
+        "note": "naive = adjacency-list flip_delta per proposal; compiled = CSR + incremental local fields through a width-1 ReplicaBatch, one slice for SA and 8 Trotter slices for sqa_embedded_960q_8slice (asserted >= 2x on sa_embedded_960q); sa_glass_batched_rN = N replicas through one ReplicaBatch (one CSR row walk per proposed spin, amortized across replicas) vs N back-to-back naive ladders (asserted >= 1.25x at N = 8) — replicas_per_second counts full beta-ladder passes; ice_bind_embedded_624q_r8 = one 8-replica window's per-anneal ICE refreeze of the 48-user embedded problem, reference IceModel::refreeze + bind_replica per replica vs one bind_window_ice (ziggurat deviates from each replica's stream, then one entry-major pass writing each coefficient's 8-wide strip; asserted bit-identical and >= 1.2x), normals = deviates drawn per op; ice_normals = ns per standard-normal deviate over one replica's n + m = 2328 draws, polar standard_normal (channels, noise) vs the 256-layer NormalZiggurat (ICE), min-time per op divided by draws; window_setup_embedded_624q_r8 = microseconds per setup of one 8-replica window of the 48-user embedded problem (reset_per_replica + bind_window_ice + random initial spins and fields), reference init_replica_random per replica vs draw_replica per replica then one strip-wise rebuild_fields (asserted equal spins, field bits and next draw per stream; speedup reported, not asserted); window_embedded_624q_r8 = microseconds per full 8-replica window of the 48-user embedded problem at the uplink operating point (calibrated ICE bind, random initial spins, one key per replica and fields, the 8 sweeps of Ta = 1 us + 1 us pause at 4 sweeps/us with one move per chain after each), scalar = the one-proposal-at-a-time counter-based reference, window = the kernel dispatched to the host's widest instruction set (isa), asserted bit-identical (spins, field bits, next draws), speedup reported; lane_acceptance = accepted share of spin-pass (spin, replica) proposals, chain_lane_acceptance = the same for chain moves' (chain, replica) proposals, and chain_break_fraction = broken share of (chain, replica) pairs at the end of 32 untimed windows (reported, not asserted); vpp_clique_1088q_rN = the same scalar-vs-dispatched windows at a metro VPP precode's shape (64-variable clique embedding, 1088 qubits, 40 sweeps) at width N, in ns per spin proposal (asserted bit-identical); speedups computed from per-block minima, the statistic least contaminated by neighbors on a shared machine (ice_bind_embedded_624q_r8 over 48 interleaved rounds, the other rows over 6); a speedup compares kernels only within one interleaved run — between full runs on a shared host the same binary's speedups swing by about +/-0.4x",
         "rows": rows,
     });
     if !quick {

@@ -34,7 +34,7 @@
 //!   per channel use          (posterior − prior)      (extrinsic out)
 //! ```
 
-use crate::detect::{DetectError, DetectorKind};
+use crate::detect::{DetectorKind, Error};
 use crate::scenario::Instance;
 use crate::soft::{SoftDetectorSession, SoftSpec};
 use quamax_wireless::coding::BlockInterleaver;
@@ -158,7 +158,7 @@ impl CodedFrame {
         snr: Snr,
         payload: &[u8],
         seed: u64,
-    ) -> Result<CodedFrameOutcome, DetectError> {
+    ) -> Result<CodedFrameOutcome, Error> {
         let mut rng = StdRng::seed_from_u64(seed);
         let tx = self.tx_stream(payload);
         let mut rx_bits = Vec::with_capacity(tx.len());
@@ -362,7 +362,7 @@ impl CodedFrame {
         snr: Snr,
         payload: &[u8],
         seed: u64,
-    ) -> Result<IddOutcome, DetectError> {
+    ) -> Result<IddOutcome, Error> {
         assert!(idd.max_iters > 0, "IDD needs at least one iteration");
         let mut rng = StdRng::seed_from_u64(seed);
         let tx = self.tx_stream(payload);

@@ -16,6 +16,7 @@
 //! the paper's per-instance metrics (Eq. 9, TTB) are order statistics
 //! over it, not just the best answer.
 
+use crate::detect::Error;
 use crate::reduce::MlReduction;
 use crate::scenario::DetectionInput;
 use quamax_anneal::{AnnealJob, Annealer, CompiledChains, Schedule, SolutionDistribution};
@@ -53,29 +54,6 @@ impl Default for DecoderConfig {
     }
 }
 
-/// Why a decode could not run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The problem does not fit the chip (Table 2's bold region).
-    Embedding(EmbeddingError),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Embedding(e) => write!(f, "embedding failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-impl From<EmbeddingError> for DecodeError {
-    fn from(e: EmbeddingError) -> Self {
-        DecodeError::Embedding(e)
-    }
-}
-
 /// The QuAMax decoder: an annealer plus chip model plus configuration.
 pub struct QuamaxDecoder {
     annealer: Annealer,
@@ -91,12 +69,7 @@ pub struct QuamaxDecoder {
 impl QuamaxDecoder {
     /// A decoder on an ideal DW2Q chip.
     pub fn new(annealer: Annealer, config: DecoderConfig) -> Self {
-        QuamaxDecoder {
-            annealer,
-            graph: ChimeraGraph::dw2q_ideal(),
-            config,
-            telemetry: Telemetry::disabled(),
-        }
+        Self::with_graph(annealer, ChimeraGraph::dw2q_ideal(), config)
     }
 
     /// A decoder on a specific chip (e.g. with a defect map).
@@ -141,7 +114,7 @@ impl QuamaxDecoder {
         input: &DetectionInput,
         num_anneals: usize,
         rng: &mut R,
-    ) -> Result<DecodeRun, DecodeError> {
+    ) -> Result<DecodeRun, Error> {
         // One-shot decode = a single-use session.
         Ok(self
             .compile(input)?
@@ -162,7 +135,7 @@ impl QuamaxDecoder {
         num_anneals: usize,
         candidate_gray_bits: &[u8],
         rng: &mut R,
-    ) -> Result<DecodeRun, DecodeError> {
+    ) -> Result<DecodeRun, Error> {
         assert!(
             self.config.schedule.is_reverse(),
             "decode_reverse needs a Schedule::reverse configuration"
@@ -191,7 +164,7 @@ impl QuamaxDecoder {
     /// tables and coupler slots — which depends only on the chip, the
     /// problem size, the coupling pattern and the embedding parameters,
     /// and is built once per process for each.
-    pub fn compile(&self, input: &DetectionInput) -> Result<DecodeSession, DecodeError> {
+    pub fn compile(&self, input: &DetectionInput) -> Result<DecodeSession, Error> {
         let reduction = MlReduction::new(&input.h, input.modulation);
         self.telemetry.counter_inc(
             "quamax_core_reduce_total",
@@ -949,7 +922,7 @@ mod tests {
         let inst = sc.sample(&mut rng);
         let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
         match decoder.decode(&inst.detection_input(), 1, &mut rng) {
-            Err(DecodeError::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
+            Err(Error::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
             other => panic!("expected DoesNotFit, got {other:?}"),
         }
     }
@@ -1227,7 +1200,7 @@ mod tests {
         let inst = sc.sample(&mut rng);
         let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
         match decoder.compile(&inst.detection_input()) {
-            Err(DecodeError::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
+            Err(Error::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
             other => panic!("expected DoesNotFit, got {:?}", other.err()),
         }
     }

@@ -20,10 +20,15 @@
 //! * [`DetectorKind`] — the registry: every backend (and the hybrid
 //!   router) constructible from one enum, so sweeps, sims, and
 //!   examples treat detectors as *values* and iterate over them;
-//! * [`DetectorKind::Hybrid`] — the HotNets routing structure: a cheap
-//!   linear session answers first, and only problems whose residual
-//!   fails a [`RoutePolicy`] are re-decoded by the expensive (annealed
-//!   or sphere) session.
+//! * [`Router`] — the HotNets routing structure, one type for both
+//!   directions: a cheap session answers first, and only answers whose
+//!   objective per antenna fails a [`RoutePolicy`] go to the expensive
+//!   (annealed or sphere) session. [`DetectorKind::Hybrid`] routes
+//!   detections on the ML residual; `PrecoderKind::Hybrid` in
+//!   [`crate::precode`] routes precodings on the transmit power;
+//! * [`Error`] — the one error of every compile, detect, decode and
+//!   precode path, classified ([`Error::class`]) for the serving
+//!   layer's retries.
 //!
 //! Each backend has exactly one session struct, defined in
 //! [`crate::soft`] beside its LLR derivation: it implements both
@@ -37,38 +42,41 @@
 //!
 //! [`SoftDetectorSession`]: crate::soft::SoftDetectorSession
 
-use crate::decoder::{DecodeError, DecodeRun, DecoderConfig};
+use crate::decoder::{DecodeRun, DecoderConfig};
 use crate::scenario::DetectionInput;
 use crate::soft::SoftSpec;
 use quamax_anneal::Annealer;
 use quamax_baselines::{MmseFilter, SphereError, ZfFilter};
+use quamax_chimera::EmbeddingError;
 use quamax_linalg::{CMatrix, CVector, LinalgError};
 use quamax_wireless::{Modulation, Snr};
 
-/// Why a detector could not compile or decode.
+/// Why a compile, detect, decode or precode failed — the one error of
+/// every path in this crate, uplink and downlink alike.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DetectError {
-    /// The annealed path failed (problem does not embed on the chip).
-    Decode(DecodeError),
-    /// A linear filter could not be formed (rank-deficient channel).
+pub enum Error {
+    /// The problem does not fit the chip (Table 2's bold region).
+    Embedding(EmbeddingError),
+    /// A linear filter, precoding matrix or factorization could not be
+    /// formed (rank-deficient or mis-shaped channel).
     Linalg(LinalgError),
     /// The sphere search returned no leaf (radius or node budget).
     Sphere(SphereError),
 }
 
-impl std::fmt::Display for DetectError {
+impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DetectError::Decode(e) => write!(f, "annealed decode failed: {e}"),
-            DetectError::Linalg(e) => write!(f, "linear filter failed: {e}"),
-            DetectError::Sphere(e) => write!(f, "sphere search failed: {e}"),
+            Error::Embedding(e) => write!(f, "embedding failed: {e}"),
+            Error::Linalg(e) => write!(f, "linear algebra failed: {e}"),
+            Error::Sphere(e) => write!(f, "sphere search failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for DetectError {}
+impl std::error::Error for Error {}
 
-/// Whether a failed detect/compile is worth retrying.
+/// Whether a failed compile, detect or precode is worth retrying.
 ///
 /// The serving layer (`quamax_ran`) threads this classification through
 /// its retry and circuit-breaker machinery: a **transient** error can
@@ -84,7 +92,7 @@ pub enum ErrorClass {
     Permanent,
 }
 
-impl DetectError {
+impl Error {
     /// Classifies this error for retry decisions.
     ///
     /// * embedding failures are **permanent**: the problem does not fit
@@ -96,37 +104,36 @@ impl DetectError {
     ///   relax.
     pub fn class(&self) -> ErrorClass {
         match self {
-            DetectError::Decode(DecodeError::Embedding(_)) => ErrorClass::Permanent,
-            DetectError::Linalg(_) => ErrorClass::Permanent,
-            DetectError::Sphere(_) => ErrorClass::Transient,
+            Error::Embedding(_) | Error::Linalg(_) => ErrorClass::Permanent,
+            Error::Sphere(_) => ErrorClass::Transient,
         }
     }
 
-    /// `true` when a retry may succeed (see [`DetectError::class`]).
+    /// `true` when a retry may succeed (see [`Error::class`]).
     pub fn is_transient(&self) -> bool {
         self.class() == ErrorClass::Transient
     }
 }
 
-impl From<DecodeError> for DetectError {
-    fn from(e: DecodeError) -> Self {
-        DetectError::Decode(e)
+impl From<EmbeddingError> for Error {
+    fn from(e: EmbeddingError) -> Self {
+        Error::Embedding(e)
     }
 }
 
-impl From<LinalgError> for DetectError {
+impl From<LinalgError> for Error {
     fn from(e: LinalgError) -> Self {
-        DetectError::Linalg(e)
+        Error::Linalg(e)
     }
 }
 
-impl From<SphereError> for DetectError {
+impl From<SphereError> for Error {
     fn from(e: SphereError) -> Self {
-        DetectError::Sphere(e)
+        Error::Sphere(e)
     }
 }
 
-/// Which way a [`DetectorKind::Hybrid`] router sent a problem.
+/// Which way a [`Router`] sent a problem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
     /// The cheap primary session's answer was accepted.
@@ -223,7 +230,7 @@ pub trait Detector {
     /// Compiles the `H`-only work for one coherence interval.
     /// `input.y` shapes the compile only (any received vector of the
     /// interval works).
-    fn compile(&self, input: &DetectionInput) -> Result<Self::Session, DetectError>;
+    fn compile(&self, input: &DetectionInput) -> Result<Self::Session, Error>;
 }
 
 /// The per-received-vector side of a detector. `seed` drives any
@@ -232,7 +239,7 @@ pub trait Detector {
 /// deterministic backends ignore it.
 pub trait DetectorSession {
     /// Detects one received vector through the compiled state.
-    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError>;
+    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, Error>;
 
     /// Modulation the session was compiled for.
     fn modulation(&self) -> Modulation;
@@ -245,7 +252,7 @@ pub trait DetectorSession {
 }
 
 impl<S: DetectorSession + ?Sized> DetectorSession for Box<S> {
-    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
+    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, Error> {
         (**self).detect(y, seed)
     }
     fn modulation(&self) -> Modulation {
@@ -330,17 +337,21 @@ impl LinearFilter for MmseFilter {
 
 // --- Hybrid routing -------------------------------------------------
 
-/// The confidence policy of a [`DetectorKind::Hybrid`] router: accept the primary
-/// session's answer when its ML residual `‖y − Hv̂‖²`, normalized per
-/// receive antenna, is small enough to be plain channel noise.
+/// The confidence policy of a [`Router`]: accept the primary session's
+/// answer when its objective, normalized per antenna, is small enough.
+/// On the uplink the objective is the ML residual `‖y − Hv̂‖²` per
+/// receive antenna, which a correct decode keeps at plain channel
+/// noise; on the downlink it is the transmit power `‖x‖²` per transmit
+/// antenna, which a near-singular channel blows up — exactly where
+/// perturbation search pays.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutePolicy {
-    /// Maximum accepted residual per receive antenna.
+    /// Maximum accepted primary objective per antenna.
     pub max_residual_per_antenna: f64,
 }
 
 impl RoutePolicy {
-    /// A policy from an absolute per-antenna residual bound.
+    /// A policy from an absolute per-antenna bound.
     pub fn new(max_residual_per_antenna: f64) -> Self {
         assert!(
             max_residual_per_antenna >= 0.0,
@@ -351,14 +362,130 @@ impl RoutePolicy {
         }
     }
 
-    /// The noise-matched policy: under a *correct* decode the residual
-    /// is pure AWGN with mean `Nr·σ²`, so accept up to `margin × σ²`
-    /// per antenna (`margin` ≈ 2–4 tolerates noise fluctuation;
-    /// residuals above that mean the linear filter likely sliced at
-    /// least one user wrong).
+    /// The noise-matched detection policy: under a *correct* decode the
+    /// residual is pure AWGN with mean `Nr·σ²`, so accept up to
+    /// `margin × σ²` per antenna (`margin` ≈ 2–4 tolerates noise
+    /// fluctuation; residuals above that mean the linear filter likely
+    /// sliced at least one user wrong).
     pub fn noise_matched(snr: Snr, modulation: Modulation, margin: f64) -> Self {
         assert!(margin > 0.0, "margin must be positive");
         RoutePolicy::new(margin * snr.noise_variance(modulation))
+    }
+}
+
+/// An answer a [`Router`] can gate and tag: a hard or soft detection,
+/// or a precoding.
+pub(crate) trait Routed {
+    /// The objective the confidence gate reads (see [`RoutePolicy`]);
+    /// `None` — a backend that cannot price its answer — never passes.
+    fn objective(&self) -> Option<f64>;
+    /// This answer with its statistics wrapped in the route taken and
+    /// the primary objective that decided it.
+    fn routed(self, route: Route, primary_objective: f64) -> Self;
+}
+
+/// The hybrid classical–quantum router over two sessions of one
+/// direction, [`SoftDetectorSession`]s or [`PrecoderSession`]s, both
+/// compiled once per coherence interval: a cheap primary answers every
+/// vector, and only answers whose objective fails the [`RoutePolicy`]
+/// go to the expensive fallback. Routing depends only on the primary's
+/// answer, so a fixed `(H, y, seed)` always routes the same way. The
+/// router is never less available than its parts: a side that cannot
+/// compile sends everything to the other, a per-vector primary failure
+/// routes onward, and a failed fallback returns the primary's answer.
+///
+/// [`SoftDetectorSession`]: crate::soft::SoftDetectorSession
+/// [`PrecoderSession`]: crate::precode::PrecoderSession
+pub struct Router<S: ?Sized> {
+    primary: Option<Box<S>>,
+    fallback: Option<Box<S>>,
+    policy: RoutePolicy,
+    antennas: usize,
+}
+
+impl<S: ?Sized> Router<S> {
+    /// A router over the two sides' compile results. A side that could
+    /// not be formed (a ZF inverse on a rank-deficient channel, an
+    /// unembeddable problem) must not take the router down while the
+    /// other can serve the interval: only a double failure is an error,
+    /// and it reports the fallback's.
+    pub(crate) fn new(
+        primary: Result<Box<S>, Error>,
+        fallback: Result<Box<S>, Error>,
+        policy: RoutePolicy,
+        antennas: usize,
+    ) -> Result<Self, Error> {
+        let primary = primary.ok();
+        let fallback = match fallback {
+            Ok(session) => Some(session),
+            Err(e) if primary.is_none() => return Err(e),
+            Err(_) => None,
+        };
+        Ok(Router {
+            primary,
+            fallback,
+            policy,
+            antennas,
+        })
+    }
+
+    /// The routing body: `ask` runs one side on the vector, so the
+    /// accepted side's answer (bits, LLRs, transmit signal) flows
+    /// through.
+    pub(crate) fn route<T: Routed>(
+        &mut self,
+        ask: impl Fn(&mut S) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let first = match self.primary.as_deref_mut().map(&ask) {
+            Some(Ok(answer)) => answer,
+            // A per-vector primary failure routes onward — unless
+            // there is nothing to route to.
+            Some(Err(e)) if self.fallback.is_none() => return Err(e),
+            // No primary answer: the fallback (present by the compile
+            // invariant and the guard above) carries the vector.
+            _ => {
+                let fallback = self
+                    .fallback
+                    .as_deref_mut()
+                    .expect("compile keeps at least one side");
+                return Ok(ask(fallback)?.routed(Route::Fallback, f64::INFINITY));
+            }
+        };
+        let objective = first.objective().unwrap_or(f64::INFINITY);
+        let accept =
+            objective / self.antennas.max(1) as f64 <= self.policy.max_residual_per_antenna;
+        match self.fallback.as_deref_mut().filter(|_| !accept).map(&ask) {
+            Some(Ok(second)) => Ok(second.routed(Route::Fallback, objective)),
+            // Accepted, nothing to fall back to, or a fallback that
+            // produced nothing (radius/node budget): a low-confidence
+            // primary answer still beats no answer.
+            _ => Ok(first.routed(Route::Primary, objective)),
+        }
+    }
+
+    /// A side that compiled (the fallback when both did) — the one the
+    /// session's shape (modulation, sizes) is read from.
+    pub(crate) fn a_side(&self) -> &S {
+        self.fallback
+            .as_deref()
+            .or(self.primary.as_deref())
+            .expect("compile keeps at least one side")
+    }
+}
+
+impl Routed for Detection {
+    fn objective(&self) -> Option<f64> {
+        self.metric
+    }
+    fn routed(self, route: Route, primary_metric: f64) -> Self {
+        Detection {
+            stats: BackendStats::Hybrid {
+                route,
+                primary_metric,
+                inner: Box::new(self.stats),
+            },
+            ..self
+        }
     }
 }
 
@@ -394,23 +521,11 @@ pub enum DetectorKind {
         /// Anneal cycles per detection.
         anneals: usize,
     },
-    /// The hybrid classical–quantum router: a cheap `primary`
+    /// The hybrid classical–quantum [`Router`]: a cheap `primary`
     /// (typically a linear filter) answers every problem, and only
     /// low-confidence answers are re-decoded by the expensive
-    /// `fallback` (typically the annealed or sphere session).
-    ///
-    /// Routing is *deterministic*: the decision depends only on the
-    /// primary's detection (itself deterministic for linear filters),
-    /// so a fixed `(H, y, seed)` always routes the same way.
-    ///
-    /// The router is never less available than its parts: when one
-    /// side cannot compile at all (a ZF primary on a rank-deficient
-    /// channel, an annealed fallback on a problem too large to embed),
-    /// every problem routes to the side that could; when the fallback
-    /// cannot produce an answer for one vector (e.g. a
-    /// node-budget-capped sphere search), the primary's low-confidence
-    /// answer is returned instead of an error. Compile fails only when
-    /// *neither* side can be formed.
+    /// `fallback` (typically the annealed or sphere session). Compile
+    /// fails only when *neither* side can be formed.
     Hybrid {
         /// The cheap first-pass detector.
         primary: Box<DetectorKind>,
@@ -483,7 +598,7 @@ impl Detector for DetectorKind {
     /// struct [`DetectorKind::compile_soft`] returns, upcast to
     /// `Box<dyn DetectorSession>`. That type has no soft methods, so
     /// the spec passed along is never read.
-    fn compile(&self, input: &DetectionInput) -> Result<Box<dyn DetectorSession>, DetectError> {
+    fn compile(&self, input: &DetectionInput) -> Result<Box<dyn DetectorSession>, Error> {
         Ok(self.compile_soft(input, SoftSpec::new(0.0))?)
     }
 }
@@ -510,7 +625,7 @@ pub fn measured_fallback_fraction(
     scenario: &crate::scenario::Scenario,
     trials: usize,
     seed: u64,
-) -> Result<f64, DetectError> {
+) -> Result<f64, Error> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     if trials == 0 {
@@ -547,6 +662,23 @@ mod tests {
             sweeps_per_us: 50.0,
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn error_class_follows_the_cause() {
+        let fit = EmbeddingError::DoesNotFit {
+            n: 160,
+            needed: 40,
+            available: 16,
+        };
+        assert_eq!(Error::from(fit).class(), ErrorClass::Permanent);
+        assert_eq!(
+            Error::from(LinalgError::Singular).class(),
+            ErrorClass::Permanent
+        );
+        assert!(!Error::from(LinalgError::ShapeMismatch).is_transient());
+        assert!(Error::from(SphereError::BudgetExhausted).is_transient());
+        assert!(Error::from(SphereError::RadiusTooSmall).is_transient());
     }
 
     #[test]
@@ -728,7 +860,7 @@ mod tests {
         };
         assert!(matches!(
             DetectorKind::zf().compile(&input),
-            Err(DetectError::Linalg(LinalgError::Singular))
+            Err(Error::Linalg(LinalgError::Singular))
         ));
         let kind = DetectorKind::hybrid(
             DetectorKind::zf(),
@@ -761,10 +893,7 @@ mod tests {
         assert_eq!(det.bits, zf.detect(&input.y, 4).unwrap().bits);
         // Both sides dead: compile reports the failure.
         let hopeless = DetectorKind::hybrid(quamax.clone(), quamax, RoutePolicy::new(0.0));
-        assert!(matches!(
-            hopeless.compile(&input),
-            Err(DetectError::Decode(_))
-        ));
+        assert!(matches!(hopeless.compile(&input), Err(Error::Embedding(_))));
     }
 
     #[test]
@@ -807,7 +936,7 @@ mod tests {
         };
         assert!(matches!(
             DetectorKind::sphere().compile(&input),
-            Err(DetectError::Linalg(LinalgError::ShapeMismatch))
+            Err(Error::Linalg(LinalgError::ShapeMismatch))
         ));
     }
 
@@ -843,10 +972,7 @@ mod tests {
             RoutePolicy::new(0.0),
         );
         let mut session = hopeless.compile(&input).unwrap();
-        assert!(matches!(
-            session.detect(&input.y, 2),
-            Err(DetectError::Sphere(_))
-        ));
+        assert!(matches!(session.detect(&input.y, 2), Err(Error::Sphere(_))));
     }
 
     #[test]
@@ -912,7 +1038,7 @@ mod tests {
             modulation: Modulation::Bpsk,
         };
         match DetectorKind::zf().compile(&input) {
-            Err(DetectError::Linalg(LinalgError::Singular)) => {}
+            Err(Error::Linalg(LinalgError::Singular)) => {}
             other => panic!("expected singular, got {:?}", other.err()),
         }
     }
@@ -924,7 +1050,7 @@ mod tests {
         let inst = sc.sample(&mut rng);
         let kind = DetectorKind::quamax(quiet_annealer(), DecoderConfig::default(), 10);
         match kind.compile(&inst.detection_input()) {
-            Err(DetectError::Decode(DecodeError::Embedding(_))) => {}
+            Err(Error::Embedding(_)) => {}
             other => panic!("expected embedding failure, got {:?}", other.err()),
         }
     }

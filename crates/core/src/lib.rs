@@ -269,10 +269,10 @@
 //! Classical zero-forcing (`τ → ∞`, `v = 0`) and Tomlinson–Harashima
 //! (greedy successive-modulo) slot in behind the same
 //! [`precode::Precoder`]/[`precode::PrecoderSession`] traits via the
-//! [`precode::PrecoderKind`] registry, and
-//! [`precode::HybridPrecoder`] routes on the primary's realized
-//! transmit power per antenna — the downlink analogue of the
-//! residual-gated detection router.
+//! [`precode::PrecoderKind`] registry, and its `Hybrid` kind is the
+//! detection [`Router`] itself, gated on the primary's realized
+//! transmit power per antenna instead of the ML residual. Both
+//! directions fail with the one classified [`Error`].
 
 pub mod coded;
 pub mod decoder;
@@ -285,17 +285,17 @@ pub mod scenario;
 pub mod soft;
 
 pub use coded::{CodedFrame, CodedFrameOutcome, IddIteration, IddOutcome, IddSpec};
-pub use decoder::{DecodeError, DecodeRun, DecodeSession, DecoderConfig, QuamaxDecoder};
+pub use decoder::{DecodeRun, DecodeSession, DecoderConfig, QuamaxDecoder};
 pub use detect::{
-    measured_fallback_fraction, BackendStats, DetectError, Detection, Detector, DetectorKind,
-    DetectorSession, ErrorClass, Route, RoutePolicy,
+    measured_fallback_fraction, BackendStats, Detection, Detector, DetectorKind, DetectorSession,
+    Error, ErrorClass, Route, RoutePolicy, Router,
 };
 pub use metrics::{percentile, BitErrorProfile, RunStatistics};
 pub use params::CandidateParams;
 pub use precode::{
-    fold_mod_tau, mod_tau, tau_for, HybridPrecoder, PerturbEncoding, PrecodeError, PrecodeInput,
-    PrecodePolicy, PrecodeStats, Precoder, PrecoderKind, PrecoderSession, Precoding, ThpPrecoder,
-    VppModel, VppPrecoder, VppSession, ZfPrecoder,
+    fold_mod_tau, mod_tau, tau_for, PerturbEncoding, PrecodeInput, PrecodeStats, Precoder,
+    PrecoderKind, PrecoderSession, Precoding, ThpPrecodeSession, VppModel, VppPrecoder, VppSession,
+    ZfPrecoder,
 };
 pub use reduce::{ising_from_ml, qubo_from_ml, MlReduction};
 pub use scenario::{DetectionInput, Instance, Scenario};

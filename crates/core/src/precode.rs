@@ -33,17 +33,20 @@
 //! [`PrecoderKind`] is the registry mirror of `detect::DetectorKind`:
 //! classical ZF (`τ→∞`, zero perturbation) and Tomlinson–Harashima
 //! (successive modulo, a greedy `v`) slot in behind the same
-//! [`Precoder`]/[`PrecoderSession`] traits, and [`HybridPrecoder`]
-//! routes by the primary's realized transmit power per antenna.
+//! [`Precoder`]/[`PrecoderSession`] traits, and [`PrecoderKind::Hybrid`]
+//! is the uplink's [`Router`] serving the downlink: the same
+//! availability rules and routing body, gated on the primary's
+//! realized transmit power per transmit antenna. Every path returns
+//! the crate's one [`Error`].
 
-use crate::decoder::{AnnealCore, Annealed, DecodeError, DecoderConfig};
-use crate::detect::{ErrorClass, Route};
+use crate::decoder::{AnnealCore, Annealed, DecoderConfig};
+use crate::detect::{Error, Route, RoutePolicy, Routed, Router};
 use quamax_anneal::{Annealer, Schedule};
-use quamax_chimera::{ChimeraGraph, EmbeddingError};
+use quamax_chimera::ChimeraGraph;
 use quamax_ising::{
     bits_to_spins, qubo_to_ising, spins_to_bits, CompiledProblem, IsingProblem, QuboProblem,
 };
-use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex, LinalgError};
+use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex};
 use quamax_telemetry::Telemetry;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
@@ -102,63 +105,6 @@ pub fn fold_mod_tau(z: &CVector, tau: f64) -> CVector {
     })
 }
 
-/// Why a precoder could not compile or precode.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PrecodeError {
-    /// The annealed path failed (problem does not embed on the chip).
-    Decode(DecodeError),
-    /// The ZF inverse / Cholesky could not be formed (rank-deficient
-    /// or under-determined channel).
-    Linalg(LinalgError),
-}
-
-impl std::fmt::Display for PrecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PrecodeError::Decode(e) => write!(f, "annealed precode failed: {e}"),
-            PrecodeError::Linalg(e) => write!(f, "precoding matrix failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PrecodeError {}
-
-impl PrecodeError {
-    /// Classifies this error for the serving layer's retry machinery —
-    /// the same contract as `DetectError::class`: both embedding and
-    /// linear-algebra failures are properties of the job itself and
-    /// fail identically on every worker.
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            PrecodeError::Decode(DecodeError::Embedding(_)) => ErrorClass::Permanent,
-            PrecodeError::Linalg(_) => ErrorClass::Permanent,
-        }
-    }
-
-    /// `true` when a retry may succeed (see [`PrecodeError::class`]).
-    pub fn is_transient(&self) -> bool {
-        self.class() == ErrorClass::Transient
-    }
-}
-
-impl From<DecodeError> for PrecodeError {
-    fn from(e: DecodeError) -> Self {
-        PrecodeError::Decode(e)
-    }
-}
-
-impl From<LinalgError> for PrecodeError {
-    fn from(e: LinalgError) -> Self {
-        PrecodeError::Linalg(e)
-    }
-}
-
-impl From<EmbeddingError> for PrecodeError {
-    fn from(e: EmbeddingError) -> Self {
-        PrecodeError::Decode(DecodeError::Embedding(e))
-    }
-}
-
 /// Backend-specific statistics carried by a [`Precoding`].
 #[derive(Clone, Debug)]
 pub enum PrecodeStats {
@@ -176,7 +122,7 @@ pub enum PrecodeStats {
         /// the session never transmits more power than plain ZF.
         zero_floor: bool,
     },
-    /// Routed by a [`HybridPrecoder`].
+    /// Routed by a [`PrecoderKind::Hybrid`] router.
     Hybrid {
         /// Which session produced the transmitted signal.
         route: Route,
@@ -228,7 +174,7 @@ pub trait Precoder {
     type Session: PrecoderSession;
 
     /// Compiles the `H`-only work for one coherence interval.
-    fn compile(&self, input: &PrecodeInput) -> Result<Self::Session, PrecodeError>;
+    fn compile(&self, input: &PrecodeInput) -> Result<Self::Session, Error>;
 }
 
 /// The per-symbol-vector side of a precoder. `seed` drives any
@@ -237,7 +183,7 @@ pub trait Precoder {
 /// deterministic backends ignore it.
 pub trait PrecoderSession {
     /// Precodes one user-symbol vector through the compiled state.
-    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, PrecodeError>;
+    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, Error>;
 
     /// Modulation the session was compiled for.
     fn modulation(&self) -> Modulation;
@@ -253,7 +199,7 @@ pub trait PrecoderSession {
 }
 
 impl<S: PrecoderSession + ?Sized> PrecoderSession for Box<S> {
-    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, PrecodeError> {
+    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, Error> {
         (**self).precode(u, seed)
     }
     fn modulation(&self) -> Modulation {
@@ -413,11 +359,7 @@ pub struct VppModel {
 impl VppModel {
     /// Builds the model at the constellation's natural modulo base
     /// [`tau_for`].
-    pub fn new(
-        h: &CMatrix,
-        modulation: Modulation,
-        magnitude_bits: usize,
-    ) -> Result<Self, PrecodeError> {
+    pub fn new(h: &CMatrix, modulation: Modulation, magnitude_bits: usize) -> Result<Self, Error> {
         Self::with_tau(h, modulation, magnitude_bits, tau_for(modulation))
     }
 
@@ -428,7 +370,7 @@ impl VppModel {
         modulation: Modulation,
         magnitude_bits: usize,
         tau: f64,
-    ) -> Result<Self, PrecodeError> {
+    ) -> Result<Self, Error> {
         assert!(tau > 0.0, "modulo base must be positive");
         let nu = h.rows();
         // P = H*(HH*)⁻¹ via the pseudo-inverse of H* (antennas ≥ users
@@ -566,13 +508,13 @@ impl VppPrecoder {
         anneals: usize,
         magnitude_bits: usize,
     ) -> Self {
-        VppPrecoder {
+        Self::with_graph(
             annealer,
-            graph: ChimeraGraph::dw2q_ideal(),
+            ChimeraGraph::dw2q_ideal(),
             config,
             anneals,
             magnitude_bits,
-        }
+        )
     }
 
     /// A VPP precoder on a specific chip (e.g. with a defect map).
@@ -602,7 +544,7 @@ impl Precoder for VppPrecoder {
     /// The coupling sparsity is `u`-independent (the quadratic QUBO
     /// block never changes), so the embedding, the chain layout, and
     /// the CSR coupler slots serve every symbol vector of the interval.
-    fn compile(&self, input: &PrecodeInput) -> Result<VppSession, PrecodeError> {
+    fn compile(&self, input: &PrecodeInput) -> Result<VppSession, Error> {
         let model = VppModel::new(&input.h, input.modulation, self.magnitude_bits)?;
         let (mut couplings, _) = qubo_to_ising(&model.quad);
         for i in 0..couplings.num_spins() {
@@ -823,7 +765,7 @@ impl VppSession {
 }
 
 impl PrecoderSession for VppSession {
-    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, PrecodeError> {
+    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, Error> {
         Ok(VppSession::precode(self, u, seed))
     }
     fn modulation(&self) -> Modulation {
@@ -855,7 +797,7 @@ pub struct ZfPrecodeSession {
 impl Precoder for ZfPrecoder {
     type Session = ZfPrecodeSession;
 
-    fn compile(&self, input: &PrecodeInput) -> Result<ZfPrecodeSession, PrecodeError> {
+    fn compile(&self, input: &PrecodeInput) -> Result<ZfPrecodeSession, Error> {
         // Reuses the model's P so the zero-perturbation VPP transmit
         // is bit-identical to this baseline (property-tested).
         Ok(ZfPrecodeSession {
@@ -865,7 +807,7 @@ impl Precoder for ZfPrecoder {
 }
 
 impl PrecoderSession for ZfPrecodeSession {
-    fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, PrecodeError> {
+    fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, Error> {
         let zero = CVector::zeros(self.model.num_users());
         let x = self.model.transmit(u, &zero);
         let power = x.norm_sqr();
@@ -890,16 +832,13 @@ impl PrecoderSession for ZfPrecodeSession {
     }
 }
 
-/// Tomlinson–Harashima precoding: the classical successive-modulo
-/// baseline. With `W = P*P = LL*` (Cholesky) and `U = L*` upper
+/// Session for Tomlinson–Harashima precoding: the classical
+/// successive-modulo baseline. With `W = P*P = LL*` (Cholesky) and `U = L*` upper
 /// triangular, `E(v) = ‖U(u + τv)‖²`; processing users last-to-first
 /// and rounding each dimension greedily is exactly the THP feedback
 /// loop, and yields an integer perturbation cheaper than ZF's `v = 0`
 /// on most channels (but not all — greed is not optimal, which is the
 /// annealed backend's opening).
-pub struct ThpPrecoder;
-
-/// Session for [`ThpPrecoder`].
 pub struct ThpPrecodeSession {
     model: VppModel,
     /// `U = L*` from `W = LL*` — the triangular factor the greedy
@@ -907,17 +846,15 @@ pub struct ThpPrecodeSession {
     upper: CMatrix,
 }
 
-impl Precoder for ThpPrecoder {
-    type Session = ThpPrecodeSession;
-
-    fn compile(&self, input: &PrecodeInput) -> Result<ThpPrecodeSession, PrecodeError> {
+impl ThpPrecodeSession {
+    /// Compiles the channel's ZF model and the Cholesky factor of its
+    /// Gram.
+    pub fn new(input: &PrecodeInput) -> Result<Self, Error> {
         let model = VppModel::new(&input.h, input.modulation, 1)?;
         let upper = cholesky(&model.w)?.hermitian();
         Ok(ThpPrecodeSession { model, upper })
     }
-}
 
-impl ThpPrecodeSession {
     /// The greedy perturbation alone (used as a reverse-anneal warm
     /// start for [`VppSession::precode_reverse_from`]).
     pub fn perturbation(&self, u: &CVector) -> CVector {
@@ -941,7 +878,7 @@ impl ThpPrecodeSession {
 }
 
 impl PrecoderSession for ThpPrecodeSession {
-    fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, PrecodeError> {
+    fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, Error> {
         let v = self.perturbation(u);
         let x = self.model.transmit(u, &v);
         let power = x.norm_sqr();
@@ -968,149 +905,36 @@ impl PrecoderSession for ThpPrecodeSession {
 
 // --- The hybrid router ----------------------------------------------
 
-/// When a [`HybridPrecoder`] escalates: the primary's realized
-/// transmit power per antenna is the downlink's confidence residual —
-/// a near-singular channel makes `‖Pu‖²` blow up, and exactly those
-/// instances are where perturbation search pays.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PrecodePolicy {
-    /// Maximum accepted transmit power per antenna.
-    pub max_power_per_antenna: f64,
-}
-
-impl PrecodePolicy {
-    /// A policy from an absolute per-antenna power bound.
-    pub fn new(max_power_per_antenna: f64) -> Self {
-        assert!(
-            max_power_per_antenna >= 0.0,
-            "power bound must be non-negative"
-        );
-        PrecodePolicy {
-            max_power_per_antenna,
-        }
+impl Routed for Precoding {
+    fn objective(&self) -> Option<f64> {
+        Some(self.power)
     }
-}
-
-/// The hybrid classical–quantum precoding router, mirroring
-/// [`DetectorKind::Hybrid`](crate::detect::DetectorKind::Hybrid): a
-/// cheap `primary` (typically ZF or THP) answers every symbol vector,
-/// and only high-power answers are re-precoded by the expensive
-/// `fallback` (typically annealed VPP).
-/// Availability degrades exactly like the detection router: a side
-/// that cannot compile routes everything to the other, and a
-/// per-vector fallback failure returns the primary's answer.
-pub struct HybridPrecoder {
-    primary: PrecoderKind,
-    fallback: PrecoderKind,
-    policy: PrecodePolicy,
-}
-
-impl HybridPrecoder {
-    /// A router sending high-power `primary` answers to `fallback`.
-    pub fn new(primary: PrecoderKind, fallback: PrecoderKind, policy: PrecodePolicy) -> Self {
-        HybridPrecoder {
-            primary,
-            fallback,
-            policy,
-        }
-    }
-}
-
-/// Session for [`HybridPrecoder`]: both sub-sessions compiled up
-/// front; either side may be `None` when its backend could not compile
-/// on this channel.
-pub struct HybridPrecodeSession {
-    primary: Option<Box<dyn PrecoderSession>>,
-    fallback: Option<Box<dyn PrecoderSession>>,
-    policy: PrecodePolicy,
-    antennas: usize,
-}
-
-impl Precoder for HybridPrecoder {
-    type Session = HybridPrecodeSession;
-
-    fn compile(&self, input: &PrecodeInput) -> Result<HybridPrecodeSession, PrecodeError> {
-        let primary = self.primary.compile(input).ok();
-        let fallback = match self.fallback.compile(input) {
-            Ok(session) => Some(session),
-            Err(e) if primary.is_none() => return Err(e),
-            Err(_) => None,
-        };
-        Ok(HybridPrecodeSession {
-            primary,
-            fallback,
-            policy: self.policy,
-            antennas: input.antennas(),
-        })
-    }
-}
-
-impl HybridPrecodeSession {
-    fn wrap(precoding: Precoding, route: Route, primary_power: f64) -> Precoding {
+    fn routed(self, route: Route, primary_power: f64) -> Self {
         Precoding {
-            x: precoding.x,
-            perturbation: precoding.perturbation,
-            power: precoding.power,
             stats: PrecodeStats::Hybrid {
                 route,
                 primary_power,
-                inner: Box::new(precoding.stats),
+                inner: Box::new(self.stats),
             },
+            ..self
         }
     }
 }
 
-impl PrecoderSession for HybridPrecodeSession {
-    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, PrecodeError> {
-        let first = match self.primary.as_mut() {
-            Some(session) => match session.precode(u, seed) {
-                Ok(precoding) => Some(precoding),
-                Err(e) if self.fallback.is_none() => return Err(e),
-                Err(_) => None,
-            },
-            None => None,
-        };
-        let Some(first) = first else {
-            let session = self
-                .fallback
-                .as_mut()
-                .expect("compile keeps at least one side");
-            let second = session.precode(u, seed)?;
-            return Ok(Self::wrap(second, Route::Fallback, f64::INFINITY));
-        };
-        let primary_power = first.power;
-        let per_antenna = primary_power / self.antennas.max(1) as f64;
-        let Some(fallback) = self.fallback.as_mut() else {
-            return Ok(Self::wrap(first, Route::Primary, primary_power));
-        };
-        if per_antenna <= self.policy.max_power_per_antenna {
-            return Ok(Self::wrap(first, Route::Primary, primary_power));
-        }
-        match fallback.precode(u, seed) {
-            Ok(second) => Ok(Self::wrap(second, Route::Fallback, primary_power)),
-            Err(_) => Ok(Self::wrap(first, Route::Primary, primary_power)),
-        }
+/// The session of a [`PrecoderKind::Hybrid`]: the detection router's
+/// routing body, gated on transmit power per transmit antenna.
+impl PrecoderSession for Router<dyn PrecoderSession> {
+    fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, Error> {
+        self.route(|session| session.precode(u, seed))
     }
     fn modulation(&self) -> Modulation {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .modulation()
+        self.a_side().modulation()
     }
     fn num_users(&self) -> usize {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .num_users()
+        self.a_side().num_users()
     }
     fn tau(&self) -> f64 {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .tau()
+        self.a_side().tau()
     }
     fn backend_name(&self) -> &'static str {
         "hybrid"
@@ -1140,14 +964,18 @@ pub enum PrecoderKind {
         /// Magnitude bits per real perturbation dimension (`t ≥ 1`).
         magnitude_bits: usize,
     },
-    /// The hybrid classical–quantum router.
+    /// The hybrid classical–quantum [`Router`]: a cheap `primary`
+    /// (typically ZF or THP) answers every symbol vector, and only
+    /// answers whose transmit power per antenna exceeds the policy are
+    /// re-precoded by the expensive `fallback` (typically annealed
+    /// VPP).
     Hybrid {
         /// The cheap first-pass precoder.
         primary: Box<PrecoderKind>,
         /// The expensive fallback precoder.
         fallback: Box<PrecoderKind>,
         /// The power policy gating the fallback.
-        policy: PrecodePolicy,
+        policy: RoutePolicy,
     },
 }
 
@@ -1178,7 +1006,7 @@ impl PrecoderKind {
     }
 
     /// A hybrid router over two other kinds.
-    pub fn hybrid(primary: PrecoderKind, fallback: PrecoderKind, policy: PrecodePolicy) -> Self {
+    pub fn hybrid(primary: PrecoderKind, fallback: PrecoderKind, policy: RoutePolicy) -> Self {
         PrecoderKind::Hybrid {
             primary: Box::new(primary),
             fallback: Box::new(fallback),
@@ -1201,10 +1029,11 @@ impl PrecoderKind {
 impl Precoder for PrecoderKind {
     type Session = Box<dyn PrecoderSession>;
 
-    fn compile(&self, input: &PrecodeInput) -> Result<Box<dyn PrecoderSession>, PrecodeError> {
+    /// Compiles this kind's session — the registry's one match.
+    fn compile(&self, input: &PrecodeInput) -> Result<Box<dyn PrecoderSession>, Error> {
         Ok(match self {
             PrecoderKind::ZeroForcing => Box::new(ZfPrecoder.compile(input)?),
-            PrecoderKind::Thp => Box::new(ThpPrecoder.compile(input)?),
+            PrecoderKind::Thp => Box::new(ThpPrecodeSession::new(input)?),
             PrecoderKind::Vpp {
                 annealer,
                 config,
@@ -1218,10 +1047,12 @@ impl Precoder for PrecoderKind {
                 primary,
                 fallback,
                 policy,
-            } => Box::new(
-                HybridPrecoder::new((**primary).clone(), (**fallback).clone(), *policy)
-                    .compile(input)?,
-            ),
+            } => Box::new(Router::new(
+                primary.compile(input),
+                fallback.compile(input),
+                *policy,
+                input.antennas(),
+            )?),
         })
     }
 }
@@ -1230,6 +1061,8 @@ impl Precoder for PrecoderKind {
 mod tests {
     use super::*;
     use quamax_anneal::{AnnealerConfig, IceModel};
+    use quamax_chimera::EmbeddingError;
+    use quamax_linalg::LinalgError;
     use quamax_wireless::rayleigh_channel;
     use rand::Rng;
 
@@ -1283,7 +1116,7 @@ mod tests {
         // More users than antennas: no ZF inverse.
         let input = input(4, 2, Modulation::Bpsk, 2);
         match VppModel::new(&input.h, input.modulation, 1) {
-            Err(PrecodeError::Linalg(LinalgError::ShapeMismatch)) => {}
+            Err(Error::Linalg(LinalgError::ShapeMismatch)) => {}
             other => panic!("expected ShapeMismatch, got {other:?}"),
         }
     }
@@ -1443,7 +1276,7 @@ mod tests {
                 PrecoderKind::hybrid(
                     PrecoderKind::zf(),
                     PrecoderKind::vpp(quiet_annealer(), vpp_config(), 30, 1),
-                    PrecodePolicy::new(1.0),
+                    RoutePolicy::new(1.0),
                 ),
             ];
             for kind in kinds {
@@ -1464,7 +1297,7 @@ mod tests {
     #[test]
     fn thp_reduces_average_power_vs_zf() {
         let input = input(4, 4, Modulation::Qpsk, 9);
-        let mut thp = ThpPrecoder.compile(&input).unwrap();
+        let mut thp = ThpPrecodeSession::new(&input).unwrap();
         let mut zf = ZfPrecoder.compile(&input).unwrap();
         let mut rng = StdRng::seed_from_u64(90);
         let mut thp_total = 0.0;
@@ -1508,7 +1341,7 @@ mod tests {
         let mut vpp = VppPrecoder::new(quiet_annealer(), vpp_config(), 30, 1)
             .compile(&input)
             .unwrap();
-        let thp = ThpPrecoder.compile(&input).unwrap();
+        let thp = ThpPrecodeSession::new(&input).unwrap();
         let mut zf = ZfPrecoder.compile(&input).unwrap();
         let reverse = Schedule::reverse(2.0, 0.6, 2.0);
         let mut rng = StdRng::seed_from_u64(110);
@@ -1543,7 +1376,7 @@ mod tests {
         let mut lenient = PrecoderKind::hybrid(
             PrecoderKind::zf(),
             PrecoderKind::thp(),
-            PrecodePolicy::new(f64::INFINITY),
+            RoutePolicy::new(f64::INFINITY),
         )
         .compile(&input)
         .unwrap();
@@ -1555,7 +1388,7 @@ mod tests {
         let mut strict = PrecoderKind::hybrid(
             PrecoderKind::zf(),
             PrecoderKind::thp(),
-            PrecodePolicy::new(0.0),
+            RoutePolicy::new(0.0),
         )
         .compile(&input)
         .unwrap();
@@ -1566,15 +1399,80 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_survives_a_fallback_that_cannot_compile() {
+        // 160 logical variables do not embed: the VPP fallback is gone,
+        // and the ZF primary serves every vector — even under a gate
+        // that rejects everything.
+        let input = input(40, 40, Modulation::Qpsk, 14);
+        let mut session = PrecoderKind::hybrid(
+            PrecoderKind::zf(),
+            PrecoderKind::vpp(quiet_annealer(), vpp_config(), 1, 1),
+            RoutePolicy::new(0.0),
+        )
+        .compile(&input)
+        .expect("primary carries the router");
+        let mut zf = ZfPrecoder.compile(&input).unwrap();
+        let mut rng = StdRng::seed_from_u64(140);
+        for k in 0..3u64 {
+            let (_, u) = random_symbols(&input, &mut rng);
+            let out = session.precode(&u, k).unwrap();
+            assert_eq!(out.route(), Some(Route::Primary));
+            assert_eq!(
+                out.power.to_bits(),
+                zf.precode(&u, k).unwrap().power.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn hybrid_survives_a_primary_that_cannot_compile() {
+        // The unembeddable VPP side as primary: every vector routes to
+        // the ZF fallback.
+        let input = input(40, 40, Modulation::Qpsk, 14);
+        let mut session = PrecoderKind::hybrid(
+            PrecoderKind::vpp(quiet_annealer(), vpp_config(), 1, 1),
+            PrecoderKind::zf(),
+            RoutePolicy::new(f64::INFINITY),
+        )
+        .compile(&input)
+        .expect("fallback carries the router");
+        assert_eq!(session.num_users(), 40);
+        let mut zf = ZfPrecoder.compile(&input).unwrap();
+        let mut rng = StdRng::seed_from_u64(141);
+        for k in 0..3u64 {
+            let (_, u) = random_symbols(&input, &mut rng);
+            let out = session.precode(&u, k).unwrap();
+            assert_eq!(out.route(), Some(Route::Fallback));
+            assert_eq!(
+                out.power.to_bits(),
+                zf.precode(&u, k).unwrap().power.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn hybrid_with_both_sides_dead_fails_compile() {
+        // More users than antennas: neither ZF nor VPP has an inverse.
+        let input = input(4, 2, Modulation::Bpsk, 2);
+        let hopeless = PrecoderKind::hybrid(
+            PrecoderKind::zf(),
+            PrecoderKind::vpp(quiet_annealer(), vpp_config(), 1, 1),
+            RoutePolicy::new(0.0),
+        );
+        match hopeless.compile(&input) {
+            Err(Error::Linalg(LinalgError::ShapeMismatch)) => {}
+            Err(other) => panic!("expected ShapeMismatch, got {other:?}"),
+            Ok(_) => panic!("expected ShapeMismatch, got a session"),
+        }
+    }
+
+    #[test]
     fn oversized_problem_is_rejected() {
         // 40 users × (1+1) bits × 2 dims = 160 logical variables:
         // beyond the C16 clique bound, exactly like the uplink.
         let input = input(40, 40, Modulation::Qpsk, 14);
         match VppPrecoder::new(quiet_annealer(), vpp_config(), 1, 1).compile(&input) {
-            Err(PrecodeError::Decode(DecodeError::Embedding(EmbeddingError::DoesNotFit {
-                n: 160,
-                ..
-            }))) => {}
+            Err(Error::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
             Err(other) => panic!("expected DoesNotFit, got {other:?}"),
             Ok(_) => panic!("expected DoesNotFit, got a session"),
         }

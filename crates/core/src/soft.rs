@@ -5,7 +5,7 @@
 //!
 //! Each backend has one session struct — [`LinearSession`] (ZF and
 //! MMSE), [`SphereSession`], [`ExactMlSession`], [`QuamaxSession`] and
-//! [`HybridSession`] — built by the registry's one match,
+//! the [`Router`] over two of them — built by the registry's one match,
 //! [`DetectorKind::compile_soft`]. Each implements both
 //! [`DetectorSession`], whose `detect` is the backend's own hard
 //! algorithm, and [`SoftDetectorSession`]; the hard
@@ -66,8 +66,8 @@
 
 use crate::decoder::{DecodeRun, DecodeSession, QuamaxDecoder};
 use crate::detect::{
-    ml_objective, BackendStats, DetectError, Detection, DetectorKind, DetectorSession,
-    LinearFilter, Route, RoutePolicy,
+    ml_objective, BackendStats, Detection, DetectorKind, DetectorSession, Error, LinearFilter,
+    Route, Routed, Router,
 };
 use crate::scenario::DetectionInput;
 use quamax_anneal::Schedule;
@@ -228,7 +228,7 @@ impl SoftDetection {
 /// a-priori-aware entry for iterative detection–decoding.
 pub trait SoftDetectorSession: DetectorSession {
     /// Detects one received vector and derives per-bit LLRs.
-    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, DetectError>;
+    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, Error>;
 
     /// Detects one received vector *given per-bit prior LLRs* (the
     /// channel decoder's extrinsic output, one per payload bit in
@@ -254,7 +254,7 @@ pub trait SoftDetectorSession: DetectorSession {
         y: &CVector,
         priors: &[f64],
         seed: u64,
-    ) -> Result<SoftDetection, DetectError>;
+    ) -> Result<SoftDetection, Error>;
 }
 
 /// `true` when a prior vector carries no information — the case that
@@ -553,7 +553,7 @@ impl GaussianModel {
 }
 
 impl<F: LinearFilter> DetectorSession for LinearSession<F> {
-    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, Error> {
         let bits = self.filter.decode(y);
         let metric = ml_objective(&self.h, y, &bits, self.filter.modulation());
         Ok(Detection {
@@ -576,7 +576,7 @@ impl<F: LinearFilter> DetectorSession for LinearSession<F> {
 impl<F: LinearFilter> LinearSession<F> {
     /// The shared demap loop: `priors` empty = the ML path, sliced
     /// per-user/per-dimension otherwise.
-    fn demap(&mut self, y: &CVector, priors: &[f64]) -> Result<SoftDetection, DetectError> {
+    fn demap(&mut self, y: &CVector, priors: &[f64]) -> Result<SoftDetection, Error> {
         let m = self.filter.modulation();
         let q = m.bits_per_symbol();
         let per_dim = m.bits_per_dimension();
@@ -615,7 +615,7 @@ impl<F: LinearFilter> LinearSession<F> {
 }
 
 impl<F: LinearFilter> SoftDetectorSession for LinearSession<F> {
-    fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
+    fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, Error> {
         self.demap(y, &[])
     }
 
@@ -624,7 +624,7 @@ impl<F: LinearFilter> SoftDetectorSession for LinearSession<F> {
         y: &CVector,
         priors: &[f64],
         seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
+    ) -> Result<SoftDetection, Error> {
         assert_eq!(priors.len(), self.num_bits(), "one prior per payload bit");
         if uninformative(priors) {
             return self.detect_soft(y, seed);
@@ -645,7 +645,7 @@ pub struct SphereSession {
 }
 
 impl DetectorSession for SphereSession {
-    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, Error> {
         let out = self.compiled.decode(y)?;
         Ok(Detection {
             bits: out.bits,
@@ -667,7 +667,7 @@ impl DetectorSession for SphereSession {
 }
 
 impl SoftDetectorSession for SphereSession {
-    fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
+    fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, Error> {
         let list = self.compiled.decode_list(y, self.spec.list_size)?;
         let pool: Vec<(Vec<u8>, f64)> = list
             .entries
@@ -696,7 +696,7 @@ impl SoftDetectorSession for SphereSession {
         y: &CVector,
         priors: &[f64],
         seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
+    ) -> Result<SoftDetection, Error> {
         assert_eq!(priors.len(), self.num_bits(), "one prior per payload bit");
         if uninformative(priors) {
             return self.detect_soft(y, seed);
@@ -753,7 +753,7 @@ pub struct QuamaxSession {
 }
 
 impl DetectorSession for QuamaxSession {
-    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
+    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, Error> {
         let run = self.session.decode(y, self.anneals, seed);
         let bits = run.best_bits();
         let metric = run
@@ -797,7 +797,7 @@ fn quamax_pool(run: &DecodeRun) -> Vec<(Vec<u8>, f64)> {
 }
 
 impl SoftDetectorSession for QuamaxSession {
-    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, DetectError> {
+    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, Error> {
         let det = self.detect(y, seed)?;
         let run = det
             .annealed_run()
@@ -818,7 +818,7 @@ impl SoftDetectorSession for QuamaxSession {
         y: &CVector,
         priors: &[f64],
         seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
+    ) -> Result<SoftDetection, Error> {
         assert_eq!(priors.len(), self.num_bits(), "one prior per payload bit");
         if uninformative(priors) {
             return self.detect_soft(y, seed);
@@ -873,7 +873,7 @@ pub struct ExactMlSession {
 }
 
 impl DetectorSession for ExactMlSession {
-    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+    fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, Error> {
         let out = exhaustive_ml(&self.h, y, self.modulation);
         Ok(Detection {
             bits: out.bits,
@@ -919,7 +919,7 @@ impl ExactMlSession {
 }
 
 impl SoftDetectorSession for ExactMlSession {
-    fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
+    fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, Error> {
         let pool = self.full_pool(y);
         let llrs = list_llrs(&pool, self.num_bits(), &self.spec);
         let (best_bits, best_metric) = pool
@@ -942,7 +942,7 @@ impl SoftDetectorSession for ExactMlSession {
         y: &CVector,
         priors: &[f64],
         seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
+    ) -> Result<SoftDetection, Error> {
         assert_eq!(priors.len(), self.num_bits(), "one prior per payload bit");
         if uninformative(priors) {
             return self.detect_soft(y, seed);
@@ -962,47 +962,6 @@ impl SoftDetectorSession for ExactMlSession {
 
 // --- Hybrid routing -------------------------------------------------
 
-/// Session for a [`DetectorKind::Hybrid`] router: both sub-sessions
-/// compiled up front (a C-RAN front-end compiles once per coherence
-/// interval and routes per vector). Either side may be `None` when its
-/// backend could not compile on this channel — the session then routes
-/// everything to the other; compile guarantees at least one side
-/// exists.
-///
-/// One routing body serves `detect`, `detect_soft` and
-/// `detect_soft_with_priors`: each asks the sub-sessions for the same
-/// kind of answer, so the accepted side's bits (and LLRs) flow through.
-pub struct HybridSession {
-    primary: Option<Box<dyn SoftDetectorSession>>,
-    fallback: Option<Box<dyn SoftDetectorSession>>,
-    policy: RoutePolicy,
-    receive_antennas: usize,
-}
-
-/// A detection the hybrid router can gate and tag: hard or soft.
-trait Routed {
-    /// The ML objective the confidence gate reads.
-    fn objective(&self) -> Option<f64>;
-    /// This detection with its statistics wrapped in the route taken.
-    fn routed(self, route: Route, primary_metric: f64) -> Self;
-}
-
-impl Routed for Detection {
-    fn objective(&self) -> Option<f64> {
-        self.metric
-    }
-    fn routed(self, route: Route, primary_metric: f64) -> Self {
-        Detection {
-            stats: BackendStats::Hybrid {
-                route,
-                primary_metric,
-                inner: Box::new(self.stats),
-            },
-            ..self
-        }
-    }
-}
-
 impl Routed for SoftDetection {
     fn objective(&self) -> Option<f64> {
         self.objective
@@ -1019,60 +978,11 @@ impl Routed for SoftDetection {
     }
 }
 
-impl HybridSession {
-    /// The routing body: `ask` runs one sub-session on the vector.
-    fn route<T: Routed>(
-        &mut self,
-        ask: impl Fn(&mut dyn SoftDetectorSession) -> Result<T, DetectError>,
-    ) -> Result<T, DetectError> {
-        let first = match self.primary.as_deref_mut() {
-            Some(session) => match ask(session) {
-                Ok(detection) => Some(detection),
-                // A per-vector primary failure routes onward — unless
-                // there is nothing to route to.
-                Err(e) if self.fallback.is_none() => return Err(e),
-                Err(_) => None,
-            },
-            None => None,
-        };
-        let Some(first) = first else {
-            // No primary answer: the fallback (present by the compile
-            // invariant and the early return above) carries the vector.
-            let session = self
-                .fallback
-                .as_deref_mut()
-                .expect("compile keeps at least one side");
-            return Ok(ask(session)?.routed(Route::Fallback, f64::INFINITY));
-        };
-        // A backend that cannot price its answer never passes the
-        // confidence gate.
-        let metric = first.objective().unwrap_or(f64::INFINITY);
-        let per_antenna = metric / self.receive_antennas.max(1) as f64;
-        let Some(fallback) = self.fallback.as_deref_mut() else {
-            // Nothing to fall back to: the primary's answer stands.
-            return Ok(first.routed(Route::Primary, metric));
-        };
-        if per_antenna <= self.policy.max_residual_per_antenna {
-            return Ok(first.routed(Route::Primary, metric));
-        }
-        match ask(fallback) {
-            Ok(second) => Ok(second.routed(Route::Fallback, metric)),
-            // The fallback produced nothing (radius/node budget): a
-            // low-confidence primary answer still beats no answer.
-            Err(_) => Ok(first.routed(Route::Primary, metric)),
-        }
-    }
-
-    fn a_side(&self) -> &dyn SoftDetectorSession {
-        self.fallback
-            .as_deref()
-            .or(self.primary.as_deref())
-            .expect("compile keeps at least one side")
-    }
-}
-
-impl DetectorSession for HybridSession {
-    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
+/// The session of a [`DetectorKind::Hybrid`]: one routing body serves
+/// `detect`, `detect_soft` and `detect_soft_with_priors`, each asking
+/// the sides for the same kind of answer.
+impl DetectorSession for Router<dyn SoftDetectorSession> {
+    fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, Error> {
         self.route(|session| session.detect(y, seed))
     }
     fn modulation(&self) -> Modulation {
@@ -1086,21 +996,19 @@ impl DetectorSession for HybridSession {
     }
 }
 
-impl SoftDetectorSession for HybridSession {
-    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, DetectError> {
+impl SoftDetectorSession for Router<dyn SoftDetectorSession> {
+    fn detect_soft(&mut self, y: &CVector, seed: u64) -> Result<SoftDetection, Error> {
         self.route(|session| session.detect_soft(y, seed))
     }
 
+    /// Each side checks the priors and reduces uninformative ones to
+    /// its own `detect_soft`, so the router just routes.
     fn detect_soft_with_priors(
         &mut self,
         y: &CVector,
         priors: &[f64],
         seed: u64,
-    ) -> Result<SoftDetection, DetectError> {
-        assert_eq!(priors.len(), self.num_bits(), "one prior per payload bit");
-        if uninformative(priors) {
-            return self.detect_soft(y, seed);
-        }
+    ) -> Result<SoftDetection, Error> {
         self.route(|session| session.detect_soft_with_priors(y, priors, seed))
     }
 }
@@ -1121,7 +1029,7 @@ impl DetectorKind {
         &self,
         input: &DetectionInput,
         spec: SoftSpec,
-    ) -> Result<Box<dyn SoftDetectorSession>, DetectError> {
+    ) -> Result<Box<dyn SoftDetectorSession>, Error> {
         Ok(match self {
             DetectorKind::ZeroForcing => Box::new(LinearSession {
                 filter: ZeroForcingDetector::new(input.modulation).compile(&input.h)?,
@@ -1140,7 +1048,7 @@ impl DetectorKind {
                 // contract is an Err, not a process abort (an
                 // overloaded uplink is a routable condition, not a bug).
                 if input.h.rows() < input.h.cols() {
-                    return Err(DetectError::Linalg(LinalgError::ShapeMismatch));
+                    return Err(Error::Linalg(LinalgError::ShapeMismatch));
                 }
                 let mut sphere = SphereDecoder::new(input.modulation);
                 if let Some(budget) = node_budget {
@@ -1173,25 +1081,12 @@ impl DetectorKind {
                 primary,
                 fallback,
                 policy,
-            } => {
-                // A side that cannot be formed (rank-deficient channel
-                // vs a ZF pseudo-inverse; an unembeddable problem vs
-                // the annealer) must not take the router down while the
-                // other side can serve the interval. Only a double
-                // failure is a compile error.
-                let first = primary.compile_soft(input, spec).ok();
-                let second = match fallback.compile_soft(input, spec) {
-                    Ok(session) => Some(session),
-                    Err(e) if first.is_none() => return Err(e),
-                    Err(_) => None,
-                };
-                Box::new(HybridSession {
-                    primary: first,
-                    fallback: second,
-                    policy: *policy,
-                    receive_antennas: input.nr(),
-                })
-            }
+            } => Box::new(Router::new(
+                primary.compile_soft(input, spec),
+                fallback.compile_soft(input, spec),
+                *policy,
+                input.nr(),
+            )?),
         })
     }
 }
@@ -1200,7 +1095,7 @@ impl DetectorKind {
 mod tests {
     use super::*;
     use crate::decoder::DecoderConfig;
-    use crate::detect::Detector;
+    use crate::detect::{Detector, RoutePolicy};
     use crate::scenario::Scenario;
     use quamax_anneal::{Annealer, AnnealerConfig, IceModel, Schedule};
     use rand::rngs::StdRng;

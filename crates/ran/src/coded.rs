@@ -21,7 +21,7 @@
 
 use crate::sim::{SimReport, Simulation};
 use quamax_core::coded::IddSpec;
-use quamax_core::detect::{DetectError, DetectorKind};
+use quamax_core::detect::{DetectorKind, Error};
 use quamax_core::{CodedFrame, SoftSpec};
 use quamax_wireless::Snr;
 use rand::rngs::StdRng;
@@ -47,11 +47,7 @@ impl CodedUplink {
     /// Runs the timing simulation for `horizon_us` and decodes every
     /// simulated frame through the coded pipeline, combining deadline
     /// compliance with decode success.
-    pub fn run(
-        &self,
-        sim: &mut Simulation,
-        horizon_us: f64,
-    ) -> Result<CodedUplinkReport, DetectError> {
+    pub fn run(&self, sim: &mut Simulation, horizon_us: f64) -> Result<CodedUplinkReport, Error> {
         let timing = sim.run(horizon_us);
         let mut report = CodedUplinkReport {
             payload_bits_per_frame: self.frame.payload_len(),
@@ -100,7 +96,7 @@ impl CodedUplink {
         sim: &mut Simulation,
         horizon_us: f64,
         budget: &IddBudget,
-    ) -> Result<CodedIddReport, DetectError> {
+    ) -> Result<CodedIddReport, Error> {
         let timing = sim.run(horizon_us);
         let mut report = CodedIddReport {
             payload_bits_per_frame: self.frame.payload_len(),

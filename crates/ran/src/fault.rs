@@ -15,8 +15,6 @@
 //! effect of a noisier analog control is studied on the annealer
 //! itself (`IceModel::scaled`, the `ablation_ice` bench).
 
-use quamax_core::DetectError;
-
 /// The classes of degradation an annealer-backed serving pool sees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultClass {
@@ -357,8 +355,6 @@ pub enum ServeError {
         /// Projected queue wait that triggered the shed, µs.
         projected_wait_us: f64,
     },
-    /// A decode-level failure bubbled up from `quamax_core`.
-    Detect(DetectError),
 }
 
 impl ServeError {
@@ -374,7 +370,6 @@ impl ServeError {
             // A shed is a deliberate, final admission decision for
             // this job, not a failure a retry should paper over.
             ServeError::Shed { .. } => false,
-            ServeError::Detect(e) => e.is_transient(),
         }
     }
 }
@@ -391,18 +386,11 @@ impl std::fmt::Display for ServeError {
                     "shed under backpressure ({projected_wait_us:.0} µs wait)"
                 )
             }
-            ServeError::Detect(e) => write!(f, "decode failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<DetectError> for ServeError {
-    fn from(e: DetectError) -> Self {
-        ServeError::Detect(e)
-    }
-}
 
 /// SplitMix64 of `(seed, k)` — the fault classifier's hash.
 fn splitmix(seed: u64, k: u64) -> u64 {

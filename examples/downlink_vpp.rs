@@ -51,7 +51,7 @@ fn main() {
         vpp.clone(),
         // Residual-gated router: annealed VPP answers, ZF only if the
         // perturbed power somehow exceeds the per-antenna budget.
-        PrecoderKind::hybrid(vpp, PrecoderKind::zf(), PrecodePolicy::new(50.0)),
+        PrecoderKind::hybrid(vpp, PrecoderKind::zf(), RoutePolicy::new(50.0)),
     ];
 
     // The same symbol stream through every backend: precoding power is

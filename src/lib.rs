@@ -86,9 +86,8 @@ pub mod prelude {
     pub use quamax_core::{
         fold_mod_tau, measured_fallback_fraction, tau_for, CodedFrame, DecodeSession,
         DecoderConfig, Detection, DetectionInput, Detector, DetectorKind, DetectorSession,
-        IddOutcome, IddSpec, PrecodeInput, PrecodePolicy, Precoder, PrecoderKind, PrecoderSession,
-        Precoding, QuamaxDecoder, RoutePolicy, Scenario, SoftDetection, SoftDetectorSession,
-        SoftSpec,
+        IddOutcome, IddSpec, PrecodeInput, Precoder, PrecoderKind, PrecoderSession, Precoding,
+        QuamaxDecoder, RoutePolicy, Scenario, SoftDetection, SoftDetectorSession, SoftSpec,
     };
     pub use quamax_linalg::{CMatrix, CVector, Complex};
     pub use quamax_wireless::{Modulation, Snr};

@@ -5,7 +5,7 @@ use quamax::ising::{CompiledProblem, Spin};
 use quamax::prelude::*;
 use quamax_anneal::{AnnealJob, Backend, CompiledChains, Schedule};
 use quamax_chimera::EmbedParams;
-use quamax_core::{DecodeRun, PrecodeStats, ThpPrecoder, VppPrecoder};
+use quamax_core::{DecodeRun, PrecodeStats, ThpPrecodeSession, VppPrecoder};
 use quamax_wireless::{rayleigh_channel, TraceConfig, TraceGenerator};
 
 #[test]
@@ -253,7 +253,7 @@ fn downlink_digest(
     let mut vpp = VppPrecoder::new(annealer.clone(), config, 24, 1)
         .compile(&input)
         .unwrap();
-    let thp = ThpPrecoder.compile(&input).unwrap();
+    let thp = ThpPrecodeSession::new(&input).unwrap();
     let symbols: Vec<(CVector, u64)> = (0..6u64)
         .map(|k| {
             let bits: Vec<u8> = (0..input.num_bits())

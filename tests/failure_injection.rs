@@ -5,7 +5,7 @@ use quamax::chimera::{ChimeraGraph, CliqueEmbedding, EmbeddingError};
 use quamax::prelude::*;
 use quamax_anneal::IceModel;
 use quamax_baselines::sphere::SphereError;
-use quamax_core::DecodeError;
+use quamax_core::Error;
 use quamax_linalg::{pseudo_inverse, CMatrix, LinalgError};
 use quamax_wireless::count_bit_errors;
 
@@ -19,7 +19,7 @@ fn oversized_problems_report_does_not_fit() {
         DecoderConfig::default(),
     );
     match decoder.decode(&inst.detection_input(), 1, &mut rng) {
-        Err(DecodeError::Embedding(EmbeddingError::DoesNotFit {
+        Err(Error::Embedding(EmbeddingError::DoesNotFit {
             n,
             needed,
             available,
