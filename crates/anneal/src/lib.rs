@@ -158,8 +158,8 @@
 //! The naive adjacency-list kernels (`sa::sweep`,
 //! `IsingProblem::flip_delta`, `sa::chain_flip_delta`) remain as the
 //! reference implementations; property tests cross-check the batch
-//! kernel against them, and `quamax-bench`'s microbenches measure the
-//! gap (recorded in `BENCH_kernel.json` at the repo root).
+//! kernel against them, and `quamax-bench`'s `bench_kernel` binary
+//! measures the gap (recorded in `BENCH_kernel.json` at the repo root).
 //!
 //! # DESIGN — batched replica sweeps
 //!

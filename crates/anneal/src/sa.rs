@@ -143,7 +143,7 @@ pub fn chain_flip_delta(problem: &IsingProblem, spins: &[Spin], chain: &[usize])
 /// within a class changes nothing, not even which uniforms are used.
 ///
 /// This is the *naive* reference kernel: each proposal recomputes the
-/// local field from the adjacency list; the microbenches keep it to
+/// local field from the adjacency list; `bench_kernel` keeps it to
 /// measure the gap to [`anneal_batch_compiled`].
 ///
 /// # Panics

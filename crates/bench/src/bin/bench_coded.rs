@@ -17,9 +17,8 @@
 //! the anneal ensemble), MMSE (Gaussian-approximation LLRs), and
 //! sphere (list sphere decoding) backends alike.
 
-use quamax_anneal::{Annealer, AnnealerConfig};
-use quamax_bench::{inner_threads_for, run_map, Args};
-use quamax_core::{CodedFrame, CodedFrameOutcome, DecoderConfig, DetectorKind, SoftSpec};
+use quamax_bench::{run_map, starved_quamax, Args, BenchRecord};
+use quamax_core::{CodedFrame, CodedFrameOutcome, DetectorKind, SoftSpec};
 use quamax_wireless::{Modulation, Snr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,27 +32,8 @@ fn main() {
     let frames = args.get_usize("frames", 40);
     let anneals = args.get_usize("anneals", 12);
     let seed = args.get_u64("seed", 2021); // arXiv:2109.01465
-    assert!(frames > 0, "need at least one frame");
 
     let frame = CodedFrame::new(USERS, MODULATION, PAYLOAD);
-    // The §5.3.3 operating point: a decode *deadline* (a 1 µs anneal
-    // at a low sweep density, a handful of cycles) leaves residual
-    // detector errors for FEC to mop up — exactly the regime where
-    // the anneal ensemble's reliabilities matter.
-    let quamax = || {
-        DetectorKind::quamax(
-            Annealer::new(AnnealerConfig {
-                threads: inner_threads_for(frames),
-                sweeps_per_us: 2.0,
-                ..Default::default()
-            }),
-            DecoderConfig {
-                schedule: quamax_anneal::Schedule::standard(1.0),
-                ..Default::default()
-            },
-            anneals,
-        )
-    };
     // Per backend: (name, kind, [stress SNR, cleaner SNR]). The stress
     // point is where the assertion bites; the second point is recorded,
     // not asserted. MMSE and sphere decoding leave no coded errors
@@ -63,7 +43,7 @@ fn main() {
     // its error floor.
     let sigma2 = |snr_db: f64| Snr::from_db(snr_db).noise_variance(MODULATION);
     let backends: Vec<(&str, DetectorKind, [f64; 2])> = vec![
-        ("quamax", quamax(), [5.0, 14.0]),
+        ("quamax", starved_quamax(frames, anneals), [5.0, 14.0]),
         ("mmse", DetectorKind::mmse(sigma2(-1.0)), [-1.0, 3.0]),
         ("sphere", DetectorKind::sphere(), [-5.0, 1.0]),
     ];
@@ -78,7 +58,7 @@ fn main() {
         "backend", "SNR", "raw BER", "hard BER", "soft BER", "hard FER", "soft FER"
     );
 
-    let mut rows = Vec::new();
+    let mut record = BenchRecord::new("BENCH_coded", "simulated");
     for (name, kind, snrs) in &backends {
         for (which, &snr_db) in snrs.iter().enumerate() {
             let snr = Snr::from_db(snr_db);
@@ -117,7 +97,8 @@ fn main() {
                     "{name} at {snr_db} dB: soft-input Viterbi ({soft}) should beat hard-input ({hard})"
                 );
             }
-            rows.push(serde_json::json!({
+            record.rows.push(serde_json::json!({
+                "row": "backend",
                 "backend": *name,
                 "snr_db": snr_db,
                 "frames": frames,
@@ -135,7 +116,7 @@ fn main() {
         "{USERS}x{USERS} {} Rayleigh, fresh channel per use",
         MODULATION.name()
     );
-    let workload = serde_json::json!({
+    record.workload = serde_json::json!({
         "class": class,
         "code": "rate-1/2 K=7 (133/171) + block interleaver",
         "payload_bits": PAYLOAD,
@@ -144,20 +125,13 @@ fn main() {
         "anneals_per_use": anneals,
         "seed": seed,
     });
-    let doc = serde_json::json!({
-        "name": "BENCH_coded",
-        "workload": workload,
-        "note": "one soft detection per channel use feeds both decode paths: hard bits \
-                 into hard-input Viterbi, LLRs into soft-input Viterbi; at each backend's \
-                 stress SNR the soft path is asserted to leave strictly fewer payload \
-                 errors (quamax = list demapping over the anneal ensemble, mmse = \
-                 Gaussian-approximation LLRs, sphere = list sphere decoding)",
-        "rows": rows,
-    });
-    std::fs::write(
-        "BENCH_coded.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_coded.json");
-    println!("\nwrote BENCH_coded.json");
+    record.note = "one soft detection per channel use feeds both decode paths: hard bits \
+        into hard-input Viterbi, LLRs into soft-input Viterbi; at each backend's stress SNR \
+        the soft path is asserted to leave strictly fewer payload errors (quamax = list \
+        demapping over the anneal ensemble, mmse = Gaussian-approximation LLRs, sphere = \
+        list sphere decoding)"
+        .to_string();
+    record.asserts = serde_json::json!({ "stress_soft_beats_hard_every_backend": true });
+    let path = record.write().expect("write BENCH_coded.json");
+    println!("\nwrote {}", path.display());
 }

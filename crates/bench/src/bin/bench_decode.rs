@@ -21,12 +21,13 @@
 //! timing is reported); the comparison is pure throughput.
 
 use quamax_anneal::{Annealer, AnnealerConfig};
+use quamax_bench::measure::interleave;
+use quamax_bench::BenchRecord;
 use quamax_core::{DecoderConfig, QuamaxDecoder, Scenario};
 use quamax_linalg::CVector;
 use quamax_wireless::{Modulation, Snr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 // One coherence interval of 16 decodes at the deadline-constrained
 // anneal budget: frames on a radio deadline run few anneals per
@@ -87,10 +88,7 @@ fn main() {
     }
     println!("bit-identical across one-shot / session / batch: ok\n");
 
-    // --- Throughput: per-path minimum over ROUNDS interleaved rounds. ---
-    // Each round times one pass of every path back to back, so a slow
-    // phase of the host inflates all three paths or none, instead of
-    // whichever path it happened to overlap.
+    // --- Throughput: the three paths interleaved over ROUNDS rounds. ---
     let mut one_shot = || {
         for (inst, (_, seed)) in uses.iter().zip(&items) {
             let mut r = StdRng::seed_from_u64(*seed);
@@ -110,66 +108,57 @@ fn main() {
         let s = decoder.compile(&interval_input).expect("fits");
         std::hint::black_box(s.decode_batch(&items, ANNEALS));
     };
-    let mut paths: [&mut dyn FnMut(); 3] = [&mut one_shot, &mut session_serial, &mut session_batch];
-    let mut best = [f64::INFINITY; 3];
-    for _ in 0..ROUNDS {
-        for (pass, best) in paths.iter_mut().zip(&mut best) {
-            let t0 = Instant::now();
-            pass();
-            *best = best.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    let [one_shot_s, session_serial_s, session_batch_s] = best;
+    let paths = ["one_shot", "session_serial", "session_batch"];
+    let timing = interleave(
+        ROUNDS,
+        1,
+        &mut [
+            (paths[0], &mut one_shot),
+            (paths[1], &mut session_serial),
+            (paths[2], &mut session_batch),
+        ],
+    );
 
-    let rate = |s: f64| BATCH as f64 / s;
-    let rows = [
-        ("one_shot", one_shot_s),
-        ("session_serial", session_serial_s),
-        ("session_batch", session_batch_s),
-    ];
-    for (name, s) in rows {
+    let mut record = BenchRecord::new("BENCH_decode", "host");
+    let ms = |ns: f64| (ns * 1e-4).round() / 100.0;
+    for (path, name) in paths.into_iter().enumerate() {
+        let decodes_per_sec = (BATCH as f64 / (timing.min_ns(path) * 1e-9) * 10.0).round() / 10.0;
         println!(
-            "{name:<16} {:>9.1} decodes/s   ({:.2} ms per {BATCH}-decode interval)   speedup {:>5.2}x",
-            rate(s),
-            s * 1e3,
-            one_shot_s / s,
+            "{name:<16} {decodes_per_sec:>9.1} decodes/s   ({:.2} ms per {BATCH}-decode interval)",
+            ms(timing.min_ns(path))
         );
+        record.rows.push(serde_json::json!({
+            "row": "path",
+            "path": name,
+            "decodes_per_sec": decodes_per_sec,
+            "interval_min_ms": ms(timing.min_ns(path)),
+            "interval_median_ms": ms(timing.median_ns(path)),
+        }));
     }
-
-    let workload = serde_json::json!({
+    for pair in [(0, 1), (0, 2), (1, 2)] {
+        println!("{}", timing.pair_line(pair, 1e-6, "ms per interval"));
+        let head = serde_json::json!({ "row": "pair" });
+        let row = timing.pair_json(head, pair, 1e-6, "ms per interval");
+        record.rows.push(row);
+    }
+    record.workload = serde_json::json!({
         "class": "12x12 QPSK",
         "logical_vars": 24usize,
         "batch": BATCH,
         "anneals": ANNEALS,
         "snr_db": 22.0,
         "seeds": "10000..10016",
+        "rounds": ROUNDS,
     });
-    let json_rows: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|&(name, s)| {
-            serde_json::json!({
-                "path": name,
-                "decodes_per_sec": (rate(s) * 10.0).round() / 10.0,
-                "interval_ms": (s * 1e5).round() / 100.0,
-                "speedup": ((one_shot_s / s) * 100.0).round() / 100.0,
-            })
-        })
-        .collect();
-    let doc = serde_json::json!({
-        "name": "BENCH_decode",
-        "workload": workload,
-        "note": format!(
-            "one coherence interval (fixed H), 16 received vectors at fixed seeds; \
-             all paths assert bit-identical best_bits before timing; per-path minimum \
-             wall clock over {ROUNDS} rounds, the three paths interleaved within each round"
-        ),
-        "bit_identical": true,
-        "rows": json_rows,
-    });
-    std::fs::write(
-        "BENCH_decode.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_decode.json");
-    println!("\nwrote BENCH_decode.json");
+    record.asserts = serde_json::json!({ "bit_identical": true });
+    record.note = format!(
+        "one coherence interval (fixed H), 16 received vectors at fixed seeds; all paths \
+         assert bit-identical best_bits before timing; the three paths interleaved over \
+         {ROUNDS} rounds, one pass each per round, the first path rotating; path rows: \
+         decodes_per_sec from the path's minimum interval; pair rows: min_ratio = first \
+         path's minimum over the second's, paired_median_ratio = median over rounds of the \
+         per-round ratio, with its bootstrap 95% interval over rounds"
+    );
+    let path = record.write().expect("write BENCH_decode.json");
+    println!("\nwrote {}", path.display());
 }

@@ -20,12 +20,13 @@
 //! timing is reported.
 
 use quamax_baselines::{MmseDetector, SphereDecoder, ZeroForcingDetector};
+use quamax_bench::measure::interleave;
+use quamax_bench::BenchRecord;
 use quamax_core::{Detector, DetectorKind, DetectorSession, Scenario};
 use quamax_linalg::{factorization_count, CVector};
 use quamax_wireless::{Modulation, Snr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const VECTORS: usize = 64;
 const ROUNDS: usize = 5;
@@ -84,10 +85,9 @@ fn main() {
         ),
     ];
 
-    let mut rows = Vec::new();
+    let mut record = BenchRecord::new("BENCH_detect", "host");
     println!(
-        "{VECTORS} received vectors over one 12x12 QPSK Rayleigh channel ({} rounds, best):\n",
-        ROUNDS
+        "{VECTORS} received vectors over one 12x12 QPSK Rayleigh channel ({ROUNDS} rounds):\n"
     );
     for (name, mut direct, mut session) in backends {
         // --- Correctness + factorization-count gate. ---
@@ -110,33 +110,32 @@ fn main() {
             "{name}: session should factor exactly once per interval"
         );
 
-        // --- Throughput: best-of-ROUNDS wall clock per pass. ---
-        let time = |pass: &mut Pass| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..ROUNDS {
-                let t0 = Instant::now();
-                std::hint::black_box(pass());
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let direct_s = time(&mut direct);
-        let session_s = time(&mut session);
-        let per_decode_us = |s: f64| s * 1e6 / VECTORS as f64;
-        println!(
-            "{name:<8} direct {:>8.2} µs/decode ({VECTORS} factorizations) | session {:>8.2} µs/decode (1 factorization) | speedup {:>5.2}x",
-            per_decode_us(direct_s),
-            per_decode_us(session_s),
-            direct_s / session_s,
+        // --- Throughput: the two passes interleaved over ROUNDS rounds. ---
+        let timing = interleave(
+            ROUNDS,
+            1,
+            &mut [
+                ("direct", &mut || {
+                    std::hint::black_box(direct());
+                }),
+                ("session", &mut || {
+                    std::hint::black_box(session());
+                }),
+            ],
         );
-        rows.push(serde_json::json!({
+        let per_decode = 1e-3 / VECTORS as f64;
+        println!(
+            "{name:<8} {} ({direct_factorizations} vs {session_factorizations} factorizations)",
+            timing.pair_line((0, 1), per_decode, "us per decode")
+        );
+        let head = serde_json::json!({
+            "row": "backend",
             "backend": name,
             "direct_factorizations": direct_factorizations,
             "session_factorizations": session_factorizations,
-            "direct_us_per_decode": (per_decode_us(direct_s) * 100.0).round() / 100.0,
-            "session_us_per_decode": (per_decode_us(session_s) * 100.0).round() / 100.0,
-            "speedup": ((direct_s / session_s) * 100.0).round() / 100.0,
-        }));
+        });
+        let row = timing.pair_json(head, (0, 1), per_decode, "us per decode");
+        record.rows.push(row);
     }
 
     let workload = serde_json::json!({
@@ -145,19 +144,19 @@ fn main() {
         "vectors": VECTORS,
         "seed": 2020,
     });
-    let doc = serde_json::json!({
-        "name": "BENCH_detect",
-        "workload": workload,
-        "note": "one coherence interval (fixed H), 64 received vectors; per backend the \
-                 session pass must count exactly 1 linalg factorization vs 64 for the \
-                 direct pass and agree bit for bit before timing; best-of-5 wall clock",
+    record.workload = workload;
+    record.asserts = serde_json::json!({
         "bit_identical": true,
-        "rows": rows,
+        "session_factorizes_once_direct_once_per_vector": true,
     });
-    std::fs::write(
-        "BENCH_detect.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_detect.json");
-    println!("\nwrote BENCH_detect.json");
+    record.note = format!(
+        "one coherence interval (fixed H), 64 received vectors; per backend the session pass \
+         must count exactly 1 linalg factorization vs 64 for the direct pass and agree bit for \
+         bit before timing; the direct and session passes interleaved over {ROUNDS} rounds, \
+         one pass each per round, the first pass alternating; min/median = per-arm minimum and \
+         median pass per decode, min_ratio = direct minimum over session minimum, \
+         paired_median_ratio with its bootstrap 95% interval over rounds"
+    );
+    let path = record.write().expect("write BENCH_detect.json");
+    println!("\nwrote {}", path.display());
 }

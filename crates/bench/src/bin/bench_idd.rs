@@ -16,10 +16,9 @@
 //! must leave strictly fewer — the extra anneal ensemble buys coded
 //! BER instead of being thrown away.
 
-use quamax_anneal::{Annealer, AnnealerConfig};
-use quamax_bench::{inner_threads_for, run_map, Args};
+use quamax_bench::{run_map, starved_quamax, Args, BenchRecord};
 use quamax_core::coded::{IddOutcome, IddSpec};
-use quamax_core::{CodedFrame, DecoderConfig, DetectorKind, SoftSpec};
+use quamax_core::{CodedFrame, DetectorKind, SoftSpec};
 use quamax_wireless::{Modulation, Snr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,32 +31,16 @@ fn main() {
     let args = Args::parse(&["frames", "anneals", "iters", "seed"], &[]);
     let frames = args.get_usize("frames", 40);
     let anneals = args.get_usize("anneals", 6);
-    let iters = args.get_usize("iters", 3);
+    let iters = args.get_usize_at_least("iters", 3, 2); // IDD feeds back from iteration 2
     let seed = args.get_u64("seed", 2020); // HotNets '20
-    assert!(frames > 0, "need at least one frame");
-    assert!(iters >= 2, "an IDD bench needs at least two iterations");
 
     let frame = CodedFrame::new(USERS, MODULATION, PAYLOAD);
-    // Deeper into starvation than bench_coded: few anneals at a sparse
-    // sweep density leave coded (post-FEC) errors after one pass, so
-    // the feedback loop has work to do.
-    let quamax = || {
-        DetectorKind::quamax(
-            Annealer::new(AnnealerConfig {
-                threads: inner_threads_for(frames),
-                sweeps_per_us: 2.0,
-                ..Default::default()
-            }),
-            DecoderConfig {
-                schedule: quamax_anneal::Schedule::standard(1.0),
-                ..Default::default()
-            },
-            anneals,
-        )
-    };
+    // Deeper into starvation than bench_coded (fewer anneals): coded
+    // (post-FEC) errors survive one pass, so the feedback loop has work
+    // to do.
     let sigma2 = |snr_db: f64| Snr::from_db(snr_db).noise_variance(MODULATION);
     let backends: Vec<(&str, DetectorKind, f64)> = vec![
-        ("quamax", quamax(), 5.0),
+        ("quamax", starved_quamax(frames, anneals), 5.0),
         ("mmse", DetectorKind::mmse(sigma2(-2.0)), -2.0),
         ("sphere", DetectorKind::sphere(), -4.0),
     ];
@@ -75,7 +58,7 @@ fn main() {
         "backend", "SNR", "mean iters", "early exit"
     );
 
-    let mut rows = Vec::new();
+    let mut record = BenchRecord::new("BENCH_idd", "simulated");
     for (name, kind, snr_db) in &backends {
         let snr = Snr::from_db(*snr_db);
         let spec = SoftSpec::noise_matched(snr, MODULATION);
@@ -103,7 +86,7 @@ fn main() {
         println!("{name:<8} {snr_db:>4}dB {ber_cols} {mean_iters:>12.2} {early:>10.2}");
 
         if *name == "quamax" {
-            // The acceptance-criterion assertion: the extra iteration
+            // The bench's claim: the extra iteration
             // buys coded BER for the annealed backend.
             assert!(
                 errors_at[0] > 0,
@@ -116,7 +99,8 @@ fn main() {
                 errors_at[0]
             );
         }
-        rows.push(serde_json::json!({
+        record.rows.push(serde_json::json!({
+            "row": "backend",
             "backend": *name,
             "snr_db": snr_db,
             "frames": frames,
@@ -129,7 +113,7 @@ fn main() {
         }));
     }
 
-    let workload = serde_json::json!({
+    record.workload = serde_json::json!({
         "class": format!("{USERS}x{USERS} {} Rayleigh, fresh channel per use", MODULATION.name()),
         "code": "rate-1/2 K=7 (133/171) + block interleaver",
         "payload_bits": PAYLOAD,
@@ -139,20 +123,12 @@ fn main() {
         "damping": IddSpec::new(2).damping,
         "seed": seed,
     });
-    let doc = serde_json::json!({
-        "name": "BENCH_idd",
-        "workload": workload,
-        "note": "coded BER vs detection–decoding iteration count at each backend's stress \
-                 SNR; iteration ≥ 2 feeds the SISO decoder's extrinsic back as detector \
-                 priors (quamax = reverse-anneal warm start from the decoder decision, \
-                 linear/sphere = prior-aware MAP demapping); the quamax backend is asserted \
-                 to strictly improve from iteration 1 to 2",
-        "rows": rows,
-    });
-    std::fs::write(
-        "BENCH_idd.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_idd.json");
-    println!("\nwrote BENCH_idd.json");
+    record.note = "coded BER vs detection–decoding iteration count at each backend's stress \
+        SNR; iteration ≥ 2 feeds the SISO decoder's extrinsic back as detector priors (quamax \
+        = reverse-anneal warm start from the decoder decision, linear/sphere = prior-aware MAP \
+        demapping); the quamax backend is asserted to strictly improve from iteration 1 to 2"
+        .to_string();
+    record.asserts = serde_json::json!({ "quamax_iteration2_beats_iteration1": true });
+    let path = record.write().expect("write BENCH_idd.json");
+    println!("\nwrote {}", path.display());
 }

@@ -12,28 +12,27 @@
 //!    [`ScheduleReport`] equals the disabled run's exactly (every
 //!    outcome, dispatch row, and bill), because recording is keyed on
 //!    simulated time and uses no wall clock and no RNG; and
-//! 2. **within noise** — the telemetry-on wall-clock time (min over
-//!    several repetitions, the standard noise floor estimator) stays
-//!    within a generous multiple of telemetry-off, i.e. the registry
-//!    never becomes the bottleneck of a simulated run.
+//! 2. **within noise** — the telemetry-on wall-clock time (the minimum
+//!    over repetitions interleaved with the telemetry-off ones, the
+//!    standard noise floor estimator) stays within a generous multiple
+//!    of telemetry-off, i.e. the registry never becomes the bottleneck
+//!    of a simulated run.
 //!
 //! The JSON then reports what the instrumentation is *for*: the
 //! per-stage QPU pipeline breakdown (programming, anneal, readout,
 //! unembed, queue wait) of the same metro run, straight from the
 //! merged telemetry histograms.
 
-use quamax_ran::{
-    BatchScheduler, Broker, CpuPolicy, CpuPool, FaultPlan, Guardrails, LoadGen, Policy,
-    QpuOverheads, QpuServer, ResilientServer, SchedConfig, ScheduleReport,
-};
+use quamax_ran::{BatchScheduler, Broker, LoadGen, Policy, SchedConfig, ScheduleReport};
 use quamax_telemetry::Telemetry;
 
-use quamax_bench::Args;
+use quamax_bench::measure::interleave;
+use quamax_bench::{metro_pool, Args, BenchRecord};
 
 const CELLS: usize = 4;
 const MAX_BATCH: usize = 24;
 const RATE_TOTAL: f64 = 0.012; // jobs/µs across all cells
-const REPS: usize = 5; // min-of-k wall-clock repetitions
+const REPS: usize = 5; // interleaved wall-clock rounds
 /// Telemetry-on may cost at most this multiple of telemetry-off
 /// wall-clock (generous: the simulated pipeline is µs-granular, so
 /// even a 2× registry overhead would vanish in deployment, but a 10×
@@ -41,28 +40,8 @@ const REPS: usize = 5; // min-of-k wall-clock repetitions
 /// path).
 const NOISE_FACTOR: f64 = 3.0;
 
-fn qpu() -> QpuServer {
-    let overheads = QpuOverheads {
-        preprocessing_us: 0.0,
-        programming_us: 200.0,
-        readout_per_anneal_us: 25.0,
-    };
-    QpuServer::new(overheads, 2.0, 5).with_session_cache(10_000.0)
-}
-
 fn run_once(seed: u64, horizon_us: f64, telemetry: Telemetry) -> ScheduleReport {
-    let mut srv = ResilientServer::new(
-        vec![qpu(), qpu()],
-        CpuPool::new(
-            8,
-            CpuPolicy::ZeroForcing {
-                vectors_per_channel: 1,
-            },
-        ),
-        FaultPlan::quiet(seed),
-        Guardrails::on(),
-    )
-    .with_telemetry(telemetry.clone());
+    let mut srv = metro_pool(seed).with_telemetry(telemetry.clone());
     let mut broker = Broker::new();
     let arrivals = LoadGen::metro(seed, CELLS, RATE_TOTAL / CELLS as f64).generate(horizon_us);
     let mut sched = BatchScheduler::new(SchedConfig::new(Policy::DeadlineBatch, MAX_BATCH))
@@ -73,31 +52,10 @@ fn run_once(seed: u64, horizon_us: f64, telemetry: Telemetry) -> ScheduleReport 
     report
 }
 
-/// Min-of-`REPS` wall-clock seconds for one full run. Wall time lives
-/// only in this harness — the telemetry crate itself never reads a
-/// clock.
-fn min_wall_seconds(seed: u64, horizon_us: f64, enabled: bool) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let telemetry = if enabled {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
-        let start = std::time::Instant::now();
-        let report = run_once(seed, horizon_us, telemetry);
-        let dt = start.elapsed().as_secs_f64();
-        assert!(!report.outcomes.is_empty(), "the metro run served jobs");
-        best = best.min(dt);
-    }
-    best
-}
-
 fn main() {
     let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 100); // horizon in ms
     let seed = args.get_u64("seed", 2019); // SIGCOMM '19
-    assert!(frames > 0, "need a positive horizon");
     let horizon_us = frames as f64 * 1_000.0;
 
     // Claim 1: bit-identity. Identical seeds, telemetry off vs on —
@@ -110,13 +68,24 @@ fn main() {
         "telemetry-on must be bit-identical to telemetry-off at matched seeds"
     );
 
-    // Claim 2: within noise on wall clock.
-    let wall_off = min_wall_seconds(seed, horizon_us, false);
-    let wall_on = min_wall_seconds(seed, horizon_us, true);
+    // Claim 2: within noise on wall clock. Wall time lives only in this
+    // harness — the telemetry crate itself never reads a clock.
+    let timed = |telemetry: Telemetry| {
+        let report = run_once(seed, horizon_us, telemetry);
+        assert!(!report.outcomes.is_empty(), "the metro run served jobs");
+    };
+    let wall = interleave(
+        REPS,
+        1,
+        &mut [
+            ("on", &mut || timed(Telemetry::enabled())),
+            ("off", &mut || timed(Telemetry::disabled())),
+        ],
+    );
+    let on_over_off = wall.min_ratio(0, 1);
     assert!(
-        wall_on <= wall_off * NOISE_FACTOR,
-        "telemetry-on wall clock ({wall_on:.4}s) exceeded {NOISE_FACTOR}x telemetry-off \
-         ({wall_off:.4}s)"
+        on_over_off <= NOISE_FACTOR,
+        "telemetry-on wall clock exceeded {NOISE_FACTOR}x telemetry-off: {on_over_off:.2}x"
     );
 
     // The payoff: per-stage pipeline breakdown from the merged
@@ -136,7 +105,7 @@ fn main() {
         "{:<10} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}",
         "stage", "events", "total us", "mean us", "p50 us", "p99 us", "p999 us"
     );
-    let mut breakdown = Vec::new();
+    let mut record = BenchRecord::new("BENCH_observe", "both");
     for (stage, series) in stages {
         let h = telemetry
             .merged_histogram(series)
@@ -150,7 +119,9 @@ fn main() {
             h.quantile(0.99),
             h.quantile(0.999),
         );
-        breakdown.push(serde_json::json!({
+        record.rows.push(serde_json::json!({
+            "row": "stage",
+            "clock": "simulated",
             "stage": stage,
             "series": series,
             "events": h.count(),
@@ -188,34 +159,37 @@ fn main() {
         "max_batch": MAX_BATCH,
         "seed": seed,
     });
-    let asserts = serde_json::json!({
-        "telemetry_on_bit_identical_to_off": true,
-        "telemetry_on_within_noise_of_off": wall_on <= wall_off * NOISE_FACTOR,
-        "snapshot_json_round_trips": true,
-    });
-    let wall = serde_json::json!({
+    record.rows.push(serde_json::json!({
+        "row": "snapshot",
+        "clock": "simulated",
+        "series_count": snap.series.len(),
+    }));
+    let head = serde_json::json!({
+        "row": "wall_clock",
+        "clock": "host",
         "reps": REPS,
         "noise_factor": NOISE_FACTOR,
-        "off_min_s": wall_off,
-        "on_min_s": wall_on,
-        "on_over_off": wall_on / wall_off,
     });
-    let doc = serde_json::json!({
-        "name": "BENCH_observe",
-        "workload": workload,
-        "asserts": asserts,
-        "wall_clock": wall,
-        "stage_breakdown_us": serde_json::Value::Array(breakdown),
-        "series_count": snap.series.len(),
+    let row = wall.pair_json(head, (0, 1), 1e-9, "s per run");
+    record.rows.push(row);
+    record.workload = workload;
+    record.asserts = serde_json::json!({
+        "telemetry_on_bit_identical_to_off": true,
+        "telemetry_on_within_noise_of_off": true,
+        "snapshot_json_round_trips": true,
     });
-    std::fs::write(
-        "BENCH_observe.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_observe.json");
-    println!(
-        "\nwall clock: off {wall_off:.4}s, on {wall_on:.4}s ({:.2}x, limit {NOISE_FACTOR}x)",
-        wall_on / wall_off
+    record.note = format!(
+        "stage rows: the simulated per-stage QPU pipeline breakdown of the telemetry-on run, \
+         merged over labels; snapshot row: series in the telemetry snapshot; wall_clock row: \
+         host seconds per full run, telemetry on (first arm) and off interleaved over {REPS} \
+         rounds, one run each per round, the first arm alternating; min_ratio = on minimum \
+         over off minimum, asserted <= noise_factor; paired_median_ratio with its bootstrap \
+         95% interval over rounds (reported, not gated)"
     );
-    println!("wrote BENCH_observe.json");
+    let path = record.write().expect("write BENCH_observe.json");
+    println!(
+        "\nwall clock: {} (limit {NOISE_FACTOR}x)",
+        wall.pair_line((0, 1), 1e-9, "s per run")
+    );
+    println!("wrote {}", path.display());
 }

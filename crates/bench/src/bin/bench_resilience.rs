@@ -20,11 +20,10 @@
 //!    [`Guardrails::off`] (`SimReport` equality): resilience machinery
 //!    prices exactly zero in fair weather.
 
-use quamax_bench::Args;
+use quamax_bench::{zf_floor, Args, BenchRecord};
 use quamax_ran::{
-    AccessPoint, CpuPolicy, CpuPool, Deadline, FaultPlan, FaultRates, FronthaulConfig, Guardrails,
-    JobDirection, Policy, QpuOverheads, QpuServer, ResilientServer, SchedConfig, SimReport,
-    Simulation,
+    AccessPoint, Deadline, FaultPlan, FaultRates, FronthaulConfig, Guardrails, JobDirection,
+    Policy, QpuOverheads, QpuServer, ResilientServer, SchedConfig, SimReport, Simulation,
 };
 use quamax_telemetry::Histogram;
 use quamax_wireless::Modulation;
@@ -60,15 +59,6 @@ fn qpu() -> QpuServer {
     QpuServer::new(QpuOverheads::integrated(), 2.0, 5)
 }
 
-fn classical() -> CpuPool {
-    CpuPool::new(
-        8,
-        CpuPolicy::ZeroForcing {
-            vectors_per_channel: 1,
-        },
-    )
-}
-
 /// On-time payload bits per millisecond of horizon.
 fn goodput_bits_per_ms(report: &SimReport, horizon_us: f64) -> f64 {
     let bits_per_frame = (ap(0).logical_vars() * ap(0).problems_per_frame()) as f64;
@@ -89,7 +79,7 @@ fn sim(pool: ResilientServer) -> Simulation {
 fn resilient_sim(workers: usize, rate: f64, seed: u64, guardrails: Guardrails) -> Simulation {
     sim(ResilientServer::new(
         (0..workers).map(|_| qpu()).collect(),
-        classical(),
+        zf_floor(),
         FaultPlan::new(seed, FaultRates::uniform(rate)),
         guardrails,
     ))
@@ -99,7 +89,6 @@ fn main() {
     let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 100); // per AP
     let seed = args.get_u64("seed", 2019); // SIGCOMM '19
-    assert!(frames > 0, "need at least one frame");
     let horizon_us = frames as f64 * ap(0).frame_interval_us;
 
     // Claim 2 first: zero faults, one worker, guardrails on — the
@@ -126,7 +115,7 @@ fn main() {
         "shed"
     );
 
-    let mut rows = Vec::new();
+    let mut record = BenchRecord::new("BENCH_resilience", "simulated");
     let mut stress = None;
     for rate in SWEEP {
         let mut stats = Vec::new();
@@ -179,7 +168,8 @@ fn main() {
                 "latency_p999_us": s.6.quantile(0.999),
             })
         };
-        rows.push(serde_json::json!({
+        record.rows.push(serde_json::json!({
+            "row": "fault_rate",
             "fault_rate_per_class": rate,
             "guarded": arm(g),
             "unguarded": arm(u),
@@ -194,7 +184,7 @@ fn main() {
          exceed the unguarded one ({unguarded_ddl})"
     );
 
-    let workload = serde_json::json!({
+    record.workload = serde_json::json!({
         "aps": 2,
         "ap_class": "16-user BPSK, 50 subcarriers, 1 ms frames, LTE (3 ms) deadline",
         "frames_per_ap": frames,
@@ -204,26 +194,21 @@ fn main() {
         "fault_classes": "storm, drift, programming, stall, crash (uniform rate each)",
         "seed": seed,
     });
-    let asserts = serde_json::json!({
+    record.asserts = serde_json::json!({
         "stress_guarded_strictly_dominates": guarded_ddl > unguarded_ddl,
         "zero_fault_bit_identity_with_plain_qpu_sim": true,
     });
-    let stress_point = serde_json::json!({
+    record.rows.push(serde_json::json!({
+        "row": "stress_point",
         "fault_rate_per_class": SWEEP[SWEEP.len() - 1],
         "guarded_deadline_rate": guarded_ddl,
         "unguarded_deadline_rate": unguarded_ddl,
-    });
-    let doc = serde_json::json!({
-        "name": "BENCH_resilience",
-        "workload": workload,
-        "asserts": asserts,
-        "stress_point": stress_point,
-        "rows": rows,
-    });
-    std::fs::write(
-        "BENCH_resilience.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_resilience.json");
-    println!("\nwrote BENCH_resilience.json");
+    }));
+    record.note = "fault_rate rows: one seeded run per uniform per-class fault rate, guarded \
+        and unguarded (latency quantiles in simulated us); stress_point: the highest rate, \
+        where the guarded deadline rate is asserted to strictly exceed the unguarded one; the \
+        zero-fault guarded run is asserted bit-identical to the plain QPU simulation"
+        .to_string();
+    let path = record.write().expect("write BENCH_resilience.json");
+    println!("\nwrote {}", path.display());
 }

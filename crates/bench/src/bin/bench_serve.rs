@@ -24,10 +24,9 @@
 //!    misses into met deadlines, and
 //! 2. deadline-batching actually batches there: mean occupancy > 1.5.
 
-use quamax_bench::Args;
+use quamax_bench::{metro_pool, metro_qpu, Args, BenchRecord};
 use quamax_ran::{
-    BatchScheduler, Broker, CostModel, CpuPolicy, CpuPool, FaultPlan, Guardrails, JobState,
-    LoadGen, Policy, QpuOverheads, QpuServer, ResilientServer, SchedConfig, ScheduleReport,
+    BatchScheduler, Broker, CostModel, JobState, LoadGen, Policy, SchedConfig, ScheduleReport,
 };
 use quamax_telemetry::Histogram;
 
@@ -37,35 +36,6 @@ use quamax_telemetry::Histogram;
 const LOADS: [f64; 4] = [0.002, 0.006, 0.012, 0.024];
 const CELLS: usize = 4;
 const MAX_BATCH: usize = 24; // one anneal wave of 16-var problems
-
-fn qpu() -> QpuServer {
-    let overheads = QpuOverheads {
-        preprocessing_us: 0.0,
-        programming_us: 200.0,
-        readout_per_anneal_us: 25.0,
-    };
-    // Session-cache coherence matches the metro generator's 10 ms
-    // channel blocks.
-    QpuServer::new(overheads, 2.0, 5).with_session_cache(10_000.0)
-}
-
-fn classical() -> CpuPool {
-    CpuPool::new(
-        8,
-        CpuPolicy::ZeroForcing {
-            vectors_per_channel: 1,
-        },
-    )
-}
-
-fn server(seed: u64) -> ResilientServer {
-    ResilientServer::new(
-        vec![qpu(), qpu()],
-        classical(),
-        FaultPlan::quiet(seed),
-        Guardrails::on(),
-    )
-}
 
 /// Served-job latency quantiles through the shared telemetry
 /// [`Histogram`] — and a proof obligation: the histogram's exact
@@ -98,7 +68,7 @@ fn policy_name(policy: Policy) -> &'static str {
 }
 
 fn run_one(seed: u64, rate_total: f64, horizon_us: f64, policy: Policy) -> ScheduleReport {
-    let mut srv = server(seed);
+    let mut srv = metro_pool(seed);
     let mut broker = Broker::new();
     let arrivals = LoadGen::metro(seed, CELLS, rate_total / CELLS as f64).generate(horizon_us);
     let report = BatchScheduler::new(SchedConfig::new(policy, MAX_BATCH)).run(
@@ -122,7 +92,6 @@ fn main() {
     let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 100); // horizon in ms
     let seed = args.get_u64("seed", 2019); // SIGCOMM '19
-    assert!(frames > 0, "need a positive horizon");
     let horizon_us = frames as f64 * 1_000.0;
     let policies = [Policy::Fifo, Policy::DeadlineBatch, Policy::CostAware];
 
@@ -144,7 +113,7 @@ fn main() {
         "J/decode"
     );
 
-    let mut rows = Vec::new();
+    let mut record = BenchRecord::new("BENCH_serve", "simulated");
     let mut stress: Option<(f64, f64, f64)> = None; // (fifo ddl, batch ddl, batch occ)
     for rate in LOADS {
         let mut fifo_ddl = None;
@@ -172,7 +141,8 @@ fn main() {
                 }
                 _ => {}
             }
-            rows.push(serde_json::json!({
+            record.rows.push(serde_json::json!({
+                "row": "load_policy",
                 "offered_jobs_per_us": rate,
                 "policy": policy_name(policy),
                 "jobs": report.outcomes.len(),
@@ -209,11 +179,11 @@ fn main() {
     // assuming batched service (one wave per 24-job batch).
     let cost = CostModel::nextg_baseline();
     let per_cell_rate = LOADS[LOADS.len() - 1] / CELLS as f64;
-    let wave_us = qpu().amortized_service_time_us(MAX_BATCH, 16, false);
+    let wave_us = metro_qpu().amortized_service_time_us(MAX_BATCH, 16, false);
     let qpu_us_per_s = per_cell_rate * 100.0 * 1e6 * (wave_us / MAX_BATCH as f64);
     let annealers = cost.annealers_per_datacenter(qpu_us_per_s, 0.7);
 
-    let workload = serde_json::json!({
+    record.workload = serde_json::json!({
         "cells": CELLS,
         "generator": "metro (diurnal x Markov bursts, 70% 16-user BPSK LTE / 30% 8-user QPSK WCDMA)",
         "horizon_ms": frames,
@@ -223,36 +193,32 @@ fn main() {
         "max_batch": MAX_BATCH,
         "seed": seed,
     });
-    let asserts = serde_json::json!({
+    record.asserts = serde_json::json!({
         "stress_batching_strictly_beats_fifo_deadline_rate": batch_ddl > fifo_ddl,
         "stress_mean_occupancy_above_1p5": batch_occ > 1.5,
     });
-    let stress_point = serde_json::json!({
+    record.rows.push(serde_json::json!({
+        "row": "stress_point",
         "offered_jobs_per_us": LOADS[LOADS.len() - 1],
         "fifo_deadline_rate": fifo_ddl,
         "deadline_batch_deadline_rate": batch_ddl,
         "deadline_batch_mean_occupancy": batch_occ,
-    });
-    let sizing = serde_json::json!({
+    }));
+    record.rows.push(serde_json::json!({
+        "row": "datacenter_sizing",
         "cells": 100,
         "per_cell_offered_jobs_per_us": per_cell_rate,
         "batched_qpu_us_per_job": wave_us / MAX_BATCH as f64,
         "offered_qpu_us_per_s": qpu_us_per_s,
         "utilization_target": 0.7,
         "annealers_required": annealers,
-    });
-    let doc = serde_json::json!({
-        "name": "BENCH_serve",
-        "workload": workload,
-        "asserts": asserts,
-        "stress_point": stress_point,
-        "datacenter_sizing": sizing,
-        "rows": rows,
-    });
-    std::fs::write(
-        "BENCH_serve.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
+    }));
+    record.note = "load_policy rows: one seeded metro run per offered load and policy \
+        (latency quantiles in simulated us from the telemetry histogram, bit-identical to the \
+        report's); stress_point: the highest load, where deadline batching is asserted to beat \
+        FIFO on deadline rate with mean occupancy > 1.5; datacenter_sizing: annealers for 100 \
+        cells at the stress per-cell rate under batched service, from the NextG price book"
+        .to_string();
+    let path = record.write().expect("write BENCH_serve.json");
+    println!("\nwrote {}", path.display());
 }

@@ -23,13 +23,10 @@
 //!    together.
 
 use quamax_anneal::{Annealer, AnnealerConfig, IceModel, Schedule};
-use quamax_bench::Args;
+use quamax_bench::{metro_pool, Args, BenchRecord};
 use quamax_core::{DecoderConfig, PrecodeInput, Precoder, PrecoderKind};
 use quamax_linalg::CVector;
-use quamax_ran::{
-    BatchScheduler, Broker, CpuPolicy, CpuPool, FaultPlan, Guardrails, JobDirection, JobState,
-    LoadGen, Policy, QpuOverheads, QpuServer, ResilientServer, SchedConfig,
-};
+use quamax_ran::{BatchScheduler, Broker, JobDirection, JobState, LoadGen, Policy, SchedConfig};
 use quamax_wireless::{apply_awgn, count_bit_errors, rayleigh_channel, Modulation, Snr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,7 +141,6 @@ fn main() {
     let args = Args::parse(&["frames", "seed"], &[]);
     let frames = args.get_usize("frames", 60);
     let seed = args.get_u64("seed", 2019);
-    assert!(frames > 0, "need at least one frame");
 
     // ---- BER vs SNR: annealed VPP vs ZF vs THP -------------------
     println!(
@@ -155,7 +151,7 @@ fn main() {
         "{:<8} {:<8} {:>12} {:>14}",
         "snr dB", "backend", "ber", "mean power"
     );
-    let mut ber_rows = Vec::new();
+    let mut record = BenchRecord::new("BENCH_vpp", "simulated");
     let mut stress: Option<(f64, f64)> = None; // (zf ber, vpp ber)
     for snr_db in SNRS_DB {
         let points = ber_sweep(seed, frames, Snr::from_db(snr_db));
@@ -169,7 +165,8 @@ fn main() {
                 "{snr_db:<8} {:<8} {:>12.6} {:>14.4}",
                 p.backend, p.ber, p.mean_power
             );
-            ber_rows.push(serde_json::json!({
+            record.rows.push(serde_json::json!({
+                "row": "ber",
                 "snr_db": snr_db,
                 "backend": p.backend,
                 "ber": p.ber,
@@ -184,29 +181,7 @@ fn main() {
     );
 
     // ---- Scheduler deadline-rate under the full-duplex mix -------
-    let qpu = || {
-        QpuServer::new(
-            QpuOverheads {
-                preprocessing_us: 0.0,
-                programming_us: 200.0,
-                readout_per_anneal_us: 25.0,
-            },
-            2.0,
-            5,
-        )
-        .with_session_cache(10_000.0)
-    };
-    let mut pool = ResilientServer::new(
-        vec![qpu(), qpu()],
-        CpuPool::new(
-            8,
-            CpuPolicy::ZeroForcing {
-                vectors_per_channel: 1,
-            },
-        ),
-        FaultPlan::quiet(seed),
-        Guardrails::on(),
-    );
+    let mut pool = metro_pool(seed);
     let mut broker = Broker::new();
     let horizon_us = (frames as f64) * 1_000.0;
     let arrivals = LoadGen::full_duplex(seed, 4, 0.003, 0.5).generate(horizon_us);
@@ -220,7 +195,7 @@ fn main() {
     assert!(ledger.in_flight() == 0 && ledger.conserved());
 
     println!("\nfull-duplex metro mix (50% downlink), deadline-aware batching:");
-    let mut sched_rows = Vec::new();
+    let mut direction_rows = Vec::new();
     let mut completed_by_direction = [0usize; 2];
     for (idx, direction) in [JobDirection::Uplink, JobDirection::Downlink]
         .into_iter()
@@ -255,7 +230,8 @@ fn main() {
             ddl,
             usd_per_job
         );
-        sched_rows.push(serde_json::json!({
+        direction_rows.push(serde_json::json!({
+            "row": "full_duplex_direction",
             "direction": direction.name(),
             "jobs": outcomes.len(),
             "completed": completed,
@@ -274,7 +250,7 @@ fn main() {
         assert!(d.occupancy >= 1);
     }
 
-    let workload = serde_json::json!({
+    record.workload = serde_json::json!({
         "users": USERS,
         "modulation": "qpsk",
         "frames": frames,
@@ -283,36 +259,31 @@ fn main() {
         "vpp": "20 anneals, t=1 encoding, 10 us standard schedule, quiet annealer",
         "seed": seed,
     });
-    let asserts = serde_json::json!({
+    record.asserts = serde_json::json!({
         "stress_snr_vpp_beats_zf_ber": vpp_ber < zf_ber,
         "full_duplex_run_drains_and_conserves": true,
         "both_directions_complete_jobs": completed_by_direction.iter().all(|&c| c > 0),
     });
-    let stress_point = serde_json::json!({
+    record.rows.push(serde_json::json!({
+        "row": "stress_point",
         "snr_db": SNRS_DB[SNRS_DB.len() - 1],
         "zf_ber": zf_ber,
         "vpp_ber": vpp_ber,
-    });
-    let full_duplex = serde_json::json!({
+    }));
+    record.rows.push(serde_json::json!({
+        "row": "full_duplex",
         "offered_jobs_per_us": 0.003 * 4.0,
         "downlink_fraction": 0.5,
         "policy": "deadline_batch",
         "deadline_rate": report.deadline_rate(),
         "usd_per_decode": report.usd_per_decode(),
-        "rows": sched_rows,
-    });
-    let doc = serde_json::json!({
-        "name": "BENCH_vpp",
-        "workload": workload,
-        "asserts": asserts,
-        "stress_point": stress_point,
-        "ber_rows": ber_rows,
-        "full_duplex": full_duplex,
-    });
-    std::fs::write(
-        "BENCH_vpp.json",
-        serde_json::to_string_pretty(&doc).expect("serializable"),
-    )
-    .expect("write BENCH_vpp.json");
-    println!("\nwrote BENCH_vpp.json");
+    }));
+    record.rows.extend(direction_rows);
+    record.note = "ber rows: downlink BER and mean precode power per SNR and backend \
+        (annealed VPP, ZF, THP); stress_point: the highest SNR, where annealed VPP is asserted \
+        to strictly beat ZF; full_duplex: a 50% downlink metro mix through the deadline-batching \
+        scheduler (simulated device time), with one full_duplex_direction row per direction"
+        .to_string();
+    let path = record.write().expect("write BENCH_vpp.json");
+    println!("\nwrote {}", path.display());
 }

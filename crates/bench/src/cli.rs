@@ -78,11 +78,11 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
-    /// A `usize` value with default. A value that is not a whole
-    /// number prints the error and the usage line and exits with
-    /// status 2, as [`Args::parse`] does.
+    /// A count: a `usize` value of at least 1, with default. A value
+    /// that is not a whole number, or is 0, prints the error and the
+    /// usage line and exits with status 2, as [`Args::parse`] does.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.or_exit(self.parsed(key, default, "an integer"))
+        self.get_usize_at_least(key, default, 1)
     }
 
     /// A `usize` value of at least `min`, with default; anything else
@@ -196,6 +196,10 @@ mod tests {
         let err = a.at_least("slices", 8, 2).unwrap_err();
         assert_eq!(err, "--slices must be at least 2, got 1");
         assert_eq!(a.at_least("slices", 8, 1), Ok(1));
+        // Every count rejects 0.
+        let a = args(&["--anneals", "0"]);
+        let err = a.at_least("anneals", 8, 1).unwrap_err();
+        assert_eq!(err, "--anneals must be at least 1, got 0");
         assert_eq!(args(&[]).at_least("anneals", 8, 2), Ok(8));
     }
 

@@ -1,6 +1,5 @@
-//! Shared fixtures and drivers for the sweep-kernel before/after
-//! benchmarks (`benches/microbench.rs` and the `bench_kernel` binary,
-//! which records `BENCH_kernel.json`).
+//! Fixtures and drivers for the sweep-kernel before/after comparison
+//! the `bench_kernel` binary records to `BENCH_kernel.json`.
 //!
 //! Two problem regimes bracket the simulator's workload:
 //!

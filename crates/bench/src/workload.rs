@@ -1,11 +1,15 @@
 //! Shared experiment workloads: problem classes, parameter strategies,
-//! and the Fix/Opt drivers built on the runner kernel.
+//! the Fix/Opt drivers built on the runner kernel, and the coded and
+//! serving benches' shared detector and worker pool.
 
-use crate::runner::{run_instances, RunSpec};
-use quamax_anneal::{AnnealerConfig, Schedule};
+use crate::runner::{inner_threads_for, run_instances, RunSpec};
+use quamax_anneal::{Annealer, AnnealerConfig, Schedule};
 use quamax_chimera::EmbedParams;
 use quamax_core::params::{select_best, CandidateParams};
-use quamax_core::{DecoderConfig, Instance, RunStatistics};
+use quamax_core::{DecoderConfig, DetectorKind, Instance, RunStatistics};
+use quamax_ran::{
+    CpuPolicy, CpuPool, FaultPlan, Guardrails, QpuOverheads, QpuServer, ResilientServer,
+};
 use quamax_wireless::Modulation;
 
 /// A problem class: user count and modulation (`Nr = Nt` throughout,
@@ -206,6 +210,51 @@ pub fn fix_for_class(
     let (best_idx, _) = select_best(&scored, |&(_, s)| s).expect("non-empty");
     let idx = best_idx.0;
     (candidates[idx], all_stats.swap_remove(idx))
+}
+
+/// The coded benches' annealed detector at the §5.3.3 operating
+/// point: a decode deadline (a 1 µs anneal at 2 sweeps/µs, `anneals`
+/// cycles) leaves residual detector errors for FEC to mop up, the
+/// regime where the anneal ensemble's reliabilities matter. Sized for
+/// `frames` frames decoded in parallel.
+pub fn starved_quamax(frames: usize, anneals: usize) -> DetectorKind {
+    let annealer = Annealer::new(AnnealerConfig {
+        threads: inner_threads_for(frames),
+        sweeps_per_us: 2.0,
+        ..Default::default()
+    });
+    let config = DecoderConfig {
+        schedule: Schedule::standard(1.0),
+        ..Default::default()
+    };
+    DetectorKind::quamax(annealer, config, anneals)
+}
+
+/// A near-term QPU worker: 200 µs programming, 25 µs readout per
+/// anneal, a 2 µs cycle, 5 anneals, and a session cache whose 10 ms
+/// coherence matches the metro generator's channel blocks.
+pub fn metro_qpu() -> QpuServer {
+    let overheads = QpuOverheads {
+        preprocessing_us: 0.0,
+        programming_us: 200.0,
+        readout_per_anneal_us: 25.0,
+    };
+    QpuServer::new(overheads, 2.0, 5).with_session_cache(10_000.0)
+}
+
+/// The serving benches' CPU floor: 8 cores of zero forcing.
+pub fn zf_floor() -> CpuPool {
+    let zf = CpuPolicy::ZeroForcing {
+        vectors_per_channel: 1,
+    };
+    CpuPool::new(8, zf)
+}
+
+/// The serving benches' pool: two [`metro_qpu`] workers over the
+/// [`zf_floor`], no faults, guardrails on.
+pub fn metro_pool(seed: u64) -> ResilientServer {
+    let qpus = vec![metro_qpu(), metro_qpu()];
+    ResilientServer::new(qpus, zf_floor(), FaultPlan::quiet(seed), Guardrails::on())
 }
 
 #[cfg(test)]
