@@ -72,14 +72,18 @@ fn annealer_streams_are_stable() {
         ..Default::default()
     });
     let sparse_sqa_samples = sparse_sqa.run_chained(&embedded, &chains, &schedule, 32, 6);
-    let mut distinct = sparse_sqa_samples.clone();
-    distinct.sort();
-    distinct.dedup();
-    assert!(
-        distinct.len() >= 4,
-        "sparse SQA samples collapsed to {} configurations",
-        distinct.len()
-    );
+    assert_spread(&sparse_sqa_samples, "sparse SQA");
+    // The SA case above is one configuration too, so it cannot see a
+    // changed chain decision. On one thread 47 anneals run in five
+    // windows of 8 replicas, then 4, 2 and 1, so this digest pins every
+    // width the kernel is compiled for.
+    let sparse_sa = Annealer::new(AnnealerConfig {
+        sweeps_per_us: 2.0,
+        threads: 1,
+        ..Default::default()
+    });
+    let sparse_sa_samples = sparse_sa.run_chained(&embedded, &chains, &schedule, 47, 9);
+    assert_spread(&sparse_sa_samples, "sparse SA");
 
     // A mixed-job window: two programmed problems sharing one structure,
     // one of them reverse-started from a candidate, packed so that
@@ -119,6 +123,7 @@ fn annealer_streams_are_stable() {
         digest(&sqa_samples),
         digest(&mixed_samples),
         digest(&sparse_sqa_samples),
+        digest(&sparse_sa_samples),
     ];
     assert_eq!(
         digests,
@@ -126,7 +131,8 @@ fn annealer_streams_are_stable() {
             0x7864_f3fe_dba7_7125,
             0xa7cb_fb74_297f_0525,
             0x34c1_848c_e29e_c215,
-            0x7b94_7ca7_b417_674d
+            0x7b94_7ca7_b417_674d,
+            0xe566_66fe_f95b_5dad
         ],
         "{digests:#x?}"
     );
@@ -151,6 +157,19 @@ fn chained_problem() -> (quamax::ising::IsingProblem, Vec<Vec<usize>>) {
         }
     }
     (p, chains)
+}
+
+/// Asserts `samples` spread over at least four configurations, so their
+/// digest sees a changed decision.
+fn assert_spread(samples: &[Vec<Spin>], what: &str) {
+    let mut distinct = samples.to_vec();
+    distinct.sort();
+    distinct.dedup();
+    assert!(
+        distinct.len() >= 4,
+        "{what} samples collapsed to {} configurations",
+        distinct.len()
+    );
 }
 
 /// FNV-1a over every sample's spins, in output order.

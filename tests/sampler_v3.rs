@@ -118,11 +118,34 @@ fn assert_same(a: &ReplicaBatch, b: &ReplicaBatch, what: &str) {
 
 #[test]
 fn every_instruction_set_matches_the_scalar_reference() {
-    let (embedded12, chain_sets) = embedded(12, 5);
+    let every_window: Vec<(usize, bool)> = SA_WIDTHS
+        .into_iter()
+        .flat_map(|width| [(width, false), (width, true)])
+        .collect();
+    let (embedded12, chain_sets12) = embedded(12, 5);
+    // The uplink operating point: 48 chains of 13 qubits, one 8-wide
+    // per-replica window under calibrated ICE.
+    let (embedded48, chain_sets48) = embedded(48, 1);
     let cases = [
-        ("embedded 12u", embedded12, chain_sets),
-        ("dyadic 7x9 grid", dyadic_grid(7, 9, 6), Vec::new()),
-        ("dense 11", dense(11, 7), vec![vec![0, 1, 2], vec![5, 6]]),
+        (
+            "embedded 12u",
+            embedded12,
+            chain_sets12,
+            every_window.clone(),
+        ),
+        ("embedded 48u", embedded48, chain_sets48, vec![(8, true)]),
+        (
+            "dyadic 7x9 grid",
+            dyadic_grid(7, 9, 6),
+            Vec::new(),
+            every_window.clone(),
+        ),
+        (
+            "dense 11",
+            dense(11, 7),
+            vec![vec![0, 1, 2], vec![5, 6]],
+            every_window,
+        ),
     ];
     for isa in Isa::ALL {
         if !isa.is_supported() {
@@ -131,50 +154,48 @@ fn every_instruction_set_matches_the_scalar_reference() {
     }
     let betas = ladder();
     let ice = IceModel::calibrated();
-    for (name, problem, chain_sets) in &cases {
+    for (name, problem, chain_sets, windows) in &cases {
         let structure = CompiledProblem::new(problem);
         let chains = CompiledChains::compile(&structure, chain_sets);
         // A second problem over the same structure, for windows that
         // pack two jobs.
         let mut other = structure.clone();
         other.perturb_linear(|f| 0.9 * f - 0.05);
-        for width in SA_WIDTHS {
+        for &(width, per_replica) in windows {
             let problems: Vec<&CompiledProblem> = (0..width)
                 .map(|r| if r % 2 == 0 { &structure } else { &other })
                 .collect();
-            for per_replica in [false, true] {
-                let what = format!("{name}, width {width}, per-replica {per_replica}");
-                let window = per_replica.then_some((&problems[..], &ice));
-                let seed = 40 + width as u64;
-                let mut reference = ReplicaBatch::new();
-                let mut reference_rngs = streams(width, seed);
-                let keys = set_up(&mut reference, &structure, window, &mut reference_rngs);
-                sa::anneal_batch_reference(&structure, &chains, &betas, &mut reference, &keys);
+            let what = format!("{name}, width {width}, per-replica {per_replica}");
+            let window = per_replica.then_some((&problems[..], &ice));
+            let seed = 40 + width as u64;
+            let mut reference = ReplicaBatch::new();
+            let mut reference_rngs = streams(width, seed);
+            let keys = set_up(&mut reference, &structure, window, &mut reference_rngs);
+            sa::anneal_batch_reference(&structure, &chains, &betas, &mut reference, &keys);
 
-                for isa in Isa::ALL.into_iter().filter(|isa| isa.is_supported()) {
-                    let mut batch = ReplicaBatch::new();
-                    let keys = set_up(&mut batch, &structure, window, &mut streams(width, seed));
-                    batch.anneal(isa, &structure, &chains, &betas, &keys);
-                    assert_same(&batch, &reference, &format!("{what}, {isa:?}"));
-                }
-
-                // The dispatched window, setup included, leaves each
-                // stream where the reference left it.
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.is_supported()) {
                 let mut batch = ReplicaBatch::new();
-                let mut rngs = streams(width, seed);
-                let coefficients = match window {
-                    None => WindowCoefficients::Shared(&structure),
-                    Some((problems, ice)) => WindowCoefficients::PerReplica {
-                        structure: &structure,
-                        problems,
-                        ice,
-                    },
-                };
-                batch.anneal_window(coefficients, |_| None, &chains, &betas, &mut rngs);
-                assert_same(&batch, &reference, &format!("{what}, window"));
-                for (r, (a, b)) in rngs.iter_mut().zip(&mut reference_rngs).enumerate() {
-                    assert_eq!(a.next_u64(), b.next_u64(), "{what}: stream {r} moved");
-                }
+                let keys = set_up(&mut batch, &structure, window, &mut streams(width, seed));
+                batch.anneal(isa, &structure, &chains, &betas, &keys);
+                assert_same(&batch, &reference, &format!("{what}, {isa:?}"));
+            }
+
+            // The dispatched window, setup included, leaves each
+            // stream where the reference left it.
+            let mut batch = ReplicaBatch::new();
+            let mut rngs = streams(width, seed);
+            let coefficients = match window {
+                None => WindowCoefficients::Shared(&structure),
+                Some((problems, ice)) => WindowCoefficients::PerReplica {
+                    structure: &structure,
+                    problems,
+                    ice,
+                },
+            };
+            batch.anneal_window(coefficients, |_| None, &chains, &betas, &mut rngs);
+            assert_same(&batch, &reference, &format!("{what}, window"));
+            for (r, (a, b)) in rngs.iter_mut().zip(&mut reference_rngs).enumerate() {
+                assert_eq!(a.next_u64(), b.next_u64(), "{what}: stream {r} moved");
             }
         }
     }
