@@ -32,11 +32,23 @@
 //! [`ReplicaBatch::anneal`] decides a color class eight proposals at a
 //! time — one 8-wide strip, or the next `8 / W` spins of the class at
 //! width `W` — each block in one branch-free pass, and only then flips
-//! and scatters the accepted spins in class order. The whole SA window
-//! (bind, init, spin pass, chain pass, scatter) runs in one function
-//! compiled for the host's widest [`Isa`]; every set yields the bits of
-//! deciding one proposal at a time through the closure seams
-//! [`ReplicaBatch::sweep_spins`] and [`ReplicaBatch::sweep_chain`].
+//! and scatters the accepted spins in class order. A chain move at
+//! `W ≥ 4` is decided by the same 8-lane pass, its unused lanes masked
+//! out. The whole SA window (bind, init, spin pass, chain pass,
+//! scatter) runs in one function compiled for the host's widest
+//! [`Isa`]; every set yields the bits of deciding one proposal at a
+//! time through the closure seams [`ReplicaBatch::sweep_spins`] and
+//! [`ReplicaBatch::sweep_chain`].
+//!
+//! What vectorizes: the 8-lane decide, and every `W`-wide replica
+//! strip — the flip energies, a chain's internal-edge terms, the field
+//! rebuild, the flip (a select per lane: a rejected replica keeps its
+//! spin and the step `+0.0`) and the scatter `fields += steps·g`. The
+//! rule that keeps a strip update vectorized: it reads its operands
+//! into local arrays before it writes. The weight and field strips are
+//! two buffers of one batch, which the compiler cannot prove apart, and
+//! a strip loop that writes one while it reads the other through a
+//! reference stays scalar.
 //!
 //! [`ReplicaBatch`] holds `W` replicas of `P` Trotter slices each, spins
 //! and fields in structure-of-arrays strips indexed `(k·n + i)·W + r`:
@@ -298,7 +310,8 @@ pub struct ReplicaBatch {
     normals: Vec<f64>,
     /// Scratch: one color class's decisions, one byte mask per block.
     masks: Vec<u64>,
-    /// Scratch: one sweep's chain-move uniforms, `uniforms[c·W + r]`.
+    /// Scratch: one sweep's chain-move uniforms at widths 1 and 2,
+    /// `uniforms[c·W + r]`.
     uniforms: Vec<f64>,
 }
 
@@ -650,23 +663,27 @@ impl ReplicaBatch {
         mask: u64,
     ) {
         let at = (base + i) * W;
-        let mut steps = [0.0f64; W];
-        let spins: &mut [Spin; W] = (&mut self.spins[at..at + W]).try_into().expect("strip");
-        for r in 0..W {
-            if mask >> (8 * r) & 1 == 1 {
-                let s = spins[r];
-                spins[r] = -s;
-                steps[r] = -2.0 * s as f64;
+        let flips = mask.to_le_bytes();
+        let old: [Spin; W] = self.spins[at..at + W].try_into().expect("strip");
+        // Selects, not branches: a rejected replica keeps its spin and
+        // the step +0.0 (never −0.0, whose sign would reach the fields).
+        let steps: [f64; W] = std::array::from_fn(|r| {
+            if flips[r] != 0 {
+                -2.0 * old[r] as f64
+            } else {
+                0.0
             }
-        }
+        });
+        let new: [Spin; W] = std::array::from_fn(|r| if flips[r] != 0 { -old[r] } else { old[r] });
+        self.spins[at..at + W].copy_from_slice(&new);
         self.scatter::<W>(problem, base, i, &steps);
     }
 
     /// One CSR row walk updating all replicas' slice at site offset
     /// `base` after its spin `i` moved: for each row entry `(j, g)`,
-    /// `fields[(base+j)*W..][..W] += steps * g` — a fixed-size strip the
-    /// compiler fully unrolls (rejected replicas carry step 0, which
-    /// only ever normalizes a zero's sign).
+    /// `fields[(base+j)*W..][..W] = old + steps * g` — a fixed-size
+    /// strip the compiler vectorizes (rejected replicas carry step
+    /// `+0.0`, which only ever normalizes a zero's sign).
     #[inline(always)]
     fn scatter<const W: usize>(
         &mut self,
@@ -677,26 +694,28 @@ impl ReplicaBatch {
     ) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
+        // Operands are read into local arrays before the write: the
+        // compiler cannot prove a weight strip and a field strip apart,
+        // and a strip it must assume aliased stays scalar.
+        let update = |fields: &mut [f64], j: u32, gs: [f64; W]| {
+            let at = (base + j as usize) * W;
+            let old: [f64; W] = fields[at..at + W].try_into().expect("strip");
+            let new: [f64; W] = std::array::from_fn(|r| old[r] + steps[r] * gs[r]);
+            fields[at..at + W].copy_from_slice(&new);
+        };
         if self.shared {
             let gs = &problem.weights_flat()[lo..hi];
             for (&j, &g) in idx.iter().zip(gs) {
-                let at = (base + j as usize) * W;
-                let strip: &mut [f64; W] =
-                    (&mut self.fields[at..at + W]).try_into().expect("strip");
-                for r in 0..W {
-                    strip[r] += steps[r] * g;
-                }
+                update(&mut self.fields, j, [g; W]);
             }
         } else {
             for (pos, &j) in idx.iter().enumerate() {
                 let e = (lo + pos) * W;
-                let gs: &[f64; W] = (&self.weights[e..e + W]).try_into().expect("strip");
-                let at = (base + j as usize) * W;
-                let strip: &mut [f64; W] =
-                    (&mut self.fields[at..at + W]).try_into().expect("strip");
-                for r in 0..W {
-                    strip[r] += steps[r] * gs[r];
-                }
+                update(
+                    &mut self.fields,
+                    j,
+                    self.weights[e..e + W].try_into().expect("strip"),
+                );
             }
         }
     }
@@ -822,8 +841,9 @@ impl ReplicaBatch {
     /// spin's strip, at width `W < 8` the next `8 / W` spins of the
     /// class. A class is an independent set, so no flip changes another
     /// member's ΔE; the accepted spins then flip and scatter in class
-    /// order. Chain moves stay sequential, with their uniforms drawn
-    /// ahead. The result is the spins and field bits of deciding one
+    /// order. Chain moves stay sequential: at `W ≥ 4` each chain's
+    /// replicas are decided by the 8-lane pass, at `W ≤ 2` from uniforms
+    /// drawn ahead. The result is the spins and field bits of deciding one
     /// proposal at a time with [`crate::draws::accept`] through
     /// [`ReplicaBatch::sweep_spins`] and [`ReplicaBatch::sweep_chain`],
     /// at every width and on every `isa`.
@@ -955,10 +975,13 @@ impl ReplicaBatch {
         }
     }
 
-    /// One move per chain, in chain order. Each decision feeds the next
-    /// chain's ΔE, so the pass first draws every chain's uniforms for
-    /// sweep `t` (no draw depends on the state), leaving only the
-    /// exponential between one chain's ΔE and its flips.
+    /// One move per chain, in chain order; each decision feeds the next
+    /// chain's ΔE. At `W ≥ 4` the 8-lane branch-free
+    /// [`crate::draws::decide`] decides a chain's `W` replicas, its
+    /// unused lanes proposing ΔE = 0 and masked out. At `W ≤ 2` the pass
+    /// first draws every chain's uniforms for sweep `t` (no draw depends
+    /// on the state) and then decides lane by lane, with the exponential
+    /// only where it decides.
     #[inline(always)]
     fn chain_pass<const W: usize>(
         &mut self,
@@ -969,6 +992,27 @@ impl ReplicaBatch {
         keys: &[u64; W],
     ) {
         let n = self.n;
+        // Measured by interleaved per-call minima of whole windows on an
+        // AVX-512 host (8-lane decide against the drawn path): the
+        // 16-variable embedding (80 qubits, 40 sweeps) read 76 against
+        // 64 µs at width 1, 100 against 97 µs at width 2 and 96 against
+        // 113 µs at width 4; the 64-variable clique (1 088 qubits) 680
+        // against 640 µs at width 1. A narrow strip pays the hash and
+        // exponential of lanes that decide nothing.
+        if W >= 4 {
+            let mut lane_keys = [0u64; LANES];
+            lane_keys[..W].copy_from_slice(keys);
+            for c in 0..chains.len() {
+                let mut delta = [0.0f64; LANES];
+                delta[..W].copy_from_slice(&self.chain_deltas::<W>(problem, chains, c));
+                let weyls = [draws::weyl(t, (n + c) as u32); LANES];
+                let mask = decide(beta, &delta, &lane_keys, &weyls) & lanes::<W>();
+                if mask != 0 {
+                    self.flip_chain::<W>(problem, chains, 0, c, mask);
+                }
+            }
+            return;
+        }
         let mut uniforms = std::mem::take(&mut self.uniforms);
         uniforms.resize(chains.len() * W, 0.0);
         for (c, strip) in uniforms.chunks_exact_mut(W).enumerate() {
@@ -1256,9 +1300,11 @@ pub enum WindowCoefficients<'a> {
 /// source serves all three: [`ReplicaBatch::anneal`] and
 /// [`ReplicaBatch::anneal_window`] run their whole body inside a
 /// function compiled with the set's target features, so the 8-lane
-/// decide and the replica strips vectorize as wide as the host allows.
-/// The kernel only ever adds, multiplies and moves bits (no FMA), so
-/// every set produces the same bits.
+/// decide and the `W`-wide strip arithmetic (see the module docs for
+/// what vectorizes) take the set's widest vectors: at `W = 8` one
+/// AVX-512 register or two AVX2 registers per strip. The kernel only
+/// ever adds, multiplies and moves bits (no FMA), so every set produces
+/// the same bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Isa {
     /// The target's baseline (SSE2 on x86-64).

@@ -38,7 +38,10 @@
 //!   counter-based proposal at a time, against the kernel dispatched to
 //!   the host's widest instruction set, eight at a time. Asserted
 //!   identical; also reports lane acceptances and the chain-break
-//!   fraction of untimed windows;
+//!   fraction of untimed windows. A third arm, interleaved with the
+//!   two, runs the dispatched window with no chains, and
+//!   `chain_pass_share` = 1 − its minimum over the dispatched minimum
+//!   is the chain moves' share of a window (reported, not gated);
 //! * `vpp_clique_1088q_r{1,4}` — the same at a metro VPP precode's shape
 //!   (64-variable clique embedding, 1,088 qubits, 40 sweeps) and widths
 //!   1 and 4, in ns per spin proposal. Asserted identical.
@@ -174,14 +177,29 @@ impl WindowBench {
         keys
     }
 
-    /// Times the scalar reference against the dispatched kernel,
-    /// interleaved over the same streams and equally often, then
-    /// asserts they ended on the same spins, field bits and next draws.
+    /// One window through the dispatched kernel under `chains`.
+    fn dispatch(&self, batch: &mut ReplicaBatch, chains: &CompiledChains, rngs: &mut [StdRng]) {
+        let problems = vec![&self.compiled; self.width];
+        let coefficients = WindowCoefficients::PerReplica {
+            structure: &self.compiled,
+            problems: &problems,
+            ice: &self.ice,
+        };
+        batch.anneal_window(coefficients, |_| None, chains, &self.betas, rngs);
+        black_box(batch.spin(0, 0));
+    }
+
+    /// Times the scalar reference against the dispatched kernel, and
+    /// the dispatched kernel with no chains (the chain pass's share of
+    /// a window), interleaved equally often; then asserts the first two,
+    /// run over the same streams, ended on the same spins, field bits
+    /// and next draws.
     fn time(&self, samples: usize, rounds: usize, seed: u64, name: &str) -> Timing {
         let (mut scalar, mut dispatched) = (ReplicaBatch::new(), ReplicaBatch::new());
         let (mut scalar_rngs, mut dispatched_rngs) =
             (streams(seed, self.width), streams(seed, self.width));
-        let problems = vec![&self.compiled; self.width];
+        let (mut bare, mut bare_rngs) = (ReplicaBatch::new(), streams(seed, self.width));
+        let no_chains = CompiledChains::default();
         let timing = interleave(
             rounds,
             samples,
@@ -193,20 +211,10 @@ impl WindowBench {
                     black_box(scalar.spin(0, 0));
                 }),
                 ("dispatched", &mut || {
-                    let coefficients = WindowCoefficients::PerReplica {
-                        structure: &self.compiled,
-                        problems: &problems,
-                        ice: &self.ice,
-                    };
-                    let rngs = &mut dispatched_rngs;
-                    dispatched.anneal_window(
-                        coefficients,
-                        |_| None,
-                        &self.chains,
-                        &self.betas,
-                        rngs,
-                    );
-                    black_box(dispatched.spin(0, 0));
+                    self.dispatch(&mut dispatched, &self.chains, &mut dispatched_rngs)
+                }),
+                ("no_chains", &mut || {
+                    self.dispatch(&mut bare, &no_chains, &mut bare_rngs)
                 }),
             ],
         );
@@ -315,6 +323,19 @@ fn sa_ladders(
             }),
         ],
     )
+}
+
+/// The chain pass's share of a [`WindowBench::time`] window, `1 −
+/// no-chains / with-chains` by per-arm minimum, to four decimals.
+fn chain_pass_share(timing: &Timing) -> f64 {
+    ((1.0 - timing.min_ns(2) / timing.min_ns(1)) * 1e4).round() / 1e4
+}
+
+/// The chain pass's share and the no-chains window, as one line.
+fn chain_pass_line(timing: &Timing) -> String {
+    let share = chain_pass_share(timing);
+    let bare = timing.min_ns(2) * 1e-3;
+    format!("chain pass share {share:.3} (no chains {bare:.1} us)")
 }
 
 /// `width` streams seeded `base`, `base + 1`, ….
@@ -529,11 +550,12 @@ fn main() {
         "lane_acceptance": lanes,
         "chain_lane_acceptance": chain_lanes,
         "chain_break_fraction": breaks,
+        "chain_pass_share": chain_pass_share(&timing),
     });
     rows.push(&timing, 1e-3, "us per window", head);
     let stats =
         format!("lane acceptance {lanes:.3}, chains {chain_lanes:.3}, chain breaks {breaks:.3}");
-    println!("{:<30} {isa}: {stats}", "");
+    println!("{:<30} {isa}: {stats}, {}", "", chain_pass_line(&timing));
     for width in [1, 4] {
         let bench = WindowBench::new(64, AnnealerConfig::default().sweeps_per_us, width);
         let qubits = bench.compiled.num_spins();
@@ -545,9 +567,11 @@ fn main() {
             "qubits": qubits,
             "sweeps": bench.betas.len(),
             "isa": isa.clone(),
+            "chain_pass_share": chain_pass_share(&timing),
         });
         let per_proposal = 1.0 / bench.proposals();
         rows.push(&timing, per_proposal, "ns per spin proposal", head);
+        println!("{:<30} {}", "", chain_pass_line(&timing));
     }
 
     assert!(rows.failed.is_empty(), "{}", rows.failed.join("; "));
@@ -574,7 +598,8 @@ fn main() {
         ice_bind_rounds); paired_median_ratio = median over rounds of the per-round median \
         ratio, with its fixed-seed bootstrap 95% interval over rounds (reported, not gated); \
         the ice_bind, window_setup, window and vpp_clique rows assert both arms end bit for \
-        bit alike; the bench_kernel binary's documentation describes every row"
+        bit alike; chain_pass_share = 1 - no-chains minimum / dispatched minimum, from a third \
+        arm in the same interleave; the bench_kernel binary's documentation describes every row"
         .to_string();
     if quick {
         println!("\n--quick: skipped BENCH_kernel.json write");
