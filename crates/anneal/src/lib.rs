@@ -74,8 +74,8 @@
 //!   ΔE, and decides all eight in one branch-free pass (hash,
 //!   `e^{−β·ΔE}` as an Estrin polynomial, compare); then the accepted
 //!   spins flip and scatter in class order. At widths 4 and 8 a chain
-//!   move's replicas are decided by the same pass. A whole SA window runs in
-//!   one function compiled for AVX-512F/DQ, AVX2 or the baseline
+//!   move's replicas are decided by the same pass. A whole SA window
+//!   runs in one function compiled for AVX-512F/DQ, AVX2 or the baseline
 //!   ([`kernel::Isa`]), picked per window by runtime detection; every
 //!   set yields the bits of the one-at-a-time scalar reference
 //!   ([`sa::anneal_batch_reference`]).
