@@ -42,9 +42,11 @@
 //!   two, runs the dispatched window with no chains, and
 //!   `chain_pass_share` = 1 − its minimum over the dispatched minimum
 //!   is the chain moves' share of a window (reported, not gated);
-//! * `vpp_clique_1088q_r{1,4}` — the same at a metro VPP precode's shape
-//!   (64-variable clique embedding, 1,088 qubits, 40 sweeps) and widths
-//!   1 and 4, in ns per spin proposal. Asserted identical.
+//! * `vpp_clique_1088q_r{1,4}` — the same on a 64-variable clique
+//!   embedding (1,088 qubits, 40 sweeps; the shape of the unreduced
+//!   16-user VPP search, now a kernel shape only: a lattice-reduced
+//!   16-user precode anneals 32 variables on 288 qubits) at widths 1
+//!   and 4, in ns per spin proposal. Asserted identical.
 //!
 //! Every row times its arms with [`interleave`] and records each arm's
 //! minimum and median call, `min_ratio` (the reference's minimum over
@@ -537,8 +539,8 @@ fn main() {
         rows.push(&timing, 1e-3, "us per window", head);
     }
 
-    // Full windows at the uplink operating point (4 sweeps/µs), then at
-    // a metro VPP precode's shape and small widths.
+    // Full windows at the uplink operating point (4 sweeps/µs), then on
+    // a 64-variable clique at small widths.
     let bench = WindowBench::new(48, 4.0, WIDTH);
     let timing = bench.time(samples, rounds, 110, "window_embedded_624q_r8");
     let [lanes, chain_lanes, breaks] = bench.statistics(32);

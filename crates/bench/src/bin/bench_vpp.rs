@@ -256,7 +256,7 @@ fn main() {
         "frames": frames,
         "subcarriers_per_frame": SUBCARRIERS_PER_FRAME,
         "snrs_db": SNRS_DB.to_vec(),
-        "vpp": "20 anneals, t=1 encoding, 10 us standard schedule, quiet annealer",
+        "vpp": "20 anneals, t=1 lattice-reduced box (LLL, one bit per real dimension), 10 us standard schedule, quiet annealer",
         "seed": seed,
     });
     record.asserts = serde_json::json!({

@@ -86,9 +86,9 @@
 //! (bind every item, one `Annealer::run_jobs` call, per-item RNG
 //! streams split anneal seed first, tie-breaks after). A session adds
 //! only its own half: the fields-only ML reduction, Gray bits and
-//! [`DecodeRun`] for the uplink; the `W·u` fields over the quadratic
-//! block's couplings, the perturbation encoding and the `v = 0` power
-//! floor for VPP.
+//! [`DecodeRun`] for the uplink; the box corner and its `TᵀG·a` fields
+//! over the quadratic block's couplings, the box encoding and the
+//! `v = 0` power floor for VPP.
 //!
 //! # DESIGN — the unified detector traits
 //!
@@ -241,30 +241,37 @@
 //! `W`, and the linear vector `Gφ(u)` is just `φ(Wu)`; no explicit
 //! `2Nb × 2Nu` real channel is ever built.
 //!
-//! **The `C` encoding.** Each of the `2Nu` real perturbation
-//! dimensions expands in two's complement: `t` magnitude bits of
-//! weight `2^k` plus a sign bit of weight `−2^t`, covering
-//! `[−2^t, 2^t − 1]` bijectively. The QUBO is
-//! `Q = τ²CᵀGC + 2τCᵀGφ(u)` with scalar offset `‖Pu‖²`, so
-//! `qubo.energy(bits) + offset = ‖P(u + τ·decode(bits))‖²` exactly
-//! (property-tested across encoding widths and τ).
+//! **The `C` encoding, over a lattice-reduced box.** Once per
+//! coherence interval the session LLL-reduces (δ = 3/4) the realified
+//! perturbation lattice: a unimodular `T` with an exact integer inverse
+//! and `G̃ = TᵀGT`. Per symbol vector the Babai point
+//! `c = −T⁻¹φ(u)/τ` places a box `v' = ⌊c⌋ − (2^{t−1} − 1) + Cb`, where
+//! `C` gives each of the `2Nu` real dimensions `t` unsigned bits of
+//! weight `2^k` (`t = 1`: `v' ∈ ⌊c⌋ + {0, 1}`, so `2Nu` variables). With
+//! `a = φ(u) + τT·(⌊c⌋ − (2^{t−1} − 1))` the QUBO is
+//! `Q = τ²CᵀG̃C + 2τ·CᵀTᵀG·a` with scalar offset `‖Fa‖²`, so
+//! `qubo.energy(bits) + offset = ‖P(u + τv)‖²` exactly for
+//! `v = T·v'` (property-tested for every box point and across box
+//! widths and τ). The session returns `v` in the original coordinates.
 //!
 //! **Role of τ in the coupling structure.** τ multiplies the entire
-//! quadratic block (`τ²CᵀGC`) and only *scales* the per-`u` linear
+//! quadratic block (`τ²CᵀG̃C`) and only *scales* the per-`u` linear
 //! terms (`2τ·…`): the coupling *pattern* is a function of `(H, t)`
-//! alone. That is exactly the uplink's H-only/y-dependent split, so a
-//! [`precode::VppSession`] compiles the embedding + CSR freeze once
-//! per coherence interval and refreshes only fields and the hardware
-//! scale per symbol vector — `precode_batch` shards an interval across
-//! cores bit-identically to the streaming path, like `decode_batch`.
+//! alone, and so is `T`. That is exactly the uplink's H-only/y-dependent
+//! split, so a [`precode::VppSession`] compiles the LLL reduction and
+//! the embedding + CSR freeze once per coherence interval and
+//! refreshes only the box corner, fields and the hardware scale per
+//! symbol vector — `precode_batch` shards an interval across cores
+//! bit-identically to the streaming path, like `decode_batch`.
 //! A `v = 0` floor guarantees the session never transmits more power
 //! than plain ZF on any instance.
 //!
 //! **Warm-start contract.** `precode_reverse_from` re-encodes a
-//! classical candidate perturbation (e.g. THP's greedy `v`, clamped
-//! into the encoding's range) as the reverse anneal's initial state on
-//! the *same* compiled session — no recompile, deterministic in the
-//! seed — mirroring `DecodeSession::decode_reverse_from`.
+//! classical candidate perturbation (e.g. THP's greedy `v`, mapped
+//! through `T⁻¹` and clamped into the box) as the reverse anneal's
+//! initial state on the *same* compiled session — no recompile,
+//! deterministic in the seed — mirroring
+//! `DecodeSession::decode_reverse_from`.
 //!
 //! Classical zero-forcing (`τ → ∞`, `v = 0`) and Tomlinson–Harashima
 //! (greedy successive-modulo) slot in behind the same

@@ -16,19 +16,37 @@
 //! — no cooperation needed — so all the search hardness lives at the
 //! base station, exactly where a C-RAN pools its QPUs.
 //!
-//! The QUBO realifies the model (`F = Φ(P)`, `y = φ(u)`, `G = FᵀF`),
-//! expands each real perturbation dimension in a two's-complement
-//! encoding `C` (t magnitude bits + one sign bit per variable), and
-//! programs `Q = τ²CᵀGC + 2τCᵀGy` with scalar offset `‖Fy‖²`. Because
-//! `Φ` is multiplicative and `Φ(A)ᵀ = Φ(A*)`, every `G` entry is read
+//! The QUBO realifies the model (`F = Φ(P)`, `y = φ(u)`, `G = FᵀF`)
+//! and searches a *lattice-reduced box* (lattice-reduction-aided VPP,
+//! after Winter et al., IEEE WCL 2024). Once per coherence interval,
+//! LLL (δ = 3/4) reduces the perturbation lattice `{Fz : z ∈ ℤ^{2Nu}}`
+//! to a near-orthogonal basis `F̃ = FT`, `T` unimodular with an exact
+//! integer inverse, and `G̃ = TᵀGT`. `T` is a bijection of ℤ^{2Nu}, so
+//! searching `v' = T⁻¹φ(v)` instead of `v` loses nothing. On a
+//! near-orthogonal basis the optimum sits next to the Babai point
+//! `c = −T⁻¹y/τ`, so each real dimension searches only `t` unsigned
+//! bits above the box corner `⌊c⌋ − (2^{t−1} − 1)`: with `t = 1`,
+//! `v' ∈ ⌊c⌋ + {0, 1}^{2Nu}` — `2·Nu` variables, a quarter of the
+//! qubits of the unreduced `t = 1` two's-complement search over
+//! `{−2, …, 1}` per dimension. With `C` the bit weights and
+//! `a = y + τT·corner`, the objective is
+//!
+//! ```text
+//!   ‖F(y + τTv')‖² = ‖Fa‖² + 2τ·bᵀCᵀTᵀG·a + τ²·bᵀCᵀG̃C·b,
+//! ```
+//!
+//! a QUBO in the box bits `b` with scalar offset `‖Fa‖²`. Because `Φ`
+//! is multiplicative and `Φ(A)ᵀ = Φ(A*)`, every `G` entry is read
 //! straight from the complex Gram `W = P*P` — no explicit real `F` is
-//! ever formed. The quadratic part `τ²CᵀGC` depends only on `(H, τ)`,
-//! so one embedding + CSR freeze serves a whole coherence interval and
-//! each user-symbol vector `u` refreshes only the linear fields —
-//! the uplink `DecodeSession` contract, run by the same annealed core
-//! (`decoder::AnnealCore`): this module supplies only the reduction
-//! (the `W·u` fields over the interval's couplings), the perturbation
-//! encoding and the `v = 0` floor.
+//! ever formed. The quadratic part `τ²CᵀG̃C` depends only on `(H, τ)`,
+//! so one reduction + embedding + CSR freeze serves a whole coherence
+//! interval and each user-symbol vector `u` refreshes only the linear
+//! fields and the offset — the uplink `DecodeSession` contract, run by
+//! the same annealed core (`decoder::AnnealCore`): this module supplies
+//! only the reduction (the box corner and the `TᵀG·a` fields over the
+//! interval's couplings), the box encoding and the `v = 0` floor. The
+//! session returns `v = T·v'` in the original coordinates, so receivers
+//! fold modulo τ exactly as before.
 //!
 //! [`PrecoderKind`] is the registry mirror of `detect::DetectorKind`:
 //! classical ZF (`τ→∞`, zero perturbation) and Tomlinson–Harashima
@@ -46,7 +64,7 @@ use quamax_chimera::ChimeraGraph;
 use quamax_ising::{
     bits_to_spins, qubo_to_ising, spins_to_bits, CompiledProblem, IsingProblem, QuboProblem,
 };
-use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex};
+use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex, LllReduction};
 use quamax_telemetry::Telemetry;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
@@ -81,6 +99,9 @@ impl PrecodeInput {
         self.users() * self.modulation.bits_per_symbol()
     }
 }
+
+/// The Lovász parameter of the per-interval LLL reduction.
+const LLL_DELTA: f64 = 0.75;
 
 /// The modulo base `τ = 2·L` for a constellation with `L` levels per
 /// real dimension: the smallest modulus whose fold is the identity on
@@ -216,110 +237,91 @@ impl<S: PrecoderSession + ?Sized> PrecoderSession for Box<S> {
     }
 }
 
-// --- The integer encoding -------------------------------------------
+// --- The box encoding -----------------------------------------------
 
-/// The two's-complement perturbation encoding `C`: each of the `2·Nu`
-/// real dimensions of `v` expands into `t` magnitude bits of weight
-/// `2^k` plus one sign bit of weight `−2^t`, covering the integer
-/// range `[−2^t, 2^t − 1]` exactly once per codeword.
+/// The lattice-reduced box encoding `C`: each of the `2·Nu` real
+/// dimensions of the reduced-basis perturbation `v'` carries `t`
+/// unsigned bits of weight `2^k`, an offset `b ∈ [0, 2^t − 1]` above the
+/// box corner `⌊c⌋ − (2^{t−1} − 1)` (see [`VppModel::box_corner`]). Real
+/// dimensions `0..Nu` are real parts, `Nu..2Nu` imaginary parts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PerturbEncoding {
     num_users: usize,
-    magnitude_bits: usize,
+    bits: usize,
 }
 
 impl PerturbEncoding {
     /// An encoding for `num_users` complex perturbation entries with
-    /// `magnitude_bits ≥ 1` magnitude bits per real dimension.
-    pub fn new(num_users: usize, magnitude_bits: usize) -> Self {
-        assert!(magnitude_bits >= 1, "need at least one magnitude bit");
-        PerturbEncoding {
-            num_users,
-            magnitude_bits,
-        }
+    /// `bits ≥ 1` box bits per real dimension.
+    pub fn new(num_users: usize, bits: usize) -> Self {
+        assert!(bits >= 1, "need at least one bit per dimension");
+        PerturbEncoding { num_users, bits }
     }
 
-    /// Magnitude bits per real dimension (`t`).
-    pub fn magnitude_bits(&self) -> usize {
-        self.magnitude_bits
-    }
-
-    /// Bits per real dimension (`t + 1`, sign included).
+    /// Bits per real dimension (`t`).
     pub fn bits_per_dimension(&self) -> usize {
-        self.magnitude_bits + 1
+        self.bits
     }
 
-    /// Total QUBO variables: `2·Nu·(t + 1)`.
+    /// Total QUBO variables: `2·Nu·t`.
     pub fn num_vars(&self) -> usize {
-        2 * self.num_users * self.bits_per_dimension()
+        2 * self.num_users * self.bits
     }
 
-    /// The signed weight of bit `k` within a dimension's group.
+    /// The weight `2^k` of bit `k` within a dimension's group.
     pub fn weight(&self, k: usize) -> f64 {
-        debug_assert!(k <= self.magnitude_bits);
-        if k == self.magnitude_bits {
-            -((1i64 << self.magnitude_bits) as f64)
-        } else {
-            (1i64 << k) as f64
-        }
+        debug_assert!(k < self.bits);
+        (1i64 << k) as f64
     }
 
-    /// Smallest representable integer, `−2^t`.
-    pub fn min_value(&self) -> i64 {
-        -(1i64 << self.magnitude_bits)
+    /// How far the box corner sits below `⌊c⌋`: `2^{t−1} − 1`, so the
+    /// box `⌊c⌋ − (2^{t−1} − 1) + [0, 2^t − 1]` straddles the cell.
+    pub fn corner_below_floor(&self) -> i64 {
+        (1i64 << (self.bits - 1)) - 1
     }
 
-    /// Largest representable integer, `2^t − 1`.
-    pub fn max_value(&self) -> i64 {
-        (1i64 << self.magnitude_bits) - 1
+    /// Largest offset above the corner, `2^t − 1`.
+    pub fn max_offset(&self) -> i64 {
+        (1i64 << self.bits) - 1
     }
 
-    /// Decodes a full QUBO bit string into the complex perturbation
-    /// `v` (real dimensions `0..Nu` are real parts, `Nu..2Nu`
-    /// imaginary parts).
+    /// Decodes a full QUBO bit string into each real dimension's
+    /// offset above the box corner.
     ///
     /// # Panics
     /// Panics when `bits.len() != num_vars()`.
-    pub fn decode(&self, bits: &[u8]) -> CVector {
+    pub fn decode(&self, bits: &[u8]) -> Vec<i64> {
         assert_eq!(bits.len(), self.num_vars(), "encoding width mismatch");
-        let group = self.bits_per_dimension();
-        let dim = |r: usize| -> f64 {
-            bits[r * group..(r + 1) * group]
-                .iter()
-                .enumerate()
-                .map(|(k, &b)| self.weight(k) * b as f64)
-                .sum()
-        };
-        CVector::from_fn(self.num_users, |c| {
-            Complex::new(dim(c), dim(c + self.num_users))
-        })
+        bits.chunks_exact(self.bits)
+            .map(|group| {
+                group
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &b)| i64::from(b) << k)
+                    .sum()
+            })
+            .collect()
     }
 
-    /// Encodes a complex-integer perturbation into QUBO bits, rounding
-    /// each real dimension to the nearest integer and clamping into
-    /// the representable range (warm starts from an out-of-range
-    /// classical candidate land on the range boundary).
-    pub fn encode(&self, v: &CVector) -> Vec<u8> {
-        assert_eq!(v.len(), self.num_users, "perturbation length mismatch");
-        let group = self.bits_per_dimension();
+    /// Encodes per-dimension offsets above the box corner into QUBO
+    /// bits, rounding each to the nearest integer and clamping it into
+    /// `[0, 2^t − 1]` (a warm start from a classical candidate outside
+    /// the box lands on the box boundary).
+    ///
+    /// # Panics
+    /// Panics when `offsets.len() != 2·Nu`.
+    pub fn encode(&self, offsets: &[f64]) -> Vec<u8> {
+        assert_eq!(
+            offsets.len(),
+            2 * self.num_users,
+            "perturbation length mismatch"
+        );
         let mut bits = vec![0u8; self.num_vars()];
-        let mut write = |r: usize, value: f64| {
-            let z = (value.round() as i64).clamp(self.min_value(), self.max_value());
-            // Two's complement: negative values set the sign bit and
-            // store `z + 2^t` in the magnitude bits.
-            let mag = if z < 0 {
-                bits[r * group + self.magnitude_bits] = 1;
-                z + (1i64 << self.magnitude_bits)
-            } else {
-                z
-            };
-            for k in 0..self.magnitude_bits {
-                bits[r * group + k] = ((mag >> k) & 1) as u8;
+        for (group, &offset) in bits.chunks_exact_mut(self.bits).zip(offsets) {
+            let z = offset.round().clamp(0.0, self.max_offset() as f64) as i64;
+            for (k, bit) in group.iter_mut().enumerate() {
+                *bit = ((z >> k) & 1) as u8;
             }
-        };
-        for c in 0..self.num_users {
-            write(c, v[c].re);
-            write(c + self.num_users, v[c].im);
         }
         bits
     }
@@ -339,13 +341,40 @@ fn g_entry(w: &CMatrix, nu: usize, r: usize, rp: usize) -> f64 {
     }
 }
 
+/// `φ(z) = [Re z; Im z]`.
+fn realify(z: &CVector) -> Vec<f64> {
+    let s = z.as_slice();
+    s.iter()
+        .map(|c| c.re)
+        .chain(s.iter().map(|c| c.im))
+        .collect()
+}
+
+/// The ZF precoding matrix `P = H*(HH*)⁻¹` (antennas × users), via the
+/// pseudo-inverse of `H*` (antennas ≥ users required, like any ZF
+/// precoder): `(H*)⁺ = (HH*)⁻¹H`, and its Hermitian transpose is `P`.
+fn zf_matrix(h: &CMatrix) -> Result<CMatrix, Error> {
+    Ok(pseudo_inverse(&h.hermitian())?.hermitian())
+}
+
+/// The transmit signal `x = P(u + τv)` — one body for every backend, so
+/// a zero perturbation transmits bit for bit what ZF does.
+fn transmit(p: &CMatrix, tau: f64, u: &CVector, v: &CVector) -> CVector {
+    assert_eq!(u.len(), p.cols(), "symbol vector length mismatch");
+    assert_eq!(v.len(), p.cols(), "perturbation length mismatch");
+    let perturbed = CVector::from_fn(u.len(), |i| u[i] + v[i].scale(tau));
+    p.mul_vec(&perturbed)
+}
+
 /// The channel-only VPP model: the ZF precoding matrix `P`, its Gram
-/// `W = P*P`, the modulo base `τ`, the integer encoding, and the
-/// frozen quadratic QUBO template `τ²CᵀGC` — everything a coherence
-/// interval shares. Per-`u` work ([`VppModel::qubo_for`]) only adds
-/// linear (diagonal) terms `2τ·CᵀGφ(u)` and the scalar offset
-/// `‖Pu‖²`, which is why the annealed session can refresh fields in
-/// place without touching coupler structure.
+/// `W = P*P`, the modulo base `τ`, the LLL basis change `T` of the
+/// perturbation lattice, the box encoding, and the frozen quadratic
+/// QUBO template `τ²CᵀG̃C` — everything a coherence interval shares.
+/// Per-`u` work ([`VppModel::qubo_for`]) only places the box (its
+/// corner in the Babai cell) and adds the linear (diagonal) terms
+/// `2τ·CᵀTᵀG·a` and the scalar offset `‖Fa‖²`, which is why the
+/// annealed session can refresh fields in place without touching
+/// coupler structure.
 #[derive(Clone, Debug)]
 pub struct VppModel {
     p: CMatrix,
@@ -353,14 +382,15 @@ pub struct VppModel {
     tau: f64,
     modulation: Modulation,
     encoding: PerturbEncoding,
+    lattice: LllReduction,
     quad: QuboProblem,
 }
 
 impl VppModel {
     /// Builds the model at the constellation's natural modulo base
-    /// [`tau_for`].
-    pub fn new(h: &CMatrix, modulation: Modulation, magnitude_bits: usize) -> Result<Self, Error> {
-        Self::with_tau(h, modulation, magnitude_bits, tau_for(modulation))
+    /// [`tau_for`], with `bits ≥ 1` box bits per real dimension.
+    pub fn new(h: &CMatrix, modulation: Modulation, bits: usize) -> Result<Self, Error> {
+        Self::with_tau(h, modulation, bits, tau_for(modulation))
     }
 
     /// Builds the model at an explicit modulo base `τ > 0` (property
@@ -368,31 +398,36 @@ impl VppModel {
     pub fn with_tau(
         h: &CMatrix,
         modulation: Modulation,
-        magnitude_bits: usize,
+        bits: usize,
         tau: f64,
     ) -> Result<Self, Error> {
         assert!(tau > 0.0, "modulo base must be positive");
         let nu = h.rows();
-        // P = H*(HH*)⁻¹ via the pseudo-inverse of H* (antennas ≥ users
-        // required, like any ZF precoder): (H*)⁺ = (HH*)⁻¹H, and its
-        // Hermitian transpose is P.
-        let p = pseudo_inverse(&h.hermitian())?.hermitian();
+        let p = zf_matrix(h)?;
         let w = p.gram();
-        let encoding = PerturbEncoding::new(nu, magnitude_bits);
+        let encoding = PerturbEncoding::new(nu, bits);
 
-        // τ²CᵀGC — the u-independent quadratic template. Exact zeros
-        // (e.g. Im W_rr = 0 on the cross-block diagonal) are skipped so
-        // the coupling sparsity matches what the embedding programs.
+        // LLL on the realified lattice: G = Φ(W), G̃ = TᵀGT.
+        let dim = 2 * nu;
+        let g: Vec<f64> = (0..dim * dim)
+            .map(|x| g_entry(&w, nu, x / dim, x % dim))
+            .collect();
+        let lattice = LllReduction::reduce(&g, dim, LLL_DELTA);
+        let reduced = lattice.reduced_gram(&g);
+
+        // τ²CᵀG̃C — the u-independent quadratic template. Exact zeros
+        // are skipped so the coupling sparsity matches what the
+        // embedding programs.
         let group = encoding.bits_per_dimension();
         let n = encoding.num_vars();
         let mut quad = QuboProblem::new(n);
         for i in 0..n {
             let (r, k) = (i / group, i % group);
             let wk = encoding.weight(k);
-            quad.add_diagonal(i, tau * tau * wk * wk * g_entry(&w, nu, r, r));
+            quad.add_diagonal(i, tau * tau * wk * wk * reduced[r * dim + r]);
             for j in (i + 1)..n {
                 let (rp, kp) = (j / group, j % group);
-                let value = 2.0 * tau * tau * wk * encoding.weight(kp) * g_entry(&w, nu, r, rp);
+                let value = 2.0 * tau * tau * wk * encoding.weight(kp) * reduced[r * dim + rp];
                 if value != 0.0 {
                     quad.set_off_diagonal(i, j, value);
                 }
@@ -404,6 +439,7 @@ impl VppModel {
             tau,
             modulation,
             encoding,
+            lattice,
             quad,
         })
     }
@@ -423,9 +459,15 @@ impl VppModel {
         self.modulation
     }
 
-    /// The integer perturbation encoding.
+    /// The box encoding.
     pub fn encoding(&self) -> &PerturbEncoding {
         &self.encoding
+    }
+
+    /// The LLL basis change `T` of the realified perturbation lattice
+    /// (dimension `2·Nu`, real parts first).
+    pub fn basis_change(&self) -> &LllReduction {
+        &self.lattice
     }
 
     /// User streams.
@@ -438,36 +480,60 @@ impl VppModel {
         self.encoding.num_vars()
     }
 
-    /// The full QUBO for one user-symbol vector plus its scalar
-    /// offset: `energy(bits) + offset = ‖P(u + τ·decode(bits))‖²`
-    /// for every bit string (property-tested across encodings).
-    pub fn qubo_for(&self, u: &CVector) -> (QuboProblem, f64) {
+    /// The box corner for `u` in reduced-basis coordinates:
+    /// `⌊c⌋ − (2^{t−1} − 1)` per real dimension, with `c = −T⁻¹φ(u)/τ`
+    /// the Babai point.
+    pub fn box_corner(&self, u: &CVector) -> Vec<i64> {
         assert_eq!(u.len(), self.num_users(), "symbol vector length mismatch");
-        let mut qubo = self.quad.clone();
-        let wu = self.w.mul_vec(u);
-        for i in 0..self.num_vars() {
-            qubo.add_diagonal(i, self.linear_term(&wu, i));
-        }
-        (qubo, self.p.mul_vec(u).norm_sqr())
+        let below = self.encoding.corner_below_floor();
+        self.lattice
+            .to_reduced_real(&realify(u))
+            .into_iter()
+            .map(|x| (-x / self.tau).floor() as i64 - below)
+            .collect()
     }
 
-    /// Variable `i`'s `u`-dependent diagonal term, entry `i` of
-    /// `2τ·CᵀGφ(u)`, from `wu = W·u` (`G·φ(u) = φ(Wu)` by the
-    /// realification identities).
-    fn linear_term(&self, wu: &CVector, i: usize) -> f64 {
+    /// The original-coordinate perturbation `v = T·v'` of a
+    /// reduced-basis point.
+    fn original(&self, reduced: &[i64]) -> CVector {
+        let x = self.lattice.to_original(reduced);
         let nu = self.num_users();
+        CVector::from_fn(nu, |i| Complex::new(x[i] as f64, x[i + nu] as f64))
+    }
+
+    /// `u`'s per-variable linear terms `2τ·CᵀTᵀG·a` and the scalar
+    /// offset `‖Fa‖² = ‖Pα‖²`, where `a = φ(α)` and
+    /// `α = u + τ·T·corner` is the box corner's own perturbed symbol
+    /// vector (`G·φ(α) = φ(Wα)` by the realification identities).
+    fn fields(&self, u: &CVector) -> (Vec<f64>, f64) {
+        let corner = self.original(&self.box_corner(u));
+        let alpha = CVector::from_fn(u.len(), |i| u[i] + corner[i].scale(self.tau));
+        let field = self
+            .lattice
+            .transpose_mul(&realify(&self.w.mul_vec(&alpha)));
         let group = self.encoding.bits_per_dimension();
-        let (r, k) = (i / group, i % group);
-        let g = if r < nu { wu[r].re } else { wu[r - nu].im };
-        2.0 * self.tau * self.encoding.weight(k) * g
+        let linear = (0..self.num_vars())
+            .map(|i| 2.0 * self.tau * self.encoding.weight(i % group) * field[i / group])
+            .collect();
+        (linear, self.p.mul_vec(&alpha).norm_sqr())
+    }
+
+    /// The full QUBO for one user-symbol vector plus its scalar
+    /// offset: `energy(bits) + offset = ‖P(u + τ·v)‖²` with
+    /// `v = decode_perturbation(u, bits)`, for every bit string
+    /// (property-tested across box widths and τ).
+    pub fn qubo_for(&self, u: &CVector) -> (QuboProblem, f64) {
+        let (linear, offset) = self.fields(u);
+        let mut qubo = self.quad.clone();
+        for (i, d) in linear.into_iter().enumerate() {
+            qubo.add_diagonal(i, d);
+        }
+        (qubo, offset)
     }
 
     /// The transmit signal `x = P(u + τv)`.
     pub fn transmit(&self, u: &CVector, v: &CVector) -> CVector {
-        assert_eq!(u.len(), self.num_users(), "symbol vector length mismatch");
-        assert_eq!(v.len(), self.num_users(), "perturbation length mismatch");
-        let perturbed = CVector::from_fn(u.len(), |i| u[i] + v[i].scale(self.tau));
-        self.p.mul_vec(&perturbed)
+        transmit(&self.p, self.tau, u, v)
     }
 
     /// The objective `E(v) = ‖P(u + τv)‖²` evaluated directly.
@@ -475,15 +541,33 @@ impl VppModel {
         self.transmit(u, v).norm_sqr()
     }
 
-    /// Decodes QUBO bits into the complex perturbation.
-    pub fn decode_perturbation(&self, bits: &[u8]) -> CVector {
-        self.encoding.decode(bits)
+    /// Decodes `u`'s QUBO bits into the complex-integer perturbation
+    /// `v = T·(corner + offsets)` in the original coordinates.
+    pub fn decode_perturbation(&self, u: &CVector, bits: &[u8]) -> CVector {
+        let offsets = self.encoding.decode(bits);
+        let reduced: Vec<i64> = self
+            .box_corner(u)
+            .iter()
+            .zip(&offsets)
+            .map(|(c, b)| c + b)
+            .collect();
+        self.original(&reduced)
     }
 
-    /// Encodes a perturbation into QUBO bits (see
-    /// [`PerturbEncoding::encode`]).
-    pub fn encode_perturbation(&self, v: &CVector) -> Vec<u8> {
-        self.encoding.encode(v)
+    /// Encodes a perturbation into `u`'s QUBO bits: each entry is
+    /// rounded to a Gaussian integer, mapped through `T⁻¹` and clamped
+    /// into the box (see [`PerturbEncoding::encode`]).
+    pub fn encode_perturbation(&self, u: &CVector, v: &CVector) -> Vec<u8> {
+        assert_eq!(v.len(), self.num_users(), "perturbation length mismatch");
+        let rounded: Vec<f64> = realify(v).iter().map(|x| x.round()).collect();
+        let offsets: Vec<f64> = self
+            .lattice
+            .to_reduced_real(&rounded)
+            .iter()
+            .zip(self.box_corner(u))
+            .map(|(x, c)| x - c as f64)
+            .collect();
+        self.encoding.encode(&offsets)
     }
 }
 
@@ -497,24 +581,14 @@ pub struct VppPrecoder {
     graph: ChimeraGraph,
     config: DecoderConfig,
     anneals: usize,
-    magnitude_bits: usize,
+    bits: usize,
 }
 
 impl VppPrecoder {
-    /// A VPP precoder on an ideal DW2Q chip.
-    pub fn new(
-        annealer: Annealer,
-        config: DecoderConfig,
-        anneals: usize,
-        magnitude_bits: usize,
-    ) -> Self {
-        Self::with_graph(
-            annealer,
-            ChimeraGraph::dw2q_ideal(),
-            config,
-            anneals,
-            magnitude_bits,
-        )
+    /// A VPP precoder on an ideal DW2Q chip, searching `bits` box bits
+    /// per real perturbation dimension (`t ≥ 1`).
+    pub fn new(annealer: Annealer, config: DecoderConfig, anneals: usize, bits: usize) -> Self {
+        Self::with_graph(annealer, ChimeraGraph::dw2q_ideal(), config, anneals, bits)
     }
 
     /// A VPP precoder on a specific chip (e.g. with a defect map).
@@ -523,14 +597,14 @@ impl VppPrecoder {
         graph: ChimeraGraph,
         config: DecoderConfig,
         anneals: usize,
-        magnitude_bits: usize,
+        bits: usize,
     ) -> Self {
         VppPrecoder {
             annealer,
             graph,
             config,
             anneals,
-            magnitude_bits,
+            bits,
         }
     }
 }
@@ -539,13 +613,14 @@ impl Precoder for VppPrecoder {
     type Session = VppSession;
 
     /// Compiles the channel-dependent (per-coherence-interval) part of
-    /// the precode once: the realified model, the Ising couplings of its
-    /// quadratic block, and a lookup of the chip structure they select.
-    /// The coupling sparsity is `u`-independent (the quadratic QUBO
-    /// block never changes), so the embedding, the chain layout, and
-    /// the CSR coupler slots serve every symbol vector of the interval.
+    /// the precode once: the realified model and its LLL reduction, the
+    /// Ising couplings of its quadratic block, and a lookup of the chip
+    /// structure they select. The coupling sparsity is `u`-independent
+    /// (the quadratic QUBO block never changes), so the embedding, the
+    /// chain layout, and the CSR coupler slots serve every symbol
+    /// vector of the interval.
     fn compile(&self, input: &PrecodeInput) -> Result<VppSession, Error> {
-        let model = VppModel::new(&input.h, input.modulation, self.magnitude_bits)?;
+        let model = VppModel::new(&input.h, input.modulation, self.bits)?;
         let (mut couplings, _) = qubo_to_ising(&model.quad);
         for i in 0..couplings.num_spins() {
             couplings.set_linear(i, 0.0);
@@ -575,8 +650,9 @@ impl Precoder for VppPrecoder {
 }
 
 /// A compiled VPP session: the `H`-dependent work (realified QUBO
-/// structure, its Ising couplings, the chip structure they select) done
-/// once, with per-`u` precodes reduced to the `W·u` fields and the scale
+/// structure over the LLL-reduced lattice, its Ising couplings, the chip
+/// structure they select) done once, with per-`u` precodes reduced to
+/// the box corner, its `TᵀG·a` fields and the scale
 /// written into the frozen problem plus the anneal batch itself — the
 /// downlink twin of `DecodeSession`, sharing its annealed core, plus
 /// the `v = 0` floor: the session never returns a perturbation that
@@ -611,7 +687,7 @@ impl VppSession {
         self.model.tau()
     }
 
-    /// Logical Ising variables per precode (`2·Nu·(t+1)`).
+    /// Logical Ising variables per precode (`2·Nu·t`).
     pub fn num_logical(&self) -> usize {
         self.core.num_logical()
     }
@@ -628,8 +704,8 @@ impl VppSession {
         self.core.parallel_factor()
     }
 
-    /// The underlying channel model (QUBO construction, direct
-    /// energies, encode/decode helpers).
+    /// The underlying channel model (lattice reduction, QUBO
+    /// construction, direct energies, encode/decode helpers).
     pub fn model(&self) -> &VppModel {
         &self.model
     }
@@ -645,8 +721,8 @@ impl VppSession {
     /// under a supplied reverse schedule — the warm-start entry: the
     /// session stays compiled for its forward operating point, and a
     /// THP (or previous-interval) perturbation is refined by annealing
-    /// backwards from it without recompiling anything. Out-of-range
-    /// candidate entries are clamped into the encoding's range.
+    /// backwards from it without recompiling anything. The candidate
+    /// is mapped through `T⁻¹` and clamped into `u`'s box.
     /// Deterministic in `seed` exactly like [`VppSession::precode`].
     ///
     /// # Panics
@@ -691,17 +767,16 @@ impl VppSession {
     /// linking its Ising energies to transmit power:
     /// `E_ising + offset = ‖P(u + τv)‖²`. Bit for bit
     /// `qubo_to_ising(&model.qubo_for(u))` with the power offset added:
-    /// only the diagonal `Q_ii + 2τ·CᵀGφ(u)` moves with `u`, and the
+    /// only the diagonal `Q_ii + 2τ·CᵀTᵀG·a` moves with `u`, and the
     /// quadratic block's quarters are replayed onto the fields and the
     /// offset in the conversion's own order.
     fn reduce(&self, u: &CVector) -> (IsingProblem, f64) {
         let model = &self.model;
-        assert_eq!(u.len(), model.num_users(), "symbol vector length mismatch");
-        let wu = model.w.mul_vec(u);
+        let (linear, power_offset) = model.fields(u);
         let mut logical = self.couplings.clone();
         let mut offset = 0.0;
-        for i in 0..model.num_vars() {
-            let d = model.quad.diagonal(i) + model.linear_term(&wu, i);
+        for (i, field) in linear.into_iter().enumerate() {
+            let d = model.quad.diagonal(i) + field;
             logical.add_linear(i, d / 2.0);
             offset += d / 2.0;
         }
@@ -710,7 +785,7 @@ impl VppSession {
             logical.add_linear(j as usize, quarter);
             offset += quarter;
         }
-        (logical, offset + model.p.mul_vec(u).norm_sqr())
+        (logical, offset + power_offset)
     }
 
     /// One precode: forward under the session's schedule, or backwards
@@ -718,8 +793,8 @@ impl VppSession {
     fn run(&mut self, u: &CVector, reverse: Option<(&CVector, &Schedule)>, seed: u64) -> Precoding {
         let schedule = reverse.map_or(self.schedule, |(_, s)| *s);
         let reduced = self.reduce(u);
-        let start =
-            reverse.map(|(candidate, _)| bits_to_spins(&self.model.encode_perturbation(candidate)));
+        let start = reverse
+            .map(|(candidate, _)| bits_to_spins(&self.model.encode_perturbation(u, candidate)));
         let annealed = self.core.run(
             &mut self.scratch,
             reduced,
@@ -737,7 +812,9 @@ impl VppSession {
     fn finish(&self, u: &CVector, annealed: Annealed) -> Precoding {
         let offset = annealed.offset;
         let best = annealed.distribution.best_solution().map(|entry| {
-            let v = self.model.decode_perturbation(&spins_to_bits(&entry.spins));
+            let v = self
+                .model
+                .decode_perturbation(u, &spins_to_bits(&entry.spins));
             let power = self.model.direct_energy(u, &v);
             debug_assert!(
                 (entry.energy + offset - power).abs() <= 1e-6 * power.abs().max(1.0),
@@ -789,43 +866,60 @@ impl PrecoderSession for VppSession {
 /// compares against.
 pub struct ZfPrecoder;
 
-/// Session for [`ZfPrecoder`].
+/// Session for [`ZfPrecoder`]: the precoding matrix `P` and nothing
+/// else a perturbation search needs.
 pub struct ZfPrecodeSession {
-    model: VppModel,
+    p: CMatrix,
+    tau: f64,
+    modulation: Modulation,
+}
+
+impl ZfPrecodeSession {
+    fn new(input: &PrecodeInput) -> Result<Self, Error> {
+        Ok(ZfPrecodeSession {
+            p: zf_matrix(&input.h)?,
+            tau: tau_for(input.modulation),
+            modulation: input.modulation,
+        })
+    }
+
+    /// The signal and power of perturbation `v` (shared with THP).
+    fn precoding(&self, u: &CVector, v: CVector, stats: PrecodeStats) -> Precoding {
+        // The VPP model's own transmit body, so a zero perturbation is
+        // bit-identical to the annealed session's `v = 0` floor
+        // (property-tested).
+        let x = transmit(&self.p, self.tau, u, &v);
+        let power = x.norm_sqr();
+        Precoding {
+            x,
+            perturbation: v,
+            power,
+            stats,
+        }
+    }
 }
 
 impl Precoder for ZfPrecoder {
     type Session = ZfPrecodeSession;
 
     fn compile(&self, input: &PrecodeInput) -> Result<ZfPrecodeSession, Error> {
-        // Reuses the model's P so the zero-perturbation VPP transmit
-        // is bit-identical to this baseline (property-tested).
-        Ok(ZfPrecodeSession {
-            model: VppModel::new(&input.h, input.modulation, 1)?,
-        })
+        ZfPrecodeSession::new(input)
     }
 }
 
 impl PrecoderSession for ZfPrecodeSession {
     fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, Error> {
-        let zero = CVector::zeros(self.model.num_users());
-        let x = self.model.transmit(u, &zero);
-        let power = x.norm_sqr();
-        Ok(Precoding {
-            x,
-            perturbation: zero,
-            power,
-            stats: PrecodeStats::Linear,
-        })
+        let zero = CVector::zeros(self.p.cols());
+        Ok(self.precoding(u, zero, PrecodeStats::Linear))
     }
     fn modulation(&self) -> Modulation {
-        self.model.modulation()
+        self.modulation
     }
     fn num_users(&self) -> usize {
-        self.model.num_users()
+        self.p.cols()
     }
     fn tau(&self) -> f64 {
-        self.model.tau()
+        self.tau
     }
     fn backend_name(&self) -> &'static str {
         "zf"
@@ -840,26 +934,26 @@ impl PrecoderSession for ZfPrecodeSession {
 /// on most channels (but not all — greed is not optimal, which is the
 /// annealed backend's opening).
 pub struct ThpPrecodeSession {
-    model: VppModel,
+    zf: ZfPrecodeSession,
     /// `U = L*` from `W = LL*` — the triangular factor the greedy
     /// back-substitution walks.
     upper: CMatrix,
 }
 
 impl ThpPrecodeSession {
-    /// Compiles the channel's ZF model and the Cholesky factor of its
-    /// Gram.
+    /// Compiles the channel's ZF precoding matrix and the Cholesky
+    /// factor of its Gram.
     pub fn new(input: &PrecodeInput) -> Result<Self, Error> {
-        let model = VppModel::new(&input.h, input.modulation, 1)?;
-        let upper = cholesky(&model.w)?.hermitian();
-        Ok(ThpPrecodeSession { model, upper })
+        let zf = ZfPrecodeSession::new(input)?;
+        let upper = cholesky(&zf.p.gram())?.hermitian();
+        Ok(ThpPrecodeSession { zf, upper })
     }
 
     /// The greedy perturbation alone (used as a reverse-anneal warm
     /// start for [`VppSession::precode_reverse_from`]).
     pub fn perturbation(&self, u: &CVector) -> CVector {
-        let nu = self.model.num_users();
-        let tau = self.model.tau();
+        let nu = self.zf.p.cols();
+        let tau = self.zf.tau;
         let mut v = vec![Complex::ZERO; nu];
         // a[j] = u[j] + τ·v[j] for already-decided users.
         let mut a = vec![Complex::ZERO; nu];
@@ -880,23 +974,16 @@ impl ThpPrecodeSession {
 impl PrecoderSession for ThpPrecodeSession {
     fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, Error> {
         let v = self.perturbation(u);
-        let x = self.model.transmit(u, &v);
-        let power = x.norm_sqr();
-        Ok(Precoding {
-            x,
-            perturbation: v,
-            power,
-            stats: PrecodeStats::Thp,
-        })
+        Ok(self.zf.precoding(u, v, PrecodeStats::Thp))
     }
     fn modulation(&self) -> Modulation {
-        self.model.modulation()
+        self.zf.modulation
     }
     fn num_users(&self) -> usize {
-        self.model.num_users()
+        self.zf.num_users()
     }
     fn tau(&self) -> f64 {
-        self.model.tau()
+        self.zf.tau
     }
     fn backend_name(&self) -> &'static str {
         "thp"
@@ -961,8 +1048,8 @@ pub enum PrecoderKind {
         config: DecoderConfig,
         /// Anneal cycles per precode.
         anneals: usize,
-        /// Magnitude bits per real perturbation dimension (`t ≥ 1`).
-        magnitude_bits: usize,
+        /// Box bits per real perturbation dimension (`t ≥ 1`).
+        bits: usize,
     },
     /// The hybrid classical–quantum [`Router`]: a cheap `primary`
     /// (typically ZF or THP) answers every symbol vector, and only
@@ -991,17 +1078,12 @@ impl PrecoderKind {
     }
 
     /// The annealed VPP precoder.
-    pub fn vpp(
-        annealer: Annealer,
-        config: DecoderConfig,
-        anneals: usize,
-        magnitude_bits: usize,
-    ) -> Self {
+    pub fn vpp(annealer: Annealer, config: DecoderConfig, anneals: usize, bits: usize) -> Self {
         PrecoderKind::Vpp {
             annealer,
             config,
             anneals,
-            magnitude_bits,
+            bits,
         }
     }
 
@@ -1038,10 +1120,9 @@ impl Precoder for PrecoderKind {
                 annealer,
                 config,
                 anneals,
-                magnitude_bits,
+                bits,
             } => Box::new(
-                VppPrecoder::new(annealer.clone(), *config, *anneals, *magnitude_bits)
-                    .compile(input)?,
+                VppPrecoder::new(annealer.clone(), *config, *anneals, *bits).compile(input)?,
             ),
             PrecoderKind::Hybrid {
                 primary,
@@ -1133,7 +1214,7 @@ mod tests {
                 let bits: Vec<u8> = (0..model.num_vars())
                     .map(|_| rng.random_range(0..2))
                     .collect();
-                let v = model.decode_perturbation(&bits);
+                let v = model.decode_perturbation(&u, &bits);
                 let direct = model.direct_energy(&u, &v);
                 let via_qubo = qubo.energy(&bits) + offset;
                 assert!(
@@ -1160,7 +1241,7 @@ mod tests {
                 .map(|_| rng.random_range(0..2))
                 .collect();
             let spins = bits_to_spins(&bits);
-            let direct = model.direct_energy(&u, &model.decode_perturbation(&bits));
+            let direct = model.direct_energy(&u, &model.decode_perturbation(&u, &bits));
             let via_ising = ising.energy(&spins) + conversion + power_offset;
             assert!(
                 (via_ising - direct).abs() <= 1e-8 * direct.max(1.0),
@@ -1173,18 +1254,11 @@ mod tests {
     fn encoding_round_trips_every_value_in_range() {
         for t in 1..=3usize {
             let enc = PerturbEncoding::new(2, t);
-            for re in enc.min_value()..=enc.max_value() {
-                for im in [enc.min_value(), 0, enc.max_value()] {
-                    let v = CVector::from_vec(vec![
-                        Complex::new(re as f64, im as f64),
-                        Complex::new(im as f64, re as f64),
-                    ]);
-                    let bits = enc.encode(&v);
-                    let back = enc.decode(&bits);
-                    for i in 0..2 {
-                        assert_eq!(back[i].re, v[i].re, "t={t}");
-                        assert_eq!(back[i].im, v[i].im, "t={t}");
-                    }
+            for a in 0..=enc.max_offset() {
+                for b in [0, 1, enc.max_offset()] {
+                    let offsets = [a, b, b, a];
+                    let real: Vec<f64> = offsets.iter().map(|&z| z as f64).collect();
+                    assert_eq!(enc.decode(&enc.encode(&real)), offsets, "t={t}");
                 }
             }
         }
@@ -1193,10 +1267,10 @@ mod tests {
     #[test]
     fn encoding_clamps_out_of_range_candidates() {
         let enc = PerturbEncoding::new(1, 1);
-        let v = CVector::from_vec(vec![Complex::new(7.0, -9.0)]);
-        let back = enc.decode(&enc.encode(&v));
-        assert_eq!(back[0].re, enc.max_value() as f64);
-        assert_eq!(back[0].im, enc.min_value() as f64);
+        assert_eq!(enc.decode(&enc.encode(&[7.0, -9.0])), vec![1, 0]);
+        let enc = PerturbEncoding::new(1, 2);
+        assert_eq!(enc.corner_below_floor(), 1);
+        assert_eq!(enc.decode(&enc.encode(&[2.4, 3.6])), vec![2, 3]);
     }
 
     #[test]
@@ -1400,7 +1474,7 @@ mod tests {
 
     #[test]
     fn hybrid_survives_a_fallback_that_cannot_compile() {
-        // 160 logical variables do not embed: the VPP fallback is gone,
+        // 80 logical variables do not embed: the VPP fallback is gone,
         // and the ZF primary serves every vector — even under a gate
         // that rejects everything.
         let input = input(40, 40, Modulation::Qpsk, 14);
@@ -1468,11 +1542,11 @@ mod tests {
 
     #[test]
     fn oversized_problem_is_rejected() {
-        // 40 users × (1+1) bits × 2 dims = 160 logical variables:
+        // 40 users × 1 box bit × 2 dims = 80 logical variables:
         // beyond the C16 clique bound, exactly like the uplink.
         let input = input(40, 40, Modulation::Qpsk, 14);
         match VppPrecoder::new(quiet_annealer(), vpp_config(), 1, 1).compile(&input) {
-            Err(Error::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
+            Err(Error::Embedding(EmbeddingError::DoesNotFit { n: 80, .. })) => {}
             Err(other) => panic!("expected DoesNotFit, got {other:?}"),
             Ok(_) => panic!("expected DoesNotFit, got a session"),
         }
@@ -1499,8 +1573,8 @@ mod tests {
         let session = VppPrecoder::new(quiet_annealer(), vpp_config(), 10, 1)
             .compile(&input)
             .unwrap();
-        // 2 dims × 4 users × (1 magnitude + 1 sign) = 16 logical vars.
-        assert_eq!(session.num_logical(), 16);
+        // 2 dims × 4 users × 1 box bit = 8 logical vars.
+        assert_eq!(session.num_logical(), 8);
         assert_eq!(session.tau(), 4.0);
         assert!(session.parallel_factor() >= 1);
     }

@@ -550,8 +550,8 @@ proptest! {
 
     /// The VPP QUBO reduction satisfies the exact energy identity
     /// `E(q) + offset = ‖P(u + τv)‖²` at random channels, symbol
-    /// vectors, modulo bases, encoding widths, and bit assignments —
-    /// the downlink mirror of `qubo_energy_identity`.
+    /// vectors, modulo bases, box widths, and bit assignments — the
+    /// downlink mirror of `qubo_energy_identity`.
     #[test]
     fn vpp_qubo_energy_identity(
         h in channel(2, 3),
@@ -570,7 +570,7 @@ proptest! {
         };
         let n = model.num_vars();
         let bits: Vec<u8> = (0..n).map(|b| ((k >> (b % 32)) & 1) as u8).collect();
-        let v = model.decode_perturbation(&bits);
+        let v = model.decode_perturbation(&u, &bits);
         let direct = model.direct_energy(&u, &v);
         let (qubo, offset) = model.qubo_for(&u);
         let e = qubo.energy(&bits) + offset;
@@ -610,5 +610,188 @@ proptest! {
         prop_assert_eq!(zf_out.x.as_slice(), x.as_slice(), "ZF ≠ zero-perturbation VPP");
         prop_assert_eq!(zf_out.perturbation.as_slice(), zero.as_slice());
         prop_assert_eq!(zf_out.power, model.direct_energy(&u, &zero));
+    }
+}
+
+/// A random square-ish Rayleigh precoding input.
+fn vpp_input(users: usize, extra: usize, m: Modulation, seed: u64) -> quamax_core::PrecodeInput {
+    let mut rng = StdRng::seed_from_u64(seed);
+    quamax_core::PrecodeInput {
+        h: quamax_wireless::rayleigh_channel(users, users + extra, &mut rng),
+        modulation: m,
+    }
+}
+
+/// Random payload bits for `input` and their symbol vector.
+fn vpp_symbols(input: &quamax_core::PrecodeInput, seed: u64) -> (Vec<u8>, CVector) {
+    let bits: Vec<u8> = (0..input.num_bits())
+        .map(|b| ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (b % 61)) & 1) as u8)
+        .collect();
+    let u = input.modulation.map_gray_vector(&bits);
+    (bits, u)
+}
+
+/// `T⁻¹φ(v)`, the reduced-basis coordinates of an integer perturbation.
+fn vpp_reduced(model: &quamax_core::VppModel, v: &CVector) -> Vec<i64> {
+    let s = v.as_slice();
+    let x: Vec<i64> = s
+        .iter()
+        .map(|c| c.re as i64)
+        .chain(s.iter().map(|c| c.im as i64))
+        .collect();
+    model.basis_change().to_reduced(&x)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The per-interval LLL basis change is unimodular: `T·T⁻¹ = I`
+    /// exactly in `i64`, over the `2·Nu` real perturbation dimensions.
+    #[test]
+    fn vpp_lr_basis_change_is_unimodular(
+        m in modulation(),
+        seed in 0u64..10_000,
+        users in 1usize..=8,
+        extra in 0usize..3,
+    ) {
+        use quamax_core::VppModel;
+        let input = vpp_input(users, extra, m, seed);
+        let Ok(model) = VppModel::new(&input.h, m, 1) else {
+            return Ok(());
+        };
+        let lattice = model.basis_change();
+        let n = lattice.dim();
+        prop_assert_eq!(n, 2 * users);
+        for i in 0..n {
+            for j in 0..n {
+                let dot: i64 = (0..n)
+                    .map(|k| lattice.basis()[i * n + k] * lattice.inverse()[k * n + j])
+                    .sum();
+                prop_assert_eq!(dot, i64::from(i == j), "T·T⁻¹ at ({}, {})", i, j);
+            }
+        }
+    }
+
+    /// `E(q) + offset = ‖P(u + τv)‖²` for *every* point of the
+    /// lattice-reduced box on small instances, and every decoded `v`
+    /// lies in the box: `T⁻¹φ(v) − corner ∈ [0, 2^t − 1]`.
+    #[test]
+    fn vpp_lr_energy_identity_holds_for_every_box_point(
+        m in modulation(),
+        seed in 0u64..10_000,
+        users in 1usize..=3,
+        t in 1usize..=2,
+    ) {
+        use quamax_core::VppModel;
+        let input = vpp_input(users, 0, m, seed);
+        let Ok(model) = VppModel::new(&input.h, m, t) else {
+            return Ok(());
+        };
+        let (_, u) = vpp_symbols(&input, seed);
+        let (qubo, offset) = model.qubo_for(&u);
+        let corner = model.box_corner(&u);
+        let n = model.num_vars();
+        prop_assert_eq!(n, 2 * users * t);
+        for k in 0u32..(1 << n) {
+            let bits: Vec<u8> = (0..n).map(|b| ((k >> b) & 1) as u8).collect();
+            let v = model.decode_perturbation(&u, &bits);
+            let direct = model.direct_energy(&u, &v);
+            let e = qubo.energy(&bits) + offset;
+            prop_assert!(
+                (e - direct).abs() <= 1e-8 * direct.max(1.0),
+                "t={} bits {:?}: QUBO {} vs direct {}", t, bits, e, direct
+            );
+            for (z, c) in vpp_reduced(&model, &v).iter().zip(&corner) {
+                prop_assert!((0..1i64 << t).contains(&(z - c)), "outside the box");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every annealed precode returns a Gaussian-integer perturbation,
+    /// the receivers' fold strips `τv` off `u + τv` exactly, and over a
+    /// noiseless channel the fold plus demap returns the sent bits.
+    #[test]
+    fn vpp_lr_precodes_are_gaussian_integers_and_fold_recovers_u(
+        m in modulation(),
+        seed in 0u64..10_000,
+        users in 2usize..=6,
+    ) {
+        use quamax_core::{fold_mod_tau, Precoder, VppPrecoder};
+        let input = vpp_input(users, 0, m, seed);
+        let annealer = Annealer::new(AnnealerConfig {
+            ice: IceModel::none(),
+            sweeps_per_us: 20.0,
+            threads: 1,
+            ..Default::default()
+        });
+        let config = DecoderConfig {
+            schedule: Schedule::standard(2.0),
+            ..Default::default()
+        };
+        let Ok(session) = VppPrecoder::new(annealer, config, 4, 1).compile(&input) else {
+            return Ok(());
+        };
+        let items: Vec<(CVector, u64)> = (0..3u64)
+            .map(|k| (vpp_symbols(&input, seed + k).1, seed + k))
+            .collect();
+        for (p, (u, _)) in session.precode_batch(&items).iter().zip(&items) {
+            let (tau, v) = (session.tau(), &p.perturbation);
+            for z in v.as_slice() {
+                prop_assert!(z.re.fract() == 0.0 && z.im.fract() == 0.0, "{:?}", z);
+            }
+            let clean = CVector::from_fn(users, |i| u[i] + v[i].scale(tau));
+            prop_assert_eq!(fold_mod_tau(&clean, tau).as_slice(), u.as_slice());
+            let received = fold_mod_tau(&input.h.mul_vec(&p.x), tau);
+            prop_assert_eq!(m.demap_gray_vector(&received), m.demap_gray_vector(u));
+            let zf_power = session.model().direct_energy(u, &CVector::zeros(users));
+            prop_assert!(p.power <= zf_power + 1e-9);
+        }
+    }
+
+    /// A reverse-start candidate outside the box is clamped into it:
+    /// each reduced-basis coordinate lands on the nearer box face, and
+    /// the reverse anneal from it still precodes within the `v = 0`
+    /// floor.
+    #[test]
+    fn vpp_lr_reverse_candidate_is_clamped_into_the_box(
+        m in modulation(),
+        seed in 0u64..10_000,
+        users in 2usize..=4,
+        far in 5.0f64..60.0,
+    ) {
+        use quamax_core::{Precoder, VppPrecoder};
+        let input = vpp_input(users, 0, m, seed);
+        let annealer = Annealer::new(AnnealerConfig {
+            ice: IceModel::none(),
+            threads: 1,
+            ..Default::default()
+        });
+        let Ok(mut session) = VppPrecoder::new(annealer, DecoderConfig::default(), 3, 1)
+            .compile(&input)
+        else {
+            return Ok(());
+        };
+        let (_, u) = vpp_symbols(&input, seed);
+        let candidate = CVector::from_fn(users, |i| {
+            let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+            Complex::new(sign * far.round(), -sign * far.round())
+        });
+        let model = session.model().clone();
+        let corner = model.box_corner(&u);
+        let clamped = model.decode_perturbation(&u, &model.encode_perturbation(&u, &candidate));
+        for ((z, c), want) in vpp_reduced(&model, &clamped)
+            .iter()
+            .zip(&corner)
+            .zip(vpp_reduced(&model, &candidate))
+        {
+            prop_assert_eq!(*z, want.clamp(*c, c + 1), "not the nearer box face");
+        }
+        let reverse = Schedule::reverse(1.0, 0.6, 1.0);
+        let p = session.precode_reverse_from(&u, &candidate, &reverse, seed);
+        prop_assert!(p.power <= model.direct_energy(&u, &CVector::zeros(users)) + 1e-9);
     }
 }

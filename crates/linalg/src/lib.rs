@@ -18,10 +18,13 @@
 //! * [`vector`] — dense complex vectors ([`CVector`]).
 //! * [`matrix`] — dense complex matrices ([`CMatrix`]) in row-major order.
 //! * [`qr`] — Householder QR for rectangular complex matrices.
+//! * [`lattice`] — LLL reduction of a real lattice basis given by its
+//!   Gram matrix, with an exact unimodular basis change.
 //! * [`solve`] — LU with partial pivoting, Hermitian solves, pseudo-inverse.
 //! * [`rng`] — Box–Muller standard-normal and complex-Gaussian sampling.
 
 pub mod complex;
+pub mod lattice;
 pub mod matrix;
 pub mod qr;
 pub mod rng;
@@ -29,6 +32,7 @@ pub mod solve;
 pub mod vector;
 
 pub use complex::Complex;
+pub use lattice::LllReduction;
 pub use matrix::CMatrix;
 pub use qr::QrDecomposition;
 pub use rng::{standard_normal, ComplexGaussian};

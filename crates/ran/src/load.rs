@@ -69,8 +69,12 @@ pub struct MixClass {
 
 impl MixClass {
     /// Logical Ising variables per problem: `users × bits/symbol` for
-    /// uplink detection, `4 × users` for downlink VPP (the `t = 1`
-    /// two's-complement encoding over `2·users` real dimensions).
+    /// uplink detection, `4 × users` for downlink VPP. The downlink
+    /// price is the unreduced `t = 1` two's-complement search over
+    /// `2·users` real dimensions; the precoder now anneals a
+    /// lattice-reduced box of `2 × users` variables. The price is kept
+    /// so that no recorded simulation moves (see ROADMAP, "Price from
+    /// measurement").
     pub fn logical_vars(&self) -> usize {
         match self.direction {
             JobDirection::Uplink => self.users * self.modulation.bits_per_symbol(),

@@ -55,10 +55,12 @@ pub struct AccessPoint {
 impl AccessPoint {
     /// Logical Ising variables per subcarrier problem.
     ///
-    /// Uplink detection reduces to `Nt·log₂|O|` variables; downlink
-    /// VPP expands each of the `2·Nu` real perturbation dimensions
-    /// into 1 magnitude bit + 1 sign bit (the `t = 1` encoding the
-    /// serving benches use), i.e. `4·Nu` variables.
+    /// Uplink detection reduces to `Nt·log₂|O|` variables. Downlink
+    /// is priced at `4·Nu`: the unreduced `t = 1` two's-complement
+    /// search (1 magnitude bit + 1 sign bit per real perturbation
+    /// dimension). The precoder now anneals a lattice-reduced box of
+    /// `2·Nu` variables; the price is kept so that no recorded
+    /// simulation moves (see ROADMAP, "Price from measurement").
     pub fn logical_vars(&self) -> usize {
         match self.direction {
             JobDirection::Uplink => self.users * self.modulation.bits_per_symbol(),

@@ -43,7 +43,7 @@ fn main() {
             ..Default::default()
         },
         20,
-        1, // t = 1: one magnitude bit + sign per real dimension
+        1, // t = 1: one box bit per real dimension of the reduced lattice
     );
     let kinds = [
         PrecoderKind::zf(),

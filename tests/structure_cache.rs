@@ -159,7 +159,7 @@ fn compose_precoding(model: &VppModel, u: &CVector, composed: &Composed) -> Prec
     let zero = CVector::zeros(model.num_users());
     let zero_power = model.direct_energy(u, &zero);
     let best = composed.distribution.best_solution().map(|entry| {
-        let v = model.decode_perturbation(&spins_to_bits(&entry.spins));
+        let v = model.decode_perturbation(u, &spins_to_bits(&entry.spins));
         let power = model.direct_energy(u, &v);
         (v, power)
     });
@@ -208,7 +208,7 @@ fn check_downlink(
     annealer: &Annealer,
     graph: &ChimeraGraph,
     config: &DecoderConfig,
-    magnitude_bits: usize,
+    bits: usize,
     anneals: usize,
     h: &CMatrix,
     rng: &mut Rng,
@@ -219,7 +219,7 @@ fn check_downlink(
         h: h.clone(),
         modulation,
     };
-    let model = VppModel::new(h, modulation, magnitude_bits).unwrap();
+    let model = VppModel::new(h, modulation, bits).unwrap();
     let items: Vec<(CVector, u64)> = (0..3u64)
         .map(|k| {
             let bits: Vec<u8> = (0..input.num_bits())
