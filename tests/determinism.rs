@@ -217,9 +217,9 @@ fn annealed_sessions_are_stable() {
         digests,
         [
             0xb5e1_41d9_059c_6a19,
-            0x1ba9_4f14_c59d_50d1,
+            0xf445_5bff_9bb1_7c7f,
             0xb974_aa2d_1a95_7a00,
-            0x23c1_cfb9_3ac5_7b05
+            0xbdd9_3fa3_1120_6715
         ],
         "{digests:#x?}"
     );
@@ -255,7 +255,7 @@ fn uplink_digest(
     fnv.0
 }
 
-/// `users`-user QPSK VPP (one magnitude bit) on a square Rayleigh
+/// `users`-user QPSK VPP (a one-bit lattice-reduced box) on a square Rayleigh
 /// channel: six symbol vectors through `precode_batch`, then each
 /// through `precode_reverse_from` THP's perturbation.
 fn downlink_digest(
