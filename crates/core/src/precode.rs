@@ -311,11 +311,7 @@ impl PerturbEncoding {
     /// # Panics
     /// Panics when `offsets.len() != 2·Nu`.
     pub fn encode(&self, offsets: &[f64]) -> Vec<u8> {
-        assert_eq!(
-            offsets.len(),
-            2 * self.num_users,
-            "perturbation length mismatch"
-        );
+        assert_eq!(offsets.len(), 2 * self.num_users, "offset length mismatch");
         let mut bits = vec![0u8; self.num_vars()];
         for (group, &offset) in bits.chunks_exact_mut(self.bits).zip(offsets) {
             let z = offset.round().clamp(0.0, self.max_offset() as f64) as i64;
@@ -487,7 +483,7 @@ impl VppModel {
         assert_eq!(u.len(), self.num_users(), "symbol vector length mismatch");
         let below = self.encoding.corner_below_floor();
         self.lattice
-            .to_reduced_real(&realify(u))
+            .to_reduced(&realify(u))
             .into_iter()
             .map(|x| (-x / self.tau).floor() as i64 - below)
             .collect()
@@ -562,7 +558,7 @@ impl VppModel {
         let rounded: Vec<f64> = realify(v).iter().map(|x| x.round()).collect();
         let offsets: Vec<f64> = self
             .lattice
-            .to_reduced_real(&rounded)
+            .to_reduced(&rounded)
             .iter()
             .zip(self.box_corner(u))
             .map(|(x, c)| x - c as f64)

@@ -634,12 +634,17 @@ fn vpp_symbols(input: &quamax_core::PrecodeInput, seed: u64) -> (Vec<u8>, CVecto
 /// `T⁻¹φ(v)`, the reduced-basis coordinates of an integer perturbation.
 fn vpp_reduced(model: &quamax_core::VppModel, v: &CVector) -> Vec<i64> {
     let s = v.as_slice();
-    let x: Vec<i64> = s
+    let x: Vec<f64> = s
         .iter()
-        .map(|c| c.re as i64)
-        .chain(s.iter().map(|c| c.im as i64))
+        .map(|c| c.re)
+        .chain(s.iter().map(|c| c.im))
         .collect();
-    model.basis_change().to_reduced(&x)
+    let reduced = model.basis_change().to_reduced(&x);
+    assert!(
+        reduced.iter().all(|z| z.fract() == 0.0),
+        "not a lattice point"
+    );
+    reduced.into_iter().map(|z| z as i64).collect()
 }
 
 proptest! {

@@ -92,7 +92,7 @@ impl LllReduction {
     }
 
     /// The identity basis change on `ℤ^dim`.
-    pub fn identity(dim: usize) -> Self {
+    fn identity(dim: usize) -> Self {
         let eye: Vec<i64> = (0..dim * dim)
             .map(|x| i64::from(x / dim == x % dim))
             .collect();
@@ -120,17 +120,17 @@ impl LllReduction {
 
     /// `T·z`: reduced-basis coordinates back to original ones.
     pub fn to_original(&self, z: &[i64]) -> Vec<i64> {
-        mul_int(&self.basis, self.dim, z)
+        assert_eq!(z.len(), self.dim, "vector length mismatch");
+        self.basis
+            .chunks_exact(self.dim.max(1))
+            .map(|row| row.iter().zip(z).map(|(&t, &v)| t * v).sum())
+            .collect()
     }
 
-    /// `T⁻¹·x`: original coordinates into reduced-basis ones.
-    pub fn to_reduced(&self, x: &[i64]) -> Vec<i64> {
-        mul_int(&self.inverse, self.dim, x)
-    }
-
-    /// `T⁻¹·x` for a real vector `x` (the reduced-basis coordinates of
-    /// a point that need not lie on the lattice).
-    pub fn to_reduced_real(&self, x: &[f64]) -> Vec<f64> {
+    /// `T⁻¹·x`: the reduced-basis coordinates of a point `x`, which
+    /// need not lie on the lattice (exact for a lattice point, since
+    /// `T⁻¹`'s entries are integers `f64` represents exactly).
+    pub fn to_reduced(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.dim, "vector length mismatch");
         self.inverse
             .chunks_exact(self.dim.max(1))
@@ -192,13 +192,6 @@ impl LllReduction {
         }
         out
     }
-}
-
-fn mul_int(m: &[i64], n: usize, z: &[i64]) -> Vec<i64> {
-    assert_eq!(z.len(), n, "vector length mismatch");
-    m.chunks_exact(n.max(1))
-        .map(|row| row.iter().zip(z).map(|(&a, &b)| a * b).sum())
-        .collect()
 }
 
 /// The reduction in progress: the current basis Gram `g`, its
@@ -380,7 +373,9 @@ mod tests {
                 }
             }
             let z: Vec<i64> = (0..n as i64).map(|k| k * 7 - 11).collect();
-            assert_eq!(red.to_reduced(&red.to_original(&z)), z);
+            let x: Vec<f64> = red.to_original(&z).iter().map(|&v| v as f64).collect();
+            let back: Vec<f64> = z.iter().map(|&v| v as f64).collect();
+            assert_eq!(red.to_reduced(&x), back);
         }
     }
 
@@ -423,14 +418,12 @@ mod tests {
     }
 
     #[test]
-    fn lll_real_helpers_agree_with_the_integer_ones() {
+    fn lll_transpose_is_the_adjoint_of_the_basis_change() {
         let mut rng = StdRng::seed_from_u64(0x222);
         let g = random_gram(&mut rng, 6, 6, 50.0);
         let red = LllReduction::reduce(&g, 6, 0.75);
         let x: Vec<i64> = vec![3, -1, 0, 4, -2, 1];
         let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let via_int: Vec<f64> = red.to_reduced(&x).iter().map(|&v| v as f64).collect();
-        assert_eq!(red.to_reduced_real(&xf), via_int);
         // ⟨Tᵀx, z⟩ = ⟨x, Tz⟩.
         let z: Vec<i64> = vec![1, 0, -2, 1, 1, -1];
         let lhs: f64 = red

@@ -345,16 +345,17 @@ fn cached_structures_decode_like_uncached_compositions() {
         "16u BPSK, second EmbedParams",
     );
 
-    // Downlink: 4-user QPSK VPP with one magnitude bit is 16 variables
-    // too; its orthogonal twin couples only bits of one dimension.
+    // Downlink: 4-user QPSK VPP with two box bits per dimension is 16
+    // variables too; its orthogonal twin couples only bits of one
+    // dimension.
     let config = DecoderConfig::default();
-    let precoder = VppPrecoder::with_graph(annealer.clone(), graph.clone(), config, ANNEALS, 1);
+    let precoder = VppPrecoder::with_graph(annealer.clone(), graph.clone(), config, ANNEALS, 2);
     for (what, h) in [
         ("4u VPP", rayleigh_channel(4, 4, &mut rng)),
         ("orthogonal 4u VPP", orthogonal_channel(4, &mut rng)),
     ] {
         check_downlink(
-            &precoder, &annealer, &graph, &config, 1, ANNEALS, &h, &mut rng, what,
+            &precoder, &annealer, &graph, &config, 2, ANNEALS, &h, &mut rng, what,
         );
     }
 }
