@@ -100,9 +100,6 @@ impl PrecodeInput {
     }
 }
 
-/// The Lovász parameter of the per-interval LLL reduction.
-const LLL_DELTA: f64 = 0.75;
-
 /// The modulo base `τ = 2·L` for a constellation with `L` levels per
 /// real dimension: the smallest modulus whose fold is the identity on
 /// every constellation point (levels sit at `±1, ±3, … ±(L−1)`, all
@@ -408,7 +405,7 @@ impl VppModel {
         let g: Vec<f64> = (0..dim * dim)
             .map(|x| g_entry(&w, nu, x / dim, x % dim))
             .collect();
-        let lattice = LllReduction::reduce(&g, dim, LLL_DELTA);
+        let lattice = LllReduction::reduce(&g, dim);
         let reduced = lattice.reduced_gram(&g);
 
         // τ²CᵀG̃C — the u-independent quadratic template. Exact zeros
@@ -501,9 +498,10 @@ impl VppModel {
     /// offset `‖Fa‖² = ‖Pα‖²`, where `a = φ(α)` and
     /// `α = u + τ·T·corner` is the box corner's own perturbed symbol
     /// vector (`G·φ(α) = φ(Wα)` by the realification identities).
-    fn fields(&self, u: &CVector) -> (Vec<f64>, f64) {
-        let corner = self.original(&self.box_corner(u));
-        let alpha = CVector::from_fn(u.len(), |i| u[i] + corner[i].scale(self.tau));
+    /// `corner` is [`VppModel::box_corner`]`(u)`.
+    fn fields(&self, u: &CVector, corner: &[i64]) -> (Vec<f64>, f64) {
+        let base = self.original(corner);
+        let alpha = CVector::from_fn(u.len(), |i| u[i] + base[i].scale(self.tau));
         let field = self
             .lattice
             .transpose_mul(&realify(&self.w.mul_vec(&alpha)));
@@ -516,10 +514,10 @@ impl VppModel {
 
     /// The full QUBO for one user-symbol vector plus its scalar
     /// offset: `energy(bits) + offset = ‖P(u + τ·v)‖²` with
-    /// `v = decode_perturbation(u, bits)`, for every bit string
-    /// (property-tested across box widths and τ).
+    /// `v = decode_perturbation(&box_corner(u), bits)`, for every bit
+    /// string (property-tested across box widths and τ).
     pub fn qubo_for(&self, u: &CVector) -> (QuboProblem, f64) {
-        let (linear, offset) = self.fields(u);
+        let (linear, offset) = self.fields(u, &self.box_corner(u));
         let mut qubo = self.quad.clone();
         for (i, d) in linear.into_iter().enumerate() {
             qubo.add_diagonal(i, d);
@@ -537,31 +535,35 @@ impl VppModel {
         self.transmit(u, v).norm_sqr()
     }
 
-    /// Decodes `u`'s QUBO bits into the complex-integer perturbation
+    /// Decodes QUBO bits of the box at `corner` (a
+    /// [`VppModel::box_corner`]) into the complex-integer perturbation
     /// `v = T·(corner + offsets)` in the original coordinates.
-    pub fn decode_perturbation(&self, u: &CVector, bits: &[u8]) -> CVector {
+    ///
+    /// # Panics
+    /// Panics when `corner` is not `2·Nu` long.
+    pub fn decode_perturbation(&self, corner: &[i64], bits: &[u8]) -> CVector {
+        assert_eq!(corner.len(), 2 * self.num_users(), "corner length mismatch");
         let offsets = self.encoding.decode(bits);
-        let reduced: Vec<i64> = self
-            .box_corner(u)
-            .iter()
-            .zip(&offsets)
-            .map(|(c, b)| c + b)
-            .collect();
+        let reduced: Vec<i64> = corner.iter().zip(&offsets).map(|(c, b)| c + b).collect();
         self.original(&reduced)
     }
 
-    /// Encodes a perturbation into `u`'s QUBO bits: each entry is
-    /// rounded to a Gaussian integer, mapped through `T⁻¹` and clamped
-    /// into the box (see [`PerturbEncoding::encode`]).
-    pub fn encode_perturbation(&self, u: &CVector, v: &CVector) -> Vec<u8> {
+    /// Encodes a perturbation into QUBO bits of the box at `corner`:
+    /// each entry is rounded to a Gaussian integer, mapped through
+    /// `T⁻¹` and clamped into the box (see [`PerturbEncoding::encode`]).
+    ///
+    /// # Panics
+    /// Panics when `v` is not `Nu` long or `corner` not `2·Nu`.
+    pub fn encode_perturbation(&self, corner: &[i64], v: &CVector) -> Vec<u8> {
         assert_eq!(v.len(), self.num_users(), "perturbation length mismatch");
+        assert_eq!(corner.len(), 2 * self.num_users(), "corner length mismatch");
         let rounded: Vec<f64> = realify(v).iter().map(|x| x.round()).collect();
         let offsets: Vec<f64> = self
             .lattice
             .to_reduced(&rounded)
             .iter()
-            .zip(self.box_corner(u))
-            .map(|(x, c)| x - c as f64)
+            .zip(corner)
+            .map(|(x, &c)| x - c as f64)
             .collect();
         self.encoding.encode(&offsets)
     }
@@ -659,7 +661,7 @@ pub struct VppSession {
     schedule: Schedule,
     anneals: usize,
     model: VppModel,
-    /// `qubo_to_ising` of the quadratic block `τ²CᵀGC`, every field zero.
+    /// `qubo_to_ising` of the quadratic block `τ²CᵀG̃C`, every field zero.
     couplings: IsingProblem,
     /// `(i, j, Q_ij/4)` per off-diagonal of the quadratic block, in
     /// `off_diagonals()` order: each one's share of two fields and of
@@ -751,24 +753,30 @@ impl VppSession {
     /// regardless of batch width or worker count (same per-item seeded
     /// RNG streams).
     pub fn precode_batch(&self, items: &[(CVector, u64)]) -> Vec<Precoding> {
+        let placed: Vec<((&CVector, Vec<i64>), u64)> = items
+            .iter()
+            .map(|(u, seed)| ((u, self.model.box_corner(u)), *seed))
+            .collect();
         self.core
-            .run_batch(items, &self.schedule, self.anneals, |u| self.reduce(u))
+            .run_batch(&placed, &self.schedule, self.anneals, |(u, corner)| {
+                self.reduce(u, corner)
+            })
             .into_iter()
-            .zip(items)
-            .map(|(annealed, (u, _))| self.finish(u, annealed))
+            .zip(&placed)
+            .map(|(annealed, ((u, corner), _))| self.finish(u, corner, annealed))
             .collect()
     }
 
-    /// The logical problem for `u` and the total additive offset
-    /// linking its Ising energies to transmit power:
+    /// The logical problem for `u` in the box at `corner` and the total
+    /// additive offset linking its Ising energies to transmit power:
     /// `E_ising + offset = ‖P(u + τv)‖²`. Bit for bit
     /// `qubo_to_ising(&model.qubo_for(u))` with the power offset added:
     /// only the diagonal `Q_ii + 2τ·CᵀTᵀG·a` moves with `u`, and the
     /// quadratic block's quarters are replayed onto the fields and the
     /// offset in the conversion's own order.
-    fn reduce(&self, u: &CVector) -> (IsingProblem, f64) {
+    fn reduce(&self, u: &CVector, corner: &[i64]) -> (IsingProblem, f64) {
         let model = &self.model;
-        let (linear, power_offset) = model.fields(u);
+        let (linear, power_offset) = model.fields(u, corner);
         let mut logical = self.couplings.clone();
         let mut offset = 0.0;
         for (i, field) in linear.into_iter().enumerate() {
@@ -788,9 +796,11 @@ impl VppSession {
     /// from a candidate perturbation under the given reverse schedule.
     fn run(&mut self, u: &CVector, reverse: Option<(&CVector, &Schedule)>, seed: u64) -> Precoding {
         let schedule = reverse.map_or(self.schedule, |(_, s)| *s);
-        let reduced = self.reduce(u);
-        let start = reverse
-            .map(|(candidate, _)| bits_to_spins(&self.model.encode_perturbation(u, candidate)));
+        let corner = self.model.box_corner(u);
+        let reduced = self.reduce(u, &corner);
+        let start = reverse.map(|(candidate, _)| {
+            bits_to_spins(&self.model.encode_perturbation(&corner, candidate))
+        });
         let annealed = self.core.run(
             &mut self.scratch,
             reduced,
@@ -799,18 +809,18 @@ impl VppSession {
             self.anneals,
             &mut StdRng::seed_from_u64(seed),
         );
-        self.finish(u, annealed)
+        self.finish(u, &corner, annealed)
     }
 
-    /// The best annealed perturbation (logical energy and transmit
-    /// power rank identically — they differ by the constant offset),
-    /// guarded by the `v = 0` power floor.
-    fn finish(&self, u: &CVector, annealed: Annealed) -> Precoding {
+    /// The best annealed perturbation in the box at `corner` (logical
+    /// energy and transmit power rank identically — they differ by the
+    /// constant offset), guarded by the `v = 0` power floor.
+    fn finish(&self, u: &CVector, corner: &[i64], annealed: Annealed) -> Precoding {
         let offset = annealed.offset;
         let best = annealed.distribution.best_solution().map(|entry| {
             let v = self
                 .model
-                .decode_perturbation(u, &spins_to_bits(&entry.spins));
+                .decode_perturbation(corner, &spins_to_bits(&entry.spins));
             let power = self.model.direct_energy(u, &v);
             debug_assert!(
                 (entry.energy + offset - power).abs() <= 1e-6 * power.abs().max(1.0),
@@ -1206,11 +1216,12 @@ mod tests {
             let model = VppModel::new(&input.h, input.modulation, t).unwrap();
             let (_, u) = random_symbols(&input, &mut rng);
             let (qubo, offset) = model.qubo_for(&u);
+            let corner = model.box_corner(&u);
             for _ in 0..10 {
                 let bits: Vec<u8> = (0..model.num_vars())
                     .map(|_| rng.random_range(0..2))
                     .collect();
-                let v = model.decode_perturbation(&u, &bits);
+                let v = model.decode_perturbation(&corner, &bits);
                 let direct = model.direct_energy(&u, &v);
                 let via_qubo = qubo.energy(&bits) + offset;
                 assert!(
@@ -1231,13 +1242,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(40);
         let (_, u) = random_symbols(&input, &mut rng);
         let (qubo, power_offset) = model.qubo_for(&u);
+        let corner = model.box_corner(&u);
         let (ising, conversion) = qubo_to_ising(&qubo);
         for _ in 0..10 {
             let bits: Vec<u8> = (0..model.num_vars())
                 .map(|_| rng.random_range(0..2))
                 .collect();
             let spins = bits_to_spins(&bits);
-            let direct = model.direct_energy(&u, &model.decode_perturbation(&u, &bits));
+            let direct = model.direct_energy(&u, &model.decode_perturbation(&corner, &bits));
             let via_ising = ising.energy(&spins) + conversion + power_offset;
             assert!(
                 (via_ising - direct).abs() <= 1e-8 * direct.max(1.0),

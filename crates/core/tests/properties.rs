@@ -550,8 +550,10 @@ proptest! {
 
     /// The VPP QUBO reduction satisfies the exact energy identity
     /// `E(q) + offset = ‖P(u + τv)‖²` at random channels, symbol
-    /// vectors, modulo bases, box widths, and bit assignments — the
-    /// downlink mirror of `qubo_energy_identity`.
+    /// vectors, modulo bases and box widths, for *every* bit string of
+    /// the lattice-reduced box (at most 12 variables here), and every
+    /// decoded `v` lies in the box: `T⁻¹φ(v) − corner ∈ [0, 2^t − 1]`
+    /// — the downlink mirror of `qubo_energy_identity`.
     #[test]
     fn vpp_qubo_energy_identity(
         h in channel(2, 3),
@@ -559,7 +561,6 @@ proptest! {
         m in modulation(),
         t in 1usize..=3,
         tau in 0.5f64..12.0,
-        k in 0u32..65_536,
     ) {
         use quamax_core::VppModel;
         // Random draws can be rank-deficient; the reduction rejects
@@ -568,16 +569,23 @@ proptest! {
         let Ok(model) = VppModel::with_tau(&h, m, t, tau) else {
             return Ok(());
         };
-        let n = model.num_vars();
-        let bits: Vec<u8> = (0..n).map(|b| ((k >> (b % 32)) & 1) as u8).collect();
-        let v = model.decode_perturbation(&u, &bits);
-        let direct = model.direct_energy(&u, &v);
         let (qubo, offset) = model.qubo_for(&u);
-        let e = qubo.energy(&bits) + offset;
-        prop_assert!(
-            (e - direct).abs() < 1e-8 * direct.max(1.0),
-            "t={t} τ={tau}: QUBO {e} vs direct {direct}"
-        );
+        let corner = model.box_corner(&u);
+        let n = model.num_vars();
+        prop_assert_eq!(n, 4 * t);
+        for k in 0u32..(1 << n) {
+            let bits: Vec<u8> = (0..n).map(|b| ((k >> b) & 1) as u8).collect();
+            let v = model.decode_perturbation(&corner, &bits);
+            let direct = model.direct_energy(&u, &v);
+            let e = qubo.energy(&bits) + offset;
+            prop_assert!(
+                (e - direct).abs() < 1e-8 * direct.max(1.0),
+                "t={} τ={} bits {:?}: QUBO {} vs direct {}", t, tau, bits, e, direct
+            );
+            for (z, c) in vpp_reduced(&model, &v).iter().zip(&corner) {
+                prop_assert!((0..1i64 << t).contains(&(z - c)), "outside the box");
+            }
+        }
     }
 
     /// Zero-perturbation precoding through the VPP model is
@@ -676,41 +684,6 @@ proptest! {
             }
         }
     }
-
-    /// `E(q) + offset = ‖P(u + τv)‖²` for *every* point of the
-    /// lattice-reduced box on small instances, and every decoded `v`
-    /// lies in the box: `T⁻¹φ(v) − corner ∈ [0, 2^t − 1]`.
-    #[test]
-    fn vpp_lr_energy_identity_holds_for_every_box_point(
-        m in modulation(),
-        seed in 0u64..10_000,
-        users in 1usize..=3,
-        t in 1usize..=2,
-    ) {
-        use quamax_core::VppModel;
-        let input = vpp_input(users, 0, m, seed);
-        let Ok(model) = VppModel::new(&input.h, m, t) else {
-            return Ok(());
-        };
-        let (_, u) = vpp_symbols(&input, seed);
-        let (qubo, offset) = model.qubo_for(&u);
-        let corner = model.box_corner(&u);
-        let n = model.num_vars();
-        prop_assert_eq!(n, 2 * users * t);
-        for k in 0u32..(1 << n) {
-            let bits: Vec<u8> = (0..n).map(|b| ((k >> b) & 1) as u8).collect();
-            let v = model.decode_perturbation(&u, &bits);
-            let direct = model.direct_energy(&u, &v);
-            let e = qubo.energy(&bits) + offset;
-            prop_assert!(
-                (e - direct).abs() <= 1e-8 * direct.max(1.0),
-                "t={} bits {:?}: QUBO {} vs direct {}", t, bits, e, direct
-            );
-            for (z, c) in vpp_reduced(&model, &v).iter().zip(&corner) {
-                prop_assert!((0..1i64 << t).contains(&(z - c)), "outside the box");
-            }
-        }
-    }
 }
 
 proptest! {
@@ -787,7 +760,7 @@ proptest! {
         });
         let model = session.model().clone();
         let corner = model.box_corner(&u);
-        let clamped = model.decode_perturbation(&u, &model.encode_perturbation(&u, &candidate));
+        let clamped = model.decode_perturbation(&corner, &model.encode_perturbation(&corner, &candidate));
         for ((z, c), want) in vpp_reduced(&model, &clamped)
             .iter()
             .zip(&corner)

@@ -26,6 +26,10 @@
 /// the basis change in floating-point arithmetic without rounding it.
 const ENTRY_LIMIT: i64 = 1 << 52;
 
+/// Lovász parameter δ: the textbook `3/4`, which bounds the swap count
+/// polynomially while still yielding a near-orthogonal basis.
+const DELTA: f64 = 0.75;
+
 /// A unimodular basis change `T` with its exact integer inverse, both
 /// `dim × dim` and row-major. Column `j` of `T` holds the integer
 /// coordinates of reduced basis vector `j` in the original basis.
@@ -39,7 +43,7 @@ pub struct LllReduction {
 impl LllReduction {
     /// LLL-reduces the lattice with basis Gram `gram` (`dim × dim`,
     /// row-major, symmetric positive definite) at Lovász parameter
-    /// `delta ∈ (¼, 1]`.
+    /// δ = 3/4.
     ///
     /// The result is always unimodular with an exact inverse. Should
     /// floating-point breakdown threaten exactness (a coefficient or an
@@ -48,10 +52,9 @@ impl LllReduction {
     /// basis change rather than panic.
     ///
     /// # Panics
-    /// Panics when `gram.len() != dim²` or `delta` is outside `(¼, 1]`.
-    pub fn reduce(gram: &[f64], dim: usize, delta: f64) -> Self {
+    /// Panics when `gram.len() != dim²`.
+    pub fn reduce(gram: &[f64], dim: usize) -> Self {
         assert_eq!(gram.len(), dim * dim, "Gram matrix must be dim × dim");
-        assert!(delta > 0.25 && delta <= 1.0, "LLL needs δ in (1/4, 1]");
         let mut state = State {
             n: dim,
             g: gram.to_vec(),
@@ -74,7 +77,7 @@ impl LllReduction {
                 break;
             }
             let m = state.mu[k * dim + k - 1];
-            if state.b[k] < (delta - m * m) * state.b[k - 1] {
+            if state.b[k] < (DELTA - m * m) * state.b[k - 1] {
                 swaps += 1;
                 if swaps > max_swaps {
                     break;
@@ -363,7 +366,7 @@ mod tests {
     #[test]
     fn lll_basis_change_is_unimodular_with_an_exact_inverse() {
         for (n, g) in cases() {
-            let red = LllReduction::reduce(&g, n, 0.75);
+            let red = LllReduction::reduce(&g, n);
             for i in 0..n {
                 for j in 0..n {
                     let dot: i64 = (0..n)
@@ -381,9 +384,8 @@ mod tests {
 
     #[test]
     fn lll_output_is_size_reduced_and_meets_lovasz() {
-        let delta = 0.75;
         for (n, g) in cases() {
-            let red = LllReduction::reduce(&g, n, delta);
+            let red = LllReduction::reduce(&g, n);
             let (mu, b) = gram_schmidt(&red.reduced_gram(&g), n);
             for k in 1..n {
                 for j in 0..k {
@@ -395,7 +397,7 @@ mod tests {
                 }
                 let m = mu[k * n + k - 1];
                 assert!(
-                    b[k] >= (delta - m * m) * b[k - 1] * (1.0 - 1e-9),
+                    b[k] >= (DELTA - m * m) * b[k - 1] * (1.0 - 1e-9),
                     "n = {n}: Lovász fails at k = {k}"
                 );
             }
@@ -407,21 +409,18 @@ mod tests {
         // b0 = (1, 0), b1 = (100, 1): the reduced basis is the unit
         // square's, up to order and sign.
         let g = vec![1.0, 100.0, 100.0, 10_001.0];
-        let red = LllReduction::reduce(&g, 2, 0.75);
+        let red = LllReduction::reduce(&g, 2);
         assert_eq!(red.reduced_gram(&g), vec![1.0, 0.0, 0.0, 1.0]);
         // An already reduced basis is left alone.
         let eye = vec![1.0, 0.0, 0.0, 2.0];
-        assert_eq!(
-            LllReduction::reduce(&eye, 2, 0.75),
-            LllReduction::identity(2)
-        );
+        assert_eq!(LllReduction::reduce(&eye, 2), LllReduction::identity(2));
     }
 
     #[test]
     fn lll_transpose_is_the_adjoint_of_the_basis_change() {
         let mut rng = StdRng::seed_from_u64(0x222);
         let g = random_gram(&mut rng, 6, 6, 50.0);
-        let red = LllReduction::reduce(&g, 6, 0.75);
+        let red = LllReduction::reduce(&g, 6);
         let x: Vec<i64> = vec![3, -1, 0, 4, -2, 1];
         let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
         // ⟨Tᵀx, z⟩ = ⟨x, Tz⟩.

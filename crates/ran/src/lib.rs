@@ -140,9 +140,12 @@
 //!   [`BatchScheduler`] refuses to coalesce across it: a batch tiles
 //!   one programmed problem, and detection and precoding are never the
 //!   same problem (tested: `batches_never_mix_directions`).
-//! * **Shape** — a downlink [`AccessPoint`]/[`MixClass`] sizes its
-//!   problems as `4·Nu` logical variables (2·Nu real perturbation
-//!   dimensions × 1 magnitude + 1 sign bit), vs `Nu·log₂|O|` uplink.
+//! * **Shape** — a downlink [`AccessPoint`]/[`MixClass`] prices its
+//!   problems at `4·Nu` logical variables, the unreduced `t = 1`
+//!   two's-complement search over `2·Nu` real dimensions, while the
+//!   precoder anneals a lattice-reduced box of `2·Nu` variables (the
+//!   price is kept so that no recorded simulation moves); uplink is
+//!   `Nu·log₂|O|`.
 //! * **Workload** — [`LoadGen::full_duplex`] splits each metro class
 //!   into an uplink and a downlink stream by a per-cell ratio (bit-
 //!   identical to `metro` at ratio 0), and a full-duplex cell in

@@ -158,8 +158,9 @@ fn check_uplink(
 fn compose_precoding(model: &VppModel, u: &CVector, composed: &Composed) -> Precoding {
     let zero = CVector::zeros(model.num_users());
     let zero_power = model.direct_energy(u, &zero);
+    let corner = model.box_corner(u);
     let best = composed.distribution.best_solution().map(|entry| {
-        let v = model.decode_perturbation(u, &spins_to_bits(&entry.spins));
+        let v = model.decode_perturbation(&corner, &spins_to_bits(&entry.spins));
         let power = model.direct_energy(u, &v);
         (v, power)
     });
