@@ -165,7 +165,7 @@ impl CompiledChains {
     /// entry of `a → b`: a sweep reads `g_ab` there, from the replica's
     /// own (possibly ICE-perturbed) coefficients.
     #[inline]
-    pub fn internal_edges(&self, c: usize) -> &[(u32, u32, u32)] {
+    fn internal_edges(&self, c: usize) -> &[(u32, u32, u32)] {
         let lo = self.internal_offsets[c] as usize;
         let hi = self.internal_offsets[c + 1] as usize;
         &self.internal[lo..hi]
@@ -475,7 +475,7 @@ impl ReplicaBatch {
 
     /// Sets slice `k` of replica `r`; its cached fields stay stale until
     /// [`ReplicaBatch::rebuild_fields`].
-    pub fn set_replica(&mut self, r: usize, k: usize, spins: &[Spin]) {
+    fn set_replica(&mut self, r: usize, k: usize, spins: &[Spin]) {
         assert_eq!(spins.len(), self.n, "initial state length mismatch");
         assert!(k < self.slices, "slice {k} out of range");
         let (w, base) = (self.width, k * self.n);

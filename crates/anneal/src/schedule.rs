@@ -120,7 +120,7 @@ impl Schedule {
     }
 
     /// The annealing fraction at wall-clock time `t_us ∈ [0, total]`.
-    pub fn fraction_at(&self, t_us: f64) -> f64 {
+    fn fraction_at(&self, t_us: f64) -> f64 {
         let t = t_us.clamp(0.0, self.total_time_us());
         if self.reverse {
             let (s_target, hold) = self.pause.expect("reverse schedules always hold");

@@ -32,13 +32,13 @@ const CMAC_FLOPS: f64 = 8.0;
 /// Gram matrix (`nr·nt²` cmacs), Cholesky-style factorization
 /// (`nt³/3`), and two triangular solves per column to form the
 /// pseudo-inverse (`nt³`).
-pub fn zf_filter_flops(nr: usize, nt: usize) -> f64 {
+fn zf_filter_flops(nr: usize, nt: usize) -> f64 {
     let (nr, nt) = (nr as f64, nt as f64);
     CMAC_FLOPS * (nr * nt * nt + nt * nt * nt / 3.0 + nt * nt * nt)
 }
 
 /// FLOPs to apply the ZF filter to one received vector (`nt·nr` cmacs).
-pub fn zf_apply_flops(nr: usize, nt: usize) -> f64 {
+fn zf_apply_flops(nr: usize, nt: usize) -> f64 {
     CMAC_FLOPS * (nr as f64) * (nt as f64)
 }
 

@@ -120,7 +120,7 @@ fn main() {
         "uses_per_frame": frame.uses(),
         "frames": frames,
         "anneals_per_use": anneals,
-        "damping": IddSpec::new(2).damping,
+        "damping": quamax_core::coded::IDD_DAMPING,
         "seed": seed,
     });
     record.note = "coded BER vs detection–decoding iteration count at each backend's stress \

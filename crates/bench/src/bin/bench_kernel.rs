@@ -42,11 +42,11 @@
 //!   two, runs the dispatched window with no chains, and
 //!   `chain_pass_share` = 1 − its minimum over the dispatched minimum
 //!   is the chain moves' share of a window (reported, not gated);
-//! * `vpp_clique_1088q_r{1,4}` — the same on a 64-variable clique
-//!   embedding (1,088 qubits, 40 sweeps; the shape of the unreduced
-//!   16-user VPP search, now a kernel shape only: a lattice-reduced
-//!   16-user precode anneals 32 variables on 288 qubits) at widths 1
-//!   and 4, in ns per spin proposal. Asserted identical.
+//! * `window_embedded_{80,288}q_r{1,4,8}` — the same, with the same
+//!   three arms, at the two shapes metro anneals: 16 BPSK variables on
+//!   80 qubits (a 16-user uplink decode) and 32 on 288 qubits (a
+//!   lattice-reduced 16-user VPP precode), 40 sweeps, at widths 1, 4
+//!   and 8. Asserted identical; not gated.
 //!
 //! Every row times its arms with [`interleave`] and records each arm's
 //! minimum and median call, `min_ratio` (the reference's minimum over
@@ -230,11 +230,6 @@ impl WindowBench {
         );
         assert_same(&what, a, b, self.compiled.num_spins());
         timing
-    }
-
-    /// Spin-pass proposals per window.
-    fn proposals(&self) -> f64 {
-        (self.width * self.compiled.num_spins() * self.betas.len()) as f64
     }
 
     /// Acceptance and chain breaks of `windows` untimed windows, the
@@ -539,8 +534,8 @@ fn main() {
         rows.push(&timing, 1e-3, "us per window", head);
     }
 
-    // Full windows at the uplink operating point (4 sweeps/µs), then on
-    // a 64-variable clique at small widths.
+    // Full windows at the uplink operating point (4 sweeps/µs), then at
+    // the two shapes metro anneals, at every width a batch runs.
     let bench = WindowBench::new(48, 4.0, WIDTH);
     let timing = bench.time(samples, rounds, 110, "window_embedded_624q_r8");
     let [lanes, chain_lanes, breaks] = bench.statistics(32);
@@ -558,22 +553,23 @@ fn main() {
     let stats =
         format!("lane acceptance {lanes:.3}, chains {chain_lanes:.3}, chain breaks {breaks:.3}");
     println!("{:<30} {isa}: {stats}, {}", "", chain_pass_line(&timing));
-    for width in [1, 4] {
-        let bench = WindowBench::new(64, AnnealerConfig::default().sweeps_per_us, width);
-        let qubits = bench.compiled.num_spins();
-        let name = format!("vpp_clique_{qubits}q_r{width}");
-        let timing = bench.time(samples, rounds, 130 + width as u64, &name);
-        let head = json!({
-            "row": name,
-            "replicas": width,
-            "qubits": qubits,
-            "sweeps": bench.betas.len(),
-            "isa": isa.clone(),
-            "chain_pass_share": chain_pass_share(&timing),
-        });
-        let per_proposal = 1.0 / bench.proposals();
-        rows.push(&timing, per_proposal, "ns per spin proposal", head);
-        println!("{:<30} {}", "", chain_pass_line(&timing));
+    for (variables, seed) in [(16, 130), (32, 140)] {
+        for width in [1, 4, 8] {
+            let bench = WindowBench::new(variables, AnnealerConfig::default().sweeps_per_us, width);
+            let qubits = bench.compiled.num_spins();
+            let name = format!("window_embedded_{qubits}q_r{width}");
+            let timing = bench.time(samples, rounds, seed + width as u64, &name);
+            let head = json!({
+                "row": name,
+                "variables": variables,
+                "replicas": width,
+                "sweeps": bench.betas.len(),
+                "isa": isa.clone(),
+                "chain_pass_share": chain_pass_share(&timing),
+            });
+            rows.push(&timing, 1e-3, "us per window", head);
+            println!("{:<30} {}", "", chain_pass_line(&timing));
+        }
     }
 
     assert!(rows.failed.is_empty(), "{}", rows.failed.join("; "));
@@ -585,8 +581,9 @@ fn main() {
     record.asserts = serde_json::Value::Object(asserts);
     record.workload = json!({
         "problems": "60-user BPSK clique-embedded on C16 (960 qubits), full-chip Chimera glass \
-            (2031 working qubits), 48-user BPSK embedded (624 qubits), 64-variable clique \
-            embedding (1088 qubits)",
+            (2031 working qubits), 48-user BPSK embedded (624 qubits), 16- and 32-variable \
+            BPSK embedded (80 and 288 qubits, the 16-user uplink and lattice-reduced VPP \
+            shapes metro anneals)",
         "samples": samples,
         "rounds": rounds,
         "ice_bind_rounds": ICE_BIND_ROUNDS,
@@ -599,8 +596,7 @@ fn main() {
         >= 1.25 on sa_glass_batched_r8 and >= 1.2 on ice_bind_embedded_624q_r8 (over \
         ice_bind_rounds); paired_median_ratio = median over rounds of the per-round median \
         ratio, with its fixed-seed bootstrap 95% interval over rounds (reported, not gated); \
-        the ice_bind, window_setup, window and vpp_clique rows assert both arms end bit for \
-        bit alike; chain_pass_share = 1 - no-chains minimum / dispatched minimum, from a third \
+        the ice_bind, window_setup and window rows assert both arms end bit for bit alike; chain_pass_share = 1 - no-chains minimum / dispatched minimum, from a third \
         arm in the same interleave; the bench_kernel binary's documentation describes every row"
         .to_string();
     if quick {

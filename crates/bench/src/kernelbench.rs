@@ -109,7 +109,7 @@ pub fn batched_sa_ladder(
 /// the pre-kernel hot loop over `Vec<Vec<Spin>>` replicas with
 /// per-proposal adjacency-list `flip_delta`, accepting by the kernel's
 /// own rule ([`sa::metropolis`] at `β = 1` on `−ΔF`).
-pub fn naive_sqa_sweep(
+fn naive_sqa_sweep(
     problem: &IsingProblem,
     replicas: &mut [Vec<Spin>],
     w_problem: f64,
@@ -149,8 +149,8 @@ pub fn naive_sqa_sweep(
 }
 
 /// One compiled SQA sweep: the production kernel (`sqa::sweep_batch`)
-/// restricted to the same move set as [`naive_sqa_sweep`] (no chains).
-pub fn compiled_sqa_sweep(
+/// restricted to the same move set as `naive_sqa_sweep` (no chains).
+fn compiled_sqa_sweep(
     problem: &CompiledProblem,
     batch: &mut ReplicaBatch,
     w_problem: f64,

@@ -208,16 +208,6 @@ impl CliqueEmbedding {
         self.chains.iter().map(Vec::len).sum()
     }
 
-    /// Grid anchor of this embedding.
-    pub fn anchor(&self) -> (usize, usize) {
-        self.anchor
-    }
-
-    /// Whether this copy uses the transposed orientation.
-    pub fn is_transposed(&self) -> bool {
-        self.transposed
-    }
-
     /// The single physical coupler `(qubit_of_i, qubit_of_j)` that
     /// realizes the logical coupling `g_ij`. For `g_i < g_j` the chains
     /// meet in cell `(g_j, g_i)`; for the same group, at the diagonal

@@ -172,17 +172,11 @@ impl EmbeddedProblem {
     }
 
     /// The logical→programmed scale a *new* logical problem would get
-    /// on this embedding (its pre-normalization times the fixed
-    /// hardware renormalization κ) — the per-decode piece of the Eq.
-    /// 10–12 compile for callers reusing the embedding across a
-    /// coherence interval.
-    pub fn scale_for(&self, logical: &IsingProblem) -> f64 {
-        self.scale_for_max_abs(logical.max_abs_coefficient())
-    }
-
-    /// [`EmbeddedProblem::scale_for`] a logical problem whose
-    /// [`IsingProblem::max_abs_coefficient`] is `max_abs` — for callers
-    /// that track the fields' and couplings' magnitudes apart.
+    /// on this embedding when its [`IsingProblem::max_abs_coefficient`]
+    /// is `max_abs`: its pre-normalization times the fixed hardware
+    /// renormalization κ. This is the per-decode piece of the Eq. 10–12
+    /// compile for callers reusing the embedding across a coherence
+    /// interval.
     pub fn scale_for_max_abs(&self, max_abs: f64) -> f64 {
         let pre = if max_abs > 0.0 { 1.0 / max_abs } else { 1.0 };
         pre * self.kappa
@@ -212,7 +206,7 @@ impl EmbeddedProblem {
             self.chains.len(),
             "logical problem and embedding disagree on variable count"
         );
-        let scale = self.scale_for(logical);
+        let scale = self.scale_for_max_abs(logical.max_abs_coefficient());
         let chain_len = self.chains.first().map_or(1, Vec::len) as f64;
         for (i, dense_chain) in self.chains.iter().enumerate() {
             let per_qubit = logical.linear(i) * scale / chain_len;
@@ -242,11 +236,6 @@ impl EmbeddedProblem {
     /// Dense-index chains, one per logical variable.
     pub fn chains(&self) -> &[Vec<usize>] {
         &self.chains
-    }
-
-    /// Chip qubit id of a dense physical index.
-    pub fn qubit_of(&self, dense: usize) -> QubitId {
-        self.qubit_of[dense]
     }
 
     /// The overall logical→programmed coefficient scale.
@@ -492,7 +481,10 @@ mod tests {
         let fresh = EmbeddedProblem::compile(&g, &e, &second, EmbedParams::default());
         assert_eq!(emb.problem(), fresh.problem());
         assert_eq!(emb.scale(), fresh.scale());
-        assert_eq!(emb.scale(), fresh.scale_for(&second));
+        assert_eq!(
+            emb.scale(),
+            fresh.scale_for_max_abs(second.max_abs_coefficient())
+        );
         assert_eq!(emb.programmed_couplers(), fresh.programmed_couplers());
     }
 

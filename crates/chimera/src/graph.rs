@@ -117,7 +117,7 @@ impl ChimeraGraph {
     }
 
     /// Structural coordinates of a linear id: `(row, col, side, k)`.
-    pub fn coords(&self, q: QubitId) -> (usize, usize, Side, usize) {
+    fn coords(&self, q: QubitId) -> (usize, usize, Side, usize) {
         assert!(q < self.num_sites(), "qubit id out of range");
         let k = q % CELL_SIDE;
         let rest = q / CELL_SIDE;
@@ -201,19 +201,21 @@ impl ChimeraGraph {
         }
         out
     }
-
-    /// Total number of working couplers on the chip.
-    pub fn num_couplers(&self) -> usize {
-        // Count each edge once via the neighbour lists.
-        (0..self.num_sites())
-            .map(|q| self.neighbors(q).iter().filter(|&&n| n > q).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChimeraGraph {
+        /// Total number of working couplers on the chip.
+        fn num_couplers(&self) -> usize {
+            // Count each edge once via the neighbour lists.
+            (0..self.num_sites())
+                .map(|q| self.neighbors(q).iter().filter(|&&n| n > q).count())
+                .sum()
+        }
+    }
 
     #[test]
     fn dw2q_dimensions() {

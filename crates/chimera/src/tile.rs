@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 /// Each returned embedding is structurally valid on the given graph
 /// (panics in debug if a defect interferes; callers wanting
 /// defect-aware packing should filter failures themselves).
-pub fn tile_embeddings(graph: &ChimeraGraph, n: usize) -> Vec<CliqueEmbedding> {
+fn tile_embeddings(graph: &ChimeraGraph, n: usize) -> Vec<CliqueEmbedding> {
     assert!(n > 0, "cannot tile an empty problem");
     let m = graph.grid();
     let t = n.div_ceil(CELL_SIDE);
@@ -69,12 +69,12 @@ static FACTORS: [OnceLock<usize>; FACTOR_TABLE_LEN] = [const { OnceLock::new() }
 /// disjoint copies of an `n`-variable problem fit.
 ///
 /// Cost: the first call for a given `n` builds the ideal chip and tiles
-/// it with [`tile_embeddings`] (tens to hundreds of µs); every later
+/// it with `tile_embeddings` (tens to hundreds of µs); every later
 /// call for that `n`, from any thread, reads a process-wide table. Sizes
 /// past the table (`n > 64`) are tiled on every call.
 ///
 /// # Panics
-/// Panics when `n == 0`, like [`tile_embeddings`].
+/// Panics when `n == 0`.
 pub fn parallelization(n: usize) -> usize {
     memoized(&FACTORS, n)
 }

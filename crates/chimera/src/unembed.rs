@@ -22,17 +22,6 @@ pub struct UnembedOutcome {
     pub tie_breaks: usize,
 }
 
-impl UnembedOutcome {
-    /// Fraction of chains broken in this readout.
-    pub fn break_fraction(&self) -> f64 {
-        if self.logical.is_empty() {
-            0.0
-        } else {
-            self.broken_chains as f64 / self.logical.len() as f64
-        }
-    }
-}
-
 /// Reads a physical configuration back into logical variables by
 /// majority vote over each chain.
 ///
@@ -220,7 +209,7 @@ mod tests {
         phys[emb.chains()[5][0]] = -1;
         let out = unembed_majority_vote(&emb, &phys, &mut rng);
         assert_eq!(out.broken_chains, 2);
-        assert!((out.break_fraction() - 0.25).abs() < 1e-12);
+        assert!((out.broken_chains as f64 / out.logical.len() as f64 - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -190,17 +190,18 @@ impl CodedFrame {
     }
 }
 
+/// Scale applied to the decoder's extrinsic LLRs before they become
+/// detector priors in an IDD run. Full-strength extrinsic feedback
+/// (1.0) can oscillate under the max-log approximation; the customary
+/// 0.7–0.8 damps the exchange.
+pub const IDD_DAMPING: f64 = 0.75;
+
 /// Parameters of an iterative detection–decoding run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IddSpec {
     /// Maximum detection–decoding iterations (≥ 1; 1 = the plain
     /// soft pipeline, no feedback).
     pub max_iters: usize,
-    /// Scale applied to the decoder's extrinsic LLRs before they
-    /// become detector priors, in `(0, 1]`. Full-strength extrinsic
-    /// feedback (1.0) can oscillate under the max-log approximation;
-    /// the customary 0.7–0.8 damps the exchange.
-    pub damping: f64,
     /// Stop as soon as the decoded payload repeats the previous
     /// iteration's (a decision fixed point — the CRC-free convergence
     /// test): further iterations would re-derive the same priors.
@@ -208,8 +209,7 @@ pub struct IddSpec {
 }
 
 impl IddSpec {
-    /// An IDD run of up to `max_iters` iterations with the default
-    /// damping (0.75) and early exit on.
+    /// An IDD run of up to `max_iters` iterations with early exit on.
     ///
     /// # Panics
     /// Panics when `max_iters` is zero.
@@ -217,7 +217,6 @@ impl IddSpec {
         assert!(max_iters > 0, "IDD needs at least one iteration");
         IddSpec {
             max_iters,
-            damping: 0.75,
             early_exit: true,
         }
     }
@@ -226,25 +225,6 @@ impl IddSpec {
     /// [`CodedFrame::run`]'s soft path.
     pub fn single() -> Self {
         IddSpec::new(1)
-    }
-
-    /// Overrides the extrinsic damping factor.
-    ///
-    /// # Panics
-    /// Panics outside `(0, 1]`.
-    pub fn with_damping(mut self, damping: f64) -> Self {
-        assert!(
-            damping > 0.0 && damping <= 1.0,
-            "damping must lie in (0, 1]"
-        );
-        self.damping = damping;
-        self
-    }
-
-    /// Enables or disables the decision-fixed-point early exit.
-    pub fn with_early_exit(mut self, early_exit: bool) -> Self {
-        self.early_exit = early_exit;
-        self
     }
 }
 
@@ -305,28 +285,6 @@ impl IddOutcome {
             .payload_errors
     }
 
-    /// Detector (pre-FEC) bit errors at iteration `i` (0-based), final
-    /// value carried forward past an early exit.
-    pub fn raw_errors_at(&self, i: usize) -> usize {
-        self.iterations
-            .get(i)
-            .unwrap_or_else(|| self.last())
-            .raw_errors
-    }
-
-    /// Per-iteration coded (payload) BER trajectory.
-    pub fn payload_ber_trajectory(&self) -> Vec<f64> {
-        self.iterations
-            .iter()
-            .map(|it| it.payload_errors as f64 / self.payload_len.max(1) as f64)
-            .collect()
-    }
-
-    /// Per-iteration summed detection objective trajectory.
-    pub fn objective_trajectory(&self) -> Vec<f64> {
-        self.iterations.iter().map(|it| it.objective).collect()
-    }
-
     /// Whether the final payload came out error-free.
     pub fn ok(&self) -> bool {
         self.last().payload_errors == 0
@@ -341,7 +299,7 @@ impl CodedFrame {
     /// `idd.max_iters − 1` extrinsic-exchange rounds. Each round:
     ///
     /// 1. the SISO decoder's per-coded-bit extrinsic LLRs are damped
-    ///    (`idd.damping`), clamped to `spec.max_llr`, and interleaved
+    ///    ([`IDD_DAMPING`]), clamped to `spec.max_llr`, and interleaved
     ///    back into detection order — pad bits (known zeros) are
     ///    pinned to `−max_llr`;
     /// 2. every channel use is re-detected through its *compiled*
@@ -431,7 +389,7 @@ impl CodedFrame {
             // so at full confidence.
             let mut code_priors = vec![-spec.max_llr; self.coded_len()];
             for (slot, &e) in code_priors.iter_mut().zip(&siso.extrinsic) {
-                *slot = (idd.damping * e).clamp(-spec.max_llr, spec.max_llr);
+                *slot = (IDD_DAMPING * e).clamp(-spec.max_llr, spec.max_llr);
             }
             priors = self.interleaver.interleave(&code_priors);
         }
@@ -593,7 +551,13 @@ mod tests {
         let b = f.run_idd(&kind, spec, idd_spec, snr, &payload, 7).unwrap();
         assert_eq!(a.payload(), b.payload());
         assert_eq!(a.iters_run(), b.iters_run());
-        assert_eq!(a.objective_trajectory(), b.objective_trajectory());
+        let objectives = |o: &IddOutcome| {
+            o.iterations
+                .iter()
+                .map(|it| it.objective)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(objectives(&a), objectives(&b));
         // A clean frame converges long before the budget.
         assert!(a.early_exited, "clean decode should reach a fixed point");
         assert!(a.iters_run() < 4);
@@ -603,7 +567,10 @@ mod tests {
             .run_idd(
                 &kind,
                 spec,
-                idd_spec.with_early_exit(false),
+                IddSpec {
+                    early_exit: false,
+                    ..idd_spec
+                },
                 snr,
                 &payload,
                 7,

@@ -100,11 +100,6 @@ impl QuamaxDecoder {
         &self.config
     }
 
-    /// Replaces the configuration (used by Fix/Opt parameter search).
-    pub fn set_config(&mut self, config: DecoderConfig) {
-        self.config = config;
-    }
-
     /// Runs one QA decode of `input` with `num_anneals` anneal cycles.
     ///
     /// `rng` drives unembedding tie-breaks and the annealer seed, so a
@@ -638,7 +633,7 @@ impl DecodeSession {
     /// Decodes one received vector drawing the anneal seed and the
     /// unembedding tie-breaks from `rng` (the historical
     /// [`QuamaxDecoder::decode`] contract).
-    pub fn decode_with_rng<R: Rng + ?Sized>(
+    fn decode_with_rng<R: Rng + ?Sized>(
         &mut self,
         y: &CVector,
         num_anneals: usize,

@@ -182,7 +182,7 @@
 //! (`quamax_wireless::ConvolutionalCode::decode_siso`, max-log
 //! forward/backward over the Viterbi trellis — `decode_soft` is its
 //! marginal-only special case); (3) the decoder's per-coded-bit
-//! extrinsic is damped (`IddSpec::damping`), clamped, interleaved
+//! extrinsic is damped ([`coded::IDD_DAMPING`]), clamped, interleaved
 //! back into detection order (pad bits pinned to known zeros), and
 //! becomes the next round's priors. The loop stops on a decoded-
 //! payload fixed point (`IddSpec::early_exit`, the CRC-free
@@ -210,7 +210,7 @@
 //! **Reverse-anneal warm-start contract**: a soft QuAMax session
 //! derives, at compile time, the reverse counterpart of its forward
 //! schedule (`Schedule::reverse_matched` at
-//! [`soft::SoftSpec::reverse_s_target`]); under priors it re-encodes
+//! [`soft::REVERSE_S_TARGET`]); under priors it re-encodes
 //! the priors' hard decision as the initial state of a
 //! [`decoder::DecodeSession::decode_reverse_from`] run — same
 //! compiled embedding/CSR state, no recompile, deterministic in the
@@ -218,10 +218,7 @@
 //! exactly (`E_ising + ml_offset`). Uninformative (all-zero) priors
 //! are bit-identical to `detect_soft` for *every* backend
 //! (property-tested), so iteration 1 of the loop is exactly the
-//! pre-IDD pipeline. `quamax_ran::CodedUplink::run_idd` charges each
-//! bought iteration's reverse-anneal wall-clock against the radio
-//! deadline and grants per-frame iteration budgets from the remaining
-//! slack.
+//! pre-IDD pipeline.
 //!
 //! # DESIGN — downlink precoding (VPP) as the mirror workload
 //!

@@ -20,7 +20,7 @@ use quamax_wireless::{count_bit_errors, fer_from_ber};
 /// units of `cycle_time`. Returns `None` when `p0 = 0` (ground state
 /// never observed); returns `cycle_time` when `p0 ≥ 1` (every anneal
 /// succeeds — one cycle suffices at any confidence).
-pub fn time_to_solution(p0: f64, cycle_time: f64, target_confidence: f64) -> Option<f64> {
+fn time_to_solution(p0: f64, cycle_time: f64, target_confidence: f64) -> Option<f64> {
     assert!(
         (0.0..1.0).contains(&target_confidence) || target_confidence < 1.0,
         "confidence must be < 1"
@@ -88,11 +88,6 @@ impl BitErrorProfile {
             errors,
             n_bits,
         }
-    }
-
-    /// Number of distinct ranks `L`.
-    pub fn num_ranks(&self) -> usize {
-        self.probs.len()
     }
 
     /// Payload size `N` in bits.

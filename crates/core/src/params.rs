@@ -9,9 +9,9 @@
 //!   bound on what instance-adaptive tuning could achieve.
 //!
 //! Both are grid searches over the paper's §4 ranges. This module
-//! provides the candidate grids and the generic selection drivers; the
-//! bench harness supplies the evaluation closures (TTS or TTB on real
-//! decode runs).
+//! provides the paper's `J_F` and `s_p` sweeps and the generic
+//! selection driver; the bench harness builds the candidate grids and
+//! supplies the evaluation closures (TTS or TTB on real decode runs).
 
 use quamax_anneal::Schedule;
 use quamax_chimera::EmbedParams;
@@ -30,72 +30,9 @@ pub fn jf_grid() -> Vec<f64> {
     (0..=18).map(|k| 1.0 + 0.5 * k as f64).collect()
 }
 
-/// The paper's anneal-time grid: {1, 10, 100} µs.
-pub fn ta_grid() -> Vec<f64> {
-    vec![1.0, 10.0, 100.0]
-}
-
 /// The paper's pause-position sweep: 0.15–0.55 in steps of 0.02.
 pub fn sp_grid() -> Vec<f64> {
     (0..=20).map(|k| 0.15 + 0.02 * k as f64).collect()
-}
-
-/// The paper's pause-duration grid: {1, 10, 100} µs.
-pub fn tp_grid() -> Vec<f64> {
-    vec![1.0, 10.0, 100.0]
-}
-
-/// A candidate grid over `{J_F} × {Ta}` without pausing.
-///
-/// `jf_step` thins the J_F sweep (1 = full paper grid; benches use
-/// coarser steps to fit laptop budgets).
-pub fn grid_no_pause(improved_range: bool, jf_step: usize, tas: &[f64]) -> Vec<CandidateParams> {
-    let mut out = Vec::new();
-    for (i, &jf) in jf_grid().iter().enumerate() {
-        if i % jf_step != 0 {
-            continue;
-        }
-        for &ta in tas {
-            out.push(CandidateParams {
-                embed: EmbedParams {
-                    j_ferro: jf,
-                    improved_range,
-                },
-                schedule: Schedule::standard(ta),
-            });
-        }
-    }
-    out
-}
-
-/// A candidate grid over `{J_F} × {s_p}` with a fixed `Ta` and `Tp`
-/// (the paper settles on `Ta = Tp = 1 µs`, §5.3.1).
-pub fn grid_with_pause(
-    improved_range: bool,
-    jf_step: usize,
-    sp_step: usize,
-    ta: f64,
-    tp: f64,
-) -> Vec<CandidateParams> {
-    let mut out = Vec::new();
-    for (i, &jf) in jf_grid().iter().enumerate() {
-        if i % jf_step != 0 {
-            continue;
-        }
-        for (k, &sp) in sp_grid().iter().enumerate() {
-            if k % sp_step != 0 {
-                continue;
-            }
-            out.push(CandidateParams {
-                embed: EmbedParams {
-                    j_ferro: jf,
-                    improved_range,
-                },
-                schedule: Schedule::with_pause(ta, sp, tp),
-            });
-        }
-    }
-    out
 }
 
 /// Selects the candidate minimizing `score` (lower = better; `None` =
@@ -137,21 +74,6 @@ mod tests {
         assert_eq!(sp.len(), 21);
         assert!((sp[0] - 0.15).abs() < 1e-12);
         assert!((sp.last().unwrap() - 0.55).abs() < 1e-12);
-        assert_eq!(ta_grid(), vec![1.0, 10.0, 100.0]);
-        assert_eq!(tp_grid(), vec![1.0, 10.0, 100.0]);
-    }
-
-    #[test]
-    fn grids_compose() {
-        let g = grid_no_pause(true, 2, &[1.0, 10.0]);
-        assert_eq!(g.len(), 10 * 2); // every other J_F × two Ta
-        assert!(g.iter().all(|c| c.embed.improved_range));
-        assert!(g.iter().all(|c| c.schedule.pause.is_none()));
-
-        let gp = grid_with_pause(false, 6, 5, 1.0, 1.0);
-        assert!(gp.iter().all(|c| c.schedule.pause.is_some()));
-        // 19/6 → 4 J_F values (idx 0,6,12,18); 21/5 → 5 sp values.
-        assert_eq!(gp.len(), 4 * 5);
     }
 
     #[test]

@@ -273,12 +273,12 @@ impl PerturbEncoding {
 
     /// How far the box corner sits below `⌊c⌋`: `2^{t−1} − 1`, so the
     /// box `⌊c⌋ − (2^{t−1} − 1) + [0, 2^t − 1]` straddles the cell.
-    pub fn corner_below_floor(&self) -> i64 {
+    fn corner_below_floor(&self) -> i64 {
         (1i64 << (self.bits - 1)) - 1
     }
 
     /// Largest offset above the corner, `2^t − 1`.
-    pub fn max_offset(&self) -> i64 {
+    fn max_offset(&self) -> i64 {
         (1i64 << self.bits) - 1
     }
 
@@ -437,11 +437,6 @@ impl VppModel {
         })
     }
 
-    /// The ZF precoding matrix `P` (antennas × users).
-    pub fn precoding_matrix(&self) -> &CMatrix {
-        &self.p
-    }
-
     /// The modulo base.
     pub fn tau(&self) -> f64 {
         self.tau
@@ -466,11 +461,6 @@ impl VppModel {
     /// User streams.
     pub fn num_users(&self) -> usize {
         self.encoding.num_users
-    }
-
-    /// QUBO variables per precode.
-    pub fn num_vars(&self) -> usize {
-        self.encoding.num_vars()
     }
 
     /// The box corner for `u` in reduced-basis coordinates:
@@ -506,7 +496,7 @@ impl VppModel {
             .lattice
             .transpose_mul(&realify(&self.w.mul_vec(&alpha)));
         let group = self.encoding.bits_per_dimension();
-        let linear = (0..self.num_vars())
+        let linear = (0..self.encoding.num_vars())
             .map(|i| 2.0 * self.tau * self.encoding.weight(i % group) * field[i / group])
             .collect();
         (linear, self.p.mul_vec(&alpha).norm_sqr())
@@ -1188,7 +1178,7 @@ mod tests {
     fn precoding_matrix_inverts_the_channel() {
         let input = input(3, 5, Modulation::Qpsk, 1);
         let model = VppModel::new(&input.h, input.modulation, 1).unwrap();
-        let hp = input.h.mul_mat(model.precoding_matrix());
+        let hp = input.h.mul_mat(&model.p);
         for r in 0..3 {
             for c in 0..3 {
                 let expect = if r == c { 1.0 } else { 0.0 };
@@ -1218,7 +1208,7 @@ mod tests {
             let (qubo, offset) = model.qubo_for(&u);
             let corner = model.box_corner(&u);
             for _ in 0..10 {
-                let bits: Vec<u8> = (0..model.num_vars())
+                let bits: Vec<u8> = (0..model.encoding().num_vars())
                     .map(|_| rng.random_range(0..2))
                     .collect();
                 let v = model.decode_perturbation(&corner, &bits);
@@ -1245,7 +1235,7 @@ mod tests {
         let corner = model.box_corner(&u);
         let (ising, conversion) = qubo_to_ising(&qubo);
         for _ in 0..10 {
-            let bits: Vec<u8> = (0..model.num_vars())
+            let bits: Vec<u8> = (0..model.encoding().num_vars())
                 .map(|_| rng.random_range(0..2))
                 .collect();
             let spins = bits_to_spins(&bits);

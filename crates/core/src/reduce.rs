@@ -37,7 +37,7 @@ use quamax_wireless::Modulation;
 ///
 /// BPSK: `2q − 1`; QPSK: `(2q₁−1) + j(2q₂−1)`;
 /// 16-QAM: `(4q₁+2q₂−3) + j(4q₃+2q₄−3)`; 64-QAM analogous with 8/4/2.
-pub fn transform_weights(modulation: Modulation) -> (Vec<Complex>, Complex) {
+fn transform_weights(modulation: Modulation) -> (Vec<Complex>, Complex) {
     let bits_per_dim = modulation.bits_per_dimension();
     let levels = modulation.levels_per_dimension() as f64;
     let mut weights = Vec::with_capacity(modulation.bits_per_symbol());

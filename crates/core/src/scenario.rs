@@ -110,7 +110,7 @@ impl Scenario {
 
     /// Draws an instance over a *given* channel (trace-driven runs, and
     /// the fixed-channel AWGN sweeps of §5.4).
-    pub fn sample_with_channel<R: Rng + ?Sized>(&self, h: CMatrix, rng: &mut R) -> Instance {
+    fn sample_with_channel<R: Rng + ?Sized>(&self, h: CMatrix, rng: &mut R) -> Instance {
         assert_eq!(h.cols(), self.nt, "channel user count mismatch");
         assert_eq!(h.rows(), self.nr, "channel antenna count mismatch");
         let q = self.modulation.bits_per_symbol();

@@ -83,11 +83,13 @@ use quamax_wireless::{Modulation, Snr};
 /// span of honest observations.
 pub const DEFAULT_MAX_LLR: f64 = 50.0;
 
-/// Default reversal point `s_target` for the QuAMax prior-aware
-/// refinement anneal (the Fig. 15-style reverse schedule derived from
-/// the forward operating point): deep enough that wrong bits can flip,
-/// shallow enough that the warm start is not erased.
-pub const DEFAULT_REVERSE_S_TARGET: f64 = 0.6;
+/// Reversal point `s_target` of the reverse-anneal schedule the QuAMax
+/// backend derives for prior-aware (warm-started) decodes — the Fig.
+/// 15-style reverse schedule derived from the forward operating point
+/// (see [`SoftDetectorSession::detect_soft_with_priors`]): deep enough
+/// that wrong bits can flip, shallow enough that the warm start is not
+/// erased.
+pub const REVERSE_S_TARGET: f64 = 0.6;
 
 /// Parameters of a soft-output compile: what the LLR derivation needs
 /// beyond the [`DetectionInput`].
@@ -107,11 +109,6 @@ pub struct SoftSpec {
     /// the other backends; the annealed pool size is set by the anneal
     /// budget instead).
     pub list_size: usize,
-    /// Reversal point `s_target` of the reverse-anneal schedule the
-    /// QuAMax backend derives for prior-aware (warm-started) decodes —
-    /// see [`SoftDetectorSession::detect_soft_with_priors`]. Ignored by
-    /// the classical backends.
-    pub reverse_s_target: f64,
 }
 
 impl SoftSpec {
@@ -126,7 +123,6 @@ impl SoftSpec {
             noise_variance,
             max_llr: DEFAULT_MAX_LLR,
             list_size: 16,
-            reverse_s_target: DEFAULT_REVERSE_S_TARGET,
         }
     }
 
@@ -134,39 +130,6 @@ impl SoftSpec {
     /// `σ² = E[|v|²]/SNR`).
     pub fn noise_matched(snr: Snr, modulation: Modulation) -> Self {
         SoftSpec::new(snr.noise_variance(modulation))
-    }
-
-    /// Overrides the LLR clamp.
-    ///
-    /// # Panics
-    /// Panics unless `max_llr` is positive.
-    pub fn with_max_llr(mut self, max_llr: f64) -> Self {
-        assert!(max_llr > 0.0, "clamp must be positive");
-        self.max_llr = max_llr;
-        self
-    }
-
-    /// Overrides the sphere leaf-list size.
-    ///
-    /// # Panics
-    /// Panics when `list_size` is zero.
-    pub fn with_list_size(mut self, list_size: usize) -> Self {
-        assert!(list_size > 0, "need a non-empty leaf list");
-        self.list_size = list_size;
-        self
-    }
-
-    /// Overrides the QuAMax reverse-anneal reversal point.
-    ///
-    /// # Panics
-    /// Panics for `s_target` outside `(0, 1)`.
-    pub fn with_reverse_s_target(mut self, s_target: f64) -> Self {
-        assert!(
-            s_target > 0.0 && s_target < 1.0,
-            "reversal point must lie in (0,1)"
-        );
-        self.reverse_s_target = s_target;
-        self
     }
 
     /// σ² floored away from zero so noiseless setups produce (clamped)
@@ -204,19 +167,6 @@ pub struct SoftDetection {
 }
 
 impl SoftDetection {
-    /// This detection as a hard [`Detection`] (drops the LLRs). The
-    /// bits are the *soft* path's decisions — for a biased linear
-    /// filter (MMSE) these can differ from the raw-sliced
-    /// [`DetectorSession::detect`] near decision boundaries; see
-    /// [`LinearSession`].
-    pub fn into_hard(self) -> Detection {
-        Detection {
-            bits: self.bits,
-            metric: self.objective,
-            stats: self.stats,
-        }
-    }
-
     /// The hybrid routing decision, if this detection was routed.
     pub fn route(&self) -> Option<Route> {
         self.stats.route()
@@ -740,7 +690,7 @@ impl SoftDetectorSession for SphereSession {
 /// priors' hard decision becomes the warm-start state of a
 /// [`DecodeSession::decode_reverse_from`] run under the reverse
 /// schedule derived from the forward operating point
-/// ([`Schedule::reverse_matched`] at [`SoftSpec::reverse_s_target`]),
+/// ([`Schedule::reverse_matched`] at [`REVERSE_S_TARGET`]),
 /// the warm-start candidate itself joins the hypothesis pool (priced
 /// exactly through the logical problem), and every entry's metric is
 /// augmented with the σ²-scaled prior mismatch cost before demapping.
@@ -826,7 +776,7 @@ impl SoftDetectorSession for QuamaxSession {
         // The decoder's current decision (the priors' hard decision)
         // becomes the reverse-anneal warm start.
         let candidate: Vec<u8> = priors.iter().map(|&l| u8::from(l > 0.0)).collect();
-        let reverse = self.forward.reverse_matched(self.spec.reverse_s_target);
+        let reverse = self.forward.reverse_matched(REVERSE_S_TARGET);
         let run = self
             .session
             .decode_reverse_from(y, self.anneals, &candidate, &reverse, seed);
@@ -1165,7 +1115,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let snr = Snr::from_db(8.0);
         let sc = Scenario::new(2, 2, Modulation::Qam16).with_snr(snr);
-        let spec = SoftSpec::noise_matched(snr, Modulation::Qam16).with_list_size(256);
+        let spec = SoftSpec {
+            list_size: 256,
+            ..SoftSpec::noise_matched(snr, Modulation::Qam16)
+        };
         for _ in 0..5 {
             let inst = sc.sample(&mut rng);
             let input = inst.detection_input();
@@ -1245,7 +1198,10 @@ mod tests {
             let snr = Snr::from_db(snr_db);
             let re = inst.renoise(snr, &mut StdRng::seed_from_u64(42));
             let input = re.detection_input();
-            let spec = SoftSpec::noise_matched(snr, Modulation::Qpsk).with_max_llr(1e6);
+            let spec = SoftSpec {
+                max_llr: 1e6,
+                ..SoftSpec::noise_matched(snr, Modulation::Qpsk)
+            };
             let mut s = DetectorKind::zf().compile_soft(&input, spec).unwrap();
             let soft = s.detect_soft(&input.y, 0).unwrap();
             soft.llrs.iter().map(|l| l.abs()).sum::<f64>() / soft.llrs.len() as f64
@@ -1319,7 +1275,10 @@ mod tests {
         for m in [Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16] {
             let snr = Snr::from_db(9.0);
             let sc = Scenario::new(1, 1, m).with_rayleigh().with_snr(snr);
-            let spec = SoftSpec::noise_matched(snr, m).with_max_llr(1e9);
+            let spec = SoftSpec {
+                max_llr: 1e9,
+                ..SoftSpec::noise_matched(snr, m)
+            };
             for _ in 0..4 {
                 let inst = sc.sample(&mut rng);
                 let input = inst.detection_input();
@@ -1417,7 +1376,10 @@ mod tests {
         let sc = Scenario::new(1, 1, Modulation::Bpsk)
             .with_rayleigh()
             .with_snr(snr);
-        let spec = SoftSpec::noise_matched(snr, Modulation::Bpsk).with_max_llr(1e9);
+        let spec = SoftSpec {
+            max_llr: 1e9,
+            ..SoftSpec::noise_matched(snr, Modulation::Bpsk)
+        };
         for prior in [-3.0f64, -0.4, 0.7, 6.0] {
             let inst = sc.sample(&mut rng);
             let input = inst.detection_input();

@@ -571,7 +571,7 @@ proptest! {
         };
         let (qubo, offset) = model.qubo_for(&u);
         let corner = model.box_corner(&u);
-        let n = model.num_vars();
+        let n = model.encoding().num_vars();
         prop_assert_eq!(n, 4 * t);
         for k in 0u32..(1 << n) {
             let bits: Vec<u8> = (0..n).map(|b| ((k >> b) & 1) as u8).collect();

@@ -331,12 +331,6 @@ impl CompiledProblem {
         self.weights[self.twin[k] as usize] = g;
     }
 
-    /// The coefficient currently held at CSR entry `k`.
-    #[inline]
-    pub fn entry_weight(&self, k: usize) -> f64 {
-        self.weights[k]
-    }
-
     /// Applies `f` to every linear coefficient, in spin order.
     pub fn perturb_linear(&mut self, mut f: impl FnMut(f64) -> f64) {
         for v in self.linear.iter_mut() {
@@ -522,7 +516,7 @@ mod tests {
         for (i, j, g) in p2.couplings() {
             let k = c.coupler_entry(i, j).expect("same sparsity");
             c.set_entry_weight(k, g);
-            assert_eq!(c.entry_weight(k), g);
+            assert_eq!(c.weights[k], g);
         }
         assert_eq!(c, CompiledProblem::new(&p2));
         assert_eq!(c.coupler_entry(0, 0), None);

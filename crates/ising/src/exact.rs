@@ -82,7 +82,7 @@ impl IsingProblem {
     /// current state. Used by Gray-code enumeration, which mutates the
     /// configuration before the energy update.
     #[inline]
-    pub fn flip_delta_pre(&self, spins_after: &[Spin], i: usize) -> f64 {
+    fn flip_delta_pre(&self, spins_after: &[Spin], i: usize) -> f64 {
         // ΔE for arriving at the current state = −ΔE for leaving it.
         -self.flip_delta(spins_after, i)
     }

@@ -127,36 +127,10 @@ impl IsingProblem {
         }
     }
 
-    /// Adds to the coupling `g_ij` — one upsert per endpoint (no
-    /// read-back scan; reductions accumulating dense Gram terms call
-    /// this in a tight loop).
-    pub fn add_coupling(&mut self, i: usize, j: usize, g: f64) {
-        assert_ne!(i, j, "self-couplings are not part of the Ising form");
-        assert!(
-            i < self.num_spins() && j < self.num_spins(),
-            "spin index out of range"
-        );
-        let existed = Self::upsert_with(&mut self.adjacency[i], j, g, |cur, d| cur + d);
-        let existed2 = Self::upsert_with(&mut self.adjacency[j], i, g, |cur, d| cur + d);
-        debug_assert_eq!(existed, existed2, "adjacency lists out of sync");
-        if !existed {
-            self.coupling_count += 1;
-        }
-    }
-
     fn upsert(list: &mut Vec<(usize, f64)>, j: usize, g: f64) -> bool {
-        Self::upsert_with(list, j, g, |_, new| new)
-    }
-
-    fn upsert_with(
-        list: &mut Vec<(usize, f64)>,
-        j: usize,
-        g: f64,
-        combine: impl Fn(f64, f64) -> f64,
-    ) -> bool {
         for entry in list.iter_mut() {
             if entry.0 == j {
-                entry.1 = combine(entry.1, g);
+                entry.1 = g;
                 return true;
             }
         }
@@ -323,9 +297,6 @@ mod tests {
         p.add_linear(0, 1.0);
         p.add_linear(0, 2.0);
         assert_eq!(p.linear(0), 3.0);
-        p.add_coupling(0, 1, 0.5);
-        p.add_coupling(0, 1, 0.25);
-        assert_eq!(p.coupling(0, 1), 0.75);
     }
 
     #[test]

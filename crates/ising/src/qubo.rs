@@ -55,15 +55,6 @@ impl QuboProblem {
         self.diagonal[i] += v;
     }
 
-    /// The off-diagonal coefficient `Q_ij` (`i ≠ j`, orientation
-    /// irrelevant; 0 when unset).
-    pub fn off_diagonal(&self, i: usize, j: usize) -> f64 {
-        self.adjacency[i]
-            .iter()
-            .find(|&&(k, _)| k == j)
-            .map_or(0.0, |&(_, v)| v)
-    }
-
     /// Sets `Q_ij` (`i ≠ j`), overwriting any prior value.
     ///
     /// # Panics
@@ -77,12 +68,6 @@ impl QuboProblem {
         if !existed {
             self.coupling_count += 1;
         }
-    }
-
-    /// Adds to `Q_ij`.
-    pub fn add_off_diagonal(&mut self, i: usize, j: usize, v: f64) {
-        let cur = self.off_diagonal(i, j);
-        self.set_off_diagonal(i, j, cur + v);
     }
 
     fn upsert(list: &mut Vec<(usize, f64)>, j: usize, v: f64) -> bool {
@@ -153,22 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn off_diagonal_is_orientation_free() {
-        let p = two_bit(0.0, 0.0, 2.5);
-        assert_eq!(p.off_diagonal(0, 1), 2.5);
-        assert_eq!(p.off_diagonal(1, 0), 2.5);
-    }
-
-    #[test]
     fn add_accumulates() {
         let mut p = QuboProblem::new(3);
         p.add_diagonal(1, 1.0);
         p.add_diagonal(1, 0.5);
         assert_eq!(p.diagonal(1), 1.5);
-        p.add_off_diagonal(0, 2, 1.0);
-        p.add_off_diagonal(2, 0, -0.25);
-        assert_eq!(p.off_diagonal(0, 2), 0.75);
+        p.set_off_diagonal(0, 2, 1.0);
+        p.set_off_diagonal(2, 0, 0.75);
         assert_eq!(p.num_couplings(), 1);
+        assert_eq!(p.off_diagonals().collect::<Vec<_>>(), vec![(0, 2, 0.75)]);
     }
 
     #[test]

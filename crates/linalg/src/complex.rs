@@ -86,7 +86,7 @@ impl Complex {
     /// Multiplicative inverse. Returns a non-finite result when `self` is
     /// zero, mirroring `f64` division semantics.
     #[inline]
-    pub fn recip(self) -> Self {
+    fn recip(self) -> Self {
         let d = self.norm_sqr();
         Complex {
             re: self.re / d,

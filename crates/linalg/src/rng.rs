@@ -316,11 +316,6 @@ impl ComplexGaussian {
         ComplexGaussian::with_variance(1.0)
     }
 
-    /// Per-part standard deviation (exposed for tests).
-    pub fn part_std(&self) -> f64 {
-        self.part_std
-    }
-
     /// Draws one complex deviate.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Complex {
         Complex::new(
@@ -358,7 +353,7 @@ mod tests {
     #[test]
     fn complex_gaussian_variance_split() {
         let g = ComplexGaussian::with_variance(4.0);
-        assert!((g.part_std() - (2.0f64).sqrt()).abs() < 1e-12);
+        assert!((g.part_std - (2.0f64).sqrt()).abs() < 1e-12);
 
         let mut rng = StdRng::seed_from_u64(45);
         let n = 100_000;

@@ -54,16 +54,6 @@ impl CVector {
         &self.data
     }
 
-    /// Mutable view of the underlying entries.
-    pub fn as_mut_slice(&mut self) -> &mut [Complex] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning its buffer.
-    pub fn into_vec(self) -> Vec<Complex> {
-        self.data
-    }
-
     /// Hermitian inner product `⟨self, other⟩ = Σᵢ self̄ᵢ·otherᵢ`.
     ///
     /// Conjugate-linear in `self`, linear in `other` — the convention under
@@ -77,40 +67,6 @@ impl CVector {
             .iter()
             .zip(&other.data)
             .map(|(a, b)| a.conj() * *b)
-            .sum()
-    }
-
-    /// Real dot product of the entrywise real parts: `Σᵢ Re(selfᵢ)·Re(otherᵢ)`.
-    ///
-    /// The paper's generalized Ising parameters (Eqs. 6–8, 13–14) are built
-    /// from exactly these `Hᴵ·yᴵ`-style products of real/imaginary parts.
-    pub fn dot_re(&self, other: &CVector) -> f64 {
-        assert_eq!(self.len(), other.len(), "dot_re: length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.re * b.re)
-            .sum()
-    }
-
-    /// Real dot product of the entrywise imaginary parts.
-    pub fn dot_im(&self, other: &CVector) -> f64 {
-        assert_eq!(self.len(), other.len(), "dot_im: length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.im * b.im)
-            .sum()
-    }
-
-    /// Mixed product `Σᵢ Re(selfᵢ)·Im(otherᵢ)` (used by the QPSK/16-QAM
-    /// cross terms of Eqs. 8 and 14).
-    pub fn dot_re_im(&self, other: &CVector) -> f64 {
-        assert_eq!(self.len(), other.len(), "dot_re_im: length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.re * b.im)
             .sum()
     }
 
@@ -240,8 +196,17 @@ mod tests {
         let a = v(&[(0.3, -1.2), (2.0, 0.7), (-0.4, 0.1)]);
         let b = v(&[(1.1, 0.2), (-0.6, 1.4), (0.9, -2.0)]);
         let d = a.dot(&b);
-        let re = a.dot_re(&b) + a.dot_im(&b);
-        let im = a.dot_re_im(&b) - b.dot_re_im(&a);
+        let (x, y) = (a.as_slice(), b.as_slice());
+        let re: f64 = x
+            .iter()
+            .zip(y)
+            .map(|(p, q)| p.re * q.re + p.im * q.im)
+            .sum();
+        let im: f64 = x
+            .iter()
+            .zip(y)
+            .map(|(p, q)| p.re * q.im - p.im * q.re)
+            .sum();
         assert!(approx_eq(d.re, re, 1e-12));
         assert!(approx_eq(d.im, im, 1e-12));
     }

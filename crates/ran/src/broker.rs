@@ -64,7 +64,7 @@ impl JobState {
     /// rejects them before any batch exists); batched jobs may be shed
     /// (a queue the scheduler cuts under backpressure) or failed (their
     /// dispatch exhausted its guardrails); running jobs only finish.
-    pub fn may_transition(self, to: JobState) -> bool {
+    fn may_transition(self, to: JobState) -> bool {
         use JobState::*;
         matches!(
             (self, to),
@@ -76,14 +76,6 @@ impl JobState {
                 | (Batched, Failed)
                 | (Running, Completed)
                 | (Running, Failed)
-        )
-    }
-
-    /// Whether this is a terminal state.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Completed | JobState::Shed | JobState::Failed
         )
     }
 }
@@ -197,19 +189,6 @@ impl Broker {
         self.states[id.index()]
     }
 
-    /// Queued jobs waiting in `cell`'s queue.
-    pub fn queue_len(&self, cell: usize) -> usize {
-        self.queues.get(&cell).map_or(0, VecDeque::len)
-    }
-
-    /// Cells with a non-empty queue, in cell order.
-    pub fn busy_cells(&self) -> impl Iterator<Item = usize> + '_ {
-        self.queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&c, _)| c)
-    }
-
     /// Pops the oldest queued job of `cell` (FIFO), or `None` when its
     /// queue is empty. The job stays `Queued` — the caller decides its
     /// next transition.
@@ -283,6 +262,21 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Broker {
+        /// Queued jobs waiting in `cell`'s queue.
+        fn queue_len(&self, cell: usize) -> usize {
+            self.queues.get(&cell).map_or(0, VecDeque::len)
+        }
+
+        /// Cells with a non-empty queue, in cell order.
+        fn busy_cells(&self) -> impl Iterator<Item = usize> + '_ {
+            self.queues
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|(&c, _)| c)
+        }
+    }
 
     fn job(cell: usize, arrival_us: f64) -> UserJob {
         UserJob {

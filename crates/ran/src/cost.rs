@@ -91,14 +91,14 @@ impl CostModel {
     }
 
     /// Amortized + energy price of one QPU microsecond, $.
-    pub fn qpu_usd_per_us(&self) -> f64 {
+    fn qpu_usd_per_us(&self) -> f64 {
         let capex_per_us = self.qpu_capex_usd / (self.qpu_lifetime_years * SECONDS_PER_YEAR * 1e6);
         let energy_per_us = self.qpu_power_w / 1_000.0 * self.energy_usd_per_kwh / US_PER_HOUR;
         capex_per_us + energy_per_us
     }
 
     /// Amortized + energy price of one CPU-server microsecond, $.
-    pub fn cpu_usd_per_us(&self) -> f64 {
+    fn cpu_usd_per_us(&self) -> f64 {
         let capex_per_us = self.cpu_capex_usd / (self.cpu_lifetime_years * SECONDS_PER_YEAR * 1e6);
         let energy_per_us = self.cpu_power_w / 1_000.0 * self.energy_usd_per_kwh / US_PER_HOUR;
         capex_per_us + energy_per_us
@@ -108,7 +108,7 @@ impl CostModel {
     /// classical-first by construction, so it is billed at server
     /// prices — its quantum fallback shows up as [`ServeRung::Qpu`]
     /// service elsewhere in the ledger, never double-billed here.
-    pub fn rung_power_w(&self, rung: ServeRung) -> f64 {
+    fn rung_power_w(&self, rung: ServeRung) -> f64 {
         match rung {
             ServeRung::Qpu => self.qpu_power_w,
             ServeRung::Hybrid | ServeRung::Classical => self.cpu_power_w,

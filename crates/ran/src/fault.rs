@@ -140,7 +140,7 @@ impl FaultRates {
     }
 
     /// `true` when every rate is zero.
-    pub fn is_quiet(&self) -> bool {
+    fn is_quiet(&self) -> bool {
         self.total() == 0.0
     }
 
@@ -284,11 +284,6 @@ impl FaultPlan {
         self.repair_us
     }
 
-    /// `true` when the plan can never fire.
-    pub fn is_quiet(&self) -> bool {
-        self.rates.is_quiet()
-    }
-
     /// What has fired so far, per class.
     pub fn counters(&self) -> &FaultCounters {
         &self.counters
@@ -411,7 +406,7 @@ mod tests {
             assert_eq!(plan.draw(0, job, 1), None);
         }
         assert_eq!(plan.counters().total(), 0);
-        assert!(plan.is_quiet());
+        assert!(plan.rates.is_quiet());
     }
 
     #[test]

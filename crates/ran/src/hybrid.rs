@@ -53,7 +53,7 @@ impl HybridServer {
     }
 
     /// Problems of a `problems`-subcarrier frame that go to the QPU.
-    pub fn fallback_problems(&self, problems: usize) -> usize {
+    fn fallback_problems(&self, problems: usize) -> usize {
         (self.fallback_fraction * problems as f64).ceil() as usize
     }
 

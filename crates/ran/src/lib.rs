@@ -26,12 +26,7 @@
 //!   ([`ResilientServer::plain_qpu`]), a CPU pool and the hybrid
 //!   ([`ResilientServer::without_qpu`], optionally
 //!   [`ResilientServer::with_hybrid`]) are pool configurations, not
-//!   separate server types;
-//! * [`coded`] — the join of the timing world and the BER world:
-//!   every simulated frame is also decoded through the soft-output
-//!   coded pipeline (`quamax_core::coded`), and the report is **coded
-//!   goodput** — payload that arrived both on time and error-free,
-//!   hard-input vs soft-input Viterbi side by side.
+//!   separate server types.
 //!
 //! Programming amortization is modeled two ways on the QPU server:
 //! frame-counted coherence ([`QpuServer::with_coherence`]) and a
@@ -59,9 +54,9 @@
 //!   samples. The [`ServeError`] taxonomy classifies every failure as transient or
 //!   permanent so callers decide instead of panicking.
 //! * [`retry`] — deadline-aware [`RetryPolicy`]: exponential backoff
-//!   with deterministic seeded jitter, *funded by deadline slack* (the
-//!   PR-5 `IddBudget` pattern — a retry that cannot land before the
-//!   frame's deadline is never scheduled). QuAMax retries after a
+//!   with deterministic seeded jitter, *funded by deadline slack* (a
+//!   retry that cannot land before the frame's deadline is never
+//!   scheduled). QuAMax retries after a
 //!   storm/drift are **warm**: the failed attempt's best candidate
 //!   seeds a `decode_reverse_from` reverse anneal at
 //!   [`RetryPolicy::warm_fraction`] of a cold job's anneal bill.
@@ -172,7 +167,7 @@
 //!
 //! | series | type | labels | recorded |
 //! |---|---|---|---|
-//! | `quamax_qpu_program_us` | histogram | `cell` | per enqueue ([`qpu::StageBreakdown`]) |
+//! | `quamax_qpu_program_us` | histogram | `cell` | per enqueue (`qpu::StageBreakdown`) |
 //! | `quamax_qpu_anneal_us` | histogram | `cell` | per enqueue |
 //! | `quamax_qpu_readout_us` | histogram | `cell` | per enqueue |
 //! | `quamax_qpu_unembed_us` | histogram | `cell` | per enqueue (reported-only, never charged) |
@@ -209,7 +204,6 @@
 
 pub mod breaker;
 pub mod broker;
-pub mod coded;
 pub mod cost;
 pub mod cpu;
 pub mod fault;
@@ -224,7 +218,6 @@ pub mod topology;
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use broker::{Broker, Census, JobId, JobState, UserJob};
-pub use coded::{CodedIddReport, CodedUplink, CodedUplinkReport, IddBudget};
 pub use cost::{CostModel, DecodeCost};
 pub use cpu::{CpuPolicy, CpuPool};
 pub use fault::{FaultClass, FaultCounters, FaultPlan, FaultRates, ServeError};

@@ -110,7 +110,7 @@ impl DiurnalCurve {
     }
 
     /// The envelope's ceiling (thinning bound).
-    pub fn max_multiplier(&self) -> f64 {
+    fn max_multiplier(&self) -> f64 {
         1.0 + self.depth
     }
 }

@@ -308,15 +308,15 @@ pub const NOMINAL_UNEMBED_US_PER_PROBLEM: f64 = 0.05;
 /// is reported only and never enters any latency (see
 /// [`NOMINAL_UNEMBED_US_PER_PROBLEM`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StageBreakdown {
+struct StageBreakdown {
     /// Host preprocessing + chip programming (zero on a cached frame).
-    pub program_us: f64,
+    program_us: f64,
     /// On-chip anneal cycles across all batches.
-    pub anneal_us: f64,
+    anneal_us: f64,
     /// Per-anneal readout across all batches.
-    pub readout_us: f64,
+    readout_us: f64,
     /// Pipelined host unembedding (reported only, never charged).
-    pub unembed_us: f64,
+    unembed_us: f64,
 }
 
 /// A QPU serving decode jobs FIFO.
@@ -462,7 +462,7 @@ impl QpuServer {
     /// Decomposes one frame's modeled service into telemetry stages
     /// (see [`StageBreakdown`] for the relationship to
     /// [`QpuServer::amortized_service_time_us`]).
-    pub fn stage_breakdown(
+    fn stage_breakdown(
         &self,
         problems: usize,
         logical_vars: usize,

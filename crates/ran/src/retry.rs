@@ -1,10 +1,9 @@
 //! Deadline-aware retry: exponential backoff with deterministic
 //! seeded jitter, funded by the frame's remaining deadline slack.
 //!
-//! The funding rule reuses the PR-5 `IddBudget` pattern — a frame only
-//! buys what its deadline slack can pay for — applied to retries
-//! instead of IDD iterations: a retry is scheduled only when `backoff +
-//! retry cost` still fits under the deadline. A QuAMax retry is *warm*:
+//! A frame only buys what its deadline slack can pay for: a retry is
+//! scheduled only when `backoff + retry cost` still fits under the
+//! deadline. A QuAMax retry is *warm*:
 //! the failed attempt's best candidate seeds a `decode_reverse_from`
 //! reverse anneal, so the retry's anneal bill is a configured fraction
 //! of a cold job's ([`RetryPolicy::warm_fraction`]).
@@ -55,18 +54,13 @@ impl RetryPolicy {
         }
     }
 
-    /// `true` when this policy never retries.
-    pub fn is_disabled(&self) -> bool {
-        self.max_attempts <= 1
-    }
-
     /// Backoff before retry number `retry` (1 = first retry), µs:
     /// `base · multiplier^(retry−1)`, jittered by a deterministic
     /// `seed`-keyed factor in `[1 − jitter, 1 + jitter]`.
     ///
     /// # Panics
     /// Panics when `retry` is zero (the first attempt has no backoff).
-    pub fn backoff_us(&self, retry: u32, seed: u64) -> f64 {
+    fn backoff_us(&self, retry: u32, seed: u64) -> f64 {
         assert!(retry >= 1, "backoff precedes a retry, not the first try");
         let deterministic = self.base_backoff_us * self.multiplier.powi(retry as i32 - 1);
         if self.jitter_fraction == 0.0 || deterministic == 0.0 {
@@ -162,7 +156,7 @@ mod tests {
     #[test]
     fn disabled_policy_funds_nothing() {
         let p = RetryPolicy::disabled();
-        assert!(p.is_disabled());
+        assert_eq!(p.max_attempts, 1);
         assert_eq!(p.fund_retry(2, 0.0, 1e9, 0.0, 7), None);
     }
 }

@@ -85,7 +85,7 @@ impl ShedPolicy {
     }
 
     /// The wait limit for `priority`, µs (`None` = never shed).
-    pub fn limit_us(&self, priority: Priority) -> Option<f64> {
+    fn limit_us(&self, priority: Priority) -> Option<f64> {
         match priority {
             Priority::High => self.high_max_wait_us,
             Priority::Normal => self.normal_max_wait_us,
@@ -457,7 +457,7 @@ impl ResilientServer {
     /// it. `None` when the worker is crashed or breaker-blocked.
     ///
     /// This is *the* load estimate: admission control
-    /// ([`ResilientServer::shed_wait_us`]), least-loaded placement, and
+    /// (`ResilientServer::shed_wait_us`), least-loaded placement, and
     /// the batch scheduler's close-time projection all read it, so a
     /// job a worker is batching is never invisible to any of them.
     pub fn queue_depth_us(&mut self, worker: usize, now_us: f64) -> Option<f64> {
@@ -485,7 +485,7 @@ impl ResilientServer {
     /// eligible worker does not shed: the job proceeds into the retry/
     /// escalation machinery, which knows what to do about an empty
     /// pool.
-    pub fn shed_wait_us(&mut self, now_us: f64, priority: Priority) -> Option<f64> {
+    fn shed_wait_us(&mut self, now_us: f64, priority: Priority) -> Option<f64> {
         let limit = self.guardrails.shed.limit_us(priority)?;
         let wait = self.projected_wait_us(now_us)?;
         (wait > limit).then_some(wait)

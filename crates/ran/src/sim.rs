@@ -113,11 +113,6 @@ impl SimReport {
         served.iter().sum::<f64>() / served.len() as f64
     }
 
-    /// Frames that produced an answer.
-    pub fn served_count(&self) -> usize {
-        self.frames.iter().filter(|f| f.outcome.is_served()).count()
-    }
-
     /// Frames shed by admission control.
     pub fn shed_count(&self) -> usize {
         self.frames
@@ -342,6 +337,13 @@ mod tests {
     use crate::serve::Guardrails;
     use crate::topology::Deadline;
     use quamax_wireless::Modulation;
+
+    impl SimReport {
+        /// Frames that produced an answer.
+        fn served_count(&self) -> usize {
+            self.frames.iter().filter(|f| f.outcome.is_served()).count()
+        }
+    }
 
     fn wifi_ap(id: usize, interval_us: f64) -> AccessPoint {
         AccessPoint {

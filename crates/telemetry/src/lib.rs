@@ -87,7 +87,7 @@ pub const NUM_BUCKETS: usize = 40;
 
 /// Upper (inclusive) bound of bucket `i`: `2^i` for the finite
 /// buckets, `+Inf` for the last.
-pub fn bucket_upper_bound(i: usize) -> f64 {
+fn bucket_upper_bound(i: usize) -> f64 {
     assert!(i < NUM_BUCKETS, "bucket index out of range");
     if i + 1 == NUM_BUCKETS {
         f64::INFINITY
@@ -135,7 +135,7 @@ impl Histogram {
     }
 
     /// Folds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -150,11 +150,6 @@ impl Histogram {
     /// True when nothing has been observed.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Per-bucket (non-cumulative) counts, index ↔ [`bucket_upper_bound`].
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
     }
 
     /// Exact nearest-rank quantile over the retained samples — the
@@ -293,15 +288,6 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-/// A span's opening timestamp in simulated microseconds (sugar over
-/// [`Telemetry::span_us`] for call sites that open and close a stage
-/// in different scopes).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpanStart {
-    /// Simulated-time open instant.
-    pub at_us: f64,
-}
-
 impl Telemetry {
     /// A disabled handle: all recording calls are no-ops.
     pub fn disabled() -> Self {
@@ -375,16 +361,6 @@ impl Telemetry {
     /// the caller — this crate never reads a clock.
     pub fn span_us(&self, name: &str, labels: &[(&str, &str)], start_us: f64, end_us: f64) {
         self.observe(name, labels, (end_us - start_us).max(0.0));
-    }
-
-    /// Opens a span at simulated instant `at_us`.
-    pub fn span_begin(&self, at_us: f64) -> SpanStart {
-        SpanStart { at_us }
-    }
-
-    /// Closes a span opened by [`Telemetry::span_begin`].
-    pub fn span_end(&self, span: SpanStart, name: &str, labels: &[(&str, &str)], end_us: f64) {
-        self.span_us(name, labels, span.at_us, end_us);
     }
 
     /// All live histogram series named `name`, merged across label
@@ -695,6 +671,13 @@ fn prom_labels(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
 mod tests {
     use super::*;
 
+    impl Histogram {
+        /// Per-bucket (non-cumulative) counts, index ↔ `bucket_upper_bound`.
+        fn bucket_counts(&self) -> &[u64] {
+            &self.buckets
+        }
+    }
+
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
@@ -850,8 +833,7 @@ mod tests {
     fn span_api_records_simulated_durations() {
         let t = Telemetry::enabled();
         t.span_us("quamax_qpu_program_us", &[], 100.0, 140.0);
-        let sp = t.span_begin(200.0);
-        t.span_end(sp, "quamax_qpu_program_us", &[], 260.0);
+        t.span_us("quamax_qpu_program_us", &[], 200.0, 260.0);
         // A span that closes "before" it opens clamps to zero rather
         // than recording a negative duration.
         t.span_us("quamax_qpu_program_us", &[], 10.0, 5.0);

@@ -39,16 +39,6 @@ impl Frame {
     pub fn bits(&self) -> &[u8] {
         &self.bits
     }
-
-    /// Payload length in bits.
-    pub fn len_bits(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `true` when `decoded` reproduces this frame exactly.
-    pub fn decoded_ok(&self, decoded: &[u8]) -> bool {
-        self.bits == decoded
-    }
 }
 
 /// Counts positions where `a` and `b` differ.
@@ -138,17 +128,10 @@ mod tests {
     fn random_frame_has_requested_size_and_binary_content() {
         let mut rng = StdRng::seed_from_u64(8);
         let f = Frame::random(50, &mut rng);
-        assert_eq!(f.len_bits(), 400);
+        assert_eq!(f.bits().len(), 400);
         assert!(f.bits().iter().all(|&b| b <= 1));
         // Roughly balanced bits.
         let ones: usize = f.bits().iter().map(|&b| b as usize).sum();
         assert!(ones > 120 && ones < 280, "ones={ones}");
-    }
-
-    #[test]
-    fn decoded_ok_detects_errors() {
-        let f = Frame::from_bits(vec![0, 1, 0, 1]);
-        assert!(f.decoded_ok(&[0, 1, 0, 1]));
-        assert!(!f.decoded_ok(&[0, 1, 1, 1]));
     }
 }

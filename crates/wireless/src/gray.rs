@@ -37,8 +37,7 @@ pub fn gray_to_binary(g: u32) -> u32 {
 /// `Q/2` bits, or BPSK's single I bit). Per dimension the translation is
 /// binary-index → Gray-index on the level bits: `g₁ = b₁`,
 /// `gₖ = bₖ ⊕ bₖ₋₁` — the closed form of the paper's
-/// intermediate-code + differential-encoding route (see
-/// [`quamax_to_gray_via_intermediate`]). For BPSK and QPSK (one bit per
+/// intermediate-code + differential-encoding route. For BPSK and QPSK (one bit per
 /// dimension) the translation is the identity, as the paper notes.
 pub fn quamax_bits_to_gray(bits: &[u8]) -> Vec<u8> {
     per_dimension(bits, |dim| {
@@ -65,38 +64,6 @@ pub fn gray_bits_to_quamax(bits: &[u8]) -> Vec<u8> {
         }
         out
     })
-}
-
-/// The paper's literal two-step 16-QAM translation: Fig. 2(a) → 2(b)
-/// (flip the Q bits when the second I bit is 1 — "flip even-numbered
-/// columns upside down") → 2(d) (differential bit encoding over the whole
-/// 4-bit string, `b̂ₖ = b′ₖ ⊕ b′ₖ₋₁`).
-///
-/// Exists alongside the closed form so tests can pin the two routes to
-/// each other and to the paper's worked examples (1100 → 1111 → 1000).
-///
-/// # Panics
-/// Panics unless `bits.len() == 4` (this literal form is 16-QAM only).
-pub fn quamax_to_gray_via_intermediate(bits: &[u8]) -> Vec<u8> {
-    assert_eq!(
-        bits.len(),
-        4,
-        "intermediate-code route is specified for 16-QAM"
-    );
-    // Step 1: intermediate code (Fig. 2(a) → 2(b)).
-    let mut b = bits.to_vec();
-    if b[1] == 1 {
-        b[2] ^= 1;
-        b[3] ^= 1;
-    }
-    // Step 2: differential bit encoding across the 4-bit string.
-    let mut out = Vec::with_capacity(4);
-    let mut prev = 0u8;
-    for &bit in &b {
-        out.push(bit ^ prev);
-        prev = bit;
-    }
-    out
 }
 
 /// Splits `bits` into its I/Q dimension groups, applies `f` to each, and
@@ -130,6 +97,30 @@ pub fn index_to_bits(k: u32, width: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's literal two-step 16-QAM translation: Fig. 2(a) → 2(b)
+    /// (flip the Q bits when the second I bit is 1 — "flip even-numbered
+    /// columns upside down") → 2(d) (differential bit encoding over the whole
+    /// 4-bit string, `b̂ₖ = b′ₖ ⊕ b′ₖ₋₁`).
+    ///
+    /// It pins [`quamax_bits_to_gray`]'s closed form to the paper's worked
+    /// examples (1100 → 1111 → 1000). 16-QAM only: `bits.len() == 4`.
+    fn quamax_to_gray_via_intermediate(bits: &[u8]) -> Vec<u8> {
+        // Step 1: intermediate code (Fig. 2(a) → 2(b)).
+        let mut b = bits.to_vec();
+        if b[1] == 1 {
+            b[2] ^= 1;
+            b[3] ^= 1;
+        }
+        // Step 2: differential bit encoding across the 4-bit string.
+        let mut out = Vec::with_capacity(4);
+        let mut prev = 0u8;
+        for &bit in &b {
+            out.push(bit ^ prev);
+            prev = bit;
+        }
+        out
+    }
 
     #[test]
     fn gray_round_trip_all_u8() {
@@ -222,11 +213,5 @@ mod tests {
                 assert_eq!(bits_to_index(&index_to_bits(k, width)), k);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "16-QAM")]
-    fn intermediate_route_rejects_wrong_width() {
-        let _ = quamax_to_gray_via_intermediate(&[0, 1]);
     }
 }

@@ -264,7 +264,7 @@ fn cached_structures_decode_like_uncached_compositions() {
     let mut rng = Rng::seed_from_u64(0x5eed);
     let annealer = noisy_annealer();
     let graph = ChimeraGraph::dw2q_ideal();
-    let mut decoder =
+    let decoder =
         QuamaxDecoder::with_graph(annealer.clone(), graph.clone(), DecoderConfig::default());
 
     let bpsk16 = rayleigh_channel(16, 16, &mut rng);
@@ -329,13 +329,17 @@ fn cached_structures_decode_like_uncached_compositions() {
         "16u BPSK on a defective chip",
     );
 
-    decoder.set_config(DecoderConfig {
-        embed: EmbedParams {
-            j_ferro: 2.5,
-            improved_range: false,
+    let decoder = QuamaxDecoder::with_graph(
+        annealer.clone(),
+        graph.clone(),
+        DecoderConfig {
+            embed: EmbedParams {
+                j_ferro: 2.5,
+                improved_range: false,
+            },
+            ..DecoderConfig::default()
         },
-        ..DecoderConfig::default()
-    });
+    );
     check_uplink(
         &decoder,
         &annealer,
