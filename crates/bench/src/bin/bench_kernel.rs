@@ -62,7 +62,7 @@ use quamax_anneal::schedule::curves;
 use quamax_anneal::{draws, sa, AnnealerConfig, IceModel, Isa, WindowCoefficients};
 use quamax_bench::kernelbench as kb;
 use quamax_bench::measure::{interleave, Timing};
-use quamax_bench::BenchRecord;
+use quamax_bench::{Args, BenchRecord};
 use quamax_core::DecoderConfig;
 use quamax_ising::{CompiledProblem, IsingProblem};
 use quamax_linalg::rng::{standard_normal, NormalZiggurat};
@@ -343,14 +343,7 @@ fn streams(base: u64, width: usize) -> Vec<StdRng> {
 }
 
 fn main() {
-    let quick = match std::env::args().skip(1).collect::<Vec<_>>().as_slice() {
-        [] => false,
-        [flag] if flag == "--quick" => true,
-        _ => {
-            eprintln!("usage: bench_kernel [--quick]");
-            std::process::exit(2);
-        }
-    };
+    let quick = Args::parse(&[], &["quick"]).has_flag("quick");
     let samples = if quick { 8 } else { 40 };
     let rounds = if quick { 2 } else { 6 };
     let isa = format!("{:?}", Isa::detect());

@@ -2,9 +2,10 @@
 //!
 //! Each binary declares the keys (`--key value`) and bare flags
 //! (`--flag`) it accepts. Anything else — an unknown or misspelt
-//! option, a key without its value, a flag given one, a positional
-//! argument, a value of the wrong type or out of range — is an error,
-//! so a rerun with a typo never silently runs the defaults.
+//! option, a key without its value, a flag given one, an option given
+//! twice, a positional argument, a value of the wrong type or out of
+//! range — is an error, so a rerun with a typo never silently runs the
+//! defaults.
 
 use std::collections::BTreeMap;
 use std::str::FromStr;
@@ -33,7 +34,18 @@ impl Args {
                     .map_or(path.clone(), |name| name.to_string_lossy().into_owned())
             })
             .unwrap_or_default();
-        let usage = usage(&bin, keys, flags);
+        Self::parse_from(&bin, argv, keys, flags)
+    }
+
+    /// Parses `argv`, the arguments after `command` (a program name and
+    /// any subcommand), as [`Args::parse`] does.
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        command: &str,
+        argv: I,
+        keys: &[&str],
+        flags: &[&str],
+    ) -> Self {
+        let usage = usage(command, keys, flags);
         let args =
             Self::from_iter(argv, keys, flags).unwrap_or_else(|err| exit_usage(&err, &usage));
         Args { usage, ..args }
@@ -43,10 +55,9 @@ impl Args {
     /// and `flags`.
     ///
     /// # Errors
-    /// Names the first argument that is positional, undeclared, a key
-    /// missing its value, or a flag given one.
-    #[allow(clippy::should_implement_trait)] // not a collection conversion
-    pub fn from_iter<I: IntoIterator<Item = String>>(
+    /// Names the first argument that is positional, undeclared, given
+    /// twice, a key missing its value, or a flag given one.
+    fn from_iter<I: IntoIterator<Item = String>>(
         iter: I,
         keys: &[&str],
         flags: &[&str],
@@ -59,6 +70,9 @@ impl Args {
                     "unexpected positional argument: {tok} (flags are --key value)"
                 ));
             };
+            if args.get(key).is_some() || args.has_flag(key) {
+                return Err(format!("--{key} given twice"));
+            }
             let value = it.next_if(|next| !next.starts_with("--"));
             match (keys.contains(&key), flags.contains(&key), value) {
                 (true, _, Some(v)) => {
@@ -74,7 +88,7 @@ impl Args {
     }
 
     /// A string value.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 
@@ -91,12 +105,6 @@ impl Args {
         self.or_exit(self.at_least(key, default, min))
     }
 
-    /// An `f64` value with default; a value that is not a number exits
-    /// 2 as [`Args::get_usize`] does.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.or_exit(self.parsed(key, default, "a number"))
-    }
-
     /// A `u64` value with default; a value that is not a whole number
     /// exits 2 as [`Args::get_usize`] does.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
@@ -111,10 +119,11 @@ impl Args {
         })
     }
 
-    /// `key`'s `usize` value, rejected below `min`.
+    /// `key`'s `usize` value, rejected below `min`; the default is
+    /// taken as given.
     fn at_least(&self, key: &str, default: usize, min: usize) -> Result<usize, String> {
         let value = self.parsed(key, default, "an integer")?;
-        if value < min {
+        if self.get(key).is_some() && value < min {
             return Err(format!("--{key} must be at least {min}, got {value}"));
         }
         Ok(value)
@@ -131,7 +140,7 @@ impl Args {
 }
 
 /// Prints `err` and the usage line to stderr and exits with status 2.
-fn exit_usage(err: &str, usage: &str) -> ! {
+pub fn exit_usage(err: &str, usage: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!("{usage}");
     std::process::exit(2);
@@ -171,14 +180,17 @@ mod tests {
         assert_eq!(a.get_u64("seed", 0), 7);
         assert!(a.has_flag("full"));
         assert!(!a.has_flag("anneals"));
-        assert_eq!(args(&["--snr", "-5"]).get_f64("snr", 0.0), -5.0);
+        assert_eq!(
+            args(&["--snr", "-5"]).parsed("snr", 0.0, "a number"),
+            Ok(-5.0)
+        );
     }
 
     #[test]
     fn defaults_apply() {
         let a = args(&[]);
         assert_eq!(a.get_usize("anneals", 123), 123);
-        assert_eq!(a.get_f64("snr", 20.0), 20.0);
+        assert_eq!(a.parsed("snr", 20.0, "a number"), Ok(20.0));
         assert_eq!(a.get("name"), None);
     }
 
@@ -191,16 +203,17 @@ mod tests {
         assert_eq!(err, "--seed expects an integer, got 3.0");
         let err = a.parsed::<f64>("snr", 0.0, "a number").unwrap_err();
         assert_eq!(err, "--snr expects a number, got loud");
-        // `--slices` below the bound (SQA needs two Trotter slices).
-        let a = Args::from_iter(["--slices", "1"].map(String::from), &["slices"], &[]).unwrap();
-        let err = a.at_least("slices", 8, 2).unwrap_err();
-        assert_eq!(err, "--slices must be at least 2, got 1");
-        assert_eq!(a.at_least("slices", 8, 1), Ok(1));
+        // `--iters` below the bound (IDD feeds back from iteration 2).
+        let a = Args::from_iter(["--iters", "1"].map(String::from), &["iters"], &[]).unwrap();
+        let err = a.at_least("iters", 3, 2).unwrap_err();
+        assert_eq!(err, "--iters must be at least 2, got 1");
+        assert_eq!(a.at_least("iters", 3, 1), Ok(1));
         // Every count rejects 0.
         let a = args(&["--anneals", "0"]);
         let err = a.at_least("anneals", 8, 1).unwrap_err();
         assert_eq!(err, "--anneals must be at least 1, got 0");
         assert_eq!(args(&[]).at_least("anneals", 8, 2), Ok(8));
+        assert_eq!(args(&[]).at_least("anneals", 0, 1), Ok(0));
     }
 
     #[test]
@@ -217,6 +230,8 @@ mod tests {
             (&["--anneals"], "--anneals expects a value"),
             (&["--anneals", "--seed", "3"], "--anneals expects a value"),
             (&["--full", "yes"], "--full takes no value"),
+            (&["--seed", "1", "--seed", "2"], "--seed given twice"),
+            (&["--full", "--full"], "--full given twice"),
         ] {
             let err = try_args(argv).unwrap_err();
             assert!(err.contains(expect), "{argv:?}: {err}");

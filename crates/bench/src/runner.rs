@@ -3,8 +3,8 @@
 //! that fan whole work lists out across CPU cores.
 //!
 //! Decodes go through the unified detector traits
-//! (`DetectorKind::quamax` → `compile` → `detect`), so every figure
-//! binary exercises the same API surface the examples and the C-RAN
+//! (`DetectorKind::quamax` → `compile` → `detect`), so every
+//! experiment exercises the same API surface the examples and the C-RAN
 //! front-end use; the trait path is bit-identical to the historical
 //! direct `QuamaxDecoder::decode` under the same seed.
 
@@ -52,8 +52,8 @@ pub fn run_instance(instance: &Instance, spec: &RunSpec) -> (RunStatistics, Grou
 ///
 /// Each job is self-seeded (`spec.seed` drives the whole run) and the
 /// annealer's output is thread-count independent, so the results are
-/// bit-identical to calling [`run_instance`] serially — every figure
-/// binary keeps its committed numbers, it just produces them on all
+/// bit-identical to calling [`run_instance`] serially — every
+/// experiment keeps its recorded numbers, it just produces them on all
 /// cores. The instance dimension is the primary parallelism; leftover
 /// cores (work lists shorter than the machine) are split across the
 /// workers' inner anneal batches. An explicit thread setting on a
@@ -85,7 +85,7 @@ pub fn inner_threads_for(workers: usize) -> usize {
 /// Shards any per-item work list across CPU cores, returning results
 /// in input order — the generic primitive behind [`run_instances`],
 /// also used by the classical sweeps (`table1`'s sphere decodes, the
-/// calibration probe, the ablation binaries).
+/// ablations).
 ///
 /// `f` must be self-contained per item (seeded by the item, no shared
 /// mutable state), which makes the output independent of the worker

@@ -1,5 +1,5 @@
-//! Shared experiment workloads: problem classes, parameter strategies,
-//! the Fix/Opt drivers built on the runner kernel, and the coded and
+//! Shared experiment workloads: parameter strategies, the Fix/Opt
+//! drivers built on the runner kernel, and the coded and
 //! serving benches' shared detector and worker pool.
 
 use crate::runner::{inner_threads_for, run_instances, RunSpec};
@@ -10,29 +10,6 @@ use quamax_core::{DecoderConfig, DetectorKind, Instance, RunStatistics};
 use quamax_ran::{
     CpuPolicy, CpuPool, FaultPlan, Guardrails, QpuOverheads, QpuServer, ResilientServer,
 };
-use quamax_wireless::Modulation;
-
-/// A problem class: user count and modulation (`Nr = Nt` throughout,
-/// as in the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProblemClass {
-    /// Users (= AP antennas).
-    pub users: usize,
-    /// Modulation.
-    pub modulation: Modulation,
-}
-
-impl ProblemClass {
-    /// Display label, paper style ("18×18 QPSK").
-    pub fn label(&self) -> String {
-        format!("{}x{} {}", self.users, self.users, self.modulation.name())
-    }
-
-    /// Logical Ising variables.
-    pub fn logical_vars(&self) -> usize {
-        self.users * self.modulation.bits_per_symbol()
-    }
-}
 
 /// The workspace's fixed default operating point (from the calibration
 /// probe; the committed Fix baselines start here): improved range,
@@ -103,7 +80,7 @@ pub fn spec_for(
 /// The scalar score used to rank parameter settings: TTB(1e-6) when
 /// reachable, else TTS(0.99) pushed past any reachable TTB, else
 /// `None` (worst).
-pub fn score(stats: &RunStatistics) -> Option<f64> {
+fn score(stats: &RunStatistics) -> Option<f64> {
     const TTS_PENALTY: f64 = 1e9;
     stats
         .ttb_us(1e-6)
@@ -262,18 +239,9 @@ mod tests {
     use super::*;
     use crate::runner::run_instance;
     use quamax_core::Scenario;
+    use quamax_wireless::Modulation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn labels_and_sizes() {
-        let c = ProblemClass {
-            users: 18,
-            modulation: Modulation::Qpsk,
-        };
-        assert_eq!(c.label(), "18x18 QPSK");
-        assert_eq!(c.logical_vars(), 36);
-    }
 
     #[test]
     fn grids_are_well_formed() {

@@ -297,10 +297,9 @@ pub use detect::{
 pub use metrics::{percentile, BitErrorProfile, RunStatistics};
 pub use params::CandidateParams;
 pub use precode::{
-    fold_mod_tau, mod_tau, tau_for, PerturbEncoding, PrecodeInput, PrecodeStats, Precoder,
-    PrecoderKind, PrecoderSession, Precoding, ThpPrecodeSession, VppModel, VppPrecoder, VppSession,
-    ZfPrecoder,
+    fold_mod_tau, tau_for, PerturbEncoding, PrecodeInput, PrecodeStats, Precoder, PrecoderKind,
+    PrecoderSession, Precoding, ThpPrecodeSession, VppModel, VppPrecoder, VppSession, ZfPrecoder,
 };
-pub use reduce::{ising_from_ml, qubo_from_ml, MlReduction};
+pub use reduce::{ising_from_ml, MlReduction};
 pub use scenario::{DetectionInput, Instance, Scenario};
 pub use soft::{SoftDetection, SoftDetectorSession, SoftSpec};

@@ -108,13 +108,15 @@ pub fn tau_for(modulation: Modulation) -> f64 {
     2.0 * modulation.levels_per_dimension() as f64
 }
 
-/// The receiver's symmetric modulo fold: `x − τ·round(x/τ)`, mapping
-/// onto `[−τ/2, τ/2)` and removing any integer multiple of `τ`.
-pub fn mod_tau(x: f64, tau: f64) -> f64 {
+/// The symmetric modulo fold of one real dimension, removing any
+/// integer multiple of `τ`.
+fn mod_tau(x: f64, tau: f64) -> f64 {
     x - tau * (x / tau).round()
 }
 
-/// Applies [`mod_tau`] to both real dimensions of every entry — the
+/// Applies the receiver's symmetric modulo fold `x − τ·round(x/τ)`,
+/// which maps onto `[−τ/2, τ/2)`, to both real dimensions of every
+/// entry — the
 /// per-user receiver step that strips the perturbation `τv` off the
 /// effective channel output before demapping.
 pub fn fold_mod_tau(z: &CVector, tau: f64) -> CVector {

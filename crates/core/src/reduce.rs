@@ -2,7 +2,7 @@
 //!
 //! Two independent constructions of the same problem:
 //!
-//! 1. [`qubo_from_ml`] — the *generic* reduction. Any modulation whose
+//! 1. `qubo_from_ml` — the *generic* reduction. Any modulation whose
 //!    variable-to-symbol transform `T` is linear in the bits can be
 //!    written `T(qᵢ) = c + Σ_b w_b·q_{i,b}` with complex per-bit
 //!    weights `w_b`; expanding `‖y − He‖²` then yields exactly
@@ -67,7 +67,7 @@ fn transform_weights(modulation: Modulation) -> (Vec<Complex>, Complex) {
 ///
 /// # Panics
 /// Panics when `h` and `y` disagree on the receive dimension.
-pub fn qubo_from_ml(h: &CMatrix, y: &CVector, modulation: Modulation) -> (QuboProblem, f64) {
+fn qubo_from_ml(h: &CMatrix, y: &CVector, modulation: Modulation) -> (QuboProblem, f64) {
     assert_eq!(h.rows(), y.len(), "H and y disagree on receive antennas");
     let nt = h.cols();
     let q_bits = modulation.bits_per_symbol();
@@ -340,6 +340,7 @@ fn qam16_weight(pos: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use quamax_ising::spins_to_bits;
     use quamax_linalg::rng::ComplexGaussian;
     use quamax_wireless::gray::index_to_bits;
@@ -351,6 +352,72 @@ mod tests {
         let h = CMatrix::from_fn(nr, nt, |_, _| g.sample(rng));
         let y = CVector::from_fn(nr, |_| g.sample(rng));
         (h, y)
+    }
+
+    fn complex() -> impl Strategy<Value = Complex> {
+        (-2.0f64..2.0, -2.0f64..2.0).prop_map(|(re, im)| Complex::new(re, im))
+    }
+
+    fn channel(nr: usize, nt: usize) -> impl Strategy<Value = CMatrix> {
+        proptest::collection::vec(complex(), nr * nt)
+            .prop_map(move |d| CMatrix::from_vec(nr, nt, d))
+    }
+
+    fn received(nr: usize) -> impl Strategy<Value = CVector> {
+        proptest::collection::vec(complex(), nr).prop_map(CVector::from_vec)
+    }
+
+    fn modulation() -> impl Strategy<Value = Modulation> {
+        prop_oneof![
+            Just(Modulation::Bpsk),
+            Just(Modulation::Qpsk),
+            Just(Modulation::Qam16),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The generic QUBO reduction satisfies the exact energy identity
+        /// `E(q) + offset = ‖y − He‖²` at random bit assignments.
+        #[test]
+        fn qubo_energy_identity(
+            h in channel(3, 2),
+            y in received(3),
+            m in modulation(),
+            k in 0u32..256,
+        ) {
+            let (qubo, offset) = qubo_from_ml(&h, &y, m);
+            let n = 2 * m.bits_per_symbol();
+            let bits: Vec<u8> = (0..n).map(|b| ((k >> b) & 1) as u8).collect();
+            let v = m.map_quamax_vector(&bits);
+            let ml = (&y - &h.mul_vec(&v)).norm_sqr();
+            let e = qubo.energy(&bits) + offset;
+            prop_assert!((e - ml).abs() < 1e-8 * ml.max(1.0), "{e} vs {ml}");
+        }
+
+        /// Closed-form Ising coefficients equal the generic path's, for
+        /// every modulation the paper gives closed forms for.
+        #[test]
+        fn closed_form_matches_generic(
+            h in channel(4, 3),
+            y in received(4),
+            m in modulation(),
+        ) {
+            let (closed, _) = ising_from_ml(&h, &y, m);
+            let (qubo, _) = qubo_from_ml(&h, &y, m);
+            let (generic, _) = qubo_to_ising(&qubo);
+            let n = 3 * m.bits_per_symbol();
+            for i in 0..n {
+                prop_assert!((closed.linear(i) - generic.linear(i)).abs() < 1e-8);
+                for j in (i + 1)..n {
+                    prop_assert!(
+                        (closed.coupling(i, j) - generic.coupling(i, j)).abs() < 1e-8,
+                        "({i},{j})"
+                    );
+                }
+            }
+        }
     }
 
     /// Enumerate all bit vectors of n bits.

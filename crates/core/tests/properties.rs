@@ -1,13 +1,12 @@
-//! Property-based tests for the ML reductions, Eq. 9 metrics, the
-//! compile-once decode-session equivalence contract, and the downlink
-//! VPP precoding reduction.
+//! Property-based tests for the Eq. 9 metrics, the compile-once
+//! decode-session equivalence contract, and the downlink VPP precoding
+//! reduction. The ML reductions' properties live beside the private
+//! generic reduction in `src/reduce.rs`.
 
 use proptest::prelude::*;
 use quamax_anneal::{Annealer, AnnealerConfig, IceModel, Schedule};
 use quamax_core::metrics::BitErrorProfile;
-use quamax_core::reduce::{ising_from_ml, qubo_from_ml};
 use quamax_core::{DecoderConfig, QuamaxDecoder, Scenario};
-use quamax_ising::qubo_to_ising;
 use quamax_linalg::{CMatrix, CVector, Complex};
 use quamax_wireless::{Modulation, Snr};
 use rand::rngs::StdRng;
@@ -35,47 +34,6 @@ fn modulation() -> impl Strategy<Value = Modulation> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The generic QUBO reduction satisfies the exact energy identity
-    /// `E(q) + offset = ‖y − He‖²` at random bit assignments.
-    #[test]
-    fn qubo_energy_identity(
-        h in channel(3, 2),
-        y in received(3),
-        m in modulation(),
-        k in 0u32..256,
-    ) {
-        let (qubo, offset) = qubo_from_ml(&h, &y, m);
-        let n = 2 * m.bits_per_symbol();
-        let bits: Vec<u8> = (0..n).map(|b| ((k >> b) & 1) as u8).collect();
-        let v = m.map_quamax_vector(&bits);
-        let ml = (&y - &h.mul_vec(&v)).norm_sqr();
-        let e = qubo.energy(&bits) + offset;
-        prop_assert!((e - ml).abs() < 1e-8 * ml.max(1.0), "{e} vs {ml}");
-    }
-
-    /// Closed-form Ising coefficients equal the generic path's, for
-    /// every modulation the paper gives closed forms for.
-    #[test]
-    fn closed_form_matches_generic(
-        h in channel(4, 3),
-        y in received(4),
-        m in modulation(),
-    ) {
-        let (closed, _) = ising_from_ml(&h, &y, m);
-        let (qubo, _) = qubo_from_ml(&h, &y, m);
-        let (generic, _) = qubo_to_ising(&qubo);
-        let n = 3 * m.bits_per_symbol();
-        for i in 0..n {
-            prop_assert!((closed.linear(i) - generic.linear(i)).abs() < 1e-8);
-            for j in (i + 1)..n {
-                prop_assert!(
-                    (closed.coupling(i, j) - generic.coupling(i, j)).abs() < 1e-8,
-                    "({i},{j})"
-                );
-            }
-        }
-    }
 
     /// Eq. 9 is non-increasing in Na when bit errors are non-decreasing
     /// with rank (the typical regime where the lowest-energy solution

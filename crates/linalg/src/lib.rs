@@ -36,9 +36,7 @@ pub use lattice::LllReduction;
 pub use matrix::CMatrix;
 pub use qr::QrDecomposition;
 pub use rng::{standard_normal, ComplexGaussian};
-pub use solve::{
-    cholesky, hermitian_solve, is_hermitian, lu_solve, pseudo_inverse, LinalgError, LuFactor,
-};
+pub use solve::{cholesky, is_hermitian, lu_solve, pseudo_inverse, LinalgError, LuFactor};
 pub use vector::CVector;
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,10 +5,9 @@
 //! positive-(semi)definite system. We implement:
 //!
 //! * [`lu_solve`] — general complex LU with partial pivoting (also used to
-//!   invert small matrices in tests and in the C-RAN cost models);
-//! * [`hermitian_solve`] — LU specialization kept simple: the matrices here
-//!   are at most ~100×100, so a dedicated Cholesky buys little; we still
-//!   route through a single entry point so callers state intent;
+//!   invert small matrices in tests and in the C-RAN cost models); the
+//!   Hermitian systems go through it too: the matrices here are at most
+//!   ~100×100, so a dedicated Cholesky buys little;
 //! * [`pseudo_inverse`] — Moore–Penrose for tall full-column-rank matrices
 //!   with a documented failure mode ([`LinalgError::Singular`]) instead of
 //!   silent garbage when the channel is rank-deficient (the paper's
@@ -185,18 +184,6 @@ pub fn lu_solve(a: &CMatrix, b: &CVector) -> Result<CVector, LinalgError> {
     LuFactor::compute(a)?.solve(b)
 }
 
-/// Solves the Hermitian system `A·x = b`.
-///
-/// `A` must be Hermitian (callers construct it as a Gram matrix, possibly
-/// plus `σ²I`); this is debug-asserted, not re-verified in release builds.
-pub fn hermitian_solve(a: &CMatrix, b: &CVector) -> Result<CVector, LinalgError> {
-    debug_assert!(
-        is_hermitian(a, 1e-9),
-        "hermitian_solve: matrix is not Hermitian"
-    );
-    lu_solve(a, b)
-}
-
 /// Moore–Penrose pseudo-inverse `A⁺ = (A*A)⁻¹A*` for tall (or square)
 /// full-column-rank `A`.
 ///
@@ -308,6 +295,13 @@ mod tests {
     fn random_matrix(rng: &mut StdRng, m: usize, n: usize) -> CMatrix {
         let g = ComplexGaussian::unit();
         CMatrix::from_fn(m, n, |_, _| g.sample(rng))
+    }
+
+    /// Solves the Hermitian system `A·x = b` (`A` a Gram matrix,
+    /// possibly plus `σ²I`).
+    fn hermitian_solve(a: &CMatrix, b: &CVector) -> Result<CVector, LinalgError> {
+        assert!(is_hermitian(a, 1e-9), "matrix is not Hermitian");
+        lu_solve(a, b)
     }
 
     fn random_vector(rng: &mut StdRng, n: usize) -> CVector {

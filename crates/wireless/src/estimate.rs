@@ -31,7 +31,7 @@ pub fn dft_pilots(nt: usize, np: usize) -> CMatrix {
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn ls_estimate(y_pilots: &CMatrix, pilots: &CMatrix) -> CMatrix {
+fn ls_estimate(y_pilots: &CMatrix, pilots: &CMatrix) -> CMatrix {
     assert_eq!(
         y_pilots.cols(),
         pilots.cols(),

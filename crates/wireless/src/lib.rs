@@ -34,11 +34,11 @@ pub mod trace;
 
 pub use channel::{rayleigh_channel, unit_gain_random_phase_channel};
 pub use coding::{ConvolutionalCode, SisoDecode};
-pub use estimate::{dft_pilots, estimate_channel, ls_estimate};
+pub use estimate::{dft_pilots, estimate_channel};
 pub use frame::{count_bit_errors, fer_from_ber, Frame};
 pub use gray::{binary_to_gray, gray_to_binary};
 pub use modulation::Modulation;
-pub use noise::{apply_awgn, awgn_vector};
+pub use noise::apply_awgn;
 pub use ofdm::{OfdmFrame, Subcarrier};
 pub use snr::Snr;
 pub use trace::{TraceConfig, TraceGenerator, TraceUse};

@@ -6,7 +6,7 @@ use rand::Rng;
 
 /// Draws an AWGN vector `n ∈ C^{nr}` with total complex variance
 /// `sigma2` per entry (`CN(0, σ²)` circularly symmetric).
-pub fn awgn_vector<R: Rng + ?Sized>(nr: usize, sigma2: f64, rng: &mut R) -> CVector {
+fn awgn_vector<R: Rng + ?Sized>(nr: usize, sigma2: f64, rng: &mut R) -> CVector {
     let g = ComplexGaussian::with_variance(sigma2);
     CVector::from_fn(nr, |_| g.sample(rng))
 }

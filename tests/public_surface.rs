@@ -3,7 +3,7 @@
 //! public.
 //!
 //! A name counts as *used* when some `.rs` file mentions it as a whole
-//! word, and that file is
+//! word outside a `pub use` re-export, and that file is
 //! - not the file that defines it;
 //! - not under `vendor/` or `perfbench/`;
 //! - not in any `tests/` directory.
@@ -134,6 +134,19 @@ const ALLOWED: &[(&str, &str, Reason)] = &[
         ),
     ),
     (
+        "crates/ising/src/convert.rs",
+        "ising_to_qubo",
+        Contract(
+            "crates/ising/tests/properties.rs",
+            "reverse_conversion_energy_identity",
+        ),
+    ),
+    (
+        "crates/ising/src/exact.rs",
+        "rank_all_solutions",
+        Contract("crates/ising/tests/properties.rs", "exact_is_a_lower_bound"),
+    ),
+    (
         "crates/ising/src/compiled.rs",
         "local_fields_into",
         Contract(
@@ -209,6 +222,23 @@ fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
+/// `text` without its `pub use` statements: a re-export names a
+/// function without calling it.
+fn without_reexports(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut in_reexport = false;
+    for line in text.lines() {
+        in_reexport |= line.trim_start().starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !line.contains(';');
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 /// Every identifier-shaped word of `text`.
 fn words(text: &str) -> HashSet<String> {
     let bytes = text.as_bytes();
@@ -269,7 +299,7 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<Source>) {
             let rel: Vec<_> = rel.iter().map(|c| c.to_string_lossy()).collect();
             out.push(Source {
                 path: rel.join("/"),
-                words: words(&text),
+                words: words(&without_reexports(&text)),
                 text,
             });
         }
