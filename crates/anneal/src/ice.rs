@@ -7,6 +7,14 @@
 //! on couplers. ICE is the mechanism that punishes large `|J_F|` (the
 //! renormalization squeezes problem coefficients into the noise) and
 //! ties solution quality to the Ising energy gap (Figs. 5 and 12).
+//!
+//! Noise lands on *programmed* coefficients: every field (an idle qubit
+//! still sits on the chip) and every coupler of nonzero weight. A
+//! coupler the structure holds at weight exactly zero is unprogrammed —
+//! a clique embedding keeps one per logical pair whatever the channel
+//! puts there — so it draws no deviate and stays exactly zero, and a
+//! problem's noise stream does not depend on which zero couplers its
+//! structure carries.
 
 use crate::kernel::WindowStrips;
 use quamax_ising::{CompiledProblem, IsingProblem};
@@ -86,9 +94,12 @@ impl IceModel {
     }
 
     /// Returns a copy of `problem` with fresh ICE applied to every
-    /// coefficient — one anneal's effective Hamiltonian. Deviates come
-    /// from the ziggurat normal, fields by spin, then couplings in
-    /// [`IsingProblem::couplings`] order.
+    /// field and every programmed coupler — one anneal's effective
+    /// Hamiltonian. Deviates come from the ziggurat normal, fields by
+    /// spin, then couplings in [`IsingProblem::couplings`] order. A
+    /// coupling stored as exactly zero is an unprogrammed coupler: it
+    /// draws no deviate and stays exactly zero, so the stream is that of
+    /// the same problem without it.
     pub fn perturb<R: Rng + ?Sized>(&self, problem: &IsingProblem, rng: &mut R) -> IsingProblem {
         if self.is_zero() {
             return problem.clone();
@@ -103,9 +114,20 @@ impl IceModel {
             out.set_linear(i, f + self.field_noise(zig.sample(rng)));
         }
         for (i, j, g) in problem.couplings() {
-            out.set_coupling(i, j, g + self.coupler_noise(zig.sample(rng)));
+            out.set_coupling(i, j, self.programmed_coupler(g, || zig.sample(rng)));
         }
         out
+    }
+
+    /// Coupler `g` under ICE, drawing its deviate from `z` only when
+    /// `g` is programmed (nonzero).
+    #[inline]
+    fn programmed_coupler(&self, g: f64, z: impl FnOnce() -> f64) -> f64 {
+        if g == 0.0 {
+            g
+        } else {
+            g + self.coupler_noise(z())
+        }
     }
 
     /// The field perturbation `μ_f + σ_f·z` for a standard deviate `z`.
@@ -122,14 +144,18 @@ impl IceModel {
 
     /// Refreezes one anneal's effective Hamiltonian into `scratch`:
     /// copies `base`'s coefficients (reusing the scratch allocation)
-    /// and applies fresh ICE to every field and coupling.
+    /// and applies fresh ICE to every field and every programmed
+    /// coupler.
     ///
     /// Noise draw order is fixed by the compiled layout — fields in
     /// spin order, then couplings in CSR `(i, j)` order, one ziggurat
     /// deviate each — so a given per-anneal RNG stream always produces
     /// the same effective Hamiltonian regardless of how the problem was
-    /// built or which thread runs the anneal. This is the reference the
-    /// annealer's window bind
+    /// built or which thread runs the anneal. A coupler of weight
+    /// exactly zero is unprogrammed: it draws no deviate and stays
+    /// exactly zero, so a structure holding extra zero couplers draws
+    /// the stream of the structure without them. This is the reference
+    /// the annealer's window bind
     /// ([`ReplicaBatch::bind_window_ice`](crate::ReplicaBatch::bind_window_ice))
     /// matches.
     pub fn refreeze<R: Rng + ?Sized>(
@@ -144,7 +170,7 @@ impl IceModel {
         }
         let zig = NormalZiggurat::get();
         scratch.perturb_linear(|f| f + self.field_noise(zig.sample(rng)));
-        scratch.perturb_couplings(|g| g + self.coupler_noise(zig.sample(rng)));
+        scratch.perturb_couplings(|g| self.programmed_coupler(g, || zig.sample(rng)));
     }
 
     /// Refreezes a whole replica window straight into its coefficient
@@ -154,12 +180,16 @@ impl IceModel {
     /// replica's strips hold exactly what `refreeze` + `bind_replica`
     /// would bind and every stream ends in the same state.
     ///
-    /// Two passes. The first draws each replica's `n + m` deviates into
-    /// `normals`, entry-major (`normals[e·W + r]`). The second walks
-    /// the entries once — fields, then each coupler in CSR `i < j`
-    /// order — writing each entry's `W`-wide strip (and the coupler
-    /// twin's) in one contiguous store. A zero model draws nothing and
-    /// binds the problems as they are.
+    /// Two passes. The first draws each replica's deviates into
+    /// `normals`, entry-major (`normals[e·W + r]`, fields then couplers
+    /// in [`CompiledProblem::upper_entries`] order). The second walks
+    /// the entries once, writing each entry's `W`-wide strip (and the
+    /// coupler twin's) in one contiguous store. When every replica
+    /// programs every coupler ([`CompiledProblem::zero_couplers`] is 0
+    /// throughout, as on a dense uplink channel) both passes run
+    /// without a per-entry test; otherwise a zero coupler of replica
+    /// `r` takes no deviate from `rngs[r]` and binds as it is. A zero
+    /// model draws nothing and binds the problems as they are.
     #[inline]
     pub(crate) fn refreeze_window<R: Rng>(
         &self,
@@ -179,12 +209,26 @@ impl IceModel {
         }
         let structure = problems[0];
         let n = structure.num_spins();
-        let entries = n + structure.num_couplings();
-        normals.resize(entries * w, 0.0);
+        let upper = structure.upper_entries();
+        let sparse = problems.iter().any(|p| p.zero_couplers() > 0);
+        normals.resize((n + upper.len()) * w, 0.0);
         let zig = NormalZiggurat::get();
-        for (r, rng) in rngs.iter_mut().enumerate() {
-            for z in normals[r..].iter_mut().step_by(w) {
-                *z = zig.sample(rng);
+        for (r, (rng, problem)) in rngs.iter_mut().zip(problems).enumerate() {
+            if sparse {
+                let (field_z, coupler_z) = normals[r..].split_at_mut(n * w);
+                for z in field_z.iter_mut().step_by(w) {
+                    *z = zig.sample(rng);
+                }
+                let weights = problem.weights_flat();
+                for (z, &k) in coupler_z.iter_mut().step_by(w).zip(upper) {
+                    if weights[k as usize] != 0.0 {
+                        *z = zig.sample(rng);
+                    }
+                }
+            } else {
+                for z in normals[r..].iter_mut().step_by(w) {
+                    *z = zig.sample(rng);
+                }
             }
         }
         let (field_z, coupler_z) = normals.split_at(n * w);
@@ -193,21 +237,20 @@ impl IceModel {
                 *out = problem.linear_terms()[i] + self.field_noise(z);
             }
         }
-        let (neighbors, twins) = (structure.neighbors_flat(), structure.twins_flat());
-        let mut coupler_z = coupler_z.chunks_exact(w);
-        for i in 0..n {
-            let (lo, hi) = structure.row_bounds(i);
-            // Rows are sorted: the `j > i` half is a suffix.
-            let upper = lo + neighbors[lo..hi].partition_point(|&j| j as usize <= i);
-            for (k, &twin) in (upper..hi).zip(&twins[upper..hi]) {
-                let z = coupler_z.next().expect("one deviate per coupler");
-                let twin = twin as usize;
-                let strip = strips.weight_strip(k);
+        let twins = structure.twins_flat();
+        for (&k, z) in upper.iter().zip(coupler_z.chunks_exact(w)) {
+            let k = k as usize;
+            let strip = strips.weight_strip(k);
+            if sparse {
+                for ((out, problem), &z) in strip.iter_mut().zip(problems).zip(z) {
+                    *out = self.programmed_coupler(problem.weights_flat()[k], || z);
+                }
+            } else {
                 for ((out, problem), &z) in strip.iter_mut().zip(problems).zip(z) {
                     *out = problem.weights_flat()[k] + self.coupler_noise(z);
                 }
-                strips.copy_weight_strip(k, twin);
             }
+            strips.copy_weight_strip(k, twins[k] as usize);
         }
     }
 }
@@ -218,6 +261,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Five spins, every pair coupled; the pair `(0, 2)` is stored as
+    /// an exact zero (`−0.2 + 0.1·2`), an unprogrammed coupler.
     fn sample_problem() -> IsingProblem {
         let mut p = IsingProblem::new(5);
         for i in 0..5 {
@@ -226,7 +271,20 @@ mod tests {
                 p.set_coupling(i, j, -0.2 + 0.1 * (i + j) as f64);
             }
         }
+        assert_eq!(p.coupling(0, 2), 0.0, "the sample's unprogrammed coupler");
         p
+    }
+
+    /// `p` with its exact-zero couplings left out.
+    fn without_zero_couplers(p: &IsingProblem) -> IsingProblem {
+        let mut q = IsingProblem::new(p.num_spins());
+        for i in 0..p.num_spins() {
+            q.set_linear(i, p.linear(i));
+        }
+        for (i, j, g) in p.couplings().filter(|&(_, _, g)| g != 0.0) {
+            q.set_coupling(i, j, g);
+        }
+        q
     }
 
     #[test]
@@ -253,12 +311,20 @@ mod tests {
         let q = IceModel::dw2q().perturb(&p, &mut rng);
         assert_eq!(q.num_spins(), p.num_spins());
         assert_eq!(q.num_couplings(), p.num_couplings());
-        // Coefficients moved, but not far (5σ bound).
-        for (i, j, g) in p.couplings() {
+        // Programmed coefficients moved, but not far (5σ bound).
+        for (i, j, g) in p.couplings().filter(|&(_, _, g)| g != 0.0) {
             let d = q.coupling(i, j) - g;
             assert!(d.abs() < 0.015 + 5.0 * 0.025, "δg={d}");
             assert!(d != 0.0, "coupling ({i},{j}) untouched");
         }
+        // The zero coupler stays exactly zero and takes no deviate: the
+        // problem without it perturbs to the same coefficients and
+        // leaves the stream in the same state.
+        assert_eq!(q.coupling(0, 2).to_bits(), 0.0f64.to_bits());
+        let mut sparse_rng = StdRng::seed_from_u64(2);
+        let sparse = IceModel::dw2q().perturb(&without_zero_couplers(&p), &mut sparse_rng);
+        assert_eq!(without_zero_couplers(&q), sparse);
+        assert_eq!(rng.random::<u64>(), sparse_rng.random::<u64>());
     }
 
     #[test]
@@ -269,7 +335,7 @@ mod tests {
         let mut deltas = Vec::new();
         for _ in 0..2000 {
             let q = m.perturb(&p, &mut rng);
-            for (i, j, g) in p.couplings() {
+            for (i, j, g) in p.couplings().filter(|&(_, _, g)| g != 0.0) {
                 deltas.push(q.coupling(i, j) - g);
             }
         }
@@ -295,27 +361,53 @@ mod tests {
     }
 
     #[test]
-    fn refreeze_perturbs_every_coefficient_symmetrically() {
+    fn refreeze_perturbs_every_programmed_coefficient_symmetrically() {
         use quamax_ising::CompiledProblem;
         let p = sample_problem();
         let base = CompiledProblem::new(&p);
+        assert_eq!(base.zero_couplers(), 1);
         let mut scratch = base.clone();
         let mut rng = StdRng::seed_from_u64(7);
         IceModel::dw2q().refreeze(&base, &mut scratch, &mut rng);
         assert_eq!(scratch.num_spins(), base.num_spins());
         assert_eq!(scratch.num_couplings(), base.num_couplings());
+        assert_eq!(scratch.zero_couplers(), 1);
         for i in 0..base.num_spins() {
             assert_ne!(scratch.linear(i), base.linear(i), "field {i} untouched");
             let (idx, w) = scratch.row(i);
             let (_, w0) = base.row(i);
             for (k, (&j, &g)) in idx.iter().zip(w).enumerate() {
-                assert_ne!(g, w0[k], "coupling ({i},{j}) untouched");
+                if w0[k] == 0.0 {
+                    // The unprogrammed coupler stays exactly zero.
+                    assert_eq!(g.to_bits(), w0[k].to_bits(), "coupling ({i},{j}) perturbed");
+                } else {
+                    assert_ne!(g, w0[k], "coupling ({i},{j}) untouched");
+                }
                 // Symmetric: the reverse entry carries the same value.
                 let (jidx, jw) = scratch.row(j as usize);
                 let back = jidx.iter().position(|&b| b as usize == i).unwrap();
-                assert_eq!(g, jw[back], "asymmetric ICE at ({i},{j})");
+                assert_eq!(
+                    g.to_bits(),
+                    jw[back].to_bits(),
+                    "asymmetric ICE at ({i},{j})"
+                );
             }
         }
+        // The zero coupler takes no deviate: the structure without it
+        // refreezes to the same coefficients under the same stream and
+        // leaves it in the same state.
+        let sparse_base = CompiledProblem::new(&without_zero_couplers(&p));
+        let mut sparse = sparse_base.clone();
+        let mut sparse_rng = StdRng::seed_from_u64(7);
+        IceModel::dw2q().refreeze(&sparse_base, &mut sparse, &mut sparse_rng);
+        for i in 0..base.num_spins() {
+            assert_eq!(scratch.linear(i).to_bits(), sparse.linear(i).to_bits());
+            for (j, g) in sparse.row(i).0.iter().zip(sparse.row(i).1) {
+                let k = scratch.coupler_entry(i, *j as usize).unwrap();
+                assert_eq!(scratch.weights_flat()[k].to_bits(), g.to_bits());
+            }
+        }
+        assert_eq!(rng.random::<u64>(), sparse_rng.random::<u64>());
         // A zero model refreezes back to the base coefficients exactly.
         IceModel::none().refreeze(&base, &mut scratch, &mut rng);
         assert_eq!(scratch, base);

@@ -19,13 +19,24 @@
 //!
 //! All three are bit-identical per item (asserted below before any
 //! timing is reported); the comparison is pure throughput.
+//!
+//! The `compile` rows time one session compile at the two shapes the
+//! serving benchmarks compile most: a 16-user BPSK lattice-reduced VPP
+//! precoder (32 variables) and the 48-user BPSK uplink. Each interleaves
+//! a compile of a channel never compiled before (`fresh_channel`) with
+//! a recompile of one channel (`cached_channel`), after a first compile
+//! of the shape: the chip structure is a function of the shape, so the
+//! two cost the same, and a structure rebuilt per channel would show as
+//! the fresh arm's excess.
 
 use quamax_anneal::{Annealer, AnnealerConfig};
 use quamax_bench::measure::interleave;
 use quamax_bench::BenchRecord;
-use quamax_core::{DecoderConfig, QuamaxDecoder, Scenario};
-use quamax_linalg::CVector;
-use quamax_wireless::{Modulation, Snr};
+use quamax_core::{
+    DecoderConfig, DetectionInput, PrecodeInput, Precoder, QuamaxDecoder, Scenario, VppPrecoder,
+};
+use quamax_linalg::{CMatrix, CVector};
+use quamax_wireless::{rayleigh_channel, Modulation, Snr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,6 +48,49 @@ use rand::SeedableRng;
 const BATCH: usize = 16;
 const ANNEALS: usize = 10;
 const ROUNDS: usize = 24;
+/// Rounds and timed calls per round of each compile row; every
+/// fresh-channel call (a quarter more per round warm up) takes a new
+/// channel.
+const COMPILE_ROUNDS: usize = 8;
+const COMPILE_SAMPLES: usize = 8;
+
+/// Times a fresh-channel compile against a recompile of one channel:
+/// `compile(h)` compiles a session for channel `h` of the shape, and
+/// `channel(rng)` draws one. Returns the row.
+fn compile_row(
+    shape: &str,
+    logical_vars: usize,
+    mut channel: impl FnMut(&mut StdRng) -> CMatrix,
+    compile: impl Fn(&CMatrix),
+) -> serde_json::Value {
+    let mut rng = StdRng::seed_from_u64(2021);
+    let cached = channel(&mut rng);
+    // The shape's first compile builds its chip structure.
+    compile(&cached);
+    let calls = COMPILE_ROUNDS * (COMPILE_SAMPLES + COMPILE_SAMPLES / 4);
+    let fresh: Vec<CMatrix> = (0..calls).map(|_| channel(&mut rng)).collect();
+    let mut fresh = fresh.iter();
+    let timing = interleave(
+        COMPILE_ROUNDS,
+        COMPILE_SAMPLES,
+        &mut [
+            ("fresh_channel", &mut || {
+                compile(fresh.next().expect("one channel per call"))
+            }),
+            ("cached_channel", &mut || compile(&cached)),
+        ],
+    );
+    println!(
+        "{shape:<24} {}",
+        timing.pair_line((0, 1), 1e-3, "us per compile")
+    );
+    let head = serde_json::json!({
+        "row": "compile",
+        "shape": shape,
+        "logical_vars": logical_vars,
+    });
+    timing.pair_json(head, (0, 1), 1e-3, "us per compile")
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2019);
@@ -119,6 +173,39 @@ fn main() {
         ],
     );
 
+    let vpp = VppPrecoder::new(
+        Annealer::new(AnnealerConfig::default()),
+        DecoderConfig::default(),
+        ANNEALS,
+        1,
+    );
+    let vpp_row = compile_row(
+        "16u BPSK VPP",
+        32,
+        |rng| rayleigh_channel(16, 16, rng),
+        |h| {
+            let input = PrecodeInput {
+                h: h.clone(),
+                modulation: Modulation::Bpsk,
+            };
+            std::hint::black_box(vpp.compile(&input).expect("16-user VPP fits the chip"));
+        },
+    );
+    let uplink48 = Scenario::new(48, 48, Modulation::Bpsk).sample(&mut rng);
+    let uplink_row = compile_row(
+        "48u BPSK uplink",
+        48,
+        |rng| rayleigh_channel(48, 48, rng),
+        |h| {
+            let input = DetectionInput {
+                h: h.clone(),
+                y: uplink48.y().clone(),
+                modulation: Modulation::Bpsk,
+            };
+            std::hint::black_box(decoder.compile(&input).expect("48-user BPSK fits the chip"));
+        },
+    );
+
     let mut record = BenchRecord::new("BENCH_decode", "host");
     let ms = |ns: f64| (ns * 1e-4).round() / 100.0;
     for (path, name) in paths.into_iter().enumerate() {
@@ -141,6 +228,7 @@ fn main() {
         let row = timing.pair_json(head, pair, 1e-6, "ms per interval");
         record.rows.push(row);
     }
+    record.rows.extend([vpp_row, uplink_row]);
     record.workload = serde_json::json!({
         "class": "12x12 QPSK",
         "logical_vars": 24usize,
@@ -149,6 +237,9 @@ fn main() {
         "snr_db": 22.0,
         "seeds": "10000..10016",
         "rounds": ROUNDS,
+        "compile_shapes": "16u BPSK VPP (1 box bit per dimension); 48u BPSK uplink",
+        "compile_rounds": COMPILE_ROUNDS,
+        "compile_samples": COMPILE_SAMPLES,
     });
     record.asserts = serde_json::json!({ "bit_identical": true });
     record.note = format!(
@@ -157,7 +248,10 @@ fn main() {
          {ROUNDS} rounds, one pass each per round, the first path rotating; path rows: \
          decodes_per_sec from the path's minimum interval; pair rows: min_ratio = first \
          path's minimum over the second's, paired_median_ratio = median over rounds of the \
-         per-round ratio, with its bootstrap 95% interval over rounds"
+         per-round ratio, with its bootstrap 95% interval over rounds; compile rows: one \
+         session compile of a channel never compiled before against a recompile of one \
+         channel, after the shape's first compile, interleaved over {COMPILE_ROUNDS} rounds \
+         of {COMPILE_SAMPLES} timed calls"
     );
     let path = record.write().expect("write BENCH_decode.json");
     println!("\nwrote {}", path.display());

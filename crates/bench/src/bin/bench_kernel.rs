@@ -40,8 +40,9 @@
 //!   identical; also reports lane acceptances and the chain-break
 //!   fraction of untimed windows. A third arm, interleaved with the
 //!   two, runs the dispatched window with no chains, and
-//!   `chain_pass_share` = 1 − its minimum over the dispatched minimum
-//!   is the chain moves' share of a window (reported, not gated);
+//!   `chain_pass_share` = 1 − 1 / (the paired with-chains over
+//!   no-chains ratio) is the chain moves' share of a window (reported,
+//!   not gated);
 //! * `window_embedded_{80,288}q_r{1,4,8}` — the same, with the same
 //!   three arms, at the two shapes metro anneals: 16 BPSK variables on
 //!   80 qubits (a 16-user uplink decode) and 32 on 288 qubits (a
@@ -323,9 +324,11 @@ fn sa_ladders(
 }
 
 /// The chain pass's share of a [`WindowBench::time`] window, `1 −
-/// no-chains / with-chains` by per-arm minimum, to four decimals.
+/// no-chains / with-chains` by the paired per-round ratio (a ratio of
+/// two arms' minima can lose its sign on a shared host), to four
+/// decimals.
 fn chain_pass_share(timing: &Timing) -> f64 {
-    ((1.0 - timing.min_ns(2) / timing.min_ns(1)) * 1e4).round() / 1e4
+    ((1.0 - 1.0 / timing.paired(1, 2).median) * 1e4).round() / 1e4
 }
 
 /// The chain pass's share and the no-chains window, as one line.

@@ -34,6 +34,12 @@ pub struct RunSpec {
 /// the ML bits / hardness probe without re-running the sphere decoder).
 pub fn run_instance(instance: &Instance, spec: &RunSpec) -> (RunStatistics, GroundTruth) {
     let gt = ground_truth(instance);
+    (score(instance, spec, &gt), gt)
+}
+
+/// Decodes `instance` under `spec` and scores it against its ground
+/// truth `gt`.
+fn score(instance: &Instance, spec: &RunSpec, gt: &GroundTruth) -> RunStatistics {
     let kind = DetectorKind::quamax(Annealer::new(spec.annealer), spec.decoder, spec.anneals);
     let input = instance.detection_input();
     let mut session = kind.compile(&input).expect("experiment sizes fit the chip");
@@ -43,29 +49,47 @@ pub fn run_instance(instance: &Instance, spec: &RunSpec) -> (RunStatistics, Grou
     let run = detection
         .annealed_run()
         .expect("the quamax kind always attaches its run");
-    let stats = RunStatistics::from_run(run, instance.tx_bits(), Some(gt.energy));
-    (stats, gt)
+    RunStatistics::from_run(run, instance.tx_bits(), Some(gt.energy))
 }
 
 /// Runs a whole work list of `(instance, spec)` decode-and-score jobs
 /// sharded across CPU cores, returning results in input order.
 ///
-/// Each job is self-seeded (`spec.seed` drives the whole run) and the
-/// annealer's output is thread-count independent, so the results are
-/// bit-identical to calling [`run_instance`] serially — every
-/// experiment keeps its recorded numbers, it just produces them on all
-/// cores. The instance dimension is the primary parallelism; leftover
-/// cores (work lists shorter than the machine) are split across the
-/// workers' inner anneal batches. An explicit thread setting on a
-/// spec's annealer wins.
+/// Each distinct instance (by reference) gets its sphere-decoded
+/// ground truth once, shared by every spec that decodes it: a sweep of
+/// one instance set under many settings runs one sphere decode per
+/// instance, not one per setting. Each job is self-seeded (`spec.seed`
+/// drives the whole run) and the annealer's output is thread-count
+/// independent, so the results are bit-identical to calling
+/// [`run_instance`] serially — every experiment keeps its recorded
+/// numbers, it just produces them on all cores. The instance dimension
+/// is the primary parallelism; leftover cores (work lists shorter than
+/// the machine) are split across the workers' inner anneal batches. An
+/// explicit thread setting on a spec's annealer wins.
 pub fn run_instances(work: &[(&Instance, RunSpec)]) -> Vec<(RunStatistics, GroundTruth)> {
+    let mut distinct: Vec<&Instance> = Vec::new();
+    let slots: Vec<(usize, &RunSpec)> = work
+        .iter()
+        .map(|&(instance, ref spec)| {
+            let at = distinct
+                .iter()
+                .position(|&seen| std::ptr::eq(seen, instance))
+                .unwrap_or_else(|| {
+                    distinct.push(instance);
+                    distinct.len() - 1
+                });
+            (at, spec)
+        })
+        .collect();
+    let truths = run_map(&distinct, |&instance| ground_truth(instance));
     let inner_threads = inner_threads_for(work.len());
-    run_map(work, move |(instance, spec): &(&Instance, RunSpec)| {
+    run_map(&slots, |&(at, spec)| {
         let mut spec = spec.clone();
         if spec.annealer.threads == 0 {
             spec.annealer.threads = inner_threads;
         }
-        run_instance(instance, &spec)
+        let gt = &truths[at];
+        (score(distinct[at], &spec, gt), gt.clone())
     })
 }
 

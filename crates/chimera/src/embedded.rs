@@ -5,7 +5,9 @@
 //! 1. **chain couplers** — ferromagnetic bonds (strength `−|J_F|` before
 //!    renormalization) between consecutive qubits of each chain (Eq. 10);
 //! 2. **problem couplers** — each logical `g_ij` programmed on the one
-//!    physical coupler where chains `i` and `j` meet (Eq. 12);
+//!    physical coupler where chains `i` and `j` meet (Eq. 12), for every
+//!    pair of the clique: a zero `g_ij` is a zero-weight coupler, so the
+//!    physical structure depends on the problem size alone;
 //! 3. **fields** — each logical `f_i` spread evenly over its chain's
 //!    qubits, i.e. `f_i / L` per qubit (Eq. 11).
 //!
@@ -65,18 +67,21 @@ pub struct EmbeddedProblem {
     kappa: f64,
     /// The programmed chain coupler value (negative).
     chain_coupler: f64,
-    /// One record per nonzero logical coupling, in the logical
-    /// problem's `couplings()` order: `(logical_i, logical_j, dense_a,
-    /// dense_b)` where `(dense_a, dense_b)` is the physical coupler
-    /// realizing `g_ij`. This is the *programming map* — everything
-    /// about coupler placement that depends only on the coupling
-    /// sparsity pattern, not on the coefficient values.
+    /// One record per logical pair `i < j`, row-major: `(logical_i,
+    /// logical_j, dense_a, dense_b)` where `(dense_a, dense_b)` is the
+    /// physical coupler realizing `g_ij`. This is the *programming
+    /// map* — coupler placement, a function of the embedding alone.
     programmed: Vec<(u32, u32, u32, u32)>,
     params: EmbedParams,
 }
 
 impl EmbeddedProblem {
-    /// Compiles `logical` onto `embedding`.
+    /// Compiles `logical` onto `embedding`, programming the coupler of
+    /// every logical pair: a pair `logical` leaves uncoupled, or couples
+    /// at exactly zero, becomes a zero-weight physical coupler. The
+    /// physical structure is therefore the same for every problem of
+    /// the embedding's size, and an ICE model leaves those couplers
+    /// unprogrammed (no deviate, weight exactly zero).
     ///
     /// # Panics
     /// Panics if the logical problem size differs from the embedding's,
@@ -141,22 +146,27 @@ impl EmbeddedProblem {
                 }
             }
         }
-        // (Eq. 12) problem couplers at the chains' meeting points.
-        let mut programmed = Vec::with_capacity(logical.num_couplings());
+        // (Eq. 12) problem couplers at the chains' meeting points, one
+        // per logical pair.
+        let n = logical.num_spins();
+        let mut dense = vec![0.0; n * n];
         for (i, j, g) in logical.couplings() {
-            if g == 0.0 {
-                continue;
+            dense[i * n + j] = g;
+        }
+        let mut programmed = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for i in 0..n {
+            for j in i + 1..n {
+                let (qi, qj) = embedding.coupler_for(graph, i, j);
+                debug_assert!(graph.edge_exists(qi, qj), "assigned coupler is not an edge");
+                let (di, dj) = (dense_of[qi], dense_of[qj]);
+                debug_assert!(di != usize::MAX && dj != usize::MAX);
+                // The meeting coupler is never a chain edge (chains meet
+                // across the K4,4, chain edges within a cell join same
+                // positions of opposite sides belonging to one logical).
+                debug_assert_eq!(problem.coupling(di, dj), 0.0, "coupler reuse");
+                problem.set_coupling(di, dj, dense[i * n + j] * scale);
+                programmed.push((i as u32, j as u32, di as u32, dj as u32));
             }
-            let (qi, qj) = embedding.coupler_for(graph, i, j);
-            debug_assert!(graph.edge_exists(qi, qj), "assigned coupler is not an edge");
-            let (di, dj) = (dense_of[qi], dense_of[qj]);
-            debug_assert!(di != usize::MAX && dj != usize::MAX);
-            // The meeting coupler is never a chain edge (chains meet
-            // across the K4,4, chain edges within a cell join same
-            // positions of opposite sides belonging to one logical).
-            debug_assert_eq!(problem.coupling(di, dj), 0.0, "coupler reuse");
-            problem.set_coupling(di, dj, g * scale);
-            programmed.push((i as u32, j as u32, di as u32, dj as u32));
         }
 
         EmbeddedProblem {
@@ -182,47 +192,6 @@ impl EmbeddedProblem {
         pre * self.kappa
     }
 
-    /// Re-targets the programmed problem to a new logical problem with
-    /// the **same coupling sparsity pattern** as the one this embedding
-    /// was compiled from, in place: chain couplers are untouched (they
-    /// depend only on the embedding parameters), fields and problem
-    /// couplers are rewritten with the new values and scale. The result
-    /// is exactly what [`EmbeddedProblem::compile`] would produce for
-    /// `logical` on the same embedding, without re-deriving chains or
-    /// coupler placement.
-    ///
-    /// This is the coherence-interval reuse path: in the ML reduction
-    /// the couplings (and hence the sparsity pattern) depend only on
-    /// the channel `H`, so one embedding serves every received vector
-    /// `y` of the interval.
-    ///
-    /// # Panics
-    /// Panics when the logical spin count differs from the embedding's;
-    /// debug-asserts that every previously-programmed coupler is still
-    /// present (same sparsity).
-    pub fn reprogram(&mut self, logical: &IsingProblem) {
-        assert_eq!(
-            logical.num_spins(),
-            self.chains.len(),
-            "logical problem and embedding disagree on variable count"
-        );
-        let scale = self.scale_for_max_abs(logical.max_abs_coefficient());
-        let chain_len = self.chains.first().map_or(1, Vec::len) as f64;
-        for (i, dense_chain) in self.chains.iter().enumerate() {
-            let per_qubit = logical.linear(i) * scale / chain_len;
-            for &d in dense_chain {
-                self.problem.set_linear(d, per_qubit);
-            }
-        }
-        for &(i, j, di, dj) in &self.programmed {
-            let g = logical.coupling(i as usize, j as usize);
-            debug_assert!(g != 0.0, "coupling ({i},{j}) vanished under reprogram");
-            self.problem
-                .set_coupling(di as usize, dj as usize, g * scale);
-        }
-        self.scale = scale;
-    }
-
     /// The programmed physical Ising problem (dense indices).
     pub fn problem(&self) -> &IsingProblem {
         &self.problem
@@ -244,10 +213,11 @@ impl EmbeddedProblem {
     }
 
     /// The programming map: one `(logical_i, logical_j, dense_a,
-    /// dense_b)` record per nonzero logical coupling, in the logical
-    /// problem's `couplings()` order. Callers that freeze the physical
-    /// problem into a faster representation use this to re-target
-    /// problem couplers without re-deriving the embedding.
+    /// dense_b)` record per logical pair `i < j`, row-major, whatever
+    /// the pair's coupling. Callers that freeze the physical problem
+    /// into a faster representation use this to re-target problem
+    /// couplers for any problem of this size without re-deriving the
+    /// embedding.
     pub fn programmed_couplers(&self) -> &[(u32, u32, u32, u32)] {
         &self.programmed
     }
@@ -455,37 +425,6 @@ mod tests {
             }
         }
         assert!(found, "no coupler between chains 0 and 1");
-    }
-
-    #[test]
-    fn reprogram_matches_fresh_compile() {
-        // Same sparsity, new coefficient values (a different "y" in the
-        // ML reduction): in-place reprogramming must reproduce a fresh
-        // compile exactly, coefficient for coefficient.
-        let g = ChimeraGraph::dw2q_ideal();
-        let e = CliqueEmbedding::new(&g, 10).unwrap();
-        let first = sample_logical(10);
-        let mut emb = EmbeddedProblem::compile(&g, &e, &first, EmbedParams::default());
-
-        // Perturb fields (y-dependent) and coupling values (scale
-        // shifts), keeping the sparsity pattern.
-        let mut second = sample_logical(10);
-        for i in 0..10 {
-            second.set_linear(i, first.linear(i) * 1.75 - 0.3);
-        }
-        for (i, j, gv) in first.couplings().collect::<Vec<_>>() {
-            second.set_coupling(i, j, gv * 0.6);
-        }
-
-        emb.reprogram(&second);
-        let fresh = EmbeddedProblem::compile(&g, &e, &second, EmbedParams::default());
-        assert_eq!(emb.problem(), fresh.problem());
-        assert_eq!(emb.scale(), fresh.scale());
-        assert_eq!(
-            emb.scale(),
-            fresh.scale_for_max_abs(second.max_abs_coefficient())
-        );
-        assert_eq!(emb.programmed_couplers(), fresh.programmed_couplers());
     }
 
     #[test]

@@ -157,8 +157,8 @@ impl QuamaxDecoder {
     /// is the Gram matrix, the couplings ([`MlReduction::new`]) and a
     /// lookup of the chip structure — embedding, CSR freeze, chain
     /// tables and coupler slots — which depends only on the chip, the
-    /// problem size, the coupling pattern and the embedding parameters,
-    /// and is built once per process for each.
+    /// problem size and the embedding parameters, and is built once per
+    /// process for each.
     pub fn compile(&self, input: &DetectionInput) -> Result<DecodeSession, Error> {
         let reduction = MlReduction::new(&input.h, input.modulation);
         self.telemetry.counter_inc(
@@ -173,7 +173,6 @@ impl QuamaxDecoder {
             self.config.embed,
         )?;
         Ok(DecodeSession {
-            scratch: core.scratch(),
             core,
             schedule: self.config.schedule,
             reduction,
@@ -191,7 +190,7 @@ impl QuamaxDecoder {
 /// (built on the first compile of its shape) and keeps the interval's
 /// logical couplings in the structure's slot order. Per input,
 /// [`AnnealCore::bind`] writes that input's fields, and the couplings
-/// rescaled with them, into a scratch copy of the frozen structure;
+/// rescaled with them, into a copy of the frozen structure;
 /// [`AnnealCore::anneal`] runs the anneal batch (from random states, or
 /// from a logical start expanded onto the chains), and
 /// [`AnnealCore::unembed`] majority-votes every sample back and ranks
@@ -212,13 +211,15 @@ pub(crate) struct AnnealCore {
 
 /// Everything a compile derives from the chip rather than the channel:
 /// the clique embedding, the frozen CSR base, the chain tables and the
-/// coupler slot map. It is a function of the chip graph, the logical
-/// size, the *nonzero* logical coupling pattern and the embedding
-/// parameters ([`StructureKey`]), so [`ChipStructure::lookup`] builds it
-/// once per process for each and sessions share it. The coefficients
-/// inside are those of the problem that first built it: only the
-/// structure and the chain couplers (which depend on the embedding
-/// parameters alone) are read, and every bind rewrites the rest.
+/// coupler slot map. The embedding programs a coupler for every logical
+/// pair (a zero coupling is a zero-weight coupler, which ICE leaves
+/// unprogrammed), so the structure is a function of the chip graph, the
+/// logical size and the embedding parameters alone ([`StructureKey`]):
+/// [`ChipStructure::lookup`] builds it once per process for each shape,
+/// and every channel of that shape shares it. The coefficients inside
+/// are those of the problem that first built it: only the structure and
+/// the chain couplers (which depend on the embedding parameters alone)
+/// are read, and every bind rewrites the rest, zero couplings included.
 struct ChipStructure {
     parallel_factor: usize,
     /// Chain layout (read by unembedding).
@@ -227,7 +228,7 @@ struct ChipStructure {
     /// fields and problem couplers rebound per input.
     base: CompiledProblem,
     chains: CompiledChains,
-    /// `(CSR entry, logical i, logical j)` per programmed coupler.
+    /// `(CSR entry, logical i, logical j)` per logical pair `i < j`.
     slots: Vec<(u32, u32, u32)>,
     /// Dense physical qubit → owning logical chain.
     chain_of: Vec<u32>,
@@ -235,37 +236,26 @@ struct ChipStructure {
 }
 
 /// What a [`ChipStructure`] reads: the chip (grid and dead qubits), the
-/// logical size, which logical couplings are nonzero, and the
-/// embedding parameters' bits. Metro's 16-user BPSK and 8-user QPSK
-/// are both 16 spins, with different patterns; an orthogonal `H`
-/// programs no problem coupler at all.
+/// logical size and the embedding parameters' bits — the problem's
+/// shape, never its values. Metro's 16-user BPSK and 8-user QPSK, and a
+/// 16-user BPSK channel that happens to be orthogonal, are all 16 spins
+/// and share one structure; so does every lattice-reduced VPP channel
+/// of one user count, whatever exact zeros its reduction leaves.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct StructureKey {
     grid: usize,
     defects: Vec<usize>,
     num_logical: usize,
-    /// One bit per pair `i < j`, row-major over the upper triangle.
-    pattern: Vec<u64>,
     j_ferro: u64,
     improved_range: bool,
 }
 
 impl StructureKey {
-    fn new(graph: &ChimeraGraph, logical: &IsingProblem, embed: EmbedParams) -> Self {
-        let n = logical.num_spins();
-        let mut pattern = vec![0u64; (n * n.saturating_sub(1) / 2).div_ceil(64)];
-        for (i, j, g) in logical.couplings() {
-            if g != 0.0 {
-                // Pairs before row i, then j's place in row i.
-                let bit = i * n - i * (i + 1) / 2 + (j - i - 1);
-                pattern[bit / 64] |= 1 << (bit % 64);
-            }
-        }
+    fn new(graph: &ChimeraGraph, num_logical: usize, embed: EmbedParams) -> Self {
         StructureKey {
             grid: graph.grid(),
             defects: graph.defects(),
-            num_logical: n,
-            pattern,
+            num_logical,
             j_ferro: embed.j_ferro.to_bits(),
             improved_range: embed.improved_range,
         }
@@ -289,7 +279,7 @@ impl ChipStructure {
     ) -> Result<Arc<Self>, EmbeddingError> {
         static CACHE: OnceLock<Mutex<HashMap<StructureKey, Arc<ChipStructure>>>> = OnceLock::new();
         let cache = CACHE.get_or_init(Default::default);
-        let key = StructureKey::new(graph, logical, embed);
+        let key = StructureKey::new(graph, logical.num_spins(), embed);
         // A poisoned lock still guards a valid map: every update under
         // it is one whole `clear` or insert of a finished structure.
         if let Some(hit) = cache
@@ -409,39 +399,36 @@ impl AnnealCore {
         self.chip.parallel_factor
     }
 
-    /// A copy of the frozen structure for [`AnnealCore::bind`] to
-    /// write into.
-    pub(crate) fn scratch(&self) -> CompiledProblem {
-        self.chip.base.clone()
-    }
-
-    /// Writes one input's logical `fields`, and the session's couplings,
-    /// into `scratch` at the renormalization scale they set together —
-    /// exactly what a fresh embed→freeze of the logical problem would
-    /// put there.
-    pub(crate) fn bind(&self, fields: &[f64], scratch: &mut CompiledProblem) {
+    /// A copy of the frozen structure holding one input's logical
+    /// `fields`, and the session's couplings, at the renormalization
+    /// scale they set together — exactly what a fresh embed→freeze of
+    /// the logical problem would put there. The copy shares the
+    /// structure's CSR arrays and owns only its coefficients.
+    fn bind(&self, fields: &[f64]) -> CompiledProblem {
         let chip = &*self.chip;
+        let mut bound = chip.base.clone();
         let field_max_abs = fields.iter().map(|f| f.abs()).fold(0.0f64, f64::max);
         let scale = chip
             .embedded
             .scale_for_max_abs(field_max_abs.max(self.coupling_max_abs));
         for (d, &c) in chip.chain_of.iter().enumerate() {
-            scratch.set_linear_term(d, fields[c as usize] * scale / chip.chain_len);
+            bound.set_linear_term(d, fields[c as usize] * scale / chip.chain_len);
         }
         for (&(k, _, _), &g) in chip.slots.iter().zip(&self.couplings) {
-            scratch.set_entry_weight(k as usize, g * scale);
+            bound.set_entry_weight(k as usize, g * scale);
         }
         self.telemetry
             .counter_inc("quamax_core_field_refresh_total", &[]);
+        bound
     }
 
-    /// Runs `anneals` cycles of the bound `scratch` under `schedule`:
+    /// Runs `anneals` cycles of the `bound` problem under `schedule`:
     /// from random states, or — for a reverse schedule — from the
     /// logical `start` spins expanded onto every qubit of their chains
     /// (the device panics on a reverse schedule without one).
-    pub(crate) fn anneal(
+    fn anneal(
         &self,
-        scratch: &CompiledProblem,
+        bound: &CompiledProblem,
         start: Option<&[Spin]>,
         schedule: &Schedule,
         anneals: usize,
@@ -455,13 +442,13 @@ impl AnnealCore {
                 .collect()
         });
         let job = AnnealJob {
-            problem: scratch,
+            problem: bound,
             init: physical.as_deref(),
             num_anneals: anneals,
             seed,
         };
         self.annealer
-            .run_jobs(scratch, &self.chip.chains, schedule, &[job])
+            .run_jobs(bound, &self.chip.chains, schedule, &[job])
             .pop()
             .expect("one job in, one sample batch out")
     }
@@ -504,20 +491,19 @@ impl AnnealCore {
     }
 
     /// One input end to end: bind the session's reduction
-    /// `(logical, offset)` into `scratch`, draw the anneal seed from
-    /// `rng`, anneal, and unembed with the rest of `rng`'s stream.
+    /// `(logical, offset)`, draw the anneal seed from `rng`, anneal, and
+    /// unembed with the rest of `rng`'s stream.
     pub(crate) fn run<R: Rng + ?Sized>(
         &self,
-        scratch: &mut CompiledProblem,
         reduced: (IsingProblem, f64),
         start: Option<&[Spin]>,
         schedule: &Schedule,
         anneals: usize,
         rng: &mut R,
     ) -> Annealed {
-        self.bind(reduced.0.linear_terms(), scratch);
+        let bound = self.bind(reduced.0.linear_terms());
         let seed: u64 = rng.random();
-        let samples = self.anneal(scratch, start, schedule, anneals, seed);
+        let samples = self.anneal(&bound, start, schedule, anneals, seed);
         self.unembed(reduced, &samples, schedule, rng)
     }
 
@@ -541,16 +527,15 @@ impl AnnealCore {
         let mut bound = Vec::with_capacity(items.len());
         for (item, seed) in items {
             let reduced = reduce(item);
-            let mut scratch = self.scratch();
-            self.bind(reduced.0.linear_terms(), &mut scratch);
+            let problem = self.bind(reduced.0.linear_terms());
             let mut rng = StdRng::seed_from_u64(*seed);
             let anneal_seed: u64 = rng.random();
-            bound.push((scratch, reduced, anneal_seed, rng));
+            bound.push((problem, reduced, anneal_seed, rng));
         }
         let jobs: Vec<AnnealJob> = bound
             .iter()
-            .map(|(scratch, _, anneal_seed, _)| AnnealJob {
-                problem: scratch,
+            .map(|(problem, _, anneal_seed, _)| AnnealJob {
+                problem,
                 init: None,
                 num_anneals: anneals,
                 seed: *anneal_seed,
@@ -581,9 +566,6 @@ impl AnnealCore {
 /// algorithm.
 pub struct DecodeSession {
     core: AnnealCore,
-    /// The programmed-problem view rebound per decode (`&mut self`
-    /// decode path); batch items bind their own copies.
-    scratch: CompiledProblem,
     schedule: Schedule,
     /// The interval's couplings; per `y` it adds only the fields.
     reduction: MlReduction,
@@ -740,14 +722,9 @@ impl DecodeSession {
             )
         });
         let reduced = self.reduce(y);
-        let annealed = self.core.run(
-            &mut self.scratch,
-            reduced,
-            start.as_deref(),
-            &schedule,
-            num_anneals,
-            rng,
-        );
+        let annealed = self
+            .core
+            .run(reduced, start.as_deref(), &schedule, num_anneals, rng);
         self.finish(annealed, schedule)
     }
 

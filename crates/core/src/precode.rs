@@ -61,9 +61,7 @@ use crate::decoder::{AnnealCore, Annealed, DecoderConfig};
 use crate::detect::{Error, Route, RoutePolicy, Routed, Router};
 use quamax_anneal::{Annealer, Schedule};
 use quamax_chimera::ChimeraGraph;
-use quamax_ising::{
-    bits_to_spins, qubo_to_ising, spins_to_bits, CompiledProblem, IsingProblem, QuboProblem,
-};
+use quamax_ising::{bits_to_spins, qubo_to_ising, spins_to_bits, IsingProblem, QuboProblem};
 use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex, LllReduction};
 use quamax_telemetry::Telemetry;
 use quamax_wireless::Modulation;
@@ -622,19 +620,12 @@ impl Precoder for VppPrecoder {
             &couplings,
             self.config.embed,
         )?;
-        let quarters = model
-            .quad
-            .off_diagonals()
-            .map(|(i, j, v)| (i as u32, j as u32, v / 4.0))
-            .collect();
         Ok(VppSession {
-            scratch: core.scratch(),
             core,
             schedule: self.config.schedule,
             anneals: self.anneals,
             model,
             couplings,
-            quarters,
         })
     }
 }
@@ -649,16 +640,11 @@ impl Precoder for VppPrecoder {
 /// costs more transmit power than plain ZF on the same symbols.
 pub struct VppSession {
     core: AnnealCore,
-    scratch: CompiledProblem,
     schedule: Schedule,
     anneals: usize,
     model: VppModel,
     /// `qubo_to_ising` of the quadratic block `τ²CᵀG̃C`, every field zero.
     couplings: IsingProblem,
-    /// `(i, j, Q_ij/4)` per off-diagonal of the quadratic block, in
-    /// `off_diagonals()` order: each one's share of two fields and of
-    /// the offset under the Eq. 4 conversion.
-    quarters: Vec<(u32, u32, f64)>,
 }
 
 impl VppSession {
@@ -763,9 +749,10 @@ impl VppSession {
     /// additive offset linking its Ising energies to transmit power:
     /// `E_ising + offset = ‖P(u + τv)‖²`. Bit for bit
     /// `qubo_to_ising(&model.qubo_for(u))` with the power offset added:
-    /// only the diagonal `Q_ii + 2τ·CᵀTᵀG·a` moves with `u`, and the
-    /// quadratic block's quarters are replayed onto the fields and the
-    /// offset in the conversion's own order.
+    /// only the diagonal `Q_ii + 2τ·CᵀTᵀG·a` moves with `u`, and each
+    /// off-diagonal's quarter `Q_ij/4` (its share of two fields and of
+    /// the offset under the Eq. 4 conversion) is replayed onto the fields
+    /// and the offset in the conversion's own order.
     fn reduce(&self, u: &CVector, corner: &[i64]) -> (IsingProblem, f64) {
         let model = &self.model;
         let (linear, power_offset) = model.fields(u, corner);
@@ -776,9 +763,10 @@ impl VppSession {
             logical.add_linear(i, d / 2.0);
             offset += d / 2.0;
         }
-        for &(i, j, quarter) in &self.quarters {
-            logical.add_linear(i as usize, quarter);
-            logical.add_linear(j as usize, quarter);
+        for (i, j, q) in model.quad.off_diagonals() {
+            let quarter = q / 4.0;
+            logical.add_linear(i, quarter);
+            logical.add_linear(j, quarter);
             offset += quarter;
         }
         (logical, offset + power_offset)
@@ -794,7 +782,6 @@ impl VppSession {
             bits_to_spins(&self.model.encode_perturbation(&corner, candidate))
         });
         let annealed = self.core.run(
-            &mut self.scratch,
             reduced,
             start.as_deref(),
             &schedule,

@@ -63,6 +63,11 @@ pub struct CompiledProblem {
     /// `class_offsets[c]..class_offsets[c+1]` delimits class `c` inside
     /// `sweep_order`.
     class_offsets: Arc<[u32]>,
+    /// The `i → j`, `i < j` entry of every undirected coupling, in CSR
+    /// order (see [`CompiledProblem::upper_entries`]); shared by clones.
+    upper: Arc<[u32]>,
+    /// Undirected couplings whose weight is exactly zero.
+    zero_couplers: usize,
 }
 
 impl CompiledProblem {
@@ -114,6 +119,18 @@ impl CompiledProblem {
         }
 
         let (sweep_order, class_offsets) = color_classes(&offsets, &neighbors);
+        let mut upper = Vec::with_capacity(neighbors.len() / 2);
+        for i in 0..n {
+            for k in offsets[i]..offsets[i + 1] {
+                if neighbors[k as usize] as usize > i {
+                    upper.push(k);
+                }
+            }
+        }
+        let zero_couplers = upper
+            .iter()
+            .filter(|&&k| weights[k as usize] == 0.0)
+            .count();
         CompiledProblem {
             linear: problem.linear_terms().to_vec(),
             offsets: offsets.into(),
@@ -122,6 +139,8 @@ impl CompiledProblem {
             twin: twin.into(),
             sweep_order,
             class_offsets,
+            upper: upper.into(),
+            zero_couplers,
         }
     }
 
@@ -197,6 +216,25 @@ impl CompiledProblem {
     #[inline]
     pub fn twins_flat(&self) -> &[u32] {
         &self.twin
+    }
+
+    /// The entry `i → j` of every undirected coupling `i < j`, in CSR
+    /// order (`i` ascending, then `j`): the order
+    /// [`CompiledProblem::perturb_couplings`] visits couplings in.
+    /// Frozen with the structure and shared by clones.
+    #[inline]
+    pub fn upper_entries(&self) -> &[u32] {
+        &self.upper
+    }
+
+    /// Undirected couplings whose weight is exactly zero: couplers the
+    /// structure holds but the problem leaves unprogrammed (a clique
+    /// embedding holds every logical pair, whatever its value). Kept
+    /// current by every coefficient write, so a caller can tell an
+    /// all-programmed problem apart without scanning it.
+    #[inline]
+    pub fn zero_couplers(&self) -> usize {
+        self.zero_couplers
     }
 
     /// Every spin once, class by class: the order a Metropolis sweep
@@ -290,6 +328,8 @@ impl CompiledProblem {
         self.twin = Arc::clone(&base.twin);
         self.sweep_order = Arc::clone(&base.sweep_order);
         self.class_offsets = Arc::clone(&base.class_offsets);
+        self.upper = Arc::clone(&base.upper);
+        self.zero_couplers = base.zero_couplers;
     }
 
     /// Overwrites the linear coefficient `f_i` in place.
@@ -327,6 +367,8 @@ impl CompiledProblem {
     /// stored problem symmetric.
     #[inline]
     pub fn set_entry_weight(&mut self, k: usize, g: f64) {
+        let was_zero = self.weights[k] == 0.0;
+        self.zero_couplers = self.zero_couplers + usize::from(g == 0.0) - usize::from(was_zero);
         self.weights[k] = g;
         self.weights[self.twin[k] as usize] = g;
     }
@@ -344,15 +386,15 @@ impl CompiledProblem {
     /// determined, so callers drawing noise per coupling get a stable
     /// stream for a given problem.
     pub fn perturb_couplings(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for i in 0..self.num_spins() {
-            for k in self.offsets[i] as usize..self.offsets[i + 1] as usize {
-                if (self.neighbors[k] as usize) > i {
-                    let g = f(self.weights[k]);
-                    self.weights[k] = g;
-                    self.weights[self.twin[k] as usize] = g;
-                }
-            }
+        let mut zeros = 0;
+        for &k in self.upper.iter() {
+            let k = k as usize;
+            let g = f(self.weights[k]);
+            zeros += usize::from(g == 0.0);
+            self.weights[k] = g;
+            self.weights[self.twin[k] as usize] = g;
         }
+        self.zero_couplers = zeros;
     }
 }
 

@@ -27,6 +27,8 @@ thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed while tracking.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
     static LARGEST: Cell<u64> = const { Cell::new(0) };
     /// Byte sizes counted into `WATCHED` (0 = none).
     static WATCH: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
@@ -38,10 +40,19 @@ fn record(size: usize) {
         if tracking.get() {
             COUNT.with(|c| c.set(c.get() + 1));
             BYTES.with(|b| b.set(b.get() + size as u64));
+            LIVE.with(|l| l.set(l.get() + size as i64));
             LARGEST.with(|l| l.set(l.get().max(size as u64)));
             if WATCH.with(Cell::get).contains(&(size as u64)) {
                 WATCHED.with(|w| w.set(w.get() + 1));
             }
+        }
+    });
+}
+
+fn release(size: usize) {
+    let _ = TRACKING.try_with(|tracking| {
+        if tracking.get() {
+            LIVE.with(|l| l.set(l.get() - size as i64));
         }
     });
 }
@@ -60,11 +71,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        release(layout.size());
         record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        release(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -79,6 +92,9 @@ struct Allocations {
     largest: u64,
     /// Allocations of a watched size.
     watched: u64,
+    /// Bytes still allocated when the call returned (its result's
+    /// heap included).
+    live: i64,
 }
 
 impl std::fmt::Display for Allocations {
@@ -96,6 +112,7 @@ impl std::fmt::Display for Allocations {
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
     COUNT.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
+    LIVE.with(|l| l.set(0));
     LARGEST.with(|l| l.set(0));
     WATCHED.with(|w| w.set(0));
     TRACKING.with(|t| t.set(true));
@@ -106,6 +123,7 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
         bytes: BYTES.with(Cell::get),
         largest: LARGEST.with(Cell::get),
         watched: WATCHED.with(Cell::get),
+        live: LIVE.with(Cell::get),
     };
     (out, counted)
 }
@@ -296,4 +314,107 @@ fn warm_sqa_run_allocates_no_slice_strip() {
         warm.largest,
         strips[1]
     );
+}
+
+/// Live heap a 16-user lattice-reduced VPP session may hold: its model,
+/// couplings and slot-order coefficients, with the chip structure
+/// shared through the cache.
+const VPP16_SESSION_BUDGET: i64 = 70 * 1024;
+
+#[test]
+fn fresh_channel_vpp_compile_finds_the_shape_structure() {
+    let mut rng = Rng::seed_from_u64(0xA110E);
+    let precoder = VppPrecoder::new(one_thread_annealer(), DecoderConfig::default(), 10, 1);
+    let input = |rng: &mut Rng| PrecodeInput {
+        h: rayleigh_channel(16, 16, rng),
+        modulation: Modulation::Bpsk,
+    };
+    let first = precoder.compile(&input(&mut rng)).unwrap();
+    // The CSR structure of the 32-variable clique on the ideal chip.
+    let graph = ChimeraGraph::dw2q_ideal();
+    let mut logical = IsingProblem::new(32);
+    for i in 0..32 {
+        for j in i + 1..32 {
+            logical.set_coupling(i, j, 0.5);
+        }
+    }
+    let embedding = CliqueEmbedding::new(&graph, 32).expect("fits the chip");
+    let compiled = CompiledProblem::new(
+        EmbeddedProblem::compile(&graph, &embedding, &logical, EmbedParams::default()).problem(),
+    );
+    assert_eq!(
+        compiled.num_spins(),
+        first.num_physical(),
+        "another embedding"
+    );
+    let sizes = [
+        ((compiled.num_spins() + 1) * 4) as u64,
+        (compiled.num_entries() * 4) as u64,
+        0,
+        0,
+    ];
+    drop(first);
+
+    // Twenty channels never compiled before: each compile finds the
+    // shape's structure, and together they leave the heap as they found
+    // it — no structure per channel stays cached.
+    let channels: Vec<PrecodeInput> = (0..20).map(|_| input(&mut rng)).collect();
+    WATCH.with(|w| w.set(sizes));
+    let (_, all) = measure(|| {
+        for channel in &channels {
+            let (session, compile) = measure_nested(|| precoder.compile(channel).unwrap());
+            assert!(
+                compile.count <= WARM_COMPILE_BUDGET,
+                "a fresh-channel VPP compile made {} allocations (budget {WARM_COMPILE_BUDGET})",
+                compile.count
+            );
+            assert_eq!(
+                compile.watched, 0,
+                "a fresh-channel VPP compile made {} allocations the size of a CSR structure array",
+                compile.watched
+            );
+            assert!(
+                compile.live <= VPP16_SESSION_BUDGET,
+                "a 16-user VPP session holds {} B (budget {VPP16_SESSION_BUDGET} B)",
+                compile.live
+            );
+            drop(session);
+        }
+    });
+    WATCH.with(|w| w.set([0; 4]));
+    let (session, one) = measure(|| precoder.compile(&channels[0]).unwrap());
+    eprintln!(
+        "16u VPP fresh-channel compile: {one}, session holds {} B",
+        one.live
+    );
+    eprintln!(
+        "20 fresh-channel 16u VPP compiles: {all}, {} B left live",
+        all.live
+    );
+    drop(session);
+    assert!(
+        all.live < 16 * 1024,
+        "20 fresh-channel compiles left {} B live: a structure per channel stayed cached",
+        all.live
+    );
+}
+
+/// [`measure`] inside an outer [`measure`]: counts `f` alone and then
+/// adds its counts back to the outer totals.
+fn measure_nested<T>(f: impl FnOnce() -> T) -> (T, Allocations) {
+    let outer = (
+        COUNT.with(Cell::get),
+        BYTES.with(Cell::get),
+        LIVE.with(Cell::get),
+        LARGEST.with(Cell::get),
+        WATCHED.with(Cell::get),
+    );
+    let (out, inner) = measure(f);
+    TRACKING.with(|t| t.set(true));
+    COUNT.with(|c| c.set(outer.0 + inner.count));
+    BYTES.with(|b| b.set(outer.1 + inner.bytes));
+    LIVE.with(|l| l.set(outer.2 + inner.live));
+    LARGEST.with(|l| l.set(outer.3.max(inner.largest)));
+    WATCHED.with(|w| w.set(outer.4 + inner.watched));
+    (out, inner)
 }

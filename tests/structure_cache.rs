@@ -5,12 +5,15 @@
 //! threads compiling different shapes at once agree with serial
 //! compiles.
 //!
-//! The shapes are chosen so that a cache keyed on anything less than
-//! (chip, logical size, nonzero coupling pattern, embedding parameters)
-//! hands some session a wrong structure: 16-user BPSK, 8-user QPSK and
-//! 16-user BPSK over an orthogonal channel are all 16 spins with
-//! different patterns, and with ICE on, a structure with extra or
-//! missing couplers draws a different noise stream.
+//! The cache keys a structure on (chip, logical size, embedding
+//! parameters) alone: the embedding programs a coupler for every
+//! logical pair, a zero coupling is a zero-weight coupler, and ICE
+//! draws no deviate for it. The shapes are chosen so that a structure
+//! whose zero couplers drew noise, or colored differently from the
+//! composition, shows: 16-user BPSK, 8-user QPSK (exact-zero couplings
+//! between each user's two bits) and 16-user BPSK over an orthogonal
+//! channel (no nonzero problem coupler) share one 16-spin structure,
+//! and so do 4-user VPP over a Rayleigh and a diagonal channel.
 
 use quamax::prelude::*;
 use quamax_anneal::{CompiledChains, SolutionDistribution};
@@ -351,8 +354,8 @@ fn cached_structures_decode_like_uncached_compositions() {
     );
 
     // Downlink: 4-user QPSK VPP with two box bits per dimension is 16
-    // variables too; its orthogonal twin couples only bits of one
-    // dimension.
+    // variables too; its orthogonal (diagonal-H) twin couples only bits
+    // of one dimension, so most of its couplings are exact zeros.
     let config = DecoderConfig::default();
     let precoder = VppPrecoder::with_graph(annealer.clone(), graph.clone(), config, ANNEALS, 2);
     for (what, h) in [
