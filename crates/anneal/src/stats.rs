@@ -6,7 +6,7 @@
 //! frequency of occurrence. Tied distinct solutions are kept as
 //! separate ranks, as the paper specifies (§5.1).
 
-use quamax_ising::{IsingProblem, Spin};
+use quamax_ising::{Energy, Spin};
 use std::collections::HashMap;
 
 /// One distinct solution in a ranked distribution.
@@ -32,8 +32,10 @@ impl SolutionDistribution {
     ///
     /// The ranking problem is usually the *logical* problem, applied to
     /// unembedded samples — the paper computes solution energies "by
-    /// substituting into the original Ising spin glass equation".
-    pub fn from_samples(problem: &IsingProblem, samples: &[Vec<Spin>]) -> Self {
+    /// substituting into the original Ising spin glass equation". Any
+    /// [`Energy`] ranks: an `IsingProblem`, or an `IsingView` over a
+    /// session's shared couplings.
+    pub fn from_samples<P: Energy>(problem: &P, samples: &[Vec<Spin>]) -> Self {
         let mut counts: HashMap<&[Spin], usize> = HashMap::new();
         for s in samples {
             *counts.entry(s.as_slice()).or_insert(0) += 1;
@@ -125,6 +127,7 @@ impl SolutionDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quamax_ising::IsingProblem;
 
     fn problem() -> IsingProblem {
         let mut p = IsingProblem::new(2);

@@ -25,15 +25,19 @@
 //! precoder (32 variables) and the 48-user BPSK uplink. Each interleaves
 //! a compile of a channel never compiled before (`fresh_channel`) with
 //! a recompile of one channel (`cached_channel`), after a first compile
-//! of the shape: the chip structure is a function of the shape, so the
-//! two cost the same, and a structure rebuilt per channel would show as
-//! the fresh arm's excess.
+//! of the shape: the chip structure is a function of the shape, so a
+//! structure rebuilt per channel would show as the fresh arm's excess.
+//! The VPP shape also times its model build alone (`VppModel::new`: ZF,
+//! Gram, LLL, template; `stage: "model"`) in the same interleave, and a
+//! `compile_split` row attributes each arm's minimum to the model build
+//! and the rest (`core`: couplings and the structure lookup).
 
 use quamax_anneal::{Annealer, AnnealerConfig};
 use quamax_bench::measure::interleave;
 use quamax_bench::BenchRecord;
 use quamax_core::{
-    DecoderConfig, DetectionInput, PrecodeInput, Precoder, QuamaxDecoder, Scenario, VppPrecoder,
+    DecoderConfig, DetectionInput, PrecodeInput, Precoder, QuamaxDecoder, Scenario, VppModel,
+    VppPrecoder,
 };
 use quamax_linalg::{CMatrix, CVector};
 use quamax_wireless::{rayleigh_channel, Modulation, Snr};
@@ -54,42 +58,86 @@ const ROUNDS: usize = 24;
 const COMPILE_ROUNDS: usize = 8;
 const COMPILE_SAMPLES: usize = 8;
 
-/// Times a fresh-channel compile against a recompile of one channel:
-/// `compile(h)` compiles a session for channel `h` of the shape, and
-/// `channel(rng)` draws one. Returns the row.
-fn compile_row(
+/// One timed stage of a compile: its name and its call on a channel.
+type Stage<'a> = (&'a str, &'a dyn Fn(&CMatrix));
+
+/// Times a fresh-channel call of each stage against a call on one
+/// cached channel, every arm in one interleave: `stages` are
+/// `(stage, call)` pairs whose `call(h)` runs that stage for channel
+/// `h` of the shape (the first, `session`, compiles a whole session),
+/// and `channel(rng)` draws one. Returns a row per stage.
+fn compile_rows(
     shape: &str,
     logical_vars: usize,
     mut channel: impl FnMut(&mut StdRng) -> CMatrix,
-    compile: impl Fn(&CMatrix),
-) -> serde_json::Value {
+    stages: &[Stage<'_>],
+) -> Vec<serde_json::Value> {
     let mut rng = StdRng::seed_from_u64(2021);
     let cached = channel(&mut rng);
     // The shape's first compile builds its chip structure.
-    compile(&cached);
+    stages.iter().for_each(|(_, call)| call(&cached));
     let calls = COMPILE_ROUNDS * (COMPILE_SAMPLES + COMPILE_SAMPLES / 4);
-    let fresh: Vec<CMatrix> = (0..calls).map(|_| channel(&mut rng)).collect();
-    let mut fresh = fresh.iter();
-    let timing = interleave(
-        COMPILE_ROUNDS,
-        COMPILE_SAMPLES,
-        &mut [
-            ("fresh_channel", &mut || {
-                compile(fresh.next().expect("one channel per call"))
-            }),
-            ("cached_channel", &mut || compile(&cached)),
-        ],
-    );
-    println!(
-        "{shape:<24} {}",
-        timing.pair_line((0, 1), 1e-3, "us per compile")
-    );
-    let head = serde_json::json!({
-        "row": "compile",
-        "shape": shape,
-        "logical_vars": logical_vars,
-    });
-    timing.pair_json(head, (0, 1), 1e-3, "us per compile")
+    let fresh: Vec<Vec<CMatrix>> = stages
+        .iter()
+        .map(|_| (0..calls).map(|_| channel(&mut rng)).collect())
+        .collect();
+    let mut fresh: Vec<_> = fresh.iter().map(|channels| channels.iter()).collect();
+    let mut calls: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+    for ((_, call), fresh) in stages.iter().zip(&mut fresh) {
+        calls.push(Box::new(move || {
+            call(fresh.next().expect("one channel per call"))
+        }));
+        calls.push(Box::new(|| call(&cached)));
+    }
+    let mut arms: Vec<(&str, &mut dyn FnMut())> = calls
+        .iter_mut()
+        .enumerate()
+        .map(|(k, call)| {
+            let name = ["fresh_channel", "cached_channel"][k % 2];
+            (name, &mut **call as &mut dyn FnMut())
+        })
+        .collect();
+    let timing = interleave(COMPILE_ROUNDS, COMPILE_SAMPLES, &mut arms);
+    let mut rows: Vec<serde_json::Value> = stages
+        .iter()
+        .enumerate()
+        .map(|(k, (stage, _))| {
+            let pair = (2 * k, 2 * k + 1);
+            println!(
+                "{:<24} {}",
+                format!("{shape} {stage}"),
+                timing.pair_line(pair, 1e-3, "us per call")
+            );
+            let head = serde_json::json!({
+                "row": "compile",
+                "shape": shape,
+                "logical_vars": logical_vars,
+                "stage": *stage,
+            });
+            timing.pair_json(head, pair, 1e-3, "us per call")
+        })
+        .collect();
+    if stages.len() > 1 {
+        // The session's minimum, split into its model build and the rest.
+        let us = |arm: usize| (timing.min_ns(arm) * 1e-2).round() / 10.0;
+        let split = |arm: usize| {
+            let (model, core) = (us(arm + 2), ((us(arm) - us(arm + 2)) * 10.0).round() / 10.0);
+            println!(
+                "{:<24} {}: model {model} + core {core} us (by minimum)",
+                format!("{shape} split"),
+                ["fresh_channel", "cached_channel"][arm]
+            );
+            serde_json::json!({ "model": model, "core": core })
+        };
+        rows.push(serde_json::json!({
+            "row": "compile_split",
+            "shape": shape,
+            "unit": "us per compile, by minimum",
+            "fresh_channel": split(0),
+            "cached_channel": split(1),
+        }));
+    }
+    rows
 }
 
 fn main() {
@@ -179,31 +227,36 @@ fn main() {
         ANNEALS,
         1,
     );
-    let vpp_row = compile_row(
+    let vpp_rows = compile_rows(
         "16u BPSK VPP",
         32,
         |rng| rayleigh_channel(16, 16, rng),
-        |h| {
-            let input = PrecodeInput {
-                h: h.clone(),
-                modulation: Modulation::Bpsk,
-            };
-            std::hint::black_box(vpp.compile(&input).expect("16-user VPP fits the chip"));
-        },
+        &[
+            ("session", &|h: &CMatrix| {
+                let input = PrecodeInput {
+                    h: h.clone(),
+                    modulation: Modulation::Bpsk,
+                };
+                std::hint::black_box(vpp.compile(&input).expect("16-user VPP fits the chip"));
+            }),
+            ("model", &|h: &CMatrix| {
+                std::hint::black_box(VppModel::new(h, Modulation::Bpsk, 1).expect("full rank"));
+            }),
+        ],
     );
     let uplink48 = Scenario::new(48, 48, Modulation::Bpsk).sample(&mut rng);
-    let uplink_row = compile_row(
+    let uplink_rows = compile_rows(
         "48u BPSK uplink",
         48,
         |rng| rayleigh_channel(48, 48, rng),
-        |h| {
+        &[("session", &|h: &CMatrix| {
             let input = DetectionInput {
                 h: h.clone(),
                 y: uplink48.y().clone(),
                 modulation: Modulation::Bpsk,
             };
             std::hint::black_box(decoder.compile(&input).expect("48-user BPSK fits the chip"));
-        },
+        })],
     );
 
     let mut record = BenchRecord::new("BENCH_decode", "host");
@@ -228,7 +281,7 @@ fn main() {
         let row = timing.pair_json(head, pair, 1e-6, "ms per interval");
         record.rows.push(row);
     }
-    record.rows.extend([vpp_row, uplink_row]);
+    record.rows.extend(vpp_rows.into_iter().chain(uplink_rows));
     record.workload = serde_json::json!({
         "class": "12x12 QPSK",
         "logical_vars": 24usize,
@@ -251,7 +304,9 @@ fn main() {
          per-round ratio, with its bootstrap 95% interval over rounds; compile rows: one \
          session compile of a channel never compiled before against a recompile of one \
          channel, after the shape's first compile, interleaved over {COMPILE_ROUNDS} rounds \
-         of {COMPILE_SAMPLES} timed calls"
+         of {COMPILE_SAMPLES} timed calls; the VPP shape's model build (VppModel::new) runs in \
+         the same interleave as its own stage, and compile_split attributes each arm's \
+         session minimum to the model build and the core compile (the remainder)"
     );
     let path = record.write().expect("write BENCH_decode.json");
     println!("\nwrote {}", path.display());

@@ -24,7 +24,7 @@ use quamax_chimera::{
     parallelization, unembed_majority_vote, ChimeraGraph, CliqueEmbedding, EmbedParams,
     EmbeddedProblem, EmbeddingError,
 };
-use quamax_ising::{spins_to_bits, CompiledProblem, IsingProblem, Spin};
+use quamax_ising::{spins_to_bits, CompiledProblem, IsingView, Spin, UpperCouplings};
 use quamax_linalg::CVector;
 use quamax_telemetry::Telemetry;
 use quamax_wireless::gray::quamax_bits_to_gray;
@@ -169,7 +169,7 @@ impl QuamaxDecoder {
             self.annealer.clone().with_telemetry(self.telemetry.clone()),
             self.telemetry.clone(),
             &self.graph,
-            reduction.couplings(),
+            Arc::clone(reduction.couplings()),
             self.config.embed,
         )?;
         Ok(DecodeSession {
@@ -187,10 +187,11 @@ impl QuamaxDecoder {
 /// solutions back.
 ///
 /// [`AnnealCore::compile`] looks up the session's [`ChipStructure`]
-/// (built on the first compile of its shape) and keeps the interval's
-/// logical couplings in the structure's slot order. Per input,
-/// [`AnnealCore::bind`] writes that input's fields, and the couplings
-/// rescaled with them, into a copy of the frozen structure;
+/// (built on the first compile of its shape) and shares the interval's
+/// logical couplings, whose row-major order is the structure's slot
+/// order. Per input, [`AnnealCore::bind`] writes that input's fields,
+/// and the couplings rescaled with them, into a copy of the frozen
+/// structure;
 /// [`AnnealCore::anneal`] runs the anneal batch (from random states, or
 /// from a logical start expanded onto the chains), and
 /// [`AnnealCore::unembed`] majority-votes every sample back and ranks
@@ -202,8 +203,9 @@ pub(crate) struct AnnealCore {
     telemetry: Telemetry,
     annealer: Annealer,
     chip: Arc<ChipStructure>,
-    /// The interval's logical couplings, parallel to `chip.slots`.
-    couplings: Vec<f64>,
+    /// The interval's logical couplings, row-major and so parallel to
+    /// `chip.slots`; every input's [`IsingView`] shares them.
+    couplings: Arc<UpperCouplings>,
     /// `max |g|` over `couplings`: their share of the renormalization
     /// scale, which the fields complete per input.
     coupling_max_abs: f64,
@@ -228,8 +230,8 @@ struct ChipStructure {
     /// fields and problem couplers rebound per input.
     base: CompiledProblem,
     chains: CompiledChains,
-    /// `(CSR entry, logical i, logical j)` per logical pair `i < j`.
-    slots: Vec<(u32, u32, u32)>,
+    /// The CSR entry of each logical pair `i < j`, row-major.
+    slots: Vec<u32>,
     /// Dense physical qubit → owning logical chain.
     chain_of: Vec<u32>,
     chain_len: f64,
@@ -274,7 +276,7 @@ impl ChipStructure {
     /// unobservable. Failed embeddings are not kept.
     fn lookup(
         graph: &ChimeraGraph,
-        logical: &IsingProblem,
+        logical: &UpperCouplings,
         embed: EmbedParams,
     ) -> Result<Arc<Self>, EmbeddingError> {
         static CACHE: OnceLock<Mutex<HashMap<StructureKey, Arc<ChipStructure>>>> = OnceLock::new();
@@ -297,26 +299,28 @@ impl ChipStructure {
         Ok(Arc::clone(cache.entry(key).or_insert(built)))
     }
 
-    /// Embeds `logical` on `graph`, freezes the programmed problem,
-    /// and resolves each programmed coupler's CSR entry once so binds
-    /// write straight into the frozen layout.
+    /// Embeds `logical` (with zero fields) on `graph`, freezes the
+    /// programmed problem, and resolves each programmed coupler's CSR
+    /// entry once so binds write straight into the frozen layout.
     fn build(
         graph: &ChimeraGraph,
-        logical: &IsingProblem,
+        logical: &UpperCouplings,
         embed: EmbedParams,
     ) -> Result<Self, EmbeddingError> {
-        let embedding = CliqueEmbedding::new(graph, logical.num_spins())?;
-        let embedded = EmbeddedProblem::compile(graph, &embedding, logical, embed);
+        let n = logical.num_spins();
+        let embedding = CliqueEmbedding::new(graph, n)?;
+        let logical = logical.to_ising(&vec![0.0; n]);
+        let embedded = EmbeddedProblem::compile(graph, &embedding, &logical, embed);
         let base = CompiledProblem::new(embedded.problem());
         let chains = CompiledChains::compile(&base, embedded.chains());
         let slots = embedded
             .programmed_couplers()
             .iter()
-            .map(|&(i, j, da, db)| {
+            .map(|&(_, _, da, db)| {
                 let k = base
                     .coupler_entry(da as usize, db as usize)
                     .expect("programmed coupler exists in CSR");
-                (k as u32, i, j)
+                k as u32
             })
             .collect();
         let mut chain_of = vec![0u32; embedded.num_physical()];
@@ -342,39 +346,33 @@ impl ChipStructure {
 /// reduced it to, that reduction's energy offset, and the ranked
 /// unembedded samples.
 pub(crate) struct Annealed {
-    pub(crate) logical: IsingProblem,
+    pub(crate) logical: IsingView,
     pub(crate) offset: f64,
     pub(crate) distribution: SolutionDistribution,
     pub(crate) chain_break_fraction: f64,
 }
 
 impl AnnealCore {
-    /// Looks up the chip structure of `couplings`' shape and keeps its
-    /// coupling values, in slot order, for every bind of the session.
-    /// Only `couplings`' couplings are read (its fields are ignored).
-    /// `quamax_core_embed_total` and `quamax_core_csr_freeze_total`
-    /// count one structure bound per compile, built or found.
+    /// Looks up the chip structure of `couplings`' shape and shares the
+    /// couplings, whose row-major order is its slot order, with every
+    /// bind and ranking of the session. `quamax_core_embed_total` and
+    /// `quamax_core_csr_freeze_total` count one structure bound per
+    /// compile, built or found.
     pub(crate) fn compile(
         annealer: Annealer,
         telemetry: Telemetry,
         graph: &ChimeraGraph,
-        couplings: &IsingProblem,
+        couplings: Arc<UpperCouplings>,
         embed: EmbedParams,
     ) -> Result<Self, EmbeddingError> {
-        let chip = ChipStructure::lookup(graph, couplings, embed)?;
+        let chip = ChipStructure::lookup(graph, &couplings, embed)?;
         telemetry.counter_inc("quamax_core_embed_total", &[]);
         telemetry.counter_inc("quamax_core_csr_freeze_total", &[]);
-        let n = couplings.num_spins();
-        let mut dense = vec![0.0; n * n];
-        for (i, j, g) in couplings.couplings() {
-            dense[i * n + j] = g;
-        }
-        let couplings: Vec<f64> = chip
-            .slots
+        let coupling_max_abs = couplings
+            .values()
             .iter()
-            .map(|&(_, i, j)| dense[i as usize * n + j as usize])
-            .collect();
-        let coupling_max_abs = couplings.iter().map(|g| g.abs()).fold(0.0f64, f64::max);
+            .map(|g| g.abs())
+            .fold(0.0f64, f64::max);
         Ok(AnnealCore {
             telemetry,
             annealer,
@@ -382,6 +380,11 @@ impl AnnealCore {
             couplings,
             coupling_max_abs,
         })
+    }
+
+    /// The interval's logical couplings.
+    pub(crate) fn couplings(&self) -> &Arc<UpperCouplings> {
+        &self.couplings
     }
 
     /// Logical Ising variables.
@@ -414,7 +417,7 @@ impl AnnealCore {
         for (d, &c) in chip.chain_of.iter().enumerate() {
             bound.set_linear_term(d, fields[c as usize] * scale / chip.chain_len);
         }
-        for (&(k, _, _), &g) in chip.slots.iter().zip(&self.couplings) {
+        for (&k, &g) in chip.slots.iter().zip(self.couplings.values()) {
             bound.set_entry_weight(k as usize, g * scale);
         }
         self.telemetry
@@ -456,10 +459,11 @@ impl AnnealCore {
     /// Accounts one anneal batch, majority-vote unembeds every sample
     /// (tie-breaks drawn from `rng`, which must be positioned right
     /// after the anneal-seed draw) and ranks the distinct logical
-    /// solutions by the energy of the reduced `logical` problem.
+    /// solutions by the energy of the reduced problem: the input's
+    /// `fields` over the session's couplings.
     pub(crate) fn unembed<R: Rng + ?Sized>(
         &self,
-        (logical, offset): (IsingProblem, f64),
+        (fields, offset): (Vec<f64>, f64),
         samples: &[Vec<Spin>],
         schedule: &Schedule,
         rng: &mut R,
@@ -480,6 +484,7 @@ impl AnnealCore {
         }
         self.telemetry
             .counter_add("quamax_core_unembed_total", &[], samples.len() as u64);
+        let logical = IsingView::new(Arc::clone(&self.couplings), fields);
         let distribution = SolutionDistribution::from_samples(&logical, &logical_samples);
         let total_chains = logical.num_spins().max(1) * samples.len().max(1);
         Annealed {
@@ -491,17 +496,17 @@ impl AnnealCore {
     }
 
     /// One input end to end: bind the session's reduction
-    /// `(logical, offset)`, draw the anneal seed from `rng`, anneal, and
+    /// `(fields, offset)`, draw the anneal seed from `rng`, anneal, and
     /// unembed with the rest of `rng`'s stream.
     pub(crate) fn run<R: Rng + ?Sized>(
         &self,
-        reduced: (IsingProblem, f64),
+        reduced: (Vec<f64>, f64),
         start: Option<&[Spin]>,
         schedule: &Schedule,
         anneals: usize,
         rng: &mut R,
     ) -> Annealed {
-        let bound = self.bind(reduced.0.linear_terms());
+        let bound = self.bind(&reduced.0);
         let seed: u64 = rng.random();
         let samples = self.anneal(&bound, start, schedule, anneals, seed);
         self.unembed(reduced, &samples, schedule, rng)
@@ -522,12 +527,12 @@ impl AnnealCore {
         items: &[(I, u64)],
         schedule: &Schedule,
         anneals: usize,
-        reduce: impl Fn(&I) -> (IsingProblem, f64),
+        reduce: impl Fn(&I) -> (Vec<f64>, f64),
     ) -> Vec<Annealed> {
         let mut bound = Vec::with_capacity(items.len());
         for (item, seed) in items {
             let reduced = reduce(item);
-            let problem = self.bind(reduced.0.linear_terms());
+            let problem = self.bind(&reduced.0);
             let mut rng = StdRng::seed_from_u64(*seed);
             let anneal_seed: u64 = rng.random();
             bound.push((problem, reduced, anneal_seed, rng));
@@ -558,7 +563,9 @@ impl AnnealCore {
 /// A compiled decode session: the `H`-dependent work (the couplings,
 /// and the chip structure they select) done once, with per-`y` decodes
 /// reduced to the matched filter, the fields and the scale written into
-/// the frozen problem, plus the anneal batch itself.
+/// the frozen problem, plus the anneal batch itself. The session holds
+/// the couplings once, as the row-major vector its core binds from;
+/// the reduction and every [`DecodeRun`] share it.
 ///
 /// Produced by [`QuamaxDecoder::compile`]. Decodes through a session
 /// are bit-identical to [`QuamaxDecoder::decode`] on the same
@@ -567,7 +574,7 @@ impl AnnealCore {
 pub struct DecodeSession {
     core: AnnealCore,
     schedule: Schedule,
-    /// The interval's couplings; per `y` it adds only the fields.
+    /// `H` and the offset constants; per `y` it forms only the fields.
     reduction: MlReduction,
 }
 
@@ -695,8 +702,9 @@ impl DecodeSession {
             .collect()
     }
 
-    /// The ML reduction of `y` against the session's channel.
-    fn reduce(&self, y: &CVector) -> (IsingProblem, f64) {
+    /// The ML reduction of `y` against the session's channel: its
+    /// fields and offset.
+    fn reduce(&self, y: &CVector) -> (Vec<f64>, f64) {
         self.reduction.reduce(y)
     }
 
@@ -745,7 +753,7 @@ impl DecodeSession {
 #[derive(Clone, Debug)]
 pub struct DecodeRun {
     distribution: SolutionDistribution,
-    logical: IsingProblem,
+    logical: IsingView,
     ml_offset: f64,
     modulation: quamax_wireless::Modulation,
     schedule: Schedule,
@@ -759,8 +767,12 @@ impl DecodeRun {
         &self.distribution
     }
 
-    /// The logical Ising problem that was solved.
-    pub fn logical_problem(&self) -> &IsingProblem {
+    /// The logical Ising problem that was solved: this `y`'s fields
+    /// over the session's couplings, which every run of the session
+    /// shares rather than copies. [`IsingView::energy`] prices a spin
+    /// string bit for bit like the problem [`IsingView::to_ising`]
+    /// rebuilds, which is [`crate::ising_from_ml`]'s.
+    pub fn logical_problem(&self) -> &IsingView {
         &self.logical
     }
 

@@ -33,21 +33,23 @@
 //!   every closed-form reduction are functions of the Gram matrix
 //!   `H*H` alone (Eqs. 6–8, 13–14). [`reduce::MlReduction::new`] forms
 //!   the Gram once, as its upper triangle (BPSK reads only its real
-//!   part), and builds the couplings once. The coupling *sparsity
-//!   pattern* selects the chip structure: the clique embedding, the
-//!   chain layout, the annealer's CSR freeze (`CompiledProblem`), the
-//!   chain move tables (`CompiledChains`) and the coupler slot map.
-//!   That structure depends on nothing else of the channel — only on
-//!   the chip, the logical size, which couplings are nonzero and the
-//!   embedding parameters (the chain couplers `−J_F·κ` included) — so
-//!   it is built once per process for each such key and shared, behind
-//!   an `Arc`, by every session that needs it.
+//!   part), and builds the couplings once, as one row-major vector
+//!   over the pairs `i < j` (`quamax_ising::UpperCouplings`) that the
+//!   session holds once. The problem's *shape* selects the chip
+//!   structure: the clique embedding, the chain layout, the annealer's
+//!   CSR freeze (`CompiledProblem`), the chain move tables
+//!   (`CompiledChains`) and the coupler slot map. That structure
+//!   depends on nothing of the channel — only on the chip, the logical
+//!   size and the embedding parameters (the chain couplers `−J_F·κ`
+//!   included) — so it is built once per process for each such key and
+//!   shared, behind an `Arc`, by every session that needs it.
 //! * **`y`-dependent (per decode)** — the linear fields `f_i` read the
 //!   matched-filter output `H*y`, and the hardware pre-normalization
 //!   scale `1/max|coefficient|` moves with them. Per vector the session
 //!   computes only `H*y`, the fields, the offset and the scale; the
-//!   logical problem is the interval's couplings with those fields, and
-//!   both are written *in place* into the frozen CSR view
+//!   logical problem is those fields over the interval's couplings,
+//!   shared by `Arc` rather than copied (`quamax_ising::IsingView`),
+//!   and both are written *in place* into the frozen CSR view
 //!   (`set_linear_term` / `set_entry_weight`) with the couplings kept in
 //!   slot order, never re-sorted, looked up or reallocated.
 //!

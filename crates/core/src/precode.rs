@@ -61,12 +61,13 @@ use crate::decoder::{AnnealCore, Annealed, DecoderConfig};
 use crate::detect::{Error, Route, RoutePolicy, Routed, Router};
 use quamax_anneal::{Annealer, Schedule};
 use quamax_chimera::ChimeraGraph;
-use quamax_ising::{bits_to_spins, qubo_to_ising, spins_to_bits, IsingProblem, QuboProblem};
+use quamax_ising::{bits_to_spins, spins_to_bits, IsingView, Listed, QuboProblem, UpperCouplings};
 use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex, LllReduction};
 use quamax_telemetry::Telemetry;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// What a precoder compiles against: the downlink channel estimate and
 /// the constellation the users decode.
@@ -334,6 +335,15 @@ fn g_entry(w: &CMatrix, nu: usize, r: usize, rp: usize) -> f64 {
     }
 }
 
+/// `G = Φ(W)`, row-major (`2·Nu × 2·Nu`).
+fn realified_gram(w: &CMatrix) -> Vec<f64> {
+    let nu = w.rows();
+    let dim = 2 * nu;
+    (0..dim * dim)
+        .map(|x| g_entry(w, nu, x / dim, x % dim))
+        .collect()
+}
+
 /// `φ(z) = [Re z; Im z]`.
 fn realify(z: &CVector) -> Vec<f64> {
     let s = z.as_slice();
@@ -361,9 +371,11 @@ fn transmit(p: &CMatrix, tau: f64, u: &CVector, v: &CVector) -> CVector {
 
 /// The channel-only VPP model: the ZF precoding matrix `P`, its Gram
 /// `W = P*P`, the modulo base `τ`, the LLL basis change `T` of the
-/// perturbation lattice, the box encoding, and the frozen quadratic
-/// QUBO template `τ²CᵀG̃C` — everything a coherence interval shares.
-/// Per-`u` work ([`VppModel::qubo_for`]) only places the box (its
+/// perturbation lattice, the box encoding, and the diagonal of the
+/// quadratic QUBO template `τ²CᵀG̃C` — everything a coherence interval
+/// shares. The template's off-diagonal entries become the annealed
+/// session's couplings at compile; [`VppModel::qubo_for`] rebuilds the
+/// whole template on demand. Per-`u` work only places the box (its
 /// corner in the Babai cell) and adds the linear (diagonal) terms
 /// `2τ·CᵀTᵀG·a` and the scalar offset `‖Fa‖²`, which is why the
 /// annealed session can refresh fields in place without touching
@@ -376,7 +388,8 @@ pub struct VppModel {
     modulation: Modulation,
     encoding: PerturbEncoding,
     lattice: LllReduction,
-    quad: QuboProblem,
+    /// The template's diagonal `τ²·w_k²·G̃_rr`.
+    diagonal: Vec<f64>,
 }
 
 impl VppModel {
@@ -394,47 +407,60 @@ impl VppModel {
         bits: usize,
         tau: f64,
     ) -> Result<Self, Error> {
+        Ok(Self::with_template(h, modulation, bits, tau)?.0)
+    }
+
+    /// The model and the off-diagonal entries of its quadratic
+    /// template, row-major over `i < j` (see [`VppModel::template`]).
+    fn with_template(
+        h: &CMatrix,
+        modulation: Modulation,
+        bits: usize,
+        tau: f64,
+    ) -> Result<(Self, Vec<f64>), Error> {
         assert!(tau > 0.0, "modulo base must be positive");
         let nu = h.rows();
         let p = zf_matrix(h)?;
         let w = p.gram();
-        let encoding = PerturbEncoding::new(nu, bits);
-
-        // LLL on the realified lattice: G = Φ(W), G̃ = TᵀGT.
-        let dim = 2 * nu;
-        let g: Vec<f64> = (0..dim * dim)
-            .map(|x| g_entry(&w, nu, x / dim, x % dim))
-            .collect();
-        let lattice = LllReduction::reduce(&g, dim);
-        let reduced = lattice.reduced_gram(&g);
-
-        // τ²CᵀG̃C — the u-independent quadratic template. Exact zeros
-        // are skipped so the coupling sparsity matches what the
-        // embedding programs.
-        let group = encoding.bits_per_dimension();
-        let n = encoding.num_vars();
-        let mut quad = QuboProblem::new(n);
-        for i in 0..n {
-            let (r, k) = (i / group, i % group);
-            let wk = encoding.weight(k);
-            quad.add_diagonal(i, tau * tau * wk * wk * reduced[r * dim + r]);
-            for j in (i + 1)..n {
-                let (rp, kp) = (j / group, j % group);
-                let value = 2.0 * tau * tau * wk * encoding.weight(kp) * reduced[r * dim + rp];
-                if value != 0.0 {
-                    quad.set_off_diagonal(i, j, value);
-                }
-            }
-        }
-        Ok(VppModel {
+        let g = realified_gram(&w);
+        let mut model = VppModel {
             p,
             w,
             tau,
             modulation,
-            encoding,
-            lattice,
-            quad,
-        })
+            encoding: PerturbEncoding::new(nu, bits),
+            // LLL on the realified lattice: G = Φ(W), G̃ = TᵀGT.
+            lattice: LllReduction::reduce(&g, 2 * nu),
+            diagonal: Vec::new(),
+        };
+        let (diagonal, off_diagonal) = model.template(&g);
+        model.diagonal = diagonal;
+        Ok((model, off_diagonal))
+    }
+
+    /// `τ²CᵀG̃C` over the realified Gram `g` — the `u`-independent
+    /// quadratic template: its diagonal, and its off-diagonal entries
+    /// `(i, j)`, `i < j`, row-major. An exact zero entry is no QUBO
+    /// term, and so no Ising coupling ([`Listed::Nonzero`]).
+    fn template(&self, g: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let dim = 2 * self.num_users();
+        let reduced = self.lattice.reduced_gram(g);
+        let (tau, encoding) = (self.tau, &self.encoding);
+        let group = encoding.bits_per_dimension();
+        let n = encoding.num_vars();
+        let mut diagonal = vec![0.0; n];
+        let mut off_diagonal = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for (i, d) in diagonal.iter_mut().enumerate() {
+            let (r, k) = (i / group, i % group);
+            let wk = encoding.weight(k);
+            *d += tau * tau * wk * wk * reduced[r * dim + r];
+            for j in (i + 1)..n {
+                let (rp, kp) = (j / group, j % group);
+                off_diagonal
+                    .push(2.0 * tau * tau * wk * encoding.weight(kp) * reduced[r * dim + rp]);
+            }
+        }
+        (diagonal, off_diagonal)
     }
 
     /// The modulo base.
@@ -508,7 +534,19 @@ impl VppModel {
     /// string (property-tested across box widths and τ).
     pub fn qubo_for(&self, u: &CVector) -> (QuboProblem, f64) {
         let (linear, offset) = self.fields(u, &self.box_corner(u));
-        let mut qubo = self.quad.clone();
+        let (diagonal, off_diagonal) = self.template(&realified_gram(&self.w));
+        let n = diagonal.len();
+        let mut qubo = QuboProblem::new(n);
+        let mut off_diagonal = off_diagonal.into_iter();
+        for (i, d) in diagonal.into_iter().enumerate() {
+            qubo.add_diagonal(i, d);
+            for j in (i + 1)..n {
+                let value = off_diagonal.next().expect("one entry per pair");
+                if value != 0.0 {
+                    qubo.set_off_diagonal(i, j, value);
+                }
+            }
+        }
         for (i, d) in linear.into_iter().enumerate() {
             qubo.add_diagonal(i, d);
         }
@@ -602,22 +640,29 @@ impl Precoder for VppPrecoder {
 
     /// Compiles the channel-dependent (per-coherence-interval) part of
     /// the precode once: the realified model and its LLL reduction, the
-    /// Ising couplings of its quadratic block, and a lookup of the chip
-    /// structure they select. The coupling sparsity is `u`-independent
-    /// (the quadratic QUBO block never changes), so the embedding, the
-    /// chain layout, and the CSR coupler slots serve every symbol
-    /// vector of the interval.
+    /// Ising couplings of its quadratic block (each template entry's
+    /// quarter `Q_ij/4`, Eq. 4), and a lookup of the chip structure they
+    /// select. The couplings are `u`-independent (the quadratic QUBO
+    /// block never changes), so they, the embedding, the chain layout,
+    /// and the CSR coupler slots serve every symbol vector of the
+    /// interval.
     fn compile(&self, input: &PrecodeInput) -> Result<VppSession, Error> {
-        let model = VppModel::new(&input.h, input.modulation, self.bits)?;
-        let (mut couplings, _) = qubo_to_ising(&model.quad);
-        for i in 0..couplings.num_spins() {
-            couplings.set_linear(i, 0.0);
-        }
+        let (model, off_diagonal) = VppModel::with_template(
+            &input.h,
+            input.modulation,
+            self.bits,
+            tau_for(input.modulation),
+        )?;
+        let mut quarters = off_diagonal.iter().map(|q| q / 4.0);
+        let couplings =
+            UpperCouplings::from_fn(model.encoding.num_vars(), Listed::Nonzero, |_, _| {
+                quarters.next().expect("one entry per pair")
+            });
         let core = AnnealCore::compile(
             self.annealer.clone(),
             Telemetry::disabled(),
             &self.graph,
-            &couplings,
+            Arc::new(couplings),
             self.config.embed,
         )?;
         Ok(VppSession {
@@ -625,7 +670,6 @@ impl Precoder for VppPrecoder {
             schedule: self.config.schedule,
             anneals: self.anneals,
             model,
-            couplings,
         })
     }
 }
@@ -638,13 +682,15 @@ impl Precoder for VppPrecoder {
 /// downlink twin of `DecodeSession`, sharing its annealed core, plus
 /// the `v = 0` floor: the session never returns a perturbation that
 /// costs more transmit power than plain ZF on the same symbols.
+///
+/// The session holds the couplings once, as its core's row-major
+/// vector; the model keeps only the template's diagonal, and each
+/// precode's fields replay the couplings' quarters onto it.
 pub struct VppSession {
     core: AnnealCore,
     schedule: Schedule,
     anneals: usize,
     model: VppModel,
-    /// `qubo_to_ising` of the quadratic block `τ²CᵀG̃C`, every field zero.
-    couplings: IsingProblem,
 }
 
 impl VppSession {
@@ -745,31 +791,42 @@ impl VppSession {
             .collect()
     }
 
-    /// The logical problem for `u` in the box at `corner` and the total
-    /// additive offset linking its Ising energies to transmit power:
-    /// `E_ising + offset = ‖P(u + τv)‖²`. Bit for bit
-    /// `qubo_to_ising(&model.qubo_for(u))` with the power offset added:
-    /// only the diagonal `Q_ii + 2τ·CᵀTᵀG·a` moves with `u`, and each
-    /// off-diagonal's quarter `Q_ij/4` (its share of two fields and of
-    /// the offset under the Eq. 4 conversion) is replayed onto the fields
-    /// and the offset in the conversion's own order.
-    fn reduce(&self, u: &CVector, corner: &[i64]) -> (IsingProblem, f64) {
+    /// The logical problem for `u` — its fields over the session's
+    /// couplings — and the total additive offset linking its Ising
+    /// energies to transmit power: `E_ising + offset = ‖P(u + τv)‖²`
+    /// with `v` decoded in `u`'s box. Bit for bit
+    /// `qubo_to_ising(&model.qubo_for(u))` with the power offset added.
+    pub fn reduced_problem(&self, u: &CVector) -> (IsingView, f64) {
+        let (fields, offset) = self.reduce(u, &self.model.box_corner(u));
+        (
+            IsingView::new(Arc::clone(self.core.couplings()), fields),
+            offset,
+        )
+    }
+
+    /// The fields of `u` in the box at `corner` and the total offset
+    /// (see [`VppSession::reduced_problem`]): only the diagonal
+    /// `Q_ii + 2τ·CᵀTᵀG·a` moves with `u`, and each coupling — an
+    /// off-diagonal's quarter `Q_ij/4`, its share of two fields and of
+    /// the offset under the Eq. 4 conversion — is replayed onto the
+    /// fields and the offset in the conversion's own order, skipping
+    /// the exact zeros the template leaves out.
+    fn reduce(&self, u: &CVector, corner: &[i64]) -> (Vec<f64>, f64) {
         let model = &self.model;
-        let (linear, power_offset) = model.fields(u, corner);
-        let mut logical = self.couplings.clone();
+        let (mut fields, power_offset) = model.fields(u, corner);
         let mut offset = 0.0;
-        for (i, field) in linear.into_iter().enumerate() {
-            let d = model.quad.diagonal(i) + field;
-            logical.add_linear(i, d / 2.0);
+        for (f, &diagonal) in fields.iter_mut().zip(&model.diagonal) {
+            let d = diagonal + *f;
+            // The conversion adds onto a zero field: `−0.0` becomes `+0.0`.
+            *f = 0.0 + d / 2.0;
             offset += d / 2.0;
         }
-        for (i, j, q) in model.quad.off_diagonals() {
-            let quarter = q / 4.0;
-            logical.add_linear(i, quarter);
-            logical.add_linear(j, quarter);
+        for (i, j, quarter) in self.core.couplings().listed() {
+            fields[i] += quarter;
+            fields[j] += quarter;
             offset += quarter;
         }
-        (logical, offset + power_offset)
+        (fields, offset + power_offset)
     }
 
     /// One precode: forward under the session's schedule, or backwards
@@ -1128,6 +1185,7 @@ mod tests {
     use super::*;
     use quamax_anneal::{AnnealerConfig, IceModel};
     use quamax_chimera::EmbeddingError;
+    use quamax_ising::qubo_to_ising;
     use quamax_linalg::LinalgError;
     use quamax_wireless::rayleigh_channel;
     use rand::Rng;

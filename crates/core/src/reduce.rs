@@ -28,9 +28,10 @@
 //! expressed in QuAMax-transform bits; the decoder's post-translation
 //! (wireless::gray) converts those to the transmitted Gray bits.
 
-use quamax_ising::{qubo_to_ising, IsingProblem, QuboProblem};
+use quamax_ising::{qubo_to_ising, IsingProblem, Listed, QuboProblem, UpperCouplings};
 use quamax_linalg::{CMatrix, CVector, Complex};
 use quamax_wireless::Modulation;
+use std::sync::Arc;
 
 /// Per-bit complex weights of the QuAMax transform for one user symbol,
 /// and the constant term: `T(q) = offset + Σ_b weights[b]·q_b`.
@@ -115,7 +116,9 @@ pub fn ising_from_ml(h: &CMatrix, y: &CVector, modulation: Modulation) -> (Ising
     if modulation == Modulation::Qam64 {
         return generic_ising(h, y, modulation);
     }
-    MlReduction::new(h, modulation).reduce(y)
+    let reduction = MlReduction::new(h, modulation);
+    let (fields, offset) = reduction.reduce(y);
+    (reduction.couplings().to_ising(&fields), offset)
 }
 
 /// The generic route: [`qubo_from_ml`] plus the Eq. 4 conversion.
@@ -138,17 +141,20 @@ fn generic_ising(h: &CMatrix, y: &CVector, modulation: Modulation) -> (IsingProb
 /// ML-to-QA problem conversion are insignificant". The Gram is formed
 /// once, as its upper triangle; BPSK reads only its real part.
 ///
-/// `reduce(y)` equals [`ising_from_ml`]`(h, y, modulation)` exactly:
-/// the same problem (couplings in the same adjacency order) and the
-/// same offset bits. 64-QAM has no closed form; its couplings are
-/// still `y`-independent, but each vector goes through the generic
-/// reduction whole.
+/// The reduction keeps `H`, the offset constants and the interval's
+/// couplings, held once as an [`UpperCouplings`] that the session and
+/// every run share by `Arc`; `reduce(y)` returns `y`'s fields alone.
+/// Those fields over [`MlReduction::couplings`] are
+/// [`ising_from_ml`]`(h, y, modulation)` exactly: the same problem
+/// (couplings listed in the same adjacency order) and the same offset
+/// bits. 64-QAM has no closed form; its couplings are still
+/// `y`-independent, but each vector goes through the generic reduction
+/// whole and keeps only its fields.
 #[derive(Clone, Debug)]
 pub struct MlReduction {
     h: CMatrix,
     modulation: Modulation,
-    /// The couplings, with every field zero.
-    couplings: IsingProblem,
+    couplings: Arc<UpperCouplings>,
     /// The offset's `y`-independent term: `Σ‖H_i‖²` for BPSK,
     /// `2·Σ‖H_i‖²` for QPSK (unused otherwise).
     norm_offset: f64,
@@ -165,8 +171,9 @@ impl MlReduction {
             // Eq. 6: g_ij = 2·Re⟨H_i, H_j⟩.
             Modulation::Bpsk => {
                 let gram = h.gram_real();
-                let couplings =
-                    IsingProblem::from_upper_couplings(nt, |i, j| Some(2.0 * gram[i * nt + j]));
+                let couplings = UpperCouplings::from_fn(nt, Listed::AcrossBlocks(1), |i, j| {
+                    2.0 * gram[i * nt + j]
+                });
                 // ‖y − Hv‖² = ‖y‖² − 2Re⟨y,Hv⟩ + ‖Hv‖²; with v = s the
                 // Ising part covers the cross terms; the constant is
                 // ‖y‖² + Σ_i ‖H_i‖².
@@ -175,21 +182,19 @@ impl MlReduction {
             }
             // Eq. 8. Spin order: `s_{2n}` is user `n`'s I bit and
             // `s_{2n+1}` its Q bit (the paper's 1-based odd/even split).
+            // Same-symbol I/Q couplers vanish: pairs within a user's
+            // block of two are not listed.
             Modulation::Qpsk => {
                 let gram = h.gram();
-                let couplings = IsingProblem::from_upper_couplings(2 * nt, |i, j| {
-                    let (user, user_j) = (i / 2, j / 2);
-                    if user_j == user {
-                        return None; // same-symbol I/Q couplers vanish
-                    }
-                    let hh = gram[(user, user_j)];
-                    Some(match (i % 2, j % 2) {
+                let couplings = UpperCouplings::from_fn(2 * nt, Listed::AcrossBlocks(2), |i, j| {
+                    let hh = gram[(i / 2, j / 2)];
+                    match (i % 2, j % 2) {
                         // Same parity (both I or both Q): 2·Re⟨H_i, H_j⟩.
                         (0, 0) | (1, 1) => 2.0 * hh.re,
                         // I then Q: −2·Im⟨H_i, H_j⟩; Q then I: +2·Im⟨H_i, H_j⟩.
                         (0, 1) => -2.0 * hh.im,
                         _ => 2.0 * hh.im,
-                    })
+                    }
                 });
                 // Constant: ‖y‖² + E‖Hv‖² over the ±1±j lattice
                 // = ‖y‖² + 2Σ‖H_i‖².
@@ -201,11 +206,11 @@ impl MlReduction {
             // 4, 2, 4j, 2j.
             Modulation::Qam16 => {
                 let gram = h.gram();
-                let couplings = IsingProblem::from_upper_couplings(4 * nt, |i, j| {
+                let couplings = UpperCouplings::from_fn(4 * nt, Listed::Nonzero, |i, j| {
                     let (user, pos, user_j, pos_j) = (i / 4, i % 4, j / 4, j % 4);
                     let w = qam16_weight(pos) * qam16_weight(pos_j) / 2.0;
                     let hh = gram[(user, user_j)];
-                    let g = match (pos >= 2, pos_j >= 2) {
+                    match (pos >= 2, pos_j >= 2) {
                         // Same dimension: w·Re⟨H_i, H_j⟩ — including the
                         // same-user I-MSB/I-LSB pair (Eq. 14's 4‖H‖² case).
                         (false, false) | (true, true) => w * hh.re,
@@ -213,24 +218,27 @@ impl MlReduction {
                         // matching the paper's "coupler strength … is 0").
                         (false, true) => -w * hh.im,
                         (true, false) => w * hh.im,
-                    };
-                    (g != 0.0).then_some(g)
+                    }
                 });
                 let probe = h.mul_vec(&CVector::from_fn(nt, |_| Complex::new(-3.0, -3.0)));
                 (couplings, 0.0, probe)
             }
             Modulation::Qam64 => {
-                let (mut couplings, _) = generic_ising(h, &CVector::zeros(h.rows()), modulation);
-                for i in 0..couplings.num_spins() {
-                    couplings.set_linear(i, 0.0);
+                let (generic, _) = generic_ising(h, &CVector::zeros(h.rows()), modulation);
+                let n = generic.num_spins();
+                let mut dense = vec![0.0; n * n];
+                for (i, j, g) in generic.couplings() {
+                    dense[i * n + j] = g;
                 }
+                let couplings =
+                    UpperCouplings::from_fn(n, Listed::Nonzero, |i, j| dense[i * n + j]);
                 (couplings, 0.0, CVector::zeros(0))
             }
         };
         MlReduction {
             h: h.clone(),
             modulation,
-            couplings,
+            couplings: Arc::new(couplings),
             norm_offset,
             probe,
         }
@@ -241,57 +249,54 @@ impl MlReduction {
         self.modulation
     }
 
-    /// The interval's couplings (every field zero): the coupling half of
-    /// every [`MlReduction::reduce`] output.
-    pub fn couplings(&self) -> &IsingProblem {
+    /// The interval's couplings: the coupling half of every
+    /// [`MlReduction::reduce`] output.
+    pub fn couplings(&self) -> &Arc<UpperCouplings> {
         &self.couplings
     }
 
-    /// The Ising problem of one received vector and its offset,
-    /// `ising.energy(s) + offset = ‖y − He‖²`: the interval's couplings
-    /// plus `y`'s fields (Eqs. 6, 7, 13).
+    /// The fields of one received vector and its offset: over
+    /// [`MlReduction::couplings`] they make the Ising problem with
+    /// `ising.energy(s) + offset = ‖y − He‖²` (Eqs. 6, 7, 13).
     ///
     /// # Panics
     /// Panics when `y`'s length differs from the receive antennas.
-    pub fn reduce(&self, y: &CVector) -> (IsingProblem, f64) {
+    pub fn reduce(&self, y: &CVector) -> (Vec<f64>, f64) {
         assert_eq!(
             y.len(),
             self.h.rows(),
             "received vector length differs from receive antennas"
         );
-        if self.modulation == Modulation::Qam64 {
-            return generic_ising(&self.h, y, self.modulation);
-        }
-        let mut p = self.couplings.clone();
+        let nt = self.h.cols();
         match self.modulation {
             // Eq. 6: f_i = −2·Re⟨H_i, y⟩.
             Modulation::Bpsk => {
-                for i in 0..self.h.cols() {
-                    p.set_linear(i, -2.0 * self.matched_filter_re(y, i));
-                }
-                (p, y.norm_sqr() + self.norm_offset)
+                let fields = (0..nt)
+                    .map(|i| -2.0 * self.matched_filter_re(y, i))
+                    .collect();
+                (fields, y.norm_sqr() + self.norm_offset)
             }
             // Eq. 7: odd (I) spins couple to Re⟨H,y⟩, even (Q) to Im.
             Modulation::Qpsk => {
-                for user in 0..self.h.cols() {
+                let mut fields = Vec::with_capacity(2 * nt);
+                for user in 0..nt {
                     let hy = self.matched_filter(y, user);
-                    p.set_linear(2 * user, -2.0 * hy.re);
-                    p.set_linear(2 * user + 1, -2.0 * hy.im);
+                    fields.extend([-2.0 * hy.re, -2.0 * hy.im]);
                 }
-                (p, y.norm_sqr() + self.norm_offset)
+                (fields, y.norm_sqr() + self.norm_offset)
             }
             // Eq. 13: I spins → weight·Re⟨H,y⟩; Q spins → weight·Im⟨H,y⟩.
-            _ => {
-                for user in 0..self.h.cols() {
+            Modulation::Qam16 => {
+                let mut fields = Vec::with_capacity(4 * nt);
+                for user in 0..nt {
                     let hy = self.matched_filter(y, user);
-                    for pos in 0..4 {
-                        let f = if pos >= 2 {
+                    fields.extend((0..4).map(|pos| {
+                        if pos >= 2 {
                             -qam16_weight(pos) * hy.im
                         } else {
                             -qam16_weight(pos) * hy.re
-                        };
-                        p.set_linear(4 * user + pos, f);
-                    }
+                        }
+                    }));
                 }
                 // The energy offset (the spin-independent part of the
                 // expanded norm). Unlike BPSK/QPSK, 16-QAM's |v|² is
@@ -300,9 +305,13 @@ impl MlReduction {
                 // separate closed form for the remaining constant, pin
                 // it by evaluating both sides at one configuration
                 // (all-(−1) spins ⇔ every symbol at T(0) = −3−3j).
-                let e_ising = p.energy(&vec![-1; p.num_spins()]);
+                let e_ising = self.couplings.energy(&fields, &vec![-1; fields.len()]);
                 let ml = (y - &self.probe).norm_sqr();
-                (p, ml - e_ising)
+                (fields, ml - e_ising)
+            }
+            Modulation::Qam64 => {
+                let (generic, offset) = generic_ising(&self.h, y, self.modulation);
+                (generic.linear_terms().to_vec(), offset)
             }
         }
     }

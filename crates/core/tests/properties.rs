@@ -579,6 +579,75 @@ proptest! {
     }
 }
 
+/// Every spin string of `n` spins.
+fn all_spin_strings(n: usize) -> impl Iterator<Item = Vec<i8>> {
+    (0u32..(1 << n)).map(move |k| {
+        (0..n)
+            .map(|b| if (k >> b) & 1 == 1 { 1 } else { -1 })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A session's logical problem is its input's fields over the
+    /// interval's shared couplings, and that view prices every spin
+    /// string with the energy bits of the reference problem: uplink,
+    /// for every modulation (64-QAM's generic path and QPSK's unlisted
+    /// zero same-user couplers included), against `ising_from_ml`;
+    /// downlink, against `qubo_to_ising` of the VPP model's QUBO, with
+    /// the same offset bits on both sides.
+    #[test]
+    fn shared_coupling_views_price_every_spin_string_like_the_reference(
+        h in channel(3, 2),
+        y in received(3),
+        m in (0usize..4).prop_map(|k| Modulation::ALL[k]),
+        precode_h in channel(2, 3),
+        u in received(2),
+        t in 1usize..=3,
+    ) {
+        use quamax_core::{ising_from_ml, MlReduction, PrecodeInput, Precoder, VppPrecoder};
+        use quamax_ising::{qubo_to_ising, IsingView};
+        use std::sync::Arc;
+
+        let reduction = MlReduction::new(&h, m);
+        let (fields, offset) = reduction.reduce(&y);
+        let view = IsingView::new(Arc::clone(reduction.couplings()), fields);
+        let (reference, reference_offset) = ising_from_ml(&h, &y, m);
+        prop_assert_eq!(offset.to_bits(), reference_offset.to_bits(), "{} offset", m.name());
+        for s in all_spin_strings(view.num_spins()) {
+            prop_assert_eq!(
+                view.energy(&s).to_bits(),
+                reference.energy(&s).to_bits(),
+                "{} {:?}", m.name(), s
+            );
+        }
+
+        // Random draws can be rank-deficient; those have no session.
+        let precoder = VppPrecoder::new(session_annealer(), DecoderConfig::default(), 1, t);
+        let input = PrecodeInput { h: precode_h, modulation: m };
+        let Ok(session) = precoder.compile(&input) else {
+            return Ok(());
+        };
+        let (view, offset) = session.reduced_problem(&u);
+        let (qubo, power_offset) = session.model().qubo_for(&u);
+        let (reference, conversion_offset) = qubo_to_ising(&qubo);
+        prop_assert_eq!(
+            offset.to_bits(),
+            (conversion_offset + power_offset).to_bits(),
+            "VPP t={} offset", t
+        );
+        for s in all_spin_strings(view.num_spins()) {
+            prop_assert_eq!(
+                view.energy(&s).to_bits(),
+                reference.energy(&s).to_bits(),
+                "VPP t={} {:?}", t, s
+            );
+        }
+    }
+}
+
 /// A random square-ish Rayleigh precoding input.
 fn vpp_input(users: usize, extra: usize, m: Modulation, seed: u64) -> quamax_core::PrecodeInput {
     let mut rng = StdRng::seed_from_u64(seed);

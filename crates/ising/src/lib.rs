@@ -16,7 +16,8 @@
 //! which energies agree up to a configuration-independent constant. This
 //! crate provides both forms, the conversions with their explicit energy
 //! offsets, energy/Δ-energy evaluation fast enough for Monte-Carlo
-//! dynamics, and an exhaustive exact solver used as ground truth by the
+//! dynamics, a shared-couplings view for problems that differ only in
+//! their fields, and an exhaustive exact solver used as ground truth by the
 //! decoder tests and the Fig. 4-style solution-rank analyses.
 
 pub mod compiled;
@@ -24,6 +25,7 @@ pub mod convert;
 pub mod exact;
 pub mod ising;
 pub mod qubo;
+pub mod shared;
 pub mod spins;
 
 pub use compiled::CompiledProblem;
@@ -31,4 +33,5 @@ pub use convert::{ising_to_qubo, qubo_to_ising};
 pub use exact::{exact_ground_state, rank_all_solutions, ExactSolution, RankedSolution};
 pub use ising::IsingProblem;
 pub use qubo::QuboProblem;
+pub use shared::{Energy, IsingView, Listed, UpperCouplings};
 pub use spins::{bits_to_spins, spins_to_bits, Spin};

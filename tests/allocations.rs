@@ -196,6 +196,11 @@ fn interval(rng: &mut Rng) -> (DetectionInput, Vec<(CVector, u64)>) {
 /// re-embedded and re-froze the chip structure.
 const WARM_COMPILE_BUDGET: u64 = 1571 / 5;
 
+/// Allocations a warm 4-item 48-user `decode_batch` may make: it made
+/// 366 while every item copied the session's couplings into its own
+/// adjacency-list problem.
+const WARM_BATCH_BUDGET: u64 = 200;
+
 #[test]
 fn warm_decode_allocates_no_window_buffer() {
     let mut rng = Rng::seed_from_u64(0xA110C);
@@ -221,6 +226,11 @@ fn warm_decode_allocates_no_window_buffer() {
         compile.count <= WARM_COMPILE_BUDGET,
         "a warm compile made {} allocations (budget {WARM_COMPILE_BUDGET})",
         compile.count
+    );
+    assert!(
+        batch.count <= WARM_BATCH_BUDGET,
+        "a warm decode_batch made {} allocations (budget {WARM_BATCH_BUDGET})",
+        batch.count
     );
     assert!(
         batch.largest < window_buffer,
@@ -316,10 +326,55 @@ fn warm_sqa_run_allocates_no_slice_strip() {
     );
 }
 
-/// Live heap a 16-user lattice-reduced VPP session may hold: its model,
-/// couplings and slot-order coefficients, with the chip structure
-/// shared through the cache.
-const VPP16_SESSION_BUDGET: i64 = 70 * 1024;
+/// Live heap a 16-user lattice-reduced VPP session may hold: its model
+/// (`P`, `W`, the LLL basis change and its inverse, the template's
+/// diagonal) and the couplings, held once, with the chip structure
+/// shared through the cache. It held 63 360 B while it also kept the
+/// QUBO template and an adjacency-list copy of the couplings.
+const VPP16_SESSION_BUDGET: i64 = 34 * 1024;
+
+/// Live heap each session shape metro serves may hold once its chip
+/// structure is cached: `(shape, users, modulation, budget)`. A decode
+/// session holds `H` and the couplings; the budgets sit above what the
+/// sessions held (9 408, 6 336 and 16 320 B) less their adjacency-list
+/// copies of the couplings, and a VPP session's QUBO template.
+const SESSION_BUDGETS: [(&str, usize, Modulation, i64); 4] = [
+    ("16u BPSK decode", 16, Modulation::Bpsk, 6 * 1024),
+    ("8u QPSK decode", 8, Modulation::Qpsk, 3 * 1024),
+    ("16u BPSK VPP", 16, Modulation::Bpsk, VPP16_SESSION_BUDGET),
+    ("8u QPSK VPP", 8, Modulation::Qpsk, 9 * 1024),
+];
+
+#[test]
+fn held_sessions_fit_their_budgets() {
+    let mut rng = Rng::seed_from_u64(0xA110F);
+    let decoder = QuamaxDecoder::new(one_thread_annealer(), DecoderConfig::default());
+    let precoder = VppPrecoder::new(one_thread_annealer(), DecoderConfig::default(), 10, 1);
+    for (shape, users, modulation, budget) in SESSION_BUDGETS {
+        let vpp = shape.ends_with("VPP");
+        // The first compile of the shape builds and caches its chip
+        // structure; the measured one compiles a fresh channel.
+        let compile = |rng: &mut Rng| -> Allocations {
+            let h = rayleigh_channel(users, users, rng);
+            if vpp {
+                let input = PrecodeInput { h, modulation };
+                measure(|| precoder.compile(&input).unwrap()).1
+            } else {
+                let y = CVector::zeros(users);
+                let input = DetectionInput { h, y, modulation };
+                measure(|| decoder.compile(&input).unwrap()).1
+            }
+        };
+        compile(&mut rng);
+        let held = compile(&mut rng);
+        eprintln!("{shape} session holds {} B (budget {budget} B)", held.live);
+        assert!(
+            held.live <= budget,
+            "a {shape} session holds {} B (budget {budget} B)",
+            held.live
+        );
+    }
+}
 
 #[test]
 fn fresh_channel_vpp_compile_finds_the_shape_structure() {

@@ -122,6 +122,14 @@ const ALLOWED: &[(&str, &str, Reason)] = &[
     ),
     (
         "crates/core/src/precode.rs",
+        "reduced_problem",
+        Contract(
+            CORE_PROPS,
+            "shared_coupling_views_price_every_spin_string_like_the_reference",
+        ),
+    ),
+    (
+        "crates/core/src/precode.rs",
         "basis_change",
         Contract(CORE_PROPS, "vpp_lr_basis_change_is_unimodular"),
     ),

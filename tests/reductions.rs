@@ -8,13 +8,15 @@
 //! * the fields-only `MlReduction::reduce`, one `MlReduction` reused
 //!   across received vectors, against `ising_from_ml` and against the
 //!   closed forms written out pair by pair with upserts, as Eqs. 6–8 and
-//!   13–14 state them: the same problem, the same offset bits, and the
-//!   same energy bits on random spins.
+//!   13–14 state them: its fields over the shared couplings convert to
+//!   the same problem, with the same offset bits, and the view prices
+//!   random spins with the same energy bits.
 
 use quamax::prelude::*;
 use quamax_core::{ising_from_ml, MlReduction};
-use quamax_ising::IsingProblem;
+use quamax_ising::{IsingProblem, IsingView};
 use rand::Rng as _;
+use std::sync::Arc;
 
 /// A random entry: one in five exactly zero, others often pure real or
 /// pure imaginary, so Gram parts cancel to (signed) zeros.
@@ -174,7 +176,9 @@ fn fields_only_reduction_equals_the_closed_forms() {
             for k in 0..4 {
                 let y = CVector::from_fn(nr, |_| entry(&mut rng));
                 let what = format!("{} {nr}x{nt} zeros={zeros} y#{k}", m.name());
-                let (p, offset) = reduction.reduce(&y);
+                let (fields, offset) = reduction.reduce(&y);
+                let view = IsingView::new(Arc::clone(reduction.couplings()), fields);
+                let p = view.to_ising();
                 let mut oracles = vec![ising_from_ml(&h, &y, m)];
                 if m != Modulation::Qam64 {
                     oracles.push(closed_form(&h, &y, m));
@@ -187,7 +191,7 @@ fn fields_only_reduction_equals_the_closed_forms() {
                             .map(|_| if rng.random_bool(0.5) { 1 } else { -1 })
                             .collect();
                         assert_eq!(
-                            p.energy(&spins).to_bits(),
+                            view.energy(&spins).to_bits(),
                             q.energy(&spins).to_bits(),
                             "{what}: energy"
                         );

@@ -78,8 +78,8 @@ fn assert_run_matches(run: &DecodeRun, composed: &Composed, what: &str) {
         "{what}: distribution"
     );
     assert_eq!(
-        run.logical_problem(),
-        &composed.logical,
+        run.logical_problem().to_ising(),
+        composed.logical,
         "{what}: logical problem"
     );
     assert_eq!(
@@ -411,7 +411,11 @@ fn concurrent_compiles_agree_with_serial_compiles() {
         for (k, (a, b)) in runs.iter().zip(&serial).enumerate() {
             let what = format!("{users}u {} #{k}", modulation.name());
             assert_eq!(a.distribution(), b.distribution(), "{what}");
-            assert_eq!(a.logical_problem(), b.logical_problem(), "{what}");
+            assert_eq!(
+                a.logical_problem().to_ising(),
+                b.logical_problem().to_ising(),
+                "{what}"
+            );
             assert_eq!(a.ml_offset().to_bits(), b.ml_offset().to_bits(), "{what}");
         }
     }
